@@ -16,15 +16,16 @@ import (
 // path: one committer and one querier run flat out against a file-backed
 // durable DB while checkpoints happen, and the experiment reports their
 // p50/p99/max latencies plus the total write-lock stall the checkpoints
-// imposed (CheckpointStats: cut + publish phases, plus build under
-// stop-the-world). Three modes, one row each:
+// imposed (CheckpointStats: the cut and publish phases). Two modes, one
+// row each:
 //
-//	x=0  stw     Options.StopTheWorldCheckpoints — the whole pipeline in
-//	             one write-lock critical section (the pre-phased
-//	             behavior); the baseline.
-//	x=1  phased  the default pipeline — only cut and publish lock.
+//	x=1  phased  manual Checkpoint calls alongside the load — only cut
+//	             and publish hold the write lock.
 //	x=2  auto    no manual Checkpoint calls at all: AutoCheckpoint
 //	             triggers from the WAL record threshold (steady state).
+//
+// (x=0 was the stop-the-world baseline — the whole pipeline in one
+// write-lock critical section; its numbers are recorded in CHANGES.md.)
 //
 // Stall time, not throughput ratios, is the headline number: the CI box
 // has one CPU, so a background build phase still steals cycles — what the
@@ -33,7 +34,7 @@ import (
 // figure; it validates the phased checkpoint pipeline (ROADMAP).
 const (
 	checkpointID     = "checkpoint"
-	checkpointTitle  = "Commit/query latency with checkpoints running (mode 0=stw 1=phased 2=auto)"
+	checkpointTitle  = "Commit/query latency with checkpoints running (mode 1=phased 2=auto)"
 	checkpointXLabel = "mode"
 )
 
@@ -64,8 +65,7 @@ func checkpointBench(dir, mode string, commits, preload int) (commitLat, queryLa
 		Durability: peb.DurabilityGrouped,
 		// Size the buffer to the index so the build phase's page flushing,
 		// not miss-path serialization, is the effect under test.
-		BufferPages:             preload/8 + 256,
-		StopTheWorldCheckpoints: mode == "stw",
+		BufferPages: preload/8 + 256,
 	}
 	if mode == "auto" {
 		opts.AutoCheckpoint = peb.AutoCheckpointPolicy{WALRecords: uint64(commits / 4)}
@@ -138,8 +138,7 @@ func checkpointBench(dir, mode string, commits, preload int) (commitLat, queryLa
 	trigger := map[int]bool{commits / 4: true, commits / 2: true, 3 * commits / 4: true}
 	for i := 1; i <= commits; i++ {
 		if mode != "auto" && trigger[i] {
-			// Fire the checkpoint alongside the load; under stw its whole
-			// pipeline holds the write lock, under phased only cut+publish.
+			// Fire the checkpoint alongside the load.
 			ckptWG.Add(1)
 			go func() {
 				defer ckptWG.Done()
@@ -195,25 +194,21 @@ var expCheckpoint = Experiment{
 		}
 		defer os.RemoveAll(dir)
 
-		modes := []string{"stw", "phased", "auto"}
+		modes := []string{"phased", "auto"}
 		rows := make([]Row, 0, len(modes))
-		for x, mode := range modes {
+		for i, mode := range modes {
 			cLat, qLat, st, err := checkpointBench(dir, mode, commits, preload)
 			if err != nil {
 				return nil, fmt.Errorf("checkpoint mode %s: %w", mode, err)
 			}
-			// The write-lock stall the checkpoints imposed: cut+publish
-			// always hold it; under stop-the-world the build does too.
+			// The write-lock stall the checkpoints imposed.
 			stall := st.TotalCut + st.TotalPublish
-			if mode == "stw" {
-				stall += st.TotalBuild
-			}
 			o.logf("checkpoint %s: %d ckpts (%d auto, %d coalesced), commit p99 %v max %v, query p99 %v, stall %v (cut %v build %v publish %v), %d pages flushed, %d reclaimed, %d wal bytes truncated",
 				mode, st.Checkpoints, st.AutoTriggered, st.Coalesced,
 				pctl(cLat, 99), pctl(cLat, 100), pctl(qLat, 99),
 				stall, st.TotalCut, st.TotalBuild, st.TotalPublish,
 				st.PagesFlushed, st.PagesReclaimed, st.WALBytesTruncated)
-			rows = append(rows, Row{X: float64(x), Vals: []float64{
+			rows = append(rows, Row{X: float64(i + 1), Vals: []float64{
 				float64(pctl(cLat, 50).Microseconds()),
 				float64(pctl(cLat, 99).Microseconds()),
 				float64(pctl(cLat, 100).Microseconds()),

@@ -147,9 +147,11 @@ var expReplication = Experiment{
 						fail(fmt.Errorf("writer: %w", err))
 						return
 					}
-					for _, pool := range db.FollowerLags() {
+					for _, pool := range db.FollowerLagReadings() {
 						mu.Lock()
-						lags = append(lags, pool...)
+						for _, lr := range pool {
+							lags = append(lags, lr.Lag)
+						}
 						mu.Unlock()
 					}
 				}

@@ -1,243 +1,13 @@
 package store
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 )
 
 // Unit tests for the primitives the phased checkpoint pipeline leans on:
-// WAL tail rotation (TruncateTo), incremental buffer flushing
-// (DirtyPages/FlushPages), and deferred page reclamation
-// (FileDisk.DeferFrees).
-
-func walRecords(t *testing.T, fs VFS, path string) [][]byte {
-	t.Helper()
-	w, recs, err := OpenWAL(fs, path, WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return recs
-}
-
-func TestWALTruncateToKeepsTail(t *testing.T) {
-	fs := NewCrashFS()
-	w, recs, err := OpenWAL(fs, "t.wal", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("fresh wal holds %d records", len(recs))
-	}
-	appendRec := func(s string) WALToken {
-		t.Helper()
-		tok, err := w.Append([]byte(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Commit(tok); err != nil {
-			t.Fatal(err)
-		}
-		return tok
-	}
-	appendRec("alpha")
-	appendRec("beta")
-	mark := w.Mark()
-	appendRec("gamma")
-	appendRec("delta")
-
-	removed, rewritten, err := w.TruncateTo(mark)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(2*8 + len("alpha") + len("beta")); removed != want {
-		t.Fatalf("removed %d bytes, want %d", removed, want)
-	}
-	if want := int64(2*8 + len("gamma") + len("delta")); rewritten != want {
-		t.Fatalf("rewrote %d bytes, want the uncovered suffix (%d)", rewritten, want)
-	}
-	// Records appended after the mark survive, both live and on reopen.
-	tok, err := w.Append([]byte("epsilon"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Commit(tok); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := walRecords(t, fs, "t.wal")
-	want := []string{"gamma", "delta", "epsilon"}
-	if len(got) != len(want) {
-		t.Fatalf("recovered %d records, want %d", len(got), len(want))
-	}
-	for i, s := range want {
-		if !bytes.Equal(got[i], []byte(s)) {
-			t.Fatalf("record %d = %q, want %q", i, got[i], s)
-		}
-	}
-}
-
-func TestWALTruncateToEverything(t *testing.T) {
-	fs := NewCrashFS()
-	w, _, err := OpenWAL(fs, "e.wal", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		tok, err := w.Append([]byte{byte('a' + i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Commit(tok); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, rewritten, err := w.TruncateTo(w.Mark()); err != nil || rewritten != 0 {
-		t.Fatalf("full truncate = (rewritten %d, %v), want no rewrite", rewritten, err)
-	}
-	if w.Size() != 0 {
-		t.Fatalf("size after full truncate = %d", w.Size())
-	}
-	// The logical offset keeps advancing across the truncation: appends
-	// after it replay correctly.
-	tok, err := w.Append([]byte("post"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Commit(tok); err != nil {
-		t.Fatal(err)
-	}
-	// A second truncate to an already-covered mark is a no-op.
-	if n, _, err := w.TruncateTo(0); err != nil || n != 0 {
-		t.Fatalf("stale-mark truncate = (%d, %v), want (0, nil)", n, err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := walRecords(t, fs, "e.wal")
-	if len(got) != 1 || !bytes.Equal(got[0], []byte("post")) {
-		t.Fatalf("recovered %v, want [post]", got)
-	}
-}
-
-// TestWALTruncateToCommitSatisfied: rotation makes everything remaining
-// durable, so Commit tokens from before it return without another fsync.
-func TestWALTruncateToCommitSatisfied(t *testing.T) {
-	fs := NewCrashFS()
-	w, _, err := OpenWAL(fs, "c.wal", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tokA, err := w.Append([]byte("covered"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Commit(tokA); err != nil {
-		t.Fatal(err)
-	}
-	mark := w.Mark()
-	tokB, err := w.Append([]byte("tail"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.TruncateTo(mark); err != nil {
-		t.Fatal(err)
-	}
-	_, syncsBefore := w.Stats()
-	if err := w.Commit(tokA); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Commit(tokB); err != nil {
-		t.Fatal(err)
-	}
-	if _, syncsAfter := w.Stats(); syncsAfter != syncsBefore {
-		t.Fatalf("commits after rotation paid %d extra fsyncs", syncsAfter-syncsBefore)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWALTruncateToCrash sweeps a fault point over every operation of a
-// rotation: recovery must see either the whole log or exactly the tail —
-// never a torn mix, and never a lost tail record.
-func TestWALTruncateToCrash(t *testing.T) {
-	run := func(fs *CrashFS) {
-		w, _, err := OpenWAL(fs, "r.wal", WALSyncAlways)
-		if err != nil {
-			return
-		}
-		for _, s := range []string{"aa", "bb"} {
-			tok, err := w.Append([]byte(s))
-			if err != nil {
-				return
-			}
-			if err := w.Commit(tok); err != nil {
-				return
-			}
-		}
-		mark := w.Mark()
-		tok, err := w.Append([]byte("cc"))
-		if err != nil {
-			return
-		}
-		if err := w.Commit(tok); err != nil {
-			return
-		}
-		_, _, _ = w.TruncateTo(mark)
-	}
-
-	golden := NewCrashFS()
-	run(golden)
-	total := golden.Ops()
-	if total < 5 {
-		t.Fatalf("suspiciously few ops: %d", total)
-	}
-	for _, keepUnsynced := range []bool{false, true} {
-		for k := 0; k < total; k++ {
-			fs := NewCrashFS()
-			fs.SetFailAfter(k)
-			run(fs)
-			if !fs.Dead() {
-				fs.CutPower()
-			}
-			fs.Reboot(keepUnsynced)
-			recs := walRecords(t, fs, "r.wal")
-			var got []string
-			for _, r := range recs {
-				got = append(got, string(r))
-			}
-			ok := false
-			switch len(got) {
-			case 0:
-				ok = true // crashed before any commit was acknowledged
-			case 1:
-				ok = got[0] == "aa" || got[0] == "cc"
-			case 2:
-				ok = got[0] == "aa" && got[1] == "bb"
-			case 3:
-				ok = got[0] == "aa" && got[1] == "bb" && got[2] == "cc"
-			}
-			if !ok {
-				t.Fatalf("k=%d keep=%v: recovered %v — torn rotation", k, keepUnsynced, got)
-			}
-			// The tail record, once the rotation completed, must survive:
-			// if the log no longer starts with "aa", it must be exactly
-			// ["cc"].
-			if len(got) > 0 && got[0] != "aa" && !(len(got) == 1 && got[0] == "cc") {
-				t.Fatalf("k=%d keep=%v: rotated log is %v, want [cc]", k, keepUnsynced, got)
-			}
-			if ok, _ := fs.Exists("r.wal.tmp"); ok {
-				t.Fatalf("k=%d keep=%v: rotation staging file leaked past reopen", k, keepUnsynced)
-			}
-		}
-	}
-}
+// incremental buffer flushing (DirtyPages/FlushPages) and deferred page
+// reclamation (FileDisk.DeferFrees).
 
 func TestBufferFlushPages(t *testing.T) {
 	disk := NewMemDisk()
@@ -413,102 +183,5 @@ func TestListDir(t *testing.T) {
 		if !seen[want] {
 			t.Fatalf("ListDir missing %s (got %v)", want, names)
 		}
-	}
-}
-
-// countingVFS wraps a VFS and counts the bytes written through WriteAt,
-// per path, so tests can pin the I/O cost of an operation.
-type countingVFS struct {
-	VFS
-	mu      sync.Mutex
-	written map[string]int64
-}
-
-func newCountingVFS(inner VFS) *countingVFS {
-	return &countingVFS{VFS: inner, written: make(map[string]int64)}
-}
-
-func (c *countingVFS) OpenFile(name string) (VFile, error) {
-	f, err := c.VFS.OpenFile(name)
-	if err != nil {
-		return nil, err
-	}
-	return &countingVFile{VFile: f, fs: c, name: name}, nil
-}
-
-func (c *countingVFS) bytesWritten(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.written[name]
-}
-
-type countingVFile struct {
-	VFile
-	fs   *countingVFS
-	name string
-}
-
-func (f *countingVFile) WriteAt(p []byte, off int64) (int, error) {
-	n, err := f.VFile.WriteAt(p, off)
-	f.fs.mu.Lock()
-	f.fs.written[f.name] += int64(n)
-	f.fs.mu.Unlock()
-	return n, err
-}
-
-// TestWALTruncateToRewritesOnlySuffix pins log rotation's write cost to the
-// uncovered suffix: however large the covered prefix grows, rotating away N
-// prefix bytes must write only the surviving tail bytes (plus nothing to
-// the log file itself) — the groundwork invariant for future segmentation.
-func TestWALTruncateToRewritesOnlySuffix(t *testing.T) {
-	fs := newCountingVFS(NewCrashFS())
-	w, _, err := OpenWAL(fs, "s.wal", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A deliberately bulky covered prefix and a small tail.
-	prefix := bytes.Repeat([]byte("p"), 4096)
-	for i := 0; i < 32; i++ {
-		tok, err := w.Append(prefix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Commit(tok); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mark := w.Mark()
-	tail := []byte("tiny-tail-record")
-	tok, err := w.Append(tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Commit(tok); err != nil {
-		t.Fatal(err)
-	}
-
-	before := fs.bytesWritten("s.wal.tmp") + fs.bytesWritten("s.wal")
-	removed, rewritten, err := w.TruncateTo(mark)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := fs.bytesWritten("s.wal.tmp") + fs.bytesWritten("s.wal")
-
-	tailFramed := int64(8 + len(tail))
-	if rewritten != tailFramed {
-		t.Fatalf("reported rewrite of %d bytes, want the %d-byte suffix", rewritten, tailFramed)
-	}
-	if want := int64(32 * (8 + len(prefix))); removed != want {
-		t.Fatalf("removed %d bytes, want %d", removed, want)
-	}
-	if wrote := after - before; wrote != tailFramed {
-		t.Fatalf("rotation physically wrote %d bytes, want exactly the %d-byte suffix", wrote, tailFramed)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs := walRecords(t, fs, "s.wal")
-	if len(recs) != 1 || !bytes.Equal(recs[0], tail) {
-		t.Fatalf("post-rotation log holds %d records", len(recs))
 	}
 }

@@ -17,9 +17,35 @@ import (
 
 // Segmented write-ahead log.
 //
-// A SegmentedWAL is the WAL's record framing and group-commit protocol
-// (see wal.go) over a sequence of numbered segment files instead of one
-// monolithic file:
+// The log is an append-only sequence of length-prefixed, CRC-checksummed
+// records. Callers append a record per committed logical batch and then
+// wait for the record to become durable (Commit); on restart,
+// OpenSegmentedWAL returns exactly the durable prefix — a torn or corrupt
+// tail (the record being appended when power was lost) is detected by the
+// checksum and cut off.
+//
+// Record framing:
+//
+//	[4 bytes] payload length (big endian)
+//	[4 bytes] CRC-32 (Castagnoli) of the payload
+//	[n bytes] payload (opaque to the log)
+//
+// Group commit: Append only buffers the record in the file; Commit makes it
+// durable according to the sync policy. Under WALSyncAlways the first
+// committer becomes the sync leader and fsyncs everything appended so far,
+// so concurrent commits share one fsync (the classic group commit).
+// WALSyncGrouped adds a short gathering window before the leader syncs,
+// trading commit latency for fewer fsyncs under load. WALSyncNone never
+// syncs on commit — the OS (or the next seal/Close) flushes — so a crash
+// may lose a suffix of acknowledged commits, but recovery still sees a
+// clean committed prefix.
+//
+// Error handling is strict: after any write or sync failure the log is
+// poisoned and every subsequent Append/Commit fails. A log that may have a
+// hole must never accept later records, or recovery would silently skip
+// committed work.
+//
+// The records live in a sequence of numbered segment files:
 //
 //	<path>.000001   sealed — full, fsynced, never written again
 //	<path>.000002   sealed
@@ -39,12 +65,11 @@ import (
 //     active at the crash, which is by construction the highest-numbered
 //     one that survived.
 //
-// Checkpoint truncation becomes deletion: DropThrough removes the sealed
+// Checkpoint truncation is deletion: DropThrough removes the sealed
 // segments a checkpoint's cut mark covers entirely and never rewrites a
-// byte — the stage-tail-and-rename rotation of WAL.TruncateTo (and the
-// WALTailBytesRewritten cost it was charged under) does not exist here.
-// Records the mark covers only partially stay in place; recovery skips
-// them by sequence number, so correctness never depends on their removal.
+// byte. Records the mark covers only partially stay in place; recovery
+// skips them by sequence number, so correctness never depends on their
+// removal.
 //
 // Sealed segments are also the log's replication unit: a follower can
 // read sealed files without coordination (their content is frozen) and
@@ -52,14 +77,41 @@ import (
 // is still being written. Logical offsets (WALToken, the durability
 // watermark) run monotonically across segments and never reset.
 
+// WALSyncPolicy selects how Commit waits for durability.
+type WALSyncPolicy int
+
+const (
+	// WALSyncAlways fsyncs before Commit returns; concurrent commits share
+	// a single fsync opportunistically.
+	WALSyncAlways WALSyncPolicy = iota
+	// WALSyncGrouped is WALSyncAlways plus a short gathering window, so
+	// even lightly concurrent committers amortize one fsync.
+	WALSyncGrouped
+	// WALSyncNone returns from Commit without syncing. Durability is
+	// deferred to the OS, Sync, a seal, or Close.
+	WALSyncNone
+)
+
+// DefaultGroupWindow is the gathering delay of WALSyncGrouped.
+const DefaultGroupWindow = 500 * time.Microsecond
+
+// walMaxRecord bounds a record's payload, rejecting absurd lengths that a
+// corrupt header would otherwise turn into huge allocations.
+const walMaxRecord = 64 << 20
+
+var walCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// WALToken identifies an appended record for Commit. The zero token is
+// never returned by Append and commits trivially.
+type WALToken int64
+
 // DefaultWALSegmentBytes is the roll threshold used when the caller does
 // not specify one.
 const DefaultWALSegmentBytes = 4 << 20
 
 // SegPos addresses a byte position in a segmented log: a 1-based segment
-// index and a byte offset inside that segment. It is the segmented
-// equivalent of WAL.Mark's logical offset — checkpoints capture one at
-// their cut and pass it to DropThrough at their publish.
+// index and a byte offset inside that segment. Checkpoints capture one at
+// their cut (Mark) and pass it to DropThrough at their publish.
 type SegPos struct {
 	Seg uint64
 	Off int64
@@ -81,8 +133,7 @@ type segInfo struct {
 }
 
 // SegmentedWAL is an append-only commit log over numbered segment files.
-// All methods are safe for concurrent use. Framing, sync policies, group
-// commit, and the fail-stop poisoning contract are identical to WAL.
+// All methods are safe for concurrent use.
 type SegmentedWAL struct {
 	fs       VFS
 	path     string
@@ -99,14 +150,19 @@ type SegmentedWAL struct {
 	sealed    []segInfo
 	err       error // poisoned: every later Append/Commit fails
 
-	// Group-commit state; same lock discipline as WAL (sm may acquire mu,
-	// never the reverse).
+	// Group-commit state. Lock ordering: sm may acquire mu, never the
+	// reverse — appenders release mu before touching sm, the sync leader
+	// releases sm before taking mu.
 	sm      sync.Mutex
 	sc      *sync.Cond
 	syncing bool
 	synced  int64 // logical offset made durable
 
-	frame []byte // reusable append scratch (guarded by mu)
+	// frame is the reusable append scratch buffer (guarded by mu): header
+	// and payload are assembled here for the single WriteAt, so a
+	// steady-state append allocates nothing once the buffer has grown to
+	// the workload's record size.
+	frame []byte
 
 	appends atomic.Uint64
 	syncs   atomic.Uint64
@@ -220,8 +276,8 @@ func RemoveSegmentedWAL(fs VFS, path string) error {
 // final segment is truncated away; an invalid tail in any earlier
 // (sealed) segment is corruption and fails the open.
 //
-// A legacy single-file log at path itself (written by OpenWAL) is
-// migrated first: the file is atomically renamed to segment 000001, so
+// A legacy single-file log at path itself (the pre-segmentation format:
+// the same frames in one file) is migrated first: the file is atomically renamed to segment 000001, so
 // existing directories upgrade in place and a crash mid-migration leaves
 // either generation intact.
 //
@@ -323,8 +379,37 @@ func ScanWALFrames(data []byte) ([][]byte, int) {
 	return scanWAL(data)
 }
 
-// Poison permanently disables the log with err — same fail-stop contract
-// as WAL.Poison.
+// scanWAL walks the framing and returns the valid records plus the byte
+// length of the valid prefix. A zero length is treated as tail garbage,
+// not an empty record: an all-zero header would otherwise self-validate
+// (the CRC-32C of an empty payload is 0), and a crashed filesystem often
+// leaves exactly that — a file extended with zeros before the data
+// reached disk. Append enforces the matching non-empty invariant.
+func scanWAL(data []byte) ([][]byte, int) {
+	var records [][]byte
+	off := 0
+	for {
+		if off+8 > len(data) {
+			return records, off
+		}
+		n := int(binary.BigEndian.Uint32(data[off:]))
+		crc := binary.BigEndian.Uint32(data[off+4:])
+		if n == 0 || n > walMaxRecord || off+8+n > len(data) {
+			return records, off
+		}
+		payload := data[off+8 : off+8+n]
+		if crc32.Checksum(payload, walCRC) != crc {
+			return records, off
+		}
+		records = append(records, append([]byte(nil), payload...))
+		off += 8 + n
+	}
+}
+
+// Poison permanently disables the log with err: every subsequent Append
+// and Commit fails. Owners call it when they applied a mutation but could
+// not produce its record — the log now has a hole, and fail-stop is the
+// only state that cannot silently lose the unlogged commit on recovery.
 func (w *SegmentedWAL) Poison(err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -365,8 +450,11 @@ func (w *SegmentedWAL) Append(payload []byte) (WALToken, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
+	// Validation failures poison too: callers apply state before logging,
+	// so ANY record this log fails to take leaves the log with a hole.
 	if len(payload) == 0 {
-		// Same zero-filled-tail defense as WAL.Append.
+		// Empty records are indistinguishable from a zero-filled torn
+		// tail (see scanWAL) and would be dropped by recovery.
 		w.err = fmt.Errorf("store: wal record must not be empty")
 		return 0, w.err
 	}
@@ -430,6 +518,22 @@ func (w *SegmentedWAL) rollLocked() error {
 	return nil
 }
 
+// Seal seals the active segment now, whatever its size, and starts a fresh
+// one: every record appended so far then lives in a sealed, fully fsynced
+// segment that DropThrough can delete whole. An empty active segment is
+// left as it is.
+func (w *SegmentedWAL) Seal() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return w.err
+	}
+	if w.activeOff == 0 {
+		return nil
+	}
+	return w.rollLocked()
+}
+
 // Commit waits until the record identified by token is durable, per the
 // sync policy. Records in removed segments count as durable (the
 // checkpoint that removed them made them redundant).
@@ -458,12 +562,15 @@ func (w *SegmentedWAL) Sync() error {
 }
 
 // syncTo blocks until the logical offset target is durable, electing a
-// group-commit leader as needed — WAL.syncTo with one structural
-// difference: the leader fsyncs only the active segment, which suffices
-// because every sealed segment was fsynced when it was sealed.
+// group-commit leader as needed. The leader fsyncs only the active
+// segment, which suffices because every sealed segment was fsynced when it
+// was sealed.
 func (w *SegmentedWAL) syncTo(target int64) error {
 	w.sm.Lock()
 	for {
+		// Durability first, poison second: a record some earlier fsync
+		// already covered is committed, and a failure that poisoned the log
+		// afterwards must not retroactively fail it.
 		if w.synced >= target {
 			w.sm.Unlock()
 			return nil
@@ -484,6 +591,8 @@ func (w *SegmentedWAL) syncTo(target int64) error {
 	w.sm.Unlock()
 
 	if w.policy == WALSyncGrouped && w.window > 0 {
+		// Gather companions: commits arriving during the window ride this
+		// fsync instead of paying their own.
 		time.Sleep(w.window)
 	}
 	// Capture end and handle together under mu: every byte <= end outside
@@ -593,18 +702,6 @@ func (w *SegmentedWAL) Size() int64 {
 		size += s.size
 	}
 	return size
-}
-
-// Segments returns the indices of the retained segments in order, the
-// active one last — the fetch units a replica tails.
-func (w *SegmentedWAL) Segments() []uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	idxs := make([]uint64, 0, len(w.sealed)+1)
-	for _, s := range w.sealed {
-		idxs = append(idxs, s.idx)
-	}
-	return append(idxs, w.activeIdx)
 }
 
 // Close syncs and closes the log. A clean Close therefore loses nothing

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"testing"
 )
@@ -37,8 +39,8 @@ func TestSegWALAppendReplayAcrossRolls(t *testing.T) {
 				want = append(want, payload)
 				segAppendCommit(t, w, payload)
 			}
-			if segs := w.Segments(); len(segs) < 3 {
-				t.Fatalf("expected several segments, got %v", segs)
+			if segs, err := ListWALSegments(fs, "log"); err != nil || len(segs) < 3 {
+				t.Fatalf("expected several segments, got %v (%v)", segs, err)
 			}
 			sealed, removed := w.SegmentStats()
 			if sealed < 2 || removed != 0 {
@@ -64,17 +66,34 @@ func TestSegWALAppendReplayAcrossRolls(t *testing.T) {
 	}
 }
 
-func TestSegWALMigratesLegacySingleFile(t *testing.T) {
-	fs := NewCrashFS()
-	lw, _, err := OpenWAL(fs, "log", WALSyncAlways)
+// writeLegacyWAL writes payloads as a pre-segmentation log: the same CRC
+// frames, in one file at path itself.
+func writeLegacyWAL(t *testing.T, fs VFS, path string, payloads ...string) {
+	t.Helper()
+	var data []byte
+	for _, p := range payloads {
+		data = binary.BigEndian.AppendUint32(data, uint32(len(p)))
+		data = binary.BigEndian.AppendUint32(data, crc32.Checksum([]byte(p), walCRC))
+		data = append(data, p...)
+	}
+	f, err := fs.OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendCommit(t, lw, []byte("alpha"))
-	appendCommit(t, lw, []byte("beta"))
-	if err := lw.Close(); err != nil {
+	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSegWALMigratesLegacySingleFile(t *testing.T) {
+	fs := NewCrashFS()
+	writeLegacyWAL(t, fs, "log", "alpha", "beta")
 
 	w, recs, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 64)
 	if err != nil {
@@ -166,6 +185,44 @@ func TestSegWALDropThrough(t *testing.T) {
 		if !bytes.Equal(got[i], tail[i]) {
 			t.Fatalf("tail record %d = %v, want %v", i, got[i], tail[i])
 		}
+	}
+}
+
+// TestSegWALSeal: Seal rolls a non-empty active segment whatever its size
+// and leaves an empty one alone, so a caller can make everything appended
+// so far droppable as whole segments.
+func TestSegWALSeal(t *testing.T) {
+	fs := NewCrashFS()
+	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Mark(); got != (SegPos{Seg: 1}) {
+		t.Fatalf("Seal of an empty log moved the mark to %+v", got)
+	}
+	segAppendCommit(t, w, []byte("verdicts"))
+	for i := 0; i < 2; i++ { // the second Seal finds the fresh segment empty
+		if err := w.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Mark(); got != (SegPos{Seg: 2}) {
+			t.Fatalf("mark after Seal #%d = %+v, want segment 2 offset 0", i+1, got)
+		}
+	}
+	segAppendCommit(t, w, []byte("watermark"))
+	if _, segs, err := w.DropThrough(SegPos{Seg: 2}); err != nil || segs != 1 {
+		t.Fatalf("DropThrough = (%d segments, %v), want the one sealed segment", segs, err)
+	}
+	w.Close()
+	_, recs, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || string(recs[0]) != "watermark" {
+		t.Fatalf("recovered %q, want [watermark]", recs)
 	}
 }
 
@@ -329,9 +386,7 @@ func TestSegWALExistsAndRemove(t *testing.T) {
 		t.Fatalf("exists on empty fs = (%v, %v)", ok, err)
 	}
 	// Legacy generation counts.
-	lw, _, _ := OpenWAL(fs, "log", WALSyncAlways)
-	appendCommit(t, lw, []byte("x"))
-	lw.Close()
+	writeLegacyWAL(t, fs, "log", "x")
 	if ok, _ := SegmentedWALExists(fs, "log"); !ok {
 		t.Fatal("legacy file not detected")
 	}

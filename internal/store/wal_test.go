@@ -8,26 +8,26 @@ import (
 	"testing"
 )
 
-// appendCommit appends one record and commits it.
-func appendCommit(t *testing.T, w *WAL, payload []byte) {
+// The cases below run the log at its default roll threshold, where it is
+// one active segment: open/replay, tail repair and the fail-stop contract
+// as a single file sees them. segwal_test.go covers the same contract
+// across rolls.
+
+// openLog opens the log "log" on fs at the default roll threshold.
+func openLog(t *testing.T, fs VFS, policy WALSyncPolicy) (*SegmentedWAL, [][]byte) {
 	t.Helper()
-	tok, err := w.Append(payload)
+	w, recs, err := OpenSegmentedWAL(fs, "log", policy, 0)
 	if err != nil {
-		t.Fatalf("append: %v", err)
+		t.Fatal(err)
 	}
-	if err := w.Commit(tok); err != nil {
-		t.Fatalf("commit: %v", err)
-	}
+	return w, recs
 }
 
 func TestWALAppendReplay(t *testing.T) {
 	for _, policy := range []WALSyncPolicy{WALSyncAlways, WALSyncGrouped, WALSyncNone} {
 		t.Run(fmt.Sprint(policy), func(t *testing.T) {
 			fs := NewCrashFS()
-			w, recs, err := OpenWAL(fs, "log", policy)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w, recs := openLog(t, fs, policy)
 			if len(recs) != 0 {
 				t.Fatalf("fresh wal holds %d records", len(recs))
 			}
@@ -35,16 +35,13 @@ func TestWALAppendReplay(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				payload := bytes.Repeat([]byte{byte(i)}, i*7+1)
 				want = append(want, payload)
-				appendCommit(t, w, payload)
+				segAppendCommit(t, w, payload)
 			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
 
-			_, got, err := OpenWAL(fs, "log", policy)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, got := openLog(t, fs, policy)
 			if len(got) != len(want) {
 				t.Fatalf("reopened wal holds %d records, want %d", len(got), len(want))
 			}
@@ -59,12 +56,9 @@ func TestWALAppendReplay(t *testing.T) {
 
 func TestWALTornTailDropped(t *testing.T) {
 	fs := NewCrashFS()
-	w, _, err := OpenWAL(fs, "log", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendCommit(t, w, []byte("alpha"))
-	appendCommit(t, w, []byte("beta"))
+	w, _ := openLog(t, fs, WALSyncAlways)
+	segAppendCommit(t, w, []byte("alpha"))
+	segAppendCommit(t, w, []byte("beta"))
 
 	// Tear the third append mid-write: the record's prefix lands in the
 	// file without its full payload/CRC.
@@ -74,10 +68,7 @@ func TestWALTornTailDropped(t *testing.T) {
 	}
 	fs.Reboot(true) // keep the torn bytes: the checksum must reject them
 
-	_, recs, err := OpenWAL(fs, "log", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, recs := openLog(t, fs, WALSyncAlways)
 	if len(recs) != 2 || string(recs[0]) != "alpha" || string(recs[1]) != "beta" {
 		t.Fatalf("recovered %q, want [alpha beta]", recs)
 	}
@@ -85,35 +76,26 @@ func TestWALTornTailDropped(t *testing.T) {
 
 func TestWALCorruptTailTruncatedOnOpen(t *testing.T) {
 	fs := NewCrashFS()
-	w, _, err := OpenWAL(fs, "log", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendCommit(t, w, []byte("keep"))
+	w, _ := openLog(t, fs, WALSyncAlways)
+	segAppendCommit(t, w, []byte("keep"))
 	w.Close()
 
 	// Flip a payload byte of a appended-but-valid second record.
-	f, _ := fs.OpenFile("log")
+	f, _ := fs.OpenFile(SegmentWALName("log", 1))
 	size, _ := f.Size()
-	w2, _, err := OpenWAL(fs, "log", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendCommit(t, w2, []byte("corrupt-me"))
+	w2, _ := openLog(t, fs, WALSyncAlways)
+	segAppendCommit(t, w2, []byte("corrupt-me"))
 	w2.Close()
 	if _, err := f.WriteAt([]byte{0xFF}, size+9); err != nil {
 		t.Fatal(err)
 	}
 
-	_, recs, err := OpenWAL(fs, "log", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, recs := openLog(t, fs, WALSyncAlways)
 	if len(recs) != 1 || string(recs[0]) != "keep" {
 		t.Fatalf("recovered %q, want [keep]", recs)
 	}
 	// The corrupt tail was truncated away, so appends extend a clean log.
-	f2, _ := fs.OpenFile("log")
+	f2, _ := fs.OpenFile(SegmentWALName("log", 1))
 	if got, _ := f2.Size(); got != size {
 		t.Fatalf("log size %d after truncation, want %d", got, size)
 	}
@@ -124,34 +106,25 @@ func TestWALZeroFilledTailDropped(t *testing.T) {
 	// reaches disk. An all-zero header must read as tail garbage — not as
 	// an endless run of valid empty records (CRC-32C of "" is 0).
 	fs := NewCrashFS()
-	w, _, err := OpenWAL(fs, "log", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendCommit(t, w, []byte("real"))
+	w, _ := openLog(t, fs, WALSyncAlways)
+	segAppendCommit(t, w, []byte("real"))
 	w.Close()
-	f, _ := fs.OpenFile("log")
+	f, _ := fs.OpenFile(SegmentWALName("log", 1))
 	size, _ := f.Size()
 	if _, err := f.WriteAt(make([]byte, 64), size); err != nil {
 		t.Fatal(err)
 	}
 
-	_, recs, err := OpenWAL(fs, "log", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, recs := openLog(t, fs, WALSyncAlways)
 	if len(recs) != 1 || string(recs[0]) != "real" {
 		t.Fatalf("recovered %q, want [real]", recs)
 	}
-	f2, _ := fs.OpenFile("log")
+	f2, _ := fs.OpenFile(SegmentWALName("log", 1))
 	if got, _ := f2.Size(); got != size {
 		t.Fatalf("zero tail not truncated: size %d, want %d", got, size)
 	}
 	// And the source of such records is rejected at the door.
-	w2, _, err := OpenWAL(fs, "log", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2, _ := openLog(t, fs, WALSyncAlways)
 	if _, err := w2.Append(nil); err == nil {
 		t.Fatal("empty record accepted")
 	}
@@ -159,31 +132,29 @@ func TestWALZeroFilledTailDropped(t *testing.T) {
 
 func TestWALTruncateSatisfiesCommits(t *testing.T) {
 	fs := NewCrashFS()
-	w, _, err := OpenWAL(fs, "log", WALSyncNone)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, _ := openLog(t, fs, WALSyncNone)
 	tok, err := w.Append([]byte("will-be-checkpointed"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Truncate(); err != nil {
+	// A checkpoint covers the record: its segment is sealed and dropped.
+	if err := w.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	// The record is gone from the log (a checkpoint covers it); its commit
-	// must still succeed, and the log must be empty on reopen.
-	if err := w.Commit(tok); err != nil {
-		t.Fatalf("commit after truncate: %v", err)
+	if _, segs, err := w.DropThrough(w.Mark()); err != nil || segs != 1 {
+		t.Fatalf("DropThrough = (%d segments, %v), want 1 segment", segs, err)
 	}
-	appendCommit(t, w, []byte("next-era"))
+	// The record is gone from the log; its commit must still succeed, and
+	// only the next era may come back on reopen.
+	if err := w.Commit(tok); err != nil {
+		t.Fatalf("commit after drop: %v", err)
+	}
+	segAppendCommit(t, w, []byte("next-era"))
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	_, recs, err := OpenWAL(fs, "log", WALSyncNone)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, recs := openLog(t, fs, WALSyncNone)
 	if len(recs) != 1 || string(recs[0]) != "next-era" {
 		t.Fatalf("recovered %q, want [next-era]", recs)
 	}
@@ -191,11 +162,8 @@ func TestWALTruncateSatisfiesCommits(t *testing.T) {
 
 func TestWALPoisonedAfterSyncFailure(t *testing.T) {
 	fs := NewCrashFS()
-	w, _, err := OpenWAL(fs, "log", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendCommit(t, w, []byte("ok"))
+	w, _ := openLog(t, fs, WALSyncAlways)
+	segAppendCommit(t, w, []byte("ok"))
 	fs.SetFailAfter(1) // the append's write succeeds, its fsync fails
 	tok, err := w.Append([]byte("doomed"))
 	if err != nil {
@@ -218,10 +186,7 @@ func TestWALValidationFailuresPoison(t *testing.T) {
 	// Owners apply state before logging, so a record the WAL refuses is a
 	// hole: the log must go fail-stop, not shrug and take later records.
 	fs := NewCrashFS()
-	w, _, err := OpenWAL(fs, "log", WALSyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, _ := openLog(t, fs, WALSyncAlways)
 	if _, err := w.Append(make([]byte, walMaxRecord+1)); err == nil {
 		t.Fatal("oversized record accepted")
 	}
@@ -229,7 +194,7 @@ func TestWALValidationFailuresPoison(t *testing.T) {
 		t.Fatal("append accepted after a refused record")
 	}
 
-	w2, _, err := OpenWAL(fs, "log2", WALSyncAlways)
+	w2, _, err := OpenSegmentedWAL(fs, "log2", WALSyncAlways, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +208,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	for _, policy := range []WALSyncPolicy{WALSyncAlways, WALSyncGrouped} {
 		t.Run(fmt.Sprint(policy), func(t *testing.T) {
 			fs := NewCrashFS()
-			w, _, err := OpenWAL(fs, "log", policy)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w, _ := openLog(t, fs, policy)
 			const goroutines, per = 8, 25
 			var wg sync.WaitGroup
 			errs := make(chan error, goroutines)
@@ -272,10 +234,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 				t.Fatal(err)
 			}
 			w.Close()
-			_, recs, err := OpenWAL(fs, "log", policy)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, recs := openLog(t, fs, policy)
 			if len(recs) != goroutines*per {
 				t.Fatalf("recovered %d records, want %d", len(recs), goroutines*per)
 			}

@@ -1,14 +1,5 @@
 package peb
 
-import (
-	"time"
-
-	"repro/internal/core"
-	"repro/internal/motion"
-	"repro/internal/policy"
-	"repro/internal/store"
-)
-
 // Batch stages mutations in memory for atomic application by DB.Apply.
 // Staging methods never touch the database and never fail; validation
 // happens at Apply time. A Batch is not safe for concurrent use (stage
@@ -22,27 +13,7 @@ import (
 // was, with no partial batch visible to any query (past, concurrent, or
 // future).
 type Batch struct {
-	ops []stagedOp
-}
-
-type opKind uint8
-
-const (
-	opUpsert opKind = iota
-	opRemove
-	opRelation
-	opGrant
-)
-
-type stagedOp struct {
-	kind opKind
-	obj  Object       // opUpsert
-	uid  UserID       // opRemove
-	own  UserID       // opRelation, opGrant
-	peer UserID       // opRelation
-	role Role         // opRelation, opGrant
-	locr Region       // opGrant
-	tint TimeInterval // opGrant
+	ops []walOp
 }
 
 // NewBatch returns an empty staging buffer.
@@ -53,23 +24,23 @@ func (b *Batch) Len() int { return len(b.ops) }
 
 // Upsert stages a movement update (see DB.Upsert).
 func (b *Batch) Upsert(o Object) {
-	b.ops = append(b.ops, stagedOp{kind: opUpsert, obj: o})
+	b.ops = append(b.ops, walOp{Kind: walOpUpsert, Obj: o})
 }
 
 // Remove stages deletion of a user's index entry (see DB.Remove). Removing
 // a user with no index entry fails the whole batch at Apply time.
 func (b *Batch) Remove(uid UserID) {
-	b.ops = append(b.ops, stagedOp{kind: opRemove, uid: uid})
+	b.ops = append(b.ops, walOp{Kind: walOpRemove, UID: uid})
 }
 
 // DefineRelation stages a role relation (see DB.DefineRelation).
 func (b *Batch) DefineRelation(owner, peer UserID, role Role) {
-	b.ops = append(b.ops, stagedOp{kind: opRelation, own: owner, peer: peer, role: role})
+	b.ops = append(b.ops, walOp{Kind: walOpRelation, Own: owner, Peer: peer, Role: role})
 }
 
 // Grant stages a location-privacy policy (see DB.Grant).
 func (b *Batch) Grant(owner UserID, role Role, locr Region, tint TimeInterval) {
-	b.ops = append(b.ops, stagedOp{kind: opGrant, own: owner, role: role, locr: locr, tint: tint})
+	b.ops = append(b.ops, walOp{Kind: walOpGrant, Own: owner, Role: role, Locr: locr, Tint: tint})
 }
 
 // Apply applies every staged operation atomically: one write-lock
@@ -84,256 +55,9 @@ func (b *Batch) Grant(owner UserID, role Role, locr Region, tint TimeInterval) {
 // policy changes take effect on new sequence values only after
 // EncodePolicies.
 func (db *DB) Apply(b *Batch) error {
-	start := time.Now()
-	tok, err := db.applyCommit(b)
-	if err != nil {
-		return err
+	var ops []walOp
+	if b != nil {
+		ops = b.ops
 	}
-	if err := db.walSync(tok); err != nil {
-		return err
-	}
-	db.met.commit.ObserveDuration(time.Since(start))
-	return nil
-}
-
-func (db *DB) applyCommit(b *Batch) (store.WALToken, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	if b == nil || len(b.ops) == 0 {
-		return 0, nil
-	}
-	wops, err := db.applyBatchLocked(b, nil)
-	if err != nil {
-		return 0, err
-	}
-	return db.walAppend(wops)
-}
-
-// applyBatchLocked is the shared body of Apply and PrepareApply: validate,
-// apply the staged operations atomically, and return the operations to log
-// (nil without a write-ahead log). The caller holds the write lock. When
-// undo is non-nil, the pre-apply state of everything the batch touches is
-// captured into it first, so an exact inverse can be applied later
-// (Prepared.Abort).
-func (db *DB) applyBatchLocked(b *Batch, undo *txnUndo) ([]walOp, error) {
-	// Validate cheap, stateless preconditions before touching anything.
-	for i := range b.ops {
-		if b.ops[i].kind == opGrant && !b.ops[i].locr.Valid() {
-			return nil, &InvalidRegionError{Region: b.ops[i].locr}
-		}
-	}
-
-	// Policy phase: apply to a clone, swap only on full success. (A clone
-	// is needed for rollback even when no snapshot pins the store.)
-	hasPolicy := false
-	for i := range b.ops {
-		if b.ops[i].kind == opRelation || b.ops[i].kind == opGrant {
-			hasPolicy = true
-			break
-		}
-	}
-	ps := db.policies
-	if hasPolicy {
-		ps = db.policies.Clone()
-		for i := range b.ops {
-			op := &b.ops[i]
-			switch op.kind {
-			case opRelation:
-				ps.SetRelation(policy.UserID(op.own), policy.UserID(op.peer), op.role)
-			case opGrant:
-				if err := ps.AddPolicy(policy.UserID(op.own), policy.Policy{Role: op.role, Locr: op.locr, Tint: op.tint}); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	// Index phase: translate staged ops, handing fresh singleton sequence
-	// values to users the index has not seen (committed only on success).
-	nextSV := db.nextSV
-	var ops []core.BatchOp
-	svStaged := make(map[UserID]bool)
-	for i := range b.ops {
-		op := &b.ops[i]
-		switch op.kind {
-		case opUpsert:
-			uid := op.obj.UID
-			if _, ok := db.tree.SV(uid); !ok && !svStaged[uid] {
-				nextSV += 2 // δ spacing, a fresh singleton anchor (Fig. 5)
-				ops = append(ops, core.BatchOp{Kind: core.OpSetSV, UID: motion.UserID(uid), SV: nextSV})
-				svStaged[uid] = true
-			}
-			ops = append(ops, core.BatchOp{Kind: core.OpUpsert, Obj: op.obj})
-		case opRemove:
-			ops = append(ops, core.BatchOp{Kind: core.OpRemove, UID: motion.UserID(op.uid)})
-		}
-	}
-	// Commit-hook capture happens before any mutation: the first-touch
-	// state of every user the index phase writes, in first-appearance
-	// order, becomes the notification's touched set (Cur is filled in
-	// after the batch applies).
-	var touchOrder []UserID
-	var touchPrev map[UserID]*Object
-	if db.hooksActive() {
-		touchPrev = make(map[UserID]*Object)
-		for i := range ops {
-			var uid UserID
-			switch ops[i].Kind {
-			case core.OpUpsert:
-				uid = UserID(ops[i].Obj.UID)
-			case core.OpRemove:
-				uid = UserID(ops[i].UID)
-			default:
-				continue
-			}
-			if _, seen := touchPrev[uid]; seen {
-				continue
-			}
-			prev, err := db.capturePrev(uid)
-			if err != nil {
-				return nil, err
-			}
-			touchPrev[uid] = prev
-			touchOrder = append(touchOrder, uid)
-		}
-	}
-
-	// Undo capture happens before any mutation: the first-touch state of
-	// every object the index phase writes, plus the scalars and the
-	// pre-clone policy store, are enough to reverse the batch exactly.
-	if undo != nil {
-		undo.prevNextSV = db.nextSV
-		undo.prevEncoded = db.encoded
-		if hasPolicy {
-			undo.prevPolicies = db.policies
-			undo.prevPoliciesPinned = db.policiesPinned
-		}
-		for uid := range svStaged {
-			undo.freshSVs = append(undo.freshSVs, uid)
-		}
-		undo.prevObjs = make(map[UserID]*Object)
-		for i := range ops {
-			var uid UserID
-			switch ops[i].Kind {
-			case core.OpUpsert:
-				uid = UserID(ops[i].Obj.UID)
-			case core.OpRemove:
-				uid = UserID(ops[i].UID)
-			default:
-				continue
-			}
-			if _, seen := undo.prevObjs[uid]; seen {
-				continue
-			}
-			prev, ok, err := db.tree.Get(uid)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				undo.prevObjs[uid] = &prev
-			} else {
-				undo.prevObjs[uid] = nil
-			}
-		}
-		pendingAdd := make(map[UserID]bool)
-		noteAdd := func(uid UserID) {
-			if !db.users[uid] && !pendingAdd[uid] {
-				pendingAdd[uid] = true
-				undo.addedUsers = append(undo.addedUsers, uid)
-			}
-		}
-		for i := range b.ops {
-			op := &b.ops[i]
-			switch op.kind {
-			case opUpsert:
-				noteAdd(op.obj.UID)
-			case opRelation:
-				noteAdd(op.own)
-				noteAdd(op.peer)
-			case opGrant:
-				noteAdd(op.own)
-			}
-		}
-	}
-
-	if err := db.tree.ApplyBatch(ops); err != nil {
-		// The tree rolled itself back; the published view still describes
-		// the (unchanged) committed state, so it is NOT republished, and
-		// the cloned policy store is dropped unapplied.
-		db.collectGarbage()
-		return nil, err
-	}
-
-	// Commit: swap policies, register users, publish the new view once.
-	if hasPolicy {
-		db.policies = ps
-		_ = db.tree.SetPolicies(ps) // ps is never nil here
-		db.policiesPinned = false
-		db.encoded = false
-	}
-	db.nextSV = nextSV
-	for i := range b.ops {
-		op := &b.ops[i]
-		switch op.kind {
-		case opUpsert:
-			db.noteUser(op.obj.UID)
-		case opRelation:
-			db.noteUser(op.own)
-			db.noteUser(op.peer)
-		case opGrant:
-			db.noteUser(op.own)
-		}
-	}
-	db.refreshView()
-	db.collectGarbage()
-
-	if db.hooksActive() {
-		touched := make([]CommitTouch, 0, len(touchOrder))
-		for _, uid := range touchOrder {
-			cur, err := db.capturePrev(uid) // post-batch state
-			if err != nil {
-				// The batch is committed; a failed post-state read only
-				// degrades the notification. Fall back to a rescan signal.
-				db.fireCommitLocked(nil, true, false)
-				touched = nil
-				break
-			}
-			touched = append(touched, CommitTouch{UID: uid, Prev: touchPrev[uid], Cur: cur})
-		}
-		if touched != nil {
-			db.fireCommitLocked(touched, hasPolicy, false)
-		}
-	}
-
-	// Log the commit: policy operations in staging order, then the index
-	// operations with their resolved sequence values (the same list the
-	// tree applied, so replay needs no nondeterministic re-derivation).
-	var wops []walOp
-	if db.wal != nil {
-		wops = make([]walOp, 0, len(b.ops)+len(ops))
-		for i := range b.ops {
-			op := &b.ops[i]
-			switch op.kind {
-			case opRelation:
-				wops = append(wops, walOp{Kind: walOpRelation, Own: op.own, Peer: op.peer, Role: op.role})
-			case opGrant:
-				wops = append(wops, walOp{Kind: walOpGrant, Own: op.own, Role: op.role, Locr: op.locr, Tint: op.tint})
-			}
-		}
-		for i := range ops {
-			op := &ops[i]
-			switch op.Kind {
-			case core.OpSetSV:
-				wops = append(wops, walOp{Kind: walOpSetSV, UID: UserID(op.UID), SV: op.SV})
-			case core.OpUpsert:
-				wops = append(wops, walOp{Kind: walOpUpsert, Obj: op.Obj})
-			case core.OpRemove:
-				wops = append(wops, walOp{Kind: walOpRemove, UID: UserID(op.UID)})
-			}
-		}
-	}
-	return wops, nil
+	return db.commit(ops, 0, nil)
 }

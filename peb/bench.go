@@ -5,26 +5,22 @@ import (
 	"time"
 )
 
-// WAL codec before/after measurement. The gob encoder this PR retired is
-// kept in the tree (marshalRecordGob) precisely so the comparison stays
-// honest: both encoders run over the identical synthetic record stream on
-// the same machine, in the same process. pebbench -json embeds the result
-// in its report; BENCH_pr6.json pins the trajectory.
+// WAL codec measurement: the binary record encoder over a synthetic record
+// stream. pebbench -json embeds the result in its report; the BENCH_pr*.json
+// files pin the trajectory (the gob_* fields older ones carry measured the
+// retired gob encoder and are ignored on read).
 
-// WALCodecBench holds one gob-vs-binary codec comparison.
+// WALCodecBench holds one codec measurement.
 type WALCodecBench struct {
 	Records int `json:"records"`
 	// Bytes per record, averaged over the stream. Deterministic for a
 	// fixed Records, so safe to diff across runs.
-	GobBytesPerRecord    float64 `json:"gob_bytes_per_record"`
 	BinaryBytesPerRecord float64 `json:"binary_bytes_per_record"`
-	// Encode allocations per record. The binary encoder reuses one buffer
-	// (the production append path does the same), so steady state is zero.
-	GobAllocsPerOp    float64 `json:"gob_allocs_per_op"`
+	// Encode allocations per record. The encoder reuses one buffer (the
+	// production append path does the same), so steady state is zero.
 	BinaryAllocsPerOp float64 `json:"binary_allocs_per_op"`
 	// Encode wall time per record. Informational: machine-dependent, not
 	// a counter to diff in CI.
-	GobNsPerOp    float64 `json:"gob_ns_per_op"`
 	BinaryNsPerOp float64 `json:"binary_ns_per_op"`
 }
 
@@ -65,47 +61,34 @@ func benchAllocsPerRun(runs int, fn func(i int)) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// RunWALCodecBench encodes the same records-long stream with the retired
-// gob codec and the binary codec and reports size, allocation, and time
-// per record for each.
+// RunWALCodecBench encodes a records-long stream with the binary codec and
+// reports size, allocation, and time per record.
 func RunWALCodecBench(records int) WALCodecBench {
 	if records <= 0 {
 		records = 1
 	}
 	res := WALCodecBench{Records: records}
 
-	var gobBytes, binBytes int
+	var binBytes int
 	var buf []byte
 	for i := 0; i < records; i++ {
 		rec := benchWALRecord(i)
-		if enc, err := marshalRecordGob(&rec); err == nil {
-			gobBytes += len(enc)
-		}
 		buf = appendRecord(buf[:0], &rec)
 		binBytes += len(buf)
 	}
-	res.GobBytesPerRecord = float64(gobBytes) / float64(records)
 	res.BinaryBytesPerRecord = float64(binBytes) / float64(records)
 
-	res.GobAllocsPerOp = benchAllocsPerRun(records, func(i int) {
-		rec := benchWALRecord(i)
-		_, _ = marshalRecordGob(&rec)
-	})
 	res.BinaryAllocsPerOp = benchAllocsPerRun(records, func(i int) {
 		rec := benchWALRecord(i)
 		buf = appendRecord(buf[:0], &rec)
 	})
-	// Subtract the shared record-construction cost so the encoder deltas
-	// are what the numbers show. Construction is alloc-free (value types),
-	// so only the timing loop needs the control measurement.
+	// Subtract the record-construction cost so the encoder is what the
+	// number shows. Construction is alloc-free (value types), so only the
+	// timing loop needs the control measurement.
 	ctrl := timePerOp(records, func(i int) {
 		rec := benchWALRecord(i)
 		_ = rec
 	})
-	res.GobNsPerOp = timePerOp(records, func(i int) {
-		rec := benchWALRecord(i)
-		_, _ = marshalRecordGob(&rec)
-	}) - ctrl
 	res.BinaryNsPerOp = timePerOp(records, func(i int) {
 		rec := benchWALRecord(i)
 		buf = appendRecord(buf[:0], &rec)

@@ -42,7 +42,7 @@ import (
 //
 // # The phased pipeline
 //
-// Checkpoint no longer stops the world. It runs as three explicit phases,
+// Checkpoint does not stop the world. It runs as three explicit phases,
 // and only the first and last hold the write lock:
 //
 //	cut     (write lock) — seal the tree so every page of the current
@@ -127,8 +127,7 @@ const metaVersion = 2
 // Last* durations describe the most recent committed checkpoint; the
 // Total* durations accumulate across all of them. Cut and Publish are the
 // only phases that hold the write lock, so LastCut+LastPublish bounds the
-// stall the last checkpoint imposed on commits and queries (under
-// Options.StopTheWorldCheckpoints the build holds it too).
+// stall the last checkpoint imposed on commits and queries.
 type CheckpointStats struct {
 	// Checkpoints counts committed pipelines; Coalesced counts Checkpoint
 	// calls satisfied by riding an already-in-flight pipeline instead of
@@ -159,17 +158,9 @@ type CheckpointStats struct {
 	IncrementalBuilds uint64
 	PagesWalked       uint64
 
-	// WALSegmentsRemoved counts sealed log segments deleted at publish —
-	// the segmented log's whole-file replacement for tail rotation
+	// WALSegmentsRemoved counts sealed log segments deleted at publish
 	// (cumulative).
 	WALSegmentsRemoved uint64
-
-	// WALTailBytesRewritten counted the bytes the pre-segmentation log
-	// rotation copied to keep records committed during build phases. The
-	// segmented log never rewrites a byte — publish deletes whole sealed
-	// segments — so this is now always 0. The field survives for
-	// compatibility, and the pipeline regression tests pin it to zero.
-	WALTailBytesRewritten uint64
 }
 
 // CheckpointStats returns the pipeline's activity counters since Open.
@@ -281,15 +272,14 @@ func (db *DB) Checkpoint() error {
 }
 
 // runCheckpoint drives one pipeline: cut under the write lock, build
-// without it (unless Options.StopTheWorldCheckpoints), publish under it
-// again. ckptMu is held for the whole pipeline, serializing it against
-// other pipelines, index rebuilds, and Close. run is this pipeline's
-// coalescing record: its cutDone flag flips the moment the image is
-// captured, after which new Checkpoint calls must not ride this run.
+// without it, publish under it again. ckptMu is held for the whole
+// pipeline, serializing it against other pipelines, index rebuilds, and
+// Close. run is this pipeline's coalescing record: its cutDone flag flips
+// the moment the image is captured, after which new Checkpoint calls must
+// not ride this run.
 func (db *DB) runCheckpoint(run *ckptRun) error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
-	stw := db.opts.StopTheWorldCheckpoints
 
 	cutStart := time.Now()
 	db.lockExcludingPrepared()
@@ -302,21 +292,15 @@ func (db *DB) runCheckpoint(run *ckptRun) error {
 		return err
 	}
 	cutDur := time.Since(cutStart)
-	if !stw {
-		db.mu.Unlock()
-	}
+	db.mu.Unlock()
 
-	if !stw {
-		db.hook("build")
-	}
+	db.hook("build")
 	buildStart := time.Now()
 	buildErr := db.ckptBuild(img)
 	buildDur := time.Since(buildStart)
 
-	if !stw {
-		db.hook("publish")
-		db.mu.Lock()
-	}
+	db.hook("publish")
+	db.mu.Lock()
 	publishStart := time.Now()
 	if buildErr != nil {
 		db.ckptAbortLocked(img)
@@ -381,10 +365,7 @@ func (db *DB) lockExcludingPrepared() {
 	db.prepMu.Unlock()
 }
 
-// hook invokes the test hook, if any, outside any DB lock. Under
-// StopTheWorldCheckpoints the pipeline holds the write lock across the
-// build, so hooks are not invoked at all there (a gating hook would
-// deadlock the DB).
+// hook invokes the test hook, if any, outside any DB lock.
 func (db *DB) hook(phase string) {
 	if db.ckptHook != nil {
 		db.ckptHook(phase)
@@ -745,29 +726,21 @@ func (db *DB) autoCheckpointLoop() {
 func (db *DB) autoCheckpointDue() bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if db.closed || db.wal == nil {
-		return false
-	}
+	return !db.closed && db.wal != nil && db.walOverThreshold()
+}
+
+// walOverThreshold reports whether the log has crossed an AutoCheckpoint
+// threshold. Caller holds mu and has checked db.wal.
+func (db *DB) walOverThreshold() bool {
 	p := db.opts.AutoCheckpoint
-	if p.WALBytes > 0 && db.wal.Size() >= p.WALBytes {
-		return true
-	}
-	if p.WALRecords > 0 && db.walSeq-db.ckptWalSeq >= p.WALRecords {
-		return true
-	}
-	return false
+	return (p.WALBytes > 0 && db.wal.Size() >= p.WALBytes) ||
+		(p.WALRecords > 0 && db.walSeq-db.ckptWalSeq >= p.WALRecords)
 }
 
 // maybeAutoCheckpoint nudges the maintainer when a commit pushes the WAL
 // over a threshold. Caller holds the write lock; the send never blocks.
 func (db *DB) maybeAutoCheckpoint() {
-	if db.autoC == nil || db.wal == nil {
-		return
-	}
-	p := db.opts.AutoCheckpoint
-	due := (p.WALBytes > 0 && db.wal.Size() >= p.WALBytes) ||
-		(p.WALRecords > 0 && db.walSeq-db.ckptWalSeq >= p.WALRecords)
-	if !due {
+	if db.autoC == nil || db.wal == nil || !db.walOverThreshold() {
 		return
 	}
 	select {

@@ -266,17 +266,3 @@ func (db *DB) fireCommitLocked(touched []CommitTouch, policyChange, rebuild bool
 	}
 	cv.valid = false
 }
-
-// capturePrev snapshots a user's pre-mutation index state for a commit
-// notification. Caller holds the write lock.
-func (db *DB) capturePrev(uid UserID) (*Object, error) {
-	prev, ok, err := db.tree.Get(uid)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil
-	}
-	p := prev
-	return &p, nil
-}

@@ -1,12 +1,6 @@
 package peb
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/policy"
-	"repro/internal/store"
-)
+import "repro/internal/policy"
 
 // Split policy encoding, for shard routers. EncodePolicies computes a
 // sequence-value assignment and rebuilds the index in one call; a sharded
@@ -43,22 +37,7 @@ func (db *DB) ComputeEncoding(extra []UserID) (*PolicyEncoding, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	seen := make(map[policy.UserID]bool, len(db.users)+len(extra))
-	users := make([]policy.UserID, 0, len(db.users)+len(extra))
-	for u := range db.users {
-		if !seen[policy.UserID(u)] {
-			seen[policy.UserID(u)] = true
-			users = append(users, policy.UserID(u))
-		}
-	}
-	for _, u := range extra {
-		if !seen[policy.UserID(u)] {
-			seen[policy.UserID(u)] = true
-			users = append(users, policy.UserID(u))
-		}
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	assignment, err := policy.AssignSequenceValues(db.policies, users, policy.AssignOptions{})
+	assignment, err := db.assignLocked(db.policies, extra)
 	if err != nil {
 		return nil, err
 	}
@@ -72,39 +51,6 @@ func (db *DB) ComputeEncoding(extra []UserID) (*PolicyEncoding, error) {
 // rebuild is logged like an EncodePolicies rebuild, so replay restores the
 // installed assignment without recomputing it.
 func (db *DB) InstallEncoding(enc *PolicyEncoding) error {
-	tok, err := db.installEncodingCommit(enc)
-	if err != nil {
-		return err
-	}
-	return db.walSync(tok)
-}
-
-func (db *DB) installEncodingCommit(enc *PolicyEncoding) (store.WALToken, error) {
-	// Like encodePoliciesCommit: the rebuild swaps state an in-flight
-	// checkpoint's build phase reads, so drain the pipeline first.
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	// Verify coverage before the rebuild destroys the old tree: an indexed
-	// user without a sequence value would fail re-insertion halfway.
-	for u := range db.users {
-		if _, ok := enc.assignment.SV[policy.UserID(u)]; ok {
-			continue
-		}
-		if _, indexed, err := db.tree.Get(u); err != nil {
-			return 0, err
-		} else if indexed {
-			return 0, fmt.Errorf("peb: encoding does not cover indexed user %d", u)
-		}
-	}
-	if err := db.rebuildLocked(enc.assignment); err != nil {
-		return 0, err
-	}
-	db.fireCommitLocked(nil, false, true)
 	recs, maxSV, groups := encodeAssignment(enc.assignment)
-	return db.walAppend([]walOp{{Kind: walOpEncode, Assign: recs, MaxSV: maxSV, Groups: groups}})
+	return db.commit([]walOp{{Kind: walOpEncode, Assign: recs, MaxSV: maxSV, Groups: groups}}, 0, nil)
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -74,6 +75,33 @@ func TestServeDB(t *testing.T) {
 
 	if !strings.Contains(scrape(t, base+"/debug/pprof/"), "goroutine") {
 		t.Error("/debug/pprof/ index missing goroutine profile")
+	}
+
+	// Every non-empty commit is observed exactly once — rebuilds and policy
+	// loads go through the same pipeline as an Upsert — and an empty batch
+	// not at all.
+	if err := db.EncodePolicies(); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := db.ComputeEncoding(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InstallEncoding(enc); err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := db.SavePolicies(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadPolicies(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Apply(db.NewBatch()); err != nil {
+		t.Fatal(err)
+	}
+	if want := "peb_commit_seconds_count 13"; !strings.Contains(scrape(t, base+"/metrics"), want) {
+		t.Errorf("/metrics after 3 rebuild commits and an empty Apply: missing %q", want)
 	}
 }
 

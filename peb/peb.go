@@ -56,11 +56,9 @@
 package peb
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"log/slog"
-	"sort"
 	"sync"
 	"time"
 
@@ -218,14 +216,6 @@ type Options struct {
 	// each engine's stable shard id so per-shard series stay attributable
 	// across topology changes.
 	MetricsLabel string
-	// StopTheWorldCheckpoints is a benchmarking/debug knob: run the
-	// entire checkpoint — flush, fsync, reachability sweep, side files —
-	// inside one write-lock critical section (the pre-pipeline behavior)
-	// instead of only its cut and publish phases. Every query and commit
-	// stalls for the checkpoint's full duration; `pebbench -exp
-	// checkpoint` uses it as the baseline the phased pipeline is measured
-	// against.
-	StopTheWorldCheckpoints bool
 }
 
 // AutoCheckpointPolicy sets the write-ahead-log thresholds that trigger an
@@ -321,6 +311,12 @@ type DB struct {
 	// payload out before returning, so steady-state commits allocate
 	// nothing for serialization.
 	encBuf []byte
+
+	// opScratch backs the resolved op list of a commit (commit.go): a
+	// one-shot mutation resolves to at most two operations (a fresh user's
+	// Upsert brings its walOpSetSV), so its list lives here rather than on
+	// the heap. Guarded by mu; cleared when the commit ends.
+	opScratch [2]walOp
 
 	// Incremental-checkpoint bookkeeping (checkpoint.go). ckptDead
 	// accumulates the pages that died — were retired by copy-on-write and
@@ -690,87 +686,13 @@ func (db *DB) Close() error {
 // DefineRelation records that owner considers peer to hold role. Policies
 // owner has granted to that role then apply to peer.
 func (db *DB) DefineRelation(owner, peer UserID, role Role) error {
-	start := time.Now()
-	tok, err := db.defineRelationCommit(owner, peer, role)
-	if err != nil {
-		return err
-	}
-	if err := db.walSync(tok); err != nil {
-		return err
-	}
-	db.met.commit.ObserveDuration(time.Since(start))
-	return nil
-}
-
-func (db *DB) defineRelationCommit(owner, peer UserID, role Role) (store.WALToken, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	db.mutatePolicies(func(ps *policy.Store) {
-		ps.SetRelation(policy.UserID(owner), policy.UserID(peer), role)
-	})
-	db.noteUser(owner)
-	db.noteUser(peer)
-	db.encoded = false
-	db.fireCommitLocked(nil, true, false)
-	return db.walAppend([]walOp{{Kind: walOpRelation, Own: owner, Peer: peer, Role: role}})
+	return db.commit([]walOp{{Kind: walOpRelation, Own: owner, Peer: peer, Role: role}}, 0, nil)
 }
 
 // Grant adds a location-privacy policy for owner: users related to owner
 // by role may see owner's location while owner is inside locr during tint.
 func (db *DB) Grant(owner UserID, role Role, locr Region, tint TimeInterval) error {
-	start := time.Now()
-	tok, err := db.grantCommit(owner, role, locr, tint)
-	if err != nil {
-		return err
-	}
-	if err := db.walSync(tok); err != nil {
-		return err
-	}
-	db.met.commit.ObserveDuration(time.Since(start))
-	return nil
-}
-
-func (db *DB) grantCommit(owner UserID, role Role, locr Region, tint TimeInterval) (store.WALToken, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	if !locr.Valid() {
-		return 0, &InvalidRegionError{Region: locr}
-	}
-	var err error
-	db.mutatePolicies(func(ps *policy.Store) {
-		err = ps.AddPolicy(policy.UserID(owner), policy.Policy{Role: role, Locr: locr, Tint: tint})
-	})
-	if err != nil {
-		return 0, err
-	}
-	db.noteUser(owner)
-	db.encoded = false
-	db.fireCommitLocked(nil, true, false)
-	return db.walAppend([]walOp{{Kind: walOpGrant, Own: owner, Role: role, Locr: locr, Tint: tint}})
-}
-
-// mutatePolicies runs fn against the policy store, copying the store first
-// if any snapshot has it pinned: snapshots keep evaluating the policies in
-// force when they were taken, without any locking on their read path. The
-// caller holds the write lock.
-func (db *DB) mutatePolicies(fn func(*policy.Store)) {
-	ps := db.policies
-	if db.policiesPinned {
-		ps = ps.Clone()
-	}
-	fn(ps)
-	if ps != db.policies {
-		db.policies = ps
-		_ = db.tree.SetPolicies(ps) // ps is never nil here
-		db.refreshView()            // the view carries a policy-store reference
-		db.policiesPinned = false
-	}
+	return db.commit([]walOp{{Kind: walOpGrant, Own: owner, Role: role, Locr: locr, Tint: tint}}, 0, nil)
 }
 
 // Allows reports whether viewer may currently see owner located at (x, y)
@@ -795,83 +717,9 @@ func (db *DB) Allows(owner, viewer UserID, x, y, t float64) bool {
 // on a file-backed DB the rebuild reuses the backing file, so snapshots
 // from before the rebuild return errors).
 func (db *DB) EncodePolicies() error {
-	tok, err := db.encodePoliciesCommit()
-	if err != nil {
-		return err
-	}
-	return db.walSync(tok)
-}
-
-func (db *DB) encodePoliciesCommit() (store.WALToken, error) {
-	// The rebuild swaps the tree and its backing disk — state an in-flight
-	// checkpoint's build phase reads without the write lock — so rebuilds
-	// first drain any pipeline via ckptMu (always taken before mu).
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	assignment, err := db.encodePoliciesLocked()
-	if err != nil {
-		return 0, err
-	}
-	db.fireCommitLocked(nil, false, true)
-	recs, maxSV, groups := encodeAssignment(assignment)
-	return db.walAppend([]walOp{{Kind: walOpEncode, Assign: recs, MaxSV: maxSV, Groups: groups}})
-}
-
-// encodePoliciesLocked is EncodePolicies' body; the caller holds the write
-// lock (LoadPolicies runs it in the same critical section as its policy
-// swap, so no query ever sees the new policies with the old encoding). The
-// computed assignment is returned so the caller can log it: replay uses
-// the logged values rather than re-running the assignment algorithm.
-func (db *DB) encodePoliciesLocked() (policy.Assignment, error) {
-	users := make([]policy.UserID, 0, len(db.users))
-	for u := range db.users {
-		users = append(users, policy.UserID(u))
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	assignment, err := policy.AssignSequenceValues(db.policies, users, policy.AssignOptions{})
-	if err != nil {
-		return policy.Assignment{}, err
-	}
-	if err := db.rebuildLocked(assignment); err != nil {
-		return policy.Assignment{}, err
-	}
-	return assignment, nil
-}
-
-// rebuildLocked swaps in a fresh index under assignment and re-inserts the
-// current population — the shared tail of EncodePolicies and WAL replay of
-// an encode record. Caller holds the write lock.
-func (db *DB) rebuildLocked(assignment policy.Assignment) error {
-	// Collect the current population, swap in a fresh tree under the new
-	// assignment, re-insert everything.
-	objs := make([]Object, 0, db.tree.Size())
-	for u := range db.users {
-		o, ok, err := db.tree.Get(u)
-		if err != nil {
-			return err
-		}
-		if ok {
-			objs = append(objs, o)
-		}
-	}
-	if err := db.newTree(assignment); err != nil {
-		return err
-	}
-	// Republish the snapshot on every exit below, so even a failed partial
-	// rebuild leaves queries reading the tree's actual state.
-	defer db.refreshView()
-	for _, o := range objs {
-		if err := db.tree.Insert(o); err != nil {
-			return err
-		}
-	}
-	db.encoded = true
-	return nil
+	// A walOpEncode without an assignment: commit computes it under the
+	// lock and logs the result, so replay never re-runs the algorithm.
+	return db.commit([]walOp{{Kind: walOpEncode}}, 0, nil)
 }
 
 // Upsert stores or replaces a user's movement update. Users that appeared
@@ -883,104 +731,12 @@ func (db *DB) rebuildLocked(assignment policy.Assignment) error {
 // Bulk loads should stage updates in a Batch and call Apply: one lock
 // acquisition and one view republish for the whole batch.
 func (db *DB) Upsert(o Object) error {
-	start := time.Now()
-	tok, err := db.upsertCommit(o)
-	if err != nil {
-		return err
-	}
-	if err := db.walSync(tok); err != nil {
-		return err
-	}
-	db.met.commit.ObserveDuration(time.Since(start))
-	return nil
-}
-
-func (db *DB) upsertCommit(o Object) (store.WALToken, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	var prev *Object
-	if db.hooksActive() {
-		var err error
-		if prev, err = db.capturePrev(o.UID); err != nil {
-			return 0, err
-		}
-	}
-	freshSV := false
-	sv := db.nextSV + 2
-	if _, ok := db.tree.SV(o.UID); !ok {
-		if err := db.tree.SetSV(o.UID, sv); err != nil {
-			return 0, err
-		}
-		freshSV = true
-	}
-	if err := db.tree.Insert(o); err != nil {
-		if freshSV {
-			// Stage-and-commit: the provisional sequence value is withdrawn
-			// so the failed insert leaves no orphan SV and no burned anchor.
-			_ = db.tree.UnsetSV(o.UID)
-		}
-		db.refreshView()
-		db.collectGarbage()
-		return 0, err
-	}
-	if freshSV {
-		db.nextSV += 2 // δ spacing, a fresh singleton anchor (Fig. 5)
-	}
-	db.noteUser(o.UID)
-	db.refreshView()
-	db.collectGarbage()
-	if db.hooksActive() {
-		cur := o
-		db.fireCommitLocked([]CommitTouch{{UID: o.UID, Prev: prev, Cur: &cur}}, false, false)
-	}
-	ops := make([]walOp, 0, 2)
-	if freshSV {
-		ops = append(ops, walOp{Kind: walOpSetSV, UID: o.UID, SV: sv})
-	}
-	ops = append(ops, walOp{Kind: walOpUpsert, Obj: o})
-	return db.walAppend(ops)
+	return db.commit([]walOp{{Kind: walOpUpsert, Obj: o}}, 0, nil)
 }
 
 // Remove deletes a user's index entry (the user's policies remain).
 func (db *DB) Remove(uid UserID) error {
-	start := time.Now()
-	tok, err := db.removeCommit(uid)
-	if err != nil {
-		return err
-	}
-	if err := db.walSync(tok); err != nil {
-		return err
-	}
-	db.met.commit.ObserveDuration(time.Since(start))
-	return nil
-}
-
-func (db *DB) removeCommit(uid UserID) (store.WALToken, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	var prev *Object
-	if db.hooksActive() {
-		var perr error
-		if prev, perr = db.capturePrev(uid); perr != nil {
-			return 0, perr
-		}
-	}
-	err := db.tree.Delete(uid)
-	db.refreshView()
-	db.collectGarbage()
-	if err != nil {
-		return 0, err
-	}
-	if db.hooksActive() {
-		db.fireCommitLocked([]CommitTouch{{UID: uid, Prev: prev, Cur: nil}}, false, false)
-	}
-	return db.walAppend([]walOp{{Kind: walOpRemove, UID: uid}})
+	return db.commit([]walOp{{Kind: walOpRemove, UID: uid}}, 0, nil)
 }
 
 // Lookup returns a user's stored movement state.
@@ -1153,62 +909,13 @@ func (db *DB) SavePolicies(w io.Writer) error {
 // written by SavePolicies, then re-runs policy encoding and rebuilds the
 // index so stored users adopt keys under the restored policies.
 func (db *DB) LoadPolicies(r io.Reader) error {
-	tok, err := db.loadPoliciesCommit(r)
+	blob, err := io.ReadAll(r)
 	if err != nil {
-		return err
+		return fmt.Errorf("peb: read policies: %w", err)
 	}
-	return db.walSync(tok)
-}
-
-func (db *DB) loadPoliciesCommit(r io.Reader) (store.WALToken, error) {
-	// Like encodePoliciesCommit: the rebuild must not race an in-flight
-	// checkpoint build, so drain pipelines first (ckptMu before mu).
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	loaded, err := policy.Load(r)
-	if err != nil {
-		return 0, err
-	}
-	if loaded.Space() != db.policies.Space() || loaded.DayLength() != db.policies.DayLength() {
-		return 0, fmt.Errorf("peb: snapshot domain %v/%g does not match DB %v/%g",
-			loaded.Space(), loaded.DayLength(), db.policies.Space(), db.policies.DayLength())
-	}
-	// The loaded store is a fresh object: open snapshots keep their pinned
-	// store, and the new one is unpinned by construction.
-	db.policies = loaded
-	_ = db.tree.SetPolicies(loaded) // loaded is never nil here
-	db.policiesPinned = false       // fresh store object: no snapshot pins it
-	loaded.ForEachGrant(func(owner, viewer policy.UserID, _ policy.Policy) bool {
-		db.users[UserID(owner)] = true
-		db.users[UserID(viewer)] = true
-		return true
-	})
-	db.encoded = false
-	// Re-encode and rebuild in the same critical section: no query may
-	// see the new policies paired with the old sequence-value encoding.
-	assignment, err := db.encodePoliciesLocked()
-	if err != nil {
-		return 0, err
-	}
-	db.fireCommitLocked(nil, true, true)
-	if db.wal == nil {
-		return 0, nil
-	}
-	// One record carries the whole state swap: the policy snapshot (in its
-	// canonical serialized form) plus the assignment the index was rebuilt
-	// under, so replay is a wholesale, idempotent replacement.
-	var blob bytes.Buffer
-	if err := loaded.Save(&blob); err != nil {
-		return 0, fmt.Errorf("peb: serialize policies for wal: %w", err)
-	}
-	recs, maxSV, groups := encodeAssignment(assignment)
-	return db.walAppend([]walOp{
-		{Kind: walOpLoadPolicies, Blob: blob.Bytes()},
-		{Kind: walOpEncode, Assign: recs, MaxSV: maxSV, Groups: groups},
-	})
+	// One commit carries the whole state swap — the policy snapshot plus
+	// the assignment the index is rebuilt under — so no query ever sees the
+	// new policies paired with the old sequence-value encoding, and replay
+	// is a wholesale, idempotent replacement.
+	return db.commit([]walOp{{Kind: walOpLoadPolicies, Blob: blob}, {Kind: walOpEncode}}, 0, nil)
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/motion"
 	"repro/internal/policy"
-	"repro/internal/store"
 )
 
 // Cross-shard two-phase commit: the participant side.
@@ -58,13 +56,51 @@ import (
 // having run — which is exactly what replay reconstructs when it skips an
 // aborted prepared record.
 type txnUndo struct {
-	prevObjs           map[UserID]*Object // nil value: the user was absent
+	// applied flips once the batch is applied in memory: from then on a
+	// failure (log append, sync) needs Abort, before it nothing does.
+	applied bool
+	// touched holds, per user the index operations wrote, the first-touch
+	// state (Prev; nil: the user was absent) and the prepared state (Cur).
+	touched            []CommitTouch
 	freshSVs           []UserID
 	addedUsers         []UserID
 	prevNextSV         float64
 	prevEncoded        bool
 	prevPolicies       *policy.Store // non-nil only when the batch changed policies
 	prevPoliciesPinned bool
+}
+
+// capture records the pre-apply state of everything the resolved ops are
+// about to change (commit's stage 3; caller holds the write lock). A batch
+// that changes policies pins the current store, so the policy phase writes
+// a copy and prevPolicies stays the exact pre-transaction store.
+func (u *txnUndo) capture(db *DB, ops []walOp, touched []CommitTouch, policyChange bool) {
+	u.touched = touched
+	u.prevNextSV = db.nextSV
+	u.prevEncoded = db.encoded
+	if policyChange {
+		u.prevPolicies = db.policies
+		u.prevPoliciesPinned = db.policiesPinned
+		db.policiesPinned = true
+	}
+	note := func(uid UserID) {
+		if !db.users[uid] { // a repeat is harmless: Abort deletes by key
+			u.addedUsers = append(u.addedUsers, uid)
+		}
+	}
+	for i := range ops {
+		switch op := &ops[i]; op.Kind {
+		case walOpSetSV:
+			u.freshSVs = append(u.freshSVs, op.UID)
+		case walOpUpsert:
+			note(op.Obj.UID)
+		case walOpRelation:
+			note(op.Own)
+			note(op.Peer)
+		case walOpGrant:
+			note(op.Own)
+		}
+	}
 }
 
 // Prepared is a participant's handle on an in-flight cross-shard
@@ -114,46 +150,24 @@ func (db *DB) PrepareApply(b *Batch, txnID uint64) (*Prepared, error) {
 	db.pendingPrepared++
 	db.prepMu.Unlock()
 
-	p, tok, err := db.prepareCommit(b, txnID)
-	if err != nil {
-		db.finishPrepared()
+	p := &Prepared{db: db, txnID: txnID}
+	if err := db.commit(b.ops, txnID, &p.undo); err != nil {
+		if !p.undo.applied {
+			db.finishPrepared()
+			return nil, err
+		}
+		// The batch is applied in memory but its prepared record failed to
+		// append or to sync: its durability is unknown and the log is
+		// poisoned. Undo in memory so this participant reports a clean
+		// failure with nothing half-applied; if the record did reach disk,
+		// recovery resolves it through the coordinator (which will not have
+		// committed).
+		_ = p.Abort()
 		return nil, err
 	}
 	db.events.Record("txn.prepare", "participant prepared",
 		"txn", txnID, "ops", len(b.ops))
-	if err := db.walSync(tok); err != nil {
-		// The prepared record's durability is unknown and the log is
-		// poisoned. Undo in memory so this participant reports a clean
-		// failure; if the record did reach disk, recovery resolves it
-		// through the coordinator (which will not have committed).
-		_ = p.Abort()
-		return nil, err
-	}
 	return p, nil
-}
-
-// prepareCommit is PrepareApply's locked section.
-func (db *DB) prepareCommit(b *Batch, txnID uint64) (*Prepared, store.WALToken, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, 0, ErrClosed
-	}
-	p := &Prepared{db: db, txnID: txnID}
-	wops, err := db.applyBatchLocked(b, &p.undo)
-	if err != nil {
-		return nil, 0, err
-	}
-	tok, err := db.walAppendTxn(wops, txnID, txnPrepared)
-	if err != nil {
-		// The batch is applied in memory but its prepared record never
-		// made the (now poisoned) log: undo in place so this participant
-		// reports a clean failure with nothing half-applied. No marker is
-		// logged — there is no record to tombstone.
-		_ = db.abortPreparedLocked(p)
-		return nil, 0, err
-	}
-	return p, tok, nil
 }
 
 // finishPrepared closes a prepared window and wakes checkpoint cuts
@@ -224,43 +238,19 @@ func (db *DB) abortPreparedLocked(p *Prepared) error {
 	if db.closed {
 		return ErrClosed
 	}
-	// Hook capture: the rollback is itself a commit from a subscriber's
-	// point of view — each touched user transitions from its prepared
-	// state back to its pre-transaction state.
-	var abortPrev map[UserID]*Object
-	if db.hooksActive() {
-		abortPrev = make(map[UserID]*Object, len(p.undo.prevObjs))
-		for uid := range p.undo.prevObjs {
-			cur, ok, err := db.tree.Get(motion.UserID(uid))
-			if err == nil && ok {
-				c := cur
-				abortPrev[uid] = &c
-			} else {
-				abortPrev[uid] = nil
-			}
-		}
-	}
-	inverse := make([]core.BatchOp, 0, len(p.undo.prevObjs))
-	for uid, prev := range p.undo.prevObjs {
-		if prev != nil {
+	u := &p.undo
+	inverse := make([]core.BatchOp, 0, len(u.touched))
+	for _, tc := range u.touched {
+		switch {
+		case tc.Prev != nil:
 			// Upsert restores the first-touch state whether the batch
 			// replaced or removed the entry.
-			inverse = append(inverse, core.BatchOp{Kind: core.OpUpsert, Obj: *prev})
-			continue
+			inverse = append(inverse, core.BatchOp{Kind: core.OpUpsert, Obj: *tc.Prev})
+		case tc.Cur != nil:
+			inverse = append(inverse, core.BatchOp{Kind: core.OpRemove, UID: tc.UID})
 		}
-		// The user was absent before the batch. It may be absent now too
-		// (the batch upserted and then removed them), in which case there
-		// is nothing to delete — and staging a remove would fail the whole
-		// inverse batch.
-		if _, ok, err := db.tree.Get(motion.UserID(uid)); err != nil {
-			err = fmt.Errorf("peb: abort txn %d: probe user %d: %w", p.txnID, uid, err)
-			if db.wal != nil {
-				db.wal.Poison(err)
-			}
-			return err
-		} else if ok {
-			inverse = append(inverse, core.BatchOp{Kind: core.OpRemove, UID: motion.UserID(uid)})
-		}
+		// Absent before and absent now (the batch upserted and then removed
+		// the user): nothing to restore.
 	}
 	if err := db.tree.ApplyBatch(inverse); err != nil {
 		// The rollback itself failed (I/O): memory is ahead of what the log
@@ -274,36 +264,33 @@ func (db *DB) abortPreparedLocked(p *Prepared) error {
 		db.collectGarbage()
 		return err
 	}
-	for _, uid := range p.undo.freshSVs {
+	for _, uid := range u.freshSVs {
 		_ = db.tree.UnsetSV(uid)
 	}
-	db.nextSV = p.undo.prevNextSV
-	db.encoded = p.undo.prevEncoded
-	if p.undo.prevPolicies != nil {
-		db.policies = p.undo.prevPolicies
-		_ = db.tree.SetPolicies(p.undo.prevPolicies)
+	db.nextSV = u.prevNextSV
+	db.encoded = u.prevEncoded
+	if u.prevPolicies != nil {
+		db.policies = u.prevPolicies
+		_ = db.tree.SetPolicies(u.prevPolicies)
 		// Snapshots opened during the prepared window pin the transaction's
 		// clone, not the restored store; keep clone-on-write conservative
 		// whenever any snapshot is live.
-		db.policiesPinned = p.undo.prevPoliciesPinned || len(db.snaps) > 0
+		db.policiesPinned = u.prevPoliciesPinned || len(db.snaps) > 0
 	}
-	for _, uid := range p.undo.addedUsers {
+	for _, uid := range u.addedUsers {
 		delete(db.users, uid)
 	}
 	db.refreshView()
 	db.collectGarbage()
 	if db.hooksActive() {
-		touched := make([]CommitTouch, 0, len(abortPrev))
-		for uid, prev := range abortPrev {
-			restored := p.undo.prevObjs[uid]
-			if restored != nil {
-				r := *restored
-				touched = append(touched, CommitTouch{UID: uid, Prev: prev, Cur: &r})
-			} else {
-				touched = append(touched, CommitTouch{UID: uid, Prev: prev, Cur: nil})
-			}
+		// The rollback is itself a commit from a subscriber's point of view:
+		// each touched user transitions from its prepared state back to its
+		// pre-transaction state.
+		back := make([]CommitTouch, len(u.touched))
+		for i, tc := range u.touched {
+			back[i] = CommitTouch{UID: tc.UID, Prev: tc.Cur, Cur: tc.Prev}
 		}
-		db.fireCommitLocked(touched, p.undo.prevPolicies != nil, false)
+		db.fireCommitLocked(back, u.prevPolicies != nil, false)
 	}
 	return nil
 }

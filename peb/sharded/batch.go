@@ -13,7 +13,7 @@ import (
 // all-or-nothing — in memory and across a crash — even though every shard
 // logs independently. A Batch is not safe for concurrent use.
 type Batch struct {
-	ops []stagedOp
+	ops []batchOp
 }
 
 type opKind uint8
@@ -25,7 +25,7 @@ const (
 	opGrant
 )
 
-type stagedOp struct {
+type batchOp struct {
 	kind opKind
 	obj  Object
 	uid  UserID
@@ -44,23 +44,23 @@ func (b *Batch) Len() int { return len(b.ops) }
 
 // Upsert stages a movement update.
 func (b *Batch) Upsert(o Object) {
-	b.ops = append(b.ops, stagedOp{kind: opUpsert, obj: o})
+	b.ops = append(b.ops, batchOp{kind: opUpsert, obj: o})
 }
 
 // Remove stages deletion of a user's index entry. Removing a user with no
 // index entry fails the whole batch at Apply time.
 func (b *Batch) Remove(uid UserID) {
-	b.ops = append(b.ops, stagedOp{kind: opRemove, uid: uid})
+	b.ops = append(b.ops, batchOp{kind: opRemove, uid: uid})
 }
 
 // DefineRelation stages a role relation (broadcast to every shard).
 func (b *Batch) DefineRelation(owner, peer UserID, role Role) {
-	b.ops = append(b.ops, stagedOp{kind: opRelation, own: owner, peer: peer, role: role})
+	b.ops = append(b.ops, batchOp{kind: opRelation, own: owner, peer: peer, role: role})
 }
 
 // Grant stages a location-privacy policy (broadcast to every shard).
 func (b *Batch) Grant(owner UserID, role Role, locr Region, tint TimeInterval) {
-	b.ops = append(b.ops, stagedOp{kind: opGrant, own: owner, role: role, locr: locr, tint: tint})
+	b.ops = append(b.ops, batchOp{kind: opGrant, own: owner, role: role, locr: locr, tint: tint})
 }
 
 // ownerTombstone marks a user the batch removes in the pending owner-map

@@ -1,10 +1,11 @@
 package sharded
 
 import (
+	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
+	"repro/internal/store"
 	"repro/peb"
 )
 
@@ -105,49 +106,92 @@ func TestDecisionLogCompaction(t *testing.T) {
 	}
 }
 
-// TestDecisionLogCompactionCrashAfterTruncate covers the torn compaction:
-// a crash can land between the truncate and the watermark append, leaving
-// an empty decision log. That is safe — compaction only runs when no
-// shard log holds any transaction record — and the next open must come up
-// clean and serve transactions.
-func TestDecisionLogCompactionCrashAfterTruncate(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Shards: 2, Dir: dir, DB: peb.Options{Durability: peb.DurabilitySync}}
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(33))
-	uids := []UserID{1, 2}
-	if err := db.Apply(crossShardBatch(t, db, rng, uids, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the torn state: empty the decision log behind the router's
-	// back, as a crash between Truncate and the watermark append would.
-	if err := db.txnLog.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := filepath.Glob(filepath.Join(dir, "txn.log")); err != nil || len(fi) != 1 {
-		t.Fatalf("decision log missing after truncate: %v %v", fi, err)
-	}
+// compactionCrashOpts rolls the shard logs after every record, so a shard
+// checkpoint drops every segment but the one holding its newest record.
+func compactionCrashOpts(fs store.VFS) Options {
+	opts := crashShardedOpts(fs)
+	opts.DB.WALSegmentBytes = 1
+	return opts
+}
 
-	db2, err := Open(opts)
+// compactionCrashRun is the workload the compaction sweep cuts power on:
+// three cross-shard transactions, one plain commit per shard — so that no
+// shard's newest log record carries a transaction id, and the shard
+// checkpoints drop every record that does — then a Checkpoint, whose last
+// step folds the decision log down to its watermark. It returns the
+// highest transaction id handed out and the filesystem op count at which
+// the Checkpoint began (both zero if the filesystem died before that).
+func compactionCrashRun(t *testing.T, fs *store.CrashFS) (handedOut uint64, ckptStart int) {
+	db, err := Open(compactionCrashOpts(fs))
 	if err != nil {
-		t.Fatal(err)
+		return 0, 0
 	}
-	defer db2.Close()
-	if err := db2.Apply(crossShardBatch(t, db2, rng, uids, 2)); err != nil {
-		t.Fatal(err)
+	defer db.Close()
+	rng := rand.New(rand.NewSource(33))
+	for i := 1; i <= 3; i++ {
+		if err := db.Apply(crossShardBatch(t, db, rng, []UserID{1, 2, 3, 4}, float64(i))); err != nil {
+			return 0, 0
+		}
 	}
-	for _, uid := range uids {
-		if _, ok, err := db2.Lookup(uid); err != nil || !ok {
-			t.Fatalf("user %d lost after torn compaction: ok=%v err=%v", uid, ok, err)
+	for i, q := range quadrant {
+		if err := db.Upsert(Object{UID: UserID(11 + i), X: q[0], Y: q[1], T: 3}); err != nil {
+			return 0, 0
+		}
+	}
+	handedOut, ckptStart = db.nextTxn-1, fs.Ops()
+	_ = db.Checkpoint()
+	return handedOut, ckptStart
+}
+
+// TestDecisionLogCompactionCrashSweep cuts power at every filesystem
+// operation of a Checkpoint — the shard checkpoints that truncate the
+// shard logs, then the decision log's seal, watermark and segment drop —
+// and reopens under both reboot models. Whatever survived, the id
+// allocator must resume above every id handed out before the crash (the
+// shard logs that also carried them may be gone), the committed data must
+// be intact, and cross-shard transactions must keep committing.
+func TestDecisionLogCompactionCrashSweep(t *testing.T) {
+	golden := store.NewCrashFS()
+	handedOut, ckptStart := compactionCrashRun(t, golden)
+	total := golden.Ops()
+	if handedOut < 3 || total-ckptStart < 10 {
+		t.Fatalf("golden run handed out %d ids and its checkpoint spans ops %d..%d", handedOut, ckptStart, total)
+	}
+	if idxs, err := store.ListWALSegments(golden, "root/txn.log"); err != nil || len(idxs) != 1 || idxs[0] == 1 {
+		t.Fatalf("golden decision log segments = %v (%v), want the one post-compaction segment", idxs, err)
+	}
+	t.Logf("sweeping fault points %d..%d", ckptStart, total)
+
+	for _, keepUnsynced := range []bool{false, true} {
+		for k := ckptStart; k < total; k++ {
+			label := fmt.Sprintf("k=%d keep=%v", k, keepUnsynced)
+			fs := store.NewCrashFS()
+			fs.SetFailAfter(k)
+			compactionCrashRun(t, fs)
+			if !fs.Dead() {
+				fs.CutPower()
+			}
+			fs.Reboot(keepUnsynced)
+
+			db, err := Open(compactionCrashOpts(fs))
+			if err != nil {
+				t.Fatalf("%s: recovery failed: %v", label, err)
+			}
+			if db.nextTxn <= handedOut {
+				t.Fatalf("%s: transaction ids went backwards: reopened nextTxn %d, %d handed out before the crash", label, db.nextTxn, handedOut)
+			}
+			for uid := UserID(1); uid <= 4; uid++ {
+				if o, ok, err := db.Lookup(uid); err != nil || !ok || o.T != 3 {
+					t.Fatalf("%s: user %d after recovery = %+v ok=%v err=%v, want t=3", label, uid, o, ok, err)
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(k)))
+			if err := db.Apply(crossShardBatch(t, db, rng, []UserID{1, 2, 3, 4}, 4)); err != nil {
+				t.Fatalf("%s: cross-shard apply after recovery: %v", label, err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatalf("%s: close: %v", label, err)
+			}
 		}
 	}
 }

@@ -34,9 +34,10 @@ func unmarshalManifest(data []byte) (manifest, error) {
 // a verdict byte; a later record for the same id overrides an earlier one
 // — which is what lets the router durably RETRACT a commit decision whose
 // fsync failed (the bytes may have reached disk anyway, so simply not
-// having acked it is not enough). The log is append-only between
-// checkpoints; a full checkpoint pass compacts it to a single watermark
-// record (see compactDecisionLog).
+// having acked it is not enough). The log is a store.SegmentedWAL like
+// every shard log (a single-file txn.log from before upgrades in place on
+// open); a full checkpoint pass compacts it to a single watermark record
+// (see compactDecisionLog).
 
 const (
 	verdictAbort  byte = 0
@@ -46,8 +47,8 @@ const (
 // openDecisionLog opens the router's transaction decision log and returns
 // it with the committed-id set (after overrides) and the largest id
 // recorded.
-func openDecisionLog(fsys store.VFS, path string) (*store.WAL, map[uint64]bool, uint64, error) {
-	log, records, err := store.OpenWAL(fsys, path, store.WALSyncAlways)
+func openDecisionLog(fsys store.VFS, path string) (*store.SegmentedWAL, map[uint64]bool, uint64, error) {
+	log, records, err := store.OpenSegmentedWAL(fsys, path, store.WALSyncAlways, 0)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("sharded: open decision log: %w", err)
 	}
@@ -96,7 +97,7 @@ func (db *DB) logDecision(txnID uint64, commit bool) error {
 	return nil
 }
 
-// compactDecisionLog rewrites the decision log to a single watermark
+// compactDecisionLog reduces the decision log to a single watermark
 // record. Safe only when every recorded verdict has become unreachable,
 // which is exactly the state after a full successful checkpoint pass:
 // the caller (Checkpoint) holds the router's read barrier, so no
@@ -110,15 +111,20 @@ func (db *DB) logDecision(txnID uint64, commit bool) error {
 // were just truncated. The single surviving record carries the highest id
 // handed out so far, with an abort verdict — for an id no participant
 // holds a record of, abort and absent mean the same thing.
+//
+// Order: seal the verdicts into their own segment, make the watermark
+// durable in the fresh one, and only then drop the sealed segments — at
+// every crash point the log still holds a record carrying the highest id.
 func (db *DB) compactDecisionLog() error {
 	db.txnMu.Lock()
 	defer db.txnMu.Unlock()
 	if db.txnLog == nil || db.txnDecisions == 0 {
 		return nil
 	}
-	if err := db.txnLog.Truncate(); err != nil {
-		return fmt.Errorf("sharded: compact decision log: %w", err)
+	if err := db.txnLog.Seal(); err != nil {
+		return fmt.Errorf("sharded: compact decision log: seal: %w", err)
 	}
+	verdictsEnd := db.txnLog.Mark()
 	var buf [9]byte
 	binary.BigEndian.PutUint64(buf[:8], db.nextTxn-1)
 	buf[8] = verdictAbort
@@ -128,6 +134,9 @@ func (db *DB) compactDecisionLog() error {
 	}
 	if err := db.txnLog.Commit(tok); err != nil {
 		return fmt.Errorf("sharded: compact decision log: watermark sync: %w", err)
+	}
+	if _, _, err := db.txnLog.DropThrough(verdictsEnd); err != nil {
+		return fmt.Errorf("sharded: compact decision log: %w", err)
 	}
 	db.txnDecisions = 0
 	return nil

@@ -158,9 +158,7 @@ type LagReading struct {
 // FollowerLagReadings reports each follower's apply lag as a timestamped
 // reading, in shard-slot order (empty inner slices without replicas).
 func (db *DB) FollowerLagReadings() [][]LagReading {
-	db.smu.RLock()
-	defer db.smu.RUnlock()
-	_, out := db.followerLagsLocked()
+	_, out := db.followerLagsByShard()
 	return out
 }
 
@@ -169,10 +167,6 @@ func (db *DB) FollowerLagReadings() [][]LagReading {
 func (db *DB) followerLagsByShard() ([]int, [][]LagReading) {
 	db.smu.RLock()
 	defer db.smu.RUnlock()
-	return db.followerLagsLocked()
-}
-
-func (db *DB) followerLagsLocked() ([]int, [][]LagReading) {
 	ids := make([]int, len(db.shards))
 	for i := range db.shards {
 		ids[i] = db.metas[i].id
@@ -192,20 +186,4 @@ func (db *DB) followerLagsLocked() ([]int, [][]LagReading) {
 		out[i] = ls
 	}
 	return ids, out
-}
-
-// FollowerLags reports each follower's apply lag in WAL records. Shape
-// matches FollowerHorizons. It is the legacy scalar view of
-// FollowerLagReadings, kept for callers that only chart the lag.
-func (db *DB) FollowerLags() [][]uint64 {
-	_, readings := db.followerLagsByShard()
-	out := make([][]uint64, len(readings))
-	for i, pool := range readings {
-		ls := make([]uint64, len(pool))
-		for k, lr := range pool {
-			ls[k] = lr.Lag
-		}
-		out[i] = ls
-	}
-	return out
 }

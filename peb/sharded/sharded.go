@@ -177,13 +177,18 @@ type DB struct {
 	// a shard.
 	ownMu sync.Mutex
 	owner map[UserID]int
+	// userMu serializes the one-shot writes of one user (striped by id). A
+	// re-homing Upsert is an insert into the new shard plus a delete from
+	// the old one; without it a concurrent Upsert of the same user back
+	// into the old shard could land between the two and be deleted.
+	userMu [64]sync.Mutex
 
 	// Cross-shard transaction state: txnLog is the router's decision log
 	// (non-nil only with durability) — an appended id IS the commit point
 	// of that transaction; nextTxn allocates ids above every committed or
 	// observed id so a recycled id can never match a stale prepared record.
 	txnMu   sync.Mutex
-	txnLog  *store.WAL
+	txnLog  *store.SegmentedWAL
 	nextTxn uint64
 	// txnDecisions counts verdicts appended since the last compaction —
 	// zero means the log already holds nothing but its watermark.
@@ -293,7 +298,7 @@ func Open(opts Options) (*DB, error) {
 	// The decision log must be read before the shards open: each shard's
 	// recovery resolves markerless prepared records against it.
 	var (
-		txnLog    *store.WAL
+		txnLog    *store.SegmentedWAL
 		committed map[uint64]bool
 		maxTxn    uint64
 	)
@@ -499,6 +504,9 @@ func (db *DB) Upsert(o Object) error {
 	if db.closed {
 		return ErrClosed
 	}
+	mu := &db.userMu[int(o.UID)%len(db.userMu)]
+	mu.Lock()
+	defer mu.Unlock()
 	target := db.shardOf(o.X, o.Y)
 	if err := db.shards[target].Upsert(o); err != nil {
 		return err
@@ -526,6 +534,9 @@ func (db *DB) Remove(uid UserID) error {
 	if db.closed {
 		return ErrClosed
 	}
+	mu := &db.userMu[int(uid)%len(db.userMu)]
+	mu.Lock()
+	defer mu.Unlock()
 	db.ownMu.Lock()
 	idx, ok := db.owner[uid]
 	db.ownMu.Unlock()

@@ -186,7 +186,6 @@ func (db *DB) Stats() Stats {
 		c.PagesFlushed += ss.Checkpoints.PagesFlushed
 		c.PagesReclaimed += ss.Checkpoints.PagesReclaimed
 		c.WALBytesTruncated += ss.Checkpoints.WALBytesTruncated
-		c.WALTailBytesRewritten += ss.Checkpoints.WALTailBytesRewritten
 		c.WALSegmentsRemoved += ss.Checkpoints.WALSegmentsRemoved
 		if ss.Checkpoints.LastCut > c.LastCut {
 			c.LastCut = ss.Checkpoints.LastCut

@@ -7,8 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/codec"
-	"repro/internal/core"
-	"repro/internal/motion"
 	"repro/internal/policy"
 	"repro/internal/store"
 )
@@ -21,12 +19,13 @@ import (
 // assignment rather than its inputs, so replay reproduces the committed
 // state exactly without re-running the assignment algorithm.
 //
-// Commit protocol: the mutation is applied in memory first (validating it),
-// the record is appended under the write lock (so log order equals apply
-// order), and the commit waits for the WAL sync *after* releasing the lock
-// — which is what lets concurrent commits share one fsync (group commit).
-// The published query view may therefore briefly show a commit that is not
-// yet durable; a crash in that window loses only unacknowledged commits.
+// Commit protocol (commit.go): the mutation is applied in memory first
+// (validating it), the record is appended under the write lock (so log
+// order equals apply order), and the commit waits for the WAL sync *after*
+// releasing the lock — which is what lets concurrent commits share one
+// fsync (group commit). The published query view may therefore briefly
+// show a commit that is not yet durable; a crash in that window loses only
+// unacknowledged commits.
 //
 // Replay never double-applies: the meta file — the checkpoint's atomic
 // commit point — names the exact policies snapshot and page image it
@@ -54,8 +53,14 @@ type assignRec struct {
 	SV  float64
 }
 
-// walOp is one logical operation inside a committed record. Exactly the
-// fields for Kind are populated.
+// isIndex reports whether the operation writes the index (as opposed to
+// the policy store or the whole tree).
+func (k walOpKind) isIndex() bool {
+	return k == walOpSetSV || k == walOpUpsert || k == walOpRemove
+}
+
+// walOp is one logical operation: the unit a Batch stages, commit applies
+// and a record logs. Exactly the fields for Kind are populated.
 type walOp struct {
 	Kind walOpKind
 
@@ -68,7 +73,9 @@ type walOp struct {
 	Locr Region       // walOpGrant
 	Tint TimeInterval // walOpGrant
 
-	// walOpEncode: the assignment the index was rebuilt under.
+	// walOpEncode: the assignment the index is rebuilt under. A nil Assign
+	// handed to commit means "compute it" (EncodePolicies, LoadPolicies);
+	// the resolved — logged — operation always carries one.
 	Assign []assignRec
 	MaxSV  float64
 	Groups int
@@ -129,25 +136,6 @@ func decodeAssignment(op walOp) policy.Assignment {
 	return a
 }
 
-// marshalRecord serializes a record for the WAL with the binary codec
-// (walcodec.go). Each record is self-contained, so it decodes
-// independently during replay.
-func marshalRecord(rec *walRecord) ([]byte, error) {
-	return appendRecord(nil, rec), nil
-}
-
-// marshalRecordGob is the original encoding/gob serialization, kept as the
-// reference legacy writer: the codec benchmark uses it for before/after
-// numbers, and tests use it to mint gob-era records for the fallback path
-// below.
-func marshalRecordGob(rec *walRecord) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, fmt.Errorf("peb: encode wal record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // unmarshalRecord decodes either codec generation. Binary-codec records
 // announce themselves with codec.MagicWALRecord, a byte no gob stream can
 // start with (see internal/codec), so the dispatch is unambiguous;
@@ -163,21 +151,16 @@ func unmarshalRecord(data []byte) (walRecord, error) {
 	return rec, nil
 }
 
-// walAppend logs one committed mutation. The caller holds the write lock
-// and has already applied the mutation in memory successfully. The returned
-// token is passed to walSync after the lock is released. A nil WAL (or a
-// replay in progress) logs nothing.
+// walAppendTxn logs one committed record: the resolved operations, and for
+// a cross-shard transaction its id and state (prepared records and their
+// commit/abort markers). The caller holds the write lock and has already
+// applied the operations in memory successfully. The returned token is
+// passed to walSync after the lock is released. A nil WAL logs nothing.
 //
 // An append failure poisons the WAL: the in-memory state is ahead of the
 // log, and accepting any later record would persist a history with a hole.
 // All subsequent commits fail until the DB is reopened; reads and the
 // already-applied mutation remain visible in memory.
-func (db *DB) walAppend(ops []walOp) (store.WALToken, error) {
-	return db.walAppendTxn(ops, 0, txnNone)
-}
-
-// walAppendTxn is walAppend carrying a transaction id and state — the form
-// prepared records and their commit/abort markers are logged in.
 func (db *DB) walAppendTxn(ops []walOp, txnID uint64, txnState uint8) (store.WALToken, error) {
 	if txnID > db.maxTxn {
 		db.maxTxn = txnID
@@ -224,60 +207,12 @@ func (db *DB) walSync(tok store.WALToken) error {
 	return nil
 }
 
-// replayRecord re-applies one committed record during recovery. The DB is
-// mid-open: no snapshots exist, no WAL is attached (nothing re-logs), and
-// the caller refreshes the view afterwards.
+// replayRecord re-applies one committed record — recovery and replicas.
+// It is the commit pipeline's apply stage plus the record's cursors;
+// nothing re-logs, no hook fires, and the caller publishes the view
+// afterwards.
 func (db *DB) replayRecord(rec walRecord) error {
-	var index []core.BatchOp
-	for i := range rec.Ops {
-		op := &rec.Ops[i]
-		switch op.Kind {
-		case walOpSetSV:
-			index = append(index, core.BatchOp{Kind: core.OpSetSV, UID: motion.UserID(op.UID), SV: op.SV})
-		case walOpUpsert:
-			index = append(index, core.BatchOp{Kind: core.OpUpsert, Obj: op.Obj})
-			db.noteUser(op.Obj.UID)
-		case walOpRemove:
-			index = append(index, core.BatchOp{Kind: core.OpRemove, UID: motion.UserID(op.UID)})
-		case walOpRelation:
-			db.policies.SetRelation(policy.UserID(op.Own), policy.UserID(op.Peer), op.Role)
-			db.noteUser(op.Own)
-			db.noteUser(op.Peer)
-			db.encoded = false
-		case walOpGrant:
-			if err := db.policies.AddPolicy(policy.UserID(op.Own), policy.Policy{Role: op.Role, Locr: op.Locr, Tint: op.Tint}); err != nil {
-				return fmt.Errorf("peb: replay grant: %w", err)
-			}
-			db.noteUser(op.Own)
-			db.encoded = false
-		case walOpEncode:
-			// Flush any index ops staged before the rebuild (ordering within
-			// a record is apply order).
-			if err := db.replayIndexOps(index); err != nil {
-				return err
-			}
-			index = nil
-			if err := db.rebuildLocked(decodeAssignment(*op)); err != nil {
-				return fmt.Errorf("peb: replay encode: %w", err)
-			}
-		case walOpLoadPolicies:
-			loaded, err := policy.Load(bytes.NewReader(op.Blob))
-			if err != nil {
-				return fmt.Errorf("peb: replay load-policies: %w", err)
-			}
-			db.policies = loaded
-			_ = db.tree.SetPolicies(loaded)
-			loaded.ForEachGrant(func(owner, viewer policy.UserID, _ policy.Policy) bool {
-				db.users[UserID(owner)] = true
-				db.users[UserID(viewer)] = true
-				return true
-			})
-			db.encoded = false
-		default:
-			return fmt.Errorf("peb: unknown wal op kind %d", op.Kind)
-		}
-	}
-	if err := db.replayIndexOps(index); err != nil {
+	if err := db.applyOps(rec.Ops); err != nil {
 		return err
 	}
 	db.nextSV = rec.NextSV
@@ -285,17 +220,5 @@ func (db *DB) replayRecord(rec walRecord) error {
 		db.nextSV = 2
 	}
 	db.walSeq = rec.Seq
-	return nil
-}
-
-// replayIndexOps applies a record's index operations through the same
-// batch machinery commits use.
-func (db *DB) replayIndexOps(ops []core.BatchOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	if err := db.tree.ApplyBatch(ops); err != nil {
-		return fmt.Errorf("peb: replay batch: %w", err)
-	}
 	return nil
 }

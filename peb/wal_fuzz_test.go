@@ -2,6 +2,7 @@ package peb
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -22,6 +23,17 @@ import (
 //     either yields a record or an error. Recovery reads these bytes off
 //     a crashed disk; a panic would turn recoverable corruption into an
 //     unrecoverable process.
+
+// marshalRecordGob is the original encoding/gob record serialization, the
+// writer side of unmarshalRecord's fallback: tests mint gob-era records
+// with it.
+func marshalRecordGob(rec *walRecord) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
 
 // fuzzRecord deterministically builds a walRecord from fuzz-controlled
 // raw material, exercising every op kind and field shape.
