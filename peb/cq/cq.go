@@ -1,7 +1,8 @@
 // Package cq turns the PEB-tree's one-shot queries into standing ones: a
 // caller registers a privacy-aware range query (PRQ) or k-nearest-neighbor
 // query (PkNN) as a continuous query and receives enter/leave/update deltas
-// over a channel instead of polling.
+// — over a channel, or through a callback inside the commit — instead of
+// polling.
 //
 // # Incremental evaluation
 //
@@ -42,14 +43,23 @@
 //
 // # Delivery and slow consumers
 //
-// Deltas are delivered into a bounded per-subscription channel by the
-// commit path itself, which must never block. When a consumer falls
-// behind, the subscription's overflow policy decides: DropOldest (the
-// default) discards the oldest undelivered delta and counts the loss in
-// the next delivered Delta.Dropped, so the consumer knows its view has
-// gaps it must repair (resubscribe, or treat the next rescan as truth);
-// Cancel closes the subscription with ErrSlowConsumer. Either way the
-// engine's own state stays exact — only the consumer's copy degrades.
+// There is one delivery path, and it runs to its end inside the commit:
+//
+//	commit → prune → exact evaluation → Result diff → deliver callback
+//
+// Watch registers a query with a callback that is called, under the DB's
+// write lock and the engine's mutex, for every delta of the tracked
+// result; it must not block. SubscribeRange and SubscribePkNN are Watch
+// plus one sink, an Outbox: a bounded channel with a non-blocking sender.
+// When the consumer falls behind, the subscription's overflow policy
+// decides: DropOldest (the default) discards the oldest undelivered delta
+// and counts the loss in the next delivered Delta.Dropped, so the consumer
+// knows its view has gaps it must repair (resubscribe, or treat the next
+// rescan as truth); Cancel closes the subscription with ErrSlowConsumer.
+// Either way the engine's own state stays exact — only the consumer's copy
+// degrades. The sharded router (peb/sharded) registers its per-shard legs
+// through Watch and sends its merged result through an Outbox of its own:
+// the same path with a merge step in it.
 //
 // # Correctness contract
 //
@@ -57,9 +67,9 @@
 // equal the diff of two consecutive full re-runs of the underlying query
 // around that commit (the oracle the test suite enforces), provided
 // objects honor the DB's MaxSpeed. Registration is atomic with respect to
-// commits — SubscribeRange/SubscribePkNN evaluate the initial result and
-// install the subscription under the DB's write lock — so the delta
-// stream continues the initial result with no gap and no overlap.
+// commits — Watch evaluates the initial result and installs the
+// subscription under the DB's write lock — so the delta stream continues
+// the initial result with no gap and no overlap.
 package cq
 
 import (
@@ -141,8 +151,8 @@ type Stats struct {
 }
 
 // Engine evaluates continuous queries against one peb.DB. Create it with
-// Attach, register standing queries with SubscribeRange/SubscribePkNN,
-// and Close it to detach from the DB. All methods are safe for concurrent
+// Attach, register standing queries with SubscribeRange/SubscribePkNN (or
+// Watch, their callback form), and Close it to detach from the DB. All methods are safe for concurrent
 // use.
 type Engine struct {
 	db     *peb.DB
@@ -167,44 +177,54 @@ type Engine struct {
 	reap         []*sub
 }
 
+// Query is a standing query's definition. K selects the form: zero for a
+// PRQ over Region, positive for a PkNN of result size K centered at
+// (X, Y). T is the evaluation time, fixed for the subscription's lifetime
+// like a one-shot query's timestamp: the result tracks commits (movement
+// updates, policy changes), not the passage of time. Subscribers watching
+// "now" resubscribe on their own clock or pick T at the window of
+// interest.
+type Query struct {
+	Issuer peb.UserID
+	T      float64
+	Region peb.Region
+	X, Y   float64
+	K      int
+}
+
 // sub is the engine-internal state of one subscription.
 type sub struct {
-	id     uint64
-	issuer peb.UserID
-	t      float64
+	Query
+	id uint64
 
-	// Range subscriptions.
-	knn      bool
-	region   peb.Region
+	// Range subscriptions: the space prune.
 	ivs      zcurve.IntervalSet
 	prunable bool
 
-	// PkNN subscriptions.
-	x, y float64
-	k    int
-
 	grantors map[peb.UserID]struct{}
-	cur      map[peb.UserID]peb.Object
-	dist     map[peb.UserID]float64 // knn only
+	cur      Result
 
-	ch             chan Delta
-	policy         OverflowPolicy
-	pendingDropped int
-	canceled       bool
-	err            error
+	// emit hands one delta of the tracked result to deliver and applies
+	// its verdict; built once at registration. end reports an ending the
+	// engine decided on.
+	emit     func(Delta)
+	end      func(error)
+	canceled bool
 }
 
 // Subscription is a caller's handle on one standing query: receive deltas
 // from Deltas, stop with Close. After the channel closes, Err reports why
 // (nil for a caller-initiated Close).
 type Subscription struct {
-	eng *Engine
-	s   *sub
+	eng  *Engine
+	box  *Outbox
+	stop func()
+	err  error // under eng.mu
 }
 
 // Deltas returns the delta channel. It is closed when the subscription
 // ends — by Close, by engine shutdown, or by the overflow policy.
-func (s *Subscription) Deltas() <-chan Delta { return s.s.ch }
+func (s *Subscription) Deltas() <-chan Delta { return s.box.C() }
 
 // Err returns the terminal error, if any: ErrSlowConsumer, ErrEngineClosed,
 // or a query error hit during a rescan. Nil while live or after a plain
@@ -212,21 +232,16 @@ func (s *Subscription) Deltas() <-chan Delta { return s.s.ch }
 func (s *Subscription) Err() error {
 	s.eng.mu.Lock()
 	defer s.eng.mu.Unlock()
-	return s.s.err
+	return s.err
 }
 
 // Close unregisters the subscription and closes its channel. Idempotent;
 // safe to call concurrently with commits.
 func (s *Subscription) Close() {
-	e := s.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sb := s.s
-	if !sb.canceled {
-		sb.canceled = true
-		close(sb.ch)
-	}
-	e.removeLocked(sb)
+	s.stop()
+	s.eng.mu.Lock()
+	defer s.eng.mu.Unlock()
+	s.box.Close()
 }
 
 // Attach builds an engine over db and registers it for commit
@@ -271,8 +286,7 @@ func (e *Engine) Close() {
 	for _, s := range e.subs {
 		if !s.canceled {
 			s.canceled = true
-			s.err = ErrEngineClosed
-			close(s.ch)
+			s.end(ErrEngineClosed)
 		}
 	}
 	e.subs = make(map[uint64]*sub)
@@ -297,50 +311,115 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// SubscribeRange registers issuer's PRQ over region r at evaluation time t
-// as a continuous query. It returns the subscription and the query's
-// current result; every subsequent commit that changes the result pushes
-// a delta, starting exactly after the returned state (registration is
-// atomic with respect to commits).
+// Watch registers q as a continuous query that delivers to a callback. It
+// is the engine's one registration: the channel form below is a sink built
+// on it, and so is each shard leg of a sharded subscription.
 //
-// t is fixed for the subscription's lifetime, like a query's timestamp:
-// the result tracks commits (movement updates, policy changes), not the
-// passage of time. Subscribers watching "now" resubscribe on their own
-// clock or pick t at the window of interest.
-func (e *Engine) SubscribeRange(issuer peb.UserID, r peb.Region, t float64, opt SubOptions) (*Subscription, []peb.Object, error) {
-	var out *Subscription
-	var initial []peb.Object
-	err := e.db.WithCommitView(func(cv *peb.CommitView) error {
-		res, err := cv.RangeQuery(issuer, r, t)
+//   - The current result arrives first, as Enter deltas with Seq 0 (commit
+//     sequences start at 1), from inside the registration critical section
+//     (DB.WithCommitView): no commit can slip between the initial result
+//     and the first commit's deltas.
+//   - Every later call is made from inside a commit on this DB, in commit
+//     order, holding the DB's write lock and the engine's mutex. deliver
+//     must not block and must not call into the engine or the DB.
+//   - deliver returning false cancels the subscription — the only safe way
+//     to end one from inside a delivery. end is not called for it.
+//   - end is called once, under the engine's mutex, when the engine itself
+//     ends the subscription: ErrEngineClosed on Close, or the query error
+//     that failed a re-evaluation. Never after stop has returned.
+//
+// stop unregisters the subscription; it takes the engine's mutex, so it
+// must not be called from a delivery. Idempotent.
+func (e *Engine) Watch(q Query, deliver func(Delta) bool, end func(error)) (stop func(), err error) {
+	if q.K < 0 {
+		return nil, fmt.Errorf("cq: k must not be negative, got %d", q.K)
+	}
+	s := &sub{Query: q, cur: Result{}, end: end}
+	s.emit = func(d Delta) {
+		switch {
+		case s.canceled:
+		case !deliver(d):
+			e.cancelLocked(s, nil)
+		case d.Seq != 0:
+			e.stats.Deltas++
+		}
+	}
+	err = e.db.WithCommitView(func(cv *peb.CommitView) error {
+		res, err := s.run(cv)
 		if err != nil {
 			return err
-		}
-		s := &sub{
-			issuer: issuer,
-			t:      t,
-			region: r,
-			ch:     make(chan Delta, opt.buffer()),
-			policy: opt.Overflow,
-			cur:    make(map[peb.UserID]peb.Object, len(res)),
-		}
-		e.computeIntervals(s)
-		for _, o := range res {
-			s.cur[o.UID] = o
 		}
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		if e.closed {
 			return ErrEngineClosed
 		}
-		e.registerLocked(s, cv.Grantors(issuer))
-		initial = append([]peb.Object(nil), res...)
-		out = &Subscription{eng: e, s: s}
+		if s.K == 0 {
+			e.computeIntervals(s)
+		}
+		e.nextID++
+		s.id = e.nextID
+		e.subs[s.id] = s
+		e.setGrantorsLocked(s, cv.Grantors(s.Issuer))
+		s.cur.Replace(res, 0, s.emit)
+		e.reapLocked()
 		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		s.canceled = true
+		e.removeLocked(s)
+	}, nil
+}
+
+// subscribe is Watch with the channel sink: the initial result is handed
+// back instead of queued, every later delta goes through the outbox.
+func (e *Engine) subscribe(q Query, opt SubOptions) (*Subscription, []peb.Neighbor, error) {
+	s := &Subscription{eng: e, box: NewOutbox(opt)}
+	var initial []peb.Neighbor
+	stop, err := e.Watch(q, func(d Delta) bool {
+		if d.Seq == 0 {
+			initial = append(initial, peb.Neighbor{Object: d.Object, Dist: d.Dist})
+			return true
+		}
+		lost, ok := s.box.Send(d)
+		e.stats.Dropped += uint64(lost)
+		if !ok {
+			s.err = ErrSlowConsumer
+		}
+		return ok
+	}, func(err error) {
+		s.err = err
+		s.box.Close()
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, initial, nil
+	s.stop = stop
+	res := initial
+	initial = nil // the sink outlives this call; it must not pin the result
+	return s, res, nil
+}
+
+// SubscribeRange registers issuer's PRQ over region r at evaluation time t
+// as a continuous query. It returns the subscription and the query's
+// current result; every subsequent commit that changes the result pushes
+// a delta, starting exactly after the returned state (registration is
+// atomic with respect to commits).
+func (e *Engine) SubscribeRange(issuer peb.UserID, r peb.Region, t float64, opt SubOptions) (*Subscription, []peb.Object, error) {
+	s, res, err := e.subscribe(Query{Issuer: issuer, Region: r, T: t}, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	initial := make([]peb.Object, len(res))
+	for i, nb := range res {
+		initial[i] = nb.Object
+	}
+	return s, initial, nil
 }
 
 // SubscribePkNN registers issuer's PkNN centered at (x, y) with result
@@ -350,43 +429,7 @@ func (e *Engine) SubscribePkNN(issuer peb.UserID, x, y float64, k int, t float64
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("cq: k must be positive, got %d", k)
 	}
-	var out *Subscription
-	var initial []peb.Neighbor
-	err := e.db.WithCommitView(func(cv *peb.CommitView) error {
-		res, err := cv.NearestNeighbors(issuer, x, y, k, t)
-		if err != nil {
-			return err
-		}
-		s := &sub{
-			issuer: issuer,
-			t:      t,
-			knn:    true,
-			x:      x,
-			y:      y,
-			k:      k,
-			ch:     make(chan Delta, opt.buffer()),
-			policy: opt.Overflow,
-			cur:    make(map[peb.UserID]peb.Object, len(res)),
-			dist:   make(map[peb.UserID]float64, len(res)),
-		}
-		for _, n := range res {
-			s.cur[n.Object.UID] = n.Object
-			s.dist[n.Object.UID] = n.Dist
-		}
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.closed {
-			return ErrEngineClosed
-		}
-		e.registerLocked(s, cv.Grantors(issuer))
-		initial = append([]peb.Neighbor(nil), res...)
-		out = &Subscription{eng: e, s: s}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, initial, nil
+	return e.subscribe(Query{Issuer: issuer, X: x, Y: y, K: k, T: t}, opt)
 }
 
 // computeIntervals precomputes the Hilbert intervals of the subscription's
@@ -394,8 +437,8 @@ func (e *Engine) SubscribePkNN(issuer peb.UserID, x, y float64, k int, t float64
 // just disables the space prune for this subscription.
 func (e *Engine) computeIntervals(s *sub) {
 	rect, ok := e.grid.RectOf(
-		s.region.MinX-e.slack, s.region.MinY-e.slack,
-		s.region.MaxX+e.slack, s.region.MaxY+e.slack,
+		s.Region.MinX-e.slack, s.Region.MinY-e.slack,
+		s.Region.MaxX+e.slack, s.Region.MaxY+e.slack,
 	)
 	if !ok {
 		// The enlarged region misses the space entirely: no stored
@@ -415,15 +458,6 @@ func (e *Engine) computeIntervals(s *sub) {
 	s.prunable = true
 }
 
-// registerLocked installs a new subscription and its grantor links.
-// Caller holds e.mu.
-func (e *Engine) registerLocked(s *sub, grantors []peb.UserID) {
-	e.nextID++
-	s.id = e.nextID
-	e.subs[s.id] = s
-	e.setGrantorsLocked(s, grantors)
-}
-
 // setGrantorsLocked replaces a subscription's grantor set and reindexes
 // it. Caller holds e.mu.
 func (e *Engine) setGrantorsLocked(s *sub, grantors []peb.UserID) {
@@ -438,7 +472,7 @@ func (e *Engine) setGrantorsLocked(s *sub, grantors []peb.UserID) {
 	e.grantorLinks -= len(s.grantors)
 	s.grantors = make(map[peb.UserID]struct{}, len(grantors))
 	for _, g := range grantors {
-		if g == s.issuer {
+		if g == s.Issuer {
 			continue
 		}
 		if _, dup := s.grantors[g]; dup {

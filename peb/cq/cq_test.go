@@ -487,3 +487,114 @@ func TestEngineClose(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResultDiff checks the one diff every tracked result goes through:
+// which deltas a transition amounts to, and in what order.
+func TestResultDiff(t *testing.T) {
+	obj := func(uid peb.UserID, x float64) peb.Object { return peb.Object{UID: uid, X: x, T: 1} }
+	nb := func(uid peb.UserID, x, dist float64) peb.Neighbor {
+		return peb.Neighbor{Object: obj(uid, x), Dist: dist}
+	}
+	var got []cq.Delta
+	emit := func(d cq.Delta) { got = append(got, d) }
+	expect := func(step string, want ...cq.Delta) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: emitted %+v, want %+v", step, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: delta %d = %+v, want %+v", step, i, got[i], want[i])
+			}
+		}
+		got = got[:0]
+	}
+
+	// Range form: distances stay zero; Set decides one user at a time.
+	r := cq.Result{}
+	r.Set(7, nb(7, 10, 0), true, 1, emit)
+	expect("enter", cq.Delta{Kind: cq.Enter, Object: obj(7, 10), Seq: 1})
+	r.Set(7, nb(7, 10, 0), true, 2, emit)
+	expect("unchanged")
+	r.Set(7, nb(7, 11, 0), true, 3, emit)
+	expect("update", cq.Delta{Kind: cq.Update, Object: obj(7, 11), Seq: 3})
+	r.Set(9, peb.Neighbor{}, false, 4, emit)
+	expect("absent stays absent")
+	r.Set(7, peb.Neighbor{}, false, 5, emit)
+	expect("leave carries the last state", cq.Delta{Kind: cq.Leave, Object: obj(7, 11), Seq: 5})
+	if len(r) != 0 {
+		t.Fatalf("tracked result after the leave: %v", r)
+	}
+
+	// A rescan: leaves by user id first, then enters and updates in
+	// result order; an unchanged member emits nothing.
+	r.Replace([]peb.Neighbor{nb(5, 1, 0), nb(3, 1, 0), nb(8, 1, 0), nb(4, 1, 0)}, 6, emit)
+	expect("seed", cq.Delta{Kind: cq.Enter, Object: obj(5, 1), Seq: 6}, cq.Delta{Kind: cq.Enter, Object: obj(3, 1), Seq: 6},
+		cq.Delta{Kind: cq.Enter, Object: obj(8, 1), Seq: 6}, cq.Delta{Kind: cq.Enter, Object: obj(4, 1), Seq: 6})
+	r.Replace([]peb.Neighbor{nb(4, 2, 0), nb(9, 1, 0), nb(3, 1, 0)}, 7, emit)
+	expect("rescan",
+		cq.Delta{Kind: cq.Leave, Object: obj(5, 1), Seq: 7}, cq.Delta{Kind: cq.Leave, Object: obj(8, 1), Seq: 7},
+		cq.Delta{Kind: cq.Update, Object: obj(4, 2), Seq: 7}, cq.Delta{Kind: cq.Enter, Object: obj(9, 1), Seq: 7})
+
+	// PkNN form: a changed distance alone is an Update, and a Leave
+	// reports the distance the neighbor last had.
+	k := cq.Result{}
+	k.Replace([]peb.Neighbor{nb(1, 0, 2.5), nb(2, 0, 4)}, 1, emit)
+	expect("knn seed", cq.Delta{Kind: cq.Enter, Object: obj(1, 0), Dist: 2.5, Seq: 1}, cq.Delta{Kind: cq.Enter, Object: obj(2, 0), Dist: 4, Seq: 1})
+	k.Replace([]peb.Neighbor{nb(3, 0, 1), nb(1, 0, 3)}, 2, emit)
+	expect("knn re-run", cq.Delta{Kind: cq.Leave, Object: obj(2, 0), Dist: 4, Seq: 2},
+		cq.Delta{Kind: cq.Enter, Object: obj(3, 0), Dist: 1, Seq: 2}, cq.Delta{Kind: cq.Update, Object: obj(1, 0), Dist: 3, Seq: 2})
+	if len(k) != 2 || k[3].Dist != 1 || k[1].Dist != 3 {
+		t.Fatalf("tracked PkNN result: %v", k)
+	}
+}
+
+// TestWatchContract checks the callback registration directly: the current
+// result first with Seq 0, commit deltas after, a false verdict drops the
+// registration without calling end, and end reports an engine Close only
+// to registrations that were not stopped.
+func TestWatchContract(t *testing.T) {
+	db, eng, sub := slowConsumerSetup(t, cq.SubOptions{})
+	defer db.Close()
+	defer sub.Close()
+	q := cq.Query{Issuer: 1, Region: peb.Region{MaxX: 1000, MaxY: 1000}, T: 10}
+
+	var seen []cq.Delta
+	ended := 0
+	stop, err := eng.Watch(q, func(d cq.Delta) bool {
+		seen = append(seen, d)
+		return len(seen) < 3
+	}, func(error) { ended++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 || seen[0].Kind != cq.Enter || seen[0].Seq != 0 || seen[0].Object.UID != 2 {
+		t.Fatalf("registration delivered %+v, want user 2 entering with Seq 0", seen)
+	}
+	for i := 1; i <= 4; i++ {
+		if err := db.Upsert(peb.Object{UID: 2, X: float64(100 + i), Y: 100, T: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(seen) != 3 || seen[2].Kind != cq.Update || seen[2].Seq <= seen[1].Seq {
+		t.Fatalf("deliveries %+v, want two updates in commit order and none after the false verdict", seen)
+	}
+	if st := eng.Stats(); st.Live != 1 || ended != 0 {
+		t.Fatalf("after the false verdict: %d live (want the channel subscription only), end called %d times", st.Live, ended)
+	}
+	stop() // idempotent on a dropped registration
+
+	var reason error
+	stopped, err := eng.Watch(q, func(cq.Delta) bool { return true }, func(error) { ended++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Watch(q, func(cq.Delta) bool { return true }, func(err error) { reason = err }); err != nil {
+		t.Fatal(err)
+	}
+	stopped()
+	eng.Close()
+	if !errors.Is(reason, cq.ErrEngineClosed) || ended != 0 {
+		t.Fatalf("engine Close: live registration got %v, stopped one got %d calls", reason, ended)
+	}
+}

@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/peb"
 )
@@ -51,4 +52,53 @@ type Delta struct {
 	// self-consistent from the engine's side, but the consumer should
 	// resynchronize if it mirrors the full result set.
 	Dropped int
+}
+
+// Result is a tracked result set: each member's state and, for PkNN, its
+// distance (zero for range queries) — what a consumer that applied every
+// delta emitted so far holds. Set and Replace are the one place that
+// decides which deltas a result transition amounts to; the engine's
+// per-object checks and re-runs and the sharded router's merge all track
+// their results through them.
+type Result map[peb.UserID]peb.Neighbor
+
+// Set records that uid is now a member with state nb (in) or absent (!in)
+// and emits the Enter, Leave or Update that makes of the tracked state —
+// nothing when nothing changed.
+func (r Result) Set(uid peb.UserID, nb peb.Neighbor, in bool, seq uint64, emit func(Delta)) {
+	old, was := r[uid]
+	switch {
+	case in && !was:
+		r[uid] = nb
+		emit(Delta{Kind: Enter, Object: nb.Object, Dist: nb.Dist, Seq: seq})
+	case !in && was:
+		delete(r, uid)
+		emit(Delta{Kind: Leave, Object: old.Object, Dist: old.Dist, Seq: seq})
+	case in && nb != old:
+		r[uid] = nb
+		emit(Delta{Kind: Update, Object: nb.Object, Dist: nb.Dist, Seq: seq})
+	}
+}
+
+// Replace makes res the tracked result and emits the difference: leaves
+// first, sorted by user id, then enters and updates in res order, all
+// tagged seq.
+func (r Result) Replace(res []peb.Neighbor, seq uint64, emit func(Delta)) {
+	stays := make(map[peb.UserID]struct{}, len(res))
+	for _, nb := range res {
+		stays[nb.Object.UID] = struct{}{}
+	}
+	var gone []peb.UserID
+	for uid := range r {
+		if _, ok := stays[uid]; !ok {
+			gone = append(gone, uid)
+		}
+	}
+	sort.Slice(gone, func(i, j int) bool { return gone[i] < gone[j] })
+	for _, uid := range gone {
+		r.Set(uid, peb.Neighbor{}, false, seq, emit)
+	}
+	for _, nb := range res {
+		r.Set(nb.Object.UID, nb, true, seq, emit)
+	}
 }

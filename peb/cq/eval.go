@@ -1,7 +1,6 @@
 package cq
 
 import (
-	"sort"
 	"time"
 
 	"repro/peb"
@@ -42,7 +41,7 @@ func (e *Engine) onCommit(info peb.CommitInfo, cv *peb.CommitView) {
 			if s.canceled {
 				continue
 			}
-			if s.knn {
+			if s.K > 0 {
 				e.evalKNNTouchLocked(s, cv, tc, info.Seq)
 			} else {
 				e.evalRangeTouchLocked(s, cv, tc, info.Seq)
@@ -67,7 +66,7 @@ func (e *Engine) outside(s *sub, o *peb.Object) bool {
 	if o.Speed() > e.maxSpeed {
 		return false
 	}
-	gap := s.t - o.T
+	gap := s.T - o.T
 	if gap < 0 {
 		gap = -gap
 	}
@@ -90,36 +89,25 @@ func (e *Engine) evalRangeTouchLocked(s *sub, cv *peb.CommitView, tc *peb.Commit
 		return
 	}
 	e.stats.Evaluated++
-	old, was := s.cur[tc.UID]
-	var cur peb.Object
+	var nb peb.Neighbor
 	is := false
 	if tc.Cur != nil {
-		cur = *tc.Cur
-		is = cv.Member(s.issuer, s.region, cur, s.t)
+		nb.Object = *tc.Cur
+		is = cv.Member(s.Issuer, s.Region, nb.Object, s.T)
 	}
-	switch {
-	case is && !was:
-		s.cur[tc.UID] = cur
-		e.send(s, Delta{Kind: Enter, Object: cur, Seq: seq})
-	case !is && was:
-		delete(s.cur, tc.UID)
-		e.send(s, Delta{Kind: Leave, Object: old, Seq: seq})
-	case is && was && cur != old:
-		s.cur[tc.UID] = cur
-		e.send(s, Delta{Kind: Update, Object: cur, Seq: seq})
-	}
+	s.cur.Set(tc.UID, nb, is, seq, s.emit)
 }
 
 // kthDist returns the current k'th neighbor distance, or +inf while the
 // result holds fewer than k objects (anything could enter).
 func (s *sub) kthDist() (float64, bool) {
-	if len(s.dist) < s.k {
+	if len(s.cur) < s.K {
 		return 0, false
 	}
 	max := 0.0
-	for _, d := range s.dist {
-		if d > max {
-			max = d
+	for _, nb := range s.cur {
+		if nb.Dist > max {
+			max = nb.Dist
 		}
 	}
 	return max, true
@@ -136,139 +124,62 @@ func (e *Engine) evalKNNTouchLocked(s *sub, cv *peb.CommitView, tc *peb.CommitTo
 		kth, full := s.kthDist()
 		// <= not <: at equal distance the (Dist, UID) order can still
 		// admit the touched object; the re-run decides exactly.
-		affected = !full || tc.Cur.DistanceAt(s.t, s.x, s.y) <= kth
+		affected = !full || tc.Cur.DistanceAt(s.T, s.X, s.Y) <= kth
 	}
 	e.stats.Evaluated++ // the affected-check itself
 	if !affected {
 		return
 	}
-	e.rerunKNNLocked(s, cv, seq)
+	e.rerunLocked(s, cv, seq)
 }
 
-// rerunKNNLocked re-runs a PkNN subscription through the index and emits
-// the diff against its tracked result. Caller holds e.mu.
-func (e *Engine) rerunKNNLocked(s *sub, cv *peb.CommitView, seq uint64) {
-	res, err := cv.NearestNeighbors(s.issuer, s.x, s.y, s.k, s.t)
+// run evaluates the subscription's query against the commit view. A range
+// result carries zero distances.
+func (s *sub) run(cv *peb.CommitView) ([]peb.Neighbor, error) {
+	if s.K > 0 {
+		return cv.NearestNeighbors(s.Issuer, s.X, s.Y, s.K, s.T)
+	}
+	objs, err := cv.RangeQuery(s.Issuer, s.Region, s.T)
+	res := make([]peb.Neighbor, len(objs))
+	for i, o := range objs {
+		res[i].Object = o
+	}
+	return res, err
+}
+
+// rerunLocked re-runs a subscription through the index and emits the diff
+// against its tracked result. Caller holds e.mu.
+func (e *Engine) rerunLocked(s *sub, cv *peb.CommitView, seq uint64) {
+	res, err := s.run(cv)
 	if err != nil {
 		e.cancelLocked(s, err)
 		return
 	}
 	e.stats.Evaluated += uint64(len(s.grantors))
-	newCur := make(map[peb.UserID]peb.Object, len(res))
-	newDist := make(map[peb.UserID]float64, len(res))
-	for _, n := range res {
-		newCur[n.Object.UID] = n.Object
-		newDist[n.Object.UID] = n.Dist
-	}
-	// Leaves first (sorted for determinism), then enters/updates in
-	// neighbor order.
-	var gone []peb.UserID
-	for uid := range s.cur {
-		if _, ok := newCur[uid]; !ok {
-			gone = append(gone, uid)
-		}
-	}
-	sort.Slice(gone, func(i, j int) bool { return gone[i] < gone[j] })
-	for _, uid := range gone {
-		e.send(s, Delta{Kind: Leave, Object: s.cur[uid], Dist: s.dist[uid], Seq: seq})
-	}
-	for _, n := range res {
-		uid := n.Object.UID
-		old, was := s.cur[uid]
-		switch {
-		case !was:
-			e.send(s, Delta{Kind: Enter, Object: n.Object, Dist: n.Dist, Seq: seq})
-		case old != n.Object || s.dist[uid] != n.Dist:
-			e.send(s, Delta{Kind: Update, Object: n.Object, Dist: n.Dist, Seq: seq})
-		}
-	}
-	s.cur = newCur
-	s.dist = newDist
+	s.cur.Replace(res, seq, s.emit)
 }
 
 // rescanLocked is the policy-change fallback: recompute the grantor set,
 // re-run the full query once, emit the diff. Caller holds e.mu.
 func (e *Engine) rescanLocked(s *sub, cv *peb.CommitView, seq uint64) {
 	e.stats.Rescans++
-	e.setGrantorsLocked(s, cv.Grantors(s.issuer))
-	if s.knn {
-		e.rerunKNNLocked(s, cv, seq)
-		return
-	}
-	res, err := cv.RangeQuery(s.issuer, s.region, s.t)
-	if err != nil {
-		e.cancelLocked(s, err)
-		return
-	}
-	e.stats.Evaluated += uint64(len(s.grantors))
-	newCur := make(map[peb.UserID]peb.Object, len(res))
-	for _, o := range res {
-		newCur[o.UID] = o
-	}
-	var gone []peb.UserID
-	for uid := range s.cur {
-		if _, ok := newCur[uid]; !ok {
-			gone = append(gone, uid)
-		}
-	}
-	sort.Slice(gone, func(i, j int) bool { return gone[i] < gone[j] })
-	for _, uid := range gone {
-		e.send(s, Delta{Kind: Leave, Object: s.cur[uid], Seq: seq})
-	}
-	for _, o := range res {
-		old, was := s.cur[o.UID]
-		switch {
-		case !was:
-			e.send(s, Delta{Kind: Enter, Object: o, Seq: seq})
-		case old != o:
-			e.send(s, Delta{Kind: Update, Object: o, Seq: seq})
-		}
-	}
-	s.cur = newCur
+	e.setGrantorsLocked(s, cv.Grantors(s.Issuer))
+	e.rerunLocked(s, cv, seq)
 }
 
-// send delivers one delta without ever blocking the commit path. Caller
-// holds e.mu.
-func (e *Engine) send(s *sub, d Delta) {
-	if s.canceled {
-		return
-	}
-	for {
-		d.Dropped = s.pendingDropped
-		select {
-		case s.ch <- d:
-			s.pendingDropped = 0
-			e.stats.Deltas++
-			return
-		default:
-		}
-		if s.policy == Cancel {
-			e.stats.Dropped++
-			e.cancelLocked(s, ErrSlowConsumer)
-			return
-		}
-		// DropOldest: evict the head and retry. The consumer may race us
-		// and drain the channel first — then the eviction no-ops and the
-		// retry succeeds.
-		select {
-		case old := <-s.ch:
-			s.pendingDropped += 1 + old.Dropped
-			e.stats.Dropped++
-		default:
-		}
-	}
-}
-
-// cancelLocked terminates a subscription from inside a notification. The
-// channel closes immediately; map removal is deferred to reapLocked so
-// the caller may still be iterating byGrantor. Caller holds e.mu.
+// cancelLocked ends a subscription from inside a notification or a
+// registration: on a false verdict from its deliver (err nil), or on an
+// evaluation error, which end reports. Map removal is deferred to
+// reapLocked so the caller may still be iterating byGrantor. Caller holds
+// e.mu.
 func (e *Engine) cancelLocked(s *sub, err error) {
 	if s.canceled {
 		return
 	}
 	s.canceled = true
-	s.err = err
-	close(s.ch)
+	if err != nil {
+		s.end(err)
+	}
 	e.reap = append(e.reap, s)
 }
 

@@ -1,73 +1,92 @@
 package sharded
 
 import (
+	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/zcurve"
 	"repro/peb"
 	"repro/peb/cq"
 )
 
-// Continuous queries over the sharded engine.
+// Continuous queries over the sharded engine: one delta pipeline, run to
+// the end inside the commit that caused the delta.
 //
-// A CQ attaches one cq.Engine to every shard and routes standing queries
-// the same way the router routes one-shot queries: a range subscription is
-// installed only on the shards whose Hilbert-value COVER intersects the
-// query region enlarged by the motion slack (MaxSpeed × MaxUpdateInterval);
-// a PkNN subscription fans out to every shard, since any shard can hold a
-// nearest neighbor. Each shard evaluates its slice incrementally against
-// its own commits, and a per-subscription merger goroutine folds the
-// per-shard delta streams into one.
+//	shard commit (db.mu)
+//	  └─ cq.Engine hook (e.mu): grantor/Hilbert prune, exact evaluation
+//	       └─ leg deliver (Subscription.mu): the leg's slice ← delta
+//	            └─ merged result: newest T per user / global top k
+//	                 └─ cq.Outbox: bounded, non-blocking ─→ consumer channel
 //
-// The fan-out is no longer fixed at subscribe time: the topology changes
-// online (reshard.go), and the router notifies every attached CQ under
-// the same write barrier that commits the change. A split's new shard
-// (or a merge target's widened cover) gets a fresh leg injected into
-// every subscription it now concerns — registered against the new shard
-// before any commit can land there, so no delta is missed — and a
-// merge-drained shard's legs are retired: the leg is removed from the
-// merge state and the residue reconciled, instead of tearing the whole
-// subscription down. A subscription therefore lives across any number of
-// splits and merges without dropping or duplicating deltas; migration
-// itself moves objects with their timestamps intact, so a move surfaces
-// as no delta at all (or the documented transient Leave/Enter when the
-// streams race), exactly like ordinary re-homing.
+// A CQ attaches one cq.Engine to every shard and routes a standing query
+// the way the router routes a one-shot one: a range subscription gets a
+// leg on each shard whose Hilbert-value cover intersects the query region
+// enlarged by the motion slack (MaxSpeed × MaxUpdateInterval), a PkNN
+// subscription a leg on every shard, since any shard can hold a nearest
+// neighbor.
 //
-// The merger does not forward shard deltas verbatim — it recomputes. It
-// keeps the result slice each leg last reported (seeded by the per-shard
-// initial results, maintained by the per-shard deltas) and derives the
-// merged result the way the router's one-shot queries do: a user reported
-// by several shards at once (caught mid-re-homing or mid-migration)
-// counts once, newest state wins; PkNN keeps the global (Dist, UID)-
-// ordered top k of the per-shard results. A delta is emitted only when
-// the merged result changes.
+// A leg is state, not a stream: the shard's id, the stop function of a
+// cq.Engine.Watch registration, and the slice of the result that shard
+// last reported. The registration's callback runs inside the shard's
+// commit; it applies the delta to the slice and recomputes the merged
+// result on the spot, from the slices, as the one-shot queries do: a user
+// two shards report at once (caught mid-re-homing or mid-migration) counts
+// once and the newer state wins; PkNN keeps the global (Dist, UID) top k.
+// The recomputation goes through the same cq.Result diff the engines use,
+// so a delta is emitted only when the merged result changes, and it goes
+// to the consumer through the same cq.Outbox. The subscription owns no
+// goroutine and no channel but the consumer's; when Upsert returns, the
+// deltas it caused are in that channel.
 //
-// Ordering across shards is the one caveat. Within a shard, deltas arrive
-// in commit order; across shards there is no global order, and a
-// removal's delta can outrun the insertion's when a re-homing (or a
-// migration batch) races the pumps. The merged stream then reports Leave
-// followed by Enter instead of nothing. Either way the stream stays
-// well-formed (Enter only for absent users, Leave only for present ones)
-// and mirrors of the stream converge to the true result once the stream
-// quiesces — the contract the sharded oracle test enforces.
+// Subscribing registers the legs one after another under the router's
+// read barrier, while one-shot writes go on. Until the last leg is in,
+// deliveries only fill slices; then the merged initial result is computed
+// from the slices under Subscription.mu and the subscription starts. A
+// commit is therefore either in the initial result or in the stream, never
+// both and never neither.
 //
-// The per-shard subscriptions run with the Cancel overflow policy over a
-// generous buffer: the merger's per-leg result slices are state, and a
-// silently dropped shard delta would corrupt them. The consumer-facing
-// channel honors the caller's own SubOptions; a slow consumer costs the
-// caller gaps (DropOldest) or their subscription (Cancel), never merge
-// correctness.
+// Topology changes use the same two steps and no protocol of their own.
+// The router calls in under the write barrier that commits the change, so
+// no commit can land on any shard meanwhile. A split's new shard, or a
+// merge target's widened cover, gets a leg added to every subscription it
+// now concerns; the leg's seeding Enters run through the ordinary merge
+// (normally emitting nothing: migration moves objects with their
+// timestamps intact). A merge-drained shard's leg is removed and the
+// merged result recomputed without it. A subscription lives across any
+// number of splits and merges; one whose new leg cannot register ends with
+// that error.
+//
+// Per shard: deltas are in commit order, and the engine's result is exact.
+// Merged: the stream is well-formed (Enter only for absent users, Leave
+// and Update only for present ones) and a mirror of it converges to the
+// one-shot answer once commits stop — the contract the sharded oracle
+// enforces. There is no order across shards: the two halves of a
+// re-homing or a cross-shard batch are two commits, so the merged stream
+// may report Leave then Enter where a single tree reports Update.
+//
+// Lock order: router barrier (db.smu) → shard db.mu → engine e.mu →
+// Subscription.mu. Subscription.mu is a leaf: nothing runs under it but
+// map work and the outbox's non-blocking send. A leg is never stopped, and
+// no engine is called, while holding it or from inside a delivery — a
+// delivery that finds the subscription ended (a Cancel overflow, an engine
+// closing, a caller's Close) returns false and the delivering engine
+// drops that leg itself. The other legs of a subscription that ended on
+// its own go the same way on their next delivery, or when Close, CQ.Close
+// or a topology change releases them from outside every engine lock.
+// CQ.mu is a leaf of its own beside these: it guards the maps below and is
+// never taken inside a delivery.
 
 // CQ is the standing-query router over a sharded DB: one incremental
-// engine per shard plus a merger per subscription. Create it with
-// AttachCQ; all methods are safe for concurrent use.
+// engine per shard plus the merged subscriptions over them. Create it
+// with AttachCQ; all methods are safe for concurrent use.
 type CQ struct {
 	db    *DB
 	slack float64
+	// dropped counts the deltas lost at the merged consumer channels.
+	dropped atomic.Uint64
 
-	// mu guards the maps below; it is a leaf with respect to db.smu and
-	// is never held across an engine or merger interaction.
 	mu      sync.Mutex
 	closed  bool
 	engines map[int]*cq.Engine // by shard id
@@ -113,10 +132,7 @@ func (c *CQ) Close() {
 		return
 	}
 	c.closed = true
-	engines := make([]*cq.Engine, 0, len(c.engines))
-	for _, e := range c.engines {
-		engines = append(engines, e)
-	}
+	engines := c.enginesLocked()
 	c.mu.Unlock()
 	c.db.cqUnregister(c)
 	for _, e := range engines {
@@ -125,15 +141,15 @@ func (c *CQ) Close() {
 }
 
 // Stats returns the per-shard engines' counters summed — the sharded
-// deployment's aggregate incremental-evaluation picture.
+// deployment's aggregate incremental-evaluation picture. Deltas counts
+// what the shards reported to the merge (a callback never drops); Dropped
+// counts the deltas lost at the merged consumer channels; Live is the
+// number of subscriptions, not of their legs.
 func (c *CQ) Stats() cq.Stats {
 	c.mu.Lock()
-	engines := make([]*cq.Engine, 0, len(c.engines))
-	for _, e := range c.engines {
-		engines = append(engines, e)
-	}
+	engines := c.enginesLocked()
+	out := cq.Stats{Live: len(c.subs), Dropped: c.dropped.Load()}
 	c.mu.Unlock()
-	var out cq.Stats
 	for _, e := range engines {
 		st := e.Stats()
 		out.Commits += st.Commits
@@ -142,8 +158,22 @@ func (c *CQ) Stats() cq.Stats {
 		out.Naive += st.Naive
 		out.Rescans += st.Rescans
 		out.Deltas += st.Deltas
-		out.Dropped += st.Dropped
-		out.Live += st.Live
+	}
+	return out
+}
+
+func (c *CQ) enginesLocked() []*cq.Engine {
+	out := make([]*cq.Engine, 0, len(c.engines))
+	for _, e := range c.engines {
+		out = append(out, e)
+	}
+	return out
+}
+
+func (c *CQ) subsLocked() []*Subscription {
+	out := make([]*Subscription, 0, len(c.subs))
+	for s := range c.subs {
+		out = append(out, s)
 	}
 	return out
 }
@@ -186,126 +216,97 @@ func (db *DB) cqTopologyChanged() {
 
 // cqShardRemoving tells every attached CQ that the shard with the given
 // id is about to be closed (merge finalization). Called under the write
-// barrier; the shard is already drained, so its legs hold only residue
-// the merger reconciles away.
+// barrier; the shard is already drained, so its legs' slices hold only
+// what the target shard's legs report too.
 func (db *DB) cqShardRemoving(id int) {
 	for _, c := range db.cqSnapshot() {
 		c.shardRemoving(id)
 	}
 }
 
-// topologyChanged refreshes the engine set and every subscription's
-// fan-out against the current topology. Caller holds db.smu exclusively.
+// topologyChanged attaches an engine to every new shard and gives every
+// subscription a leg on each shard it must now cover. A subscription
+// whose new leg cannot register — the shard's engine failed to attach, or
+// the leg's initial query failed — ends with that error: it would
+// otherwise silently never see that shard. Caller holds db.smu
+// exclusively.
 func (c *CQ) topologyChanged() {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return
 	}
+	failed := make(map[int]error)
 	for i, sm := range c.db.metas {
 		if _, ok := c.engines[sm.id]; !ok {
 			e, err := cq.Attach(c.db.shards[i])
 			if err != nil {
-				// Attach fails only on a closing engine; any subscription
-				// needing the shard dies with ErrEngineClosed soon anyway.
+				failed[sm.id] = err
 				continue
 			}
 			c.engines[sm.id] = e
 		}
 	}
-	engines := make(map[int]*cq.Engine, len(c.engines))
-	for id, e := range c.engines {
-		engines[id] = e
-	}
-	subs := make([]*Subscription, 0, len(c.subs))
-	for s := range c.subs {
-		subs = append(subs, s)
-	}
+	subs := c.subsLocked()
 	c.mu.Unlock()
 
 	for _, s := range subs {
-		c.refan(s, engines)
+		err := c.refan(s, failed)
+		if err != nil {
+			c.db.events.Record("cq.refan", "standing query ended: a shard it must cover cannot be watched",
+				"issuer", s.q.Issuer, "err", err)
+		}
+		if err != nil || s.isClosing() {
+			s.shutdown(err)
+		}
 	}
 }
 
-// shardRemoving retires every leg on the shard's engine and releases the
-// engine. Caller holds db.smu exclusively.
+// refan adds a leg for every shard the subscription must now cover but
+// does not. Caller holds db.smu exclusively (so no commit races the new
+// legs' seeding) and must not hold c.mu.
+func (c *CQ) refan(s *Subscription, failed map[int]error) error {
+	for _, id := range c.desiredShards(s.q) {
+		err := failed[id]
+		if err == nil {
+			err = s.addLeg(id)
+		}
+		if err != nil {
+			return fmt.Errorf("sharded: cq: shard %d: %w", id, err)
+		}
+	}
+	return nil
+}
+
+// shardRemoving takes the shard's leg out of every subscription and
+// releases the shard's engine. Caller holds db.smu exclusively.
 func (c *CQ) shardRemoving(id int) {
 	c.mu.Lock()
 	e := c.engines[id]
 	delete(c.engines, id)
-	subs := make([]*Subscription, 0, len(c.subs))
-	for s := range c.subs {
-		subs = append(subs, s)
-	}
+	subs := c.subsLocked()
 	c.mu.Unlock()
-	// Mark the legs retired BEFORE closing the engine: the close ends
-	// each leg's stream, and the marker tells the merger to fold the leg
-	// away instead of treating the end as a subscription failure.
 	for _, s := range subs {
-		s.markRetired(id)
+		s.dropLeg(id)
 	}
 	if e != nil {
 		e.Close()
 	}
 }
 
-// refan injects legs for every shard the subscription must now cover but
-// does not. Caller holds db.smu exclusively (so no commit races the
-// initial-result capture) and must NOT hold c.mu (leg injection feeds
-// the merger's mux, and the merger takes c.mu during shutdown).
-func (c *CQ) refan(s *Subscription, engines map[int]*cq.Engine) {
-	for _, id := range c.desiredShards(s) {
-		if s.hasLeg(id) {
-			continue
-		}
-		e := engines[id]
-		if e == nil {
-			continue
-		}
-		opt := cq.SubOptions{Buffer: s.legBuf, Overflow: cq.Cancel}
-		l := &leg{id: id}
-		if s.knn {
-			ss, init, err := e.SubscribePkNN(s.issuer, s.x, s.y, s.k, s.t, opt)
-			if err != nil {
-				continue
-			}
-			l.sub = ss
-			l.slice = make(map[UserID]Object, len(init))
-			l.dist = make(map[UserID]float64, len(init))
-			for _, nb := range init {
-				l.slice[nb.Object.UID] = nb.Object
-				l.dist[nb.Object.UID] = nb.Dist
-			}
-		} else {
-			ss, init, err := e.SubscribeRange(s.issuer, s.region, s.t, opt)
-			if err != nil {
-				continue
-			}
-			l.sub = ss
-			l.slice = make(map[UserID]Object, len(init))
-			for _, o := range init {
-				l.slice[o.UID] = o
-			}
-		}
-		s.injectLeg(l)
-	}
-}
-
-// desiredShards returns the ids of the shards the subscription must fan
-// out to under the current topology: every shard for PkNN, the shards
-// whose cover intersects the slack-enlarged region for a range
-// subscription. Caller holds db.smu (either side).
-func (c *CQ) desiredShards(s *Subscription) []int {
-	if s.knn {
-		ids := make([]int, len(c.db.metas))
-		for i, sm := range c.db.metas {
-			ids[i] = sm.id
-		}
-		return ids
-	}
+// desiredShards returns the ids of the shards a query must fan out to
+// under the current topology: every shard for PkNN, the shards whose
+// cover intersects the slack-enlarged region for a range query. Caller
+// holds db.smu (either side).
+func (c *CQ) desiredShards(q cq.Query) []int {
 	var out []int
-	ew := enlarge(s.region, c.slack)
+	if q.K > 0 {
+		for _, sm := range c.db.metas {
+			out = append(out, sm.id)
+		}
+		return out
+	}
+	ew := enlarge(q.Region, c.slack)
 	rect, ok := c.db.grid.RectOf(ew.MinX, ew.MinY, ew.MaxX, ew.MaxY)
 	if !ok {
 		return nil // the enlarged region misses the space entirely
@@ -318,61 +319,40 @@ func (c *CQ) desiredShards(s *Subscription) []int {
 	return out
 }
 
-// leg is one shard's delta stream feeding a merged subscription, keyed
-// by the shard's stable id. slice (and dist, for PkNN) is the result the
-// shard last reported — mutated only by the merger goroutine once the
-// leg is live. retired is set (under the subscription's legMu) when the
-// shard is being merged away: the leg's end then folds it out of the
-// merge instead of ending the subscription.
+// leg is one shard's part of a merged subscription: the shard's stable
+// id, the stop function of the registration on that shard's engine (nil
+// until the registration returns), and the slice of the result the shard
+// last reported. All under Subscription.mu.
 type leg struct {
-	id      int
-	sub     *cq.Subscription
-	slice   map[UserID]Object
-	dist    map[UserID]float64
-	retired bool
+	id    int
+	stop  func()
+	slice cq.Result
 }
 
 // Subscription is a caller's handle on one merged standing query.
 // Semantics mirror cq.Subscription: receive from Deltas, stop with Close,
-// inspect Err once the channel closes.
+// inspect Err once the channel closes. A subscription that ended on its
+// own (its Err is not nil) still holds its handle's resources until
+// Close.
 type Subscription struct {
-	c     *CQ
-	out   chan cq.Delta
-	stopC chan struct{}
-	mux   chan legDelta
-	wg    sync.WaitGroup
+	c *CQ
+	q cq.Query
 
-	// The registered query, kept to build new legs when the topology
-	// changes.
-	issuer UserID
-	region Region // range form
-	x, y   float64
-	k      int // knn form
-	t      float64
-	knn    bool
-	legBuf int
-	policy cq.OverflowPolicy
-
-	// legMu guards legs and the retired flags: appended by injection
-	// (under the router's write barrier), read by the merger's recompute
-	// loops and by shutdown.
-	legMu sync.Mutex
-	legs  []*leg
-
-	mu      sync.Mutex
-	err     error
+	mu     sync.Mutex
+	legs   []*leg
+	merged cq.Result // what the consumer holds, had it applied every delta
+	box    *cq.Outbox
+	seq    uint64
+	// started: the merged initial result is taken; deliveries before it
+	// only fill slices.
+	started bool
 	closing bool
-
-	// Merger-goroutine state (single-threaded).
-	emitted        map[UserID]Object
-	emittedDist    map[UserID]float64 // knn only
-	seq            uint64
-	pendingDropped int
+	err     error
 }
 
 // Deltas returns the merged delta channel. It closes when the subscription
 // ends — by Close, by CQ.Close, or by the overflow policy.
-func (s *Subscription) Deltas() <-chan cq.Delta { return s.out }
+func (s *Subscription) Deltas() <-chan cq.Delta { return s.box.C() }
 
 // Err reports why the channel closed: nil after a plain Close,
 // cq.ErrSlowConsumer, cq.ErrEngineClosed, or a per-shard evaluation error.
@@ -382,35 +362,46 @@ func (s *Subscription) Err() error {
 	return s.err
 }
 
-// Close stops the subscription: the per-shard legs are unregistered, the
-// merger drains, and the merged channel closes. Idempotent.
+// Close stops the subscription: the merged channel closes (deltas already
+// buffered stay readable) and the per-shard legs are unregistered.
+// Idempotent.
 func (s *Subscription) Close() { s.shutdown(nil) }
 
-// shutdown begins teardown, recording err as the terminal cause when one
-// is given and none is set. Safe from any goroutine, any number of times.
+// shutdown ends the subscription with err, unless it has ended already,
+// and releases its legs. It calls into the engines, so never from a
+// delivery.
 func (s *Subscription) shutdown(err error) {
 	s.mu.Lock()
-	first := !s.closing
-	if first {
+	s.endLocked(err)
+	legs := s.legs
+	s.legs = nil
+	s.mu.Unlock()
+	for _, l := range legs {
+		if l.stop != nil { // nil: addLeg is still registering it and stops it itself
+			l.stop()
+		}
+	}
+	s.c.mu.Lock()
+	delete(s.c.subs, s)
+	s.c.mu.Unlock()
+}
+
+// endLocked marks the subscription ended and closes the consumer channel;
+// every later delivery returns false. The first cause wins.
+func (s *Subscription) endLocked(err error) {
+	if !s.closing {
 		s.closing = true
 		s.err = err
+		s.box.Close()
 	}
+}
+
+// end is the legs' engine-side ending (cq.Engine.Watch): the engine closed
+// or a re-evaluation failed. Runs under that engine's mutex.
+func (s *Subscription) end(err error) {
+	s.mu.Lock()
+	s.endLocked(err)
 	s.mu.Unlock()
-	if !first {
-		return
-	}
-	close(s.stopC)
-	s.legMu.Lock()
-	legs := append([]*leg(nil), s.legs...)
-	s.legMu.Unlock()
-	for _, l := range legs {
-		l.sub.Close()
-	}
-	if s.c != nil {
-		s.c.mu.Lock()
-		delete(s.c.subs, s)
-		s.c.mu.Unlock()
-	}
 }
 
 func (s *Subscription) isClosing() bool {
@@ -419,174 +410,236 @@ func (s *Subscription) isClosing() bool {
 	return s.closing
 }
 
-// hasLeg reports whether the subscription already covers shard id.
-func (s *Subscription) hasLeg(id int) bool {
-	s.legMu.Lock()
-	defer s.legMu.Unlock()
+// legLocked returns the subscription's leg on shard id, nil when it has
+// none.
+func (s *Subscription) legLocked(id int) *leg {
 	for _, l := range s.legs {
 		if l.id == id {
-			return true
+			return l
 		}
 	}
-	return false
+	return nil
 }
 
-// markRetired flags the subscription's legs on shard id so their end is
-// treated as a topology event, not a failure.
-func (s *Subscription) markRetired(id int) {
-	s.legMu.Lock()
-	defer s.legMu.Unlock()
-	for _, l := range s.legs {
-		if l.id == id {
-			l.retired = true
+func (s *Subscription) removeLegLocked(l *leg) {
+	for i, cur := range s.legs {
+		if cur == l {
+			s.legs = append(s.legs[:i], s.legs[i+1:]...)
+			return
 		}
 	}
 }
 
-func (s *Subscription) isRetired(l *leg) bool {
-	s.legMu.Lock()
-	defer s.legMu.Unlock()
-	return l.retired
-}
-
-// injectLeg adds a live leg to a running subscription: registered under
-// the closing gate (so the sentinel still holds the WaitGroup open when
-// the pump is added), announced to the merger through the mux — FIFO
-// ensures the merger integrates the leg's initial slice before any of
-// its deltas — and then pumped. Called with the router's write barrier
-// held; the initial slice therefore reflects every commit before the
-// topology change and none after.
-func (s *Subscription) injectLeg(l *leg) {
+// addLeg registers the subscription's query on shard id's engine, unless
+// it has a leg there already. The shard's current result arrives as Enter
+// deltas before the registration returns; from then on every commit on
+// the shard that changes its slice calls deliver from inside the commit.
+// Caller holds db.smu (either side) and no other lock.
+func (s *Subscription) addLeg(id int) error {
+	e := s.c.engineOf(id)
+	if e == nil {
+		return cq.ErrEngineClosed
+	}
+	l := &leg{id: id, slice: cq.Result{}}
 	s.mu.Lock()
-	if s.closing {
+	if s.closing || s.legLocked(id) != nil {
 		s.mu.Unlock()
-		l.sub.Close()
+		return nil
+	}
+	s.legs = append(s.legs, l)
+	s.mu.Unlock()
+	stop, err := e.Watch(s.q, func(d cq.Delta) bool { return s.deliver(l, d) }, s.end)
+	s.mu.Lock()
+	if err == nil && !s.closing {
+		l.stop = stop
+		s.mu.Unlock()
+		return nil
+	}
+	s.removeLegLocked(l)
+	s.mu.Unlock()
+	if err == nil {
+		stop() // ended while registering
+	}
+	return err
+}
+
+// dropLeg removes the leg on a shard that is being merged away and
+// recomputes the merged result without it: a user only that leg reported
+// leaves (the migrated copy, if any, is in the target shard's slice
+// already, and then nothing is emitted at all). Caller holds db.smu
+// exclusively.
+func (s *Subscription) dropLeg(id int) {
+	s.mu.Lock()
+	l := s.legLocked(id)
+	if l == nil {
+		s.mu.Unlock()
 		return
 	}
-	s.wg.Add(1)
-	s.legMu.Lock()
-	s.legs = append(s.legs, l)
-	s.legMu.Unlock()
+	s.removeLegLocked(l)
+	if !s.closing {
+		s.seq++
+		s.merged.Replace(s.mergeLocked(), s.seq, s.emit)
+	}
 	s.mu.Unlock()
-	s.mux <- legDelta{leg: l, inject: true}
-	go s.pump(l)
+	l.stop()
 }
 
-// shardBuffer sizes the per-shard legs from the caller's buffer choice.
-// The legs run with the Cancel policy (a dropped leg delta would corrupt
-// the merger's state), so they get several times the consumer's capacity:
-// the merger drains them continuously and only ever stalls on its own
-// bounded recompute, never on the consumer.
-func shardBuffer(opt cq.SubOptions) int {
-	b := opt.Buffer
-	if b <= 0 {
-		b = 256
+// deliver is a leg's callback: it runs inside a commit on the leg's shard
+// (or inside the leg's registration), under that shard's db.mu and e.mu.
+// It applies the delta to the leg's slice and brings the merged result up
+// to date. False tells the engine to drop the leg.
+func (s *Subscription) deliver(l *leg, d cq.Delta) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closing {
+		return false
 	}
-	if b < 1024 {
-		b = 1024
+	uid := d.Object.UID
+	if d.Kind == cq.Leave {
+		delete(l.slice, uid)
+	} else {
+		l.slice[uid] = Neighbor{Object: d.Object, Dist: d.Dist}
 	}
-	return 4 * b
+	if !s.started {
+		return true
+	}
+	s.seq++
+	if s.q.K > 0 {
+		s.merged.Replace(s.mergeLocked(), s.seq, s.emit)
+	} else {
+		s.refreshLocked(uid)
+	}
+	return !s.closing // a Cancel overflow ends the subscription mid-merge
 }
 
-// consumerBuffer mirrors cq.SubOptions' zero-value default for the merged
-// channel.
-func consumerBuffer(opt cq.SubOptions) int {
-	if opt.Buffer <= 0 {
-		return 256
+// refreshLocked recomputes one user's merged state across the legs — the
+// newest state any shard reports — and emits iff the consumer-visible
+// state changed.
+func (s *Subscription) refreshLocked(uid UserID) {
+	var cur Neighbor
+	in := false
+	for _, l := range s.legs {
+		if nb, ok := l.slice[uid]; ok && (!in || nb.Object.T > cur.Object.T) {
+			cur, in = nb, true
+		}
 	}
-	return opt.Buffer
+	s.merged.Set(uid, cur, in, s.seq, s.emit)
 }
 
-// SubscribeRange registers issuer's PRQ over region r at evaluation time t
-// as a merged continuous query and returns the current merged result.
-// Registration holds the router's read barrier, so it is atomic with
-// respect to cross-shard operations and topology changes; per-shard legs
-// register atomically against their own shard's commits, and the merger
-// reconciles anything a concurrent re-homing slips between the legs.
-func (c *CQ) SubscribeRange(issuer UserID, r Region, t float64, opt cq.SubOptions) (*Subscription, []Object, error) {
-	if !r.Valid() {
-		return nil, nil, &peb.InvalidRegionError{Region: r}
+// mergeLocked derives the whole merged result from the legs' slices the
+// way the router's one-shot queries merge shard answers: a user several
+// shards report counts once, newest state wins; order is (Dist, UID) —
+// user id alone for a range query, whose distances are zero — and a PkNN
+// result is cut to k.
+func (s *Subscription) mergeLocked() []Neighbor {
+	best := make(cq.Result)
+	for _, l := range s.legs {
+		for uid, nb := range l.slice {
+			if prev, ok := best[uid]; !ok || nb.Object.T > prev.Object.T {
+				best[uid] = nb
+			}
+		}
 	}
+	out := make([]Neighbor, 0, len(best))
+	for _, nb := range best {
+		out = append(out, nb)
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Dist != out[b].Dist {
+			return out[a].Dist < out[b].Dist
+		}
+		return out[a].Object.UID < out[b].Object.UID
+	})
+	if s.q.K > 0 && len(out) > s.q.K {
+		out = out[:s.q.K]
+	}
+	return out
+}
+
+// emit sends one merged delta to the consumer under the caller's overflow
+// policy. A Cancel overflow ends the subscription; the rest of the diff
+// in progress is swallowed.
+func (s *Subscription) emit(d cq.Delta) {
+	lost, ok := s.box.Send(d)
+	s.c.dropped.Add(uint64(lost))
+	if !ok {
+		s.endLocked(cq.ErrSlowConsumer)
+	}
+}
+
+// subscribe registers q as a merged continuous query and returns its
+// current merged result. It holds the router's read barrier, so it is
+// atomic with respect to cross-shard operations and topology changes;
+// each leg registers atomically against its own shard's commits, and what
+// commits between two legs' registrations is folded into the slices
+// before the initial result is taken.
+func (c *CQ) subscribe(q cq.Query, opt cq.SubOptions) (*Subscription, []Neighbor, error) {
 	c.db.smu.RLock()
 	defer c.db.smu.RUnlock()
 	if err := c.usable(); err != nil {
 		return nil, nil, err
 	}
-	s := c.newSub(false, 0, opt)
-	s.issuer, s.region, s.t = issuer, r, t
-	for _, id := range c.desiredShards(s) {
-		e := c.engineOf(id)
-		if e == nil {
-			continue
-		}
-		ss, init, err := e.SubscribeRange(issuer, r, t,
-			cq.SubOptions{Buffer: s.legBuf, Overflow: cq.Cancel})
-		if err != nil {
-			s.abandonLegs()
+	s := &Subscription{c: c, q: q, box: cq.NewOutbox(opt), merged: cq.Result{}}
+	for _, id := range c.desiredShards(q) {
+		if err := s.addLeg(id); err != nil {
+			s.Close()
 			return nil, nil, err
 		}
-		slice := make(map[UserID]Object, len(init))
-		for _, o := range init {
-			slice[o.UID] = o
-		}
-		s.legs = append(s.legs, &leg{id: id, sub: ss, slice: slice})
 	}
-	initial := s.seedRange()
-	c.adopt(s)
-	s.start()
+	s.mu.Lock()
+	if s.closing { // an engine closed under the registration
+		err := s.err
+		s.mu.Unlock()
+		s.Close()
+		return nil, nil, err
+	}
+	initial := s.mergeLocked()
+	for _, nb := range initial {
+		s.merged[nb.Object.UID] = nb
+	}
+	s.started = true
+	s.mu.Unlock()
+	c.mu.Lock()
+	c.subs[s] = struct{}{}
+	c.mu.Unlock()
+	return s, initial, nil
+}
+
+// SubscribeRange registers issuer's PRQ over region r at evaluation time t
+// as a merged continuous query and returns the current merged result,
+// ordered by user id like one-shot RangeQuery's.
+func (c *CQ) SubscribeRange(issuer UserID, r Region, t float64, opt cq.SubOptions) (*Subscription, []Object, error) {
+	if !r.Valid() {
+		return nil, nil, &peb.InvalidRegionError{Region: r}
+	}
+	s, res, err := c.subscribe(cq.Query{Issuer: issuer, Region: r, T: t}, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	initial := make([]Object, len(res))
+	for i, nb := range res {
+		initial[i] = nb.Object
+	}
 	return s, initial, nil
 }
 
 // SubscribePkNN registers issuer's PkNN centered at (x, y) with result
 // size k at evaluation time t as a merged continuous query. Every shard
-// gets a leg — any shard can hold a nearest neighbor — and the merger
+// gets a leg — any shard can hold a nearest neighbor — and the merge
 // keeps the global (Dist, UID)-ordered top k of the per-shard results,
 // exactly like the router's one-shot NearestNeighbors.
 func (c *CQ) SubscribePkNN(issuer UserID, x, y float64, k int, t float64, opt cq.SubOptions) (*Subscription, []Neighbor, error) {
-	c.db.smu.RLock()
-	defer c.db.smu.RUnlock()
-	if err := c.usable(); err != nil {
-		return nil, nil, err
+	if k <= 0 {
+		return nil, nil, fmt.Errorf("cq: k must be positive, got %d", k)
 	}
-	s := c.newSub(true, k, opt)
-	s.issuer, s.x, s.y, s.t = issuer, x, y, t
-	for _, id := range c.desiredShards(s) {
-		e := c.engineOf(id)
-		if e == nil {
-			continue
-		}
-		ss, init, err := e.SubscribePkNN(issuer, x, y, k, t,
-			cq.SubOptions{Buffer: s.legBuf, Overflow: cq.Cancel})
-		if err != nil {
-			s.abandonLegs()
-			return nil, nil, err
-		}
-		slice := make(map[UserID]Object, len(init))
-		dist := make(map[UserID]float64, len(init))
-		for _, nb := range init {
-			slice[nb.Object.UID] = nb.Object
-			dist[nb.Object.UID] = nb.Dist
-		}
-		s.legs = append(s.legs, &leg{id: id, sub: ss, slice: slice, dist: dist})
-	}
-	initial := s.seedKNN()
-	c.adopt(s)
-	s.start()
-	return s, initial, nil
+	return c.subscribe(cq.Query{Issuer: issuer, X: x, Y: y, K: k, T: t}, opt)
 }
 
-// engineOf returns the engine for shard id (nil when detached).
+// engineOf returns the engine for shard id (nil when none is attached).
 func (c *CQ) engineOf(id int) *cq.Engine {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.engines[id]
-}
-
-// adopt records a fully-registered subscription for topology re-fan-out.
-func (c *CQ) adopt(s *Subscription) {
-	c.mu.Lock()
-	c.subs[s] = struct{}{}
-	c.mu.Unlock()
 }
 
 // usable reports whether the CQ and its DB still accept subscriptions.
@@ -601,330 +654,4 @@ func (c *CQ) usable() error {
 		return cq.ErrEngineClosed
 	}
 	return nil
-}
-
-func (c *CQ) newSub(knn bool, k int, opt cq.SubOptions) *Subscription {
-	return &Subscription{
-		c:      c,
-		out:    make(chan cq.Delta, consumerBuffer(opt)),
-		stopC:  make(chan struct{}),
-		mux:    make(chan legDelta, 128),
-		knn:    knn,
-		k:      k,
-		policy: opt.Overflow,
-		legBuf: shardBuffer(opt),
-	}
-}
-
-// abandonLegs tears down the legs of a subscription that failed to
-// register fully (no merger ever starts).
-func (s *Subscription) abandonLegs() {
-	for _, l := range s.legs {
-		l.sub.Close()
-	}
-}
-
-// seedRange computes the merged initial result from the per-leg initials
-// and primes the emitted state with it: union, duplicates keep the newer
-// state, sorted by user id — the same merge one-shot RangeQuery performs.
-func (s *Subscription) seedRange() []Object {
-	s.emitted = make(map[UserID]Object)
-	for _, l := range s.legs {
-		for uid, o := range l.slice {
-			if prev, ok := s.emitted[uid]; !ok || o.T > prev.T {
-				s.emitted[uid] = o
-			}
-		}
-	}
-	out := make([]Object, 0, len(s.emitted))
-	for _, o := range s.emitted {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].UID < out[b].UID })
-	return out
-}
-
-// seedKNN computes the merged initial top k and primes the emitted state.
-func (s *Subscription) seedKNN() []Neighbor {
-	res := s.mergedKNN()
-	s.emitted = make(map[UserID]Object, len(res))
-	s.emittedDist = make(map[UserID]float64, len(res))
-	for _, nb := range res {
-		s.emitted[nb.Object.UID] = nb.Object
-		s.emittedDist[nb.Object.UID] = nb.Dist
-	}
-	return res
-}
-
-// mergedKNN derives the merged top k from the per-leg result slices:
-// duplicates keep the newer state, order is (Dist, UID), truncated to k.
-func (s *Subscription) mergedKNN() []Neighbor {
-	best := make(map[UserID]Neighbor)
-	s.legMu.Lock()
-	for _, l := range s.legs {
-		for uid, o := range l.slice {
-			nb := Neighbor{Object: o, Dist: l.dist[uid]}
-			if prev, ok := best[uid]; !ok || o.T > prev.Object.T {
-				best[uid] = nb
-			}
-		}
-	}
-	s.legMu.Unlock()
-	out := make([]Neighbor, 0, len(best))
-	for _, nb := range best {
-		out = append(out, nb)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Dist != out[b].Dist {
-			return out[a].Dist < out[b].Dist
-		}
-		return out[a].Object.UID < out[b].Object.UID
-	})
-	if len(out) > s.k {
-		out = out[:s.k]
-	}
-	return out
-}
-
-// legDelta is one delta tagged with the leg it arrived on; done marks a
-// leg's channel closing, inject announces a freshly-injected leg whose
-// initial slice must be folded into the merged result.
-type legDelta struct {
-	leg    *leg
-	d      cq.Delta
-	done   bool
-	inject bool
-}
-
-// start launches the pumps and the merger. One pump per leg forwards that
-// leg's deltas into the mux; a sentinel keeps the mux open until shutdown
-// even when the fan-out is empty; the merger folds the mux into the
-// consumer channel and closes it when every pump has drained.
-func (s *Subscription) start() {
-	for _, l := range s.legs {
-		s.wg.Add(1)
-		go s.pump(l)
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		<-s.stopC
-	}()
-	go func() {
-		s.wg.Wait()
-		close(s.mux)
-	}()
-	go s.merge()
-}
-
-// pump forwards one leg's deltas into the mux, then reports its end.
-func (s *Subscription) pump(l *leg) {
-	defer s.wg.Done()
-	for d := range l.sub.Deltas() {
-		s.mux <- legDelta{leg: l, d: d}
-	}
-	s.mux <- legDelta{leg: l, done: true}
-}
-
-// merge is the merger goroutine: it consumes tagged leg deltas until every
-// pump exits, recomputing the merged result per event and emitting only
-// real transitions. It never blocks on the consumer (the overflow policy
-// rules there), so the pumps always drain and shutdown cannot wedge.
-func (s *Subscription) merge() {
-	defer close(s.out)
-	for ld := range s.mux {
-		switch {
-		case ld.done:
-			if s.isRetired(ld.leg) {
-				// The shard was merged away. The leg is already drained of
-				// meaningful deltas (migration committed its removals before
-				// the barrier that retired it); fold the leg out and
-				// reconcile any residue the streams had not delivered.
-				s.seq++
-				s.retireLeg(ld.leg)
-				continue
-			}
-			// A leg ended outside a topology change. Caller-initiated Close
-			// already recorded nil; anything else (engine close, slow
-			// merger, evaluation error) terminates the merged subscription
-			// with the leg's cause.
-			if err := ld.leg.sub.Err(); err != nil {
-				s.shutdown(err)
-			} else if !s.isClosing() {
-				s.shutdown(cq.ErrEngineClosed)
-			}
-		case ld.inject:
-			if s.isClosing() {
-				continue
-			}
-			s.seq++
-			s.integrateLeg(ld.leg)
-		default:
-			if s.isClosing() {
-				continue // draining; the consumer is gone
-			}
-			s.seq++
-			if s.knn {
-				s.applyKNN(ld.leg, ld.d)
-			} else {
-				s.applyRange(ld.leg, ld.d)
-			}
-		}
-	}
-}
-
-// integrateLeg folds a freshly-injected leg's initial slice into the
-// merged result, emitting whatever transitions it causes (normally none:
-// a split's new shard starts empty, and objects a migration already
-// moved carry their old timestamps, so the recompute finds no change).
-func (s *Subscription) integrateLeg(l *leg) {
-	if s.knn {
-		s.emitKNNDiff()
-		return
-	}
-	for uid := range l.slice {
-		s.refreshUser(uid)
-	}
-}
-
-// retireLeg removes a retired leg from the merge and reconciles the
-// residue: any user whose only reporter was the dead leg leaves the
-// merged result (their migrated copy, if any, re-enters via the target
-// shard's leg — possibly already integrated, in which case nothing is
-// emitted at all).
-func (s *Subscription) retireLeg(l *leg) {
-	s.legMu.Lock()
-	for i, cur := range s.legs {
-		if cur == l {
-			s.legs = append(s.legs[:i], s.legs[i+1:]...)
-			break
-		}
-	}
-	s.legMu.Unlock()
-	if s.isClosing() {
-		return
-	}
-	if s.knn {
-		s.emitKNNDiff()
-		return
-	}
-	for uid := range l.slice {
-		s.refreshUser(uid)
-	}
-}
-
-// applyRange folds one leg delta into a range subscription: update the
-// leg's slice and recompute the touched user's merged state across legs.
-func (s *Subscription) applyRange(l *leg, d cq.Delta) {
-	uid := d.Object.UID
-	switch d.Kind {
-	case cq.Leave:
-		delete(l.slice, uid)
-	default:
-		l.slice[uid] = d.Object
-	}
-	s.refreshUser(uid)
-}
-
-// refreshUser recomputes one user's merged state across every live leg
-// and emits iff the consumer-visible state changed.
-func (s *Subscription) refreshUser(uid UserID) {
-	var cur *Object
-	s.legMu.Lock()
-	for _, l := range s.legs {
-		if o, ok := l.slice[uid]; ok && (cur == nil || o.T > cur.T) {
-			o := o
-			cur = &o
-		}
-	}
-	s.legMu.Unlock()
-	prev, was := s.emitted[uid]
-	switch {
-	case cur != nil && !was:
-		s.emitted[uid] = *cur
-		s.emit(cq.Delta{Kind: cq.Enter, Object: *cur, Seq: s.seq})
-	case cur == nil && was:
-		delete(s.emitted, uid)
-		s.emit(cq.Delta{Kind: cq.Leave, Object: prev, Seq: s.seq})
-	case cur != nil && was && *cur != prev:
-		s.emitted[uid] = *cur
-		s.emit(cq.Delta{Kind: cq.Update, Object: *cur, Seq: s.seq})
-	}
-}
-
-// applyKNN folds one leg delta into a PkNN subscription: update the leg's
-// slice, recompute the merged top k, and emit its diff.
-func (s *Subscription) applyKNN(l *leg, d cq.Delta) {
-	uid := d.Object.UID
-	switch d.Kind {
-	case cq.Leave:
-		delete(l.slice, uid)
-		delete(l.dist, uid)
-	default:
-		l.slice[uid] = d.Object
-		l.dist[uid] = d.Dist
-	}
-	s.emitKNNDiff()
-}
-
-// emitKNNDiff recomputes the merged top k and emits its diff against the
-// consumer's view — leaves first (sorted by user id), then enters and
-// updates in (Dist, UID) order, all sharing one sequence tick.
-func (s *Subscription) emitKNNDiff() {
-	res := s.mergedKNN()
-	newE := make(map[UserID]Object, len(res))
-	newD := make(map[UserID]float64, len(res))
-	for _, nb := range res {
-		newE[nb.Object.UID] = nb.Object
-		newD[nb.Object.UID] = nb.Dist
-	}
-	var gone []UserID
-	for u := range s.emitted {
-		if _, ok := newE[u]; !ok {
-			gone = append(gone, u)
-		}
-	}
-	sort.Slice(gone, func(a, b int) bool { return gone[a] < gone[b] })
-	for _, u := range gone {
-		s.emit(cq.Delta{Kind: cq.Leave, Object: s.emitted[u], Dist: s.emittedDist[u], Seq: s.seq})
-	}
-	for _, nb := range res {
-		u := nb.Object.UID
-		old, was := s.emitted[u]
-		switch {
-		case !was:
-			s.emit(cq.Delta{Kind: cq.Enter, Object: nb.Object, Dist: nb.Dist, Seq: s.seq})
-		case old != nb.Object || s.emittedDist[u] != nb.Dist:
-			s.emit(cq.Delta{Kind: cq.Update, Object: nb.Object, Dist: nb.Dist, Seq: s.seq})
-		}
-	}
-	s.emitted = newE
-	s.emittedDist = newD
-}
-
-// emit delivers one merged delta under the caller's overflow policy,
-// without ever blocking the merger (a blocked merger would back up every
-// leg). Semantics mirror the single-DB engine's send.
-func (s *Subscription) emit(d cq.Delta) {
-	if s.isClosing() {
-		return // a Cancel overflow mid-diff: swallow the rest
-	}
-	for {
-		d.Dropped = s.pendingDropped
-		select {
-		case s.out <- d:
-			s.pendingDropped = 0
-			return
-		default:
-		}
-		if s.policy == cq.Cancel {
-			s.shutdown(cq.ErrSlowConsumer)
-			return
-		}
-		select {
-		case old := <-s.out:
-			s.pendingDropped += 1 + old.Dropped
-		default:
-		}
-	}
 }

@@ -1,22 +1,27 @@
 package sharded
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/store"
+	"repro/peb"
 	"repro/peb/cq"
 )
 
 // The sharded continuous-query suite checks the merged delta streams
-// against full re-runs of the one-shot queries. Because the merger is
-// asynchronous (per-shard pumps feed it), equivalence is checked at
-// quiescence: after a burst of commits the stream is drained until silent,
-// and a mirror built purely from the deltas must equal the query result.
-// Well-formedness (Enter only for absent users, Leave/Update only for
-// present ones) is enforced on every delta along the way.
+// against full re-runs of the one-shot queries. Two shards' commits
+// interleave arbitrarily, so equivalence is checked at quiescence: after a
+// burst of commits the stream is drained until silent, and a mirror built
+// purely from the deltas must equal the query result. Well-formedness
+// (Enter only for absent users, Leave/Update only for present ones) is
+// enforced on every delta along the way.
 
 // cqMirror replays a merged delta stream into a result-set copy.
 type cqMirror struct {
@@ -415,7 +420,9 @@ func TestShardedCQRehoming(t *testing.T) {
 
 // TestShardedCQLifecycle covers teardown: a caller Close ends the stream
 // with a nil Err, CQ.Close cancels live subscriptions with
-// cq.ErrEngineClosed, and subscriptions after CQ.Close are refused.
+// cq.ErrEngineClosed, and subscriptions after CQ.Close are refused. Along
+// the way Stats counts subscriptions, not legs, and the deltas lost at the
+// merged channel.
 func TestShardedCQLifecycle(t *testing.T) {
 	db, err := Open(Options{Shards: 2})
 	if err != nil {
@@ -428,12 +435,35 @@ func TestShardedCQLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := Region{MinX: 0, MinY: 0, MaxX: side, MaxY: side}
+	if err := db.DefineRelation(2, 1, "f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Grant(2, "f", r, TimeInterval{Start: 0, End: 1440}); err != nil {
+		t.Fatal(err)
+	}
 
-	s1, _, err := c.SubscribeRange(1, r, 10, cq.SubOptions{})
+	s1, _, err := c.SubscribeRange(1, r, 10, cq.SubOptions{Buffer: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st := c.Stats(); st.Live != 1 || cqLegsLive(c) != 2 {
+		t.Fatalf("Live = %d over %d legs, want 1 subscription over 2 legs", st.Live, cqLegsLive(c))
+	}
+	for i := 1; i <= 3; i++ { // Enter, Update, Update into one slot
+		if err := db.Upsert(Object{UID: 2, X: float64(i), Y: 1, T: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Dropped != 2 {
+		t.Fatalf("Dropped = %d, want the 2 deltas the 1-slot channel evicted", st.Dropped)
+	}
 	s1.Close()
+	if d, ok := <-s1.Deltas(); !ok || d.Dropped != 2 {
+		t.Fatalf("buffered delta after Close = %+v (open %v), want one reporting 2 dropped", d, ok)
+	}
+	if st := c.Stats(); st.Live != 0 {
+		t.Fatalf("Live = %d after Close, want 0", st.Live)
+	}
 	if _, ok := <-s1.Deltas(); ok {
 		t.Fatal("channel still open after Close")
 	}
@@ -459,7 +489,7 @@ func TestShardedCQLifecycle(t *testing.T) {
 }
 
 // TestShardedCQConcurrent runs committers against churning subscribers on
-// a sharded DB — the -race exercise for the pump/merger machinery.
+// a sharded DB — the -race exercise for merging inside the commit.
 func TestShardedCQConcurrent(t *testing.T) {
 	const (
 		nUsers      = 40
@@ -561,7 +591,385 @@ func TestShardedCQConcurrent(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if live := c.Stats().Live; live != 0 {
-		t.Fatalf("per-shard subscriptions leaked: %d live", live)
+	if live, legs := c.Stats().Live, cqLegsLive(c); live != 0 || legs != 0 {
+		t.Fatalf("leaked %d subscriptions and %d per-shard legs", live, legs)
+	}
+}
+
+// cqLegsLive sums the per-shard engines' registrations: the legs of every
+// merged subscription.
+func cqLegsLive(c *CQ) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, e := range c.engines {
+		n += e.Stats().Live
+	}
+	return n
+}
+
+// drainReady applies the deltas already in the channel. Deliveries run
+// inside the commit, so once a write has returned nothing else is due.
+func drainReady(t *testing.T, sub *Subscription, m *cqMirror) int {
+	t.Helper()
+	n := 0
+	for {
+		select {
+		case d, ok := <-sub.Deltas():
+			if !ok {
+				return n
+			}
+			m.apply(t, d)
+			n++
+		default:
+			return n
+		}
+	}
+}
+
+// cqOpenPopulated opens a memory-backed sharded DB with nUsers users who
+// all let user 1 see them everywhere, all day.
+func cqOpenPopulated(t *testing.T, shards, nUsers int, rng *rand.Rand) (*DB, float64) {
+	t.Helper()
+	db, err := Open(Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	side := db.shards[0].Bounds().MaxX
+	everywhere := Region{MinX: 0, MinY: 0, MaxX: side, MaxY: side}
+	for u := 2; u <= nUsers; u++ {
+		if err := db.DefineRelation(UserID(u), 1, "f"); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Grant(UserID(u), "f", everywhere, TimeInterval{Start: 0, End: 1440}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Upsert(cqRandObject(rng, UserID(u), 1, side)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, side
+}
+
+// TestShardedCQFootprint pins what a merged subscription costs while it
+// idles: no goroutine, and a consumer channel plus per-shard registration
+// state, not per-shard buffers.
+func TestShardedCQFootprint(t *testing.T) {
+	const subs = 100
+	rng := rand.New(rand.NewSource(5))
+	db, side := cqOpenPopulated(t, 4, 40, rng)
+	defer db.Close()
+	c, err := AttachCQ(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	goroutines := runtime.NumGoroutine()
+	held := make([]*Subscription, 0, subs)
+	for i := 0; i < subs; i++ {
+		cx, cy := rng.Float64()*side, rng.Float64()*side
+		r := cqClamp(Region{MinX: cx - 150, MinY: cy - 150, MaxX: cx + 150, MaxY: cy + 150}, side)
+		sub, _, err := c.SubscribeRange(1, r, 10, cq.SubOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, sub)
+	}
+	if extra := runtime.NumGoroutine() - goroutines; extra != 0 {
+		t.Errorf("%d subscriptions started %d goroutines, want none", subs, extra)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perSub := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / subs
+	t.Logf("%d legs, %d KB of live heap per subscription", cqLegsLive(c), perSub/1024)
+	if perSub >= 100<<10 {
+		t.Errorf("live heap per subscription = %d KB, want under 100 KB", perSub/1024)
+	}
+	for _, sub := range held {
+		sub.Close()
+	}
+}
+
+// TestShardedCQDeliveredBeforeReturn pins that a commit's deltas are in
+// the consumer channel when the write returns: closing right after the
+// last Upsert loses nothing.
+func TestShardedCQDeliveredBeforeReturn(t *testing.T) {
+	const (
+		rounds  = 50
+		upserts = 59
+		nUsers  = 30
+		qt      = 10.0
+	)
+	rng := rand.New(rand.NewSource(9))
+	db, side := cqOpenPopulated(t, 4, nUsers, rng)
+	defer db.Close()
+	c, err := AttachCQ(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := Region{MinX: side / 4, MinY: side / 4, MaxX: 3 * side / 4, MaxY: 3 * side / 4}
+	now := 1.0
+	lost := 0
+	for round := 0; round < rounds; round++ {
+		sub, init, err := c.SubscribeRange(1, r, qt, cq.SubOptions{Buffer: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newCQMirror(fmt.Sprintf("round %d", round), false)
+		m.seedRange(init)
+		for i := 0; i < upserts; i++ {
+			now += 0.01
+			if err := db.Upsert(cqRandObject(rng, UserID(2+rng.Intn(nUsers-1)), now, side)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sub.Close()
+		for d := range sub.Deltas() {
+			m.apply(t, d)
+		}
+		want, err := db.RangeQuery(1, r, qt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := len(want) == len(m.objs)
+		for _, o := range want {
+			same = same && m.objs[o.UID] == o
+		}
+		if !same {
+			lost++
+		}
+	}
+	if lost != 0 {
+		t.Fatalf("%d of %d rounds lost deltas to a Close right after the last Upsert", lost, rounds)
+	}
+}
+
+// TestShardedCQSlowConsumer covers a consumer that does not read, under
+// both overflow policies and both query forms. A witness subscription on
+// the same query with room for everything counts what the merge emitted.
+func TestShardedCQSlowConsumer(t *testing.T) {
+	const (
+		nUsers = 30
+		buffer = 4
+		qt     = 10.0
+	)
+	for _, tc := range []struct {
+		name   string
+		knn    bool
+		policy cq.OverflowPolicy
+	}{
+		{"range/DropOldest", false, cq.DropOldest},
+		{"knn/DropOldest", true, cq.DropOldest},
+		{"range/Cancel", false, cq.Cancel},
+		{"knn/Cancel", true, cq.Cancel},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(21))
+			db, side := cqOpenPopulated(t, 4, nUsers, rng)
+			defer db.Close()
+			c, err := AttachCQ(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			r := Region{MinX: side / 5, MinY: side / 5, MaxX: 4 * side / 5, MaxY: 4 * side / 5}
+			subscribe := func(opt cq.SubOptions) (*Subscription, *cqMirror) {
+				t.Helper()
+				m := newCQMirror(tc.name, tc.knn)
+				if tc.knn {
+					sub, init, err := c.SubscribePkNN(1, side/2, side/2, 3, qt, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.seedKNN(init)
+					return sub, m
+				}
+				sub, init, err := c.SubscribeRange(1, r, qt, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.seedRange(init)
+				return sub, m
+			}
+			check := func(m *cqMirror) {
+				t.Helper()
+				if tc.knn {
+					m.checkKNN(t, db, 1, side/2, side/2, 3, qt)
+				} else {
+					m.checkRange(t, db, 1, r, qt)
+				}
+			}
+			slow, _ := subscribe(cq.SubOptions{Buffer: buffer, Overflow: tc.policy})
+			defer slow.Close()
+			witness, wm := subscribe(cq.SubOptions{Buffer: 4096})
+			defer witness.Close()
+
+			now := 1.0
+			for i := 0; i < 60; i++ {
+				now += 0.01
+				if err := db.Upsert(cqRandObject(rng, UserID(2+rng.Intn(nUsers-1)), now, side)); err != nil {
+					t.Fatalf("commit %d beside a stuck consumer: %v", i, err)
+				}
+			}
+			emitted := drainReady(t, witness, wm)
+			check(wm) // the other subscription saw everything
+			if emitted <= buffer {
+				t.Fatalf("only %d deltas emitted; the %d-slot buffer never overflowed", emitted, buffer)
+			}
+
+			got, reported := 0, 0
+			if tc.policy == cq.DropOldest {
+				if err := slow.Err(); err != nil {
+					t.Fatalf("DropOldest subscription died: %v", err)
+				}
+				for len(slow.Deltas()) > 0 {
+					reported += (<-slow.Deltas()).Dropped
+					got++
+				}
+				if got != buffer || reported != emitted-buffer {
+					t.Fatalf("read %d deltas reporting %d dropped, want %d reporting %d", got, reported, buffer, emitted-buffer)
+				}
+				// The engines' state is exact whatever the consumer missed.
+				fresh, fm := subscribe(cq.SubOptions{})
+				check(fm)
+				fresh.Close()
+			} else {
+				for range slow.Deltas() { // closed: what was buffered, then the end
+					got++
+				}
+				if got != buffer {
+					t.Fatalf("read %d buffered deltas before the close, want %d", got, buffer)
+				}
+				if err := slow.Err(); err != cq.ErrSlowConsumer {
+					t.Fatalf("Err = %v, want cq.ErrSlowConsumer", err)
+				}
+			}
+			wantDropped := uint64(emitted - buffer)
+			if tc.policy == cq.Cancel {
+				wantDropped = 1 // the delta that found the buffer full
+			}
+			if st := c.Stats(); st.Dropped != wantDropped {
+				t.Fatalf("Stats().Dropped = %d, want %d", st.Dropped, wantDropped)
+			}
+			slow.Close()
+			witness.Close()
+			if legs := cqLegsLive(c); legs != 0 {
+				t.Fatalf("%d legs still registered after every Close", legs)
+			}
+		})
+	}
+}
+
+// readFaultFS fails every page read while armed; everything else passes
+// through to the wrapped filesystem.
+type readFaultFS struct {
+	store.VFS
+	armed atomic.Bool
+}
+
+type readFaultFile struct {
+	store.VFile
+	fs *readFaultFS
+}
+
+func (f *readFaultFS) OpenFile(name string) (store.VFile, error) {
+	vf, err := f.VFS.OpenFile(name)
+	if err != nil {
+		return nil, err
+	}
+	return readFaultFile{vf, f}, nil
+}
+
+func (f readFaultFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.fs.armed.Load() {
+		return 0, errInjectedRead
+	}
+	return f.VFile.ReadAt(p, off)
+}
+
+var errInjectedRead = errors.New("injected read fault")
+
+// TestShardedCQRefanError pins what a failed re-fan-out does: a merge
+// widens the target shard's cover over a subscription that had no leg
+// there, the new leg's initial query hits a read fault, and the
+// subscription ends with that error — and a router event — instead of
+// silently never covering the shard.
+func TestShardedCQRefanError(t *testing.T) {
+	fs := &readFaultFS{VFS: store.NewCrashFS()}
+	db, err := Open(Options{
+		Shards: 2,
+		Dir:    "root",
+		DB:     peb.Options{Durability: peb.DurabilitySync, FS: fs, BufferPages: 4, MaxSpeed: 0.1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		fs.armed.Store(false)
+		db.Close()
+	}()
+	side := db.shards[0].Bounds().MaxX
+	everywhere := Region{MinX: 0, MinY: 0, MaxX: side, MaxY: side}
+	rng := rand.New(rand.NewSource(2))
+	for u := 2; u <= 400; u++ { // far more index pages than buffer pages
+		if err := db.DefineRelation(UserID(u), 1, "f"); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Grant(UserID(u), "f", everywhere, TimeInterval{Start: 0, End: 1440}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Upsert(cqRandObject(rng, UserID(u), 1, side)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := AttachCQ(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// A window inside one shard, farther than the motion slack from the
+	// other.
+	src := db.metas[db.shardOf(50, 50)].id
+	sub, _, err := c.SubscribeRange(1, Region{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 1, cq.SubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if legs := cqLegsLive(c); legs != 1 {
+		t.Fatalf("subscription fans out to %d shards, want 1", legs)
+	}
+	witness, _, err := c.SubscribePkNN(1, 50, 50, 3, 1, cq.SubOptions{}) // on both shards already
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer witness.Close()
+
+	events := db.Events().Total()
+	fs.armed.Store(true)
+	_ = db.Merge(src) // the migration's own reads fail too; only the route flip matters here
+	fs.armed.Store(false)
+
+	select {
+	case d, ok := <-sub.Deltas():
+		if ok {
+			t.Fatalf("delta %+v after the failed re-fan-out, want a closed channel", d)
+		}
+	default:
+		t.Fatal("channel still open after the failed re-fan-out")
+	}
+	if err := sub.Err(); !errors.Is(err, errInjectedRead) {
+		t.Fatalf("Err = %v, want the injected read fault", err)
+	}
+	if db.Events().Total() == events {
+		t.Fatal("no router event recorded")
+	}
+	if err := witness.Err(); err != nil {
+		t.Fatalf("a subscription that needed no new leg died: %v", err)
 	}
 }

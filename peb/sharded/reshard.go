@@ -476,8 +476,8 @@ func (db *DB) finalizePendingLocked() error {
 		if err := db.persistTopo(ts); err != nil {
 			return err
 		}
-		// Retire the source's CQ legs before its engine closes, so the
-		// merger folds them away instead of treating the close as failure.
+		// Drop the source's CQ legs before its engine closes, so the close
+		// ends no subscription.
 		db.cqShardRemoving(p.Src)
 		src := db.shards[srcSlot]
 		db.metas[dstSlot].cover = db.metas[dstSlot].route
