@@ -26,6 +26,9 @@ type pknnSearch struct {
 	rq         float64 // per-round radius increment (Dk/k)
 
 	groups []svGroup
+	// parts is the active-partition list at tq, taken once per query: every
+	// matrix cell visits the same partitions.
+	parts []bxtree.PartitionRef
 	// scanned[row][tid] is the single, monotonically growing key-range
 	// chain already scanned for that friend and partition. Windows are all
 	// centered at the query point, so their Z intervals form a chain and
@@ -87,6 +90,7 @@ func (s *pknnSearch) release() {
 	s.v = nil
 	s.ctx = nil
 	s.groups = nil
+	s.parts = nil
 	pknnPool.Put(s)
 }
 
@@ -161,6 +165,7 @@ func (v *View) PKNNCtx(ctx context.Context, issuer motion.UserID, qx, qy float64
 	s.qx, s.qy, s.tq = qx, qy, tq
 	s.rq = v.roundRadius(k)
 	s.groups = groups
+	s.parts = v.parts.Active(tq)
 
 	// The last useful column: once the (unenlarged) window covers the whole
 	// space, later columns add nothing.
@@ -278,7 +283,7 @@ func (s *pknnSearch) scanCell(r, c int) error {
 		return nil
 	}
 	g := s.groups[r]
-	for _, pr := range s.v.parts.Active(s.tq) {
+	for _, pr := range s.parts {
 		iv, ok := s.cellInterval(c, pr)
 		if !ok {
 			continue
@@ -296,16 +301,19 @@ func (s *pknnSearch) scanCell(r, c int) error {
 // nested across columns, so the uncovered parts are at most two ranges.
 func (s *pknnSearch) scanDelta(r int, sv, tid uint64, iv zcurve.Interval) error {
 	prev, has := s.scanned[r][tid]
-	var todo []zcurve.Interval
+	var todo [2]zcurve.Interval
+	n := 0
 	switch {
 	case !has:
-		todo = []zcurve.Interval{iv}
+		todo[0], n = iv, 1
 	default:
 		if iv.Lo < prev.Lo {
-			todo = append(todo, zcurve.Interval{Lo: iv.Lo, Hi: prev.Lo - 1})
+			todo[n] = zcurve.Interval{Lo: iv.Lo, Hi: prev.Lo - 1}
+			n++
 		}
 		if iv.Hi > prev.Hi {
-			todo = append(todo, zcurve.Interval{Lo: prev.Hi + 1, Hi: iv.Hi})
+			todo[n] = zcurve.Interval{Lo: prev.Hi + 1, Hi: iv.Hi}
+			n++
 		}
 		// Keep the widest extent seen (the chain property guarantees
 		// iv ⊇ prev or iv ⊆ prev; union handles both).
@@ -317,7 +325,7 @@ func (s *pknnSearch) scanDelta(r int, sv, tid uint64, iv zcurve.Interval) error 
 		}
 	}
 	s.scanned[r][tid] = iv
-	for _, d := range todo {
+	for _, d := range todo[:n] {
 		loK, hiK := s.v.cfg.SVRange(tid, sv, d.Lo, d.Hi)
 		// Leaf-opportunistic: every entry on the fetched pages is
 		// considered, so the row's friend is located the first time any
@@ -371,7 +379,7 @@ func (s *pknnSearch) finalScan(k int) error {
 			continue // the row's friends are all located and verified
 		}
 		g := s.groups[r]
-		for _, pr := range s.v.parts.Active(s.tq) {
+		for _, pr := range s.parts {
 			w := bxtree.Square(s.qx, s.qy, dk).Enlarge(s.v.cfg.Base.MaxSpeed * pr.Gap)
 			rect, ok := s.v.cfg.Base.Grid.RectOf(w.MinX, w.MinY, w.MaxX, w.MaxY)
 			if !ok {

@@ -160,8 +160,16 @@ type svGroup struct {
 
 // friendGroups returns the issuer's grantors — "the set of users who may
 // allow the query issuer to see their locations" (Upol, Sec. 5.3 step 2) —
-// grouped by encoded sequence value, ascending. Grantors without a
-// registered sequence value cannot appear in the index and are skipped.
+// grouped by encoded sequence value, ascending. Only grantors resident in
+// this view's index become search rows: a grantor without a registered
+// sequence value cannot appear in the index, and one without a current-key
+// entry (v.cur, kept in lockstep with the B+-tree's entries) is not in it —
+// never inserted, removed, or held by another shard. Such a row could never
+// be located, so the skip rule would never retire it and both queries would
+// search it to the edge of the space; dropping it bounds a query by the
+// grantors this index holds. Only presence is consulted: using the entry's
+// TID or ZV bits to aim the search would replace the paper's SV × ZV search
+// matrix with a point lookup per friend.
 func (v *View) friendGroups(issuer motion.UserID) []svGroup {
 	grantors := v.policies.Grantors(policy.UserID(issuer))
 	byVal := make(map[uint64][]motion.UserID, len(grantors))
@@ -172,6 +180,9 @@ func (v *View) friendGroups(issuer motion.UserID) []svGroup {
 		}
 		sv, ok := v.svEnc[uid]
 		if !ok {
+			continue
+		}
+		if _, resident := v.cur[uid]; !resident {
 			continue
 		}
 		byVal[sv] = append(byVal[sv], uid)
@@ -193,7 +204,7 @@ func (v *View) qualifies(candidate motion.Object, issuer motion.UserID, tq float
 	return v.policies.Allows(policy.UserID(candidate.UID), policy.UserID(issuer), x, y, tq)
 }
 
-// friendSet returns the issuer's grantors as a set.
+// friendSet returns the issuer's resident grantors as a set.
 func (v *View) friendSet(issuer motion.UserID) map[motion.UserID]bool {
 	out := make(map[motion.UserID]bool)
 	for _, g := range v.friendGroups(issuer) {

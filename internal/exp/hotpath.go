@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/peb"
+	"repro/peb/sharded"
 )
 
 // The hot-path report is the measurement layer behind pebbench -json: one
@@ -72,6 +73,12 @@ type PKNNBench struct {
 	Queries     int     `json:"queries"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	P50Micros   float64 `json:"p50_us"`
+	// RoutedPagesPerQuery4Shards is a stable counter: logical page requests
+	// (buffer hits and misses alike), summed over the shards, per PkNN routed
+	// through a 4-shard sharded.DB that holds the same friends among
+	// routedPopulation users. It is what a shard pays for the grantors it
+	// does not hold: each shard should search only for its residents.
+	RoutedPagesPerQuery4Shards float64 `json:"routed_pages_per_query_4shards"`
 }
 
 // ReplicationBench measures a replica tailing a committing primary: apply
@@ -372,6 +379,30 @@ func runCheckpointBench(path string, cycles, objs int) (CheckpointBench, error) 
 	return res, nil
 }
 
+// policyDB is the policy surface peb.DB and sharded.DB share.
+type policyDB interface {
+	DefineRelation(owner, peer peb.UserID, role peb.Role) error
+	Grant(owner peb.UserID, role peb.Role, locr peb.Region, tint peb.TimeInterval) error
+	EncodePolicies() error
+}
+
+// befriendU1 makes users 2…friends+1 consider u1 a friend and grant friends
+// visibility everywhere, all day, then encodes — so u1's queries assemble a
+// real candidate set rather than measuring an empty result path.
+func befriendU1(db policyDB, friends int) error {
+	space := peb.Region{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
+	day := peb.TimeInterval{Start: 0, End: 1440}
+	for i := 2; i <= friends+1; i++ {
+		if err := db.DefineRelation(peb.UserID(i), 1, "f"); err != nil {
+			return err
+		}
+		if err := db.Grant(peb.UserID(i), "f", space, day); err != nil {
+			return err
+		}
+	}
+	return db.EncodePolicies()
+}
+
 func runPKNNBench(queries int) (PKNNBench, error) {
 	db, err := peb.Open(peb.Options{}) // in-memory: measure the query path, not page I/O
 	if err != nil {
@@ -379,20 +410,7 @@ func runPKNNBench(queries int) (PKNNBench, error) {
 	}
 	defer db.Close()
 	const friends = 39
-	space := peb.Region{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
-	day := peb.TimeInterval{Start: 0, End: 1440}
-	// Each friend considers u1 a friend and grants friends visibility, so
-	// u1's queries assemble a real candidate set rather than measuring an
-	// empty result path.
-	for i := 2; i <= friends+1; i++ {
-		if err := db.DefineRelation(peb.UserID(i), 1, "f"); err != nil {
-			return PKNNBench{}, err
-		}
-		if err := db.Grant(peb.UserID(i), "f", space, day); err != nil {
-			return PKNNBench{}, err
-		}
-	}
-	if err := db.EncodePolicies(); err != nil {
+	if err := befriendU1(db, friends); err != nil {
 		return PKNNBench{}, err
 	}
 	for i := 1; i <= friends+1; i++ {
@@ -426,7 +444,53 @@ func runPKNNBench(queries int) (PKNNBench, error) {
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	res.P50Micros = percentile(lat, 0.50)
 	res.AllocsPerOp, err = allocsPerOp(queries, func(int) error { return query() })
+	if err != nil {
+		return res, err
+	}
+	res.RoutedPagesPerQuery4Shards, err = routedPKNNPages(friends, k)
 	return res, err
+}
+
+// routedPopulation and routedQueries size the routed-PkNN page counter.
+// Neither shrinks in quick mode: the counter is a per-query mean and must
+// repeat exactly from run to run.
+const (
+	routedPopulation = 2000
+	routedQueries    = 200
+)
+
+// routedPKNNPages loads u1's friends, among routedPopulation users spread
+// over the space, into a 4-shard in-memory sharded.DB and returns the page
+// requests per routed PkNN issued by u1 from routedQueries fixed points.
+func routedPKNNPages(friends, k int) (float64, error) {
+	db, err := sharded.Open(sharded.Options{Shards: 4})
+	if err != nil {
+		return 0, err
+	}
+	defer db.Close()
+	if err := befriendU1(db, friends); err != nil {
+		return 0, err
+	}
+	b := db.NewBatch()
+	for i := 1; i <= routedPopulation; i++ {
+		b.Upsert(hotObj(i, i/7))
+	}
+	if err := db.Apply(b); err != nil {
+		return 0, err
+	}
+	before := db.Stats().Buffer.Accesses()
+	results := 0
+	for i := 0; i < routedQueries; i++ {
+		nbs, err := db.NearestNeighbors(1, float64(i*131%1000), float64(i*577%1000), k, 10)
+		if err != nil {
+			return 0, err
+		}
+		results += len(nbs)
+	}
+	if results != routedQueries*k {
+		return 0, fmt.Errorf("routed pknn bench returned %d results, want %d — policy setup broken", results, routedQueries*k)
+	}
+	return float64(db.Stats().Buffer.Accesses()-before) / routedQueries, nil
 }
 
 // CompareHotPath diffs the report's stable counters against a baseline and
@@ -455,6 +519,11 @@ func CompareHotPath(base, cur HotPathReport) []string {
 			cur.Checkpoint.FullBuilds, base.Checkpoint.FullBuilds))
 	}
 	check("pknn.allocs_per_op", base.PKNN.AllocsPerOp, cur.PKNN.AllocsPerOp, 0.5, 2)
+	// A baseline from before the counter existed reads zero and gates nothing.
+	if base.PKNN.RoutedPagesPerQuery4Shards > 0 {
+		check("pknn.routed_pages_per_query_4shards", base.PKNN.RoutedPagesPerQuery4Shards,
+			cur.PKNN.RoutedPagesPerQuery4Shards, 0.1, 1)
+	}
 	check("replication.final_lag_records", base.Replication.FinalLagRecords, cur.Replication.FinalLagRecords, 0, 0.01)
 	check("resharding.lost_objects", base.Resharding.LostObjects, cur.Resharding.LostObjects, 0, 0.01)
 	if base.Resharding.Splits > 0 && cur.Resharding.Splits == 0 {

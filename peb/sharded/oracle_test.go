@@ -117,22 +117,63 @@ func (p pair) check(t *testing.T, label string, issuers []UserID, regions []Regi
 				}
 			}
 			for _, k := range ks {
-				x := r999(issuer, tm)
-				y := r999(issuer*31, tm)
-				got, err := p.sharded.NearestNeighbors(issuer, x, y, k, tm)
-				if err != nil {
-					t.Fatalf("%s: sharded PkNN: %v", label, err)
-				}
-				want, err := p.oracle.NearestNeighbors(issuer, x, y, k, tm)
-				if err != nil {
-					t.Fatalf("%s: oracle PkNN: %v", label, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: PkNN(issuer %d, (%g,%g), k=%d, t=%g):\n sharded %v\n oracle  %v",
-						label, issuer, x, y, k, tm, got, want)
-				}
+				p.checkKNN(t, label, issuer, r999(issuer, tm), r999(issuer*31, tm), k, tm)
 			}
 		}
+	}
+}
+
+// checkKNN compares one PkNN through both engines and returns its size.
+func (p pair) checkKNN(t *testing.T, label string, issuer UserID, x, y float64, k int, tm float64) int {
+	t.Helper()
+	got, err := p.sharded.NearestNeighbors(issuer, x, y, k, tm)
+	if err != nil {
+		t.Fatalf("%s: sharded PkNN: %v", label, err)
+	}
+	want, err := p.oracle.NearestNeighbors(issuer, x, y, k, tm)
+	if err != nil {
+		t.Fatalf("%s: oracle PkNN: %v", label, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: PkNN(issuer %d, (%g,%g), k=%d, t=%g):\n sharded %v\n oracle  %v",
+			label, issuer, x, y, k, tm, got, want)
+	}
+	return len(got)
+}
+
+// checkRoutedCost is the routed-cost gate. A batch of PkNN goes through
+// both engines; the answers must be equal, and the page requests summed over
+// the shards must stay within (mean shards visited + 1) × what the single
+// tree spent on the same batch. A shard searches only for the grantors it
+// holds, so its share of a routed query costs at most what the whole tree's
+// search costs; the +1 leaves room for the descents every extra tree adds.
+// Requests count hits and misses alike, so the gate is deterministic. A
+// shard that searches to the edge of the space for grantors stored elsewhere
+// breaks it many times over.
+func (p pair) checkRoutedCost(t *testing.T, label string, issuer UserID) {
+	t.Helper()
+	const queries, k = 64, 5
+	before := p.sharded.Stats()
+	singleBefore := p.oracle.IOStats().Accesses()
+	answers := 0
+	for i := 0; i < queries; i++ {
+		answers += p.checkKNN(t, label, issuer, float64(i*131%1000), float64(i*577%1000), k, float64(20+i%3*20))
+	}
+	after := p.sharded.Stats()
+	single := p.oracle.IOStats().Accesses() - singleBefore
+	routed := after.Buffer.Accesses() - before.Buffer.Accesses()
+	var visits uint64
+	for i := range after.Shards {
+		visits += after.Shards[i].Queries - before.Shards[i].Queries
+	}
+	if answers == 0 || single == 0 {
+		t.Fatalf("%s: the batch returned %d neighbors for %d single-tree page requests — the gate would check nothing",
+			label, answers, single)
+	}
+	if routed*queries > (visits+queries)*single {
+		t.Fatalf("%s: %d routed PkNN made %d page requests over %d shard visits; the single tree made %d — "+
+			"over the (visits per query + 1) × single-tree bound",
+			label, queries, routed, visits, single)
 	}
 }
 
@@ -302,11 +343,11 @@ func TestShardedOracleEquivalence(t *testing.T) {
 	p.check(t, "post-snapshot", issuers, regions, times, ks)
 }
 
-// TestShardedOracleShardCounts runs a compact oracle pass at several shard
-// counts, including 1 (the degenerate router) and a count that does not
-// divide the space evenly.
+// TestShardedOracleShardCounts runs a compact oracle pass and the
+// routed-cost gate at several shard counts, including 1 (the degenerate
+// router) and a count that does not divide the space evenly.
 func TestShardedOracleShardCounts(t *testing.T) {
-	for _, shards := range []int{1, 2, 3, 8} {
+	for _, shards := range []int{1, 2, 3, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7 + shards)))
 			p := newPair(t, shards)
@@ -329,6 +370,63 @@ func TestShardedOracleShardCounts(t *testing.T) {
 				[]Region{{MaxX: 1000, MaxY: 1000}, {MinX: 300, MinY: 300, MaxX: 700, MaxY: 700}},
 				[]float64{20, 60},
 				[]int{1, 5})
+			p.checkRoutedCost(t, "loaded", 1)
 		})
 	}
+}
+
+// TestShardedOracleMidSplit holds a split open between its route flip and
+// its drain — cover ≠ route, the upper half's objects still on the source —
+// and moves part of the population meanwhile, so both halves hold objects of
+// the divided range. Residency is a property of each shard's view, so the
+// two halves between them must still answer as the single tree does, at the
+// single tree's cost.
+func TestShardedOracleMidSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	p := newPair(t, 2)
+	day := TimeInterval{Start: 0, End: 1440}
+	for u := UserID(2); u <= 20; u++ {
+		p.relate(t, u, 1, "friend")
+		p.grant(t, u, "friend", Region{MaxX: 1000, MaxY: 1000}, day)
+	}
+	obj := func(u int) Object {
+		return Object{
+			UID: UserID(u),
+			X:   rng.Float64() * 1000, Y: rng.Float64() * 1000,
+			VX: rng.Float64()*4 - 2, VY: rng.Float64()*4 - 2,
+			T: rng.Float64() * 40,
+		}
+	}
+	for u := 1; u <= 80; u++ {
+		p.upsert(t, obj(u))
+	}
+	p.encode(t)
+	check := func(label string) {
+		t.Helper()
+		p.check(t, label,
+			[]UserID{1, 50},
+			[]Region{{MaxX: 1000, MaxY: 1000}, {MinX: 300, MinY: 300, MaxX: 700, MaxY: 700}},
+			[]float64{20, 60},
+			[]int{1, 5})
+		p.checkRoutedCost(t, label, 1)
+	}
+
+	src := hottestShard(p.sharded.Stats())
+	if err := p.sharded.beginSplit(src); err != nil {
+		t.Fatal(err)
+	}
+	for _, ss := range p.sharded.Stats().Shards {
+		if ss.ID == src && ss.Cover == ss.Route {
+			t.Fatal("split source's cover already equals its route — nothing is mid-flight")
+		}
+	}
+	check("route flipped")
+	for u := 1; u <= 80; u += 3 {
+		p.upsert(t, obj(u))
+	}
+	check("moved mid-split")
+	if err := p.sharded.finishPending(); err != nil {
+		t.Fatal(err)
+	}
+	check("split finished")
 }

@@ -10,9 +10,10 @@
 //   - scatter-gather RangeQuery: only the shards whose curve range
 //     intersects the (motion-enlarged) query region are consulted, and
 //     their results are merged;
-//   - distributed NearestNeighbors: shards are visited best-first by their
-//     minimum possible distance to the query point, and the search stops
-//     as soon as the next shard cannot beat the current k-th candidate;
+//   - distributed NearestNeighbors: shards are ordered by their minimum
+//     possible distance to the query point, the nearest is probed, and the
+//     rest are queried concurrently unless they cannot beat the probe's
+//     k-th candidate;
 //   - cross-shard atomic Apply: a batch is split by owning shard and
 //     committed through a prepare/commit protocol over the per-shard
 //     write-ahead logs (peb.DB.PrepareApply), with the decision point in
@@ -42,6 +43,7 @@ package sharded
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -717,11 +719,13 @@ func (db *DB) RangeQuery(issuer UserID, r Region, t float64) ([]Object, error) {
 }
 
 // NearestNeighbors answers the privacy-aware k-nearest-neighbor query by
-// best-first shard expansion: shards are visited in order of the minimum
-// distance any of their objects could have to the query point (their
-// region's distance minus their motion slack), and the expansion stops
-// once the next shard's bound exceeds the current k-th candidate — that
-// shard, and every one after it, cannot contribute.
+// probe-then-wave: shards are ordered by the minimum distance any of their
+// objects could have to the query point (their region's distance minus
+// their motion slack), the nearest one is probed alone, and the others are
+// queried concurrently except those whose bound exceeds the probe's k-th
+// candidate — they cannot contribute. Each shard searches only for the
+// issuer's grantors it holds (core.View's residency rule), so a shard's
+// share of the query is bounded by what it stores.
 func (db *DB) NearestNeighbors(issuer UserID, x, y float64, k int, t float64) ([]Neighbor, error) {
 	db.smu.RLock()
 	defer db.smu.RUnlock()
@@ -765,8 +769,8 @@ func routeRegionOver(grid zcurve.Grid, covers []zcurve.Interval, r Region, t flo
 }
 
 // knnOrder returns every shard with its candidate-distance lower bound
-// (against its cover interval), sorted ascending — the best-first
-// expansion order.
+// (against its cover interval), sorted ascending — the order gatherKNN
+// probes and prunes in.
 func (db *DB) knnOrder(x, y, t float64, slack func(int, float64) float64) []knnShard {
 	return knnOrderOver(db.grid, db.covers, x, y, t, slack)
 }
@@ -801,21 +805,33 @@ type querier interface {
 	NearestNeighbors(issuer UserID, x, y float64, k int, t float64) ([]Neighbor, error)
 }
 
+// scatter runs fn(0) … fn(n-1) and waits for all of them: concurrently when
+// there are several, on the caller's goroutine when there is one.
+func scatter(n int, fn func(j int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for j := 0; j < n; j++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			fn(j)
+		}(j)
+	}
+	wg.Wait()
+}
+
 // gatherRange fans a range query out to the routed shards concurrently and
 // merges the results: duplicates (a user caught mid-re-homing) keep the
 // newer state, and the merged set is sorted by user id for determinism.
 func gatherRange(idxs []int, issuer UserID, r Region, t float64, shard func(int) querier) ([]Object, error) {
 	results := make([][]Object, len(idxs))
 	errs := make([]error, len(idxs))
-	var wg sync.WaitGroup
-	for j, i := range idxs {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			results[j], errs[j] = shard(i).RangeQuery(issuer, r, t)
-		}(j, i)
-	}
-	wg.Wait()
+	scatter(len(idxs), func(j int) {
+		results[j], errs[j] = shard(idxs[j]).RangeQuery(issuer, r, t)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -840,61 +856,83 @@ func gatherRange(idxs []int, issuer UserID, r Region, t float64, shard func(int)
 	return out, nil
 }
 
-// knnShard is one shard in best-first expansion order: no object of shard
-// idx can be closer to the query point than lb.
+// knnShard is one shard in gatherKNN's order: no object of shard idx can
+// be closer to the query point than lb.
 type knnShard struct {
 	idx int
 	lb  float64
 }
 
-// gatherKNN merges per-shard k-nearest results under best-first expansion
-// with a global bound: once k qualified candidates are in hand, a shard
-// whose lower bound exceeds the k-th distance — and every later shard,
-// since the order is ascending — is skipped. Shards with equal bounds are
-// still visited (an equal-distance candidate with a smaller id would win
-// the tie-break).
+// gatherKNN merges per-shard k-nearest results in two phases. The nearest
+// shard is probed alone; then every remaining shard whose lower bound does
+// not exceed the k-th candidate distance so far is queried in one
+// concurrent wave — the rest, and every shard after them since the order is
+// ascending, cannot contribute. While fewer than k candidates are known the
+// k-th distance is unbounded and the wave covers every shard. Shards with a
+// bound equal to the k-th distance are still visited (an equal-distance
+// candidate with a smaller id would win the tie-break).
 func gatherKNN(order []knnShard, issuer UserID, x, y float64, k int, t float64, shard func(int) querier) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	best := make(map[UserID]Neighbor)
-	kth := func() float64 {
-		ds := make([]float64, 0, len(best))
-		for _, nb := range best {
-			ds = append(ds, nb.Dist)
-		}
-		sort.Float64s(ds)
-		return ds[k-1]
-	}
-	for _, sh := range order {
-		if len(best) >= k && sh.lb > kth() {
-			break
-		}
-		res, err := shard(sh.idx).NearestNeighbors(issuer, x, y, k, t)
-		if err != nil {
-			return nil, err
-		}
-		for _, nb := range res {
-			if prev, ok := best[nb.Object.UID]; !ok || nb.Object.T > prev.Object.T {
-				best[nb.Object.UID] = nb
+	var best []Neighbor
+	ask := func(shards []knnShard) error {
+		results := make([][]Neighbor, len(shards))
+		errs := make([]error, len(shards))
+		scatter(len(shards), func(j int) {
+			results[j], errs[j] = shard(shards[j].idx).NearestNeighbors(issuer, x, y, k, t)
+		})
+		for j, err := range errs {
+			if err != nil {
+				return err
+			}
+			for _, nb := range results[j] {
+				best = mergeNeighbor(best, nb)
 			}
 		}
+		return nil
 	}
-	if len(best) == 0 {
-		return nil, nil // match the single-tree engine's empty result
+	if err := ask(order[:1]); err != nil {
+		return nil, err
 	}
-	out := make([]Neighbor, 0, len(best))
-	for _, nb := range best {
-		out = append(out, nb)
+	kth := math.Inf(1)
+	if len(best) >= k {
+		kth = best[k-1].Dist
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Dist != out[b].Dist {
-			return out[a].Dist < out[b].Dist
+	rest := order[1:]
+	wave := sort.Search(len(rest), func(j int) bool { return rest[j].lb > kth })
+	if err := ask(rest[:wave]); err != nil {
+		return nil, err
+	}
+	if len(best) > k {
+		best = best[:k]
+	}
+	return best, nil // nil when empty, matching the single-tree engine
+}
+
+// mergeNeighbor adds nb to best, which is kept sorted by (distance, user id)
+// with one entry per user: of two states of one user (caught mid-re-homing)
+// the newer survives. Every candidate is kept, not only the nearest k, so a
+// duplicate that resolves to a farther state cannot push out a candidate
+// the final truncation still needs; best holds at most k per shard.
+func mergeNeighbor(best []Neighbor, nb Neighbor) []Neighbor {
+	for i := range best {
+		if best[i].Object.UID == nb.Object.UID {
+			if nb.Object.T <= best[i].Object.T {
+				return best
+			}
+			best = append(best[:i], best[i+1:]...)
+			break
 		}
-		return out[a].Object.UID < out[b].Object.UID
-	})
-	if len(out) > k {
-		out = out[:k]
 	}
-	return out, nil
+	at := sort.Search(len(best), func(i int) bool {
+		if best[i].Dist != nb.Dist {
+			return best[i].Dist > nb.Dist
+		}
+		return best[i].Object.UID > nb.Object.UID
+	})
+	best = append(best, Neighbor{})
+	copy(best[at+1:], best[at:])
+	best[at] = nb
+	return best
 }

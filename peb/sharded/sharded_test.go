@@ -2,6 +2,8 @@ package sharded
 
 import (
 	"errors"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/store"
@@ -284,5 +286,101 @@ func TestShardedClosedErrors(t *testing.T) {
 	}
 	if _, err := db.Snapshot(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("snapshot on closed: %v", err)
+	}
+}
+
+// cannedShard answers every PkNN with a fixed list and counts its visits.
+type cannedShard struct {
+	nbs    []Neighbor
+	visits atomic.Int32
+}
+
+func (c *cannedShard) RangeQuery(UserID, Region, float64) ([]Object, error) { return nil, nil }
+
+func (c *cannedShard) NearestNeighbors(_ UserID, _, _ float64, k int, _ float64) ([]Neighbor, error) {
+	c.visits.Add(1)
+	if len(c.nbs) > k {
+		return c.nbs[:k], nil
+	}
+	return c.nbs, nil
+}
+
+// TestGatherKNNProbeThenWave pins the router's PkNN merge on canned shards:
+// which shards the wave reaches for a given probe result, and the merge
+// rule (newer state wins a duplicate, order by distance then id, cut to k).
+func TestGatherKNNProbeThenWave(t *testing.T) {
+	nb := func(uid int, dist, tm float64) Neighbor {
+		return Neighbor{Object: Object{UID: UserID(uid), T: tm}, Dist: dist}
+	}
+	uids := func(nbs []Neighbor) []UserID {
+		var out []UserID
+		for _, n := range nbs {
+			out = append(out, n.Object.UID)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		k       int
+		bounds  []float64    // ascending lower bounds, one per shard
+		answers [][]Neighbor // what each shard returns
+		visited []int32
+		want    []UserID
+	}{
+		{
+			// The probe's k-th distance prunes the far shards; a tied bound is visited.
+			name: "prune", k: 2,
+			bounds:  []float64{0, 5, 5.01, 9},
+			answers: [][]Neighbor{{nb(7, 1, 0), nb(8, 5, 0)}, {nb(3, 5, 0)}, {nb(1, 0.5, 0)}, nil},
+			visited: []int32{1, 1, 0, 0},
+			want:    []UserID{7, 3},
+		},
+		{
+			// Fewer than k from the probe: the wave is unbounded.
+			name: "unbounded", k: 3,
+			bounds:  []float64{0, 400, 900},
+			answers: [][]Neighbor{{nb(4, 2, 0)}, nil, {nb(5, 950, 0), nb(6, 960, 0), nb(9, 970, 0)}},
+			visited: []int32{1, 1, 1},
+			want:    []UserID{4, 5, 6},
+		},
+		{
+			// The newer state wins a duplicate, and may leave the top k.
+			name: "duplicate", k: 2,
+			bounds:  []float64{0, 1},
+			answers: [][]Neighbor{{nb(1, 2, 10), nb(2, 3, 10)}, {nb(1, 8, 20), nb(3, 4, 10)}},
+			visited: []int32{1, 1},
+			want:    []UserID{2, 3},
+		},
+		{
+			// Nothing anywhere is nil, as on the single tree.
+			name: "empty", k: 2,
+			bounds:  []float64{0, 1},
+			answers: [][]Neighbor{nil, nil},
+			visited: []int32{1, 1},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shards := make([]*cannedShard, len(tc.bounds))
+			order := make([]knnShard, len(tc.bounds))
+			for i := range shards {
+				shards[i] = &cannedShard{nbs: tc.answers[i]}
+				order[i] = knnShard{idx: i, lb: tc.bounds[i]}
+			}
+			got, err := gatherKNN(order, 99, 0, 0, tc.k, 0, func(i int) querier { return shards[i] })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.want == nil && got != nil {
+				t.Fatalf("empty result = %v, want nil", got)
+			}
+			if !reflect.DeepEqual(uids(got), tc.want) {
+				t.Fatalf("neighbors %v, want %v", uids(got), tc.want)
+			}
+			for i, s := range shards {
+				if v := s.visits.Load(); v != tc.visited[i] {
+					t.Errorf("shard %d (bound %g) visited %d times, want %d", i, tc.bounds[i], v, tc.visited[i])
+				}
+			}
+		})
 	}
 }

@@ -102,7 +102,7 @@ func (s *Snapshot) RangeQuery(issuer UserID, r Region, t float64) ([]Object, err
 }
 
 // NearestNeighbors answers the privacy-aware k-nearest-neighbor query
-// against the cut via the same best-first shard expansion as the live DB.
+// against the cut via the same probe-then-wave gather as the live DB.
 func (s *Snapshot) NearestNeighbors(issuer UserID, x, y float64, k int, t float64) ([]Neighbor, error) {
 	return gatherKNN(knnOrderOver(s.grid, s.covers, x, y, t, s.slack), issuer, x, y, k, t,
 		func(i int) querier { return s.snaps[i] })
