@@ -73,61 +73,25 @@ func (r *Reader) fetch(pid store.PageID) (*store.Page, error) {
 	return r.pool.FetchCounted(pid, r.io)
 }
 
-// descendToLeaf walks from the root to the leaf whose key range covers kv,
-// recording the internal path in a cursor stack so the scan can continue
-// into following leaves without sibling pointers.
-func (r *Reader) descendToLeaf(kv KV) ([]pathFrame, []leafEntry, error) {
-	pid := r.root
-	var stack []pathFrame
-	for {
-		p, err := r.fetch(pid)
-		if err != nil {
-			return nil, nil, err
-		}
-		if pageType(p) == internalType {
-			in := readInternal(p)
-			if err := r.pool.Unpin(pid, false); err != nil {
-				return nil, nil, err
-			}
-			ci := childIndex(in, kv)
-			stack = append(stack, pathFrame{node: in, child: ci})
-			pid = in.children[ci]
-			continue
-		}
-		entries := readLeaf(p)
-		if err := r.pool.Unpin(pid, false); err != nil {
-			return nil, nil, err
-		}
-		return stack, entries, nil
-	}
-}
-
 // Get returns the payload stored under kv.
 func (r *Reader) Get(kv KV) (Payload, bool, error) {
-	_, entries, err := r.descendToLeaf(kv)
-	if err != nil {
+	c := r.acquireCursor()
+	defer c.release()
+	if err := c.descendFromRoot(kv); err != nil {
 		return Payload{}, false, err
 	}
-	idx, ok := searchLeaf(entries, kv)
+	idx, ok := c.leaf.searchLeaf(kv)
 	if !ok {
 		return Payload{}, false, nil
 	}
-	return entries[idx].payload, true, nil
+	return *c.leaf.leafPayload(idx), true, nil
 }
 
 // Seek positions a cursor at the first entry with composite key >= kv.
 func (r *Reader) Seek(kv KV) (*Cursor, error) {
-	stack, entries, err := r.descendToLeaf(kv)
-	if err != nil {
+	c := &Cursor{r: r}
+	if err := c.seek(kv); err != nil {
 		return nil, err
-	}
-	idx, _ := searchLeaf(entries, kv)
-	c := &Cursor{r: r, stack: stack, entries: entries, idx: idx, valid: true}
-	if idx >= len(entries) {
-		// kv is past this leaf; advance into the next one.
-		if err := c.advanceLeaf(); err != nil {
-			return nil, err
-		}
 	}
 	return c, nil
 }
@@ -148,8 +112,9 @@ func (r *Reader) RangeScanCtx(ctx context.Context, lo, hi KV, fn func(kv KV, pay
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c, err := r.Seek(lo)
-	if err != nil {
+	c := r.acquireCursor()
+	defer c.release()
+	if err := c.seek(lo); err != nil {
 		return err
 	}
 	for c.Valid() {
@@ -160,8 +125,7 @@ func (r *Reader) RangeScanCtx(ctx context.Context, lo, hi KV, fn func(kv KV, pay
 		if !fn(kv, c.Payload()) {
 			return nil
 		}
-		atLeafEnd := c.idx == len(c.entries)-1
-		if atLeafEnd {
+		if c.idx == c.n-1 { // about to cross onto the next leaf
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -197,18 +161,19 @@ func (r *Reader) ScanLeavesCtx(ctx context.Context, lo, hi KV, fn func(kv KV, pa
 		return err
 	}
 	// Descend to the leaf covering lo (same page trajectory as Seek).
-	stack, entries, err := r.descendToLeaf(lo)
-	if err != nil {
+	c := r.acquireCursor()
+	defer c.release()
+	if err := c.descendFromRoot(lo); err != nil {
 		return err
 	}
-	c := &Cursor{r: r, stack: stack, entries: entries, valid: true}
 	for {
 		covered := false // does this leaf hold any key > hi?
-		for _, e := range c.entries {
-			if hi.Less(e.kv) {
+		for i := 0; i < c.n; i++ {
+			kv := c.leaf.leafKey(i)
+			if hi.Less(kv) {
 				covered = true
 			}
-			if !fn(e.kv, e.payload) {
+			if !fn(kv, *c.leaf.leafPayload(i)) {
 				return nil
 			}
 		}

@@ -166,3 +166,23 @@ func TestPartitionTrackerDirect(t *testing.T) {
 		t.Errorf("merged gap = %g, want 200", refs[0].Gap)
 	}
 }
+
+// BenchmarkCoverIntervalHilbert is one PkNN matrix cell on the Hilbert
+// curve: the cover of a window some rounds into the search, a third of the
+// space on a side. The decomposition behind it is exact, so the cost is the
+// boundary's — coalescing it to one interval must add one pass, not a
+// quadratic term.
+func BenchmarkCoverIntervalHilbert(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Curve = CurveHilbert
+	rect, ok := cfg.Grid.RectOf(310, 270, 650, 610)
+	if !ok {
+		b.Fatal("RectOf failed")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := cfg.CoverInterval(rect); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

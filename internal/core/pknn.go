@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/bxtree"
@@ -25,7 +26,10 @@ type pknnSearch struct {
 	qx, qy, tq float64
 	rq         float64 // per-round radius increment (Dk/k)
 
-	groups []svGroup
+	// friends is the issuer's resident grantors; its rows are the matrix
+	// rows, and claiming a scanned entry in it is what "decoded and
+	// policy-checked once" means.
+	friends friendTable
 	// parts is the active-partition list at tq, taken once per query: every
 	// matrix cell visits the same partitions.
 	parts []bxtree.PartitionRef
@@ -41,23 +45,21 @@ type pknnSearch struct {
 	// users related to the issuer (Sec. 6).
 	rowDone []bool
 
-	processed map[motion.UserID]bool     // decoded and policy-checked once
-	found     map[motion.UserID]Neighbor // qualified candidates
+	found map[motion.UserID]Neighbor // qualified candidates
 
 	ds []float64 // kthDist scratch
 }
 
-// pknnPool recycles search state across queries: the per-row interval
-// maps, the candidate sets, and the kthDist scratch are the query path's
-// dominant allocations, and a steady query workload reuses them warm
-// instead of re-growing them from empty every call. States are returned
-// cleared (release does the clearing, so the GC-visible pool never holds
-// user data longer than the next query).
+// pknnPool recycles search state across queries: the friend table, the
+// per-row interval maps, the candidate set, and the kthDist scratch are
+// the query path's dominant allocations, and a steady query workload
+// reuses them warm instead of re-growing them from empty every call.
+// States are returned cleared (release does the clearing, so the
+// GC-visible pool never holds users' positions longer than the query).
 var pknnPool = sync.Pool{New: func() any { return &pknnSearch{} }}
 
-// acquirePKNN readies a pooled search state for m friend groups.
-func acquirePKNN(m int) *pknnSearch {
-	s := pknnPool.Get().(*pknnSearch)
+// sizeRows readies the per-row state for the m rows of s.friends.
+func (s *pknnSearch) sizeRows(m int) {
 	for len(s.scanned) < m {
 		s.scanned = append(s.scanned, make(map[uint64]zcurve.Interval))
 	}
@@ -68,13 +70,9 @@ func acquirePKNN(m int) *pknnSearch {
 	for i := range s.rowDone {
 		s.rowDone[i] = false
 	}
-	if s.processed == nil {
-		s.processed = make(map[motion.UserID]bool)
-	}
 	if s.found == nil {
 		s.found = make(map[motion.UserID]Neighbor)
 	}
-	return s
 }
 
 // release clears the search state and returns it to the pool. The cleared
@@ -84,12 +82,10 @@ func (s *pknnSearch) release() {
 	for i := range s.scanned {
 		clear(s.scanned[i])
 	}
-	clear(s.processed)
 	clear(s.found)
 	s.ds = s.ds[:0]
 	s.v = nil
 	s.ctx = nil
-	s.groups = nil
 	s.parts = nil
 	pknnPool.Put(s)
 }
@@ -104,17 +100,14 @@ func (s *pknnSearch) allRowsDone() bool {
 	return true
 }
 
-// refreshRow recomputes rowDone[r] from the processed set.
+// refreshRow retires row r if the scans so far have met all its friends.
+// It runs when a cell of the row has been scanned, not when a friend is
+// met: a row emptied by another row's pages is retired at its own next
+// visit, as the search order of Fig. 9 has it.
 func (s *pknnSearch) refreshRow(r int) {
-	if s.rowDone[r] {
-		return
+	if s.friends.rows[r].unseen == 0 {
+		s.rowDone[r] = true
 	}
-	for _, uid := range s.groups[r].uids {
-		if !s.processed[uid] {
-			return
-		}
-	}
-	s.rowDone[r] = true
 }
 
 // PKNN answers the privacy-aware k-nearest-neighbor query on the tree's
@@ -152,26 +145,25 @@ func (v *View) PKNNCtx(ctx context.Context, issuer motion.UserID, qx, qy float64
 	if v.cfg.Layout == ZVFirst {
 		return v.pknnZVFirst(ctx, issuer, qx, qy, k, tq)
 	}
-	groups := v.friendGroups(issuer)
-	if len(groups) == 0 {
+	s := pknnPool.Get().(*pknnSearch)
+	defer s.release()
+	v.friendGroups(issuer, &s.friends)
+	m := len(s.friends.rows)
+	if m == 0 {
 		return nil, nil
 	}
-
-	s := acquirePKNN(len(groups))
-	defer s.release()
+	s.sizeRows(m)
 	s.v = v
 	s.ctx = ctx
 	s.issuer = issuer
 	s.qx, s.qy, s.tq = qx, qy, tq
 	s.rq = v.roundRadius(k)
-	s.groups = groups
 	s.parts = v.parts.Active(tq)
 
 	// The last useful column: once the (unenlarged) window covers the whole
 	// space, later columns add nothing.
 	coverCol := s.coverColumn()
 
-	m := len(groups)
 	done := false
 	visit := func(r, c int) (bool, error) {
 		if err := s.scanCell(r, c); err != nil {
@@ -282,13 +274,13 @@ func (s *pknnSearch) scanCell(r, c int) error {
 	if s.rowDone[r] {
 		return nil
 	}
-	g := s.groups[r]
+	sv := s.friends.rows[r].sv
 	for _, pr := range s.parts {
 		iv, ok := s.cellInterval(c, pr)
 		if !ok {
 			continue
 		}
-		if err := s.scanDelta(r, g.sv, pr.TID, iv); err != nil {
+		if err := s.scanDelta(r, sv, pr.TID, iv); err != nil {
 			return err
 		}
 	}
@@ -330,31 +322,21 @@ func (s *pknnSearch) scanDelta(r int, sv, tid uint64, iv zcurve.Interval) error 
 		// Leaf-opportunistic: every entry on the fetched pages is
 		// considered, so the row's friend is located the first time any
 		// page of its SV band is read.
-		err := s.v.scanLeafRange(s.ctx, loK, hiK, func(o motion.Object) bool {
-			s.consider(o)
-			return true
-		})
-		if err != nil {
+		if err := s.v.scanLeafRange(s.ctx, loK, hiK, &s.friends, s.consider); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// consider policy-checks a scanned candidate once and records it if it
-// qualifies (the Add_to_result verification of Fig. 10).
-func (s *pknnSearch) consider(o motion.Object) {
-	if s.processed[o.UID] {
-		return
+// consider policy-checks a friend the scan has just met — each is met once
+// — and records them if they qualify (the Add_to_result verification of
+// Fig. 10). It never stops a scan.
+func (s *pknnSearch) consider(o motion.Object) bool {
+	if s.v.qualifies(o, s.issuer, s.tq) {
+		s.found[o.UID] = Neighbor{Object: o, Dist: o.DistanceAt(s.tq, s.qx, s.qy)}
 	}
-	s.processed[o.UID] = true
-	if o.UID == s.issuer {
-		return
-	}
-	if !s.v.qualifies(o, s.issuer, s.tq) {
-		return
-	}
-	s.found[o.UID] = Neighbor{Object: o, Dist: o.DistanceAt(s.tq, s.qx, s.qy)}
+	return true
 }
 
 // kthDist returns the distance of the k'th nearest qualified candidate.
@@ -364,7 +346,7 @@ func (s *pknnSearch) kthDist(k int) float64 {
 		ds = append(ds, nb.Dist)
 	}
 	s.ds = ds
-	sort.Float64s(ds)
+	slices.Sort(ds)
 	return ds[k-1]
 }
 
@@ -374,11 +356,10 @@ func (s *pknnSearch) kthDist(k int) float64 {
 // its side length") is checked, so any unexamined closer user is found.
 func (s *pknnSearch) finalScan(k int) error {
 	dk := s.kthDist(k)
-	for r := range s.groups {
+	for r, row := range s.friends.rows {
 		if s.rowDone[r] {
 			continue // the row's friends are all located and verified
 		}
-		g := s.groups[r]
 		for _, pr := range s.parts {
 			w := bxtree.Square(s.qx, s.qy, dk).Enlarge(s.v.cfg.Base.MaxSpeed * pr.Gap)
 			rect, ok := s.v.cfg.Base.Grid.RectOf(w.MinX, w.MinY, w.MaxX, w.MaxY)
@@ -389,7 +370,7 @@ func (s *pknnSearch) finalScan(k int) error {
 			if err != nil {
 				return err
 			}
-			if err := s.scanDelta(r, g.sv, pr.TID, iv); err != nil {
+			if err := s.scanDelta(r, row.sv, pr.TID, iv); err != nil {
 				return err
 			}
 		}
@@ -401,14 +382,15 @@ func (s *pknnSearch) finalScan(k int) error {
 // cannot prune the scan, so windows are enlarged round by round scanning
 // the full SV span, exactly like a privacy-unaware kNN with post-filtering.
 func (v *View) pknnZVFirst(ctx context.Context, issuer motion.UserID, qx, qy float64, k int, tq float64) ([]Neighbor, error) {
-	friends := v.friendSet(issuer)
-	if len(friends) == 0 {
+	ft := friendTablePool.Get().(*friendTable)
+	defer friendTablePool.Put(ft)
+	v.friendGroups(issuer, ft)
+	if len(ft.rows) == 0 {
 		return nil, nil
 	}
 	rq := v.roundRadius(k)
 	L := v.cfg.Base.Grid.Side
 	scanned := make(map[uint64]zcurve.Interval)
-	processed := make(map[motion.UserID]bool)
 	found := make(map[motion.UserID]Neighbor)
 
 	for round := 1; ; round++ {
@@ -445,18 +427,10 @@ func (v *View) pknnZVFirst(ctx context.Context, issuer motion.UserID, qx, qy flo
 			scanned[pr.TID] = iv
 			for _, d := range todo {
 				loK, hiK := v.cfg.ZVRange(pr.TID, d.Lo, d.Hi)
-				err := v.scanRange(ctx, loK, hiK, func(o motion.Object) bool {
-					if processed[o.UID] {
-						return true
+				err := v.scanRange(ctx, loK, hiK, ft, func(o motion.Object) bool {
+					if v.qualifies(o, issuer, tq) {
+						found[o.UID] = Neighbor{Object: o, Dist: o.DistanceAt(tq, qx, qy)}
 					}
-					processed[o.UID] = true
-					if o.UID == issuer || !friends[o.UID] {
-						return true
-					}
-					if !v.qualifies(o, issuer, tq) {
-						return true
-					}
-					found[o.UID] = Neighbor{Object: o, Dist: o.DistanceAt(tq, qx, qy)}
 					return true
 				})
 				if err != nil {
@@ -489,10 +463,10 @@ func (v *View) pknnZVFirst(ctx context.Context, issuer motion.UserID, qx, qy flo
 
 // sortNeighbors orders by ascending distance, ties by user id.
 func sortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Dist != ns[j].Dist {
-			return ns[i].Dist < ns[j].Dist
+	slices.SortFunc(ns, func(a, b Neighbor) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
 		}
-		return ns[i].Object.UID < ns[j].Object.UID
+		return cmp.Compare(a.Object.UID, b.Object.UID)
 	})
 }

@@ -44,16 +44,24 @@ func (v *View) PRQStream(ctx context.Context, issuer motion.UserID, w bxtree.Win
 	if !w.Valid() {
 		return fmt.Errorf("core: invalid query window %v", w)
 	}
-	if v.cfg.Layout == ZVFirst {
-		return v.prqZVFirst(ctx, issuer, w, tq, yield)
-	}
-
-	groups := v.friendGroups(issuer)
-	if len(groups) == 0 {
+	ft := friendTablePool.Get().(*friendTable)
+	defer friendTablePool.Put(ft)
+	v.friendGroups(issuer, ft)
+	if len(ft.rows) == 0 {
 		return nil
 	}
-	located := make(map[motion.UserID]bool)
+	// Every friend the scans deliver is met exactly once: a user has only
+	// one location, so the window and the policy are checked then or never.
 	stopped := false
+	visit := func(o motion.Object) bool {
+		if x, y := o.PositionAt(tq); w.Contains(x, y) && v.qualifies(o, issuer, tq) {
+			if !yield(o) {
+				stopped = true
+				return false
+			}
+		}
+		return true
+	}
 
 	for _, pr := range v.parts.Active(tq) {
 		ew := w.Enlarge(v.cfg.Base.MaxSpeed * pr.Gap)
@@ -65,95 +73,35 @@ func (v *View) PRQStream(ctx context.Context, issuer motion.UserID, w bxtree.Win
 		if err != nil {
 			return err
 		}
-		for _, g := range groups {
-			if allLocated(g, located) {
-				continue // skip rule: every friend at this SV already found
-			}
+		if v.cfg.Layout == ZVFirst {
+			// The ablation layout: with ZV above SV in the key, friend SVs
+			// cannot prune the scan, so the whole window is scanned — the
+			// full SV span per Z interval — and candidates are filtered
+			// afterwards, which is exactly the weakness the paper's
+			// SV-first ordering avoids.
 			for _, iv := range ivs {
-				loK, hiK := v.cfg.SVRange(pr.TID, g.sv, iv.Lo, iv.Hi)
-				// Opportunistic leaf scan: every entry on a fetched page is
-				// examined, so a friend stored on the page — even outside
-				// this Z interval or SV band — is located at no extra I/O,
-				// and their remaining search intervals are skipped.
-				err := v.scanLeafRange(ctx, loK, hiK, func(o motion.Object) bool {
-					if located[o.UID] {
-						return true
-					}
-					located[o.UID] = true
-					if x, y := o.PositionAt(tq); w.Contains(x, y) && v.qualifies(o, issuer, tq) {
-						if !yield(o) {
-							stopped = true
-							return false
-						}
-					}
-					return true
-				})
-				if err != nil {
+				loK, hiK := v.cfg.ZVRange(pr.TID, iv.Lo, iv.Hi)
+				if err := v.scanRange(ctx, loK, hiK, ft, visit); err != nil || stopped {
 					return err
 				}
-				if stopped {
-					return nil
-				}
-				if allLocated(g, located) {
-					break // skip remaining intervals for this SV
-				}
 			}
-		}
-	}
-	return nil
-}
-
-// prqZVFirst answers PRQ on the ablation layout: with ZV above SV in the
-// key, friend SVs cannot prune the scan, so the whole window is scanned —
-// the full SV span per Z interval — and candidates are filtered afterwards,
-// which is exactly the weakness the paper's SV-first ordering avoids.
-func (v *View) prqZVFirst(ctx context.Context, issuer motion.UserID, w bxtree.Window, tq float64, yield func(motion.Object) bool) error {
-	friends := v.friendSet(issuer)
-	if len(friends) == 0 {
-		return nil
-	}
-	stopped := false
-	for _, pr := range v.parts.Active(tq) {
-		ew := w.Enlarge(v.cfg.Base.MaxSpeed * pr.Gap)
-		rect, ok := v.cfg.Base.Grid.RectOf(ew.MinX, ew.MinY, ew.MaxX, ew.MaxY)
-		if !ok {
 			continue
 		}
-		ivs, err := v.cfg.Base.DecomposeRect(rect)
-		if err != nil {
-			return err
-		}
-		for _, iv := range ivs {
-			loK, hiK := v.cfg.ZVRange(pr.TID, iv.Lo, iv.Hi)
-			err := v.scanRange(ctx, loK, hiK, func(o motion.Object) bool {
-				if !friends[o.UID] {
-					return true
+		for r := range ft.rows {
+			// Skip rule: once every friend at this SV has been found, the
+			// remaining intervals formed by it are skipped. The count is
+			// read again after each scan, which may have emptied it.
+			row := &ft.rows[r]
+			for i := 0; i < len(ivs) && row.unseen > 0; i++ {
+				loK, hiK := v.cfg.SVRange(pr.TID, row.sv, ivs[i].Lo, ivs[i].Hi)
+				// Opportunistic leaf scan: every entry on a fetched page is
+				// examined, so a friend stored on the page — even outside
+				// this Z interval or SV band — is located at no extra I/O.
+				if err := v.scanLeafRange(ctx, loK, hiK, ft, visit); err != nil || stopped {
+					return err
 				}
-				if x, y := o.PositionAt(tq); w.Contains(x, y) && v.qualifies(o, issuer, tq) {
-					if !yield(o) {
-						stopped = true
-						return false
-					}
-				}
-				return true
-			})
-			if err != nil {
-				return err
-			}
-			if stopped {
-				return nil
 			}
 		}
 	}
 	return nil
-}
-
-// allLocated reports whether every friend in the group has been located.
-func allLocated(g svGroup, located map[motion.UserID]bool) bool {
-	for _, uid := range g.uids {
-		if !located[uid] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/btree"
 	"repro/internal/bxtree"
@@ -151,29 +154,67 @@ func (v *View) MaxGap(tq float64) float64 {
 	return max
 }
 
-// svGroup is one distinct encoded sequence value and the query issuer's
-// friends that share it (distinct users can quantize to the same value).
-type svGroup struct {
-	sv   uint64
-	uids []motion.UserID
+// friendTable is one query's working set: the issuer's grantors that this
+// view's index holds. It answers the two questions a query asks of every
+// entry on every page it fetches — is this user one the issuer may see at
+// all, and has the scan met them before — with one binary search over a few
+// dozen uids, before the payload is decoded or the policy store consulted;
+// and it keeps, per search row, how many of the row's friends are still to
+// be found, which is what the skip rule reads.
+//
+// Filtering on the table is exact, not a heuristic. policy.Store's grantor
+// index holds every owner o with a relation o→issuer that some policy of o
+// covers, and Store.Allows is false without one, so an entry outside the
+// table could never have qualified. Grantors left out as non-resident have
+// no entry in this index to be filtered.
+type friendTable struct {
+	friends []friend    // ascending uid
+	rows    []friendRow // ascending sv: the rows of the search matrix
+	bySV    []svAt      // build scratch
 }
 
-// friendGroups returns the issuer's grantors — "the set of users who may
-// allow the query issuer to see their locations" (Upol, Sec. 5.3 step 2) —
-// grouped by encoded sequence value, ascending. Only grantors resident in
-// this view's index become search rows: a grantor without a registered
-// sequence value cannot appear in the index, and one without a current-key
-// entry (v.cur, kept in lockstep with the B+-tree's entries) is not in it —
-// never inserted, removed, or held by another shard. Such a row could never
-// be located, so the skip rule would never retire it and both queries would
-// search it to the edge of the space; dropping it bounds a query by the
-// grantors this index holds. Only presence is consulted: using the entry's
-// TID or ZV bits to aim the search would replace the paper's SV × ZV search
-// matrix with a point lookup per friend.
-func (v *View) friendGroups(issuer motion.UserID) []svGroup {
-	grantors := v.policies.Grantors(policy.UserID(issuer))
-	byVal := make(map[uint64][]motion.UserID, len(grantors))
-	for _, g := range grantors {
+// friend is one resident grantor.
+type friend struct {
+	uid  motion.UserID
+	row  int32 // index into rows
+	seen bool  // the scan has delivered this user's entry
+}
+
+// friendRow is one distinct encoded sequence value among the friends
+// (distinct users can quantize to the same value) and the number of its
+// friends the scan has not met yet.
+type friendRow struct {
+	sv     uint64
+	unseen int
+}
+
+// svAt is a friend's sequence value and index in friends.
+type svAt struct {
+	sv uint64
+	at int32
+}
+
+// friendTablePool recycles tables for the queries that keep no other
+// pooled state (PkNN's table lives in its pknnSearch).
+var friendTablePool = sync.Pool{New: func() any { return new(friendTable) }}
+
+// friendGroups fills ft with the issuer's grantors — "the set of users who
+// may allow the query issuer to see their locations" (Upol, Sec. 5.3 step
+// 2) — grouped into rows by encoded sequence value, ascending. Only
+// grantors resident in this view's index become search rows: a grantor
+// without a registered sequence value cannot appear in the index, and one
+// without a current-key entry (v.cur, kept in lockstep with the B+-tree's
+// entries) is not in it — never inserted, removed, or held by another
+// shard. Such a row could never be located, so the skip rule would never
+// retire it and both queries would search it to the edge of the space;
+// dropping it bounds a query by the grantors this index holds. Only
+// presence is consulted: using the entry's TID or ZV bits to aim the search
+// would replace the paper's SV × ZV search matrix with a point lookup per
+// friend.
+func (v *View) friendGroups(issuer motion.UserID, ft *friendTable) {
+	ft.friends, ft.rows, ft.bySV = ft.friends[:0], ft.rows[:0], ft.bySV[:0]
+	// Grantors arrive in uid order, the order claim searches.
+	for _, g := range v.policies.Grantors(policy.UserID(issuer)) {
 		uid := motion.UserID(g)
 		if uid == issuer {
 			continue
@@ -185,14 +226,43 @@ func (v *View) friendGroups(issuer motion.UserID) []svGroup {
 		if _, resident := v.cur[uid]; !resident {
 			continue
 		}
-		byVal[sv] = append(byVal[sv], uid)
+		ft.bySV = append(ft.bySV, svAt{sv: sv, at: int32(len(ft.friends))})
+		ft.friends = append(ft.friends, friend{uid: uid})
 	}
-	out := make([]svGroup, 0, len(byVal))
-	for sv, uids := range byVal {
-		out = append(out, svGroup{sv: sv, uids: uids})
+	slices.SortFunc(ft.bySV, func(a, b svAt) int { return cmp.Compare(a.sv, b.sv) })
+	for _, p := range ft.bySV {
+		if len(ft.rows) == 0 || ft.rows[len(ft.rows)-1].sv != p.sv {
+			ft.rows = append(ft.rows, friendRow{sv: p.sv})
+		}
+		r := len(ft.rows) - 1
+		ft.rows[r].unseen++
+		ft.friends[p.at].row = int32(r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].sv < out[j].sv })
-	return out
+}
+
+// claim reports whether uid is a friend the scan meets for the first time,
+// and marks them met. Every entry of every fetched leaf goes through it, and
+// all but a few stop here.
+func (ft *friendTable) claim(uid motion.UserID) bool {
+	lo, hi := 0, len(ft.friends)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ft.friends[mid].uid < uid {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(ft.friends) {
+		return false
+	}
+	f := &ft.friends[lo]
+	if f.uid != uid || f.seen {
+		return false
+	}
+	f.seen = true
+	ft.rows[f.row].unseen--
+	return true
 }
 
 // qualifies applies the policy predicate of Definitions 2–3: the candidate's
@@ -204,34 +274,25 @@ func (v *View) qualifies(candidate motion.Object, issuer motion.UserID, tq float
 	return v.policies.Allows(policy.UserID(candidate.UID), policy.UserID(issuer), x, y, tq)
 }
 
-// friendSet returns the issuer's resident grantors as a set.
-func (v *View) friendSet(issuer motion.UserID) map[motion.UserID]bool {
-	out := make(map[motion.UserID]bool)
-	for _, g := range v.friendGroups(issuer) {
-		for _, uid := range g.uids {
-			out[uid] = true
-		}
-	}
-	return out
-}
-
-// scanRange delivers every stored object with key in [loK, hiK]. The scan
-// honors ctx between leaf pages; emit returning false stops it early.
-func (v *View) scanRange(ctx context.Context, loK, hiK uint64, emit func(motion.Object) bool) error {
+// scanRange delivers, from the entries with key in [loK, hiK], every
+// friend in ft the query has not met before. The scan honors ctx between
+// leaf pages; emit returning false stops it early.
+func (v *View) scanRange(ctx context.Context, loK, hiK uint64, ft *friendTable, emit func(motion.Object) bool) error {
 	lo := btree.KV{Key: loK, UID: 0}
 	hi := btree.KV{Key: hiK, UID: ^uint32(0)}
 	return v.tree.RangeScanCtx(ctx, lo, hi, func(kv btree.KV, p btree.Payload) bool {
-		return emit(motion.DecodePayload(motion.UserID(kv.UID), p))
+		uid := motion.UserID(kv.UID)
+		return !ft.claim(uid) || emit(motion.DecodePayload(uid, p))
 	})
 }
 
-// scanLeafRange delivers every stored object on the leaf pages covering
-// [loK, hiK] — a superset of scanRange's results at identical page I/O.
-// The scan honors ctx between leaf pages; emit returning false stops it.
-func (v *View) scanLeafRange(ctx context.Context, loK, hiK uint64, emit func(motion.Object) bool) error {
+// scanLeafRange is scanRange over every entry on the leaf pages covering
+// [loK, hiK] — a superset of scanRange's candidates at identical page I/O.
+func (v *View) scanLeafRange(ctx context.Context, loK, hiK uint64, ft *friendTable, emit func(motion.Object) bool) error {
 	lo := btree.KV{Key: loK, UID: 0}
 	hi := btree.KV{Key: hiK, UID: ^uint32(0)}
 	return v.tree.ScanLeavesCtx(ctx, lo, hi, func(kv btree.KV, p btree.Payload) bool {
-		return emit(motion.DecodePayload(motion.UserID(kv.UID), p))
+		uid := motion.UserID(kv.UID)
+		return !ft.claim(uid) || emit(motion.DecodePayload(uid, p))
 	})
 }

@@ -16,10 +16,11 @@ import (
 // JSON document per run covering the commit path (latency percentiles,
 // allocations, fsyncs, log volume), the WAL codec before/after (gob vs
 // binary over the identical stream), the checkpoint pipeline (full vs
-// incremental builds, pages walked and flushed), and the pooled PkNN
-// query path. CI uploads the document as the BENCH_pr6.json artifact and
-// diffs its *stable* counters — allocations, fsyncs/op, pages walked per
-// incremental build, bytes per record — against the committed baseline.
+// incremental builds, pages walked and flushed), and the pooled PRQ and
+// PkNN query paths. CI uploads the document as the BENCH_pr*.json artifact
+// and diffs its *stable* counters — allocations, fsyncs/op, pages walked
+// per incremental build, bytes per record, page requests per query —
+// against the committed baseline.
 // Latencies and ns/op are reported for the trajectory but never diffed:
 // they measure the runner, not the code.
 
@@ -31,6 +32,7 @@ type HotPathReport struct {
 	Codec       peb.WALCodecBench `json:"wal_codec"`
 	Commit      CommitBench       `json:"commit"`
 	Checkpoint  CheckpointBench   `json:"checkpoint"`
+	PRQ         PRQBench          `json:"prq"`
 	PKNN        PKNNBench         `json:"pknn"`
 	Replication ReplicationBench  `json:"replication"`
 	Resharding  ReshardingBench   `json:"resharding"`
@@ -65,14 +67,28 @@ type CheckpointBench struct {
 	PagesReclaimed            uint64  `json:"pages_reclaimed"`
 }
 
-// PKNNBench measures the pooled k-nearest-neighbors query path on an
-// in-memory DB (no page I/O in the counter).
-type PKNNBench struct {
+// PRQBench measures the pooled range-query path on an in-memory DB holding
+// only the issuer and its friends (no page I/O in the allocation counter).
+type PRQBench struct {
 	Friends     int     `json:"friends"`
-	K           int     `json:"k"`
 	Queries     int     `json:"queries"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	P50Micros   float64 `json:"p50_us"`
+	// PageRequestsPerQuery is a stable counter: logical page requests (buffer
+	// hits and misses alike) per query issued by u1 from pageQueries fixed
+	// points against pagePopulation users. The paper's metric is page I/O per
+	// query, and a change to the read path's CPU must not move it.
+	PageRequestsPerQuery float64 `json:"page_requests_per_query"`
+}
+
+// PKNNBench measures the pooled k-nearest-neighbors query path the same way.
+type PKNNBench struct {
+	Friends              int     `json:"friends"`
+	K                    int     `json:"k"`
+	Queries              int     `json:"queries"`
+	AllocsPerOp          float64 `json:"allocs_per_op"`
+	P50Micros            float64 `json:"p50_us"`
+	PageRequestsPerQuery float64 `json:"page_requests_per_query"`
 	// RoutedPagesPerQuery4Shards is a stable counter: logical page requests
 	// (buffer hits and misses alike), summed over the shards, per PkNN routed
 	// through a 4-shard sharded.DB that holds the same friends among
@@ -186,10 +202,10 @@ func RunHotPath(quick bool, logf func(string, ...interface{})) (HotPathReport, e
 		return rep, fmt.Errorf("checkpoint bench: %w", err)
 	}
 
-	logf("hotpath: pknn bench (%d queries)", pknnQueries)
-	rep.PKNN, err = runPKNNBench(pknnQueries)
+	logf("hotpath: prq and pknn bench (%d queries each)", pknnQueries)
+	rep.PRQ, rep.PKNN, err = runQueryBench(pknnQueries)
 	if err != nil {
-		return rep, fmt.Errorf("pknn bench: %w", err)
+		return rep, fmt.Errorf("query bench: %w", err)
 	}
 
 	repCommits := commitOps / 2
@@ -403,52 +419,118 @@ func befriendU1(db policyDB, friends int) error {
 	return db.EncodePolicies()
 }
 
-func runPKNNBench(queries int) (PKNNBench, error) {
+// runQueryBench measures u1's PRQ and PkNN against its friends alone, then
+// the page requests both make against a real population.
+func runQueryBench(queries int) (PRQBench, PKNNBench, error) {
+	const friends, k = 39, 5
+	prq := PRQBench{Friends: friends, Queries: queries}
+	knn := PKNNBench{Friends: friends, K: k, Queries: queries}
 	db, err := peb.Open(peb.Options{}) // in-memory: measure the query path, not page I/O
 	if err != nil {
-		return PKNNBench{}, err
+		return prq, knn, err
 	}
 	defer db.Close()
-	const friends = 39
 	if err := befriendU1(db, friends); err != nil {
-		return PKNNBench{}, err
+		return prq, knn, err
 	}
 	for i := 1; i <= friends+1; i++ {
 		if err := db.Upsert(hotObj(i, 0)); err != nil {
-			return PKNNBench{}, err
+			return prq, knn, err
 		}
 	}
-	const k = 5
-	query := func() error {
-		_, err := db.NearestNeighbors(1, 500, 500, k, 10)
-		return err
-	}
-	// Warm the pooled search state, and refuse to "measure" an empty
-	// result set — that would make every counter trivially flattering.
-	warm, err := db.NearestNeighbors(1, 500, 500, k, 10)
+	// Each query first warms the pooled search state, and refuses to
+	// "measure" an empty result set — that would make every counter
+	// trivially flattering.
+	window := peb.Region{MinX: 300, MinY: 300, MaxX: 500, MaxY: 500}
+	prq.P50Micros, prq.AllocsPerOp, err = measureQuery(queries, func() (int, error) {
+		res, err := db.RangeQuery(1, window, 10)
+		return len(res), err
+	}, 1)
 	if err != nil {
-		return PKNNBench{}, err
+		return prq, knn, fmt.Errorf("prq: %w", err)
 	}
-	if len(warm) != k {
-		return PKNNBench{}, fmt.Errorf("pknn bench returned %d results, want %d — policy setup broken", len(warm), k)
+	knn.P50Micros, knn.AllocsPerOp, err = measureQuery(queries, func() (int, error) {
+		res, err := db.NearestNeighbors(1, 500, 500, k, 10)
+		return len(res), err
+	}, k)
+	if err != nil {
+		return prq, knn, fmt.Errorf("pknn: %w", err)
 	}
-	res := PKNNBench{Friends: friends, K: k, Queries: queries}
+	prq.PageRequestsPerQuery, knn.PageRequestsPerQuery, err = queryPageRequests(friends, k)
+	if err != nil {
+		return prq, knn, err
+	}
+	knn.RoutedPagesPerQuery4Shards, err = routedPKNNPages(friends, k)
+	return prq, knn, err
+}
+
+// measureQuery returns a warm query's median latency (µs) and allocations.
+// query reports how many results it found.
+func measureQuery(queries int, query func() (int, error), minResults int) (p50, allocs float64, err error) {
+	n, err := query()
+	if err != nil {
+		return 0, 0, err
+	}
+	if n < minResults {
+		return 0, 0, fmt.Errorf("warm query returned %d results, want %d — policy setup broken", n, minResults)
+	}
 	lat := make([]time.Duration, queries)
 	for i := range lat {
 		start := time.Now()
-		if err := query(); err != nil {
-			return PKNNBench{}, err
+		if _, err := query(); err != nil {
+			return 0, 0, err
 		}
 		lat[i] = time.Since(start)
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	res.P50Micros = percentile(lat, 0.50)
-	res.AllocsPerOp, err = allocsPerOp(queries, func(int) error { return query() })
+	allocs, err = allocsPerOp(queries, func(int) error { _, err := query(); return err })
+	return percentile(lat, 0.50), allocs, err
+}
+
+// pagePopulation and pageQueries size the page-request counters. Neither
+// shrinks in quick mode: the counters are per-query means and must repeat
+// exactly from run to run.
+const (
+	pagePopulation = 20000
+	pageQueries    = 200
+)
+
+// queryPageRequests loads u1's friends, among pagePopulation users spread
+// over the space, into one in-memory DB and returns the page requests per
+// PRQ and per PkNN issued by u1 from pageQueries fixed points.
+func queryPageRequests(friends, k int) (prq, pknn float64, err error) {
+	db, err := peb.Open(peb.Options{})
 	if err != nil {
-		return res, err
+		return 0, 0, err
 	}
-	res.RoutedPagesPerQuery4Shards, err = routedPKNNPages(friends, k)
-	return res, err
+	defer db.Close()
+	if err := befriendU1(db, friends); err != nil {
+		return 0, 0, err
+	}
+	b := db.NewBatch()
+	for i := 1; i <= pagePopulation; i++ {
+		b.Upsert(hotObj(i, i/7))
+	}
+	if err := db.Apply(b); err != nil {
+		return 0, 0, err
+	}
+	at := func(i int) (x, y float64) { return float64(i * 131 % 1000), float64(i * 577 % 1000) }
+	before := db.IOStats().Accesses()
+	for i := 0; i < pageQueries; i++ {
+		x, y := at(i)
+		if _, err := db.RangeQuery(1, peb.Region{MinX: x - 100, MinY: y - 100, MaxX: x + 100, MaxY: y + 100}, 10); err != nil {
+			return 0, 0, err
+		}
+	}
+	mid := db.IOStats().Accesses()
+	for i := 0; i < pageQueries; i++ {
+		x, y := at(i)
+		if _, err := db.NearestNeighbors(1, x, y, k, 10); err != nil {
+			return 0, 0, err
+		}
+	}
+	after := db.IOStats().Accesses()
+	return float64(mid-before) / pageQueries, float64(after-mid) / pageQueries, nil
 }
 
 // routedPopulation and routedQueries size the routed-PkNN page counter.
@@ -519,7 +601,16 @@ func CompareHotPath(base, cur HotPathReport) []string {
 			cur.Checkpoint.FullBuilds, base.Checkpoint.FullBuilds))
 	}
 	check("pknn.allocs_per_op", base.PKNN.AllocsPerOp, cur.PKNN.AllocsPerOp, 0.5, 2)
-	// A baseline from before the counter existed reads zero and gates nothing.
+	// A baseline from before a counter existed reads zero and gates nothing.
+	if base.PRQ.AllocsPerOp > 0 {
+		check("prq.allocs_per_op", base.PRQ.AllocsPerOp, cur.PRQ.AllocsPerOp, 0.5, 2)
+	}
+	if base.PRQ.PageRequestsPerQuery > 0 {
+		check("prq.page_requests_per_query", base.PRQ.PageRequestsPerQuery, cur.PRQ.PageRequestsPerQuery, 0, 0.01)
+	}
+	if base.PKNN.PageRequestsPerQuery > 0 {
+		check("pknn.page_requests_per_query", base.PKNN.PageRequestsPerQuery, cur.PKNN.PageRequestsPerQuery, 0, 0.01)
+	}
 	if base.PKNN.RoutedPagesPerQuery4Shards > 0 {
 		check("pknn.routed_pages_per_query_4shards", base.PKNN.RoutedPagesPerQuery4Shards,
 			cur.PKNN.RoutedPagesPerQuery4Shards, 0.1, 1)

@@ -2,7 +2,7 @@ package policy
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Store holds all users' policies and role relations, playing the part of
@@ -181,7 +181,7 @@ func (s *Store) Grantors(viewer UserID) []UserID {
 	for o := range m {
 		out = append(out, o)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -1,5 +1,10 @@
 package zcurve
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Hilbert-curve mapping, used by the curve ablation benchmark
 // (DESIGN.md A3). The iterative rotate-and-accumulate formulation follows
 // the classic Hamilton conversion; it is the curve analyzed by the paper's
@@ -71,7 +76,10 @@ func HilbertDecompose(r Rect, order int, maxIntervals int) ([]Interval, error) {
 	}
 	var out []Interval
 	hilbertDecompose(r, 0, 0, order, order, &out)
-	sortIntervals(out)
+	// The intervals are disjoint, so Lo alone orders them. The recursion
+	// visits quadrants in Z order, which leaves whole blocks out of place
+	// on this curve: an insertion sort would be quadratic here.
+	slices.SortFunc(out, func(a, b Interval) int { return cmp.Compare(a.Lo, b.Lo) })
 	out = mergeAdjacent(out)
 	if maxIntervals > 0 && len(out) > maxIntervals {
 		out = coalesce(out, maxIntervals)
@@ -115,15 +123,6 @@ func hilbertDecompose(r Rect, qx, qy uint32, qorder, order int, out *[]Interval)
 	hilbertDecompose(r, qx+half, qy, qorder-1, order, out)
 	hilbertDecompose(r, qx, qy+half, qorder-1, order, out)
 	hilbertDecompose(r, qx+half, qy+half, qorder-1, order, out)
-}
-
-func sortIntervals(ivs []Interval) {
-	// Insertion sort: interval lists are short and mostly ordered.
-	for i := 1; i < len(ivs); i++ {
-		for j := i; j > 0 && ivs[j].Lo < ivs[j-1].Lo; j-- {
-			ivs[j], ivs[j-1] = ivs[j-1], ivs[j]
-		}
-	}
 }
 
 func errOrder(order int) error { return fmtErr("order %d out of range (1..%d)", order, MaxOrder) }

@@ -12,7 +12,10 @@
 // continuous space to the grid is the caller's concern (see package bxtree).
 package zcurve
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // MaxOrder is the largest supported curve order: with order 31 a curve
 // value needs 62 bits, leaving headroom inside a uint64 key.
@@ -107,11 +110,13 @@ func Decompose(r Rect, order int, maxIntervals int) ([]Interval, error) {
 		return nil, fmt.Errorf("zcurve: rectangle %+v exceeds grid of order %d", r, order)
 	}
 
-	var out []Interval
-	decompose(r, 0, 0, order, order, &out)
 	// decompose emits intervals in ascending Z order by construction
-	// (quadrant recursion follows the curve), so only merging is needed.
-	out = mergeAdjacent(out)
+	// (quadrant recursion follows the curve) and fuses touching ones as it
+	// goes, so the list is exact and minimal as it stands.
+	// The curve leaves and re-enters a rectangle along its boundary, so the
+	// exact list runs to about one interval per boundary cell.
+	out := make([]Interval, 0, min(r.Cells(), uint64(r.MaxX-r.MinX)+uint64(r.MaxY-r.MinY)+2))
+	decompose(r, 0, 0, order, order, &out)
 	if maxIntervals > 0 && len(out) > maxIntervals {
 		out = coalesce(out, maxIntervals)
 	}
@@ -120,7 +125,8 @@ func Decompose(r Rect, order int, maxIntervals int) ([]Interval, error) {
 
 // decompose recursively splits the quadrant with top-left grid coordinate
 // (qx, qy) (in units of cells) and side 2^qorder against r, appending
-// covered intervals to out in curve order.
+// covered intervals to out in curve order, extending the last interval
+// when the next one touches it ([a,b],[b+1,c] → [a,c]).
 func decompose(r Rect, qx, qy uint32, qorder, order int, out *[]Interval) {
 	side := uint32(1) << uint(qorder)
 	qMaxX := qx + side - 1
@@ -131,15 +137,13 @@ func decompose(r Rect, qx, qy uint32, qorder, order int, out *[]Interval) {
 	}
 	// Fully covered: the quadrant is one contiguous Z interval.
 	if r.MinX <= qx && qMaxX <= r.MaxX && r.MinY <= qy && qMaxY <= r.MaxY {
-		lo := Encode(qx, qy)
-		*out = append(*out, Interval{Lo: lo, Hi: lo + uint64(side)*uint64(side) - 1})
-		return
-	}
-	if qorder == 0 {
-		// Single cell partially tested above; being here means overlap,
-		// which for a cell means containment.
-		lo := Encode(qx, qy)
-		*out = append(*out, Interval{Lo: lo, Hi: lo})
+		// (A single cell that overlaps is contained, so qorder 0 ends here.)
+		lo, hi := Encode(qx, qy), Encode(qx, qy)+uint64(side)*uint64(side)-1
+		if n := len(*out); n > 0 && (*out)[n-1].Hi+1 == lo {
+			(*out)[n-1].Hi = hi
+		} else {
+			*out = append(*out, Interval{Lo: lo, Hi: hi})
+		}
 		return
 	}
 	half := side / 2
@@ -169,20 +173,54 @@ func mergeAdjacent(ivs []Interval) []Interval {
 	return out
 }
 
-// coalesce reduces the interval count to max by repeatedly bridging the
-// smallest gap between neighbors. The result covers a superset of the input.
+// coalesce reduces the interval count to max by bridging the smallest gaps
+// between neighbors, the earlier one on ties. Bridging one gap leaves every
+// other gap as it was, so the survivors are the max−1 largest gaps under the
+// order (gap, index): one sweep selects them in a sorted buffer of max−1
+// entries, a second emits the runs between them in place. The result covers
+// a superset of the input. ivs must be sorted, disjoint and longer than max.
 func coalesce(ivs []Interval, max int) []Interval {
-	for len(ivs) > max {
-		best := 1
-		bestGap := ivs[1].Lo - ivs[0].Hi
-		for i := 2; i < len(ivs); i++ {
-			if gap := ivs[i].Lo - ivs[i-1].Hi; gap < bestGap {
-				bestGap = gap
-				best = i
-			}
-		}
-		ivs[best-1].Hi = ivs[best].Hi
-		ivs = append(ivs[:best], ivs[best+1:]...)
+	last := ivs[len(ivs)-1].Hi
+	if max == 1 {
+		ivs[0].Hi = last
+		return ivs[:1]
 	}
-	return ivs
+	// keep holds the indices i of the largest gaps ivs[i-1]→ivs[i] seen so
+	// far, ascending by (gap, i).
+	keep := make([]int, 0, max-1)
+	gapAt := func(i int) uint64 { return ivs[i].Lo - ivs[i-1].Hi }
+	for i := 1; i < len(ivs); i++ {
+		gap := gapAt(i)
+		if len(keep) == max-1 {
+			if gap < gapAt(keep[0]) {
+				continue
+			}
+			// Evict the smallest: shift the entries below the new gap's
+			// slot down by one. i exceeds every index held, so an equal
+			// gap sorts below it.
+			j := 1
+			for ; j < len(keep) && gapAt(keep[j]) <= gap; j++ {
+				keep[j-1] = keep[j]
+			}
+			keep[j-1] = i
+			continue
+		}
+		j := len(keep)
+		keep = append(keep, i)
+		for ; j > 0 && gapAt(keep[j-1]) > gap; j-- {
+			keep[j] = keep[j-1]
+		}
+		keep[j] = i
+	}
+	slices.Sort(keep)
+	// Output slot n never runs ahead of the input index it reads, so the
+	// runs are written over the input.
+	n := 0
+	for _, i := range keep {
+		ivs[n].Hi = ivs[i-1].Hi
+		n++
+		ivs[n].Lo = ivs[i].Lo
+	}
+	ivs[n].Hi = last
+	return ivs[:n+1]
 }

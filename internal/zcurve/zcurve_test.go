@@ -1,7 +1,9 @@
 package zcurve
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -333,12 +335,97 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkDecompose is one ZVconvert of the benchmark's PRQ: a 200-side
+// window of the 1000-side space on the order-10 grid (≈ 205 cells a side,
+// off the quadrant boundaries), capped at bxtree's default 16 intervals.
 func BenchmarkDecompose(b *testing.B) {
-	r := Rect{100, 100, 300, 300}
+	r := Rect{333, 217, 537, 421}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(r, 10, 64); err != nil {
+		if _, err := Decompose(r, 10, 16); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// coalesceRef is the coalescing rule as first written and as Decompose
+// documents it: bridge the smallest gap, the first one on ties, until max
+// intervals remain. coalesce must equal it interval for interval.
+func coalesceRef(ivs []Interval, max int) []Interval {
+	for len(ivs) > max {
+		best := 1
+		bestGap := ivs[1].Lo - ivs[0].Hi
+		for i := 2; i < len(ivs); i++ {
+			if gap := ivs[i].Lo - ivs[i-1].Hi; gap < bestGap {
+				bestGap = gap
+				best = i
+			}
+		}
+		ivs[best-1].Hi = ivs[best].Hi
+		ivs = append(ivs[:best], ivs[best+1:]...)
+	}
+	return ivs
+}
+
+func TestCoalesceMatchesReference(t *testing.T) {
+	caps := []int{1, 2, 16, 64}
+	check := func(name string, exact []Interval) {
+		t.Helper()
+		for _, max := range caps {
+			want := append([]Interval(nil), exact...)
+			got := append([]Interval(nil), exact...)
+			if len(exact) > max { // Decompose's own guard; len ≤ cap passes through
+				want = coalesceRef(want, max)
+				got = coalesce(got, max)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s cap %d over %d intervals:\n got %v\nwant %v", name, max, len(exact), got, want)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(15))
+	const order = 8
+	side := uint32(1) << order
+	for i := 0; i < 3000; i++ {
+		// Alternate small windows (often len ≤ cap) with wide ones (hundreds
+		// of intervals, whose gaps repeat: the Z-curve's gaps are sums of
+		// powers of four, so ties are the common case, not the corner).
+		span := side
+		if i%3 == 0 {
+			span = 12
+		}
+		x0, y0 := uint32(rng.Intn(int(side))), uint32(rng.Intn(int(side)))
+		r := Rect{x0, y0, min(side-1, x0+uint32(rng.Intn(int(span)))), min(side-1, y0+uint32(rng.Intn(int(span))))}
+		z, err := Decompose(r, order, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("z %+v", r), z)
+		h, err := HilbertDecompose(r, order, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("hilbert %+v", r), h)
+	}
+
+	// Every gap equal: the survivors are decided by index alone.
+	for _, n := range []int{2, 3, 17, 65, 200} {
+		ivs := make([]Interval, n)
+		for i := range ivs {
+			ivs[i] = Interval{Lo: uint64(10 * i), Hi: uint64(10*i + 4)}
+		}
+		check(fmt.Sprintf("uniform %d", n), ivs)
+	}
+	// Few distinct gap sizes in random order.
+	for i := 0; i < 200; i++ {
+		ivs := make([]Interval, 1+rng.Intn(150))
+		var at uint64
+		for j := range ivs {
+			at += 1 + uint64(rng.Intn(3))*5
+			ivs[j] = Interval{Lo: at, Hi: at + uint64(rng.Intn(4))}
+			at = ivs[j].Hi + 1
+		}
+		check(fmt.Sprintf("few-gaps #%d", i), ivs)
 	}
 }

@@ -23,8 +23,17 @@ const (
 	// node work, not serialization.
 	applySyncAllocBudgetPerOp = 16
 	// pknnAllocBudget bounds one warm PkNN query (k=5) on a pooled
-	// search state: result slice + friend-group assembly + leaf reads.
-	pknnAllocBudget = 60
+	// search state: the grantor list, the partition list, the result
+	// slice, a buffer-pool LRU element. 6 today, and 13–16 under -race,
+	// where sync.Pool drops a quarter of what is put back and the state
+	// is regrown; the budget is that plus 20 %. It was 23 (plain) while
+	// every leaf was decoded into fresh slices.
+	pknnAllocBudget = 20
+	// prqAllocBudget bounds one warm PRQ (200-side window) on a pooled
+	// friend table and cursor: the same, plus ZVconvert's interval lists
+	// per partition. 10 today, 13–14 under -race; 42 (plain) with the
+	// decoding reader and the per-query maps.
+	prqAllocBudget = 17
 )
 
 func allocDB(t *testing.T) *DB {
@@ -89,19 +98,18 @@ func TestApplySyncAllocsPerOp(t *testing.T) {
 	}
 }
 
-func TestPKNNAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement")
-	}
-	db, err := Open(Options{}) // in-memory: measure the query path, not page I/O
+// friendsDB is an in-memory DB (the query path, not page I/O, is measured)
+// in which each of u2..u40 considers u1 a friend and grants friends
+// visibility everywhere, all day — so u1's queries actually assemble 39
+// candidate grantors and return results (an empty result set would make
+// the query gates trivially green).
+func friendsDB(t *testing.T) *DB {
+	t.Helper()
+	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	// Each friend i considers u1 a friend and grants friends visibility
-	// everywhere, all day — so u1's query actually assembles 39 candidate
-	// grantors and returns k results (an empty result set would make this
-	// gate trivially green).
+	t.Cleanup(func() { db.Close() })
 	for i := 2; i <= 40; i++ {
 		if err := db.DefineRelation(UserID(i), 1, "f"); err != nil {
 			t.Fatal(err)
@@ -118,6 +126,39 @@ func TestPKNNAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return db
+}
+
+func TestPRQAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	db := friendsDB(t)
+	w := Region{MinX: 300, MinY: 300, MaxX: 500, MaxY: 500}
+	// Warm the pooled friend table and cursor, then measure steady state.
+	warm, err := db.RangeQuery(1, w, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warm) == 0 {
+		t.Fatal("warm query returned no results — measuring an empty result set")
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := db.RangeQuery(1, w, 10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("PRQ (200-side window, 39 friends, %d results): %.1f allocs/op (budget %d)", len(warm), got, prqAllocBudget)
+	if got > prqAllocBudget {
+		t.Fatalf("PRQ allocates %.1f/op, budget %d — the in-place read path regressed", got, prqAllocBudget)
+	}
+}
+
+func TestPKNNAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	db := friendsDB(t)
 	// Warm the pooled search state, then measure steady-state queries.
 	warm, err := db.NearestNeighbors(1, 500, 500, 5, 10)
 	if err != nil {
