@@ -9,15 +9,6 @@
 //	pebbench -exp fig12a [-scale 0.5] [-seed 1] [-parallel 4] [-queries 200] [-csv] [-v]
 //	pebbench -exp bulkload -quick
 //	pebbench -all -scale 0.25 -o results/
-//	pebbench -json -quick [-baseline BENCH_pr6.json] > report.json
-//
-// -json runs the hot-path measurement pass instead of a figure experiment:
-// durable-commit latency/allocations/fsyncs, the gob-vs-binary WAL codec
-// comparison, full-vs-incremental checkpoint page counts, and the pooled
-// PkNN query path, as one JSON document on stdout. With -baseline, the
-// report's stable counters (allocations, fsyncs, pages walked, bytes per
-// record — never latencies) are diffed against a committed report and the
-// exit status is non-zero on regression.
 //
 // The -scale flag multiplies every population size in a sweep, so full
 // paper-scale sweeps (-scale 1, the default) and quick shape checks
@@ -25,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -48,8 +38,6 @@ func main() {
 		outDir   = flag.String("o", "", "also write <id>.csv files into this directory")
 		verbose  = flag.Bool("v", false, "log per-point progress to stderr")
 		quick    = flag.Bool("quick", false, "smoke-test preset: tiny populations, few queries (CI)")
-		jsonOut  = flag.Bool("json", false, "run the hot-path bench and print its JSON report to stdout")
-		baseline = flag.String("baseline", "", "with -json: diff stable counters against this committed report")
 		mon      = flag.String("mon", "", "serve /metrics, /statusz, and /debug/pprof on this address while engine-driving experiments run (e.g. localhost:6060)")
 	)
 	flag.Parse()
@@ -65,9 +53,6 @@ func main() {
 	switch {
 	case *list:
 		printList()
-		return
-	case *jsonOut:
-		runHotPath(*quick, *baseline, *verbose)
 		return
 	case *expID == "" && !*all:
 		fmt.Fprintln(os.Stderr, "pebbench: need -exp <id>, -all, or -list")
@@ -125,50 +110,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// runHotPath produces the -json report and, given a baseline, enforces its
-// stable-counter budgets.
-func runHotPath(quick bool, baselinePath string, verbose bool) {
-	var logf func(string, ...interface{})
-	if verbose {
-		logf = func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, time.Now().Format("15:04:05 ")+format+"\n", args...)
-		}
-	}
-	rep, err := exp.RunHotPath(quick, logf)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pebbench: hotpath: %v\n", err)
-		os.Exit(1)
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pebbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(string(out))
-
-	if baselinePath == "" {
-		return
-	}
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pebbench: baseline: %v\n", err)
-		os.Exit(1)
-	}
-	var base exp.HotPathReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "pebbench: baseline %s: %v\n", baselinePath, err)
-		os.Exit(1)
-	}
-	if bad := exp.CompareHotPath(base, rep); len(bad) > 0 {
-		fmt.Fprintf(os.Stderr, "pebbench: %d stable counter(s) regressed vs %s:\n", len(bad), baselinePath)
-		for _, msg := range bad {
-			fmt.Fprintf(os.Stderr, "  %s\n", msg)
-		}
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "pebbench: stable counters within budget vs %s\n", baselinePath)
 }
 
 func printList() {

@@ -40,6 +40,20 @@ var replicationColumns = []string{
 	"reads_per_sec", "read_p50_us", "read_p99_us", "follower_share", "lag_p50_recs", "lag_p99_recs",
 }
 
+// pctl returns the p-th percentile (0 < p ≤ 100) of the samples.
+func pctl(samples []time.Duration, p float64) time.Duration {
+	if len(samples) == 0 {
+		return 0
+	}
+	sorted := append([]time.Duration(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	idx := int(float64(len(sorted))*p/100) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	return sorted[idx]
+}
+
 // pctlU64 returns the p-th percentile of unsorted uint64 samples.
 func pctlU64(samples []uint64, p float64) float64 {
 	if len(samples) == 0 {

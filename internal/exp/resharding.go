@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -36,10 +35,11 @@ import (
 //
 // What to expect: the fitted topology beats the static one on both
 // columns — the hot range's commits spread over two pipelines while the
-// cold ranges stop fragmenting the group-commit batches eight ways. CI
-// asserts the stable facts (the split and the merges fired, no object was
-// lost); the latency columns are the trajectory. This is not a paper
-// figure; it validates the dynamic resharding engine (ROADMAP).
+// cold ranges stop fragmenting the group-commit batches eight ways. The
+// stable facts (a split and a merge fire, no object is lost) are gated in
+// peb/sharded by TestAutoReshardSplitsHotShard; the columns here are
+// machine-dependent. This is not a paper figure; it validates the dynamic
+// resharding engine (ROADMAP).
 const (
 	reshardingID     = "resharding"
 	reshardingTitle  = "Skewed commits: static 8-shard layout vs load-driven resharding (x = 1)"
@@ -127,8 +127,7 @@ func reshardDrive(commits, committers, users, saltBase int,
 }
 
 // reshardUsers sizes the population: a multiple of the committer count, so
-// the pool's uid arithmetic covers every user exactly and the post-run
-// Size() has a precise expectation.
+// the pool's uid arithmetic covers every user exactly.
 func reshardUsers(commits, committers int) int {
 	users := commits / 4
 	users -= users % committers
@@ -145,7 +144,6 @@ type reshardResult struct {
 	shards    int
 	splits    uint64
 	merges    uint64
-	size      int
 }
 
 // reshardQuiet summarizes one Stats() poll for the convergence wait: the
@@ -250,7 +248,6 @@ func reshardRun(dir string, commits, committers, users int, splitRate, mergeRate
 		shards:    len(st.Shards),
 		splits:    st.Splits,
 		merges:    st.Merges,
-		size:      db.Size(),
 	}, db.Close()
 }
 
@@ -312,36 +309,4 @@ var expResharding = Experiment{
 		return &Table{ID: reshardingID, Title: reshardingTitle, XLabel: reshardingXLabel,
 			Columns: reshardingColumns, Rows: rows}, nil
 	},
-}
-
-// runReshardingBench is the hot-path report's view of the same workload:
-// the static 8-shard phase, then the dynamic phase measured after the
-// maintainer has reshaped the topology around the load. The stable facts
-// CI gates on are that the split and the merges fired and that no object
-// was lost or duplicated; the latency and throughput fields are the
-// machine-dependent trajectory.
-func runReshardingBench(dir string, commits int) (ReshardingBench, error) {
-	const committers = 16
-	users := reshardUsers(commits, committers)
-	static, err := reshardRun(filepath.Join(dir, "static"), commits, committers, users, 0, 0, "")
-	if err != nil {
-		return ReshardingBench{}, fmt.Errorf("static phase: %w", err)
-	}
-	splitRate, mergeRate := reshardThresholds(static.opsPerSec)
-	dyn, err := reshardRun(filepath.Join(dir, "dynamic"), commits, committers, users, splitRate, mergeRate, "")
-	if err != nil {
-		return ReshardingBench{}, fmt.Errorf("dynamic phase: %w", err)
-	}
-	return ReshardingBench{
-		Commits:            commits,
-		ShardsBefore:       static.shards,
-		ShardsAfter:        dyn.shards,
-		Splits:             dyn.splits,
-		Merges:             dyn.merges,
-		LostObjects:        math.Abs(float64(users - dyn.size)),
-		HotP99StaticMicros: float64(static.hotP99.Microseconds()),
-		HotP99SplitMicros:  float64(dyn.hotP99.Microseconds()),
-		OpsPerSecStatic:    static.opsPerSec,
-		OpsPerSecSplit:     dyn.opsPerSec,
-	}, nil
 }

@@ -3,6 +3,8 @@ package policy
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -131,4 +133,52 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
 	}
+}
+
+// FuzzPolicyLoad feeds Load the bytes of a checkpoint's .policies side
+// file or a logged policy blob, in both generations — the 0xC7 envelope
+// and the bare gob stream before it. Load must be total (a store or an
+// error, never a panic), and a store it returns must be one Save can write
+// and Load read back unchanged.
+func FuzzPolicyLoad(f *testing.F) {
+	fixtures, err := filepath.Glob("../../peb/testdata/golden/*/golden.idx.policies.*")
+	if err != nil || len(fixtures) < 2 {
+		f.Fatalf("golden policy snapshots: %v (found %d)", err, len(fixtures))
+	}
+	for _, name := range fixtures {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		flipped := bytes.Clone(data)
+		flipped[len(flipped)-1] ^= 0xFF
+		f.Add(flipped)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xC7})
+	f.Add([]byte{0xC7, 0x02, 0x00, 0x00})
+	f.Add([]byte{0xC7, 0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := s.Save(&first); err != nil {
+			t.Fatalf("loaded store does not save: %v", err)
+		}
+		again, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("saved store does not load: %v", err)
+		}
+		if err := again.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("store changed across a save and load: %d policies, then %d", s.NumPolicies(), again.NumPolicies())
+		}
+	})
 }

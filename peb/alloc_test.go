@@ -73,6 +73,37 @@ func TestUpsertSyncAllocs(t *testing.T) {
 	}
 }
 
+// TestUpsertSyncLogCost pins what one durable single-object commit puts
+// on the device: one fsync and one framed record. Both are exact — the
+// stream is fixed and a single committer has nobody to share a group
+// commit with — so a second sync per commit, or a fatter record or frame,
+// fails here.
+func TestUpsertSyncLogCost(t *testing.T) {
+	db := allocDB(t)
+	const users, commits, wantBytes = 256, 600, 20368 // 33.95 B/commit
+	b := db.NewBatch()
+	for i := 1; i <= users; i++ {
+		b.Upsert(goldenObj(i, 0))
+	}
+	if err := db.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	before := db.WALStats()
+	for i := 0; i < commits; i++ {
+		if err := db.Upsert(goldenObj(1+i%users, i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := db.WALStats()
+	if got := after.Syncs - before.Syncs; got != commits {
+		t.Errorf("%d durable commits cost %d fsyncs, recorded one each", commits, got)
+	}
+	if got := after.BytesAppended - before.BytesAppended; got != wantBytes {
+		t.Errorf("%d durable commits appended %d log bytes (%.2f each), recorded %d",
+			commits, got, float64(got)/commits, wantBytes)
+	}
+}
+
 func TestApplySyncAllocsPerOp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")

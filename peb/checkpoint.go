@@ -958,7 +958,7 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 	// Startup housekeeping: sweep side files a crash orphaned — staging
 	// leftovers and policies snapshots other than the committed one.
 	sweepCheckpointOrphans(opts, polName)
-	if err := db.attachWAL(mf.WalSeq); err != nil {
+	if err := db.attachWAL(); err != nil {
 		db.fileDisk.Close()
 		return nil, err
 	}
@@ -993,22 +993,24 @@ func openFromWALOnly(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.opts = opts
-	if err := db.attachWAL(0); err != nil {
+	if err := db.attachWAL(); err != nil {
 		db.fileDisk.Close()
 		return nil, err
 	}
 	return db, nil
 }
 
-// attachWAL opens the log, replays every record newer than afterSeq, and —
-// when the DB is durable — installs the log for subsequent commits. A
-// non-durable reopen replays too (committed data must not be dropped) and
-// then leaves the log in place: the replayed state exists only in memory,
+// attachWAL opens the log, replays every record newer than db.walSeq (the
+// checkpoint's horizon; zero without one), and — when the DB is durable —
+// installs the log for subsequent commits. A non-durable reopen replays
+// too (committed data must not be dropped) and then leaves the log in
+// place: the replayed state exists only in memory,
 // so the old checkpoint plus the old log remain its sole durable
 // description. The log stays inert — every record's Seq is ≤ the restored
 // walSeq, so a future Checkpoint's WalSeq covers it (Checkpoint then
 // removes it) and a re-recovery before that reproduces this same state.
-func (db *DB) attachWAL(afterSeq uint64) error {
+func (db *DB) attachWAL() error {
+	afterSeq := db.walSeq
 	hasWAL, err := store.SegmentedWALExists(db.opts.FS, db.opts.Path+".wal")
 	if err != nil {
 		return fmt.Errorf("peb: probe wal: %w", err)
@@ -1023,69 +1025,30 @@ func (db *DB) attachWAL(afterSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	// Decode everything up front: a prepared record's fate may live later
-	// in the log than the record itself.
-	recs := make([]walRecord, 0, len(records))
-	for i, payload := range records {
-		rec, err := unmarshalRecord(payload)
-		if err != nil {
-			wal.Close()
-			return corruptf("wal record %d: %v", i, err)
-		}
-		recs = append(recs, rec)
+	// Recovery has the whole log, so every marker is queued before the
+	// first record replays; a prepared record still without one (the
+	// process died between this participant's prepare and the
+	// coordinator's marker) is decided by the coordinator's resolver —
+	// absent one, aborted.
+	var log txnReplay
+	if err := log.add(records); err != nil {
+		wal.Close()
+		return corruptf("wal %v", err)
 	}
-	// Pass 1: resolve cross-shard transactions. Markers in this log decide
-	// locally; a markerless prepared record (the process died between this
-	// participant's prepare and the coordinator's marker) is decided by the
-	// coordinator's resolver — absent one, aborted. Every id seen raises
-	// the watermark so coordinators never recycle it.
-	outcome := make(map[uint64]uint8)
-	for i := range recs {
-		if recs[i].TxnID > db.maxTxn {
-			db.maxTxn = recs[i].TxnID
-		}
-		if recs[i].TxnState == txnCommitted || recs[i].TxnState == txnAborted {
-			outcome[recs[i].TxnID] = recs[i].TxnState
-		}
+	resolve := db.opts.TxnResolve
+	if resolve == nil {
+		resolve = func(uint64) bool { return false }
 	}
-	for i := range recs {
-		if recs[i].TxnState != txnPrepared {
-			continue
-		}
-		if _, ok := outcome[recs[i].TxnID]; ok {
-			continue
-		}
-		if db.opts.TxnResolve != nil && db.opts.TxnResolve(recs[i].TxnID) {
-			outcome[recs[i].TxnID] = txnCommitted
-		} else {
-			outcome[recs[i].TxnID] = txnAborted
-		}
-	}
-	// Pass 2: sequential replay. An aborted prepared record is skipped
-	// outright — its live abort restored the pre-transaction state exactly,
-	// so the log minus the record replays to the same history; its marker
-	// (when present) carries the restored sequence-value cursor.
-	replayed := 0
-	for i := range recs {
-		rec := recs[i]
-		if rec.Seq <= afterSeq {
-			continue // covered by the checkpoint
-		}
-		if rec.TxnState == txnPrepared && outcome[rec.TxnID] != txnCommitted {
-			db.walSeq = rec.Seq // the sequence number stays consumed
-			continue
-		}
-		if err := db.replayRecord(rec); err != nil {
-			wal.Close()
-			return fmt.Errorf("peb: replay wal record %d: %w", i, err)
-		}
-		replayed++
+	replayed, err := log.drain(db, resolve)
+	if err != nil {
+		wal.Close()
+		return fmt.Errorf("peb: replay wal %w", err)
 	}
 	db.refreshView()
 	db.collectGarbage()
 	db.events.Record("recovery", "write-ahead log replayed",
-		"records", len(recs), "replayed", replayed, "after_seq", afterSeq,
-		"resolved_txns", len(outcome), "commit_seq", db.walSeq)
+		"records", len(records), "replayed", replayed, "after_seq", afterSeq,
+		"resolved_txns", len(log.outcomes), "commit_seq", db.walSeq)
 	if db.opts.Durability == DurabilityNone {
 		return wal.Close()
 	}

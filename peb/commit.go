@@ -36,7 +36,7 @@ import (
 //
 // and then, outside the lock, waits for the record to be durable — which
 // is what lets concurrent commits share one fsync — and observes the
-// commit latency. Recovery (attachWAL) and Replica.drainLocked run stage 4
+// commit latency. Recovery (attachWAL) and Replica.ingestLocked run stage 4
 // on decoded records, so live commit, replay and follower apply execute
 // the same code.
 

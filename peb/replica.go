@@ -61,11 +61,10 @@ type Replica struct {
 	// mu serializes the tailer with CatchUp and Snapshot: it guards the
 	// read cursor, the stalled-record buffer, and the applied/err state
 	// transitions. Lock order: mu before db.mu.
-	mu       sync.Mutex
-	cursor   store.SegPos // next log byte to read
-	pending  []walRecord  // decoded, not yet applied (stalled on an undecided prepared record)
-	outcomes map[uint64]uint8
-	err      error
+	mu     sync.Mutex
+	cursor store.SegPos // next log byte to read
+	log    txnReplay    // decoded records not yet applied: those behind an undecided prepared record
+	err    error
 
 	// horizon is the advertised applied horizon. It is published only
 	// AFTER a drain has refreshed db's query view: db.walSeq advances
@@ -93,11 +92,10 @@ const replicaPollInterval = 5 * time.Millisecond
 // queries proceed); tailing starts immediately after.
 func NewReplica(primary *DB) (*Replica, error) {
 	r := &Replica{
-		primary:  primary,
-		wake:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		outcomes: make(map[uint64]uint8),
+		primary: primary,
+		wake:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	if err := r.bootstrap(); err != nil {
 		return nil, err
@@ -325,64 +323,20 @@ func (r *Replica) updateFloorLocked() {
 	p.repMu.Unlock()
 }
 
-// ingestLocked decodes newly read frames, collects transaction outcome
-// markers, and applies every record whose fate is decided, in log order.
+// ingestLocked queues newly read frames and applies every record whose
+// fate is decided, in log order — recovery's semantics, incrementally: the
+// drain stops at the first prepared record whose outcome marker has not
+// arrived in the tail yet.
 func (r *Replica) ingestLocked(frames [][]byte) error {
-	for _, payload := range frames {
-		rec, err := unmarshalRecord(payload)
-		if err != nil {
-			return fmt.Errorf("peb: replica decode record: %w", err)
-		}
-		if rec.TxnState == txnCommitted || rec.TxnState == txnAborted {
-			r.outcomes[rec.TxnID] = rec.TxnState
-		}
-		r.pending = append(r.pending, rec)
+	if err := r.log.add(frames); err != nil {
+		return fmt.Errorf("peb: replica decode %w", err)
 	}
-	return r.drainLocked()
-}
-
-// drainLocked applies pending records in order, stopping at the first
-// prepared record whose outcome marker has not arrived yet — exactly
-// recovery's semantics, incrementally: a committed prepared record
-// applies at its original log position, an aborted one is skipped with
-// its sequence number consumed.
-func (r *Replica) drainLocked() error {
-	applied := false
-	for len(r.pending) > 0 {
-		rec := r.pending[0]
-		if rec.TxnState == txnPrepared {
-			outcome, decided := r.outcomes[rec.TxnID]
-			if !decided {
-				break // stall until the marker arrives in the tail
-			}
-			if outcome != txnCommitted {
-				r.db.mu.Lock()
-				if rec.TxnID > r.db.maxTxn {
-					r.db.maxTxn = rec.TxnID
-				}
-				r.db.walSeq = rec.Seq // consumed, not applied
-				r.db.mu.Unlock()
-				r.pending = r.pending[1:]
-				continue
-			}
-		}
-		r.db.mu.Lock()
-		var err error
-		if rec.Seq > r.db.walSeq { // defensive: never double-apply
-			if rec.TxnID > r.db.maxTxn {
-				r.db.maxTxn = rec.TxnID
-			}
-			err = r.db.replayRecord(rec)
-		}
-		r.db.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("peb: replica apply record %d: %w", rec.Seq, err)
-		}
-		applied = true
-		r.pending = r.pending[1:]
+	applied, err := r.log.drain(r.db, nil)
+	if err != nil {
+		return fmt.Errorf("peb: replica apply %w", err)
 	}
 	r.db.mu.Lock()
-	if applied {
+	if applied > 0 {
 		r.db.refreshView()
 	}
 	// Publish the horizon only now — with the view refreshed — so a reader

@@ -2,7 +2,6 @@ package sharded
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -527,29 +526,17 @@ func (s *Subscription) refreshLocked(uid UserID) {
 }
 
 // mergeLocked derives the whole merged result from the legs' slices the
-// way the router's one-shot queries merge shard answers: a user several
-// shards report counts once, newest state wins; order is (Dist, UID) —
-// user id alone for a range query, whose distances are zero — and a PkNN
-// result is cut to k.
+// way the router's one-shot PkNN merges shard answers, through the same
+// mergeNeighbor: a user several shards report counts once, newest state
+// wins; order is (Dist, UID) — user id alone for a range query, whose
+// distances are zero — and a PkNN result is cut to k.
 func (s *Subscription) mergeLocked() []Neighbor {
-	best := make(cq.Result)
+	var out []Neighbor
 	for _, l := range s.legs {
-		for uid, nb := range l.slice {
-			if prev, ok := best[uid]; !ok || nb.Object.T > prev.Object.T {
-				best[uid] = nb
-			}
+		for _, nb := range l.slice {
+			out = mergeNeighbor(out, nb)
 		}
 	}
-	out := make([]Neighbor, 0, len(best))
-	for _, nb := range best {
-		out = append(out, nb)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Dist != out[b].Dist {
-			return out[a].Dist < out[b].Dist
-		}
-		return out[a].Object.UID < out[b].Object.UID
-	})
 	if s.q.K > 0 && len(out) > s.q.K {
 		out = out[:s.q.K]
 	}

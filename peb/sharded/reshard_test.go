@@ -365,14 +365,20 @@ func TestLoadMeterRates(t *testing.T) {
 	}
 }
 
+// TestAutoReshardSplitsHotShard drives the maintainer with a skewed load —
+// one small rectangle hammered, the rest of the space holding objects that
+// never move again — and requires both kinds of topology change: the hot
+// shard splits, two cold neighbours merge, and the population survives the
+// migrations exactly.
 func TestAutoReshardSplitsHotShard(t *testing.T) {
 	db, err := Open(Options{
-		Shards:           2,
+		Shards:           4,
 		LoadRateHalfLife: 50 * time.Millisecond,
 		AutoReshard: AutoReshardPolicy{
 			Interval:        10 * time.Millisecond,
 			SplitCommitRate: 50,
-			MaxShards:       4,
+			MergeCommitRate: 5,
+			MaxShards:       5,
 		},
 	})
 	if err != nil {
@@ -380,41 +386,39 @@ func TestAutoReshardSplitsHotShard(t *testing.T) {
 	}
 	defer db.Close()
 
-	// Rush-hour skew: hammer one small rect so one shard's rate crosses the
-	// threshold while the other idles. Every user commits once up front —
-	// the loop below stops at the first split, which can fire before a
-	// random stream has covered the whole population.
+	// Every user commits once up front — the loop below stops at the first
+	// split and merge, which can fire before a random stream has covered
+	// the whole population. The cold users give a merge objects to move.
 	rng := rand.New(rand.NewSource(9))
-	const hotUsers = 64
+	const hotUsers, coldUsers = 64, 64
+	hotObj := func(u int) Object {
+		return Object{UID: UserID(u), X: 200 + rng.Float64()*100, Y: 200 + rng.Float64()*100, T: 1}
+	}
 	for u := 1; u <= hotUsers; u++ {
-		o := Object{UID: UserID(u), X: 200 + rng.Float64()*100, Y: 200 + rng.Float64()*100, T: 1}
-		if err := db.Upsert(o); err != nil {
+		if err := db.Upsert(hotObj(u)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for u := hotUsers + 1; u <= hotUsers+coldUsers; u++ {
+		if err := db.Upsert(Object{UID: UserID(u), X: rng.Float64() * 1000, Y: rng.Float64() * 1000, T: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	var split bool
-	for time.Now().Before(deadline) {
+	var st Stats
+	for st.Splits == 0 || st.Merges == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10s of skewed load: %d splits, %d merges, want at least one of each", st.Splits, st.Merges)
+		}
 		for i := 0; i < 50; i++ {
-			u := UserID(1 + rng.Intn(hotUsers))
-			o := Object{UID: u, X: 200 + rng.Float64()*100, Y: 200 + rng.Float64()*100, T: 1}
-			if err := db.Upsert(o); err != nil {
+			if err := db.Upsert(hotObj(1 + rng.Intn(hotUsers))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if db.Stats().Splits > 0 {
-			split = true
-			break
-		}
+		st = db.Stats()
 	}
-	if !split {
-		t.Fatal("maintainer never split the hot shard")
-	}
-	if got := db.Shards(); got < 3 {
-		t.Fatalf("Shards() = %d after automatic split", got)
-	}
-	if db.Size() != hotUsers {
-		t.Fatalf("size %d across automatic split, want %d", db.Size(), hotUsers)
+	if got := db.Size(); got != hotUsers+coldUsers {
+		t.Fatalf("size %d across automatic split and merge, want %d", got, hotUsers+coldUsers)
 	}
 }
 

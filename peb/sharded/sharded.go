@@ -914,7 +914,8 @@ func gatherKNN(order []knnShard, issuer UserID, x, y float64, k int, t float64, 
 // with one entry per user: of two states of one user (caught mid-re-homing)
 // the newer survives. Every candidate is kept, not only the nearest k, so a
 // duplicate that resolves to a farther state cannot push out a candidate
-// the final truncation still needs; best holds at most k per shard.
+// the final truncation still needs; gatherKNN's best holds at most k per
+// shard, a standing query's (Subscription.mergeLocked) its whole result.
 func mergeNeighbor(best []Neighbor, nb Neighbor) []Neighbor {
 	for i := range best {
 		if best[i].Object.UID == nb.Object.UID {

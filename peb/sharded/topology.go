@@ -94,6 +94,12 @@ type manifestShard struct {
 
 const manifestVersion = 2
 
+// maxV1Shards bounds the count a v1 manifest may name. The count is read
+// from disk and sizes an allocation; v1 never split, so it is the number an
+// operator typed at creation, and a directory plus open files per shard
+// keep real ones orders of magnitude below this.
+const maxV1Shards = 1 << 12
+
 // topoState is the in-memory image of the manifest's topology section.
 type topoState struct {
 	epoch   uint64
@@ -138,7 +144,7 @@ func (ts topoState) toManifest(side float64) manifest {
 // upgrading a v1 record (fixed count, no explicit ranges) to the v2 form.
 func topoFromManifest(m manifest, order int) (topoState, error) {
 	if m.Version == 1 {
-		if m.Shards < 1 {
+		if m.Shards < 1 || m.Shards > maxV1Shards {
 			return topoState{}, fmt.Errorf("sharded: v1 manifest holds %d shards", m.Shards)
 		}
 		return freshTopo(order, m.Shards), nil

@@ -222,3 +222,81 @@ func (db *DB) replayRecord(rec walRecord) error {
 	db.walSeq = rec.Seq
 	return nil
 }
+
+// txnReplay replays a log that may hold prepared records, for recovery
+// (which has the whole log) and for a replica (which sees it arrive). A
+// prepared record's fate is its marker's, wherever in the log that sits:
+// committed, it applies at its own position; aborted, it is skipped with
+// its sequence number consumed — the live abort restored the
+// pre-transaction state exactly, so the log minus the record replays to
+// the same history, and the marker carries the restored sequence-value
+// cursor.
+type txnReplay struct {
+	pending  []walRecord      // decoded, not yet replayed, in log order
+	outcomes map[uint64]uint8 // transaction id → txnCommitted or txnAborted
+}
+
+// add decodes log frames onto the queue and notes the markers among them.
+func (q *txnReplay) add(frames [][]byte) error {
+	if q.outcomes == nil {
+		q.outcomes = make(map[uint64]uint8)
+	}
+	for i, payload := range frames {
+		rec, err := unmarshalRecord(payload)
+		if err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
+		}
+		if rec.TxnState == txnCommitted || rec.TxnState == txnAborted {
+			q.outcomes[rec.TxnID] = rec.TxnState
+		}
+		q.pending = append(q.pending, rec)
+	}
+	return nil
+}
+
+// drain replays the queue into db, taking the write lock record by record
+// (a replica's readers run in between), and reports how many records it
+// applied. A prepared record with no marker queued is decided by resolve
+// — the coordinator's verdict, commit or abort; given no resolve, drain
+// stops there and the record waits for its marker. Records at or below
+// db.walSeq are already part of db's state and only pass through. Every
+// transaction id seen raises db.maxTxn, so a coordinator never recycles
+// it.
+func (q *txnReplay) drain(db *DB, resolve func(txnID uint64) bool) (applied int, err error) {
+	for len(q.pending) > 0 {
+		rec := q.pending[0]
+		commit := true
+		if rec.TxnState == txnPrepared {
+			state, decided := q.outcomes[rec.TxnID]
+			if !decided {
+				if resolve == nil {
+					break
+				}
+				state = txnAborted
+				if resolve(rec.TxnID) {
+					state = txnCommitted
+				}
+				q.outcomes[rec.TxnID] = state
+			}
+			commit = state == txnCommitted
+		}
+		db.mu.Lock()
+		if rec.TxnID > db.maxTxn {
+			db.maxTxn = rec.TxnID
+		}
+		switch {
+		case rec.Seq <= db.walSeq:
+		case !commit:
+			db.walSeq = rec.Seq
+		default:
+			err = db.replayRecord(rec)
+			applied++
+		}
+		db.mu.Unlock()
+		if err != nil {
+			return applied, fmt.Errorf("record %d: %w", rec.Seq, err)
+		}
+		q.pending = q.pending[1:]
+	}
+	return applied, nil
+}

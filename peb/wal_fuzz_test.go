@@ -178,6 +178,54 @@ func TestWALCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// upsertStreamRecord is the i-th record of a synthetic movement log: one
+// single-object Upsert, the shape that dominates a real one.
+func upsertStreamRecord(i int) walRecord {
+	return walRecord{
+		Seq:    uint64(i + 1),
+		NextSV: float64(i%97) + 0.5,
+		Ops: []walOp{{
+			Kind: walOpUpsert,
+			Obj: Object{
+				UID: UserID(i%1000 + 1),
+				X:   float64(i * 37 % 1000),
+				Y:   float64(i * 59 % 1000),
+				VX:  float64(i%5) - 2,
+				VY:  float64(i%3) - 1,
+				T:   float64(i % 50),
+			},
+		}},
+	}
+}
+
+// TestWALCodecUpsertRecordCost pins what the encoder charges for that
+// record: its size, exactly (the stream is fixed, so any format change
+// moves the total), and no allocation once the caller's buffer has grown
+// — the append path reuses one buffer the same way.
+func TestWALCodecUpsertRecordCost(t *testing.T) {
+	const records, wantBytes = 4000, 111847 // 27.96 B/record
+	var buf []byte
+	total := 0
+	for i := 0; i < records; i++ {
+		rec := upsertStreamRecord(i)
+		buf = appendRecord(buf[:0], &rec)
+		total += len(buf)
+	}
+	if total != wantBytes {
+		t.Errorf("%d single-Upsert records encode to %d bytes (%.2f each), recorded %d",
+			records, total, float64(total)/records, wantBytes)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(records, func() {
+		rec := upsertStreamRecord(i)
+		i++
+		buf = appendRecord(buf[:0], &rec)
+	})
+	if allocs != 0 {
+		t.Errorf("encoding a record allocates %.2f times, recorded 0", allocs)
+	}
+}
+
 // TestWALCodecGobInterop pins the fallback dispatch: a gob-era record and
 // its binary re-encoding decode to the same logical record.
 func TestWALCodecGobInterop(t *testing.T) {
