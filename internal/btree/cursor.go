@@ -11,10 +11,20 @@ import (
 // pageImage is a query-private copy of one node page. The read path
 // searches and iterates the stored bytes where they lie instead of decoding
 // them into slices first; the copy (one memmove) is what lets it drop the
-// buffer-pool pin before anything else happens.
+// buffer-pool pin before anything else happens. Only the occupied prefix of
+// the page — the header and count() entries — is copied (see load): the
+// bytes past it belong to whatever the image held before.
 type pageImage [store.PageSize]byte
 
 func (im *pageImage) count() int { return int(binary.LittleEndian.Uint16(im[2:])) }
+
+// load copies the header and entries of node page p, whose entries are
+// entrySize bytes each, into the image. A count beyond the node's capacity
+// (a corrupt page) copies the whole page, no more.
+func (im *pageImage) load(p *store.Page, entrySize int) {
+	d := p.Data()
+	copy(im[:], d[:min(headerSize+pageCount(p)*entrySize, len(d))])
+}
 
 // leafKey returns the composite key of leaf entry i.
 func (im *pageImage) leafKey(i int) KV {
@@ -177,7 +187,7 @@ func (c *Cursor) descend(pid store.PageID, kv KV, leftmost bool) error {
 			return err
 		}
 		if pageType(p) != internalType {
-			copy(c.leaf[:], p.Data())
+			c.leaf.load(p, leafEntrySize)
 			c.n, c.idx = c.leaf.count(), 0
 			return c.r.pool.Unpin(pid, false)
 		}
@@ -189,7 +199,7 @@ func (c *Cursor) descend(pid store.PageID, kv KV, leftmost bool) error {
 			c.stack = append(c.stack, pathFrame{})
 		}
 		top := &c.stack[len(c.stack)-1]
-		copy(top.image[:], p.Data())
+		top.image.load(p, internalEntrySize)
 		if err := c.r.pool.Unpin(pid, false); err != nil {
 			return err
 		}

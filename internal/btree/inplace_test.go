@@ -309,6 +309,84 @@ func TestInPlaceReaderMatchesDecoded(t *testing.T) {
 			compareReaders(t, "pinned, tree emptied", d, pinned, rng, keySpace)
 		})
 	}
+	t.Run("staleImageTail", staleImageTail)
+}
+
+// staleImageTail: an image receives only the occupied prefix of a page, so
+// when a cursor's leaf image (or a stack frame) is reused for a page with
+// fewer entries than the last, the tail keeps bytes that are not the page's.
+// One cursor walks a tree whose full leaves alternate with barely filled
+// ones, and before every load everything the cursor no longer needs — the
+// leaf it is leaving, the stack frames above the live ones — is filled with
+// 0xA5: an entry read from beyond count() shows against the decoding reader.
+func staleImageTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(1905))
+	tr := newTestTree(t, 4096)
+	n := LeafCapacity * (InternalCapacity + 40)
+	for i := 0; i < n; i++ {
+		kv := KV{Key: uint64(i), UID: uint32(i % 3)}
+		if err := tr.Insert(kv, payloadFor(kv)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Thin out every other stretch of a few leaves to the minimum fill.
+	for lo := 0; lo < n; lo += 6 * LeafCapacity {
+		for i := lo; i < min(n, lo+3*LeafCapacity); i++ {
+			if i%8 != 0 {
+				if _, err := tr.Delete(KV{Key: uint64(i), UID: uint32(i % 3)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if tr.Height() != 3 {
+		t.Fatalf("height %d, want 3", tr.Height())
+	}
+	r := tr.Reader()
+	poison := func(im *pageImage) {
+		for i := range im {
+			im[i] = 0xA5
+		}
+	}
+	c := &Cursor{r: r}
+	for trial := 0; trial < 40; trial++ {
+		lo := KV{Key: rng.Uint64() % uint64(n)}
+		stop := 1 + rng.Intn(40*LeafCapacity)
+		if trial == 0 {
+			lo, stop = KV{}, n
+		}
+		var want []scanned
+		if err := refRangeScan(r, lo, KV{Key: ^uint64(0), UID: ^uint32(0)}, func(kv KV, p Payload) bool {
+			want = append(want, scanned{kv, p})
+			return len(want) < stop
+		}); err != nil {
+			t.Fatal(err)
+		}
+		poison(&c.leaf)
+		for i := range c.stack[:cap(c.stack)] {
+			poison(&c.stack[:cap(c.stack)][i].image)
+		}
+		var got []scanned
+		fills := map[int]bool{}
+		err := c.seek(lo)
+		for ; err == nil && c.Valid() && len(got) < stop; err = c.Next() {
+			got = append(got, scanned{c.Key(), c.Payload()})
+			if c.idx == c.n-1 { // the next step loads another leaf over this one
+				fills[c.n] = true
+				poison(&c.leaf)
+				spare := c.stack[len(c.stack):cap(c.stack)]
+				for i := range spare {
+					poison(&spare[i].image)
+				}
+			}
+		}
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("seek(%v), %d steps: %d entries, %v; the decoding reader has %d", lo, stop, len(got), err, len(want))
+		}
+		if trial == 0 && len(fills) < 3 {
+			t.Fatalf("the walk met leaves of %d distinct fills only", len(fills))
+		}
+	}
 }
 
 // TestScanHoldsNoPinAcrossCallback: a scan's callback may block (a streaming

@@ -157,10 +157,11 @@ func (v *View) MaxGap(tq float64) float64 {
 // friendTable is one query's working set: the issuer's grantors that this
 // view's index holds. It answers the two questions a query asks of every
 // entry on every page it fetches — is this user one the issuer may see at
-// all, and has the scan met them before — with one binary search over a few
-// dozen uids, before the payload is decoded or the policy store consulted;
-// and it keeps, per search row, how many of the row's friends are still to
-// be found, which is what the skip rule reads.
+// all, and has the scan met them before — before the payload is decoded or
+// the policy store consulted: one bit test dismisses nearly every stranger,
+// one binary search over a few dozen uids settles the rest. And it keeps,
+// per search row, how many of the row's friends are still to be found, which
+// is what the skip rule reads.
 //
 // Filtering on the table is exact, not a heuristic. policy.Store's grantor
 // index holds every owner o with a relation o→issuer that some policy of o
@@ -171,6 +172,10 @@ type friendTable struct {
 	friends []friend    // ascending uid
 	rows    []friendRow // ascending sv: the rows of the search matrix
 	bySV    []svAt      // build scratch
+	// sig has bit uid&255 set for every friend: a clear bit proves a
+	// stranger, a set one (some 8 % of strangers at 20 friends) proves
+	// nothing.
+	sig [4]uint64
 }
 
 // friend is one resident grantor.
@@ -213,6 +218,7 @@ var friendTablePool = sync.Pool{New: func() any { return new(friendTable) }}
 // friend.
 func (v *View) friendGroups(issuer motion.UserID, ft *friendTable) {
 	ft.friends, ft.rows, ft.bySV = ft.friends[:0], ft.rows[:0], ft.bySV[:0]
+	ft.sig = [4]uint64{}
 	// Grantors arrive in uid order, the order claim searches.
 	for _, g := range v.policies.Grantors(policy.UserID(issuer)) {
 		uid := motion.UserID(g)
@@ -228,6 +234,8 @@ func (v *View) friendGroups(issuer motion.UserID, ft *friendTable) {
 		}
 		ft.bySV = append(ft.bySV, svAt{sv: sv, at: int32(len(ft.friends))})
 		ft.friends = append(ft.friends, friend{uid: uid})
+		word, bit := sigSlot(uid)
+		ft.sig[word] |= bit
 	}
 	slices.SortFunc(ft.bySV, func(a, b svAt) int { return cmp.Compare(a.sv, b.sv) })
 	for _, p := range ft.bySV {
@@ -240,10 +248,19 @@ func (v *View) friendGroups(issuer motion.UserID, ft *friendTable) {
 	}
 }
 
+// sigSlot returns the word and the bit of friendTable.sig that stand for
+// uid: bit uid&255 of the 256.
+func sigSlot(uid motion.UserID) (word int, bit uint64) {
+	return int(uid >> 6 & 3), 1 << (uid & 63)
+}
+
 // claim reports whether uid is a friend the scan meets for the first time,
 // and marks them met. Every entry of every fetched leaf goes through it, and
 // all but a few stop here.
 func (ft *friendTable) claim(uid motion.UserID) bool {
+	if word, bit := sigSlot(uid); ft.sig[word]&bit == 0 {
+		return false
+	}
 	lo, hi := 0, len(ft.friends)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 	"sync"
@@ -60,6 +59,12 @@ func (c *IOCounter) record(miss bool) {
 // must Unpin them (with a dirty flag) when done. Unpinned pages stay cached
 // until evicted by LRU.
 //
+// A *Page is valid only while its caller holds a pin on it. The pool owns at
+// most capacity frames and a page request allocates none: the frame a page
+// leaves — evicted, freed, released or dropped — is the memory the next
+// admission reads into, so a *Page kept past its Unpin (or FreePage) comes to
+// show another page's id and bytes. Copy what outlives the pin.
+//
 // Concurrency: the pool's own bookkeeping (frame table, LRU order, pin
 // counts, statistics, and the underlying disk) is guarded by an internal
 // mutex, so any number of goroutines may Fetch/Unpin concurrently. The
@@ -79,14 +84,27 @@ type BufferPool struct {
 
 	mu     sync.Mutex
 	frames map[PageID]*frame
-	lru    *list.List // front = most recently used; holds *frame
+	// lru is the sentinel of a circular list through frame.prev/next holding
+	// the unpinned frames in exact LRU order: lru.next is the most recently
+	// unpinned frame, lru.prev the next eviction victim.
+	lru frame
+	// free holds the frames of pages that left the table, for admit to
+	// reuse; with frames it never exceeds capacity.
+	free []*frame
+	// onUnpinned is nil outside tests. A test sets it to be handed every
+	// frame as its last pin is dropped and to return the frame the page
+	// lives in from then on: moving the page and poisoning the frame it left
+	// makes a read through a stale *Page visible.
+	onUnpinned func(*frame) *frame
 
 	stats BufferStats
 }
 
 type frame struct {
 	page Page
-	elem *list.Element // position in lru, nil while pinned
+	// prev and next link the frame into the LRU list; both are nil while
+	// the page is pinned (or the frame is free): next != nil ⇔ evictable.
+	prev, next *frame
 }
 
 // DefaultBufferPages matches the paper's experimental setting.
@@ -98,12 +116,13 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 	if capacity < 1 {
 		panic(fmt.Sprintf("store: buffer capacity %d < 1", capacity))
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		disk:     disk,
 		capacity: capacity,
 		frames:   make(map[PageID]*frame, capacity),
-		lru:      list.New(),
 	}
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	return bp
 }
 
 // Capacity returns the maximum number of cached pages.
@@ -150,7 +169,7 @@ func (bp *BufferPool) FetchCounted(id PageID, c *IOCounter) (*Page, error) {
 		return nil, err
 	}
 	if err := bp.disk.Read(id, f.page.data[:]); err != nil {
-		delete(bp.frames, id)
+		bp.retire(f)
 		return nil, err
 	}
 	bp.pin(f)
@@ -196,7 +215,12 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 	}
 	f.page.pins--
 	if f.page.pins == 0 {
-		f.elem = bp.lru.PushFront(f)
+		if bp.onUnpinned != nil {
+			f = bp.onUnpinned(f)
+			bp.frames[id] = f
+		}
+		f.prev, f.next = &bp.lru, bp.lru.next
+		f.prev.next, f.next.prev = f, f
 	}
 	return nil
 }
@@ -213,7 +237,10 @@ func (bp *BufferPool) FreePage(id PageID) error {
 	if f.page.pins != 1 {
 		return fmt.Errorf("store: free of page %d with %d pins, want 1", id, f.page.pins)
 	}
-	delete(bp.frames, id)
+	if bp.onUnpinned != nil {
+		f = bp.onUnpinned(f)
+	}
+	bp.retire(f)
 	return bp.disk.Free(id)
 }
 
@@ -229,11 +256,7 @@ func (bp *BufferPool) Release(id PageID) error {
 		if f.page.pins > 0 {
 			return fmt.Errorf("store: release of pinned page %d", id)
 		}
-		if f.elem != nil {
-			bp.lru.Remove(f.elem)
-			f.elem = nil
-		}
-		delete(bp.frames, id)
+		bp.retire(f)
 	}
 	return bp.disk.Free(id)
 }
@@ -326,8 +349,9 @@ func (bp *BufferPool) DropAll() error {
 	if err := bp.flushAllLocked(); err != nil {
 		return err
 	}
-	bp.frames = make(map[PageID]*frame, bp.capacity)
-	bp.lru.Init()
+	for _, f := range bp.frames {
+		bp.retire(f)
+	}
 	return nil
 }
 
@@ -346,21 +370,41 @@ func (bp *BufferPool) PinnedPages() int {
 
 // pin marks the frame in-use and removes it from the eviction order.
 func (bp *BufferPool) pin(f *frame) {
-	if f.elem != nil {
-		bp.lru.Remove(f.elem)
-		f.elem = nil
-	}
+	bp.unlink(f)
 	f.page.pins++
 }
 
-// admit makes room for and installs a frame for id (unpinned, not in LRU).
+// unlink takes f out of the LRU list if it is in it.
+func (bp *BufferPool) unlink(f *frame) {
+	if f.next == nil {
+		return
+	}
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
+// retire takes f out of the table and the LRU list and parks its memory for
+// the next admission.
+func (bp *BufferPool) retire(f *frame) {
+	bp.unlink(f)
+	delete(bp.frames, f.page.id)
+	bp.free = append(bp.free, f)
+}
+
+// admit makes room for and installs a frame for id (unpinned, not in LRU),
+// in the memory of the page that made the room when there is one.
 func (bp *BufferPool) admit(id PageID) (*frame, error) {
 	if len(bp.frames) >= bp.capacity {
 		if err := bp.evictOne(); err != nil {
 			return nil, err
 		}
 	}
-	f := &frame{}
+	var f *frame
+	if n := len(bp.free); n > 0 {
+		f, bp.free = bp.free[n-1], bp.free[:n-1]
+	} else {
+		f = new(frame)
+	}
 	f.page.id = id
 	f.page.dirty = false
 	f.page.pins = 0
@@ -370,20 +414,18 @@ func (bp *BufferPool) admit(id PageID) (*frame, error) {
 
 // evictOne removes the least recently used unpinned page.
 func (bp *BufferPool) evictOne() error {
-	back := bp.lru.Back()
-	if back == nil {
+	f := bp.lru.prev
+	if f == &bp.lru {
 		return fmt.Errorf("store: buffer full (%d pages) and all pinned", bp.capacity)
 	}
-	f := back.Value.(*frame)
-	bp.lru.Remove(back)
-	f.elem = nil
+	bp.unlink(f)
 	if f.page.dirty {
 		if err := bp.disk.Write(f.page.id, f.page.data[:]); err != nil {
 			return err
 		}
 		bp.stats.WriteBack++
 	}
-	delete(bp.frames, f.page.id)
+	bp.retire(f)
 	bp.stats.Evictions++
 	return nil
 }

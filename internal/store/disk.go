@@ -1,8 +1,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // DiskStats counts physical page operations on a DiskManager.
@@ -79,9 +80,9 @@ func (d *MemDisk) Free(id PageID) error {
 		return fmt.Errorf("store: free of unallocated page %d", id)
 	}
 	delete(d.pages, id)
-	d.free = append(d.free, id)
 	// Keep the free list sorted descending so Allocate pops the smallest id.
-	sort.Slice(d.free, func(i, j int) bool { return d.free[i] > d.free[j] })
+	at, _ := slices.BinarySearchFunc(d.free, id, func(held, id PageID) int { return cmp.Compare(id, held) })
+	d.free = slices.Insert(d.free, at, id)
 	d.stats.Frees++
 	d.stats.PagesAlive--
 	return nil
@@ -98,9 +99,7 @@ func (d *MemDisk) Read(id PageID, buf []byte) error {
 	}
 	d.stats.Reads++
 	if data == nil {
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		return nil
 	}
 	copy(buf, data)

@@ -13,8 +13,11 @@
 package zcurve
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
+	"sync"
 )
 
 // MaxOrder is the largest supported curve order: with order 31 a curve
@@ -94,66 +97,118 @@ func (r Rect) ContainsCell(x, y uint32) bool {
 // cells, sorted ascending. order is the curve order (grid is 2^order on a
 // side). maxIntervals > 0 caps the result size: when the exact decomposition
 // would exceed the cap, adjacent intervals with the smallest gaps are merged
-// first, so the result still covers the rectangle but may include extra
-// cells (candidates are re-checked during query refinement anyway).
+// first (the earlier one on ties), so the result still covers the rectangle
+// but may include extra cells (candidates are re-checked during query
+// refinement anyway).
 //
 // This is the ZVconvert step of the paper's range-query algorithm (Fig. 7).
+//
+// The capped list is the exact list's maxIntervals−1 largest gaps, and
+// Decompose finds those without enumerating the exact list. It keeps the
+// quadrants that intersect r in curve order, each as the first and last cell
+// of r inside it — Z-order is monotone in x and in y, so those are the
+// corners of quadrant ∩ r. The gap between two neighbours is then exact
+// whatever is still unexpanded inside them, and a gap inside a quadrant is
+// no larger than the quadrant's Hi−Lo. Each round takes τ, the smallest of
+// the maxIntervals−1 largest gaps known, and splits every partly covered
+// quadrant that could hide a gap of τ or more; when none is left, no hidden
+// gap can displace (or tie with) a kept one, and the runs between the kept
+// gaps are the answer. Without a cap τ never rises, everything is split and
+// the walk emits the exact list.
 func Decompose(r Rect, order int, maxIntervals int) ([]Interval, error) {
 	if order <= 0 || order > MaxOrder {
-		return nil, fmt.Errorf("zcurve: order %d out of range (1..%d)", order, MaxOrder)
+		return nil, errOrder(order)
 	}
 	if !r.Valid() {
-		return nil, fmt.Errorf("zcurve: invalid rectangle %+v", r)
+		return nil, errRect(r)
 	}
 	limit := uint32(1)<<uint(order) - 1
 	if r.MaxX > limit || r.MaxY > limit {
-		return nil, fmt.Errorf("zcurve: rectangle %+v exceeds grid of order %d", r, order)
+		return nil, errRectOrder(r, order)
 	}
+	root := Interval{Lo: Encode(r.MinX, r.MinY), Hi: Encode(r.MaxX, r.MaxY)}
+	if maxIntervals == 1 {
+		return []Interval{root}, nil
+	}
+	if maxIntervals <= 0 {
+		maxIntervals = math.MaxInt
+	}
+	// r's bounds as interleaved bits, x in the even positions and y in the
+	// odd ones: spreading is monotone, so they compare as the coordinates do.
+	minX, maxX := root.Lo&evenBits, root.Hi&evenBits
+	minY, maxY := root.Lo&^evenBits, root.Hi&^evenBits
 
-	// decompose emits intervals in ascending Z order by construction
-	// (quadrant recursion follows the curve) and fuses touching ones as it
-	// goes, so the list is exact and minimal as it stands.
-	// The curve leaves and re-enters a rectangle along its boundary, so the
-	// exact list runs to about one interval per boundary cell.
-	out := make([]Interval, 0, min(r.Cells(), uint64(r.MaxX-r.MinX)+uint64(r.MaxY-r.MinY)+2))
-	decompose(r, 0, 0, order, order, &out)
-	if maxIntervals > 0 && len(out) > maxIntervals {
-		out = coalesce(out, maxIntervals)
-	}
-	return out, nil
-}
-
-// decompose recursively splits the quadrant with top-left grid coordinate
-// (qx, qy) (in units of cells) and side 2^qorder against r, appending
-// covered intervals to out in curve order, extending the last interval
-// when the next one touches it ([a,b],[b+1,c] → [a,c]).
-func decompose(r Rect, qx, qy uint32, qorder, order int, out *[]Interval) {
-	side := uint32(1) << uint(qorder)
-	qMaxX := qx + side - 1
-	qMaxY := qy + side - 1
-	// No overlap: nothing to emit.
-	if qx > r.MaxX || qMaxX < r.MinX || qy > r.MaxY || qMaxY < r.MinY {
-		return
-	}
-	// Fully covered: the quadrant is one contiguous Z interval.
-	if r.MinX <= qx && qMaxX <= r.MaxX && r.MinY <= qy && qMaxY <= r.MaxY {
-		// (A single cell that overlaps is contained, so qorder 0 ends here.)
-		lo, hi := Encode(qx, qy), Encode(qx, qy)+uint64(side)*uint64(side)-1
-		if n := len(*out); n > 0 && (*out)[n-1].Hi+1 == lo {
-			(*out)[n-1].Hi = hi
-		} else {
-			*out = append(*out, Interval{Lo: lo, Hi: hi})
+	w := zwalkPool.Get().(*zwalk)
+	defer zwalkPool.Put(w)
+	w.ivs, w.lvl = append(w.ivs[:0], root), append(w.lvl[:0], uint8(order))
+	for {
+		w.keep = largestGaps(w.ivs, maxIntervals-1, w.keep[:0])
+		// A gap that separates is at least 2; until maxIntervals−1 are
+		// known every one found is kept.
+		tau := uint64(2)
+		if len(w.keep) == maxIntervals-1 {
+			tau = w.ivs[w.keep[0]].Lo - w.ivs[w.keep[0]-1].Hi
 		}
-		return
+		split := false
+		w.next, w.nextLvl = w.next[:0], w.nextLvl[:0]
+		for i, iv := range w.ivs {
+			lvl := w.lvl[i]
+			// A fully covered quadrant is its 4^lvl cells and hides nothing.
+			if span := iv.Hi - iv.Lo; span < tau || span+1 == 1<<(2*lvl) {
+				w.next, w.nextLvl = append(w.next, iv), append(w.nextLvl, lvl)
+				continue
+			}
+			split = true
+			// The children, side 2^(lvl−1), in curve order: (0,0), (1,0),
+			// (0,1), (1,1) with x the low interleaved bit. bit selects the
+			// x-high children and low is a child's x extent, both already
+			// spread; y's are one position up. The quadrant's origin is any
+			// of its cells with the low 2·lvl bits cleared.
+			bit := uint64(1) << (2 * (lvl - 1))
+			low := (bit - 1) & evenBits
+			origin := iv.Lo &^ (bit<<2 - 1)
+			ox, oy := origin&evenBits, origin&^evenBits
+			for c := uint64(0); c < 4; c++ {
+				x0, y0 := ox|bit*(c&1), oy|bit<<1*(c>>1)
+				x1, y1 := x0|low, y0|low<<1
+				if x0 > maxX || x1 < minX || y0 > maxY || y1 < minY {
+					continue
+				}
+				w.next = append(w.next, Interval{Lo: max(x0, minX) | max(y0, minY), Hi: min(x1, maxX) | min(y1, maxY)})
+				w.nextLvl = append(w.nextLvl, lvl-1)
+			}
+		}
+		if !split {
+			break
+		}
+		w.ivs, w.next = w.next, w.ivs
+		w.lvl, w.nextLvl = w.nextLvl, w.lvl
 	}
-	half := side / 2
-	// Z-order visits quadrants in the order (0,0), (1,0), (0,1), (1,1)
-	// with x as the low interleaved bit.
-	decompose(r, qx, qy, qorder-1, order, out)
-	decompose(r, qx+half, qy, qorder-1, order, out)
-	decompose(r, qx, qy+half, qorder-1, order, out)
-	decompose(r, qx+half, qy+half, qorder-1, order, out)
+	return runs(make([]Interval, len(w.keep)+1), w.ivs, w.keep), nil
 }
+
+// evenBits are the bit positions Encode gives x.
+const evenBits = 0x5555555555555555
+
+// zwalk is Decompose's scratch: the quadrants alive in this round and the
+// next, each as its interval and its level (side 2^lvl), and the kept gaps.
+type zwalk struct {
+	ivs, next    []Interval
+	lvl, nextLvl []uint8
+	keep         []int
+}
+
+// A fresh zwalk has room for the hundred or so quadrants that the capped
+// walk of a query window keeps alive: one that the pool dropped (it drops a
+// quarter under -race) costs a make per list, not a doubling ladder.
+var zwalkPool = sync.Pool{New: func() any {
+	const n = 128
+	return &zwalk{
+		ivs: make([]Interval, 0, n), next: make([]Interval, 0, n),
+		lvl: make([]uint8, 0, n), nextLvl: make([]uint8, 0, n),
+		keep: make([]int, 0, 16),
+	}
+}}
 
 // mergeAdjacent fuses touching intervals ([a,b],[b+1,c] → [a,c]).
 // Input must be sorted ascending and disjoint.
@@ -176,51 +231,58 @@ func mergeAdjacent(ivs []Interval) []Interval {
 // coalesce reduces the interval count to max by bridging the smallest gaps
 // between neighbors, the earlier one on ties. Bridging one gap leaves every
 // other gap as it was, so the survivors are the max−1 largest gaps under the
-// order (gap, index): one sweep selects them in a sorted buffer of max−1
-// entries, a second emits the runs between them in place. The result covers
-// a superset of the input. ivs must be sorted, disjoint and longer than max.
+// order (gap, index). The result, written over ivs, covers a superset of the
+// input. ivs must be sorted, disjoint, non-touching and longer than max.
 func coalesce(ivs []Interval, max int) []Interval {
-	last := ivs[len(ivs)-1].Hi
-	if max == 1 {
-		ivs[0].Hi = last
-		return ivs[:1]
-	}
-	// keep holds the indices i of the largest gaps ivs[i-1]→ivs[i] seen so
-	// far, ascending by (gap, i).
-	keep := make([]int, 0, max-1)
+	return runs(ivs, ivs, largestGaps(ivs, max-1, make([]int, 0, max-1)))
+}
+
+// largestGaps appends to keep the indices i of the want largest gaps
+// ivs[i−1]→ivs[i] under the order (gap, i), ascending in that order; touching
+// neighbours (gap 1) separate nothing and are passed over. When ivs has no
+// more than want gaps it returns them all, in index order.
+func largestGaps(ivs []Interval, want int, keep []int) []int {
 	gapAt := func(i int) uint64 { return ivs[i].Lo - ivs[i-1].Hi }
-	for i := 1; i < len(ivs); i++ {
+	i := 1
+	for ; i < len(ivs) && len(keep) < want; i++ {
+		if gapAt(i) > 1 {
+			keep = append(keep, i)
+		}
+	}
+	if len(keep) < want || want == 0 {
+		return keep
+	}
+	// keep is full and in index order: a stable sort by gap orders it by
+	// (gap, i), and from here a larger gap evicts the smallest held.
+	slices.SortStableFunc(keep, func(a, b int) int { return cmp.Compare(gapAt(a), gapAt(b)) })
+	for ; i < len(ivs); i++ {
 		gap := gapAt(i)
-		if len(keep) == max-1 {
-			if gap < gapAt(keep[0]) {
-				continue
-			}
-			// Evict the smallest: shift the entries below the new gap's
-			// slot down by one. i exceeds every index held, so an equal
-			// gap sorts below it.
-			j := 1
-			for ; j < len(keep) && gapAt(keep[j]) <= gap; j++ {
-				keep[j-1] = keep[j]
-			}
-			keep[j-1] = i
+		if gap < gapAt(keep[0]) {
 			continue
 		}
-		j := len(keep)
-		keep = append(keep, i)
-		for ; j > 0 && gapAt(keep[j-1]) > gap; j-- {
-			keep[j] = keep[j-1]
+		// Shift the entries below the new gap's slot down by one. i exceeds
+		// every index held, so an equal gap sorts below it.
+		j := 1
+		for ; j < len(keep) && gapAt(keep[j]) <= gap; j++ {
+			keep[j-1] = keep[j]
 		}
-		keep[j] = i
+		keep[j-1] = i
 	}
+	return keep
+}
+
+// runs writes to dst the intervals that remain of ivs when only the gaps at
+// the indices in keep survive, and returns them. dst may be ivs itself:
+// output slot n never runs ahead of the input index it reads.
+func runs(dst, ivs []Interval, keep []int) []Interval {
 	slices.Sort(keep)
-	// Output slot n never runs ahead of the input index it reads, so the
-	// runs are written over the input.
 	n := 0
+	dst[0].Lo = ivs[0].Lo
 	for _, i := range keep {
-		ivs[n].Hi = ivs[i-1].Hi
+		dst[n].Hi = ivs[i-1].Hi
 		n++
-		ivs[n].Lo = ivs[i].Lo
+		dst[n].Lo = ivs[i].Lo
 	}
-	ivs[n].Hi = last
-	return ivs[:n+1]
+	dst[n].Hi = ivs[len(ivs)-1].Hi
+	return dst[:n+1]
 }

@@ -335,17 +335,203 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkDecompose is one ZVconvert of the benchmark's PRQ: a 200-side
-// window of the 1000-side space on the order-10 grid (≈ 205 cells a side,
-// off the quadrant boundaries), capped at bxtree's default 16 intervals.
+// BenchmarkDecompose is one ZVconvert of the benchmark's PRQ, capped at
+// bxtree's default 16 intervals on the order-10 grid: the 200-side window of
+// the 1000-side space as it is drawn (≈ 205 cells a side, off the quadrant
+// boundaries), and as a query issues it once it is enlarged by 3 × 60 on
+// every side for a partition's label gap (≈ 530 cells a side, ~800 exact
+// intervals).
 func BenchmarkDecompose(b *testing.B) {
-	r := Rect{333, 217, 537, 421}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(r, 10, 16); err != nil {
-			b.Fatal(err)
+	for _, w := range []struct {
+		name string
+		r    Rect
+	}{
+		{"window205", Rect{333, 217, 537, 421}},
+		{"enlarged530", Rect{149, 33, 721, 605}},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decompose(w.r, 10, 16); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// decomposeRef is ZVconvert as first written, the reference Decompose must
+// equal interval for interval: enumerate the exact list by recursion over
+// the quadrants, then coalesce it to the cap.
+func decomposeRef(r Rect, order, maxIntervals int) []Interval {
+	var out []Interval
+	decomposeRec(r, 0, 0, order, &out)
+	if maxIntervals > 0 && len(out) > maxIntervals {
+		out = coalesce(out, maxIntervals)
+	}
+	return out
+}
+
+// decomposeRec splits the quadrant with origin (qx, qy) and side 2^qorder
+// against r, appending covered intervals to out in curve order and extending
+// the last one when the next touches it ([a,b],[b+1,c] → [a,c]).
+func decomposeRec(r Rect, qx, qy uint32, qorder int, out *[]Interval) {
+	side := uint32(1) << uint(qorder)
+	qMaxX := qx + side - 1
+	qMaxY := qy + side - 1
+	if qx > r.MaxX || qMaxX < r.MinX || qy > r.MaxY || qMaxY < r.MinY {
+		return
+	}
+	// Fully covered (a single cell that overlaps is): one contiguous interval.
+	if r.MinX <= qx && qMaxX <= r.MaxX && r.MinY <= qy && qMaxY <= r.MaxY {
+		lo, hi := Encode(qx, qy), Encode(qx, qy)+uint64(side)*uint64(side)-1
+		if n := len(*out); n > 0 && (*out)[n-1].Hi+1 == lo {
+			(*out)[n-1].Hi = hi
+		} else {
+			*out = append(*out, Interval{Lo: lo, Hi: hi})
+		}
+		return
+	}
+	half := side / 2
+	// Z-order visits quadrants in the order (0,0), (1,0), (0,1), (1,1).
+	decomposeRec(r, qx, qy, qorder-1, out)
+	decomposeRec(r, qx+half, qy, qorder-1, out)
+	decomposeRec(r, qx, qy+half, qorder-1, out)
+	decomposeRec(r, qx+half, qy+half, qorder-1, out)
+}
+
+// checkDecompose compares Decompose with the reference on one input.
+func checkDecompose(t *testing.T, r Rect, order, max int) {
+	t.Helper()
+	got, err := Decompose(r, order, max)
+	if err != nil {
+		t.Fatalf("Decompose(%+v, %d, %d): %v", r, order, max, err)
+	}
+	if want := decomposeRef(r, order, max); !slices.Equal(got, want) {
+		t.Fatalf("Decompose(%+v, order %d, cap %d):\n got %v\nwant %v", r, order, max, got, want)
+	}
+}
+
+func TestDecomposeMatchesReference(t *testing.T) {
+	caps := []int{0, 1, 2, 3, 16, 64, 1000}
+	rng := rand.New(rand.NewSource(19))
+	for _, order := range []int{1, 2, 3, 5, 8, 10, 12, 16, 31} {
+		side := uint64(1) << order
+		last := uint32(side - 1)
+		// The exact list runs to about one interval per boundary cell: keep
+		// the windows of the large grids narrow enough to enumerate.
+		span := min(side, 600)
+		for _, max := range caps {
+			for i := 0; i < 4000; i++ {
+				x0, y0 := uint32(rng.Int63n(int64(side))), uint32(rng.Int63n(int64(side)))
+				w, h := uint32(rng.Int63n(int64(span))), uint32(rng.Int63n(int64(span)))
+				if i%4 == 0 { // small windows: often fewer intervals than the cap
+					w, h = w%12, h%12
+				}
+				checkDecompose(t, Rect{x0, y0, min(last, x0+w), min(last, y0+h)}, order, max)
+			}
+			// Single cells, the full grid, 1-wide strips on both axes, and
+			// windows touching the grid's last row and column.
+			mid := last / 2
+			near := last - min(last, 300)
+			for _, r := range []Rect{
+				{0, 0, 0, 0}, {last, last, last, last}, {mid, mid, mid, mid},
+				{near, near, last, last},
+				{near, mid, last, mid}, {mid, near, mid, last},
+				{near, 0, last, 0}, {0, near, 0, last},
+				{near, last, last, last}, {last, near, last, last},
+				{near, near, last - 1, last}, {near, near, last, last - min(last, 1)},
+			} {
+				checkDecompose(t, r, order, max)
+			}
+			if order <= 10 {
+				checkDecompose(t, Rect{0, 0, last, last}, order, max)
+				checkDecompose(t, Rect{0, mid, last, mid}, order, max)
+				checkDecompose(t, Rect{mid, 0, mid, last}, order, max)
+			}
 		}
 	}
+	// Every window of the 16 × 16 grid under every cap that bites: among
+	// them each way a gap still hidden inside a quadrant can tie with the
+	// smallest gap kept.
+	for x0 := uint32(0); x0 < 16; x0++ {
+		for y0 := uint32(0); y0 < 16; y0++ {
+			for x1 := x0; x1 < 16; x1++ {
+				for y1 := y0; y1 < 16; y1++ {
+					for max := 2; max <= 12; max++ {
+						checkDecompose(t, Rect{x0, y0, x1, y1}, 4, max)
+					}
+				}
+			}
+		}
+	}
+	// Many equal gaps, so the survivors are decided by index: a 1-wide
+	// column's gaps are all powers of four, each size repeated down the
+	// column, and an odd-aligned 2-wide one adds a gap per row.
+	for order := 3; order <= 9; order++ {
+		last := uint32(1)<<order - 1
+		for x := uint32(0); x < 8; x++ {
+			for max := 1; max <= 40; max++ {
+				checkDecompose(t, Rect{x, 0, x, last}, order, max)
+				checkDecompose(t, Rect{0, x, last, x}, order, max)
+				checkDecompose(t, Rect{x, 1, min(last, x+1), last - 1}, order, max)
+			}
+		}
+	}
+}
+
+// FuzzDecompose: Decompose equals the reference on any window, order and
+// cap, and its result is sorted, disjoint and covers every cell of the
+// window.
+func FuzzDecompose(f *testing.F) {
+	f.Add(uint32(333), uint32(217), uint32(204), uint32(204), uint8(10), uint16(16))
+	f.Add(uint32(149), uint32(33), uint32(572), uint32(572), uint8(10), uint16(16))
+	f.Add(uint32(0), uint32(0), uint32(31), uint32(31), uint8(5), uint16(0))
+	f.Add(uint32(5), uint32(0), uint32(0), uint32(500), uint8(9), uint16(7))
+	f.Add(uint32(1)<<31-200, uint32(1)<<31-3, uint32(199), uint32(2), uint8(31), uint16(3))
+	f.Fuzz(func(t *testing.T, x0, y0, w, h uint32, order uint8, max uint16) {
+		order = order%MaxOrder + 1
+		last := uint32(1)<<order - 1
+		x0, y0 = x0&last, y0&last
+		// Bound the exact list the reference enumerates.
+		r := Rect{x0, y0, min(last, x0+w%700), min(last, y0+h%700)}
+		checkDecompose(t, r, int(order), int(max))
+		got, _ := Decompose(r, int(order), int(max))
+		for i, iv := range got {
+			if iv.Hi < iv.Lo || i > 0 && iv.Lo <= got[i-1].Hi+1 {
+				t.Fatalf("%+v order %d cap %d: %v is not sorted and disjoint at %d", r, order, max, got, i)
+			}
+		}
+		if max > 0 && len(got) > int(max) {
+			t.Fatalf("%+v order %d cap %d: %d intervals", r, order, max, len(got))
+		}
+		// Every row of the window lies inside the list; with the cap off,
+		// the list holds nothing else.
+		var cells uint64
+		for _, iv := range got {
+			cells += iv.Len()
+		}
+		if max == 0 && cells != r.Cells() {
+			t.Fatalf("%+v order %d: exact list covers %d cells, window has %d", r, order, cells, r.Cells())
+		}
+		if r.Cells() > 1<<16 {
+			return
+		}
+		for x := r.MinX; x <= r.MaxX; x++ {
+			for y := r.MinY; y <= r.MaxY; y++ {
+				z := Encode(x, y)
+				i, _ := slices.BinarySearchFunc(got, z, func(iv Interval, z uint64) int {
+					if iv.Hi < z {
+						return -1
+					}
+					return 1
+				})
+				if i == len(got) || !got[i].Contains(z) {
+					t.Fatalf("%+v order %d cap %d: cell (%d,%d) not covered by %v", r, order, max, x, y, got)
+				}
+			}
+		}
+	})
 }
 
 // coalesceRef is the coalescing rule as first written and as Decompose

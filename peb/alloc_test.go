@@ -22,18 +22,20 @@ const (
 	// the remainder (~12/op today) is dominated by B-tree copy-on-write
 	// node work, not serialization.
 	applySyncAllocBudgetPerOp = 16
-	// pknnAllocBudget bounds one warm PkNN query (k=5) on a pooled
-	// search state: the grantor list, the partition list, the result
-	// slice, a buffer-pool LRU element. 6 today, and 13–16 under -race,
-	// where sync.Pool drops a quarter of what is put back and the state
-	// is regrown; the budget is that plus 20 %. It was 23 (plain) while
-	// every leaf was decoded into fresh slices.
-	pknnAllocBudget = 20
-	// prqAllocBudget bounds one warm PRQ (200-side window) on a pooled
-	// friend table and cursor: the same, plus ZVconvert's interval lists
-	// per partition. 10 today, 13–14 under -race; 42 (plain) with the
-	// decoding reader and the per-query maps.
-	prqAllocBudget = 17
+	// pknnAllocBudget bounds one PkNN query (k=5) on a pooled search
+	// state, whether its pages hit the buffer or miss it: the grantor list,
+	// the partition list, the result slice. 5 today, and 10–15 under -race,
+	// where sync.Pool drops a quarter of what is put back and the state is
+	// regrown; the budget is that plus 20 %. It was 23 (plain) while every
+	// leaf was decoded into fresh slices, and 6 plus two per page miss while
+	// the buffer pool made a frame per miss and a list node per request.
+	pknnAllocBudget = 18
+	// prqAllocBudget bounds one PRQ (200-side window) on a pooled friend
+	// table and cursor, hit or miss: the same, plus ZVconvert's capped
+	// interval list per partition. 7 today, 11–13 under -race; 42 (plain)
+	// with the decoding reader and the per-query maps, 10 with ZVconvert's
+	// exact lists.
+	prqAllocBudget = 16
 )
 
 func allocDB(t *testing.T) *DB {
@@ -134,30 +136,112 @@ func TestApplySyncAllocsPerOp(t *testing.T) {
 // visibility everywhere, all day — so u1's queries actually assemble 39
 // candidate grantors and return results (an empty result set would make
 // the query gates trivially green).
-func friendsDB(t *testing.T) *DB {
+func friendsDB(t *testing.T) *DB { return friendsDBOf(t, 0, 0) }
+
+// friendsDBOf is friendsDB behind a buffer of bufferPages (0: the default
+// 50) with, when circle > 0, each friend in a circle of that many users of
+// their own around a hub. A hub's circle outnumbers u1's friends, so the
+// sequence values band every friend with their circle, and u1's friends lie
+// scattered over the index, leaves apart, as the friends of one user among
+// thousands do.
+func friendsDBOf(t *testing.T, circle, bufferPages int) *DB {
 	t.Helper()
-	db, err := Open(Options{})
+	db, err := Open(Options{BufferPages: bufferPages})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	for i := 2; i <= 40; i++ {
-		if err := db.DefineRelation(UserID(i), 1, "f"); err != nil {
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := db.Grant(UserID(i), "f", Region{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, TimeInterval{Start: 0, End: 1440}); err != nil {
-			t.Fatal(err)
+	}
+	grant := func(u UserID) {
+		must(db.Grant(u, "f", Region{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, TimeInterval{Start: 0, End: 1440}))
+	}
+	users := 40
+	for f := UserID(2); f <= 40; f++ {
+		must(db.DefineRelation(f, 1, "f"))
+		grant(f)
+		if circle == 0 {
+			continue
 		}
+		// f's circle: a new hub, f, and new users to make up the number,
+		// hub and member each the other's friend.
+		hub := UserID(users + 1)
+		grant(hub)
+		for m := hub; m < hub+UserID(circle); m++ {
+			member := m
+			if m == hub {
+				member = f
+			} else {
+				grant(m)
+			}
+			must(db.DefineRelation(hub, member, "f"))
+			must(db.DefineRelation(member, hub, "f"))
+		}
+		users += circle
 	}
 	if err := db.EncodePolicies(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 40; i++ {
+	for i := 1; i <= users; i++ {
 		if err := db.Upsert(goldenObj(i, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return db
+}
+
+// coldQueryAllocs measures query on an index of some 80 leaves behind a
+// two-page buffer, where all but a few of a query's page requests miss: a
+// miss reads into the frame its victim left, so a cold query is held to the
+// warm query's budget. (With a fresh frame per miss and a list node per
+// request the PRQ read 402 and the PkNN 274.)
+func coldQueryAllocs(t *testing.T, name string, budget float64, query func(db *DB) (results int, err error)) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	if raceEnabled {
+		// Every scan takes a pooled cursor and there are some 160 scans in
+		// these queries: the pool's drops would be measured, not the pages.
+		t.Skip("sync.Pool drops a quarter of its puts under -race")
+	}
+	db := friendsDBOf(t, 100, 2)
+	run := func() {
+		if n, err := query(db); err != nil || n == 0 {
+			t.Fatalf("%s returned %d results, %v", name, n, err)
+		}
+	}
+	run() // warm the pooled query state, not the buffer
+	before := db.IOStats()
+	const runs = 200
+	got := testing.AllocsPerRun(runs, run)
+	io := db.IOStats()
+	misses := float64(io.Misses-before.Misses) / (runs + 1)
+	t.Logf("cold %s: %.1f allocs/op at %.1f page misses per query (budget %.0f)", name, got, misses, budget)
+	if misses < 5 {
+		t.Fatalf("cold %s misses %.1f pages per query — measuring a warm buffer", name, misses)
+	}
+	if got > budget {
+		t.Fatalf("cold %s allocates %.1f/op at %.1f misses, budget %.0f — a page request allocates again", name, got, misses, budget)
+	}
+}
+
+func TestPRQColdAllocs(t *testing.T) {
+	coldQueryAllocs(t, "PRQ", prqAllocBudget, func(db *DB) (int, error) {
+		res, err := db.RangeQuery(1, Region{MinX: 300, MinY: 300, MaxX: 500, MaxY: 500}, 10)
+		return len(res), err
+	})
+}
+
+func TestPKNNColdAllocs(t *testing.T) {
+	coldQueryAllocs(t, "PkNN", pknnAllocBudget, func(db *DB) (int, error) {
+		res, err := db.NearestNeighbors(1, 500, 500, 5, 10)
+		return len(res), err
+	})
 }
 
 func TestPRQAllocs(t *testing.T) {
