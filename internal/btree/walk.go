@@ -32,7 +32,13 @@ func (t *Tree) WalkPages(maxPage store.PageID) ([]store.PageID, error) {
 // land meanwhile.
 func (r *Reader) WalkPages(maxPage store.PageID) ([]store.PageID, error) {
 	visited := make(map[store.PageID]bool)
-	out := make([]store.PageID, 0, r.leafCount*2)
+	// The leaf count is as unverified as the root: it may size the result
+	// only up to what the store can hold.
+	hint := r.leafCount
+	if maxPage > 0 {
+		hint = min(hint, int(maxPage))
+	}
+	out := make([]store.PageID, 0, hint*2)
 	var walk func(pid store.PageID, depth int) error
 	walk = func(pid store.PageID, depth int) error {
 		if pid == store.InvalidPageID {

@@ -8,23 +8,28 @@
 //     caller-owned []byte, so hot paths reuse one buffer and allocate
 //     nothing at steady state.
 //
-//   - Magic-byte versioning against legacy gob. The first byte of an
-//     encoding/gob stream is the first byte of a uvarint message length:
-//     either a direct small length (0x00–0x7F) or a length-of-length marker
-//     (0xF8–0xFF). Any byte in 0x80–0xF7 therefore unambiguously marks a
-//     post-gob binary format, letting readers dispatch old/new on one byte.
-//     Formats pick distinct magics from that range (LegacyGobFirstByte
-//     reports the gob side of the dispatch).
+//   - One generation per file kind. Every persisted format opens with a
+//     stamp — a magic byte plus a version byte here, a Version field in the
+//     JSON side files — and its reader accepts exactly the current one.
+//     Anything else is refused with ErrUnsupportedFormat before the open
+//     touches the directory; nothing is migrated.
 package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 )
 
-// Magic bytes of the binary formats. All must satisfy !LegacyGobFirstByte.
+// ErrUnsupportedFormat is wrapped by every error an open returns for
+// on-disk state that carries another generation's stamp (or none): the
+// bytes may be intact, but this build does not read them. Match with
+// errors.Is.
+var ErrUnsupportedFormat = errors.New("unsupported on-disk format")
+
+// Magic bytes of the binary formats.
 const (
 	// MagicWALRecord marks a binary WAL record (peb/walcodec.go).
 	MagicWALRecord = 0xB6
@@ -32,10 +37,6 @@ const (
 	// (internal/policy/persist.go).
 	MagicPolicySnapshot = 0xC7
 )
-
-// LegacyGobFirstByte reports whether b can begin an encoding/gob stream —
-// the dispatch predicate binary formats rely on when sniffing legacy data.
-func LegacyGobFirstByte(b byte) bool { return b <= 0x7F || b >= 0xF8 }
 
 // AppendUvarint appends v in unsigned varint encoding.
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }

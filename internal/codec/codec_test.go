@@ -97,23 +97,3 @@ func TestReaderStrictness(t *testing.T) {
 		t.Fatal("later take replaced the first error")
 	}
 }
-
-// TestGobFirstByteDisjoint proves the dispatch property the WAL and the
-// policy envelope rely on: the magic bytes can never begin a gob stream.
-func TestGobFirstByteDisjoint(t *testing.T) {
-	for _, m := range []byte{MagicWALRecord, MagicPolicySnapshot} {
-		if LegacyGobFirstByte(m) {
-			t.Fatalf("magic 0x%X is a possible gob first byte", m)
-		}
-	}
-	for b := 0; b <= 0x7F; b++ {
-		if !LegacyGobFirstByte(byte(b)) {
-			t.Fatalf("0x%X should be a legacy gob first byte", b)
-		}
-	}
-	for b := 0xF8; b <= 0xFF; b++ {
-		if !LegacyGobFirstByte(byte(b)) {
-			t.Fatalf("0x%X should be a legacy gob first byte", b)
-		}
-	}
-}

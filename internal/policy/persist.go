@@ -18,18 +18,16 @@ import (
 // iteration orders are canonicalized so identical stores serialize
 // identically.
 //
-// Since the durability codec pass, Save wraps the gob body in a small
-// integrity envelope on the shared internal/codec conventions:
+// Save wraps the gob body in a small integrity envelope on the shared
+// internal/codec conventions:
 //
 //	magic    1 byte  0xC7 (codec.MagicPolicySnapshot)
 //	version  1 byte  0x01
 //	crc      uvarint CRC-32C of the body
 //	body     vbytes  the gob snapshot stream
 //
-// A gob stream can never begin with the magic byte (see internal/codec),
-// so Load dispatches on it and reads bare gob-era snapshots — checkpoint
-// side files and logged policy blobs written before the envelope existed —
-// unchanged forever.
+// Load reads exactly that: bytes that do not open with the magic and the
+// current versions are refused with codec.ErrUnsupportedFormat.
 
 const snapshotVersion = 1
 
@@ -105,36 +103,33 @@ func (s *Store) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a snapshot written by Save — enveloped or legacy bare gob —
-// and reconstructs the store.
+// Load reads a snapshot written by Save and reconstructs the store.
 func Load(r io.Reader) (*Store, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("policy: load: %w", err)
 	}
-	body := data
-	if len(data) > 0 && data[0] == codec.MagicPolicySnapshot {
-		rd := codec.NewReader(data, 1)
-		if v := rd.TakeByte("envelope version"); rd.Err() == nil && v > envelopeVersion {
-			return nil, fmt.Errorf("policy: snapshot envelope version %d not supported (max %d)", v, envelopeVersion)
-		}
-		crc := rd.TakeUvarint("snapshot crc")
-		body = rd.TakeBytes("snapshot body")
-		rd.ExpectEnd()
-		if err := rd.Err(); err != nil {
-			return nil, fmt.Errorf("policy: corrupt snapshot: %w", err)
-		}
-		if crc != uint64(crc32.Checksum(body, snapshotCRC)) {
-			return nil, fmt.Errorf("policy: corrupt snapshot: checksum mismatch")
-		}
+	if len(data) < 2 || data[0] != codec.MagicPolicySnapshot || data[1] != envelopeVersion {
+		return nil, fmt.Errorf("policy: load: %w: not a version %d snapshot envelope",
+			codec.ErrUnsupportedFormat, envelopeVersion)
+	}
+	rd := codec.NewReader(data, 2)
+	crc := rd.TakeUvarint("snapshot crc")
+	body := rd.TakeBytes("snapshot body")
+	rd.ExpectEnd()
+	if err := rd.Err(); err != nil {
+		return nil, fmt.Errorf("policy: corrupt snapshot: %w", err)
+	}
+	if crc != uint64(crc32.Checksum(body, snapshotCRC)) {
+		return nil, fmt.Errorf("policy: corrupt snapshot: checksum mismatch")
 	}
 	var snap snapshot
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("policy: load: %w", err)
 	}
 	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("policy: snapshot version %d not supported (want %d)",
-			snap.Version, snapshotVersion)
+		return nil, fmt.Errorf("policy: load: %w: snapshot version %d (want %d)",
+			codec.ErrUnsupportedFormat, snap.Version, snapshotVersion)
 	}
 	s, err := NewStore(snap.Space, snap.DayLen)
 	if err != nil {

@@ -2,10 +2,12 @@ package policy
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 func buildRandomStore(t *testing.T, seed int64, n, policies int) *Store {
@@ -136,23 +138,26 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // FuzzPolicyLoad feeds Load the bytes of a checkpoint's .policies side
-// file or a logged policy blob, in both generations — the 0xC7 envelope
-// and the bare gob stream before it. Load must be total (a store or an
-// error, never a panic), and a store it returns must be one Save can write
-// and Load read back unchanged.
+// file or a logged policy blob. Load must be total (a store or an error,
+// never a panic); bytes that do not open with the 0xC7 envelope — the bare
+// gob stream of the generation before it among them — must be refused as
+// another format; and a store it returns must be one Save can write and
+// Load read back unchanged.
 func FuzzPolicyLoad(f *testing.F) {
-	fixtures, err := filepath.Glob("../../peb/testdata/golden/*/golden.idx.policies.*")
-	if err != nil || len(fixtures) < 2 {
-		f.Fatalf("golden policy snapshots: %v (found %d)", err, len(fixtures))
+	data, err := os.ReadFile("../../peb/testdata/golden/current/golden.idx.policies.1")
+	if err != nil {
+		f.Fatalf("golden policy snapshot: %v", err)
 	}
-	for _, name := range fixtures {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-		f.Add(data[:len(data)/2])
-		flipped := bytes.Clone(data)
+	rd := codec.NewReader(data, 2) // past magic and version
+	rd.TakeUvarint("crc")
+	bare := rd.TakeBytes("body") // what Save wrote before the envelope
+	if rd.Err() != nil {
+		f.Fatalf("golden policy snapshot: %v", rd.Err())
+	}
+	for _, seed := range [][]byte{data, bare} {
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		flipped := bytes.Clone(seed)
 		flipped[len(flipped)-1] ^= 0xFF
 		f.Add(flipped)
 	}
@@ -163,6 +168,12 @@ func FuzzPolicyLoad(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Load(bytes.NewReader(data))
+		if len(data) == 0 || data[0] != codec.MagicPolicySnapshot {
+			if !errors.Is(err, codec.ErrUnsupportedFormat) {
+				t.Fatalf("unstamped bytes: err = %v, want ErrUnsupportedFormat", err)
+			}
+			return
+		}
 		if err != nil {
 			return
 		}

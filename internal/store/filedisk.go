@@ -13,9 +13,9 @@ import (
 // The allocator state — the high-water mark and the free list — is held in
 // memory; the owner persists it in its checkpoint metadata and restores it
 // with Reconcile after reopening, so pages freed before a checkpoint are
-// reusable after a restart instead of leaking. Without Reconcile an
+// reusable after a restart instead of leaking. Until Reconcile runs an
 // existing file is treated conservatively as fully allocated up to its
-// length (the pre-free-list behavior, still used for v1 checkpoints).
+// length.
 //
 // FileDisk guards its own state with an internal mutex, so the owner may
 // call it from several goroutines — the buffer pool serializing most

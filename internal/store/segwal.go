@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/obs"
 )
 
@@ -216,7 +217,7 @@ func parseSegmentIndex(path, name string) uint64 {
 }
 
 // ListWALSegments returns the indices of the log's segment files at path,
-// sorted ascending. The legacy single file at path itself is not listed.
+// sorted ascending.
 func ListWALSegments(fs VFS, path string) ([]uint64, error) {
 	names, err := fs.ListDir(filepath.Dir(path))
 	if err != nil {
@@ -232,36 +233,26 @@ func ListWALSegments(fs VFS, path string) ([]uint64, error) {
 	return idxs, nil
 }
 
-// SegmentedWALExists reports whether a log exists at path in either
-// generation: the legacy single file or any numbered segment.
+// SegmentedWALExists reports whether a log exists at path: any numbered
+// segment, or a file at the bare path itself — which is no segment of this
+// format, but must reach OpenSegmentedWAL to be refused rather than be
+// mistaken for "no log here".
 func SegmentedWALExists(fs VFS, path string) (bool, error) {
 	if ok, err := fs.Exists(path); err != nil || ok {
 		return ok, err
 	}
 	idxs, err := ListWALSegments(fs, path)
-	if err != nil {
-		return false, err
-	}
-	return len(idxs) > 0, nil
+	return len(idxs) > 0, err
 }
 
-// RemoveSegmentedWAL deletes every file of the log at path — the legacy
-// single file and all segments. Best effort: the first error is returned
-// but the sweep continues.
+// RemoveSegmentedWAL deletes every segment of the log at path. Best
+// effort: the first error is returned but the sweep continues.
 func RemoveSegmentedWAL(fs VFS, path string) error {
-	var firstErr error
-	if ok, _ := fs.Exists(path); ok {
-		if err := fs.Remove(path); err != nil {
-			firstErr = err
-		}
-	}
 	idxs, err := ListWALSegments(fs, path)
 	if err != nil {
-		if firstErr == nil {
-			firstErr = err
-		}
-		return firstErr
+		return err
 	}
+	var firstErr error
 	for _, idx := range idxs {
 		if err := fs.Remove(SegmentWALName(path, idx)); err != nil && firstErr == nil {
 			firstErr = err
@@ -276,39 +267,23 @@ func RemoveSegmentedWAL(fs VFS, path string) error {
 // final segment is truncated away; an invalid tail in any earlier
 // (sealed) segment is corruption and fails the open.
 //
-// A legacy single-file log at path itself (the pre-segmentation format:
-// the same frames in one file) is migrated first: the file is atomically renamed to segment 000001, so
-// existing directories upgrade in place and a crash mid-migration leaves
-// either generation intact.
+// A file at the bare path is not part of this format (logs once lived in
+// one file there): the open refuses it with codec.ErrUnsupportedFormat
+// before touching anything.
 //
 // rollSize is the seal threshold; <= 0 selects DefaultWALSegmentBytes.
 func OpenSegmentedWAL(fs VFS, path string, policy WALSyncPolicy, rollSize int64) (*SegmentedWAL, [][]byte, error) {
 	if rollSize <= 0 {
 		rollSize = DefaultWALSegmentBytes
 	}
-	// A crash mid-rotation under the legacy single-file log can leave its
-	// staging file behind; it was never renamed, so its content is dead.
-	if ok, _ := fs.Exists(path + ".tmp"); ok {
-		_ = fs.Remove(path + ".tmp")
+	if ok, err := fs.Exists(path); err != nil {
+		return nil, nil, fmt.Errorf("store: probe %s: %w", path, err)
+	} else if ok {
+		return nil, nil, fmt.Errorf("store: %w: %s is a single-file log, not a segment", codec.ErrUnsupportedFormat, path)
 	}
-
 	idxs, err := ListWALSegments(fs, path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: list wal segments: %w", err)
-	}
-	if ok, err := fs.Exists(path); err != nil {
-		return nil, nil, fmt.Errorf("store: probe legacy wal: %w", err)
-	} else if ok {
-		if len(idxs) > 0 {
-			// The migration rename is atomic, so the protocol never leaves
-			// both generations; a mixed directory was assembled by hand and
-			// the relative order of its records is unknowable.
-			return nil, nil, fmt.Errorf("store: both legacy wal %s and segments exist", path)
-		}
-		if err := fs.Rename(path, SegmentWALName(path, 1)); err != nil {
-			return nil, nil, fmt.Errorf("store: migrate legacy wal: %w", err)
-		}
-		idxs = []uint64{1}
 	}
 	if len(idxs) == 0 {
 		idxs = []uint64{1}

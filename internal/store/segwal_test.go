@@ -2,11 +2,12 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // segAppendCommit appends one record and commits it.
@@ -66,74 +67,36 @@ func TestSegWALAppendReplayAcrossRolls(t *testing.T) {
 	}
 }
 
-// writeLegacyWAL writes payloads as a pre-segmentation log: the same CRC
-// frames, in one file at path itself.
-func writeLegacyWAL(t *testing.T, fs VFS, path string, payloads ...string) {
-	t.Helper()
-	var data []byte
-	for _, p := range payloads {
-		data = binary.BigEndian.AppendUint32(data, uint32(len(p)))
-		data = binary.BigEndian.AppendUint32(data, crc32.Checksum([]byte(p), walCRC))
-		data = append(data, p...)
-	}
-	f, err := fs.OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSegWALMigratesLegacySingleFile(t *testing.T) {
-	fs := NewCrashFS()
-	writeLegacyWAL(t, fs, "log", "alpha", "beta")
-
-	w, recs, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || string(recs[0]) != "alpha" || string(recs[1]) != "beta" {
-		t.Fatalf("migrated records %q, want [alpha beta]", recs)
-	}
-	if ok, _ := fs.Exists("log"); ok {
-		t.Fatal("legacy file survived migration")
-	}
-	if ok, _ := fs.Exists(SegmentWALName("log", 1)); !ok {
-		t.Fatal("segment 000001 missing after migration")
-	}
-	// The migrated log keeps appending where the legacy one left off.
-	segAppendCommit(t, w, []byte("gamma"))
-	w.Close()
-	_, recs, err = OpenSegmentedWAL(fs, "log", WALSyncAlways, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 || string(recs[2]) != "gamma" {
-		t.Fatalf("post-migration records %q", recs)
-	}
-}
-
-func TestSegWALRefusesMixedGenerations(t *testing.T) {
-	fs := NewCrashFS()
-	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segAppendCommit(t, w, []byte("seg-era"))
-	w.Close()
-	// Plant a legacy-named file next to the segments.
-	f, _ := fs.OpenFile("log")
-	f.Sync()
-	f.Close()
-	if _, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 64); err == nil {
-		t.Fatal("open accepted a directory with both generations")
+// TestSegWALRefusesSingleFile: a file at the log's bare path — where logs
+// lived before they were segmented — is refused with the format sentinel,
+// alone or beside segments, before the open writes anything.
+func TestSegWALRefusesSingleFile(t *testing.T) {
+	for name, besideSegments := range map[string]bool{"alone": false, "besideSegments": true} {
+		t.Run(name, func(t *testing.T) {
+			fs := NewCrashFS()
+			if besideSegments {
+				w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				segAppendCommit(t, w, []byte("seg-era"))
+				w.Close()
+			}
+			if err := WriteFileAtomic(fs, "log", []byte("a single-file log")); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := SegmentedWALExists(fs, "log"); err != nil || !ok {
+				t.Fatalf("exists = (%v, %v): the bare file must reach the open to be refused", ok, err)
+			}
+			ops := fs.Ops()
+			_, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 64)
+			if !errors.Is(err, codec.ErrUnsupportedFormat) {
+				t.Fatalf("open err = %v, want ErrUnsupportedFormat", err)
+			}
+			if fs.Ops() != ops {
+				t.Fatalf("refused open wrote, renamed, truncated or synced %d times", fs.Ops()-ops)
+			}
+		})
 	}
 }
 
@@ -385,18 +348,6 @@ func TestSegWALExistsAndRemove(t *testing.T) {
 	if ok, err := SegmentedWALExists(fs, "log"); err != nil || ok {
 		t.Fatalf("exists on empty fs = (%v, %v)", ok, err)
 	}
-	// Legacy generation counts.
-	writeLegacyWAL(t, fs, "log", "x")
-	if ok, _ := SegmentedWALExists(fs, "log"); !ok {
-		t.Fatal("legacy file not detected")
-	}
-	if err := RemoveSegmentedWAL(fs, "log"); err != nil {
-		t.Fatal(err)
-	}
-	if ok, _ := SegmentedWALExists(fs, "log"); ok {
-		t.Fatal("legacy file survived removal")
-	}
-	// Segment generation counts.
 	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 32)
 	if err != nil {
 		t.Fatal(err)

@@ -8,20 +8,21 @@ import (
 //
 // The budgets are deliberate ceilings a little above today's measured
 // allocs/op: they exist so the zero-alloc WAL codec and the PkNN scratch
-// reuse cannot silently rot back toward gob-era numbers — not as exact
-// pins, which would flake across Go releases. If a legitimate change
+// reuse cannot silently rot — not as exact pins, which would flake across
+// Go releases. If a legitimate change
 // raises a number, raise the budget in the same commit and say why.
 
 const (
 	// upsertSyncAllocBudget bounds one durable single-object commit:
-	// apply + binary WAL encode (reused buffer) + group-commit sync.
-	// Gob-era encoding alone cost ~40 allocs per record.
-	upsertSyncAllocBudget = 15
+	// apply + binary WAL encode (reused buffer) + group-commit sync. 5.0
+	// today, plain and under -race; the budget is that plus 20 %.
+	upsertSyncAllocBudget = 6
 	// applySyncAllocBudgetPerOp bounds a 100-upsert durable batch,
 	// amortized per upsert. Batching amortizes the record and the sync;
-	// the remainder (~12/op today) is dominated by B-tree copy-on-write
-	// node work, not serialization.
-	applySyncAllocBudgetPerOp = 16
+	// the remainder (7.4/op today, plain and under -race, budgeted plus
+	// 20 %) is dominated by B-tree copy-on-write node work, not
+	// serialization.
+	applySyncAllocBudgetPerOp = 9
 	// pknnAllocBudget bounds one PkNN query (k=5) on a pooled search
 	// state, whether its pages hit the buffer or miss it: the grantor list,
 	// the partition list, the result slice. 5 today, and 10–15 under -race,

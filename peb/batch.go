@@ -1,5 +1,7 @@
 package peb
 
+import "repro/internal/core"
+
 // Batch stages mutations in memory for atomic application by DB.Apply.
 // Staging methods never touch the database and never fail; validation
 // happens at Apply time. A Batch is not safe for concurrent use (stage
@@ -13,34 +15,34 @@ package peb
 // was, with no partial batch visible to any query (past, concurrent, or
 // future).
 type Batch struct {
-	ops []walOp
+	ops opList
 }
 
 // NewBatch returns an empty staging buffer.
 func (db *DB) NewBatch() *Batch { return &Batch{} }
 
 // Len returns the number of staged operations.
-func (b *Batch) Len() int { return len(b.ops) }
+func (b *Batch) Len() int { return b.ops.len() }
 
 // Upsert stages a movement update (see DB.Upsert).
 func (b *Batch) Upsert(o Object) {
-	b.ops = append(b.ops, walOp{Kind: walOpUpsert, Obj: o})
+	b.ops.Idx = append(b.ops.Idx, core.BatchOp{Kind: core.OpUpsert, Obj: o})
 }
 
 // Remove stages deletion of a user's index entry (see DB.Remove). Removing
 // a user with no index entry fails the whole batch at Apply time.
 func (b *Batch) Remove(uid UserID) {
-	b.ops = append(b.ops, walOp{Kind: walOpRemove, UID: uid})
+	b.ops.Idx = append(b.ops.Idx, core.BatchOp{Kind: core.OpRemove, UID: uid})
 }
 
 // DefineRelation stages a role relation (see DB.DefineRelation).
 func (b *Batch) DefineRelation(owner, peer UserID, role Role) {
-	b.ops = append(b.ops, walOp{Kind: walOpRelation, Own: owner, Peer: peer, Role: role})
+	b.ops.Pol = append(b.ops.Pol, polOp{Kind: polOpRelation, Own: owner, Peer: peer, Role: role})
 }
 
 // Grant stages a location-privacy policy (see DB.Grant).
 func (b *Batch) Grant(owner UserID, role Role, locr Region, tint TimeInterval) {
-	b.ops = append(b.ops, walOp{Kind: walOpGrant, Own: owner, Role: role, Locr: locr, Tint: tint})
+	b.ops.Pol = append(b.ops.Pol, polOp{Kind: polOpGrant, Own: owner, Role: role, Locr: locr, Tint: tint})
 }
 
 // Apply applies every staged operation atomically: one write-lock
@@ -55,7 +57,7 @@ func (b *Batch) Grant(owner UserID, role Role, locr Region, tint TimeInterval) {
 // policy changes take effect on new sequence values only after
 // EncodePolicies.
 func (db *DB) Apply(b *Batch) error {
-	var ops []walOp
+	var ops opList
 	if b != nil {
 		ops = b.ops
 	}

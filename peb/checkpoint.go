@@ -99,19 +99,17 @@ type metaFile struct {
 	NextSV    float64
 	SVs       []svRec
 
-	// Version 2 fields. NumPages/Free persist the page allocator (v1
-	// readers treated the whole file as allocated, leaking every page
-	// freed before the checkpoint); WalSeq is the WAL horizon; Users and
-	// Encoded restore the encoding population and its freshness; CkptSeq
-	// numbers checkpoints and Policies names the policies snapshot
-	// written by this one (empty: the legacy unversioned <Path>.policies).
-	NumPages uint64   `json:",omitempty"`
-	Free     []uint32 `json:",omitempty"`
-	WalSeq   uint64   `json:",omitempty"`
-	Users    []UserID `json:",omitempty"`
-	Encoded  bool     `json:",omitempty"`
-	CkptSeq  uint64   `json:",omitempty"`
-	Policies string   `json:",omitempty"`
+	// NumPages/Free persist the page allocator; WalSeq is the WAL horizon;
+	// Users and Encoded restore the encoding population and its freshness;
+	// CkptSeq numbers checkpoints and Policies is the base name of the
+	// policies snapshot written by this one, which lives beside the meta.
+	NumPages uint64         `json:",omitempty"`
+	Free     []store.PageID `json:",omitempty"`
+	WalSeq   uint64         `json:",omitempty"`
+	Users    []UserID       `json:",omitempty"`
+	Encoded  bool           `json:",omitempty"`
+	CkptSeq  uint64         `json:",omitempty"`
+	Policies string         `json:",omitempty"`
 }
 
 type svRec struct {
@@ -119,8 +117,8 @@ type svRec struct {
 	SV  uint64
 }
 
-// metaVersion is the current side-file version. Version 1 files (no
-// allocator state, no WAL horizon) are still read.
+// metaVersion is the one side-file version openFromCheckpoint reads; any
+// other is refused with ErrUnsupportedFormat.
 const metaVersion = 2
 
 // CheckpointStats reports checkpoint pipeline activity since Open. The
@@ -560,19 +558,16 @@ func (img *ckptImage) metaBytes() ([]byte, error) {
 		WalSeq:    img.walSeq,
 		Encoded:   img.encoded,
 		CkptSeq:   img.seq,
-		Policies:  img.polName,
+		Policies:  filepath.Base(img.polName),
 		Users:     img.users,
 	}
 	for uid, sv := range img.snap.SVs {
 		mf.SVs = append(mf.SVs, svRec{UID: uid, SV: sv})
 	}
 	sort.Slice(mf.SVs, func(i, j int) bool { return mf.SVs[i].UID < mf.SVs[j].UID })
-	free := make([]store.PageID, 0, len(img.free)+len(img.dead))
-	free = append(append(free, img.free...), img.dead...)
-	sort.Slice(free, func(i, j int) bool { return free[i] < free[j] })
-	for _, id := range free {
-		mf.Free = append(mf.Free, uint32(id))
-	}
+	mf.Free = make([]store.PageID, 0, len(img.free)+len(img.dead))
+	mf.Free = append(append(mf.Free, img.free...), img.dead...)
+	sort.Slice(mf.Free, func(i, j int) bool { return mf.Free[i] < mf.Free[j] })
 	return json.Marshal(mf)
 }
 
@@ -749,9 +744,10 @@ func (db *DB) maybeAutoCheckpoint() {
 	}
 }
 
-// corruptf wraps a violation as an ErrCorruptCheckpoint.
+// corruptf wraps a violation as an ErrCorruptCheckpoint; a cause passed
+// with %w (another generation's stamp, say) stays matchable.
 func corruptf(format string, args ...interface{}) error {
-	return fmt.Errorf("%w: %s", ErrCorruptCheckpoint, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%w: "+format, append([]interface{}{ErrCorruptCheckpoint}, args...)...)
 }
 
 // OpenExisting re-opens a DB from its on-disk state: the last Checkpoint
@@ -815,73 +811,55 @@ func sweepCheckpointOrphans(opts Options, livePol string) {
 	if err != nil {
 		return
 	}
-	metaTmp := opts.Path + ".meta.tmp"
-	polPrefix := opts.Path + ".policies"
 	for _, name := range names {
-		if name == livePol {
-			continue
-		}
-		switch {
-		case name == metaTmp:
-			_ = opts.FS.Remove(name)
-		case name == polPrefix, strings.HasPrefix(name, polPrefix+"."):
-			// The legacy unversioned snapshot (when superseded), any
-			// other checkpoint's .policies.<n>, and any .tmp staging
-			// leftover.
+		// The staged meta; any other checkpoint's .policies.<n>, and any
+		// .tmp staging leftover.
+		if name != livePol && (name == opts.Path+".meta.tmp" || strings.HasPrefix(name, opts.Path+".policies.")) {
 			_ = opts.FS.Remove(name)
 		}
 	}
 }
 
 // openFromCheckpoint re-attaches to a checkpoint and replays any log tail.
+// Everything that can refuse the directory — the meta's stamp, the
+// policies snapshot's, every log record's — is read before anything in it
+// is written, swept or replayed over.
 func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 	var mf metaFile
 	if err := json.Unmarshal(metaData, &mf); err != nil {
 		return nil, corruptf("parse checkpoint meta: %v", err)
 	}
-	if mf.Version < 1 || mf.Version > metaVersion {
-		return nil, fmt.Errorf("peb: checkpoint version %d not supported", mf.Version)
+	if mf.Version != metaVersion {
+		return nil, fmt.Errorf("peb: %w: checkpoint meta version %d (want %d)", ErrUnsupportedFormat, mf.Version, metaVersion)
 	}
-
-	polName := mf.Policies
-	if polName == "" {
-		polName = opts.Path + ".policies" // legacy unversioned snapshot
-	} else {
-		// Older metas recorded the policies path as written at checkpoint
-		// time; side files always live beside the index, so resolve against
-		// the index's directory to keep a DB directory relocatable.
-		polName = filepath.Join(filepath.Dir(opts.Path), filepath.Base(polName))
+	if mf.Policies == "" {
+		return nil, corruptf("checkpoint meta names no policies snapshot")
 	}
+	// Side files always live beside the index; taking the base name keeps a
+	// meta from naming a path outside the directory.
+	polName := filepath.Join(filepath.Dir(opts.Path), filepath.Base(mf.Policies))
 	pf, err := opts.FS.ReadFile(polName)
 	if err != nil {
 		return nil, corruptf("read checkpoint policies: %v", err)
 	}
 	policies, err := policy.Load(bytes.NewReader(pf))
 	if err != nil {
-		return nil, corruptf("parse checkpoint policies: %v", err)
+		return nil, corruptf("parse checkpoint policies: %w", err)
 	}
 
 	fd, err := store.OpenFileDiskOn(opts.FS, opts.Path)
 	if err != nil {
 		return nil, err
 	}
-	// Restore (v2) or derive (v1) the allocator state, and validate the
-	// meta's linkage against it before touching any page.
-	numPages := fd.NumPages() // v1: every file page allocated
-	if mf.Version >= 2 {
-		free := make([]store.PageID, 0, len(mf.Free))
-		for _, id := range mf.Free {
-			free = append(free, store.PageID(id))
-		}
-		if err := fd.Reconcile(mf.NumPages, free); err != nil {
-			fd.Close()
-			return nil, corruptf("%v", err)
-		}
-		numPages = mf.NumPages
-	}
-	if mf.Root == 0 || uint64(mf.Root) > numPages {
+	// Restore the allocator state, and validate the meta's linkage against
+	// it before touching any page.
+	if err := fd.Reconcile(mf.NumPages, mf.Free); err != nil {
 		fd.Close()
-		return nil, corruptf("root page %d outside file of %d pages", mf.Root, numPages)
+		return nil, corruptf("%v", err)
+	}
+	if mf.Root == 0 || uint64(mf.Root) > mf.NumPages {
+		fd.Close()
+		return nil, corruptf("root page %d outside file of %d pages", mf.Root, mf.NumPages)
 	}
 	if mf.Height < 1 || mf.Size < 0 || mf.LeafCount < 1 {
 		fd.Close()
@@ -902,7 +880,7 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 		snap.SVs[rec.UID] = rec.SV
 	}
 	tree, err := core.OpenChecked(opts.coreConfig(), store.NewBufferPool(fd, opts.BufferPages),
-		policies, snap, store.PageID(numPages))
+		policies, snap, store.PageID(mf.NumPages))
 	if err != nil {
 		fd.Close()
 		return nil, corruptf("%v", err)
@@ -923,17 +901,13 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 		ckptWalSeq:   mf.WalSeq,
 		ckptSeq:      mf.CkptSeq,
 		prevPolicies: polName,
+		encoded:      mf.Encoded,
 	}
 	db.prepCond = sync.NewCond(&db.prepMu)
 	db.initObs()
 	db.view = tree.ViewIO(db.qio)
-	if mf.Version >= 2 {
-		db.encoded = mf.Encoded
-		for _, uid := range mf.Users {
-			db.users[uid] = true
-		}
-	} else {
-		db.encoded = true
+	for _, uid := range mf.Users {
+		db.users[uid] = true
 	}
 	for uid := range snap.SVs {
 		db.users[uid] = true
@@ -955,10 +929,14 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 	// the first checkpoint after recovery must re-derive liveness with a
 	// full sweep.
 	db.ckptFullNeeded = true
-	// Startup housekeeping: sweep side files a crash orphaned — staging
-	// leftovers and policies snapshots other than the committed one.
-	sweepCheckpointOrphans(opts, polName)
-	if err := db.attachWAL(); err != nil {
+	wal, log, err := readWAL(opts)
+	if err == nil {
+		// Startup housekeeping: sweep side files a crash orphaned — staging
+		// leftovers and policies snapshots other than the committed one.
+		sweepCheckpointOrphans(opts, polName)
+		err = db.replayWAL(wal, log)
+	}
+	if err != nil {
 		db.fileDisk.Close()
 		return nil, err
 	}
@@ -966,18 +944,15 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 }
 
 // openFromWALOnly recovers a durable DB that crashed before its first
-// checkpoint: the page file holds no committed image, so it is discarded
-// first and the log is replayed from an empty index.
+// checkpoint: once the log has been read, the page file — it holds no
+// committed image — is discarded and the log replayed from an empty index.
 func openFromWALOnly(opts Options) (*DB, error) {
-	f, err := opts.FS.OpenFile(opts.Path)
+	wal, log, err := readWAL(opts)
 	if err != nil {
-		return nil, fmt.Errorf("peb: discard uncheckpointed pages: %w", err)
+		return nil, err
 	}
-	if err := f.Truncate(0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("peb: discard uncheckpointed pages: %w", err)
-	}
-	if err := f.Close(); err != nil {
+	if err := opts.FS.Remove(opts.Path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		wal.Close()
 		return nil, fmt.Errorf("peb: discard uncheckpointed pages: %w", err)
 	}
 	// No checkpoint ever committed, so any policies or meta staging file
@@ -985,56 +960,65 @@ func openFromWALOnly(opts Options) (*DB, error) {
 	sweepCheckpointOrphans(opts, "")
 
 	fresh := opts
-	// attachWAL below opens the log itself (openFresh would refuse the
-	// non-empty one).
+	// The log is open already (openFresh would refuse the non-empty one).
 	fresh.Durability = DurabilityNone
 	db, err := openFresh(fresh)
 	if err != nil {
+		wal.Close()
 		return nil, err
 	}
 	db.opts = opts
-	if err := db.attachWAL(); err != nil {
+	if err := db.replayWAL(wal, log); err != nil {
 		db.fileDisk.Close()
 		return nil, err
 	}
 	return db, nil
 }
 
-// attachWAL opens the log, replays every record newer than db.walSeq (the
-// checkpoint's horizon; zero without one), and — when the DB is durable —
-// installs the log for subsequent commits. A non-durable reopen replays
-// too (committed data must not be dropped) and then leaves the log in
-// place: the replayed state exists only in memory,
-// so the old checkpoint plus the old log remain its sole durable
-// description. The log stays inert — every record's Seq is ≤ the restored
-// walSeq, so a future Checkpoint's WalSeq covers it (Checkpoint then
-// removes it) and a re-recovery before that reproduces this same state.
-func (db *DB) attachWAL() error {
-	afterSeq := db.walSeq
-	hasWAL, err := store.SegmentedWALExists(db.opts.FS, db.opts.Path+".wal")
+// readWAL opens the log beside opts.Path and decodes every record in it
+// (no log when there is none and the DB is not durable). A single-file log
+// or a record of another generation fails here, which is why both open
+// paths call it before they write.
+func readWAL(opts Options) (*store.SegmentedWAL, txnReplay, error) {
+	var log txnReplay
+	hasWAL, err := store.SegmentedWALExists(opts.FS, opts.Path+".wal")
 	if err != nil {
-		return fmt.Errorf("peb: probe wal: %w", err)
+		return nil, log, fmt.Errorf("peb: probe wal: %w", err)
 	}
-	if !hasWAL && db.opts.Durability == DurabilityNone {
+	if !hasWAL && opts.Durability == DurabilityNone {
+		return nil, log, nil
+	}
+	wal, records, err := store.OpenSegmentedWAL(opts.FS, opts.Path+".wal",
+		opts.Durability.walPolicy(), opts.WALSegmentBytes)
+	if err != nil {
+		return nil, log, err
+	}
+	if err := log.add(records); err != nil {
+		wal.Close()
+		return nil, log, corruptf("wal %w", err)
+	}
+	return wal, log, nil
+}
+
+// replayWAL replays every record of log newer than db.walSeq (the
+// checkpoint's horizon; zero without one), and — when the DB is durable —
+// installs wal, which it owns, for subsequent commits. A non-durable
+// reopen replays too (committed data must not be dropped) and then leaves
+// the log in place: the replayed state exists only in memory, so the old
+// checkpoint plus the old log remain its sole durable description. The log
+// stays inert — every record's Seq is ≤ the restored walSeq, so a future
+// Checkpoint's WalSeq covers it (Checkpoint then removes it) and a
+// re-recovery before that reproduces this same state.
+func (db *DB) replayWAL(wal *store.SegmentedWAL, log txnReplay) error {
+	if wal == nil {
 		return nil
 	}
-	// Opening migrates a legacy single-file log (pre-segmentation era) to
-	// segment 000001 in place, then replays segments in order.
-	wal, records, err := store.OpenSegmentedWAL(db.opts.FS, db.opts.Path+".wal",
-		db.opts.Durability.walPolicy(), db.opts.WALSegmentBytes)
-	if err != nil {
-		return err
-	}
+	afterSeq, records := db.walSeq, len(log.pending)
 	// Recovery has the whole log, so every marker is queued before the
 	// first record replays; a prepared record still without one (the
 	// process died between this participant's prepare and the
 	// coordinator's marker) is decided by the coordinator's resolver —
 	// absent one, aborted.
-	var log txnReplay
-	if err := log.add(records); err != nil {
-		wal.Close()
-		return corruptf("wal %v", err)
-	}
 	resolve := db.opts.TxnResolve
 	if resolve == nil {
 		resolve = func(uint64) bool { return false }
@@ -1047,7 +1031,7 @@ func (db *DB) attachWAL() error {
 	db.refreshView()
 	db.collectGarbage()
 	db.events.Record("recovery", "write-ahead log replayed",
-		"records", len(records), "replayed", replayed, "after_seq", afterSeq,
+		"records", records, "replayed", replayed, "after_seq", afterSeq,
 		"resolved_txns", len(log.outcomes), "commit_seq", db.walSeq)
 	if db.opts.Durability == DurabilityNone {
 		return wal.Close()

@@ -466,7 +466,6 @@ func TestOpenExistingSweepsOrphans(t *testing.T) {
 		"o.idx.meta.tmp",       // staged meta never renamed
 		"o.idx.policies.7.tmp", // policies staging leftover
 		"o.idx.policies.99",    // never-committed policies snapshot
-		"o.idx.policies",       // superseded legacy snapshot
 	}
 	for _, name := range orphans {
 		plant(name)

@@ -14,17 +14,17 @@ import (
 // The write path.
 //
 // Every mutation — Upsert, Remove, DefineRelation, Grant, EncodePolicies,
-// InstallEncoding, LoadPolicies, Apply, PrepareApply — is a list of walOp
-// handed to commit, the only function that takes the write lock to mutate.
+// InstallEncoding, LoadPolicies, Apply, PrepareApply — is an opList handed
+// to commit, the only function that takes the write lock to mutate.
 // commit runs six stages under the lock:
 //
 //	1 validate  closed DB, invalid grant regions, an encoding that misses
 //	            an indexed user, a policy snapshot of another domain —
 //	            nothing has been touched when one of these fails
 //	2 resolve   make the list deterministic: an upsert of a user the tree
-//	            holds no sequence value for gets an explicit walOpSetSV
+//	            holds no sequence value for gets an explicit core.OpSetSV
 //	            (δ = 2 spacing, Fig. 5 of the paper), EncodePolicies and
-//	            LoadPolicies get their computed walOpEncode. The resolved
+//	            LoadPolicies get their computed polOpEncode. The resolved
 //	            list is what is applied, what is logged, and therefore
 //	            what recovery and replicas replay
 //	3 capture   first-touch index states, for commit hooks and for a
@@ -36,7 +36,7 @@ import (
 //
 // and then, outside the lock, waits for the record to be durable — which
 // is what lets concurrent commits share one fsync — and observes the
-// commit latency. Recovery (attachWAL) and Replica.ingestLocked run stage 4
+// commit latency. Recovery (replayWAL) and Replica.ingestLocked run stage 4
 // on decoded records, so live commit, replay and follower apply execute
 // the same code.
 
@@ -44,9 +44,9 @@ import (
 // logs the record as the prepared participant of that cross-shard
 // transaction and undo captures what Prepared.Abort needs to reverse it.
 // An empty list commits nothing.
-func (db *DB) commit(ops []walOp, txnID uint64, undo *txnUndo) error {
+func (db *DB) commit(ops opList, txnID uint64, undo *txnUndo) error {
 	start := time.Now()
-	policyChange, rebuild := opClasses(ops)
+	policyChange, rebuild := opClasses(ops.Pol)
 	if rebuild {
 		// A rebuild swaps the tree and its backing disk — state an in-flight
 		// checkpoint's build phase reads without the write lock — so it
@@ -59,7 +59,7 @@ func (db *DB) commit(ops []walOp, txnID uint64, undo *txnUndo) error {
 	if rebuild {
 		db.ckptMu.Unlock()
 	}
-	if err != nil || len(ops) == 0 {
+	if err != nil || ops.len() == 0 {
 		return err
 	}
 	if err := db.walSync(tok); err != nil {
@@ -72,23 +72,21 @@ func (db *DB) commit(ops []walOp, txnID uint64, undo *txnUndo) error {
 // commitLocked is stages 1–6; the caller holds the write lock and passes
 // what opClasses says of ops (resolution adds and fills in operations but
 // never changes their classes).
-func (db *DB) commitLocked(ops []walOp, txnID uint64, undo *txnUndo, policyChange, rebuild bool) (store.WALToken, error) {
+func (db *DB) commitLocked(ops opList, txnID uint64, undo *txnUndo, policyChange, rebuild bool) (store.WALToken, error) {
 	if db.closed {
 		return 0, ErrClosed
 	}
-	if len(ops) == 0 {
+	if ops.len() == 0 {
 		return 0, nil
 	}
 	resolved, err := db.resolveOps(ops)
-	// The scratch may now reference a policy blob or an assignment.
-	defer clear(db.opScratch[:])
 	if err != nil {
 		return 0, err
 	}
 
 	var touched []CommitTouch
 	if undo != nil || db.hooksActive() {
-		if touched, err = db.captureTouched(resolved); err != nil {
+		if touched, err = db.captureTouched(resolved.Idx); err != nil {
 			return 0, err
 		}
 	}
@@ -120,13 +118,13 @@ func (db *DB) commitLocked(ops []walOp, txnID uint64, undo *txnUndo, policyChang
 
 // opClasses reports whether ops change the policy store (the commit hooks'
 // PolicyChange) and whether they rebuild the index (Rebuild). A
-// walOpLoadPolicies always travels with the walOpEncode it implies.
-func opClasses(ops []walOp) (policyChange, rebuild bool) {
+// polOpLoadPolicies always travels with the polOpEncode it implies.
+func opClasses(ops []polOp) (policyChange, rebuild bool) {
 	for i := range ops {
 		switch ops[i].Kind {
-		case walOpRelation, walOpGrant, walOpLoadPolicies:
+		case polOpRelation, polOpGrant, polOpLoadPolicies:
 			policyChange = true
-		case walOpEncode:
+		case polOpEncode:
 			rebuild = true
 		}
 	}
@@ -134,30 +132,28 @@ func opClasses(ops []walOp) (policyChange, rebuild bool) {
 }
 
 // resolveOps is stages 1 and 2: it validates ops against the current state
-// and returns the list to apply and log — policy and rebuild operations in
-// staging order, then the index operations in staging order with their
-// sequence values resolved. (The two groups are independent: policy
-// changes influence queries, not the staged index keys.) A list that is
-// already in that form — the steady state: updates of known users, policy
-// loads — is returned as it is, never copied or written; otherwise the
-// result lives in db.opScratch when it fits, so a one-shot commit
-// allocates no list either way.
-func (db *DB) resolveOps(ops []walOp) ([]walOp, error) {
-	resolved, indexSeen := true, false
+// and returns the list to apply and log, each group resolved on its own. A
+// group that is already in that form — the steady state: updates of known
+// users, relations and grants — is returned as it is, never copied or
+// written; a resolved index group lives in db.opScratch when it fits, so a
+// one-shot commit allocates no list either way.
+func (db *DB) resolveOps(ops opList) (opList, error) {
+	pol, err := db.resolvePolicyOps(ops.Pol)
+	return opList{Pol: pol, Idx: db.resolveIndexOps(ops.Idx)}, err
+}
+
+// resolvePolicyOps validates the policy group and fills in its rebuild
+// operations: a policy snapshot is re-serialized in canonical form, an
+// encode without an assignment gets the computed one.
+func (db *DB) resolvePolicyOps(ops []polOp) ([]polOp, error) {
+	resolved := true
 	for i := range ops {
 		switch op := &ops[i]; op.Kind {
-		case walOpGrant:
+		case polOpGrant:
 			if !op.Locr.Valid() {
 				return nil, &InvalidRegionError{Region: op.Locr}
 			}
-			resolved = resolved && !indexSeen
-		case walOpRelation:
-			resolved = resolved && !indexSeen
-		case walOpUpsert:
-			_, known := db.tree.SV(op.Obj.UID)
-			resolved, indexSeen = resolved && known, true
-		case walOpRemove:
-			indexSeen = true
+		case polOpRelation:
 		default: // a rebuild operation: computed or checked below
 			resolved = false
 		}
@@ -166,16 +162,16 @@ func (db *DB) resolveOps(ops []walOp) ([]walOp, error) {
 		return ops, nil
 	}
 
-	out := db.opScratch[:0]
-	// A walOpLoadPolicies sets these for the walOpEncode that follows it:
+	out := make([]polOp, 0, len(ops))
+	// A polOpLoadPolicies sets these for the polOpEncode that follows it:
 	// the incoming store and the users it names.
 	ps, named := db.policies, []UserID(nil)
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
-		case walOpRelation, walOpGrant:
+		case polOpRelation, polOpGrant:
 			out = append(out, *op)
-		case walOpLoadPolicies:
+		case polOpLoadPolicies:
 			loaded, err := policy.Load(bytes.NewReader(op.Blob))
 			if err != nil {
 				return nil, err
@@ -189,13 +185,13 @@ func (db *DB) resolveOps(ops []walOp) ([]walOp, error) {
 			if err := loaded.Save(&blob); err != nil {
 				return nil, fmt.Errorf("peb: serialize policies: %w", err)
 			}
-			out = append(out, walOp{Kind: walOpLoadPolicies, Blob: blob.Bytes()})
+			out = append(out, polOp{Kind: polOpLoadPolicies, Blob: blob.Bytes()})
 			ps = loaded
 			loaded.ForEachGrant(func(owner, viewer policy.UserID, _ policy.Policy) bool {
 				named = append(named, UserID(owner), UserID(viewer))
 				return true
 			})
-		case walOpEncode:
+		case polOpEncode:
 			enc := *op
 			if enc.Assign == nil {
 				// EncodePolicies, LoadPolicies: compute the assignment here,
@@ -211,28 +207,33 @@ func (db *DB) resolveOps(ops []walOp) ([]walOp, error) {
 			out = append(out, enc)
 		}
 	}
+	return out, nil
+}
 
-	nextSV := db.nextSV
+// resolveIndexOps gives every upsert of a user the tree holds no sequence
+// value for an explicit core.OpSetSV ahead of it. The caller's list is
+// left alone: the first such user moves the result to db.opScratch.
+func (db *DB) resolveIndexOps(ops []core.BatchOp) []core.BatchOp {
+	out, nextSV := ops, db.nextSV
 	var staged map[UserID]bool
 	for i := range ops {
-		op := &ops[i]
-		switch op.Kind {
-		case walOpUpsert:
+		if op := &ops[i]; op.Kind == core.OpUpsert {
 			uid := op.Obj.UID
 			if _, ok := db.tree.SV(uid); !ok && !staged[uid] {
-				nextSV += 2 // δ spacing, a fresh singleton anchor (Fig. 5)
-				out = append(out, walOp{Kind: walOpSetSV, UID: uid, SV: nextSV})
 				if staged == nil {
 					staged = make(map[UserID]bool)
+					out = append(db.opScratch[:0], ops[:i]...)
 				}
+				nextSV += 2 // δ spacing, a fresh singleton anchor (Fig. 5)
+				out = append(out, core.BatchOp{Kind: core.OpSetSV, UID: uid, SV: nextSV})
 				staged[uid] = true
 			}
-			out = append(out, *op)
-		case walOpRemove:
-			out = append(out, *op)
+		}
+		if staged != nil {
+			out = append(out, ops[i])
 		}
 	}
-	return out, nil
+	return out
 }
 
 // assignLocked runs the offline policy-encoding phase (Sec. 5.1) against
@@ -278,7 +279,7 @@ func (db *DB) checkCoverage(assign []assignRec) error {
 // captureTouched is stage 3: one CommitTouch per user the index operations
 // write, in first-appearance order — Prev read from the tree before
 // anything is applied, Cur the state the list leaves the user in.
-func (db *DB) captureTouched(ops []walOp) ([]CommitTouch, error) {
+func (db *DB) captureTouched(ops []core.BatchOp) ([]CommitTouch, error) {
 	var touched []CommitTouch
 	at := make(map[UserID]int)
 	for i := range ops {
@@ -286,10 +287,10 @@ func (db *DB) captureTouched(ops []walOp) ([]CommitTouch, error) {
 		var uid UserID
 		var cur *Object
 		switch op.Kind {
-		case walOpUpsert:
+		case core.OpUpsert:
 			o := op.Obj
 			uid, cur = o.UID, &o
-		case walOpRemove:
+		case core.OpRemove:
 			uid = op.UID
 		default:
 			continue
@@ -314,46 +315,49 @@ func (db *DB) captureTouched(ops []walOp) ([]CommitTouch, error) {
 }
 
 // applyOps is stage 4, the state transition of a resolved op list: the
-// index operations through the tree, then — in list order — the policy
-// operations, the rebuild operations, and the bookkeeping every operation
-// carries (the user population, the sequence-value cursor, the encoded
-// flag). Commit, recovery and replicas all run it; the caller holds the
-// write lock and publishes the view afterwards.
+// index group through the tree with the bookkeeping its operations carry
+// (the user population, the sequence-value cursor), then — in list order —
+// the policy and rebuild operations with theirs (the population, the
+// encoded flag). Commit, recovery and replicas all run it; the caller
+// holds the write lock and publishes the view afterwards.
 //
 // The index phase goes first because it is the only one that can fail on
 // valid input (a remove of an unindexed user, an I/O error) and it rolls
 // itself back: on error nothing has changed. After validation the policy
 // phase cannot fail — AddPolicy's only error is an invalid region — so the
 // store is mutated in place and copied only when something still reads it
-// (writablePolicies); a one-shot Grant stays O(1). A record never mixes
-// index and rebuild operations.
-func (db *DB) applyOps(ops []walOp) error {
-	if err := db.applyIndexOps(ops); err != nil {
+// (writablePolicies); a one-shot Grant stays O(1). The writer never mixes
+// index and rebuild operations in one record.
+func (db *DB) applyOps(ops opList) error {
+	if err := db.applyIndexOps(ops.Idx); err != nil {
 		return err
 	}
-	for i := range ops {
-		op := &ops[i]
-		switch op.Kind {
-		case walOpSetSV:
+	for i := range ops.Idx {
+		switch op := &ops.Idx[i]; op.Kind {
+		case core.OpSetSV:
 			if op.SV > db.nextSV {
 				db.nextSV = op.SV
 			}
-		case walOpUpsert:
+		case core.OpUpsert:
 			db.noteUser(op.Obj.UID)
-		case walOpRemove:
-		case walOpRelation:
+		}
+	}
+	for i := range ops.Pol {
+		op := &ops.Pol[i]
+		switch op.Kind {
+		case polOpRelation:
 			db.writablePolicies().SetRelation(policy.UserID(op.Own), policy.UserID(op.Peer), op.Role)
 			db.noteUser(op.Own)
 			db.noteUser(op.Peer)
 			db.encoded = false
-		case walOpGrant:
+		case polOpGrant:
 			p := policy.Policy{Role: op.Role, Locr: op.Locr, Tint: op.Tint}
 			if err := db.writablePolicies().AddPolicy(policy.UserID(op.Own), p); err != nil {
 				return fmt.Errorf("peb: grant: %w", err)
 			}
 			db.noteUser(op.Own)
 			db.encoded = false
-		case walOpLoadPolicies:
+		case polOpLoadPolicies:
 			loaded, err := policy.Load(bytes.NewReader(op.Blob))
 			if err != nil {
 				return fmt.Errorf("peb: load policies: %w", err)
@@ -369,8 +373,8 @@ func (db *DB) applyOps(ops []walOp) error {
 				return true
 			})
 			db.encoded = false
-		case walOpEncode:
-			if err := db.rebuildLocked(decodeAssignment(*op)); err != nil {
+		case polOpEncode:
+			if err := db.rebuildLocked(decodeAssignment(op)); err != nil {
 				return fmt.Errorf("peb: rebuild: %w", err)
 			}
 		default:
@@ -380,51 +384,31 @@ func (db *DB) applyOps(ops []walOp) error {
 	return nil
 }
 
-// applyIndexOps applies the index operations of ops (walOpSetSV,
-// walOpUpsert, walOpRemove) atomically. A single operation goes straight
-// to the tree: core.Tree.ApplyBatch's plan, copy-on-write transaction and
-// undo map cost about ten allocations a durable Upsert does not need.
-func (db *DB) applyIndexOps(ops []walOp) error {
-	n, last := 0, 0
-	for i := range ops {
-		if ops[i].Kind.isIndex() {
-			n, last = n+1, i
-		}
+// applyIndexOps applies the index group atomically. A single operation
+// goes straight to the tree: core.Tree.ApplyBatch's plan, copy-on-write
+// transaction and undo map cost about ten allocations a durable Upsert
+// does not need.
+func (db *DB) applyIndexOps(ops []core.BatchOp) error {
+	if len(ops) != 1 {
+		// On error the tree rolled itself back; the published view still
+		// describes the (unchanged) committed state and is NOT republished.
+		return db.tree.ApplyBatch(ops)
 	}
-	switch n {
-	case 0:
-		return nil
-	case 1:
-		var err error
-		switch op := &ops[last]; op.Kind {
-		case walOpSetSV:
-			err = db.tree.SetSV(op.UID, op.SV)
-		case walOpUpsert:
-			err = db.tree.Insert(op.Obj)
-		case walOpRemove:
-			err = db.tree.Delete(op.UID)
-		}
-		if err != nil {
-			// Insert and Delete are not transactional: publish whatever an
-			// I/O failure left, so queries read the tree's actual state.
-			db.refreshView()
-		}
-		return err
+	var err error
+	switch op := &ops[0]; op.Kind {
+	case core.OpSetSV:
+		err = db.tree.SetSV(op.UID, op.SV)
+	case core.OpUpsert:
+		err = db.tree.Insert(op.Obj)
+	case core.OpRemove:
+		err = db.tree.Delete(op.UID)
 	}
-	batch := make([]core.BatchOp, 0, n)
-	for i := range ops {
-		switch op := &ops[i]; op.Kind {
-		case walOpSetSV:
-			batch = append(batch, core.BatchOp{Kind: core.OpSetSV, UID: op.UID, SV: op.SV})
-		case walOpUpsert:
-			batch = append(batch, core.BatchOp{Kind: core.OpUpsert, Obj: op.Obj})
-		case walOpRemove:
-			batch = append(batch, core.BatchOp{Kind: core.OpRemove, UID: op.UID})
-		}
+	if err != nil {
+		// Insert and Delete are not transactional: publish whatever an
+		// I/O failure left, so queries read the tree's actual state.
+		db.refreshView()
 	}
-	// On error the tree rolled itself back; the published view still
-	// describes the (unchanged) committed state and is NOT republished.
-	return db.tree.ApplyBatch(batch)
+	return err
 }
 
 // writablePolicies returns the policy store for in-place mutation, first

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -105,11 +106,11 @@ func TestOneShotEqualsOneOpBatch(t *testing.T) {
 			t.Fatalf("%s: method logged %d records, batch %d", step.name, len(dlog), len(slog))
 		}
 		for i := range dlog {
-			drec, err := unmarshalRecord(dlog[i])
+			drec, err := decodeRecord(dlog[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			srec, err := unmarshalRecord(slog[i])
+			srec, err := decodeRecord(slog[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,11 +146,11 @@ func TestOneShotEqualsOneOpBatch(t *testing.T) {
 	if len(direct.infos) != 5 {
 		t.Fatalf("%d hook notifications, want 5", len(direct.infos))
 	}
-	first, err := unmarshalRecord(walPayloads(t, direct.fs, "db.idx")[0])
+	first, err := decodeRecord(walPayloads(t, direct.fs, "db.idx")[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first.Ops) != 2 || first.Ops[0].Kind != walOpSetSV || first.Ops[1].Kind != walOpUpsert {
+	if idx := first.Ops.Idx; len(idx) != 2 || len(first.Ops.Pol) != 0 || idx[0].Kind != core.OpSetSV || idx[1].Kind != core.OpUpsert {
 		t.Fatalf("fresh user's record = %+v, want [SetSV, Upsert]", first.Ops)
 	}
 	if !direct.db.Allows(7, 8, 100, 100, 60) {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"repro/internal/codec"
 )
 
 // Sentinel errors. Match with errors.Is; the concrete errors returned by
@@ -29,6 +31,13 @@ var (
 	// structure is garbage. It means the checkpoint cannot be trusted, not
 	// merely that an option was wrong.
 	ErrCorruptCheckpoint = errors.New("peb: corrupt checkpoint")
+
+	// ErrUnsupportedFormat is wrapped by every error Open and OpenExisting
+	// return for on-disk state of another format generation: a meta,
+	// policies snapshot or log record without the current version stamp, or
+	// a single-file log at the bare <Path>.wal name. Nothing is migrated,
+	// and a refused open leaves every file as it found it.
+	ErrUnsupportedFormat = codec.ErrUnsupportedFormat
 )
 
 // InvalidRegionError reports the malformed region a query was given

@@ -2,7 +2,6 @@ package peb
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,21 +9,15 @@ import (
 	"repro/internal/policy"
 )
 
-// Golden-fixture compatibility test.
+// Golden-fixture tests.
 //
-// peb/testdata/golden/gobwal holds an on-disk database — page file,
-// checkpoint meta, policies snapshot, and a write-ahead log whose records
-// were serialized with the ORIGINAL encoding/gob WAL codec (PR 3 era).
-// The fixture is frozen: it was generated once, before the binary codec
-// replaced gob on the append path, and pins the upgrade path forever —
-// every future codec revision must still recover it to exactly the state
-// scripted below.
-//
-// The script, the expected object set, and the expected policy snapshot
-// are all reproduced here so the verification is self-contained: recovery
-// must restore byte-for-byte identical object records (float fields are
-// integers by construction, so equality is exact) and a byte-identical
-// canonical policy snapshot.
+// peb/testdata/golden/current holds an on-disk database — page file,
+// checkpoint meta, policies snapshot and one write-ahead log segment — as
+// the script below leaves it under the current code. It pins the on-disk
+// formats two ways: the script rerun in a scratch directory must reproduce
+// the four files byte for byte, and the fixture must recover to exactly the
+// scripted state (float fields are integers by construction, so object and
+// policy-snapshot equality is exact).
 
 // goldenDay and the regions below are the fixture's policy vocabulary.
 var goldenDay = TimeInterval{Start: 0, End: 1440}
@@ -150,16 +143,9 @@ func goldenPolicies(t *testing.T) *policy.Store {
 	return ps
 }
 
-const (
-	// goldenDir is the PR 3-era fixture: gob-codec WAL records in a
-	// single log file.
-	goldenDir = "testdata/golden/gobwal"
-	// goldenSingleWALDir is the PR 6-era fixture: binary-codec records,
-	// still in the single `.wal` file that predates log segmentation. It
-	// pins the segment-migration path the same way goldenDir pins the
-	// codec upgrade.
-	goldenSingleWALDir = "testdata/golden/singlewal"
-)
+// goldenDir is the fixture: the script's output in the one format
+// generation the engine reads and writes.
+const goldenDir = "testdata/golden/current"
 
 func goldenOptions(dir string) Options {
 	return Options{
@@ -167,27 +153,6 @@ func goldenOptions(dir string) Options {
 		Durability:  DurabilitySync,
 		BufferPages: 8,
 	}
-}
-
-// copyGoldenFixture clones a committed fixture into a scratch directory
-// (recovery legitimately migrates the log and sweeps side files).
-func copyGoldenFixture(t *testing.T, fixture string) string {
-	t.Helper()
-	entries, err := os.ReadDir(fixture)
-	if err != nil {
-		t.Fatalf("golden fixture missing: %v", err)
-	}
-	dir := t.TempDir()
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
 }
 
 // verifyGoldenState checks a recovered DB against the scripted state.
@@ -221,11 +186,53 @@ func verifyGoldenState(t *testing.T, db *DB) {
 	}
 }
 
-// TestGoldenGobWALRecovery proves the upgrade path: a checkpoint plus a
-// gob-era WAL written before the binary codec existed must recover to
-// exactly the scripted state under the current code.
-func TestGoldenGobWALRecovery(t *testing.T) {
-	dir := copyGoldenFixture(t, goldenDir)
+// TestGoldenBytesStable reruns the script in a scratch directory and
+// compares every file it leaves with the committed fixture, byte for byte:
+// the page image, the checkpoint meta, the policies snapshot and the log
+// segment are all deterministic, so any difference is a format change.
+// For one that is meant, PEB_REGEN_GOLDEN=1 runs the script into
+// testdata/golden/regen-out instead (never over the committed fixture);
+// move that directory to testdata/golden/current.
+func TestGoldenBytesStable(t *testing.T) {
+	dir := t.TempDir()
+	if os.Getenv("PEB_REGEN_GOLDEN") != "" {
+		dir = "testdata/golden/regen-out"
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := Open(goldenOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runGoldenScript(db); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := dirImage(t, dir), dirImage(t, goldenDir)
+	if len(got) != 4 || len(want) != 4 {
+		t.Fatalf("script left %d files, fixture holds %d, want 4 and 4", len(got), len(want))
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok || g != w {
+			t.Errorf("%s: script output (%d bytes, written %v) differs from the fixture (%d bytes)", name, len(g), ok, len(w))
+		}
+	}
+}
+
+// TestGoldenRecovery recovers the fixture — a checkpoint plus a log tail —
+// to exactly the scripted state, and the recovered DB stays fully
+// operational: it accepts new commits, checkpoints (dropping the log's
+// covered prefix), and survives a second recovery with the new history
+// intact.
+func TestGoldenRecovery(t *testing.T) {
+	// A copy: recovery legitimately appends to the log and sweeps side files.
+	dir := writeImage(t, dirImage(t, goldenDir))
 	db, err := OpenExisting(goldenOptions(dir))
 	if err != nil {
 		t.Fatalf("recover golden fixture: %v", err)
@@ -233,9 +240,6 @@ func TestGoldenGobWALRecovery(t *testing.T) {
 	defer db.Close()
 	verifyGoldenState(t, db)
 
-	// The recovered DB must remain fully operational: accept new commits,
-	// checkpoint (upgrading the log's covered prefix away), and survive a
-	// second recovery with the new history intact.
 	extra := goldenObj(99, 4)
 	if err := db.Upsert(extra); err != nil {
 		t.Fatalf("post-recovery upsert: %v", err)
@@ -253,132 +257,10 @@ func TestGoldenGobWALRecovery(t *testing.T) {
 	defer re.Close()
 	got, ok, err := re.Lookup(99)
 	if err != nil || !ok || got != extra {
-		t.Fatalf("post-upgrade object lost: %+v ok=%v err=%v", got, ok, err)
+		t.Fatalf("post-checkpoint object lost: %+v ok=%v err=%v", got, ok, err)
 	}
 	want := goldenObjects()
 	if got := re.Size(); got != len(want)+1 {
-		t.Fatalf("post-upgrade size = %d, want %d", got, len(want)+1)
-	}
-}
-
-// TestGoldenSingleWALMigration proves the log-segmentation upgrade path:
-// a database whose write-ahead log is the pre-segmentation single `.wal`
-// file (binary codec, PR 6 era) must open under the current code — which
-// migrates the legacy file into the first numbered segment — and recover
-// to exactly the scripted state, byte-for-byte policies included.
-func TestGoldenSingleWALMigration(t *testing.T) {
-	dir := copyGoldenFixture(t, goldenSingleWALDir)
-	legacy := filepath.Join(dir, "golden.idx.wal")
-	if _, err := os.Stat(legacy); err != nil {
-		t.Fatalf("fixture must start with a legacy single-file log: %v", err)
-	}
-	db, err := OpenExisting(goldenOptions(dir))
-	if err != nil {
-		t.Fatalf("recover single-file-WAL fixture: %v", err)
-	}
-	defer db.Close()
-	verifyGoldenState(t, db)
-
-	// Migration renames the legacy log into segment 000001; the single
-	// file itself must be gone so no future open sees two logs.
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("legacy single-file log still present after migration (stat err=%v)", err)
-	}
-	if _, err := os.Stat(legacy + ".000001"); err != nil {
-		t.Fatalf("migrated segment 000001 missing: %v", err)
-	}
-
-	// The migrated DB must keep working across commits, a checkpoint, and
-	// a second recovery — now entirely on the segmented log.
-	extra := goldenObj(98, 5)
-	if err := db.Upsert(extra); err != nil {
-		t.Fatalf("post-migration upsert: %v", err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatalf("post-migration checkpoint: %v", err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenExisting(goldenOptions(dir))
-	if err != nil {
-		t.Fatalf("second recovery: %v", err)
-	}
-	defer re.Close()
-	got, ok, err := re.Lookup(98)
-	if err != nil || !ok || got != extra {
-		t.Fatalf("post-migration object lost: %+v ok=%v err=%v", got, ok, err)
-	}
-	want := goldenObjects()
-	if got := re.Size(); got != len(want)+1 {
-		t.Fatalf("post-migration size = %d, want %d", got, len(want)+1)
-	}
-}
-
-// TestGoldenFixtureFrozen guards the fixture bytes themselves: the gobwal
-// log must still be the gob-era one and the singlewal fixture must still
-// carry a single pre-segmentation `.wal` file — so nobody regenerates
-// either with a modern writer by accident.
-func TestGoldenFixtureFrozen(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join(goldenDir, "golden.idx.wal"))
-	if err != nil {
-		t.Fatalf("golden fixture missing: %v", err)
-	}
-	if len(data) == 0 {
-		t.Fatal("golden WAL is empty; the fixture must carry a post-checkpoint log tail")
-	}
-	data, err = os.ReadFile(filepath.Join(goldenSingleWALDir, "golden.idx.wal"))
-	if err != nil {
-		t.Fatalf("singlewal fixture missing: %v", err)
-	}
-	if len(data) == 0 {
-		t.Fatal("singlewal WAL is empty; the fixture must carry a post-checkpoint log tail")
-	}
-	entries, err := os.ReadDir(goldenSingleWALDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if n := e.Name(); len(n) > len("golden.idx.wal") && n[:len("golden.idx.wal.")] == "golden.idx.wal." {
-			t.Fatalf("singlewal fixture contains a segment file %q; it must predate segmentation", n)
-		}
-	}
-}
-
-// TestRegenerateGoldenFixture is the fixtures' provenance record, not a
-// test: run with PEB_REGEN_GOLDEN=1 it writes a fresh fixture into
-// testdata/golden/regen-out (never over a committed one). It was run once
-// while the WAL codec was still encoding/gob to produce
-// testdata/golden/gobwal, and once more after the binary codec but before
-// log segmentation to produce testdata/golden/singlewal — running it
-// today would produce a segmented binary-codec log and must NOT replace
-// either frozen fixture.
-func TestRegenerateGoldenFixture(t *testing.T) {
-	if os.Getenv("PEB_REGEN_GOLDEN") == "" {
-		t.Skip("set PEB_REGEN_GOLDEN=1 to write a fresh fixture into testdata/golden/regen-out")
-	}
-	out := "testdata/golden/regen-out"
-	if err := os.RemoveAll(out); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(out, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(goldenOptions(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runGoldenScript(db); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		fmt.Printf("wrote %s/%s\n", out, e.Name())
+		t.Fatalf("post-checkpoint size = %d, want %d", got, len(want)+1)
 	}
 }

@@ -312,11 +312,11 @@ type DB struct {
 	// nothing for serialization.
 	encBuf []byte
 
-	// opScratch backs the resolved op list of a commit (commit.go): a
+	// opScratch backs the resolved index group of a commit (commit.go): a
 	// one-shot mutation resolves to at most two operations (a fresh user's
-	// Upsert brings its walOpSetSV), so its list lives here rather than on
-	// the heap. Guarded by mu; cleared when the commit ends.
-	opScratch [2]walOp
+	// Upsert brings its core.OpSetSV), so its list lives here rather than
+	// on the heap. Guarded by mu.
+	opScratch [2]core.BatchOp
 
 	// Incremental-checkpoint bookkeeping (checkpoint.go). ckptDead
 	// accumulates the pages that died — were retired by copy-on-write and
@@ -686,13 +686,13 @@ func (db *DB) Close() error {
 // DefineRelation records that owner considers peer to hold role. Policies
 // owner has granted to that role then apply to peer.
 func (db *DB) DefineRelation(owner, peer UserID, role Role) error {
-	return db.commit([]walOp{{Kind: walOpRelation, Own: owner, Peer: peer, Role: role}}, 0, nil)
+	return db.commit(opList{Pol: []polOp{{Kind: polOpRelation, Own: owner, Peer: peer, Role: role}}}, 0, nil)
 }
 
 // Grant adds a location-privacy policy for owner: users related to owner
 // by role may see owner's location while owner is inside locr during tint.
 func (db *DB) Grant(owner UserID, role Role, locr Region, tint TimeInterval) error {
-	return db.commit([]walOp{{Kind: walOpGrant, Own: owner, Role: role, Locr: locr, Tint: tint}}, 0, nil)
+	return db.commit(opList{Pol: []polOp{{Kind: polOpGrant, Own: owner, Role: role, Locr: locr, Tint: tint}}}, 0, nil)
 }
 
 // Allows reports whether viewer may currently see owner located at (x, y)
@@ -717,9 +717,9 @@ func (db *DB) Allows(owner, viewer UserID, x, y, t float64) bool {
 // on a file-backed DB the rebuild reuses the backing file, so snapshots
 // from before the rebuild return errors).
 func (db *DB) EncodePolicies() error {
-	// A walOpEncode without an assignment: commit computes it under the
+	// A polOpEncode without an assignment: commit computes it under the
 	// lock and logs the result, so replay never re-runs the algorithm.
-	return db.commit([]walOp{{Kind: walOpEncode}}, 0, nil)
+	return db.commit(opList{Pol: []polOp{{Kind: polOpEncode}}}, 0, nil)
 }
 
 // Upsert stores or replaces a user's movement update. Users that appeared
@@ -731,12 +731,12 @@ func (db *DB) EncodePolicies() error {
 // Bulk loads should stage updates in a Batch and call Apply: one lock
 // acquisition and one view republish for the whole batch.
 func (db *DB) Upsert(o Object) error {
-	return db.commit([]walOp{{Kind: walOpUpsert, Obj: o}}, 0, nil)
+	return db.commit(opList{Idx: []core.BatchOp{{Kind: core.OpUpsert, Obj: o}}}, 0, nil)
 }
 
 // Remove deletes a user's index entry (the user's policies remain).
 func (db *DB) Remove(uid UserID) error {
-	return db.commit([]walOp{{Kind: walOpRemove, UID: uid}}, 0, nil)
+	return db.commit(opList{Idx: []core.BatchOp{{Kind: core.OpRemove, UID: uid}}}, 0, nil)
 }
 
 // Lookup returns a user's stored movement state.
@@ -917,5 +917,5 @@ func (db *DB) LoadPolicies(r io.Reader) error {
 	// the assignment the index is rebuilt under — so no query ever sees the
 	// new policies paired with the old sequence-value encoding, and replay
 	// is a wholesale, idempotent replacement.
-	return db.commit([]walOp{{Kind: walOpLoadPolicies, Blob: blob}, {Kind: walOpEncode}}, 0, nil)
+	return db.commit(opList{Pol: []polOp{{Kind: polOpLoadPolicies, Blob: blob}, {Kind: polOpEncode}}}, 0, nil)
 }

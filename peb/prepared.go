@@ -74,7 +74,7 @@ type txnUndo struct {
 // about to change (commit's stage 3; caller holds the write lock). A batch
 // that changes policies pins the current store, so the policy phase writes
 // a copy and prevPolicies stays the exact pre-transaction store.
-func (u *txnUndo) capture(db *DB, ops []walOp, touched []CommitTouch, policyChange bool) {
+func (u *txnUndo) capture(db *DB, ops opList, touched []CommitTouch, policyChange bool) {
 	u.touched = touched
 	u.prevNextSV = db.nextSV
 	u.prevEncoded = db.encoded
@@ -88,16 +88,20 @@ func (u *txnUndo) capture(db *DB, ops []walOp, touched []CommitTouch, policyChan
 			u.addedUsers = append(u.addedUsers, uid)
 		}
 	}
-	for i := range ops {
-		switch op := &ops[i]; op.Kind {
-		case walOpSetSV:
+	for i := range ops.Idx {
+		switch op := &ops.Idx[i]; op.Kind {
+		case core.OpSetSV:
 			u.freshSVs = append(u.freshSVs, op.UID)
-		case walOpUpsert:
+		case core.OpUpsert:
 			note(op.Obj.UID)
-		case walOpRelation:
+		}
+	}
+	for i := range ops.Pol {
+		switch op := &ops.Pol[i]; op.Kind {
+		case polOpRelation:
 			note(op.Own)
 			note(op.Peer)
-		case walOpGrant:
+		case polOpGrant:
 			note(op.Own)
 		}
 	}
@@ -138,7 +142,7 @@ func (db *DB) PrepareApply(b *Batch, txnID uint64) (*Prepared, error) {
 	if txnID == 0 {
 		return nil, fmt.Errorf("peb: prepare: transaction id must be non-zero")
 	}
-	if b == nil || len(b.ops) == 0 {
+	if b == nil || b.ops.len() == 0 {
 		return nil, fmt.Errorf("peb: prepare: empty batch")
 	}
 	// Announce the prepared window before taking the write lock: a
@@ -166,7 +170,7 @@ func (db *DB) PrepareApply(b *Batch, txnID uint64) (*Prepared, error) {
 		return nil, err
 	}
 	db.events.Record("txn.prepare", "participant prepared",
-		"txn", txnID, "ops", len(b.ops))
+		"txn", txnID, "ops", b.ops.len())
 	return p, nil
 }
 
@@ -192,7 +196,7 @@ func (p *Prepared) Commit() error {
 	p.done = true
 	db := p.db
 	db.mu.Lock()
-	tok, err := db.walAppendTxn(nil, p.txnID, txnCommitted)
+	tok, err := db.walAppendTxn(opList{}, p.txnID, txnCommitted)
 	db.mu.Unlock()
 	db.finishPrepared()
 	db.events.Record("txn.commit", "participant committed", "txn", p.txnID)
@@ -216,7 +220,7 @@ func (p *Prepared) Abort() error {
 	db := p.db
 	db.mu.Lock()
 	err := db.abortPreparedLocked(p)
-	tok, aerr := db.walAppendTxn(nil, p.txnID, txnAborted)
+	tok, aerr := db.walAppendTxn(opList{}, p.txnID, txnAborted)
 	db.mu.Unlock()
 	db.finishPrepared()
 	db.events.Record("txn.abort", "participant aborted", "txn", p.txnID)

@@ -1,6 +1,7 @@
 package sharded
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -195,55 +196,35 @@ func TestShardedCrashAfterDecision(t *testing.T) {
 	}
 }
 
-// TestShardedCrashLegacyDecisionLog reruns the cross-shard crash sweep
-// over directories in the layout before the decision log was segmented —
-// the same frames in the single file txn.log — and requires the upgrade in
-// place: the file becomes segment 000001, and a prepared transaction left
-// undecided in the shard logs resolves by the verdicts it holds.
-func TestShardedCrashLegacyDecisionLog(t *testing.T) {
-	golden := store.NewCrashFS()
-	crashShardedRun(golden)
-	const legacy = "root/txn.log"
-	for k := 0; k < golden.Ops(); k++ {
-		label := fmt.Sprintf("k=%d", k)
-		fs := store.NewCrashFS()
-		fs.SetFailAfter(k)
-		crashShardedRun(fs)
-		if !fs.Dead() {
-			fs.CutPower()
-		}
-		fs.Reboot(false)
-
-		// Put the decision log back into its pre-segmentation layout.
-		decided := false
-		if idxs, err := store.ListWALSegments(fs, legacy); err != nil || len(idxs) > 1 {
-			t.Fatalf("%s: decision log segments %v (%v)", label, idxs, err)
-		} else if len(idxs) == 1 {
-			data, err := fs.ReadFile(store.SegmentWALName(legacy, 1))
-			if err != nil {
+// TestOpenRefusesOtherGenerations: a directory whose manifest is the
+// fixed-count version 1 record, or whose decision log is the single file
+// txn.log it was before it was segmented, is refused with the format
+// sentinel — nothing upgrades in place.
+func TestOpenRefusesOtherGenerations(t *testing.T) {
+	plants := map[string]func(fs store.VFS) error{
+		"v1 manifest": func(fs store.VFS) error {
+			return store.WriteFileAtomic(fs, "root/sharded.json",
+				[]byte(`{"Version":1,"Shards":4,"SpaceSide":1000,"GridOrder":10}`))
+		},
+		"single-file decision log": func(fs store.VFS) error {
+			return fs.Rename(store.SegmentWALName("root/txn.log", 1), "root/txn.log")
+		},
+	}
+	for name, plant := range plants {
+		t.Run(name, func(t *testing.T) {
+			fs := store.NewCrashFS()
+			crashShardedRun(fs)
+			if err := plant(fs); err != nil {
 				t.Fatal(err)
 			}
-			verdicts, _ := store.ScanWALFrames(data)
-			decided = len(verdicts) == 1 && verdicts[0][8] == verdictCommit
-			if err := fs.Rename(store.SegmentWALName(legacy, 1), legacy); err != nil {
-				t.Fatal(err)
+			ops := fs.Ops()
+			if _, err := Open(crashShardedOpts(fs)); !errors.Is(err, peb.ErrUnsupportedFormat) {
+				t.Fatalf("open err = %v, want ErrUnsupportedFormat", err)
 			}
-		}
-
-		db, err := Open(crashShardedOpts(fs))
-		if err != nil {
-			t.Fatalf("%s: recovery failed: %v", label, err)
-		}
-		checkAllOrNothing(t, db, label)
-		if _, ok, _ := db.Lookup(UserID(txnUserBase + 1)); ok != decided {
-			t.Fatalf("%s: batch present=%v, but the legacy decision log says committed=%v", label, ok, decided)
-		}
-		if ok, _ := fs.Exists(legacy); ok {
-			t.Fatalf("%s: legacy txn.log survived the upgrade", label)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatalf("%s: close: %v", label, err)
-		}
+			if fs.Ops() != ops {
+				t.Fatalf("refused open wrote, renamed, truncated or synced %d times", fs.Ops()-ops)
+			}
+		})
 	}
 }
 

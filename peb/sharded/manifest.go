@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/store"
 )
 
@@ -22,8 +23,9 @@ func unmarshalManifest(data []byte) (manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return manifest{}, fmt.Errorf("sharded: parse manifest: %w", err)
 	}
-	if m.Version < 1 || m.Version > manifestVersion {
-		return manifest{}, fmt.Errorf("sharded: manifest version %d not supported", m.Version)
+	if m.Version != manifestVersion {
+		return manifest{}, fmt.Errorf("sharded: %w: manifest version %d (want %d)",
+			codec.ErrUnsupportedFormat, m.Version, manifestVersion)
 	}
 	return m, nil
 }
@@ -35,9 +37,8 @@ func unmarshalManifest(data []byte) (manifest, error) {
 // — which is what lets the router durably RETRACT a commit decision whose
 // fsync failed (the bytes may have reached disk anyway, so simply not
 // having acked it is not enough). The log is a store.SegmentedWAL like
-// every shard log (a single-file txn.log from before upgrades in place on
-// open); a full checkpoint pass compacts it to a single watermark record
-// (see compactDecisionLog).
+// every shard log; a full checkpoint pass compacts it to a single
+// watermark record (see compactDecisionLog).
 
 const (
 	verdictAbort  byte = 0

@@ -9,8 +9,10 @@ import (
 
 // FuzzManifest feeds sharded.json bytes to the two functions Open reads
 // them with. They must be total — an error or a topology, never a panic —
-// and a topology they accept must pass its own invariants and survive the
-// trip through the manifest Open would write back.
+// a manifest they accept must carry the current version (the version 1
+// seeds are refused, not upgraded), and a topology they accept must pass
+// its own invariants and survive the trip through the manifest Open would
+// write back.
 func FuzzManifest(f *testing.F) {
 	const order = peb.DefaultGridOrder
 	f.Add([]byte(`{"Version":1,"Shards":4,"SpaceSide":1000,"GridOrder":10}`))
@@ -35,6 +37,9 @@ func FuzzManifest(f *testing.F) {
 		m, err := unmarshalManifest(data)
 		if err != nil {
 			return
+		}
+		if m.Version != manifestVersion {
+			t.Fatalf("accepted a version %d manifest", m.Version)
 		}
 		ts, err := topoFromManifest(m, order)
 		if err != nil {

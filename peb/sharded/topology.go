@@ -66,16 +66,14 @@ type pendingOp struct {
 	SplitAt uint64 `json:"split_at,omitempty"`
 }
 
-// manifest is the router's persisted identity and topology. Version 1
-// (PR 5) recorded only a fixed shard count; version 2 records the full
+// manifest is the router's persisted identity and topology: the full
 // range list plus any in-flight topology change.
 type manifest struct {
 	Version   int
-	Shards    int // informational in v2 (len(Topology)); authoritative in v1
+	Shards    int // informational: len(Topology)
 	SpaceSide float64
 	GridOrder int
 
-	// v2 fields.
 	Epoch    uint64          `json:"Epoch,omitempty"`
 	NextID   int             `json:"NextID,omitempty"`
 	Topology []manifestShard `json:"Topology,omitempty"`
@@ -92,13 +90,8 @@ type manifestShard struct {
 	CoverHi uint64
 }
 
+// manifestVersion is the one manifest generation unmarshalManifest reads.
 const manifestVersion = 2
-
-// maxV1Shards bounds the count a v1 manifest may name. The count is read
-// from disk and sizes an allocation; v1 never split, so it is the number an
-// operator typed at creation, and a directory plus open files per shard
-// keep real ones orders of magnitude below this.
-const maxV1Shards = 1 << 12
 
 // topoState is the in-memory image of the manifest's topology section.
 type topoState struct {
@@ -140,17 +133,10 @@ func (ts topoState) toManifest(side float64) manifest {
 	return m
 }
 
-// topoFromManifest rebuilds the in-memory topology from a parsed manifest,
-// upgrading a v1 record (fixed count, no explicit ranges) to the v2 form.
+// topoFromManifest rebuilds the in-memory topology from a parsed manifest.
 func topoFromManifest(m manifest, order int) (topoState, error) {
-	if m.Version == 1 {
-		if m.Shards < 1 || m.Shards > maxV1Shards {
-			return topoState{}, fmt.Errorf("sharded: v1 manifest holds %d shards", m.Shards)
-		}
-		return freshTopo(order, m.Shards), nil
-	}
 	if len(m.Topology) == 0 {
-		return topoState{}, fmt.Errorf("sharded: manifest v%d carries no topology", m.Version)
+		return topoState{}, fmt.Errorf("sharded: manifest carries no topology")
 	}
 	ts := topoState{epoch: m.Epoch, nextID: m.NextID, pending: m.Pending}
 	for _, e := range m.Topology {

@@ -1,12 +1,10 @@
 package peb
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
-	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/store"
 )
@@ -35,16 +33,17 @@ import (
 // anyway (SetRelation by construction, AddPolicy deduplicates exact
 // duplicates, load/encode replace state wholesale) as defense in depth.
 
-type walOpKind uint8
+// polOpKind enumerates the operations that write the policy store or
+// rebuild the whole tree. The values are the record format's kind bytes;
+// 0–2 belong to the index operations (core.OpSetSV, core.OpUpsert,
+// core.OpRemove), which travel as core.BatchOp.
+type polOpKind uint8
 
 const (
-	walOpSetSV walOpKind = iota
-	walOpUpsert
-	walOpRemove
-	walOpRelation
-	walOpGrant
-	walOpEncode
-	walOpLoadPolicies
+	polOpRelation polOpKind = iota + 3
+	polOpGrant
+	polOpEncode
+	polOpLoadPolicies
 )
 
 // assignRec is one user's entry of a logged sequence-value assignment.
@@ -53,36 +52,39 @@ type assignRec struct {
 	SV  float64
 }
 
-// isIndex reports whether the operation writes the index (as opposed to
-// the policy store or the whole tree).
-func (k walOpKind) isIndex() bool {
-	return k == walOpSetSV || k == walOpUpsert || k == walOpRemove
-}
+// polOp is one policy or rebuild operation. Exactly the fields for Kind
+// are populated.
+type polOp struct {
+	Kind polOpKind
 
-// walOp is one logical operation: the unit a Batch stages, commit applies
-// and a record logs. Exactly the fields for Kind are populated.
-type walOp struct {
-	Kind walOpKind
+	Own  UserID       // polOpRelation, polOpGrant
+	Peer UserID       // polOpRelation
+	Role Role         // polOpRelation, polOpGrant
+	Locr Region       // polOpGrant
+	Tint TimeInterval // polOpGrant
 
-	Obj  Object       // walOpUpsert
-	UID  UserID       // walOpSetSV, walOpRemove
-	SV   float64      // walOpSetSV
-	Own  UserID       // walOpRelation, walOpGrant
-	Peer UserID       // walOpRelation
-	Role Role         // walOpRelation, walOpGrant
-	Locr Region       // walOpGrant
-	Tint TimeInterval // walOpGrant
-
-	// walOpEncode: the assignment the index is rebuilt under. A nil Assign
+	// polOpEncode: the assignment the index is rebuilt under. A nil Assign
 	// handed to commit means "compute it" (EncodePolicies, LoadPolicies);
 	// the resolved — logged — operation always carries one.
 	Assign []assignRec
 	MaxSV  float64
 	Groups int
 
-	// walOpLoadPolicies: the policy snapshot (policy.Store gob format).
+	// polOpLoadPolicies: the policy snapshot (policy.Store.Save format).
 	Blob []byte
 }
+
+// opList is the unit a Batch stages, commit applies and a record logs:
+// the policy and rebuild operations in staging order, and the index
+// operations in staging order. The two groups are independent — policy
+// changes influence queries, not the staged index keys — so their
+// relative interleaving carries no meaning and is not kept.
+type opList struct {
+	Pol []polOp
+	Idx []core.BatchOp
+}
+
+func (l opList) len() int { return len(l.Pol) + len(l.Idx) }
 
 // Transaction states a record can carry (cross-shard two-phase commit;
 // see prepared.go). Ordinary single-DB commits log txnNone records.
@@ -107,7 +109,7 @@ const (
 type walRecord struct {
 	Seq      uint64
 	NextSV   float64
-	Ops      []walOp
+	Ops      opList
 	TxnID    uint64
 	TxnState uint8
 }
@@ -123,8 +125,8 @@ func encodeAssignment(a policy.Assignment) ([]assignRec, float64, int) {
 	return recs, a.MaxSV, a.Groups
 }
 
-// decodeAssignment rebuilds the assignment a walOpEncode logged.
-func decodeAssignment(op walOp) policy.Assignment {
+// decodeAssignment rebuilds the assignment a polOpEncode logged.
+func decodeAssignment(op *polOp) policy.Assignment {
 	a := policy.Assignment{
 		SV:     make(map[policy.UserID]float64, len(op.Assign)),
 		MaxSV:  op.MaxSV,
@@ -134,21 +136,6 @@ func decodeAssignment(op walOp) policy.Assignment {
 		a.SV[policy.UserID(r.UID)] = r.SV
 	}
 	return a
-}
-
-// unmarshalRecord decodes either codec generation. Binary-codec records
-// announce themselves with codec.MagicWALRecord, a byte no gob stream can
-// start with (see internal/codec), so the dispatch is unambiguous;
-// anything else is treated as a gob-era record.
-func unmarshalRecord(data []byte) (walRecord, error) {
-	if len(data) > 0 && data[0] == codec.MagicWALRecord {
-		return decodeRecord(data)
-	}
-	var rec walRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-		return walRecord{}, fmt.Errorf("peb: decode wal record: %w", err)
-	}
-	return rec, nil
 }
 
 // walAppendTxn logs one committed record: the resolved operations, and for
@@ -161,7 +148,7 @@ func unmarshalRecord(data []byte) (walRecord, error) {
 // log, and accepting any later record would persist a history with a hole.
 // All subsequent commits fail until the DB is reopened; reads and the
 // already-applied mutation remain visible in memory.
-func (db *DB) walAppendTxn(ops []walOp, txnID uint64, txnState uint8) (store.WALToken, error) {
+func (db *DB) walAppendTxn(ops opList, txnID uint64, txnState uint8) (store.WALToken, error) {
 	if txnID > db.maxTxn {
 		db.maxTxn = txnID
 	}
@@ -242,7 +229,7 @@ func (q *txnReplay) add(frames [][]byte) error {
 		q.outcomes = make(map[uint64]uint8)
 	}
 	for i, payload := range frames {
-		rec, err := unmarshalRecord(payload)
+		rec, err := decodeRecord(payload)
 		if err != nil {
 			return fmt.Errorf("record %d: %w", i, err)
 		}

@@ -2,12 +2,16 @@ package peb
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
+	"unsafe"
+
+	"repro/internal/codec"
+	"repro/internal/core"
 )
 
 // Fuzz coverage for the binary WAL record codec (walcodec.go).
@@ -24,15 +28,16 @@ import (
 //     a crashed disk; a panic would turn recoverable corruption into an
 //     unrecoverable process.
 
-// marshalRecordGob is the original encoding/gob record serialization, the
-// writer side of unmarshalRecord's fallback: tests mint gob-era records
-// with it.
-func marshalRecordGob(rec *walRecord) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, err
+// gobEraRecord is a log record as the engine wrote it before the binary
+// codec existed: a bare encoding/gob stream. No reader is left for it; the
+// decoder must refuse it.
+func gobEraRecord(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "gob-era-record.bin"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return buf.Bytes(), nil
+	return data
 }
 
 // fuzzRecord deterministically builds a walRecord from fuzz-controlled
@@ -41,32 +46,36 @@ func fuzzRecord(seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2,
 	rec := walRecord{Seq: seq, NextSV: f1, TxnID: txnID, TxnState: txnState}
 	n := int(uint(numOps) % 9)
 	for i := 0; i < n; i++ {
-		kind := walOpKind(uint(kindSeed+i) % 7)
-		op := walOp{Kind: kind}
+		kind := uint(kindSeed+i) % 7
 		uid := UserID(seq>>16) + UserID(i)
 		switch kind {
-		case walOpSetSV:
-			op.UID, op.SV = uid, f2
-		case walOpUpsert:
-			op.Obj = Object{UID: uid, X: f1, Y: f2, VX: f3, VY: -f1, T: f3 * 0.5}
-		case walOpRemove:
-			op.UID = uid
-		case walOpRelation:
-			op.Own, op.Peer, op.Role = uid, uid+1, Role(role)
-		case walOpGrant:
-			op.Own, op.Role = uid, Role(role)
-			op.Locr = Region{MinX: f1, MinY: f2, MaxX: f1 + 10, MaxY: f2 + 10}
-			op.Tint = TimeInterval{Start: f3, End: f3 + 1}
-		case walOpEncode:
-			n := int(txnID % 5)
-			for j := 0; j < n; j++ {
-				op.Assign = append(op.Assign, assignRec{UID: uid + UserID(j), SV: f2 + float64(j)})
+		case uint(core.OpSetSV):
+			rec.Ops.Idx = append(rec.Ops.Idx, core.BatchOp{Kind: core.OpSetSV, UID: uid, SV: f2})
+		case uint(core.OpUpsert):
+			rec.Ops.Idx = append(rec.Ops.Idx, core.BatchOp{Kind: core.OpUpsert,
+				Obj: Object{UID: uid, X: f1, Y: f2, VX: f3, VY: -f1, T: f3 * 0.5}})
+		case uint(core.OpRemove):
+			rec.Ops.Idx = append(rec.Ops.Idx, core.BatchOp{Kind: core.OpRemove, UID: uid})
+		default:
+			op := polOp{Kind: polOpKind(kind)}
+			switch op.Kind {
+			case polOpRelation:
+				op.Own, op.Peer, op.Role = uid, uid+1, Role(role)
+			case polOpGrant:
+				op.Own, op.Role = uid, Role(role)
+				op.Locr = Region{MinX: f1, MinY: f2, MaxX: f1 + 10, MaxY: f2 + 10}
+				op.Tint = TimeInterval{Start: f3, End: f3 + 1}
+			case polOpEncode:
+				n := int(txnID % 5)
+				for j := 0; j < n; j++ {
+					op.Assign = append(op.Assign, assignRec{UID: uid + UserID(j), SV: f2 + float64(j)})
+				}
+				op.MaxSV, op.Groups = f3, n
+			case polOpLoadPolicies:
+				op.Blob = blob
 			}
-			op.MaxSV, op.Groups = f3, n
-		case walOpLoadPolicies:
-			op.Blob = blob
+			rec.Ops.Pol = append(rec.Ops.Pol, op)
 		}
-		rec.Ops = append(rec.Ops, op)
 	}
 	return rec
 }
@@ -78,7 +87,7 @@ func FuzzWALRecordRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2, f3 float64, role string, blob []byte) {
 		rec := fuzzRecord(seq, txnID, txnState, numOps, kindSeed, f1, f2, f3, role, blob)
 		enc := appendRecord(nil, &rec)
-		dec, err := unmarshalRecord(enc)
+		dec, err := decodeRecord(enc)
 		if err != nil {
 			t.Fatalf("decode of freshly encoded record failed: %v", err)
 		}
@@ -86,20 +95,28 @@ func FuzzWALRecordRoundTrip(f *testing.F) {
 		if !bytes.Equal(enc, re) {
 			t.Fatalf("round trip not identical:\n enc %x\n re  %x", enc, re)
 		}
-		if dec.Seq != rec.Seq || dec.TxnID != rec.TxnID || dec.TxnState != rec.TxnState || len(dec.Ops) != len(rec.Ops) {
+		if dec.Seq != rec.Seq || dec.TxnID != rec.TxnID || dec.TxnState != rec.TxnState ||
+			len(dec.Ops.Pol) != len(rec.Ops.Pol) || len(dec.Ops.Idx) != len(rec.Ops.Idx) {
 			t.Fatalf("header mismatch: %+v vs %+v", dec, rec)
 		}
 	})
 }
 
 func FuzzWALRecordDecode(f *testing.F) {
-	for _, seed := range fuzzDecodeSeeds() {
+	for _, seed := range fuzzDecodeSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic: a record, or an error. (Covers both the binary
-		// decoder and the legacy gob fallback dispatch.)
-		rec, err := unmarshalRecord(data)
+		// Must never panic: a record, or an error — and for bytes that do
+		// not open with the record magic (a gob-era record among them),
+		// the one error that says so.
+		rec, err := decodeRecord(data)
+		if len(data) == 0 || data[0] != codec.MagicWALRecord {
+			if !errors.Is(err, ErrUnsupportedFormat) {
+				t.Fatalf("unstamped bytes: err = %v, want ErrUnsupportedFormat", err)
+			}
+			return
+		}
 		if err == nil {
 			// Whatever decoded must re-encode without panicking too.
 			_ = appendRecord(nil, &rec)
@@ -109,8 +126,8 @@ func FuzzWALRecordDecode(f *testing.F) {
 
 // fuzzDecodeSeeds builds the decode corpus: valid records of every shape,
 // plus systematic corruptions (truncations, flipped bytes, inflated
-// counts) and legacy gob bytes for the fallback path.
-func fuzzDecodeSeeds() [][]byte {
+// counts) and a gob-era record, which must be refused.
+func fuzzDecodeSeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
 	recs := []walRecord{
 		{Seq: 1, NextSV: 2},
@@ -139,41 +156,39 @@ func fuzzDecodeSeeds() [][]byte {
 	}
 	// Absurd op count (would OOM without the count cap).
 	seeds = append(seeds, []byte{0xB6, 0x01, 0x01, 0x02, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
-	// Future codec version.
+	// Another codec version.
 	seeds = append(seeds, []byte{0xB6, 0x63, 0x01})
-	// Legacy gob record (fallback path).
-	gobRec := walRecord{Seq: 9, NextSV: 4, Ops: []walOp{{Kind: walOpRemove, UID: 3}}}
-	if gb, err := marshalRecordGob(&gobRec); err == nil {
-		seeds = append(seeds, gb)
-		seeds = append(seeds, gb[:len(gb)/2])
-	}
+	gb := gobEraRecord(t)
+	seeds = append(seeds, gb, gb[:len(gb)/2])
 	seeds = append(seeds, []byte{}, []byte{0xB6}, []byte{0x00}, []byte{0xFF})
 	return seeds
 }
 
 // TestWALCodecRejectsCorruption spot-checks decode strictness outside the
-// fuzzer: truncation, trailing bytes, unknown kinds, future versions and
+// fuzzer: truncation, trailing bytes, unknown kinds, other versions and
 // oversized counts must all error (not panic, not succeed).
 func TestWALCodecRejectsCorruption(t *testing.T) {
 	rec := fuzzRecord(42, 7, 1, 6, 0, 3.5, -1, 9, "f", []byte("pp"))
 	enc := appendRecord(nil, &rec)
-	if _, err := unmarshalRecord(enc); err != nil {
+	if _, err := decodeRecord(enc); err != nil {
 		t.Fatalf("valid record rejected: %v", err)
 	}
 	for cut := 1; cut < len(enc); cut++ {
-		if _, err := unmarshalRecord(enc[:cut]); err == nil {
+		if _, err := decodeRecord(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := unmarshalRecord(append(bytes.Clone(enc), 0x00)); err == nil {
+	if _, err := decodeRecord(append(bytes.Clone(enc), 0x00)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	if _, err := unmarshalRecord([]byte{0xB6, 0x02, 0x01}); err == nil {
-		t.Fatal("future codec version accepted")
+	for _, v := range []byte{0x00, 0x02} {
+		if _, err := decodeRecord([]byte{0xB6, v, 0x01}); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Fatalf("codec version %d: err = %v, want ErrUnsupportedFormat", v, err)
+		}
 	}
 	bad := bytes.Clone(enc)
 	bad[len(bad)-1] ^= 0x80 // damage the tail varint
-	if _, err := unmarshalRecord(bad); err == nil {
+	if _, err := decodeRecord(bad); err == nil {
 		t.Log("tail flip decoded (can legitimately remain valid); corpus covers systematic flips")
 	}
 }
@@ -184,8 +199,8 @@ func upsertStreamRecord(i int) walRecord {
 	return walRecord{
 		Seq:    uint64(i + 1),
 		NextSV: float64(i%97) + 0.5,
-		Ops: []walOp{{
-			Kind: walOpUpsert,
+		Ops: opList{Idx: []core.BatchOp{{
+			Kind: core.OpUpsert,
 			Obj: Object{
 				UID: UserID(i%1000 + 1),
 				X:   float64(i * 37 % 1000),
@@ -194,7 +209,7 @@ func upsertStreamRecord(i int) walRecord {
 				VY:  float64(i%3) - 1,
 				T:   float64(i % 50),
 			},
-		}},
+		}}},
 	}
 }
 
@@ -226,22 +241,28 @@ func TestWALCodecUpsertRecordCost(t *testing.T) {
 	}
 }
 
-// TestWALCodecGobInterop pins the fallback dispatch: a gob-era record and
-// its binary re-encoding decode to the same logical record.
-func TestWALCodecGobInterop(t *testing.T) {
-	rec := fuzzRecord(11, 0, 0, 8, 2, 1.25, 2.5, 3.75, "c", []byte("snapshot"))
-	gb, err := marshalRecordGob(&rec)
-	if err != nil {
-		t.Fatal(err)
+// TestWALCodecFilesInterleavedOps: the writer emits the policy group, then
+// the index group, but the format does not say so — a record that
+// interleaves them decodes into the same two groups, each in its own
+// order, which is all applyOps ever honoured. Also pins what the split
+// bought: an index operation is a core.BatchOp, not a union of every kind.
+func TestWALCodecFilesInterleavedOps(t *testing.T) {
+	rec := func(ops opList) []byte { return appendRecord(nil, &walRecord{Seq: 3, NextSV: 8, Ops: ops}) }
+	hdr := len(rec(opList{})) // the header ends with a one-byte op count
+	grant := []polOp{{Kind: polOpGrant, Own: 4, Role: "f", Locr: goldenRegion(4), Tint: goldenDay}}
+	upsert := core.BatchOp{Kind: core.OpUpsert, Obj: goldenObj(61, 2)}
+	remove := core.BatchOp{Kind: core.OpRemove, UID: 9}
+	canonical := rec(opList{Pol: grant, Idx: []core.BatchOp{upsert, remove}})
+	mixed := bytes.Clone(canonical[:hdr])
+	for _, one := range []opList{{Idx: []core.BatchOp{upsert}}, {Pol: grant}, {Idx: []core.BatchOp{remove}}} {
+		mixed = append(mixed, rec(one)[hdr:]...)
 	}
-	fromGob, err := unmarshalRecord(gb)
-	if err != nil {
-		t.Fatalf("gob fallback decode: %v", err)
+	got, err := decodeRecord(mixed)
+	if err != nil || bytes.Equal(mixed, canonical) || !bytes.Equal(appendRecord(nil, &got), canonical) {
+		t.Fatalf("interleaved record decoded to %+v (%v), want [grant] and [upsert remove]", got.Ops, err)
 	}
-	a := appendRecord(nil, &fromGob)
-	b := appendRecord(nil, &rec)
-	if !bytes.Equal(a, b) {
-		t.Fatal("gob-decoded record re-encodes differently from the original")
+	if size := unsafe.Sizeof(core.BatchOp{}); size > 72 {
+		t.Errorf("an index op is %d bytes, recorded 72", size)
 	}
 }
 
@@ -261,12 +282,13 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i, seed := range fuzzDecodeSeeds() {
+	seeds := fuzzDecodeSeeds(t)
+	for i, seed := range seeds {
 		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\n"
 		name := filepath.Join(dir, "seed-"+strconv.Itoa(i))
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	t.Logf("wrote %d corpus entries to %s", len(fuzzDecodeSeeds()), dir)
+	t.Logf("wrote %d corpus entries to %s", len(seeds), dir)
 }

@@ -5,17 +5,16 @@ import (
 	"math"
 
 	"repro/internal/codec"
+	"repro/internal/core"
 )
 
 // Binary WAL record codec.
 //
-// The original WAL serialized records with encoding/gob, which costs
-// reflection and several heap allocations per commit. This codec replaces
-// it with a hand-rolled, append-style binary format on the shared
-// primitives in internal/codec: the encoder only appends to a caller-owned
-// buffer (zero allocations once the buffer has warmed up), and the decoder
-// is a strict bounds-checked reader that returns an error — never panics —
-// on arbitrary input.
+// A hand-rolled, append-style binary format on the shared primitives in
+// internal/codec: the encoder only appends to a caller-owned buffer (zero
+// allocations once the buffer has warmed up), and the decoder is a strict
+// bounds-checked reader that returns an error — never panics — on
+// arbitrary input.
 //
 // Record layout (uvarint/vfloat/vbytes as defined in internal/codec):
 //
@@ -31,23 +30,22 @@ import (
 // Each op starts with a 1-byte kind, followed by exactly the fields that
 // kind uses:
 //
-//	setSV         uid uvarint · sv vfloat
-//	upsert        uid uvarint · x y vx vy t vfloat×5
-//	remove        uid uvarint
-//	relation      own uvarint · peer uvarint · role vbytes
-//	grant         own uvarint · role vbytes · locr vfloat×4 · tint vfloat×2
-//	encode        n uvarint · n×(uid uvarint · sv vfloat) · maxSV vfloat · groups uvarint
-//	loadPolicies  blob vbytes
+//	0 setSV         uid uvarint · sv vfloat
+//	1 upsert        uid uvarint · x y vx vy t vfloat×5
+//	2 remove        uid uvarint
+//	3 relation      own uvarint · peer uvarint · role vbytes
+//	4 grant         own uvarint · role vbytes · locr vfloat×4 · tint vfloat×2
+//	5 encode        n uvarint · n×(uid uvarint · sv vfloat) · maxSV vfloat · groups uvarint
+//	6 loadPolicies  blob vbytes
 //
-// Version compatibility: records written before this codec existed are raw
-// gob streams, and codec.MagicWALRecord can never be a gob stream's first
-// byte — unmarshalRecord (wal.go) dispatches on it and falls back to gob
-// otherwise, which keeps gob-era logs replayable forever (pinned by the
-// golden fixture under testdata/golden).
+// The writer emits the policy and rebuild operations (3–6), then the index
+// operations (0–2) — opList's two groups. The decoder files each op under
+// its group wherever it sits, which loses nothing: the groups are
+// independent, and applyOps runs the index group first whatever the order.
 
-// walCodecVersion is the current binary format revision. Decoders reject
-// newer versions (a downgraded binary must not misparse a future log) and
-// accept all older ones.
+// walCodecVersion is the one record format revision the decoder reads;
+// bytes opening with anything but the magic and this version are refused
+// with ErrUnsupportedFormat.
 const walCodecVersion = 1
 
 // appendRecord encodes rec after b (usually b[:0] of a reused buffer) and
@@ -59,28 +57,16 @@ func appendRecord(b []byte, rec *walRecord) []byte {
 	b = codec.AppendFloat(b, rec.NextSV)
 	b = codec.AppendUvarint(b, rec.TxnID)
 	b = append(b, rec.TxnState)
-	b = codec.AppendUvarint(b, uint64(len(rec.Ops)))
-	for i := range rec.Ops {
-		op := &rec.Ops[i]
+	b = codec.AppendUvarint(b, uint64(rec.Ops.len()))
+	for i := range rec.Ops.Pol {
+		op := &rec.Ops.Pol[i]
 		b = append(b, byte(op.Kind))
 		switch op.Kind {
-		case walOpSetSV:
-			b = codec.AppendUvarint(b, uint64(op.UID))
-			b = codec.AppendFloat(b, op.SV)
-		case walOpUpsert:
-			b = codec.AppendUvarint(b, uint64(op.Obj.UID))
-			b = codec.AppendFloat(b, op.Obj.X)
-			b = codec.AppendFloat(b, op.Obj.Y)
-			b = codec.AppendFloat(b, op.Obj.VX)
-			b = codec.AppendFloat(b, op.Obj.VY)
-			b = codec.AppendFloat(b, op.Obj.T)
-		case walOpRemove:
-			b = codec.AppendUvarint(b, uint64(op.UID))
-		case walOpRelation:
+		case polOpRelation:
 			b = codec.AppendUvarint(b, uint64(op.Own))
 			b = codec.AppendUvarint(b, uint64(op.Peer))
 			b = codec.AppendBytes(b, []byte(op.Role))
-		case walOpGrant:
+		case polOpGrant:
 			b = codec.AppendUvarint(b, uint64(op.Own))
 			b = codec.AppendBytes(b, []byte(op.Role))
 			b = codec.AppendFloat(b, op.Locr.MinX)
@@ -89,7 +75,7 @@ func appendRecord(b []byte, rec *walRecord) []byte {
 			b = codec.AppendFloat(b, op.Locr.MaxY)
 			b = codec.AppendFloat(b, op.Tint.Start)
 			b = codec.AppendFloat(b, op.Tint.End)
-		case walOpEncode:
+		case polOpEncode:
 			b = codec.AppendUvarint(b, uint64(len(op.Assign)))
 			for _, r := range op.Assign {
 				b = codec.AppendUvarint(b, uint64(r.UID))
@@ -97,12 +83,30 @@ func appendRecord(b []byte, rec *walRecord) []byte {
 			}
 			b = codec.AppendFloat(b, op.MaxSV)
 			b = codec.AppendUvarint(b, uint64(op.Groups))
-		case walOpLoadPolicies:
+		case polOpLoadPolicies:
 			b = codec.AppendBytes(b, op.Blob)
 		default:
-			// Unreachable for records we build; a future kind added without
-			// codec support round-trips to an "unknown op kind" decode
-			// error rather than silently dropping fields.
+			// Unreachable for records we build; a kind added without codec
+			// support round-trips to an "unknown op kind" decode error
+			// rather than silently dropping fields.
+		}
+	}
+	for i := range rec.Ops.Idx {
+		op := &rec.Ops.Idx[i]
+		b = append(b, byte(op.Kind))
+		switch op.Kind {
+		case core.OpSetSV:
+			b = codec.AppendUvarint(b, uint64(op.UID))
+			b = codec.AppendFloat(b, op.SV)
+		case core.OpUpsert:
+			b = codec.AppendUvarint(b, uint64(op.Obj.UID))
+			b = codec.AppendFloat(b, op.Obj.X)
+			b = codec.AppendFloat(b, op.Obj.Y)
+			b = codec.AppendFloat(b, op.Obj.VX)
+			b = codec.AppendFloat(b, op.Obj.VY)
+			b = codec.AppendFloat(b, op.Obj.T)
+		case core.OpRemove:
+			b = codec.AppendUvarint(b, uint64(op.UID))
 		}
 	}
 	return b
@@ -118,15 +122,16 @@ func takeUserID(r *codec.Reader, what string) UserID {
 	return UserID(v)
 }
 
-// decodeRecord parses a binary-codec record (the caller has already
-// dispatched on the magic byte). Strictness: every field bounds-checked,
-// counts capped by the bytes that could possibly back them, unknown op
-// kinds and trailing garbage rejected. Never panics on arbitrary input.
+// decodeRecord parses one log record. Strictness: the stamp must be the
+// current one, every field is bounds-checked, counts are capped by the
+// bytes that could possibly back them, unknown op kinds and trailing
+// garbage are rejected. Never panics on arbitrary input.
 func decodeRecord(data []byte) (walRecord, error) {
-	r := codec.NewReader(data, 1) // past magic
-	if v := r.TakeByte("version"); r.Err() == nil && v > walCodecVersion {
-		return walRecord{}, fmt.Errorf("peb: wal record codec version %d not supported (max %d)", v, walCodecVersion)
+	if len(data) < 2 || data[0] != codec.MagicWALRecord || data[1] != walCodecVersion {
+		return walRecord{}, fmt.Errorf("peb: wal record: %w: not a version %d binary-codec record",
+			ErrUnsupportedFormat, walCodecVersion)
 	}
+	r := codec.NewReader(data, 2) // past the stamp
 	var rec walRecord
 	rec.Seq = r.TakeUvarint("seq")
 	rec.NextSV = r.TakeFloat("nextSV")
@@ -137,42 +142,45 @@ func decodeRecord(data []byte) (walRecord, error) {
 	if err := r.Err(); err != nil {
 		return walRecord{}, fmt.Errorf("peb: corrupt wal record: %w", err)
 	}
-	if numOps > 0 {
-		rec.Ops = make([]walOp, numOps)
-	}
-	for i := range rec.Ops {
-		op := &rec.Ops[i]
-		op.Kind = walOpKind(r.TakeByte("op kind"))
-		switch op.Kind {
-		case walOpSetSV:
-			op.UID = takeUserID(r, "setSV uid")
-			op.SV = r.TakeFloat("setSV sv")
-		case walOpUpsert:
-			op.Obj.UID = takeUserID(r, "upsert uid")
-			op.Obj.X = r.TakeFloat("upsert x")
-			op.Obj.Y = r.TakeFloat("upsert y")
-			op.Obj.VX = r.TakeFloat("upsert vx")
-			op.Obj.VY = r.TakeFloat("upsert vy")
-			op.Obj.T = r.TakeFloat("upsert t")
-		case walOpRemove:
-			op.UID = takeUserID(r, "remove uid")
-		case walOpRelation:
-			op.Own = takeUserID(r, "relation owner")
-			op.Peer = takeUserID(r, "relation peer")
-			op.Role = Role(r.TakeBytes("relation role"))
-		case walOpGrant:
-			op.Own = takeUserID(r, "grant owner")
-			op.Role = Role(r.TakeBytes("grant role"))
-			op.Locr.MinX = r.TakeFloat("grant minX")
-			op.Locr.MinY = r.TakeFloat("grant minY")
-			op.Locr.MaxX = r.TakeFloat("grant maxX")
-			op.Locr.MaxY = r.TakeFloat("grant maxY")
-			op.Tint.Start = r.TakeFloat("grant start")
-			op.Tint.End = r.TakeFloat("grant end")
-		case walOpEncode:
+	rec.Ops.Idx = make([]core.BatchOp, 0, numOps)
+	for i := 0; i < numOps; i++ {
+		switch kind := r.TakeByte("op kind"); kind {
+		case byte(core.OpSetSV):
+			rec.Ops.Idx = append(rec.Ops.Idx, core.BatchOp{Kind: core.OpSetSV,
+				UID: takeUserID(r, "setSV uid"), SV: r.TakeFloat("setSV sv")})
+		case byte(core.OpUpsert):
+			rec.Ops.Idx = append(rec.Ops.Idx, core.BatchOp{Kind: core.OpUpsert, Obj: Object{
+				UID: takeUserID(r, "upsert uid"),
+				X:   r.TakeFloat("upsert x"),
+				Y:   r.TakeFloat("upsert y"),
+				VX:  r.TakeFloat("upsert vx"),
+				VY:  r.TakeFloat("upsert vy"),
+				T:   r.TakeFloat("upsert t"),
+			}})
+		case byte(core.OpRemove):
+			rec.Ops.Idx = append(rec.Ops.Idx, core.BatchOp{Kind: core.OpRemove, UID: takeUserID(r, "remove uid")})
+		case byte(polOpRelation):
+			rec.Ops.Pol = append(rec.Ops.Pol, polOp{Kind: polOpRelation,
+				Own:  takeUserID(r, "relation owner"),
+				Peer: takeUserID(r, "relation peer"),
+				Role: Role(r.TakeBytes("relation role")),
+			})
+		case byte(polOpGrant):
+			rec.Ops.Pol = append(rec.Ops.Pol, polOp{Kind: polOpGrant,
+				Own:  takeUserID(r, "grant owner"),
+				Role: Role(r.TakeBytes("grant role")),
+				Locr: Region{
+					MinX: r.TakeFloat("grant minX"),
+					MinY: r.TakeFloat("grant minY"),
+					MaxX: r.TakeFloat("grant maxX"),
+					MaxY: r.TakeFloat("grant maxY"),
+				},
+				Tint: TimeInterval{Start: r.TakeFloat("grant start"), End: r.TakeFloat("grant end")},
+			})
+		case byte(polOpEncode):
+			op := polOp{Kind: polOpEncode}
 			// Each assignment entry needs at least a uid and an sv varint.
-			n := r.TakeCount("assignment count", 2)
-			if n > 0 && r.Err() == nil {
+			if n := r.TakeCount("assignment count", 2); n > 0 && r.Err() == nil {
 				op.Assign = make([]assignRec, n)
 			}
 			for j := range op.Assign {
@@ -185,10 +193,11 @@ func decodeRecord(data []byte) (walRecord, error) {
 				r.Failf("assignment groups %d implausible", g)
 			}
 			op.Groups = int(g)
-		case walOpLoadPolicies:
-			op.Blob = r.TakeBytes("policies blob")
+			rec.Ops.Pol = append(rec.Ops.Pol, op)
+		case byte(polOpLoadPolicies):
+			rec.Ops.Pol = append(rec.Ops.Pol, polOp{Kind: polOpLoadPolicies, Blob: r.TakeBytes("policies blob")})
 		default:
-			r.Failf("unknown op kind %d", op.Kind)
+			r.Failf("unknown op kind %d", kind)
 		}
 		if err := r.Err(); err != nil {
 			return walRecord{}, fmt.Errorf("peb: corrupt wal record: %w", err)
