@@ -11,8 +11,10 @@ import (
 // may be arbitrary garbage (a corrupt or mismatched checkpoint), so every
 // structural property is validated *before* a node is decoded — node type,
 // entry count against the page capacity, child ids against maxPage, cycles,
-// and leaf depth against the tree's height — and a violation is reported as
-// an error instead of an out-of-range panic deep in the node codec.
+// and leaf depth against the tree's height — and, once the walk is done,
+// the leaves it met against the tree's LeafCount (the cost model's Nl,
+// which a checkpoint's meta merely claims). A violation is reported as an
+// error instead of an out-of-range panic deep in the node codec.
 //
 // maxPage, when non-zero, is the highest page id the backing store holds;
 // any reference beyond it is corruption. The walk is also how checkpoints
@@ -39,6 +41,7 @@ func (r *Reader) WalkPages(maxPage store.PageID) ([]store.PageID, error) {
 		hint = min(hint, int(maxPage))
 	}
 	out := make([]store.PageID, 0, hint*2)
+	leaves := 0
 	var walk func(pid store.PageID, depth int) error
 	walk = func(pid store.PageID, depth int) error {
 		if pid == store.InvalidPageID {
@@ -69,6 +72,7 @@ func (r *Reader) WalkPages(maxPage store.PageID) ([]store.PageID, error) {
 			} else if depth != r.height {
 				err = fmt.Errorf("btree: leaf %d at depth %d, height is %d", pid, depth, r.height)
 			}
+			leaves++
 		case internalType:
 			if n > InternalCapacity {
 				err = fmt.Errorf("btree: internal %d claims %d separators (cap %d)", pid, n, InternalCapacity)
@@ -98,6 +102,9 @@ func (r *Reader) WalkPages(maxPage store.PageID) ([]store.PageID, error) {
 	}
 	if err := walk(r.root, 1); err != nil {
 		return nil, err
+	}
+	if leaves != r.leafCount {
+		return nil, fmt.Errorf("btree: walk met %d leaves, tree claims %d", leaves, r.leafCount)
 	}
 	return out, nil
 }

@@ -230,25 +230,3 @@ func buildFixtureOnPool(t *testing.T, rng *rand.Rand, cfg Config, n, friends int
 	f.tree = tree
 	return f
 }
-
-// TestUnsetSV: the stage-and-withdraw cycle used by peb.DB.Upsert.
-func TestUnsetSV(t *testing.T) {
-	f := buildFixture(t, rand.New(rand.NewSource(1)), DefaultConfig(), 10, 1)
-	const uid = motion.UserID(999)
-	if err := f.tree.SetSV(uid, 123); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := f.tree.SV(uid); !ok {
-		t.Fatal("SV not set")
-	}
-	if err := f.tree.UnsetSV(uid); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := f.tree.SV(uid); ok {
-		t.Fatal("SV still present after UnsetSV")
-	}
-	// Indexed users are protected.
-	if err := f.tree.UnsetSV(f.objs[0].UID); err == nil {
-		t.Fatal("UnsetSV of indexed user succeeded")
-	}
-}

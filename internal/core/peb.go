@@ -137,18 +137,6 @@ func (t *Tree) SetSVEnc(uid motion.UserID, enc uint64) error {
 	return nil
 }
 
-// UnsetSV removes uid's sequence value, undoing a provisional SetSV after a
-// failed insert so no orphan value lingers. Like SetSV, it is rejected for
-// indexed users.
-func (t *Tree) UnsetSV(uid motion.UserID) error {
-	if _, indexed := t.cur[uid]; indexed {
-		return fmt.Errorf("core: cannot unset SV of indexed user %d", uid)
-	}
-	t.touch(uid)
-	delete(t.svEnc, uid)
-	return nil
-}
-
 // SetPolicies swaps the policy store queries evaluate against. peb.DB calls
 // it after a copy-on-write policy mutation; views taken before the swap
 // keep their original store. The caller must hold exclusive access.

@@ -56,8 +56,9 @@ func OpenChecked(cfg Config, pool *store.BufferPool, policies *policy.Store, sna
 	if err != nil {
 		return nil, err
 	}
-	// Validate reachability before the leaf scan below decodes anything:
-	// the scan trusts node structure, the walk does not.
+	// Validate reachability — and the meta's leaf count, which the cost
+	// model reads — before the leaf scan below decodes anything: the scan
+	// trusts node structure, the walk does not.
 	if _, err := bt.WalkPages(maxPage); err != nil {
 		return nil, err
 	}

@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"testing"
 
@@ -394,4 +396,54 @@ func TestSegWALSizeCountsRetainedBytes(t *testing.T) {
 	if w.BytesAppended() != uint64(before) {
 		t.Fatalf("BytesAppended = %d, want %d (removal must not reset it)", w.BytesAppended(), before)
 	}
+}
+
+// FuzzWALFrames feeds arbitrary bytes to ScanWALFrames, which the replica
+// tailer runs on raw segment bytes read while the primary may be mid-way
+// through an append. It must never panic, and what it accepts must be a
+// prefix of the input that re-framing the returned payloads reproduces
+// byte for byte.
+func FuzzWALFrames(f *testing.F) {
+	fs := NewCrashFS()
+	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 6; i++ { // the payload shapes of the roll test above
+		tok, err := w.Append(bytes.Repeat([]byte{byte(i + 1)}, i*7+1))
+		if err == nil {
+			err = w.Commit(tok)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	w.Close()
+	seg, err := fs.ReadFile(SegmentWALName("log", 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg)
+	f.Add(append(bytes.Clone(seg), 9, 9, 9))             // a torn tail
+	f.Add(append(bytes.Clone(seg), make([]byte, 64)...)) // an all-zero extension
+	f.Add(seg[:len(seg)-1])                              // the last frame cut short
+	f.Add(seg[8:])                                       // framing lost
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames, n := ScanWALFrames(data)
+		if n < 0 || n > len(data) {
+			t.Fatalf("valid prefix %d of %d bytes", n, len(data))
+		}
+		var reframed []byte
+		for _, p := range frames {
+			reframed = binary.BigEndian.AppendUint32(reframed, uint32(len(p)))
+			reframed = binary.BigEndian.AppendUint32(reframed, crc32.Checksum(p, walCRC))
+			reframed = append(reframed, p...)
+		}
+		if !bytes.Equal(reframed, data[:n]) {
+			t.Fatalf("%d frames re-frame to %d bytes, not the %d-byte prefix they were read from",
+				len(frames), len(reframed), n)
+		}
+	})
 }

@@ -61,5 +61,5 @@ func (db *DB) Apply(b *Batch) error {
 	if b != nil {
 		ops = b.ops
 	}
-	return db.commit(ops, 0, nil)
+	return db.commit(ops)
 }

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/btree"
@@ -49,8 +48,10 @@ import (
 //	        image becomes immutable (later mutations copy-on-write);
 //	        capture the root/meta/sequence-value snapshot, the policy
 //	        store (clone-on-write pinned), the allocator state, the WAL
-//	        horizon and byte mark, and the dirty-page list; switch the
-//	        disk into deferred reclamation. No I/O.
+//	        horizon and byte mark that state stands at (appliedHorizon:
+//	        below a pending prepared record, never waiting for one), and
+//	        the dirty-page list; switch the disk into deferred
+//	        reclamation. No I/O.
 //	build   (no write lock) — flush the captured dirty pages one at a
 //	        time (the buffer pool re-locks per page, so concurrent
 //	        fetches interleave), fsync the data file, run the
@@ -280,7 +281,7 @@ func (db *DB) runCheckpoint(run *ckptRun) error {
 	defer db.ckptMu.Unlock()
 
 	cutStart := time.Now()
-	db.lockExcludingPrepared()
+	db.mu.Lock()
 	img, err := db.ckptCut()
 	db.ckptCoalMu.Lock()
 	run.cutDone = true
@@ -344,25 +345,6 @@ func (db *DB) runCheckpoint(run *ckptRun) error {
 	return err
 }
 
-// lockExcludingPrepared takes the write lock at a moment when no prepared
-// cross-shard transaction is pending. A checkpoint cut must not land
-// between a transaction's prepared record and its commit/abort marker: the
-// cut image would contain the applied-but-undecided mutations while log
-// truncation dropped the prepared record, leaving a later abort nothing to
-// compensate against. Holding prepMu from the last pendingPrepared check
-// until mu is acquired closes the race with a prepare that begins in
-// between — the prepare's own prepMu acquisition serializes behind this
-// lock, so its record lands after the cut's WAL mark and survives
-// truncation intact. Lock order: prepMu strictly before mu.
-func (db *DB) lockExcludingPrepared() {
-	db.prepMu.Lock()
-	for db.pendingPrepared > 0 {
-		db.prepCond.Wait()
-	}
-	db.mu.Lock()
-	db.prepMu.Unlock()
-}
-
 // hook invokes the test hook, if any, outside any DB lock.
 func (db *DB) hook(phase string) {
 	if db.ckptHook != nil {
@@ -421,7 +403,6 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 		snap:     db.tree.Snapshot(),
 		nextSV:   db.nextSV,
 		encoded:  db.encoded,
-		walSeq:   db.walSeq,
 		numPages: db.fileDisk.NumPages(),
 		// Parked ids from an earlier aborted pipeline are unreachable and
 		// unallocated: free pages of the new image.
@@ -459,9 +440,9 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 		img.users = append(img.users, uid)
 	}
 	sort.Slice(img.users, func(i, j int) bool { return img.users[i] < img.users[j] })
-	if db.wal != nil {
-		img.walMark = db.wal.Mark()
-	}
+	// The log position the captured state stands at: below a pending
+	// prepared record, which recovery then replays or skips by its verdict.
+	img.walSeq, img.walMark = db.appliedHorizon()
 
 	// From here until publish/abort: freed pages park instead of becoming
 	// reallocatable, retired pages are quarantined (collectGarbage checks
@@ -903,7 +884,6 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 		prevPolicies: polName,
 		encoded:      mf.Encoded,
 	}
-	db.prepCond = sync.NewCond(&db.prepMu)
 	db.initObs()
 	db.view = tree.ViewIO(db.qio)
 	for _, uid := range mf.Users {

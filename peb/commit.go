@@ -14,21 +14,20 @@ import (
 // The write path.
 //
 // Every mutation — Upsert, Remove, DefineRelation, Grant, EncodePolicies,
-// InstallEncoding, LoadPolicies, Apply, PrepareApply — is an opList handed
-// to commit, the only function that takes the write lock to mutate.
-// commit runs six stages under the lock:
+// InstallEncoding, LoadPolicies, Apply — is an opList handed to commit.
+// commit runs six stages under the write lock:
 //
-//	1 validate  closed DB, invalid grant regions, an encoding that misses
-//	            an indexed user, a policy snapshot of another domain —
-//	            nothing has been touched when one of these fails
+//	1 validate  closed DB, a pending prepared transaction, invalid grant
+//	            regions, an encoding that misses an indexed user, a policy
+//	            snapshot of another domain — nothing has been touched when
+//	            one of these fails
 //	2 resolve   make the list deterministic: an upsert of a user the tree
 //	            holds no sequence value for gets an explicit core.OpSetSV
 //	            (δ = 2 spacing, Fig. 5 of the paper), EncodePolicies and
 //	            LoadPolicies get their computed polOpEncode. The resolved
 //	            list is what is applied, what is logged, and therefore
 //	            what recovery and replicas replay
-//	3 capture   first-touch index states, for commit hooks and for a
-//	            prepared transaction's undo
+//	3 capture   first-touch index states, for the commit hooks
 //	4 apply     applyOps, the single state-transition function
 //	5 publish   republish the query view, collect garbage, fire the
 //	            commit hooks
@@ -36,15 +35,15 @@ import (
 //
 // and then, outside the lock, waits for the record to be durable — which
 // is what lets concurrent commits share one fsync — and observes the
-// commit latency. Recovery (replayWAL) and Replica.ingestLocked run stage 4
-// on decoded records, so live commit, replay and follower apply execute
-// the same code.
+// commit latency. A cross-shard participant splits the stages at the
+// decision (prepared.go): PrepareApply runs 1–2 and logs, Prepared.Commit
+// runs 3–5 and logs its marker. Recovery (replayWAL) and
+// Replica.ingestLocked run stage 4 on decoded records, so live commit,
+// replay and follower apply execute the same code.
 
-// commit applies ops atomically as one logged commit. txnID, when non-zero,
-// logs the record as the prepared participant of that cross-shard
-// transaction and undo captures what Prepared.Abort needs to reverse it.
-// An empty list commits nothing.
-func (db *DB) commit(ops opList, txnID uint64, undo *txnUndo) error {
+// commit applies ops atomically as one logged commit. An empty list
+// commits nothing.
+func (db *DB) commit(ops opList) error {
 	start := time.Now()
 	policyChange, rebuild := opClasses(ops.Pol)
 	if rebuild {
@@ -54,7 +53,7 @@ func (db *DB) commit(ops opList, txnID uint64, undo *txnUndo) error {
 		db.ckptMu.Lock()
 	}
 	db.mu.Lock()
-	tok, err := db.commitLocked(ops, txnID, undo, policyChange, rebuild)
+	tok, err := db.commitLocked(ops, policyChange, rebuild)
 	db.mu.Unlock()
 	if rebuild {
 		db.ckptMu.Unlock()
@@ -72,9 +71,9 @@ func (db *DB) commit(ops opList, txnID uint64, undo *txnUndo) error {
 // commitLocked is stages 1–6; the caller holds the write lock and passes
 // what opClasses says of ops (resolution adds and fills in operations but
 // never changes their classes).
-func (db *DB) commitLocked(ops opList, txnID uint64, undo *txnUndo, policyChange, rebuild bool) (store.WALToken, error) {
-	if db.closed {
-		return 0, ErrClosed
+func (db *DB) commitLocked(ops opList, policyChange, rebuild bool) (store.WALToken, error) {
+	if err := db.writable(); err != nil {
+		return 0, err
 	}
 	if ops.len() == 0 {
 		return 0, nil
@@ -83,37 +82,43 @@ func (db *DB) commitLocked(ops opList, txnID uint64, undo *txnUndo, policyChange
 	if err != nil {
 		return 0, err
 	}
-
-	var touched []CommitTouch
-	if undo != nil || db.hooksActive() {
-		if touched, err = db.captureTouched(resolved.Idx); err != nil {
-			return 0, err
-		}
-	}
-	if undo != nil {
-		undo.capture(db, resolved, touched, policyChange)
-	}
-
-	if err := db.applyOps(resolved); err != nil {
-		if undo != nil && policyChange {
-			db.policiesPinned = undo.prevPoliciesPinned
-		}
-		db.collectGarbage()
+	if err := db.applyLocked(resolved, policyChange, rebuild); err != nil {
 		return 0, err
 	}
-	if undo != nil {
-		undo.applied = true
-	}
+	return db.walAppendTxn(resolved, db.nextSV, 0, txnNone)
+}
 
+// writable reports why the DB takes no commit now: it is closed, or a
+// prepared transaction holds it until Commit or Abort. The caller holds
+// the write lock.
+func (db *DB) writable() error {
+	if db.closed {
+		return ErrClosed
+	}
+	if p := db.prepared; p != nil {
+		return fmt.Errorf("peb: transaction %d is prepared; commit or abort it first", p.txnID)
+	}
+	return nil
+}
+
+// applyLocked is stages 3–5 on a resolved list. On error nothing is
+// published: applyOps has rolled the index back.
+func (db *DB) applyLocked(ops opList, policyChange, rebuild bool) error {
+	var touched []CommitTouch
+	if db.hooksActive() {
+		var err error
+		if touched, err = db.captureTouched(ops.Idx); err != nil {
+			return err
+		}
+	}
+	if err := db.applyOps(ops); err != nil {
+		db.collectGarbage()
+		return err
+	}
 	db.refreshView()
 	db.collectGarbage()
 	db.fireCommitLocked(touched, policyChange, rebuild)
-
-	state := txnNone
-	if txnID != 0 {
-		state = txnPrepared
-	}
-	return db.walAppendTxn(resolved, txnID, state)
+	return nil
 }
 
 // opClasses reports whether ops change the policy store (the commit hooks'
@@ -412,9 +417,9 @@ func (db *DB) applyIndexOps(ops []core.BatchOp) error {
 }
 
 // writablePolicies returns the policy store for in-place mutation, first
-// replacing it with a copy when a snapshot, a checkpoint build or a
-// prepared transaction's undo still reads the current one: they keep
-// evaluating the policies in force when they pinned it, without any
+// replacing it with a copy when a snapshot or a checkpoint build still
+// reads the current one: they keep evaluating the policies in force when
+// they pinned it, without any
 // locking on their read path. The caller holds the write lock and
 // republishes the view (it carries a policy-store reference).
 func (db *DB) writablePolicies() *policy.Store {

@@ -7,8 +7,9 @@ import (
 
 // Commit notifications: the hook point continuous-query engines (peb/cq)
 // build on. Every committed mutation — a single Upsert/Remove, an Apply
-// batch, a prepared cross-shard sub-batch, a policy change, an index
-// rebuild — fires the registered hooks exactly once, synchronously, under
+// batch, a cross-shard sub-batch at its Prepared.Commit (an aborted one
+// fires nothing), a policy change, an index rebuild — fires the
+// registered hooks exactly once, synchronously, under
 // the write lock, immediately after the new query view is published. The
 // hook therefore observes every commit in order, with no commit able to
 // land between the view swap and the notification.

@@ -387,6 +387,74 @@ func TestSubscribeAtomicity(t *testing.T) {
 	}
 }
 
+// TestPreparedAbortEmitsNoDelta: a cross-shard participant's batch reaches
+// a subscription only when it commits — an aborted prepare emits nothing
+// (no Enter followed by a compensating Leave), a committed one exactly its
+// Enter, at Commit.
+func TestPreparedAbortEmitsNoDelta(t *testing.T) {
+	db, err := peb.Open(peb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	everywhere := peb.Region{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
+	if err := db.DefineRelation(2, 1, "f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Grant(2, "f", everywhere, peb.TimeInterval{Start: 0, End: 1440}); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := cq.Attach(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sub, initial, err := eng.SubscribeRange(1, everywhere, 10, cq.SubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(initial) != 0 {
+		t.Fatalf("initial = %v, want empty", initial)
+	}
+	// Deliveries happen inside the commit, so anything emitted is queued by
+	// the time the call returns.
+	none := func(when string) {
+		t.Helper()
+		select {
+		case d := <-sub.Deltas():
+			t.Fatalf("%s: delta %+v", when, d)
+		default:
+		}
+	}
+	prepare := func(txnID uint64) *peb.Prepared {
+		t.Helper()
+		b := db.NewBatch()
+		b.Upsert(peb.Object{UID: 2, X: 100, Y: 100, T: 0})
+		p, err := db.PrepareApply(b, txnID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	p := prepare(1)
+	none("after prepare")
+	if err := p.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	none("after abort")
+
+	p = prepare(2)
+	none("after prepare")
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if d := <-sub.Deltas(); d.Kind != cq.Enter || d.Object.UID != 2 {
+		t.Fatalf("delta at commit = %+v, want Enter of user 2", d)
+	}
+	none("after the commit's Enter")
+}
+
 // TestSlowConsumerDropOldest fills a tiny buffer and checks the oldest
 // deltas are discarded with an exact Dropped count on the next delivery.
 func TestSlowConsumerDropOldest(t *testing.T) {

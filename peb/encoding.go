@@ -52,5 +52,5 @@ func (db *DB) ComputeEncoding(extra []UserID) (*PolicyEncoding, error) {
 // installed assignment without recomputing it.
 func (db *DB) InstallEncoding(enc *PolicyEncoding) error {
 	recs, maxSV, groups := encodeAssignment(enc.assignment)
-	return db.commit(opList{Pol: []polOp{{Kind: polOpEncode, Assign: recs, MaxSV: maxSV, Groups: groups}}}, 0, nil)
+	return db.commit(opList{Pol: []polOp{{Kind: polOpEncode, Assign: recs, MaxSV: maxSV, Groups: groups}}})
 }

@@ -77,6 +77,9 @@ func TestOpenRefusesOtherGenerations(t *testing.T) {
 		{"meta names no policies", ErrCorruptCheckpoint, func(img map[string]string) {
 			img[meta] = editMeta(t, img[meta], func(mf *metaFile) { mf.Policies = "" })
 		}},
+		{"meta's leaf count off by one", ErrCorruptCheckpoint, func(img map[string]string) {
+			img[meta] = editMeta(t, img[meta], func(mf *metaFile) { mf.LeafCount++ })
+		}},
 		{"bare gob policies", ErrUnsupportedFormat, func(img map[string]string) {
 			rd := codec.NewReader([]byte(img[pol]), 2) // past magic and version
 			rd.TakeUvarint("crc")
@@ -139,6 +142,8 @@ func FuzzCheckpointMeta(f *testing.F) {
 	}
 	f.Add([]byte(`{"Version":2,"Policies":"../../etc/passwd","NumPages":3,"Root":3,"Height":1,"LeafCount":1}`))
 	f.Add([]byte(`[]`))
+	// A leaf count the walk does not meet: the cost model would read it.
+	f.Add([]byte(editMeta(f, meta, func(mf *metaFile) { mf.LeafCount++ })))
 
 	filePages := uint64(len(files["golden.idx"]) / store.PageSize)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -331,19 +331,15 @@ type DB struct {
 	ckptDead       []store.PageID
 	ckptFullNeeded bool
 
-	// Cross-shard transaction state (prepared.go). pendingPrepared counts
-	// transactions between PrepareApply and their Commit/Abort marker;
-	// checkpoint cuts wait for it to reach zero (prepCond broadcasts every
-	// decrement) so no checkpoint image can capture an applied-but-
-	// undecided transaction whose marker would then outlive the truncated
-	// log. maxTxn is the largest transaction id this DB has logged or
-	// replayed — coordinators allocate ids above every participant's
-	// watermark so a recycled id can never resurrect a stale prepared
-	// record. prepMu is leaf-level and ordered strictly before mu.
-	prepMu          sync.Mutex
-	prepCond        *sync.Cond
-	pendingPrepared int
-	maxTxn          uint64
+	// Cross-shard transaction state (prepared.go). prepared is the
+	// transaction between PrepareApply and its Commit/Abort, nil when none:
+	// its record is logged but nothing of it applied, and no other commit
+	// lands until it is finished. maxTxn is the largest transaction id this
+	// DB has logged or replayed — coordinators allocate ids above every
+	// participant's watermark so a recycled id can never resurrect a stale
+	// prepared record. Both guarded by mu.
+	prepared *Prepared
+	maxTxn   uint64
 
 	// Checkpoint pipeline state (checkpoint.go). ckptMu serializes whole
 	// checkpoint pipelines against each other, against index rebuilds
@@ -486,7 +482,6 @@ func openFresh(opts Options) (*DB, error) {
 		users:    make(map[UserID]bool),
 		snaps:    make(map[*Snapshot]struct{}),
 	}
-	db.prepCond = sync.NewCond(&db.prepMu)
 	db.initObs()
 	if err := db.newTree(policy.Assignment{}); err != nil {
 		return nil, err
@@ -686,13 +681,13 @@ func (db *DB) Close() error {
 // DefineRelation records that owner considers peer to hold role. Policies
 // owner has granted to that role then apply to peer.
 func (db *DB) DefineRelation(owner, peer UserID, role Role) error {
-	return db.commit(opList{Pol: []polOp{{Kind: polOpRelation, Own: owner, Peer: peer, Role: role}}}, 0, nil)
+	return db.commit(opList{Pol: []polOp{{Kind: polOpRelation, Own: owner, Peer: peer, Role: role}}})
 }
 
 // Grant adds a location-privacy policy for owner: users related to owner
 // by role may see owner's location while owner is inside locr during tint.
 func (db *DB) Grant(owner UserID, role Role, locr Region, tint TimeInterval) error {
-	return db.commit(opList{Pol: []polOp{{Kind: polOpGrant, Own: owner, Role: role, Locr: locr, Tint: tint}}}, 0, nil)
+	return db.commit(opList{Pol: []polOp{{Kind: polOpGrant, Own: owner, Role: role, Locr: locr, Tint: tint}}})
 }
 
 // Allows reports whether viewer may currently see owner located at (x, y)
@@ -719,7 +714,7 @@ func (db *DB) Allows(owner, viewer UserID, x, y, t float64) bool {
 func (db *DB) EncodePolicies() error {
 	// A polOpEncode without an assignment: commit computes it under the
 	// lock and logs the result, so replay never re-runs the algorithm.
-	return db.commit(opList{Pol: []polOp{{Kind: polOpEncode}}}, 0, nil)
+	return db.commit(opList{Pol: []polOp{{Kind: polOpEncode}}})
 }
 
 // Upsert stores or replaces a user's movement update. Users that appeared
@@ -731,12 +726,12 @@ func (db *DB) EncodePolicies() error {
 // Bulk loads should stage updates in a Batch and call Apply: one lock
 // acquisition and one view republish for the whole batch.
 func (db *DB) Upsert(o Object) error {
-	return db.commit(opList{Idx: []core.BatchOp{{Kind: core.OpUpsert, Obj: o}}}, 0, nil)
+	return db.commit(opList{Idx: []core.BatchOp{{Kind: core.OpUpsert, Obj: o}}})
 }
 
 // Remove deletes a user's index entry (the user's policies remain).
 func (db *DB) Remove(uid UserID) error {
-	return db.commit(opList{Idx: []core.BatchOp{{Kind: core.OpRemove, UID: uid}}}, 0, nil)
+	return db.commit(opList{Idx: []core.BatchOp{{Kind: core.OpRemove, UID: uid}}})
 }
 
 // Lookup returns a user's stored movement state.
@@ -917,5 +912,5 @@ func (db *DB) LoadPolicies(r io.Reader) error {
 	// the assignment the index is rebuilt under — so no query ever sees the
 	// new policies paired with the old sequence-value encoding, and replay
 	// is a wholesale, idempotent replacement.
-	return db.commit(opList{Pol: []polOp{{Kind: polOpLoadPolicies, Blob: blob}, {Kind: polOpEncode}}}, 0, nil)
+	return db.commit(opList{Pol: []polOp{{Kind: polOpLoadPolicies, Blob: blob}, {Kind: polOpEncode}}})
 }

@@ -2,9 +2,11 @@ package peb
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"repro/internal/core"
-	"repro/internal/policy"
+	"repro/internal/store"
 )
 
 // Cross-shard two-phase commit: the participant side.
@@ -14,19 +16,18 @@ import (
 // crash, although each DB has its own write-ahead log. The protocol:
 //
 //	prepare  — the coordinator calls PrepareApply(sub, txnID) on every
-//	           participant: the sub-batch is applied in memory and logged
-//	           as a *prepared* record (TxnID + txnPrepared), fsynced per
-//	           the durability level. A prepared record does not commit by
-//	           itself: replay applies it only if its fate is known to be
-//	           commit.
+//	           participant: the sub-batch is validated against the current
+//	           state and logged, resolved, as a *prepared* record (TxnID +
+//	           txnPrepared), fsynced per the durability level. Nothing is
+//	           applied. A prepared record does not commit by itself:
+//	           replay applies it only if its fate is known to be commit.
 //	decide   — with every participant prepared, the coordinator makes the
 //	           transaction durable in ITS decision log. That append is the
 //	           transaction's single commit point.
-//	finish   — the coordinator calls Commit on every Prepared handle
-//	           (logging a txnCommitted marker), or — when any prepare
-//	           failed — Abort on those already prepared, which restores
-//	           the pre-transaction state exactly and logs a txnAborted
-//	           marker.
+//	finish   — the coordinator calls Commit on every Prepared handle, which
+//	           applies the batch and logs a txnCommitted marker, or — when
+//	           any prepare failed — Abort on those already prepared, which
+//	           only logs a txnAborted marker.
 //
 // Recovery resolves a prepared record by scanning forward for its marker;
 // a markerless prepared record (the process died mid-protocol) is resolved
@@ -36,108 +37,47 @@ import (
 //
 // Two invariants keep the protocol sound:
 //
-//   - No checkpoint cut lands between a prepared record and its marker
-//     (DB.lockExcludingPrepared): the cut image would bake in the applied
-//     mutations while truncation dropped the prepared record, leaving a
-//     later abort marker nothing to cancel.
+//   - Between a prepared record and its marker the DB takes no other
+//     commit, so the in-memory state is exactly the log below the record
+//     (appliedHorizon). A checkpoint cut and a replica bootstrap start
+//     there without waiting: the record stays in the log above them, and
+//     replay applies or skips it by its verdict.
 //   - Transaction ids are never recycled while any log could still hold
 //     the id (DB.MaxTxnID gives the coordinator each participant's
 //     watermark), so a stale prepared record can never be resurrected by
 //     a newer transaction's commit decision.
-//
-// The coordinator must serialize prepared windows against index rebuilds
-// (EncodePolicies, LoadPolicies) and close: a rebuild swaps the tree under
-// the undo state. peb/sharded holds its global barrier lock across both.
-
-// txnUndo captures the pre-transaction state of everything a prepared
-// batch touched: the first-touch object states, the sequence values staged
-// for new users, the pre-clone policy store, and the scalars. Applying it
-// restores the DB to a state indistinguishable from the transaction never
-// having run — which is exactly what replay reconstructs when it skips an
-// aborted prepared record.
-type txnUndo struct {
-	// applied flips once the batch is applied in memory: from then on a
-	// failure (log append, sync) needs Abort, before it nothing does.
-	applied bool
-	// touched holds, per user the index operations wrote, the first-touch
-	// state (Prev; nil: the user was absent) and the prepared state (Cur).
-	touched            []CommitTouch
-	freshSVs           []UserID
-	addedUsers         []UserID
-	prevNextSV         float64
-	prevEncoded        bool
-	prevPolicies       *policy.Store // non-nil only when the batch changed policies
-	prevPoliciesPinned bool
-}
-
-// capture records the pre-apply state of everything the resolved ops are
-// about to change (commit's stage 3; caller holds the write lock). A batch
-// that changes policies pins the current store, so the policy phase writes
-// a copy and prevPolicies stays the exact pre-transaction store.
-func (u *txnUndo) capture(db *DB, ops opList, touched []CommitTouch, policyChange bool) {
-	u.touched = touched
-	u.prevNextSV = db.nextSV
-	u.prevEncoded = db.encoded
-	if policyChange {
-		u.prevPolicies = db.policies
-		u.prevPoliciesPinned = db.policiesPinned
-		db.policiesPinned = true
-	}
-	note := func(uid UserID) {
-		if !db.users[uid] { // a repeat is harmless: Abort deletes by key
-			u.addedUsers = append(u.addedUsers, uid)
-		}
-	}
-	for i := range ops.Idx {
-		switch op := &ops.Idx[i]; op.Kind {
-		case core.OpSetSV:
-			u.freshSVs = append(u.freshSVs, op.UID)
-		case core.OpUpsert:
-			note(op.Obj.UID)
-		}
-	}
-	for i := range ops.Pol {
-		switch op := &ops.Pol[i]; op.Kind {
-		case polOpRelation:
-			note(op.Own)
-			note(op.Peer)
-		case polOpGrant:
-			note(op.Own)
-		}
-	}
-}
 
 // Prepared is a participant's handle on an in-flight cross-shard
-// transaction: the batch is applied and logged as prepared, and exactly
+// transaction: the batch is validated and logged as prepared, and exactly
 // one of Commit or Abort must be called to decide it. The handle is not
 // safe for concurrent use.
 type Prepared struct {
 	db    *DB
 	txnID uint64
-	undo  txnUndo
-	done  bool
+	ops   opList // resolved, and the participant's own copy: what Commit applies
+	// seq and mark are the applied horizon just below the prepared record.
+	seq  uint64
+	mark store.SegPos
+	done bool
 }
 
-// PrepareApply applies the batch atomically (exactly like Apply) but logs
-// it as a *prepared* participant of cross-shard transaction txnID: the
-// mutations are visible in memory immediately, yet recovery discards them
-// unless the transaction's fate — a commit marker in this DB's log, or the
-// coordinator's TxnResolve verdict — is commit. The caller must finish the
-// returned handle with Commit or Abort; checkpoints wait for open prepared
-// transactions, so an abandoned handle wedges the checkpoint pipeline.
+// PrepareApply validates the batch exactly as Apply would and logs it as a
+// *prepared* participant of cross-shard transaction txnID without applying
+// it: queries, snapshots and commit hooks see the batch only once Commit
+// applies it, and recovery replays the record only if the transaction's
+// fate — a commit marker in this DB's log, or the coordinator's TxnResolve
+// verdict — is commit. The caller must finish the returned handle with
+// Commit or Abort.
 //
 // txnID must be non-zero, unique per transaction, and above every
-// participant's MaxTxnID watermark. An error means the batch did not apply
+// participant's MaxTxnID watermark. An error means nothing was prepared
 // (this participant needs no abort); the returned handle is nil.
 //
-// The coordinator must be this DB's only writer for the life of the
-// prepared window: the undo Abort applies restores first-touch state and
-// a scalar sequence-value cursor, so an ordinary commit interleaved
-// between PrepareApply and Commit/Abort would be silently reverted (and
-// could later collide on sequence values). peb/sharded guarantees this by
-// holding its global barrier lock across the whole protocol; other
-// embedders must bring equivalent exclusion, as they must for rebuilds
-// (EncodePolicies, LoadPolicies) and Close.
+// Until the handle is finished the DB refuses every other commit and
+// prepare: Commit applies the batch to the state it was validated against.
+// The coordinator must therefore be this DB's only writer for the life of
+// the prepared window; peb/sharded guarantees this by holding its global
+// barrier lock across the whole protocol.
 func (db *DB) PrepareApply(b *Batch, txnID uint64) (*Prepared, error) {
 	if txnID == 0 {
 		return nil, fmt.Errorf("peb: prepare: transaction id must be non-zero")
@@ -145,158 +85,157 @@ func (db *DB) PrepareApply(b *Batch, txnID uint64) (*Prepared, error) {
 	if b == nil || b.ops.len() == 0 {
 		return nil, fmt.Errorf("peb: prepare: empty batch")
 	}
-	// Announce the prepared window before taking the write lock: a
-	// checkpoint that observed pendingPrepared == 0 holds prepMu until it
-	// owns the write lock, so this prepare either waits out the cut (its
-	// record then lands beyond the cut's WAL mark) or completes before the
-	// checkpoint looks (the cut then waits for the marker).
-	db.prepMu.Lock()
-	db.pendingPrepared++
-	db.prepMu.Unlock()
-
-	p := &Prepared{db: db, txnID: txnID}
-	if err := db.commit(b.ops, txnID, &p.undo); err != nil {
-		if !p.undo.applied {
-			db.finishPrepared()
-			return nil, err
-		}
-		// The batch is applied in memory but its prepared record failed to
-		// append or to sync: its durability is unknown and the log is
-		// poisoned. Undo in memory so this participant reports a clean
-		// failure with nothing half-applied; if the record did reach disk,
-		// recovery resolves it through the coordinator (which will not have
-		// committed).
-		_ = p.Abort()
+	start := time.Now()
+	db.mu.Lock()
+	p, tok, err := db.prepareLocked(b.ops, txnID)
+	db.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
+	if err := db.walSync(tok); err != nil {
+		// The log is poisoned and nothing was applied. If the record did
+		// reach disk, recovery resolves it through the coordinator, which
+		// will not have committed.
+		db.mu.Lock()
+		db.prepared = nil
+		db.mu.Unlock()
+		return nil, err
+	}
+	db.met.commit.ObserveDuration(time.Since(start))
 	db.events.Record("txn.prepare", "participant prepared",
 		"txn", txnID, "ops", b.ops.len())
 	return p, nil
 }
 
-// finishPrepared closes a prepared window and wakes checkpoint cuts
-// waiting for quiescence.
-func (db *DB) finishPrepared() {
-	db.prepMu.Lock()
-	db.pendingPrepared--
-	db.prepCond.Broadcast()
-	db.prepMu.Unlock()
+// prepareLocked is commit's stages 1–2 and a dry run of what applying
+// could still refuse, then the prepared record — logged with the
+// sequence-value cursor the batch will leave, as if it had been applied.
+// The caller holds the write lock.
+func (db *DB) prepareLocked(ops opList, txnID uint64) (*Prepared, store.WALToken, error) {
+	if err := db.writable(); err != nil {
+		return nil, 0, err
+	}
+	resolved, err := db.resolveOps(ops)
+	if err != nil {
+		return nil, 0, err
+	}
+	nextSV, err := db.checkIndexOps(resolved.Idx)
+	if err != nil {
+		return nil, 0, err
+	}
+	// The resolved groups may share db.opScratch or the caller's batch.
+	p := &Prepared{db: db, txnID: txnID,
+		ops: opList{Pol: slices.Clone(resolved.Pol), Idx: slices.Clone(resolved.Idx)}}
+	p.seq, p.mark = db.appliedHorizon()
+	tok, err := db.walAppendTxn(p.ops, nextSV, txnID, txnPrepared)
+	if err != nil {
+		return nil, 0, err
+	}
+	db.prepared = p
+	return p, tok, nil
 }
 
-// Commit seals the transaction's fate as committed in this participant's
-// log. The coordinator must already have made the decision durable in its
-// own log: the marker is what lets this DB resolve the record locally on
-// the next recovery without consulting the coordinator. A marker append
-// failure poisons this DB's log (fail-stop), but the transaction stays
-// committed — recovery falls back to TxnResolve.
+// checkIndexOps dry-runs a resolved index group for the failures applyOps
+// could still meet on valid input — a remove of a user the list leaves
+// unindexed at that point, a sequence value the key cannot encode — and
+// returns the sequence-value cursor applying it leaves. Nothing is
+// written. Commit must not fail on the batch for a reason replay would
+// meet again.
+func (db *DB) checkIndexOps(ops []core.BatchOp) (nextSV float64, err error) {
+	nextSV = db.nextSV
+	indexed := make(map[UserID]bool)
+	for i := range ops {
+		switch op := &ops[i]; op.Kind {
+		case core.OpSetSV:
+			if _, err := db.tree.Config().SV.Encode(op.SV); err != nil {
+				return 0, err
+			}
+			nextSV = max(nextSV, op.SV)
+		case core.OpUpsert:
+			indexed[op.Obj.UID] = true
+		case core.OpRemove:
+			in, seen := indexed[op.UID]
+			if !seen {
+				if _, in, err = db.tree.Get(op.UID); err != nil {
+					return 0, err
+				}
+			}
+			if !in {
+				return 0, fmt.Errorf("peb: remove of unindexed user %d", op.UID)
+			}
+			indexed[op.UID] = false
+		}
+	}
+	return nextSV, nil
+}
+
+// appliedHorizon returns the log position the in-memory state stands at:
+// the sequence number and byte mark just below the pending prepared
+// record, whose operations are not applied yet, or the log's end when none
+// is pending. Caller holds mu (either side).
+func (db *DB) appliedHorizon() (uint64, store.SegPos) {
+	if p := db.prepared; p != nil {
+		return p.seq, p.mark
+	}
+	var mark store.SegPos
+	if db.wal != nil {
+		mark = db.wal.Mark()
+	}
+	return db.walSeq, mark
+}
+
+// Commit applies the prepared batch — commit's stages 3–5: capture for the
+// hooks, applyOps, publish, fire the hooks — and seals the transaction's
+// fate in this participant's log with a txnCommitted marker. The
+// coordinator has already made the decision durable in its own log, so a
+// failure here cannot undo it: it poisons this DB's log (fail-stop), and
+// recovery replays the prepared record as committed — by its marker, or
+// through TxnResolve when the marker is missing.
 func (p *Prepared) Commit() error {
-	if p.done {
-		return fmt.Errorf("peb: transaction %d already finished", p.txnID)
-	}
-	p.done = true
-	db := p.db
-	db.mu.Lock()
-	tok, err := db.walAppendTxn(opList{}, p.txnID, txnCommitted)
-	db.mu.Unlock()
-	db.finishPrepared()
-	db.events.Record("txn.commit", "participant committed", "txn", p.txnID)
-	if err != nil {
-		return err
-	}
-	return db.walSync(tok)
+	return p.finish(txnCommitted, "txn.commit", "participant committed")
 }
 
-// Abort reverses the prepared batch exactly — objects return to their
-// first-touch states, freshly staged sequence values are withdrawn, the
-// policy store reverts to its pre-transaction clone, registered users are
-// forgotten — and logs a txnAborted marker. The restored in-memory state
-// matches what replay produces by skipping the prepared record, so log and
-// memory stay equivalent.
+// Abort seals the transaction's fate as aborted: it logs a txnAborted
+// marker and nothing else, since nothing of the batch was applied.
 func (p *Prepared) Abort() error {
+	return p.finish(txnAborted, "txn.abort", "participant aborted")
+}
+
+// finish logs the marker for state — after applying the batch, on commit —
+// and waits for it to be durable.
+func (p *Prepared) finish(state uint8, event, msg string) error {
 	if p.done {
 		return fmt.Errorf("peb: transaction %d already finished", p.txnID)
 	}
 	p.done = true
 	db := p.db
 	db.mu.Lock()
-	err := db.abortPreparedLocked(p)
-	tok, aerr := db.walAppendTxn(opList{}, p.txnID, txnAborted)
+	tok, err := db.finishLocked(p, state)
 	db.mu.Unlock()
-	db.finishPrepared()
-	db.events.Record("txn.abort", "participant aborted", "txn", p.txnID)
+	db.events.Record(event, msg, "txn", p.txnID)
 	if err != nil {
 		return err
-	}
-	if aerr != nil {
-		// The in-memory state is rolled back but the marker did not reach
-		// the (now poisoned) log. If the prepared record is durable,
-		// recovery resolves it through the coordinator — which never
-		// committed this transaction — so the outcome still matches.
-		return aerr
 	}
 	return db.walSync(tok)
 }
 
-// abortPreparedLocked applies the undo under the write lock.
-func (db *DB) abortPreparedLocked(p *Prepared) error {
+// finishLocked closes the prepared window. The caller holds the write lock.
+func (db *DB) finishLocked(p *Prepared, state uint8) (store.WALToken, error) {
+	db.prepared = nil
 	if db.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	u := &p.undo
-	inverse := make([]core.BatchOp, 0, len(u.touched))
-	for _, tc := range u.touched {
-		switch {
-		case tc.Prev != nil:
-			// Upsert restores the first-touch state whether the batch
-			// replaced or removed the entry.
-			inverse = append(inverse, core.BatchOp{Kind: core.OpUpsert, Obj: *tc.Prev})
-		case tc.Cur != nil:
-			inverse = append(inverse, core.BatchOp{Kind: core.OpRemove, UID: tc.UID})
+	if state == txnCommitted {
+		policyChange, _ := opClasses(p.ops.Pol)
+		if err := db.applyLocked(p.ops, policyChange, false); err != nil {
+			err = fmt.Errorf("peb: commit txn %d: %w", p.txnID, err)
+			if db.wal != nil {
+				db.wal.Poison(err)
+			}
+			return 0, err
 		}
-		// Absent before and absent now (the batch upserted and then removed
-		// the user): nothing to restore.
 	}
-	if err := db.tree.ApplyBatch(inverse); err != nil {
-		// The rollback itself failed (I/O): memory is ahead of what the log
-		// will reconstruct. Fail stop — poison the log so no later commit
-		// can persist a history diverging from memory.
-		err = fmt.Errorf("peb: abort txn %d: rollback failed: %w", p.txnID, err)
-		if db.wal != nil {
-			db.wal.Poison(err)
-		}
-		db.refreshView()
-		db.collectGarbage()
-		return err
-	}
-	for _, uid := range u.freshSVs {
-		_ = db.tree.UnsetSV(uid)
-	}
-	db.nextSV = u.prevNextSV
-	db.encoded = u.prevEncoded
-	if u.prevPolicies != nil {
-		db.policies = u.prevPolicies
-		_ = db.tree.SetPolicies(u.prevPolicies)
-		// Snapshots opened during the prepared window pin the transaction's
-		// clone, not the restored store; keep clone-on-write conservative
-		// whenever any snapshot is live.
-		db.policiesPinned = u.prevPoliciesPinned || len(db.snaps) > 0
-	}
-	for _, uid := range u.addedUsers {
-		delete(db.users, uid)
-	}
-	db.refreshView()
-	db.collectGarbage()
-	if db.hooksActive() {
-		// The rollback is itself a commit from a subscriber's point of view:
-		// each touched user transitions from its prepared state back to its
-		// pre-transaction state.
-		back := make([]CommitTouch, len(u.touched))
-		for i, tc := range u.touched {
-			back[i] = CommitTouch{UID: tc.UID, Prev: tc.Cur, Cur: tc.Prev}
-		}
-		db.fireCommitLocked(back, u.prevPolicies != nil, false)
-	}
-	return nil
+	return db.walAppendTxn(opList{}, db.nextSV, p.txnID, state)
 }
 
 // MaxTxnID returns the largest cross-shard transaction id this DB has

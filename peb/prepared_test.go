@@ -101,12 +101,12 @@ func TestPreparedAbortRestoresState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mid-window the mutations are visible.
-	if o, ok, _ := db.Lookup(1); !ok || o.X != 99 {
-		t.Fatalf("prepared upsert not visible: %v %v", o, ok)
+	// Nothing of the batch is visible before Commit.
+	if got := preparedTestObjects(t, db); !reflect.DeepEqual(got, before) {
+		t.Fatalf("mid-window state %v, want the pre-transaction %v", got, before)
 	}
-	if db.Size() != 2 { // 1 replaced, 3 added, 2 removed
-		t.Fatalf("mid-window size = %d, want 2", db.Size())
+	if db.Allows(3, 1, 30, 30, 30) {
+		t.Fatal("prepared grant in force before Commit")
 	}
 	if err := p.Abort(); err != nil {
 		t.Fatal(err)
@@ -195,44 +195,106 @@ func TestPreparedUnresolvedRecovery(t *testing.T) {
 	})
 }
 
-// TestPreparedBlocksCheckpointCut: a checkpoint arriving inside a prepared
-// window must wait for the marker, so no image can capture an undecided
-// transaction.
-func TestPreparedBlocksCheckpointCut(t *testing.T) {
-	fs := store.NewCrashFS()
-	db, err := Open(Options{Path: "c.idx", Durability: DurabilitySync, FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.Upsert(Object{UID: 1, X: 10, Y: 10}); err != nil {
-		t.Fatal(err)
-	}
-	b := db.NewBatch()
-	b.Upsert(Object{UID: 2, X: 20, Y: 20})
-	p, err := db.PrepareApply(b, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestPreparedCheckpointInsideWindow: a checkpoint called inside a
+// prepared window returns without waiting for the marker — its image
+// stands just below the prepared record — and after a power cut recovery
+// applies the transaction's verdict however it arrives: a commit or abort
+// marker (which outranks the resolver), or the resolver's yes or no.
+func TestPreparedCheckpointInsideWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		finish    func(*Prepared) error // nil: the power fails before any marker
+		resolve   bool
+		committed bool
+	}{
+		{"commit-marker", (*Prepared).Commit, false, true},
+		{"abort-marker", (*Prepared).Abort, true, false},
+		{"resolver-yes", nil, true, true},
+		{"resolver-no", nil, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := store.NewCrashFS()
+			opts := Options{Path: "c.idx", Durability: DurabilitySync, FS: fs}
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Upsert(Object{UID: 1, X: 10, Y: 10}); err != nil {
+				t.Fatal(err)
+			}
+			b := db.NewBatch()
+			b.Upsert(Object{UID: 2, X: 20, Y: 20})
+			b.DefineRelation(2, 1, "friend")
+			b.Grant(2, "friend", Region{MaxX: 1000, MaxY: 1000}, TimeInterval{End: 1440})
+			p, err := db.PrepareApply(b, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ckptDone := make(chan error, 1)
-	go func() { ckptDone <- db.Checkpoint() }()
-	select {
-	case err := <-ckptDone:
-		t.Fatalf("checkpoint completed inside a prepared window (err=%v)", err)
-	case <-time.After(50 * time.Millisecond):
-		// Blocked, as required.
+			ckptDone := make(chan error, 1)
+			go func() { ckptDone <- db.Checkpoint() }()
+			select {
+			case err := <-ckptDone:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("checkpoint waited for the prepared window to close")
+			}
+			if tc.finish != nil {
+				if err := tc.finish(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fs.CutPower()
+			fs.Reboot(false)
+
+			opts.TxnResolve = func(id uint64) bool { return id == 3 && tc.resolve }
+			re, err := OpenExisting(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if _, ok, _ := re.Lookup(1); !ok {
+				t.Fatal("checkpointed commit lost")
+			}
+			if _, ok, _ := re.Lookup(2); ok != tc.committed {
+				t.Fatalf("prepared upsert recovered = %v, want %v", ok, tc.committed)
+			}
+			if got := re.Allows(2, 1, 20, 20, 30); got != tc.committed {
+				t.Fatalf("prepared grant recovered = %v, want %v", got, tc.committed)
+			}
+		})
+	}
+}
+
+// TestPreparedWindowRefusesOtherCommits: until the prepared handle is
+// finished, an ordinary commit and a second prepare are refused and leave
+// nothing behind; once it is, both work again.
+func TestPreparedWindowRefusesOtherCommits(t *testing.T) {
+	db := mustOpen(t, Options{})
+	b := db.NewBatch()
+	b.Upsert(Object{UID: 1, X: 1, Y: 1})
+	p, err := db.PrepareApply(b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Upsert(Object{UID: 2, X: 2, Y: 2}); err == nil {
+		t.Fatal("commit accepted inside a prepared window")
+	}
+	second := db.NewBatch()
+	second.Upsert(Object{UID: 3, X: 3, Y: 3})
+	if _, err := db.PrepareApply(second, 2); err == nil {
+		t.Fatal("second prepare accepted inside a prepared window")
 	}
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-ckptDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("checkpoint still blocked after the transaction finished")
+	if err := db.Upsert(Object{UID: 2, X: 2, Y: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if db.Size() != 2 {
+		t.Fatalf("size = %d, want 2 (the prepared and the later upsert)", db.Size())
 	}
 }
 
@@ -260,7 +322,7 @@ func TestPreparedValidation(t *testing.T) {
 		t.Fatalf("failed prepare left %d objects", db.Size())
 	}
 	// And a checkpointless in-memory DB still supports the prepare/abort
-	// cycle (no WAL: purely in-memory undo).
+	// cycle (no WAL: nothing to log, nothing to undo).
 	ok := db.NewBatch()
 	ok.Upsert(Object{UID: 7, X: 5, Y: 5})
 	p, err := db.PrepareApply(ok, 3)
@@ -278,9 +340,6 @@ func TestPreparedValidation(t *testing.T) {
 	}
 }
 
-// TestPreparedDoubleAbortAfterSyncFailure documents the walSync-failure
-// path: PrepareApply auto-aborts and returns the error; the handle is
-// finished.
 func TestPreparedErrClosed(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {

@@ -115,117 +115,105 @@ func NewReplica(primary *DB) (*Replica, error) {
 
 // bootstrap copies the primary's state and registers the retention floor.
 //
-// The capture excludes pending prepared transactions the same way a
-// checkpoint cut does (lockExcludingPrepared's protocol, with a read
-// lock): copying applied-but-undecided mutations would strand the replica
-// when the abort marker — which carries no compensating operations —
-// arrives. With none pending, the read lock alone makes the capture
-// consistent: every commit applies state and appends its record under the
-// write lock, so tree content, walSeq, and the log mark agree exactly.
+// The read lock makes the capture consistent: every commit applies state
+// and appends its record under the write lock, so tree content and the log
+// agree at appliedHorizon — the log's end, or just below a pending prepared
+// record, whose operations a prepare does not apply. The tailer starts
+// there, so it reads that record next and stalls on it until its marker
+// arrives, exactly as for a record prepared after the bootstrap.
 func (r *Replica) bootstrap() error {
 	p := r.primary
-	p.prepMu.Lock()
-	for p.pendingPrepared > 0 {
-		p.prepCond.Wait()
-	}
 	p.mu.RLock()
-	p.prepMu.Unlock()
+	defer p.mu.RUnlock()
+	if p.closed {
+		return ErrClosed
+	}
+	if p.wal == nil {
+		return fmt.Errorf("peb: replication requires a durable primary (Options.Durability)")
+	}
 
-	capErr := func() error {
-		defer p.mu.RUnlock()
-		if p.closed {
-			return ErrClosed
-		}
-		if p.wal == nil {
-			return fmt.Errorf("peb: replication requires a durable primary (Options.Durability)")
-		}
+	var polBuf bytes.Buffer
+	if err := p.policies.Save(&polBuf); err != nil {
+		return fmt.Errorf("peb: replica bootstrap policies: %w", err)
+	}
+	loaded, err := policy.Load(bytes.NewReader(polBuf.Bytes()))
+	if err != nil {
+		return fmt.Errorf("peb: replica bootstrap policies: %w", err)
+	}
 
-		var polBuf bytes.Buffer
-		if err := p.policies.Save(&polBuf); err != nil {
-			return fmt.Errorf("peb: replica bootstrap policies: %w", err)
+	asg := policy.Assignment{
+		SV:     make(map[policy.UserID]float64, len(p.assignment.SV)),
+		MaxSV:  p.assignment.MaxSV,
+		Groups: p.assignment.Groups,
+	}
+	for uid, sv := range p.assignment.SV {
+		asg.SV[uid] = sv
+	}
+
+	opts := Options{
+		SpaceSide:         p.opts.SpaceSide,
+		DayLength:         p.opts.DayLength,
+		MaxSpeed:          p.opts.MaxSpeed,
+		MaxUpdateInterval: p.opts.MaxUpdateInterval,
+		BufferPages:       p.opts.BufferPages,
+	}
+	opts.setDefaults()
+	rdb := &DB{
+		opts:     opts,
+		policies: loaded,
+		users:    make(map[UserID]bool, len(p.users)),
+		snaps:    make(map[*Snapshot]struct{}),
+	}
+	if err := rdb.newTree(asg); err != nil {
+		return fmt.Errorf("peb: replica bootstrap tree: %w", err)
+	}
+	// Sequence values must transfer in their encoded form: the floats they
+	// were computed from are gone, and the index keys about to be rebuilt
+	// embed the encoding verbatim.
+	for uid, enc := range p.tree.Snapshot().SVs {
+		if err := rdb.tree.SetSVEnc(uid, enc); err != nil {
+			return fmt.Errorf("peb: replica bootstrap sv: %w", err)
 		}
-		loaded, err := policy.Load(bytes.NewReader(polBuf.Bytes()))
+	}
+	for _, uid := range p.view.UserIDs() {
+		o, ok, err := p.view.Get(uid)
 		if err != nil {
-			return fmt.Errorf("peb: replica bootstrap policies: %w", err)
+			return fmt.Errorf("peb: replica bootstrap read u%d: %w", uid, err)
 		}
+		if !ok {
+			continue
+		}
+		if err := rdb.tree.Insert(o); err != nil {
+			return fmt.Errorf("peb: replica bootstrap insert u%d: %w", uid, err)
+		}
+	}
+	for uid := range p.users {
+		rdb.users[uid] = true
+	}
+	rdb.nextSV = p.nextSV
+	if rdb.nextSV < 2 {
+		rdb.nextSV = 2
+	}
+	rdb.encoded = p.encoded
+	rdb.maxTxn = p.maxTxn
+	rdb.walSeq, r.cursor = p.appliedHorizon()
+	rdb.refreshView()
 
-		asg := policy.Assignment{
-			SV:     make(map[policy.UserID]float64, len(p.assignment.SV)),
-			MaxSV:  p.assignment.MaxSV,
-			Groups: p.assignment.Groups,
-		}
-		for uid, sv := range p.assignment.SV {
-			asg.SV[uid] = sv
-		}
+	r.db = rdb
+	r.fs = p.opts.FS
+	r.path = p.opts.Path + ".wal"
+	r.horizon.Store(rdb.walSeq)
 
-		opts := Options{
-			SpaceSide:         p.opts.SpaceSide,
-			DayLength:         p.opts.DayLength,
-			MaxSpeed:          p.opts.MaxSpeed,
-			MaxUpdateInterval: p.opts.MaxUpdateInterval,
-			BufferPages:       p.opts.BufferPages,
-		}
-		opts.setDefaults()
-		rdb := &DB{
-			opts:     opts,
-			policies: loaded,
-			users:    make(map[UserID]bool, len(p.users)),
-			snaps:    make(map[*Snapshot]struct{}),
-		}
-		rdb.prepCond = sync.NewCond(&rdb.prepMu)
-		if err := rdb.newTree(asg); err != nil {
-			return fmt.Errorf("peb: replica bootstrap tree: %w", err)
-		}
-		// Sequence values must transfer in their encoded form: the floats
-		// they were computed from are gone, and the index keys about to be
-		// rebuilt embed the encoding verbatim.
-		for uid, enc := range p.tree.Snapshot().SVs {
-			if err := rdb.tree.SetSVEnc(uid, enc); err != nil {
-				return fmt.Errorf("peb: replica bootstrap sv: %w", err)
-			}
-		}
-		for _, uid := range p.view.UserIDs() {
-			o, ok, err := p.view.Get(uid)
-			if err != nil {
-				return fmt.Errorf("peb: replica bootstrap read u%d: %w", uid, err)
-			}
-			if !ok {
-				continue
-			}
-			if err := rdb.tree.Insert(o); err != nil {
-				return fmt.Errorf("peb: replica bootstrap insert u%d: %w", uid, err)
-			}
-		}
-		for uid := range p.users {
-			rdb.users[uid] = true
-		}
-		rdb.nextSV = p.nextSV
-		if rdb.nextSV < 2 {
-			rdb.nextSV = 2
-		}
-		rdb.encoded = p.encoded
-		rdb.walSeq = p.walSeq
-		rdb.maxTxn = p.maxTxn
-		rdb.refreshView()
-
-		r.db = rdb
-		r.fs = p.opts.FS
-		r.path = p.opts.Path + ".wal"
-		r.cursor = p.wal.Mark()
-		r.horizon.Store(rdb.walSeq)
-
-		// Register the retention floor while still holding the read lock:
-		// checkpoint publication needs the write lock, so no segment at or
-		// past the cursor can be dropped before the floor is visible.
-		p.repMu.Lock()
-		if p.repFloors == nil {
-			p.repFloors = make(map[*Replica]store.SegPos)
-		}
-		p.repFloors[r] = r.cursor
-		p.repMu.Unlock()
-		return nil
-	}()
-	return capErr
+	// Register the retention floor while still holding the read lock:
+	// checkpoint publication needs the write lock, so no segment at or past
+	// the cursor can be dropped before the floor is visible.
+	p.repMu.Lock()
+	if p.repFloors == nil {
+		p.repFloors = make(map[*Replica]store.SegPos)
+	}
+	p.repFloors[r] = r.cursor
+	p.repMu.Unlock()
+	return nil
 }
 
 // run is the tailer goroutine: poll on every primary commit (hook wake),

@@ -276,6 +276,78 @@ func TestReplicaPreparedStall(t *testing.T) {
 	}
 }
 
+// TestReplicaBootstrapInsidePreparedWindow: NewReplica called inside a
+// prepared window returns without waiting for the marker — it copies the
+// state below the prepared record and tails from there — and the replica
+// equals the primary once the transaction commits; a second replica,
+// attached inside a window that then aborts, equals it too.
+func TestReplicaBootstrapInsidePreparedWindow(t *testing.T) {
+	db, _ := replicaHarness(t, 1<<10)
+	for i := 1; i <= 5; i++ {
+		if err := db.Upsert(Object{UID: UserID(i), X: float64(i), Y: float64(i), T: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attach := func() *Replica {
+		t.Helper()
+		type attached struct {
+			r   *Replica
+			err error
+		}
+		c := make(chan attached, 1)
+		go func() {
+			r, err := NewReplica(db)
+			c <- attached{r, err}
+		}()
+		select {
+		case a := <-c:
+			if a.err != nil {
+				t.Fatal(a.err)
+			}
+			t.Cleanup(func() { a.r.Close() })
+			return a.r
+		case <-time.After(5 * time.Second):
+			t.Fatal("NewReplica waited for the prepared window to close")
+			return nil
+		}
+	}
+
+	b := db.NewBatch()
+	b.Upsert(Object{UID: 50, X: 9, Y: 9, T: 1})
+	b.Remove(1)
+	b.DefineRelation(50, 2, "friend")
+	b.Grant(50, "friend", Region{MaxX: 1000, MaxY: 1000}, TimeInterval{End: 1440})
+	p, err := db.PrepareApply(b, 1001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1 := attach()
+	if _, ok, _ := r1.db.Lookup(50); ok {
+		t.Fatal("replica bootstrapped an undecided prepared write")
+	}
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	assertReplicaEquals(t, db, r1)
+
+	b = db.NewBatch()
+	b.Upsert(Object{UID: 60, X: 4, Y: 4, T: 2})
+	b.Remove(2)
+	p, err = db.PrepareApply(b, 1002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2 := attach()
+	if err := p.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Upsert(Object{UID: 70, X: 5, Y: 5, T: 3}); err != nil {
+		t.Fatal(err)
+	}
+	assertReplicaEquals(t, db, r1)
+	assertReplicaEquals(t, db, r2)
+}
+
 // TestReplicaRetentionFloor: while a replica's cursor lags, checkpoint
 // publication must not drop the unread segments (the floor pins them);
 // once the replica consumes them and detaches, they become droppable.

@@ -75,11 +75,11 @@ const ownerTombstone = -1
 //   - a batch owned by a single shard commits directly through that
 //     shard's atomic Apply;
 //   - a batch spanning shards commits via two-phase commit: every
-//     participant prepares (applies + logs a prepared record), the router
-//     logs the commit decision in its own log — the transaction's single
-//     durable commit point — and the participants then seal their logs
-//     with commit markers. Any prepare failure aborts every participant
-//     exactly, leaving no trace of the batch.
+//     participant prepares (validates + logs a prepared record), the
+//     router logs the commit decision in its own log — the transaction's
+//     single durable commit point — and the participants then apply their
+//     sub-batches and seal their logs with commit markers. Any prepare
+//     failure aborts every participant, leaving no trace of the batch.
 //
 // After a crash anywhere in the protocol, recovery resolves every
 // participant to the same verdict (see peb.Options.TxnResolve), so the
@@ -164,9 +164,10 @@ func (db *DB) Apply(b *Batch) error {
 // exactly the same all-or-nothing guarantees as a user batch. The caller
 // holds the write barrier.
 //
-// committed reports whether the batch's effects are in place (it can be
-// true alongside a non-nil error: a commit-marker failure fail-stops one
-// shard's log, but the transaction itself is durably decided).
+// committed reports whether the batch is decided as committed (it can be
+// true alongside a non-nil error: a participant's failed Commit fail-stops
+// that shard's log, and its recovery applies the part, but the transaction
+// itself is durably decided).
 func (db *DB) commitParts(parts []int, subs []*peb.Batch) (committed bool, err error) {
 	if len(parts) == 0 {
 		return true, nil
@@ -187,9 +188,10 @@ func (db *DB) commitParts(parts []int, subs []*peb.Batch) (committed bool, err e
 	prepared := make([]*peb.Prepared, 0, len(parts))
 	abortAll := func() {
 		for _, p := range prepared {
-			// Abort restores each participant exactly; an abort error means
-			// that shard is fail-stopped (poisoned log) and will resolve to
-			// abort on reopen — the verdict is the same either way.
+			// A prepared participant applied nothing, so Abort only logs
+			// its marker; an abort error means that shard is fail-stopped
+			// (poisoned log) and will resolve to abort on reopen — the
+			// verdict is the same either way.
 			_ = p.Abort()
 		}
 	}
@@ -211,8 +213,8 @@ func (db *DB) commitParts(parts []int, subs []*peb.Batch) (committed bool, err e
 			// back is safe only after durably retracting the decision.
 			if aerr := db.logDecision(txnID, false); aerr != nil {
 				// In doubt, both ways. Fail stop: the participants stay
-				// prepared (their checkpoint gates hold the undecided
-				// transaction out of any image) and the router refuses
+				// prepared (nothing of the transaction applied; their
+				// checkpoints cut below its record) and the router refuses
 				// further work; restarting the process resolves every
 				// shard to the same verdict from whatever the decision
 				// log holds.
@@ -231,7 +233,7 @@ func (db *DB) commitParts(parts []int, subs []*peb.Batch) (committed bool, err e
 	for _, p := range prepared {
 		if err := p.Commit(); err != nil && firstErr == nil {
 			// The transaction IS committed (the decision log says so); the
-			// marker failure only fail-stops that shard's log.
+			// failure only fail-stops that shard's log.
 			firstErr = fmt.Errorf("sharded: apply: commit marker: %w", err)
 		}
 	}

@@ -384,3 +384,40 @@ func TestGatherKNNProbeThenWave(t *testing.T) {
 		})
 	}
 }
+
+// TestPreparedGrantAllocsIndependentOfStore: a cross-shard Grant prepares
+// and commits on every shard without copying any shard's policy store, so
+// what one costs in allocations does not grow with the store.
+func TestPreparedGrantAllocsIndependentOfStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	everywhere := Region{MaxX: 1000, MaxY: 1000}
+	allDay := peb.TimeInterval{End: 1440}
+	grantAllocs := func(policies int) float64 {
+		db, err := Open(Options{Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		b := db.NewBatch()
+		for u := 1; u <= policies; u++ {
+			b.Grant(UserID(u), "f", everywhere, allDay)
+		}
+		if err := db.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		owner := UserID(policies)
+		return testing.AllocsPerRun(50, func() {
+			owner++
+			if err := db.Grant(owner, "f", everywhere, allDay); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := grantAllocs(200), grantAllocs(2000)
+	t.Logf("one Grant on 4 shards: %.1f allocs with 200 policies stored, %.1f with 2000", small, large)
+	if large > small+16 {
+		t.Fatalf("a Grant allocates %.1f with 2000 policies stored but %.1f with 200: the store is copied", large, small)
+	}
+}

@@ -90,10 +90,10 @@ func (l opList) len() int { return len(l.Pol) + len(l.Idx) }
 // see prepared.go). Ordinary single-DB commits log txnNone records.
 const (
 	txnNone uint8 = iota
-	// txnPrepared: the record's operations are applied in memory but their
-	// durability fate rests with a coordinator. Replay applies the record
-	// only if a later txnCommitted marker (or the coordinator's resolver)
-	// confirms the transaction.
+	// txnPrepared: the record's operations wait on a coordinator's
+	// decision, in memory as on replay: they apply only once a later
+	// txnCommitted marker (or the coordinator's resolver) confirms the
+	// transaction.
 	txnPrepared
 	// txnCommitted / txnAborted: marker records (no operations) sealing a
 	// prepared transaction's fate in this participant's log.
@@ -138,17 +138,19 @@ func decodeAssignment(op *polOp) policy.Assignment {
 	return a
 }
 
-// walAppendTxn logs one committed record: the resolved operations, and for
-// a cross-shard transaction its id and state (prepared records and their
-// commit/abort markers). The caller holds the write lock and has already
-// applied the operations in memory successfully. The returned token is
-// passed to walSync after the lock is released. A nil WAL logs nothing.
+// walAppendTxn logs one record: the resolved operations with the
+// sequence-value cursor they leave, and for a cross-shard transaction its
+// id and state (prepared records and their commit/abort markers). The
+// caller holds the write lock and has already applied the operations in
+// memory successfully — or, for a prepared record, checked that they
+// apply. The returned token is passed to walSync after the lock is
+// released. A nil WAL logs nothing.
 //
 // An append failure poisons the WAL: the in-memory state is ahead of the
 // log, and accepting any later record would persist a history with a hole.
 // All subsequent commits fail until the DB is reopened; reads and the
 // already-applied mutation remain visible in memory.
-func (db *DB) walAppendTxn(ops opList, txnID uint64, txnState uint8) (store.WALToken, error) {
+func (db *DB) walAppendTxn(ops opList, nextSV float64, txnID uint64, txnState uint8) (store.WALToken, error) {
 	if txnID > db.maxTxn {
 		db.maxTxn = txnID
 	}
@@ -156,7 +158,7 @@ func (db *DB) walAppendTxn(ops opList, txnID uint64, txnState uint8) (store.WALT
 		return 0, nil
 	}
 	db.walSeq++
-	rec := walRecord{Seq: db.walSeq, NextSV: db.nextSV, Ops: ops, TxnID: txnID, TxnState: txnState}
+	rec := walRecord{Seq: db.walSeq, NextSV: nextSV, Ops: ops, TxnID: txnID, TxnState: txnState}
 	// Encode into the DB's reusable buffer: the caller holds the write
 	// lock, and Append copies the payload into the frame before returning,
 	// so the buffer is free again by the next commit. After the first few
@@ -214,10 +216,9 @@ func (db *DB) replayRecord(rec walRecord) error {
 // (which has the whole log) and for a replica (which sees it arrive). A
 // prepared record's fate is its marker's, wherever in the log that sits:
 // committed, it applies at its own position; aborted, it is skipped with
-// its sequence number consumed — the live abort restored the
-// pre-transaction state exactly, so the log minus the record replays to
-// the same history, and the marker carries the restored sequence-value
-// cursor.
+// its sequence number consumed — the live participant never applied it, so
+// the log minus the record replays to the same history, and the marker
+// carries the unchanged sequence-value cursor.
 type txnReplay struct {
 	pending  []walRecord      // decoded, not yet replayed, in log order
 	outcomes map[uint64]uint8 // transaction id → txnCommitted or txnAborted
