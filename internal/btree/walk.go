@@ -17,21 +17,17 @@ import (
 // error instead of an out-of-range panic deep in the node codec.
 //
 // maxPage, when non-zero, is the highest page id the backing store holds;
-// any reference beyond it is corruption. The walk is also how checkpoints
-// compute reachability: every allocated page not returned here (and not
-// pinned by a snapshot) is dead and can be freed.
+// any reference beyond it is corruption. Recovery runs the walk to
+// validate a checkpoint's image before decoding it (core.OpenChecked), and
+// the pages it returns are the image's: an allocated page outside them is
+// dead.
 func (t *Tree) WalkPages(maxPage store.PageID) ([]store.PageID, error) {
 	return t.Reader().WalkPages(maxPage)
 }
 
 // WalkPages is the reachability walk on a fixed view of the tree (see
-// Tree.WalkPages for the validation it performs). Because a Reader is
-// pinned at its creation, a checkpoint can capture one inside its cut
-// critical section — right after sealing the tree — and run the walk
-// during its lock-free build phase: sealed pages are immutable (concurrent
-// mutations copy-on-write fresh pages that the sealed root cannot reach),
-// so the walk observes exactly the cut image no matter how many commits
-// land meanwhile.
+// Tree.WalkPages for the validation it performs): a Reader is pinned at
+// its creation, so the walk observes exactly that image.
 func (r *Reader) WalkPages(maxPage store.PageID) ([]store.PageID, error) {
 	visited := make(map[store.PageID]bool)
 	// The leaf count is as unverified as the root: it may size the result

@@ -94,17 +94,10 @@ func (t *Tree) LeafCount() int { return t.tree.LeafCount() }
 // Pool returns the underlying buffer pool, for I/O accounting.
 func (t *Tree) Pool() *store.BufferPool { return t.tree.Pool() }
 
-// Pages returns every page id reachable from the tree's current root.
-// Checkpoints use it to compute liveness: an allocated page that is neither
-// reachable nor pinned by a snapshot is dead and may be freed.
+// Pages returns every page id reachable from the tree's current root: the
+// reference sweep the checkpoint ledger's tests hold the engine's
+// bookkeeping against.
 func (t *Tree) Pages() ([]store.PageID, error) { return t.tree.WalkPages(0) }
-
-// Reader returns a read-only B+-tree reader pinned at the current root.
-// A checkpoint captures one in its cut critical section — right after
-// sealing the tree — and runs the reachability sweep (Reader.WalkPages)
-// against it during the lock-free build phase: sealed pages are immutable,
-// so the sweep observes exactly the cut image while commits proceed.
-func (t *Tree) Reader() *btree.Reader { return t.tree.Reader() }
 
 // SetSV registers or updates uid's sequence value. Policy encoding is an
 // offline phase (Sec. 5.1); re-registering a user that is currently indexed

@@ -31,36 +31,34 @@ func (t *Tree) Snapshot() Snapshot {
 	return Snapshot{Tree: t.tree.Meta(), SVs: svs}
 }
 
-// Open re-attaches a PEB-tree to existing pages using a Snapshot. The
-// in-memory bookkeeping (per-user keys and active time partitions) is
-// rebuilt by one scan of the leaf chain; every scanned entry is validated
-// against the snapshot's sequence values.
-func Open(cfg Config, pool *store.BufferPool, policies *policy.Store, snap Snapshot) (*Tree, error) {
-	return OpenChecked(cfg, pool, policies, snap, 0)
-}
-
-// OpenChecked is Open with structural validation against the store's size:
-// maxPage, when non-zero, is the number of pages the backing device holds,
-// and any node reference beyond it — or any node whose type or entry count
-// is garbage — is reported as an error rather than a decode panic. Use it
-// when the snapshot comes from an untrusted source, e.g. a checkpoint file
-// that may be truncated or mismatched with its page file.
-func OpenChecked(cfg Config, pool *store.BufferPool, policies *policy.Store, snap Snapshot, maxPage store.PageID) (*Tree, error) {
+// OpenChecked re-attaches a PEB-tree to existing pages using a Snapshot,
+// validating their structure against the store's size: maxPage, when
+// non-zero, is the number of pages the backing device holds, and any node
+// reference beyond it — or any node whose type or entry count is garbage —
+// is reported as an error rather than a decode panic, so the snapshot may
+// come from an untrusted source (a checkpoint file that may be truncated
+// or mismatched with its page file). The in-memory bookkeeping (per-user
+// keys and active time partitions) is rebuilt by one scan of the leaf
+// chain; every scanned entry is validated against the snapshot's sequence
+// values. It also returns the pages the validating walk reached: every
+// page the image references.
+func OpenChecked(cfg Config, pool *store.BufferPool, policies *policy.Store, snap Snapshot, maxPage store.PageID) (*Tree, []store.PageID, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if policies == nil {
-		return nil, fmt.Errorf("core: nil policy store")
+		return nil, nil, fmt.Errorf("core: nil policy store")
 	}
 	bt, err := btree.Open(pool, snap.Tree)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Validate reachability — and the meta's leaf count, which the cost
 	// model reads — before the leaf scan below decodes anything: the scan
 	// trusts node structure, the walk does not.
-	if _, err := bt.WalkPages(maxPage); err != nil {
-		return nil, err
+	reach, err := bt.WalkPages(maxPage)
+	if err != nil {
+		return nil, nil, err
 	}
 	t := &Tree{
 		cfg:      cfg,
@@ -94,13 +92,13 @@ func OpenChecked(cfg Config, pool *store.BufferPool, policies *policy.Store, sna
 			return true
 		})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if scanErr != nil {
-		return nil, scanErr
+		return nil, nil, scanErr
 	}
 	if len(t.cur) != snap.Tree.Size {
-		return nil, fmt.Errorf("core: scanned %d entries, meta says %d", len(t.cur), snap.Tree.Size)
+		return nil, nil, fmt.Errorf("core: scanned %d entries, meta says %d", len(t.cur), snap.Tree.Size)
 	}
-	return t, nil
+	return t, reach, nil
 }

@@ -49,16 +49,16 @@ import (
 //	        capture the root/meta/sequence-value snapshot, the policy
 //	        store (clone-on-write pinned), the allocator state, the WAL
 //	        horizon and byte mark that state stands at (appliedHorizon:
-//	        below a pending prepared record, never waiting for one), and
-//	        the dirty-page list; switch the disk into deferred
-//	        reclamation. No I/O.
+//	        below a pending prepared record, never waiting for one), the
+//	        dirty-page list, and the dead-extent ledger (DB.ckptDead: the
+//	        pages that died since the last cut); switch the disk into
+//	        deferred reclamation. No I/O.
 //	build   (no write lock) — flush the captured dirty pages one at a
 //	        time (the buffer pool re-locks per page, so concurrent
-//	        fetches interleave), fsync the data file, run the
-//	        reachability sweep over the sealed image via a btree.Reader,
-//	        park the dead pages, write the .policies.<n> side file, and
-//	        stage the .meta bytes durably at .meta.tmp. Commits and
-//	        queries proceed against the live tree throughout.
+//	        fetches interleave), fsync the data file, park the ledger's
+//	        pages, write the .policies.<n> side file, and stage the .meta
+//	        bytes durably at .meta.tmp. Commits and queries proceed
+//	        against the live tree throughout.
 //	publish (write lock) — rename .meta.tmp over .meta (the commit
 //	        point), flip the parked pages into the allocator's free
 //	        list, and delete the sealed WAL segments the cut's mark
@@ -147,16 +147,6 @@ type CheckpointStats struct {
 	PagesReclaimed    uint64
 	WALBytesTruncated uint64
 
-	// FullBuilds and IncrementalBuilds split committed checkpoints by
-	// liveness strategy: full builds walk the whole sealed image to find
-	// dead pages, incremental builds reclaim the dead-extent ledger
-	// tracked since the previous cut and walk nothing. PagesWalked counts
-	// the pages full sweeps visited (cumulative; incremental builds add
-	// zero) — the work the ledger saves.
-	FullBuilds        uint64
-	IncrementalBuilds uint64
-	PagesWalked       uint64
-
 	// WALSegmentsRemoved counts sealed log segments deleted at publish
 	// (cumulative).
 	WALSegmentsRemoved uint64
@@ -186,7 +176,6 @@ type ckptRun struct {
 // state without the lock.
 type ckptImage struct {
 	seq      uint64
-	reader   *btree.Reader // the sealed cut image
 	pool     *store.BufferPool
 	fd       *store.FileDisk
 	dirty    []store.PageID
@@ -198,18 +187,11 @@ type ckptImage struct {
 	walSeq   uint64
 	walMark  store.SegPos
 	numPages uint64
-	free     []store.PageID        // free ∪ parked ids at cut
-	alive    []store.PageID        // allocated ids at cut
-	keep     map[store.PageID]bool // snapshot-pinned retired pages
-	// incremental selects the build's liveness strategy: true means dead
-	// was pre-filled at the cut from the dead-extent ledger and the build
-	// skips the reachability sweep; false means the build computes dead by
-	// walking the sealed image.
-	incremental bool
-	dead        []store.PageID // pre-filled at cut (incremental) or by build (full)
-	walked      int            // pages visited by the build's sweep (0 when incremental)
-	flushed     int            // filled by build
-	polName     string         // filled by build
+	free     []store.PageID // free ∪ parked ids at cut
+	dead     []store.PageID // the ledger taken at cut
+	released int            // dead[:released] parked by build
+	flushed  int            // filled by build
+	polName  string         // filled by build
 }
 
 // Checkpoint publishes a crash-consistent cut of the database to its
@@ -220,9 +202,9 @@ type ckptImage struct {
 // Checkpoint runs as a three-phase pipeline — cut, build, publish — and
 // holds the write lock only for the cut and publish moments, so commits
 // and queries keep flowing while the bulk of the work (page flushing,
-// fsync, the reachability sweep, side-file writes) happens; commits made
-// during the build are simply not covered by this checkpoint and stay in
-// the write-ahead log. A Checkpoint call that arrives while another is in
+// fsync, side-file writes) happens; commits made during the build are
+// simply not covered by this checkpoint and stay in the write-ahead log.
+// A Checkpoint call that arrives while another is in
 // flight but has not yet taken its cut coalesces with it — it waits for
 // that pipeline and returns its result, which covers every commit the
 // caller made before calling. A call that arrives after the cut waits the
@@ -231,9 +213,11 @@ type ckptImage struct {
 //
 // Checkpoint is also the storage reclamation point: pages that became
 // unreachable since the last checkpoint (superseded by copy-on-write,
-// abandoned by an index rebuild) and are not pinned by an open Snapshot
-// are returned to the allocator, and the covered prefix of the
-// write-ahead log is truncated.
+// abandoned by an index rebuild, or pinned at the last cut by a snapshot
+// of a run that crashed) and are not pinned by an open Snapshot are
+// returned to the allocator, and the covered prefix of the write-ahead
+// log is truncated. They are the dead-extent ledger's pages; no walk of
+// the index finds them.
 func (db *DB) Checkpoint() error {
 	var run *ckptRun
 	for {
@@ -326,12 +310,6 @@ func (db *DB) runCheckpoint(run *ckptRun) error {
 	st.PagesReclaimed += uint64(len(img.dead))
 	st.WALBytesTruncated += uint64(walBytes)
 	st.WALSegmentsRemoved += uint64(walSegs)
-	if img.incremental {
-		st.IncrementalBuilds++
-	} else {
-		st.FullBuilds++
-		st.PagesWalked += uint64(img.walked)
-	}
 	db.statsMu.Unlock()
 
 	db.met.ckptCut.ObserveDuration(cutDur)
@@ -340,7 +318,6 @@ func (db *DB) runCheckpoint(run *ckptRun) error {
 	db.events.Record("checkpoint", "checkpoint committed",
 		"cut", cutDur, "build", buildDur, "publish", publishDur,
 		"flushed", img.flushed, "reclaimed", len(img.dead),
-		"incremental", img.incremental,
 		"wal_bytes_truncated", walBytes, "wal_segments_removed", walSegs)
 	return err
 }
@@ -363,40 +340,16 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 		return nil, fmt.Errorf("peb: checkpoint requires a file-backed DB (Options.Path)")
 	}
 
-	// Account pending retirements, then seal: every page reachable right
-	// now becomes immutable, so the capture below stays bit-exact no
-	// matter what commits land during the build.
-	if pages := db.tree.TakeRetired(); len(pages) > 0 {
-		db.garbage = append(db.garbage, gcBatch{ver: db.tree.Version(), pages: pages})
-	}
+	// Account pending retirements (unpinned ones join the ledger once a
+	// checkpoint image exists, and go straight back to the allocator
+	// before one does), then seal: every page reachable right now becomes
+	// immutable, so the capture below stays bit-exact no matter what
+	// commits land during the build.
+	db.collectGarbage()
 	db.tree.Seal()
-
-	// Liveness inputs: a page survives if the cut image reaches it (the
-	// build computes that part) or an open snapshot still pins it. The
-	// snapshot-pinned batches stay in the garbage list; the rest are
-	// dropped here — their pages stay allocated until the build proves
-	// them dead and the publish reclaims them.
-	minVer, live := db.minLiveVersion()
-	keep := make(map[store.PageID]bool)
-	var kept []gcBatch
-	for _, b := range db.garbage {
-		if live && b.ver >= minVer {
-			kept = append(kept, b)
-			for _, id := range b.pages {
-				keep[id] = true
-			}
-		} else {
-			// Dropped unpinned batches are dead extents, same as the
-			// quarantine drops in collectGarbage: record them so an
-			// incremental build below can reclaim them without a sweep.
-			db.ckptDead = append(db.ckptDead, b.pages...)
-		}
-	}
-	db.garbage = kept
 
 	img := &ckptImage{
 		seq:      db.ckptSeq + 1,
-		reader:   db.tree.Reader(),
 		pool:     db.tree.Pool(),
 		fd:       db.fileDisk,
 		policies: db.policies,
@@ -406,35 +359,12 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 		numPages: db.fileDisk.NumPages(),
 		// Parked ids from an earlier aborted pipeline are unreachable and
 		// unallocated: free pages of the new image.
-		free:  append(db.fileDisk.FreeList(), db.fileDisk.PendingList()...),
-		alive: db.fileDisk.AliveList(),
-		keep:  keep,
+		free: append(db.fileDisk.FreeList(), db.fileDisk.PendingList()...),
 	}
-
-	// Build-mode decision. The dead-extent ledger (db.ckptDead, fed by the
-	// quarantine branch of collectGarbage and by the drop loop above) is
-	// complete exactly when the tree has been sealed continuously since a
-	// committed checkpoint of this incarnation — every page that died since
-	// that cut passed through quarantine once — and nothing flagged it
-	// incomplete (recovery, aborted pipeline). Then the build can reclaim
-	// precisely the ledger and skip the full reachability sweep. In full
-	// mode the captured ledger is DISCARDED, not merged: the sweep
-	// rediscovers every unpinned dead page itself, and handing it the same
-	// ids twice would double-free them. Either way the ledger restarts
-	// empty: pages dying from here on belong to the next checkpoint.
-	if db.ckptSealed && !db.ckptFullNeeded {
-		img.incremental = true
-		for _, id := range db.ckptDead {
-			// A dead extent can never be snapshot-pinned (only unpinned
-			// batches enter the ledger, and snapshots pin versions, not
-			// retired pages) — but freeing a pinned page would corrupt the
-			// snapshot, so filter defensively.
-			if !keep[id] {
-				img.dead = append(img.dead, id)
-			}
-		}
-	}
-	db.ckptDead = nil
+	// The ledger holds exactly the allocated pages that neither the cut
+	// image reaches nor an open snapshot pins: this checkpoint's dead set.
+	// Pages dying from here on belong to the next one.
+	img.dead, db.ckptDead = db.ckptDead, nil
 	img.users = make([]UserID, 0, len(db.users))
 	for uid := range db.users {
 		img.users = append(img.users, uid)
@@ -459,9 +389,8 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 }
 
 // ckptBuild is the pipeline's heavy phase, run WITHOUT the write lock
-// (commits and queries proceed concurrently): persist the page image,
-// compute liveness against the sealed cut, park the dead pages, and write
-// every side file except the final meta rename.
+// (commits and queries proceed concurrently): persist the page image, park
+// the dead pages, and write every side file except the final meta rename.
 func (db *DB) ckptBuild(img *ckptImage) error {
 	flushed, err := img.pool.FlushPages(img.dirty)
 	if err != nil {
@@ -472,27 +401,6 @@ func (db *DB) ckptBuild(img *ckptImage) error {
 		return err
 	}
 
-	// Liveness. Incremental mode: the cut pre-filled img.dead from the
-	// dead-extent ledger — exactly the pages that died since the previous
-	// committed image — so no walk is needed. Full mode: walk the sealed
-	// image; anything allocated at the cut that the image does not reach
-	// and no snapshot pins is dead.
-	if !img.incremental {
-		reach, err := img.reader.WalkPages(store.PageID(img.numPages))
-		if err != nil {
-			return err
-		}
-		img.walked = len(reach)
-		reachable := make(map[store.PageID]bool, len(reach))
-		for _, id := range reach {
-			reachable[id] = true
-		}
-		for _, id := range img.alive {
-			if !reachable[id] && !img.keep[id] {
-				img.dead = append(img.dead, id)
-			}
-		}
-	}
 	// Park the dead pages now: Release evicts stale frames from the
 	// buffer pool as well as freeing the ids, so a future reallocation
 	// cannot collide with a cached ghost. DeferFrees keeps them
@@ -502,6 +410,7 @@ func (db *DB) ckptBuild(img *ckptImage) error {
 		if err := img.pool.Release(id); err != nil {
 			return fmt.Errorf("peb: checkpoint reclaim page %d: %w", id, err)
 		}
+		img.released++
 	}
 
 	// Side files: the policies snapshot under its checkpoint-unique name,
@@ -577,10 +486,6 @@ func (db *DB) ckptPublishLocked(img *ckptImage) (committed bool, walBytes int64,
 	db.ckptBuilding = false
 	db.ckptSeq = img.seq
 	db.ckptWalSeq = img.walSeq
-	// The committed image is now the baseline the dead-extent ledger is
-	// relative to, so incremental builds are sound again until something
-	// (recovery, abort, rebuild) breaks the tracking chain.
-	db.ckptFullNeeded = false
 	if db.prevPolicies != "" && db.prevPolicies != img.polName {
 		// Best effort: the superseded snapshot is dead weight. A crash
 		// before this Remove orphans it; OpenExisting sweeps orphans on
@@ -638,11 +543,9 @@ func (db *DB) retentionFloor(mark store.SegPos) store.SegPos {
 func (db *DB) ckptAbortLocked(img *ckptImage) {
 	db.ckptBuilding = false
 	db.fileDisk.DeferFrees(false)
-	// The cut consumed the dead-extent ledger this pipeline was going to
-	// reclaim (or, in full mode, discarded it for the sweep that now never
-	// ran); either way the ledger no longer covers those pages, so the
-	// next build must fall back to a full sweep to find them.
-	db.ckptFullNeeded = true
+	// The pages the build did not park are still allocated and still dead:
+	// back to the ledger, for the next checkpoint to reclaim.
+	db.ckptDead = append(db.ckptDead, img.dead[img.released:]...)
 	// Best effort: drop side files the failed build may have left. The
 	// staged meta was never renamed and the policies file is referenced
 	// by no meta, so both are inert either way.
@@ -860,7 +763,7 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 	for _, rec := range mf.SVs {
 		snap.SVs[rec.UID] = rec.SV
 	}
-	tree, err := core.OpenChecked(opts.coreConfig(), store.NewBufferPool(fd, opts.BufferPages),
+	tree, reach, err := core.OpenChecked(opts.coreConfig(), store.NewBufferPool(fd, opts.BufferPages),
 		policies, snap, store.PageID(mf.NumPages))
 	if err != nil {
 		fd.Close()
@@ -904,11 +807,19 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 	// including WAL replay below — overwrites its pages in place.
 	db.ckptSealed = true
 	db.tree.Seal()
-	// The crashed run's dead-extent ledger is gone, and pages its open
-	// snapshots pinned may sit allocated-but-unreachable with no tracker:
-	// the first checkpoint after recovery must re-derive liveness with a
-	// full sweep.
-	db.ckptFullNeeded = true
+	// The crashed run's ledger died with it. What the checkpoint left
+	// allocated but its image does not reach — pages the run's snapshots
+	// pinned at the cut — is dead now: seed the ledger with it, before
+	// replay adds what it retires.
+	reachable := make(map[store.PageID]bool, len(reach))
+	for _, id := range reach {
+		reachable[id] = true
+	}
+	for _, id := range fd.AliveList() {
+		if !reachable[id] {
+			db.ckptDead = append(db.ckptDead, id)
+		}
+	}
 	wal, log, err := readWAL(opts)
 	if err == nil {
 		// Startup housekeeping: sweep side files a crash orphaned — staging

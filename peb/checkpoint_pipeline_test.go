@@ -79,7 +79,7 @@ func TestCrashCheckpointUnderLoad(t *testing.T) {
 	for i := 1; i <= 200; i++ {
 		oracle[UserID(i)] = obj(i, 0)
 	}
-	// First checkpoint ungated, so the gated one below is incremental.
+	// First checkpoint ungated, so the gated one below reclaims a ledger.
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

@@ -178,16 +178,15 @@ func crashScript() []scriptOp {
 	add("remove 5", func(db *DB) error { return db.Remove(5) },
 		func(o *oracle) { delete(o.objs, 5) })
 
-	// --- Incremental-checkpoint fault coverage. -------------------------
-	// Under the dead-extent ledger, "checkpoint 2" above is already this
-	// script's first incremental build (checkpoint 1 anchored the chain and
-	// the tree stayed sealed through the mixed batch). The tail below puts
-	// the rest of the new machinery inside the fault universe: churn that
-	// feeds the ledger, an incremental build taken while a snapshot pins
-	// retired pages (the keep-set filter at cut), the ledger catching the
-	// pins after the snapshot closes, and a second incremental build on
-	// top. Every WAL append in the script carries the binary codec's
-	// versioned header, so torn and lost header writes are swept too.
+	// --- Dead-extent ledger fault coverage. ------------------------------
+	// "checkpoint 2" above already reclaims a ledger fed by the mixed
+	// batch's copy-on-write. The tail below puts the rest of the ledger
+	// inside the fault universe: churn that feeds it, a checkpoint taken
+	// while a snapshot pins retired pages (they stay in the garbage list,
+	// out of the ledger), the ledger catching the pins after the snapshot
+	// closes, and another checkpoint on top. Every WAL append in the script
+	// carries the binary codec's versioned header, so torn and lost header
+	// writes are swept too.
 	add("churn batch", func(db *DB) error {
 		b := db.NewBatch()
 		for i := 20; i <= 170; i += 5 {
@@ -334,9 +333,20 @@ func runBruteForceSweep(t *testing.T, opts func(fs store.VFS) Options) {
 				if errAt != nil {
 					t.Fatalf("k=%d acked=%d: recovered state wrong: %v", k, acked, errAt)
 				}
-				// The recovered DB must accept new commits.
+				// Recovery seeds the dead-extent ledger at every fault point.
+				if err := ledgerErr(re); err != nil {
+					t.Fatalf("k=%d: ledger after recovery: %v", k, err)
+				}
+				// The recovered DB must accept new commits, and reclaim
+				// exactly its ledger at its first checkpoint.
 				if err := re.Upsert(Object{UID: 999, X: 1, Y: 2, T: 90}); err != nil {
 					t.Fatalf("k=%d: post-recovery upsert: %v", k, err)
+				}
+				if err := re.Checkpoint(); err != nil {
+					t.Fatalf("k=%d: post-recovery checkpoint: %v", k, err)
+				}
+				if err := ledgerErr(re); err != nil {
+					t.Fatalf("k=%d: ledger after the post-recovery checkpoint: %v", k, err)
 				}
 				if err := re.Close(); err != nil {
 					t.Fatalf("k=%d: close recovered: %v", k, err)

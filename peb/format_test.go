@@ -170,3 +170,66 @@ func FuzzCheckpointMeta(f *testing.F) {
 		_, _ = db.Objects()
 	})
 }
+
+// FuzzPageFile overlays arbitrary bytes at an arbitrary offset of the
+// golden page file (extending it when they run past the end) and opens the
+// directory. The open must be total, and an image it accepts — the
+// patched pages were unreachable, or core.OpenChecked's walk and leaf scan
+// found them sound — must keep the dead-extent ledger exact and serve
+// Objects, RangeQuery, NearestNeighbors and a Checkpoint without error.
+func FuzzPageFile(f *testing.F) {
+	files := dirImage(f, goldenDir)
+	const root = 2 * store.PageSize // page 3, the fixture's one leaf
+	f.Add(uint16(0), []byte{})
+	f.Add(uint16(root), []byte{2})                                    // the leaf claims to be internal
+	f.Add(uint16(root+2), []byte{0xff, 0xff})                         // an entry count past capacity
+	f.Add(uint16(root+2), []byte{0, 0})                               // an empty leaf
+	f.Add(uint16(root+12), []byte{0xff})                              // a key that is not its object's
+	f.Add(uint16(root+12+12), []byte{0x40, 0x8f})                     // an object that is not its key's
+	f.Add(uint16(0), []byte{2, 0, 1, 0, 3, 0, 0, 0})                  // a free page posing as a node
+	f.Add(uint16(3*store.PageSize-1), make([]byte, 1+store.PageSize)) // a page past NumPages
+
+	f.Fuzz(func(t *testing.T, off uint16, patch []byte) {
+		img := []byte(files["golden.idx"])
+		at := int(off) % len(img)
+		if end := at + len(patch); end > len(img) {
+			img = append(img, make([]byte, end-len(img))...)
+		}
+		copy(img[at:], patch)
+
+		fs := store.NewCrashFS()
+		for name, content := range files {
+			if name == "golden.idx" {
+				content = string(img)
+			}
+			if err := store.WriteFileAtomic(fs, name, []byte(content)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		opts := goldenOptions(".")
+		opts.Path, opts.FS = "golden.idx", fs
+		db, err := OpenExisting(opts)
+		if err != nil {
+			return
+		}
+		defer db.Close()
+		if err := ledgerErr(db); err != nil {
+			t.Fatalf("opened: %v", err)
+		}
+		if _, err := db.Objects(); err != nil {
+			t.Fatalf("Objects: %v", err)
+		}
+		if _, err := db.RangeQuery(1, Region{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, 10); err != nil {
+			t.Fatalf("RangeQuery: %v", err)
+		}
+		if _, err := db.NearestNeighbors(1, 500, 500, 5, 10); err != nil {
+			t.Fatalf("NearestNeighbors: %v", err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		if err := ledgerErr(db); err != nil {
+			t.Fatalf("checkpointed: %v", err)
+		}
+	})
+}

@@ -293,7 +293,7 @@ type DB struct {
 	// retired pages are quarantined rather than reused, so nothing ever
 	// overwrites a page the checkpoint references — the invariant that
 	// makes the image a valid recovery base under any crash. The next
-	// Checkpoint's reachability sweep reclaims the quarantined pages.
+	// Checkpoint reclaims the quarantined pages from ckptDead.
 	wal          *store.SegmentedWAL
 	walSeq       uint64
 	ckptSeq      uint64
@@ -318,18 +318,15 @@ type DB struct {
 	// on the heap. Guarded by mu.
 	opScratch [2]core.BatchOp
 
-	// Incremental-checkpoint bookkeeping (checkpoint.go). ckptDead
-	// accumulates the pages that died — were retired by copy-on-write and
-	// are pinned by no snapshot — since the last checkpoint cut; while the
-	// tree has been sealed continuously since a committed checkpoint,
-	// that list IS the next checkpoint's dead set, so its build can skip
-	// the full reachability sweep. ckptFullNeeded forces the next build
-	// back to a full sweep whenever the list may be incomplete: after
-	// recovery (pages pinned by the crashed run's snapshots are untracked)
-	// and after an aborted pipeline (its consumed list is lost). Both
-	// guarded by mu.
-	ckptDead       []store.PageID
-	ckptFullNeeded bool
+	// ckptDead is the dead-extent ledger (checkpoint.go), guarded by mu:
+	// the allocated pages the tree does not reach and no open snapshot
+	// pins (pinned ones wait in garbage). It is the next checkpoint's dead
+	// set. Pages enter it as collectGarbage quarantines them, and where a
+	// ledger starts it is seeded with what is already dead: by newTree
+	// with the file's previous pages, by recovery with the checkpoint's
+	// allocated pages its image does not reach, by an aborted pipeline
+	// with the pages its build did not park.
+	ckptDead []store.PageID
 
 	// Cross-shard transaction state (prepared.go). prepared is the
 	// transaction between PrepareApply and its Commit/Abort, nil when none:
@@ -513,6 +510,7 @@ func openFresh(opts Options) (*DB, error) {
 func (db *DB) newTree(assignment policy.Assignment) error {
 	var disk store.DiskManager
 	var fd *store.FileDisk
+	var dead []store.PageID
 	if db.opts.Path != "" {
 		var err error
 		fd, err = store.OpenFileDiskOn(db.opts.FS, db.opts.Path)
@@ -520,6 +518,9 @@ func (db *DB) newTree(assignment policy.Assignment) error {
 			return err
 		}
 		disk = fd
+		// Every page already in the file belongs to an earlier incarnation,
+		// which the new tree never reaches: the new ledger starts with them.
+		dead = fd.AliveList()
 	} else {
 		disk = store.NewMemDisk()
 	}
@@ -546,11 +547,7 @@ func (db *DB) newTree(assignment policy.Assignment) error {
 	// and its free list starts empty, so nothing the old meta references
 	// can be overwritten before the next Checkpoint supersedes it.
 	db.ckptSealed = false
-	// New incarnation, new dead-extent ledger: the first checkpoint is a
-	// full sweep by construction (ckptSealed is false), and it alone can
-	// reclaim the superseded incarnation's pages.
-	db.ckptDead = nil
-	db.ckptFullNeeded = false
+	db.ckptDead = dead
 	db.refreshView()
 	db.nextSV = assignment.MaxSV
 	if db.nextSV < 2 {
@@ -588,10 +585,10 @@ func (db *DB) ViewSwaps() uint64 {
 // checkpoint (ckptSealed) — or with a checkpoint build phase in flight
 // (ckptBuilding), whose cut image is not yet durable — a retired page may
 // be part of that on-disk image, so reusing it would corrupt the recovery
-// base; unpinned batches are instead dropped and the pages stay allocated
-// until a checkpoint's reachability sweep frees the ones its image does
-// not contain. A build in flight likewise keeps the policy store pinned:
-// the build phase is serializing the store captured at the cut.
+// base; unpinned batches are instead quarantined — the pages stay
+// allocated and join the dead-extent ledger (ckptDead), which the next
+// checkpoint frees. A build in flight likewise keeps the policy store
+// pinned: the build phase is serializing the store captured at the cut.
 func (db *DB) collectGarbage() {
 	if pages := db.tree.TakeRetired(); len(pages) > 0 {
 		db.garbage = append(db.garbage, gcBatch{ver: db.tree.Version(), pages: pages})
@@ -604,10 +601,7 @@ func (db *DB) collectGarbage() {
 			kept = append(kept, b)
 		case db.ckptSealed || db.ckptBuilding:
 			// Quarantined: the pages stay allocated until the next
-			// checkpoint frees the ones its image does not contain. Record
-			// them as dead extents so that checkpoint can (when nothing
-			// forced a full sweep) reclaim exactly this list instead of
-			// re-walking the whole image.
+			// checkpoint frees them.
 			db.ckptDead = append(db.ckptDead, b.pages...)
 		default:
 			for _, pid := range b.pages {
