@@ -908,8 +908,8 @@ func (db *DB) replayWAL(wal *store.SegmentedWAL, log txnReplay) error {
 	// Recovery has the whole log, so every marker is queued before the
 	// first record replays; a prepared record still without one (the
 	// process died between this participant's prepare and the
-	// coordinator's marker) is decided by the coordinator's resolver —
-	// absent one, aborted.
+	// coordinator's marker, or before the marker's sync) is decided by the
+	// coordinator's resolver — absent one, aborted.
 	resolve := db.opts.TxnResolve
 	if resolve == nil {
 		resolve = func(uint64) bool { return false }

@@ -188,7 +188,8 @@ type Options struct {
 	// TxnResolve, when non-nil, decides the fate of a prepared cross-shard
 	// transaction whose outcome marker is missing from the write-ahead log
 	// at recovery (the process died between this participant's prepare and
-	// the coordinator's commit/abort marker). It is called with the
+	// the coordinator's commit/abort marker, or before the marker's sync —
+	// Commit and Abort do not wait for it). It is called with the
 	// transaction id and must report whether the coordinator committed it —
 	// typically by consulting the coordinator's decision log. Nil treats
 	// every unresolved transaction as aborted, which is the correct default

@@ -16,24 +16,28 @@ import (
 // crash, although each DB has its own write-ahead log. The protocol:
 //
 //	prepare  — the coordinator calls PrepareApply(sub, txnID) on every
-//	           participant: the sub-batch is validated against the current
-//	           state and logged, resolved, as a *prepared* record (TxnID +
-//	           txnPrepared), fsynced per the durability level. Nothing is
-//	           applied. A prepared record does not commit by itself:
-//	           replay applies it only if its fate is known to be commit.
+//	           participant, concurrently: the sub-batch is validated
+//	           against the current state and logged, resolved, as a
+//	           *prepared* record (TxnID + txnPrepared), fsynced per the
+//	           durability level. Nothing is applied. A prepared record does
+//	           not commit by itself: replay applies it only if its fate is
+//	           known to be commit.
 //	decide   — with every participant prepared, the coordinator makes the
 //	           transaction durable in ITS decision log. That append is the
 //	           transaction's single commit point.
 //	finish   — the coordinator calls Commit on every Prepared handle, which
 //	           applies the batch and logs a txnCommitted marker, or — when
 //	           any prepare failed — Abort on those already prepared, which
-//	           only logs a txnAborted marker.
+//	           only logs a txnAborted marker. Neither waits for its marker
+//	           to be durable: the participant's next sync carries it.
 //
 // Recovery resolves a prepared record by scanning forward for its marker;
-// a markerless prepared record (the process died mid-protocol) is resolved
-// through Options.TxnResolve, which the coordinator points at its decision
-// log. Either way every participant reaches the same verdict, so the
-// transaction is all-or-nothing across shards.
+// a markerless prepared record (the process died mid-protocol, or before
+// the marker's sync) is resolved through Options.TxnResolve, which the
+// coordinator points at its decision log. Either way every participant
+// reaches the same verdict, so the transaction is all-or-nothing across
+// shards. An unsynced abort marker needs nothing more: an id with no
+// commit record in the decision log resolves to abort.
 //
 // Two invariants keep the protocol sound:
 //
@@ -185,24 +189,28 @@ func (db *DB) appliedHorizon() (uint64, store.SegPos) {
 }
 
 // Commit applies the prepared batch — commit's stages 3–5: capture for the
-// hooks, applyOps, publish, fire the hooks — and seals the transaction's
-// fate in this participant's log with a txnCommitted marker. The
-// coordinator has already made the decision durable in its own log, so a
-// failure here cannot undo it: it poisons this DB's log (fail-stop), and
-// recovery replays the prepared record as committed — by its marker, or
-// through TxnResolve when the marker is missing.
+// hooks, applyOps, publish, fire the hooks — and logs a txnCommitted
+// marker. The marker is durable no later than this DB's next sync; Commit
+// does not wait for it. The coordinator's decision log is the commit
+// point: the decision is durable before Commit is called, so a failure
+// here cannot undo it — it poisons this DB's log (fail-stop) — and
+// recovery replays the prepared record as committed, by its marker or,
+// when the marker did not reach disk, through TxnResolve.
 func (p *Prepared) Commit() error {
 	return p.finish(txnCommitted, "txn.commit", "participant committed")
 }
 
 // Abort seals the transaction's fate as aborted: it logs a txnAborted
-// marker and nothing else, since nothing of the batch was applied.
+// marker and nothing else, since nothing of the batch was applied. Like
+// Commit, it does not wait for the marker to be durable.
 func (p *Prepared) Abort() error {
 	return p.finish(txnAborted, "txn.abort", "participant aborted")
 }
 
-// finish logs the marker for state — after applying the batch, on commit —
-// and waits for it to be durable.
+// finish logs the marker for state — after applying the batch, on commit.
+// It does not wait for the marker to be durable: the shard's next sync
+// carries it, and until then recovery reads the same verdict from the
+// coordinator's resolver.
 func (p *Prepared) finish(state uint8, event, msg string) error {
 	if p.done {
 		return fmt.Errorf("peb: transaction %d already finished", p.txnID)
@@ -210,20 +218,17 @@ func (p *Prepared) finish(state uint8, event, msg string) error {
 	p.done = true
 	db := p.db
 	db.mu.Lock()
-	tok, err := db.finishLocked(p, state)
+	err := db.finishLocked(p, state)
 	db.mu.Unlock()
 	db.events.Record(event, msg, "txn", p.txnID)
-	if err != nil {
-		return err
-	}
-	return db.walSync(tok)
+	return err
 }
 
 // finishLocked closes the prepared window. The caller holds the write lock.
-func (db *DB) finishLocked(p *Prepared, state uint8) (store.WALToken, error) {
+func (db *DB) finishLocked(p *Prepared, state uint8) error {
 	db.prepared = nil
 	if db.closed {
-		return 0, ErrClosed
+		return ErrClosed
 	}
 	if state == txnCommitted {
 		policyChange, _ := opClasses(p.ops.Pol)
@@ -232,10 +237,11 @@ func (db *DB) finishLocked(p *Prepared, state uint8) (store.WALToken, error) {
 			if db.wal != nil {
 				db.wal.Poison(err)
 			}
-			return 0, err
+			return err
 		}
 	}
-	return db.walAppendTxn(opList{}, db.nextSV, p.txnID, state)
+	_, err := db.walAppendTxn(opList{}, db.nextSV, p.txnID, state)
+	return err
 }
 
 // MaxTxnID returns the largest cross-shard transaction id this DB has

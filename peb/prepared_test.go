@@ -198,19 +198,26 @@ func TestPreparedUnresolvedRecovery(t *testing.T) {
 // TestPreparedCheckpointInsideWindow: a checkpoint called inside a
 // prepared window returns without waiting for the marker — its image
 // stands just below the prepared record — and after a power cut recovery
-// applies the transaction's verdict however it arrives: a commit or abort
-// marker (which outranks the resolver), or the resolver's yes or no.
+// applies the transaction's verdict however it arrives: a durable commit
+// or abort marker (which outranks the resolver), or the resolver's yes or
+// no. Commit and Abort do not sync their marker; a later commit on the DB
+// does. An acknowledged marker that no later commit made durable is lost
+// to the power cut, and the resolver — the coordinator's decision log,
+// the commit point — gives the same verdict.
 func TestPreparedCheckpointInsideWindow(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		finish    func(*Prepared) error // nil: the power fails before any marker
+		later     bool                  // one more commit after the marker
 		resolve   bool
 		committed bool
 	}{
-		{"commit-marker", (*Prepared).Commit, false, true},
-		{"abort-marker", (*Prepared).Abort, true, false},
-		{"resolver-yes", nil, true, true},
-		{"resolver-no", nil, false, false},
+		{"commit-marker", (*Prepared).Commit, true, false, true},
+		{"abort-marker", (*Prepared).Abort, true, true, false},
+		{"commit-unsynced-resolver-yes", (*Prepared).Commit, false, true, true},
+		{"abort-unsynced-resolver-no", (*Prepared).Abort, false, false, false},
+		{"resolver-yes", nil, false, true, true},
+		{"resolver-no", nil, false, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := store.NewCrashFS()
@@ -246,6 +253,11 @@ func TestPreparedCheckpointInsideWindow(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if tc.later {
+				if err := db.Upsert(Object{UID: 3, X: 30, Y: 30}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			fs.CutPower()
 			fs.Reboot(false)
 
@@ -257,6 +269,9 @@ func TestPreparedCheckpointInsideWindow(t *testing.T) {
 			defer re.Close()
 			if _, ok, _ := re.Lookup(1); !ok {
 				t.Fatal("checkpointed commit lost")
+			}
+			if _, ok, _ := re.Lookup(3); ok != tc.later {
+				t.Fatalf("later commit recovered = %v, want %v", ok, tc.later)
 			}
 			if _, ok, _ := re.Lookup(2); ok != tc.committed {
 				t.Fatalf("prepared upsert recovered = %v, want %v", ok, tc.committed)

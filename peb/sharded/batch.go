@@ -74,12 +74,15 @@ const ownerTombstone = -1
 //
 //   - a batch owned by a single shard commits directly through that
 //     shard's atomic Apply;
-//   - a batch spanning shards commits via two-phase commit: every
-//     participant prepares (validates + logs a prepared record), the
-//     router logs the commit decision in its own log — the transaction's
-//     single durable commit point — and the participants then apply their
-//     sub-batches and seal their logs with commit markers. Any prepare
-//     failure aborts every participant, leaving no trace of the batch.
+//   - a batch spanning shards commits via two-phase commit: the
+//     participants prepare concurrently (each validates and logs a
+//     prepared record, one fsync per participant), the router logs the
+//     commit decision in its own log — the transaction's single durable
+//     commit point, one fsync — and the participants then apply their
+//     sub-batches and log commit markers, which become durable with each
+//     shard's next sync. A prepare failure aborts every participant that
+//     prepared, leaving no trace of the batch, and the error names the
+//     lowest failing shard slot.
 //
 // After a crash anywhere in the protocol, recovery resolves every
 // participant to the same verdict (see peb.Options.TxnResolve), so the
@@ -183,11 +186,20 @@ func (db *DB) commitParts(parts []int, subs []*peb.Batch) (committed bool, err e
 		return true, nil
 	}
 
-	// Cross-shard: two-phase commit.
+	// Cross-shard: two-phase commit. The participants prepare
+	// concurrently: under the write barrier they share nothing but each
+	// shard's own log, so the round costs the slowest prepare, not the sum.
 	txnID := db.allocTxn()
-	prepared := make([]*peb.Prepared, 0, len(parts))
+	prepared := make([]*peb.Prepared, len(parts))
+	errs := make([]error, len(parts))
+	scatter(len(parts), func(j int) {
+		prepared[j], errs[j] = db.shards[parts[j]].PrepareApply(subs[parts[j]], txnID)
+	})
 	abortAll := func() {
 		for _, p := range prepared {
+			if p == nil {
+				continue // this slot's prepare failed: nothing to abort
+			}
 			// A prepared participant applied nothing, so Abort only logs
 			// its marker; an abort error means that shard is fail-stopped
 			// (poisoned log) and will resolve to abort on reopen — the
@@ -195,15 +207,16 @@ func (db *DB) commitParts(parts []int, subs []*peb.Batch) (committed bool, err e
 			_ = p.Abort()
 		}
 	}
-	for _, i := range parts {
-		p, err := db.shards[i].PrepareApply(subs[i], txnID)
+	for j, err := range errs {
 		if err != nil {
+			// The lowest failing slot names the failure, whichever
+			// prepare finished first.
 			abortAll()
+			i := parts[j]
 			db.events.Record("txn.abort", "cross-shard transaction aborted at prepare",
 				"txn", txnID, "parts", len(parts), "shard", db.metas[i].id, "err", err)
 			return false, fmt.Errorf("sharded: apply: shard %d: %w", i, err)
 		}
-		prepared = append(prepared, p)
 	}
 	if db.txnLog != nil {
 		if err := db.logDecision(txnID, true); err != nil {

@@ -182,7 +182,8 @@ func TestShardedCrashAfterDecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Power-cut without a clean close: every synced prefix (prepares,
-	// decision, markers) survives.
+	// decision) survives. The markers were never synced, so each shard
+	// resolves its prepared record through the decision log.
 	fs.CutPower()
 	fs.Reboot(false)
 	re, err := Open(opts)
