@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bxtree"
@@ -158,7 +159,8 @@ func TestNonResidentGrantorsCostNoPages(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := buildFixture(t, rand.New(rand.NewSource(63)), cfg, 200, 6)
 			const issuer = motion.UserID(11)
-			grantors := f.pol.Grantors(policy.UserID(issuer))
+			// A copy: the store's own list is valid only until it changes.
+			grantors := slices.Clone(f.pol.Grantors(policy.UserID(issuer)))
 			if len(grantors) == 0 {
 				t.Fatal("issuer has no grantors")
 			}

@@ -13,16 +13,6 @@ package policy
 // bound otherwise); the one-sided measure is likewise the capped sum over
 // the owner's policies. The single-policy case reduces exactly to Alpha.
 
-// policiesFor returns every policy of owner whose role matches the
-// owner→viewer relation.
-func (s *Store) policiesFor(owner, viewer UserID) []Policy {
-	role, ok := s.relations[owner][viewer]
-	if !ok {
-		return nil
-	}
-	return s.policies[owner][role]
-}
-
 // AlphaMulti computes the α score between u1 and u2 over all policies in
 // both directions, and reports whether any pair makes the users
 // simultaneously visible (the P1→2 ↔ P2→1 case).
@@ -32,8 +22,8 @@ func (s *Store) AlphaMulti(u1, u2 UserID) (alpha float64, mutual bool) {
 		// and therefore the result — exactly symmetric.
 		u1, u2 = u2, u1
 	}
-	p12 := s.policiesFor(u1, u2)
-	p21 := s.policiesFor(u2, u1)
+	p12 := s.rulesFor(u1, u2)
+	p21 := s.rulesFor(u2, u1)
 	S := s.space.Area()
 	T := s.dayLen
 
@@ -62,7 +52,7 @@ func (s *Store) AlphaMulti(u1, u2 UserID) (alpha float64, mutual bool) {
 	// non-mutual compatibility never exceeds mutual compatibility — holds
 	// even when a side's own policies overlap each other (the per-side sum
 	// double-counts overlapping measure).
-	side := func(ps []Policy) float64 {
+	side := func(ps []rule) float64 {
 		m := 0.0
 		for _, p := range ps {
 			m += p.Locr.Area() / S * p.Tint.Duration(T) / T

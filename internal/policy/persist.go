@@ -2,11 +2,12 @@ package policy
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/codec"
 )
@@ -62,33 +63,34 @@ func (s *Store) Save(w io.Writer) error {
 		Space:   s.space,
 		DayLen:  s.dayLen,
 	}
-	for owner, peers := range s.relations {
-		for peer, role := range peers {
-			snap.Relations = append(snap.Relations, relationRec{Owner: owner, Peer: peer, Role: role})
+	owners := make([]*userPolicies, 0, len(s.users))
+	nrels := 0
+	for i := range s.users {
+		if u := &s.users[i]; len(u.rels) > 0 || len(u.rules) > 0 {
+			owners = append(owners, u)
+			nrels += len(u.rels)
 		}
 	}
-	sort.Slice(snap.Relations, func(i, j int) bool {
-		a, b := snap.Relations[i], snap.Relations[j]
-		if a.Owner != b.Owner {
-			return a.Owner < b.Owner
+	slices.SortFunc(owners, func(a, b *userPolicies) int { return cmp.Compare(a.id, b.id) })
+	snap.Relations = make([]relationRec, 0, nrels)
+	snap.Policies = make([]policyRec, 0, s.numPolicies)
+	// An owner's relations are sorted by peer and its rules by role name,
+	// then insertion order: the records come out in the snapshot's order.
+	for _, u := range owners {
+		for _, rel := range u.rels {
+			snap.Relations = append(snap.Relations, relationRec{Owner: u.id, Peer: rel.peer, Role: u.roles[rel.role].name})
 		}
-		return a.Peer < b.Peer
-	})
-	for owner, byRole := range s.policies {
-		roles := make([]Role, 0, len(byRole))
-		for r := range byRole {
-			roles = append(roles, r)
-		}
-		sort.Slice(roles, func(i, j int) bool { return roles[i] < roles[j] })
-		for _, r := range roles {
-			for _, p := range byRole[r] { // insertion order preserved
-				snap.Policies = append(snap.Policies, policyRec{Owner: owner, Policy: p})
+		for _, rr := range u.roles {
+			for _, p := range u.rules[rr.start:rr.end] {
+				snap.Policies = append(snap.Policies, policyRec{Owner: u.id, Policy: rr.policy(p)})
 			}
 		}
 	}
-	sort.SliceStable(snap.Policies, func(i, j int) bool {
-		return snap.Policies[i].Owner < snap.Policies[j].Owner
-	})
+	return writeSnapshot(w, snap)
+}
+
+// writeSnapshot gob-encodes snap and writes it in the integrity envelope.
+func writeSnapshot(w io.Writer, snap snapshot) error {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(snap); err != nil {
 		return fmt.Errorf("policy: save: %w", err)
@@ -135,8 +137,8 @@ func Load(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("policy: load: %w", err)
 	}
-	// Policies first so relation re-indexing sees them; AddPolicy also
-	// handles the reverse order, so this is belt and braces.
+	// Policies first, so each relation finds its role's policies; in Save's
+	// order every record appends to its slices.
 	for _, pr := range snap.Policies {
 		if err := s.AddPolicy(pr.Owner, pr.Policy); err != nil {
 			return nil, fmt.Errorf("policy: load: %w", err)

@@ -5,12 +5,13 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/codec"
 )
 
-func buildRandomStore(t *testing.T, seed int64, n, policies int) *Store {
+func buildRandomStore(t testing.TB, seed int64, n, policies int) *Store {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	s, err := NewStore(Region{MaxX: 1000, MaxY: 1000}, 1440)
@@ -142,7 +143,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // never a panic); bytes that do not open with the 0xC7 envelope — the bare
 // gob stream of the generation before it among them — must be refused as
 // another format; and a store it returns must be one Save can write and
-// Load read back unchanged.
+// Load read back unchanged, whose grantor lists hold exactly its granted
+// relations, each once.
 func FuzzPolicyLoad(f *testing.F) {
 	data, err := os.ReadFile("../../peb/testdata/golden/current/golden.idx.policies.1")
 	if err != nil {
@@ -190,6 +192,32 @@ func FuzzPolicyLoad(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("store changed across a save and load: %d policies, then %d", s.NumPolicies(), again.NumPolicies())
+		}
+
+		type grant struct{ o, v UserID }
+		seen := map[grant]bool{}
+		s.ForEachGrant(func(o, v UserID, _ Policy) bool {
+			if seen[grant{o, v}] {
+				t.Fatalf("relation %d→%d indexed twice", o, v)
+			}
+			seen[grant{o, v}] = true
+			return true
+		})
+		n := 0
+		for _, u := range s.users {
+			g := u.grantors
+			if !slices.IsSorted(g) || len(slices.Compact(slices.Clone(g))) != len(g) {
+				t.Fatalf("Grantors(%d) = %v: not strictly ascending", u.id, g)
+			}
+			for _, o := range g {
+				if !seen[grant{o, u.id}] {
+					t.Fatalf("Grantors(%d) holds %d, which grants it nothing", u.id, o)
+				}
+			}
+			n += len(g)
+		}
+		if n != len(seen) {
+			t.Fatalf("grantor lists hold %d entries for %d grants", n, len(seen))
 		}
 	})
 }

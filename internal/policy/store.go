@@ -1,7 +1,9 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 )
 
@@ -12,18 +14,61 @@ import (
 // The store also maintains the reverse index the query algorithms need:
 // for each viewer, the set of owners that have a policy applicable to that
 // viewer (the paper's per-user list of Sec. 5.3, step 2).
+//
+// Layout: one hash map gives every user a dense slot, and a slot holds the
+// user's whole share of the store in four sorted slices (userPolicies):
+// as an owner, its role table, its policies grouped by role and its
+// relations sorted by peer; as a viewer, its grantors in ascending order.
+// A read is one slot lookup and a binary search over the owner's few dozen
+// relations; no role string is hashed, and Clone copies flat slices.
+//
+// Grantors hands out the stored slice itself. It is read-only, and valid
+// until the store's next mutation.
 type Store struct {
 	space  Region
 	dayLen float64
 
-	// relations[o][u] is the role owner o assigns to user u.
-	relations map[UserID]map[UserID]Role
-	// policies[o][r] are owner o's policies for role r, in insertion order.
-	policies map[UserID]map[Role][]Policy
-	// grantors[u] is the set of owners o for which PolicyFor(o, u) exists.
-	grantors map[UserID]map[UserID]bool
+	// slot[u] indexes users; every owner and every peer of a relation has one.
+	slot  map[UserID]int32
+	users []userPolicies
 
 	numPolicies int
+}
+
+// userPolicies is one user's share of the store.
+type userPolicies struct {
+	id UserID
+	// roles is the owner's role table, ascending by name: each role string
+	// once, with the range of rules that holds its policies. The ranges are
+	// consecutive, so rules is grouped by role in the table's order. A role
+	// stays in the table once named, with or without policies.
+	roles []roleRange
+	// rules are the owner's policies, in insertion order within a role.
+	rules []rule
+	// rels are the owner's relations, ascending by peer.
+	rels []relation
+	// grantors are the owners with a policy applicable to this user,
+	// ascending: o is here iff o has a relation to this user whose role
+	// carries at least one policy.
+	grantors []UserID
+}
+
+// roleRange names a role and the rules [start, end) that carry its policies.
+type roleRange struct {
+	name       Role
+	start, end int32
+}
+
+// rule is a policy without its role, which the role table holds once.
+type rule struct {
+	Locr Region
+	Tint TimeInterval
+}
+
+// relation is an owner's relation to peer, as an index into its role table.
+type relation struct {
+	peer UserID
+	role int32
 }
 
 // NewStore creates a store for the given space domain and day length
@@ -35,13 +80,7 @@ func NewStore(space Region, dayLen float64) (*Store, error) {
 	if dayLen <= 0 {
 		return nil, fmt.Errorf("policy: invalid day length %g", dayLen)
 	}
-	return &Store{
-		space:     space,
-		dayLen:    dayLen,
-		relations: make(map[UserID]map[UserID]Role),
-		policies:  make(map[UserID]map[Role][]Policy),
-		grantors:  make(map[UserID]map[UserID]bool),
-	}, nil
+	return &Store{space: space, dayLen: dayLen, slot: make(map[UserID]int32)}, nil
 }
 
 // Clone returns an independent deep copy of the store. peb.DB uses it for
@@ -49,36 +88,24 @@ func NewStore(space Region, dayLen float64) (*Store, error) {
 // mutations go to a clone that is swapped in atomically, so the snapshot
 // keeps evaluating the policies that were in force when it was taken.
 // Policies change rarely (the paper's premise), so paying O(store) per
-// policy mutation to keep snapshot reads lock-free is the right trade.
+// policy mutation to keep snapshot reads lock-free is the right trade. The
+// copy is the slot map plus every slot's slices at their length.
 func (s *Store) Clone() *Store {
 	c := &Store{
 		space:       s.space,
 		dayLen:      s.dayLen,
-		relations:   make(map[UserID]map[UserID]Role, len(s.relations)),
-		policies:    make(map[UserID]map[Role][]Policy, len(s.policies)),
-		grantors:    make(map[UserID]map[UserID]bool, len(s.grantors)),
+		slot:        maps.Clone(s.slot),
+		users:       make([]userPolicies, len(s.users)),
 		numPolicies: s.numPolicies,
 	}
-	for owner, rel := range s.relations {
-		m := make(map[UserID]Role, len(rel))
-		for peer, role := range rel {
-			m[peer] = role
+	for i, u := range s.users {
+		c.users[i] = userPolicies{
+			id:       u.id,
+			roles:    slices.Clone(u.roles),
+			rules:    slices.Clone(u.rules),
+			rels:     slices.Clone(u.rels),
+			grantors: slices.Clone(u.grantors),
 		}
-		c.relations[owner] = m
-	}
-	for owner, byRole := range s.policies {
-		m := make(map[Role][]Policy, len(byRole))
-		for role, ps := range byRole {
-			m[role] = append([]Policy(nil), ps...)
-		}
-		c.policies[owner] = m
-	}
-	for viewer, owners := range s.grantors {
-		m := make(map[UserID]bool, len(owners))
-		for o := range owners {
-			m[o] = true
-		}
-		c.grantors[viewer] = m
 	}
 	return c
 }
@@ -94,19 +121,30 @@ func (s *Store) NumPolicies() int { return s.numPolicies }
 
 // SetRelation records that owner considers peer to hold role.
 func (s *Store) SetRelation(owner, peer UserID, role Role) {
-	m := s.relations[owner]
-	if m == nil {
-		m = make(map[UserID]Role)
-		s.relations[owner] = m
+	oi, pi := s.slotFor(owner), s.slotFor(peer)
+	o := &s.users[oi]
+	r := o.roleIndex(role)
+	if i, ok := o.relIndex(peer); ok {
+		o.rels[i].role = r
+	} else {
+		o.rels = insertAt(o.rels, i, relation{peer: peer, role: r})
 	}
-	m[peer] = role
-	s.reindexPeer(owner, peer)
+	// Peer's grantor entry follows the new role: a role without policies
+	// grants nothing, whatever the old one did.
+	if o.roles[r].start < o.roles[r].end {
+		s.users[pi].addGrantor(owner)
+	} else {
+		s.users[pi].dropGrantor(owner)
+	}
 }
 
 // Relation returns the role owner assigns to peer, if any.
 func (s *Store) Relation(owner, peer UserID) (Role, bool) {
-	r, ok := s.relations[owner][peer]
-	return r, ok
+	o, r := s.relationOf(owner, peer)
+	if o == nil {
+		return "", false
+	}
+	return o.roles[r].name, true
 }
 
 // AddPolicy stores a policy for owner. Multiple policies per role are kept
@@ -120,22 +158,26 @@ func (s *Store) AddPolicy(owner UserID, p Policy) error {
 	if !p.Locr.Valid() {
 		return fmt.Errorf("policy: invalid locr %v", p.Locr)
 	}
-	m := s.policies[owner]
-	if m == nil {
-		m = make(map[Role][]Policy)
-		s.policies[owner] = m
+	o := &s.users[s.slotFor(owner)]
+	r := o.roleIndex(p.Role)
+	add := rule{Locr: p.Locr, Tint: p.Tint}
+	rr := o.roles[r]
+	if slices.Contains(o.rules[rr.start:rr.end], add) {
+		return nil
 	}
-	for _, q := range m[p.Role] {
-		if q == p {
-			return nil
-		}
+	o.rules = insertAt(o.rules, int(rr.end), add)
+	o.roles[r].end++
+	for j := r + 1; j < int32(len(o.roles)); j++ {
+		o.roles[j].start++
+		o.roles[j].end++
 	}
-	m[p.Role] = append(m[p.Role], p)
 	s.numPolicies++
-	// A new policy may activate existing relations of this owner.
-	for peer, role := range s.relations[owner] {
-		if role == p.Role {
-			s.addGrantor(peer, owner)
+	if rr.start == rr.end {
+		// The role's first policy activates the owner's relations with it.
+		for _, rel := range o.rels {
+			if rel.role == r {
+				s.users[s.slot[rel.peer]].addGrantor(owner)
+			}
 		}
 	}
 	return nil
@@ -145,26 +187,22 @@ func (s *Store) AddPolicy(owner UserID, p Policy) error {
 // whose role matches the owner→viewer relation. This is P_owner→viewer in
 // the paper's notation.
 func (s *Store) PolicyFor(owner, viewer UserID) (Policy, bool) {
-	role, ok := s.relations[owner][viewer]
-	if !ok {
+	o, r := s.relationOf(owner, viewer)
+	if o == nil {
 		return Policy{}, false
 	}
-	ps := s.policies[owner][role]
-	if len(ps) == 0 {
+	rr := o.roles[r]
+	if rr.start == rr.end {
 		return Policy{}, false
 	}
-	return ps[0], true
+	return rr.policy(o.rules[rr.start]), true
 }
 
 // Allows reports whether viewer may see owner's location when the owner is
 // at (x, y) at time tq — the policy-evaluation predicate of Definitions 2
 // and 3. All policies matching the relation's role are consulted.
 func (s *Store) Allows(owner, viewer UserID, x, y, tq float64) bool {
-	role, ok := s.relations[owner][viewer]
-	if !ok {
-		return false
-	}
-	for _, p := range s.policies[owner][role] {
+	for _, p := range s.rulesFor(owner, viewer) {
 		if p.Locr.Contains(x, y) && p.Tint.Contains(tq, s.dayLen) {
 			return true
 		}
@@ -174,33 +212,37 @@ func (s *Store) Allows(owner, viewer UserID, x, y, tq float64) bool {
 
 // Grantors returns, sorted by id, the users that have a policy applicable
 // to viewer — the candidate set Upol of Sec. 5.3 step 2 ("users who may
-// allow the query issuer to see their locations").
+// allow the query issuer to see their locations"). The slice is the
+// store's own: read-only, and valid until the store's next mutation.
 func (s *Store) Grantors(viewer UserID) []UserID {
-	m := s.grantors[viewer]
-	out := make([]UserID, 0, len(m))
-	for o := range m {
-		out = append(out, o)
+	if i, ok := s.slot[viewer]; ok {
+		return s.users[i].grantors
 	}
-	slices.Sort(out)
-	return out
+	return nil
 }
 
 // HasGrantor reports whether owner has a policy applicable to viewer.
 func (s *Store) HasGrantor(viewer, owner UserID) bool {
-	return s.grantors[viewer][owner]
+	i, ok := s.slot[viewer]
+	if !ok {
+		return false
+	}
+	_, found := slices.BinarySearch(s.users[i].grantors, owner)
+	return found
 }
 
 // ForEachGrant calls fn for every (owner, viewer) pair connected by a
 // relation with at least one policy, passing the policy PolicyFor would
 // return. Iteration order is unspecified; fn returning false stops early.
 func (s *Store) ForEachGrant(fn func(owner, viewer UserID, p Policy) bool) {
-	for owner, peers := range s.relations {
-		for viewer, role := range peers {
-			ps := s.policies[owner][role]
-			if len(ps) == 0 {
+	for i := range s.users {
+		o := &s.users[i]
+		for _, rel := range o.rels {
+			rr := o.roles[rel.role]
+			if rr.start == rr.end {
 				continue
 			}
-			if !fn(owner, viewer, ps[0]) {
+			if !fn(o.id, rel.peer, rr.policy(o.rules[rr.start])) {
 				return
 			}
 		}
@@ -209,45 +251,126 @@ func (s *Store) ForEachGrant(fn func(owner, viewer UserID, p Policy) bool) {
 
 // RelatedPairs calls fn once for every unordered user pair (a, b), a < b,
 // connected by at least one policy in either direction. This is the edge
-// set the sequence-value assignment groups users by.
+// set the sequence-value assignment groups users by. A pair granted both
+// ways is reported from the larger id's grantor list only.
 func (s *Store) RelatedPairs(fn func(a, b UserID)) {
-	seen := make(map[uint64]bool)
-	emit := func(o, v UserID) {
-		a, b := o, v
-		if a > b {
-			a, b = b, a
-		}
-		if a == b {
-			return
-		}
-		key := uint64(a)<<32 | uint64(b)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		fn(a, b)
-	}
-	for viewer, owners := range s.grantors {
-		for owner := range owners {
-			emit(owner, viewer)
+	for i := range s.users {
+		v := s.users[i].id
+		for _, o := range s.users[i].grantors {
+			switch {
+			case o < v:
+				fn(o, v)
+			case o > v && !s.HasGrantor(o, v):
+				fn(v, o)
+			}
 		}
 	}
 }
 
-// reindexPeer refreshes the grantor index entry for (owner → peer) after a
-// relation change.
-func (s *Store) reindexPeer(owner, peer UserID) {
-	role := s.relations[owner][peer]
-	if len(s.policies[owner][role]) > 0 {
-		s.addGrantor(peer, owner)
+// slotFor returns u's slot, giving u one if it has none.
+func (s *Store) slotFor(u UserID) int32 {
+	i, ok := s.slot[u]
+	if !ok {
+		i = int32(len(s.users))
+		s.slot[u] = i
+		s.users = append(s.users, userPolicies{id: u})
+	}
+	return i
+}
+
+// relationOf returns owner's share of the store and the role-table index of
+// its relation to peer, or nil when there is none.
+func (s *Store) relationOf(owner, peer UserID) (*userPolicies, int32) {
+	i, ok := s.slot[owner]
+	if !ok {
+		return nil, 0
+	}
+	o := &s.users[i]
+	j, ok := o.relIndex(peer)
+	if !ok {
+		return nil, 0
+	}
+	return o, o.rels[j].role
+}
+
+// rulesFor returns every policy of owner whose role matches the
+// owner→viewer relation, without the role.
+func (s *Store) rulesFor(owner, viewer UserID) []rule {
+	o, r := s.relationOf(owner, viewer)
+	if o == nil {
+		return nil
+	}
+	rr := o.roles[r]
+	return o.rules[rr.start:rr.end]
+}
+
+// relIndex returns the position of peer's relation in rels, or where it
+// would be inserted, and whether it is there.
+func (u *userPolicies) relIndex(peer UserID) (int, bool) {
+	lo, hi := 0, len(u.rels)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if u.rels[m].peer < peer {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(u.rels) && u.rels[lo].peer == peer
+}
+
+// roleIndex returns role's index in the role table, inserting it with an
+// empty range at its place by name; relations to the roles after it are
+// renumbered.
+func (u *userPolicies) roleIndex(role Role) int32 {
+	j, ok := slices.BinarySearchFunc(u.roles, role, func(rr roleRange, name Role) int {
+		return cmp.Compare(rr.name, name)
+	})
+	if ok {
+		return int32(j)
+	}
+	at := int32(len(u.rules))
+	if j < len(u.roles) {
+		at = u.roles[j].start
+	}
+	u.roles = insertAt(u.roles, j, roleRange{name: role, start: at, end: at})
+	for k := range u.rels {
+		if u.rels[k].role >= int32(j) {
+			u.rels[k].role++
+		}
+	}
+	return int32(j)
+}
+
+func (u *userPolicies) addGrantor(owner UserID) {
+	if i, ok := slices.BinarySearch(u.grantors, owner); !ok {
+		u.grantors = insertAt(u.grantors, i, owner)
 	}
 }
 
-func (s *Store) addGrantor(viewer, owner UserID) {
-	m := s.grantors[viewer]
-	if m == nil {
-		m = make(map[UserID]bool)
-		s.grantors[viewer] = m
+func (u *userPolicies) dropGrantor(owner UserID) {
+	if i, ok := slices.BinarySearch(u.grantors, owner); ok {
+		u.grantors = slices.Delete(u.grantors, i, i+1)
 	}
-	m[owner] = true
+}
+
+// policy reassembles the policy p of role rr.
+func (rr roleRange) policy(p rule) Policy {
+	return Policy{Role: rr.name, Locr: p.Locr, Tint: p.Tint}
+}
+
+// insertAt inserts v at index i of s. A slot's slices hold tens of entries
+// and are built one call at a time, so they grow by a quarter, not by
+// append's doubling: a store built by SetRelation and AddPolicy, as Load
+// builds one, stays near the size of a cloned one, whose slices are exact.
+func insertAt[T any](s []T, i int, v T) []T {
+	if len(s) == cap(s) {
+		grown := make([]T, len(s), len(s)+len(s)/4+1)
+		copy(grown, s)
+		s = grown
+	}
+	s = s[:len(s)+1]
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
 }

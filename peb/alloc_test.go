@@ -24,19 +24,20 @@ const (
 	// serialization.
 	applySyncAllocBudgetPerOp = 9
 	// pknnAllocBudget bounds one PkNN query (k=5) on a pooled search
-	// state, whether its pages hit the buffer or miss it: the grantor list,
-	// the partition list, the result slice. 5 today, and 10–15 under -race,
-	// where sync.Pool drops a quarter of what is put back and the state is
+	// state, whether its pages hit the buffer or miss it: the partition
+	// list, the result slice. 4 today, and 11–14 under -race, where
+	// sync.Pool drops a quarter of what is put back and the state is
 	// regrown; the budget is that plus 20 %. It was 23 (plain) while every
-	// leaf was decoded into fresh slices, and 6 plus two per page miss while
-	// the buffer pool made a frame per miss and a list node per request.
-	pknnAllocBudget = 18
+	// leaf was decoded into fresh slices, 6 plus two per page miss while
+	// the buffer pool made a frame per miss and a list node per request,
+	// and 5 while the policy store copied and sorted the grantor list.
+	pknnAllocBudget = 17
 	// prqAllocBudget bounds one PRQ (200-side window) on a pooled friend
 	// table and cursor, hit or miss: the same, plus ZVconvert's capped
-	// interval list per partition. 7 today, 11–13 under -race; 42 (plain)
+	// interval list per partition. 6 today, 10–12 under -race; 42 (plain)
 	// with the decoding reader and the per-query maps, 10 with ZVconvert's
-	// exact lists.
-	prqAllocBudget = 16
+	// exact lists, 7 with the copied grantor list.
+	prqAllocBudget = 15
 )
 
 func allocDB(t *testing.T) *DB {

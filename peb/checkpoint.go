@@ -81,7 +81,7 @@ import (
 // Index rebuilds (EncodePolicies, LoadPolicies) and Close drain the
 // pipeline first (DB.ckptMu). Options.AutoCheckpoint runs this same
 // pipeline from a background maintainer when the write-ahead log crosses
-// a size threshold.
+// a size threshold, resting after each run as long as the run took.
 //
 // With a write-ahead log, the meta records the log sequence number of the
 // last commit the checkpoint covers; recovery replays only newer records,
@@ -594,8 +594,18 @@ func (db *DB) autoCheckpointLoop() {
 			db.statsMu.Lock()
 			db.ckptStats.AutoTriggered++
 			db.statsMu.Unlock()
+			start := time.Now()
 			if err := db.Checkpoint(); errors.Is(err, ErrClosed) {
 				return
+			}
+			// Rest as long as the pipeline ran. A WALBytes threshold that
+			// the active segment alone exceeds re-arms the trigger on every
+			// commit, and checkpoints would run back to back, as often as
+			// they can finish; this way they take at most half the time.
+			select {
+			case <-db.stopC:
+				return
+			case <-time.After(time.Since(start)):
 			}
 		}
 	}

@@ -383,6 +383,41 @@ func TestAutoCheckpointThreshold(t *testing.T) {
 	}
 }
 
+// TestAutoCheckpointRests: a byte threshold the log's active segment alone
+// exceeds re-arms the maintainer on every commit, and the maintainer then
+// rests as long as each pipeline ran — at most half the time checkpoints,
+// not back to back.
+func TestAutoCheckpointRests(t *testing.T) {
+	const build, window = 50 * time.Millisecond, 600 * time.Millisecond
+	db, err := Open(Options{
+		Path:           "rest.idx",
+		Durability:     DurabilitySync,
+		FS:             store.NewCrashFS(),
+		AutoCheckpoint: AutoCheckpointPolicy{WALBytes: 1 << 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.ckptHook = func(phase string) {
+		if phase == "build" {
+			time.Sleep(build)
+		}
+	}
+	start := time.Now()
+	for i := 0; time.Since(start) < window; i++ {
+		o := Object{UID: UserID(i%500 + 1), X: float64(i * 13 % 1000), Y: float64(i * 29 % 1000), T: 5}
+		if err := db.Upsert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Back to back, a pipeline ends every build; resting, every two.
+	st := db.CheckpointStats()
+	if most := int(window / (2 * build)); st.Checkpoints < 1 || st.Checkpoints > uint64(most) {
+		t.Fatalf("%d checkpoints in %v of %v builds, want 1 to %d", st.Checkpoints, window, build, most)
+	}
+}
+
 // TestAutoCheckpointCleanClose: Close stops the maintainer and drains any
 // in-flight pipeline; no goroutine leaks, no error.
 func TestAutoCheckpointCleanClose(t *testing.T) {

@@ -222,7 +222,9 @@ type Options struct {
 // AutoCheckpointPolicy sets the write-ahead-log thresholds that trigger an
 // automatic background checkpoint. Zero values disable a threshold; the
 // all-zero policy disables the maintainer entirely. When both are set,
-// whichever trips first triggers.
+// whichever trips first triggers. After each automatic checkpoint the
+// maintainer waits as long as that checkpoint took before it checks the
+// thresholds again.
 type AutoCheckpointPolicy struct {
 	// WALBytes triggers a checkpoint when the log exceeds this many bytes.
 	WALBytes int64
