@@ -1,7 +1,7 @@
 // Command pebbench reproduces the paper's experiments: it builds the
 // PEB-tree and the spatial-index baseline over identical synthetic
 // workloads and reports the mean query I/O cost per data point for every
-// figure of Sec. 7 (plus three ablation studies).
+// figure of Sec. 7 (plus four ablation studies).
 //
 // Usage:
 //

@@ -186,7 +186,7 @@ func TestTxnCommitKeepsChanges(t *testing.T) {
 	}
 }
 
-// TestScanCtxCancellation verifies RangeScanCtx and ScanLeavesCtx stop with
+// TestScanCtxCancellation verifies RangeScanCtx and ScanLeavesOn stop with
 // ctx.Err() once the context is canceled mid-scan.
 func TestScanCtxCancellation(t *testing.T) {
 	pool := store.NewBufferPool(store.NewMemDisk(), 64)
@@ -230,7 +230,8 @@ func TestScanCtxCancellation(t *testing.T) {
 
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	seen = 0
-	err = tr.Reader().ScanLeavesCtx(ctx2, KV{}, KV{Key: ^uint64(0), UID: ^uint32(0)}, func(KV, Payload) bool {
+	var c Cursor
+	err = tr.Reader().ScanLeavesOn(ctx2, &c, KV{}, KV{Key: ^uint64(0), UID: ^uint32(0)}, func(KV, Payload) bool {
 		seen++
 		if seen == 1 {
 			cancel2()
@@ -238,7 +239,7 @@ func TestScanCtxCancellation(t *testing.T) {
 		return true
 	})
 	if err != context.Canceled {
-		t.Fatalf("ScanLeavesCtx error = %v, want context.Canceled", err)
+		t.Fatalf("ScanLeavesOn error = %v, want context.Canceled", err)
 	}
 	if seen > LeafCapacity {
 		t.Fatalf("leaf scan continued %d entries past cancellation", seen)

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -464,11 +465,12 @@ func BenchmarkScanLeaves(b *testing.B) {
 	}
 	r := tr.Reader()
 	all := KV{Key: ^uint64(0), UID: ^uint32(0)}
+	var c Cursor
 	b.ReportAllocs()
 	b.ResetTimer()
 	entries := 0
 	for i := 0; i < b.N; i++ {
-		if err := r.ScanLeaves(KV{}, all, func(KV, Payload) bool { entries++; return true }); err != nil {
+		if err := r.ScanLeavesOn(context.Background(), &c, KV{}, all, func(KV, Payload) bool { entries++; return true }); err != nil {
 			b.Fatal(err)
 		}
 	}

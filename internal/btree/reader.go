@@ -148,21 +148,24 @@ func (r *Reader) RangeScanCtx(ctx context.Context, lo, hi KV, fn func(kv KV, pay
 // paper's "once a candidate user is found, the remaining search intervals
 // formed by this user's SV value are skipped" rule.
 func (r *Reader) ScanLeaves(lo, hi KV, fn func(kv KV, payload Payload) bool) error {
-	return r.ScanLeavesCtx(context.Background(), lo, hi, fn)
+	var c Cursor
+	return r.ScanLeavesOn(context.Background(), &c, lo, hi, fn)
 }
 
-// ScanLeavesCtx is ScanLeaves with cancellation, checked between leaf
-// pages like RangeScanCtx.
-func (r *Reader) ScanLeavesCtx(ctx context.Context, lo, hi KV, fn func(kv KV, payload Payload) bool) error {
+// ScanLeavesOn is ScanLeaves with cancellation, checked between leaf pages
+// like RangeScanCtx, on a cursor the caller keeps — a zero Cursor will do —
+// so that a query issuing many scans reuses one cursor. The cursor serves
+// one scan at a time, and keeps no reference to r afterwards.
+func (r *Reader) ScanLeavesOn(ctx context.Context, c *Cursor, lo, hi KV, fn func(kv KV, payload Payload) bool) error {
 	if hi.Less(lo) {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	c.r = r
+	defer func() { c.r = nil }()
 	// Descend to the leaf covering lo (same page trajectory as Seek).
-	c := r.acquireCursor()
-	defer c.release()
 	if err := c.descendFromRoot(lo); err != nil {
 		return err
 	}

@@ -75,10 +75,13 @@ type Config struct {
 }
 
 // Default sequence-value field sizing: 26 bits total with 6 fraction bits
-// stores values up to 2^20 at resolution 1/64. With δ = 2 the largest
-// assigned value is about 2·N + 2, so 2^20 covers well past the paper's
-// maximum of 100 K users, and 1/64 resolves the 1 − C(u1,u2) offsets, which
-// lie in [0, 1).
+// stores values up to 2^20 at resolution 1/64. Fig. 5 with δ = 2 assigns
+// values up to about 2·(anchors) + 2, and 1/64 resolves its 1 − C(u1,u2)
+// offsets, which lie in [0, 1). The engine's community encoding takes one
+// step per user and δ steps between bands, N + bands·δ in all: integer
+// steps fit up to about 900 000 users with the field's top eighth left for
+// users added later, and past that it steps by fractions down to 1/64, so
+// the field holds up to 2^26 slots' worth.
 const (
 	DefaultSVBits     = 26
 	DefaultSVFracBits = 6

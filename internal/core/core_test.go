@@ -317,6 +317,63 @@ func testPRQAgainstBruteForce(t *testing.T, layout KeyLayout) {
 	}
 }
 
+// TestCommunityEncodingInNarrowSVField encodes 200 users into a 10-bit
+// sequence-value field, whose 16 integer values are too few: the encoder
+// steps by a fraction, the tree accepts every value, a later user still
+// fits above them, and PRQs still match Definition 2. A 7-bit field has
+// fewer slots than users and is refused.
+func TestCommunityEncodingInNarrowSVField(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	f := buildFixture(t, rng, DefaultConfig(), 200, 8)
+	users := make([]policy.UserID, len(f.objs))
+	for i, o := range f.objs {
+		users[i] = policy.UserID(o.UID)
+	}
+	cfg := DefaultConfig()
+	cfg.SV = policy.SVCodec{Bits: 10, FracBits: 6}
+	assign, err := policy.AssignCommunities(f.pol, users, cfg.SV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if assign.MaxSV >= 16 || len(assign.SV) != len(users) {
+		t.Fatalf("MaxSV %g for %d of %d users; the field's integer part holds 16", assign.MaxSV, len(assign.SV), len(users))
+	}
+	// A user added after the encoding takes a whole value δ above MaxSV.
+	if _, err := cfg.SV.Encode(assign.MaxSV + 2); err != nil {
+		t.Fatalf("no room above MaxSV %g: %v", assign.MaxSV, err)
+	}
+	tree, err := New(cfg, store.NewBufferPool(store.NewMemDisk(), store.DefaultBufferPages), f.pol, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range f.objs {
+		if err := tree.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		issuer := motion.UserID(1 + rng.Intn(200))
+		w := bxtree.Square(rng.Float64()*cfg.Base.Grid.Side, rng.Float64()*cfg.Base.Grid.Side, 50+rng.Float64()*300)
+		tq := rng.Float64() * 80
+		got, err := tree.PRQ(issuer, w, tq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := f.brutePRQ(issuer, w, tq)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))
+		}
+		for _, o := range got {
+			if !want[o.UID] {
+				t.Fatalf("trial %d: u%d is not visible to u%d", trial, o.UID, issuer)
+			}
+		}
+	}
+	if _, err := policy.AssignCommunities(f.pol, users, policy.SVCodec{Bits: 7, FracBits: 6}); err == nil {
+		t.Fatal("200 users fit a field of 128 slots")
+	}
+}
+
 func TestPRQMatchesBruteForce(t *testing.T)        { testPRQAgainstBruteForce(t, SVFirst) }
 func TestPRQMatchesBruteForceZVFirst(t *testing.T) { testPRQAgainstBruteForce(t, ZVFirst) }
 

@@ -51,7 +51,8 @@ type Tree struct {
 
 // New creates an empty PEB-tree whose pages live in pool. policies supplies
 // policy evaluation during queries; assignment supplies the sequence values
-// computed by policy.AssignSequenceValues.
+// computed by policy.AssignCommunities (the engine) or
+// policy.AssignSequenceValues (Fig. 5).
 func New(cfg Config, pool *store.BufferPool, policies *policy.Store, assignment policy.Assignment) (*Tree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -33,11 +33,12 @@ type pknnSearch struct {
 	// parts is the active-partition list at tq, taken once per query: every
 	// matrix cell visits the same partitions.
 	parts []bxtree.PartitionRef
-	// scanned[row][tid] is the single, monotonically growing key-range
-	// chain already scanned for that friend and partition. Windows are all
-	// centered at the query point, so their Z intervals form a chain and
-	// one interval per (row, partition) suffices.
-	scanned []map[uint64]zcurve.Interval
+	// scanned[row·len(parts) + p] is the single, monotonically growing
+	// key-range chain already scanned for that friend row and the p'th
+	// active partition. Windows are all centered at the query point, so
+	// their Z intervals form a chain and one interval per (row, partition)
+	// suffices.
+	scanned []scanChain
 	// rowDone[row] is set once every friend in the row has been located
 	// (the scans are leaf-opportunistic, so this usually happens on the
 	// row's first visit); done rows are skipped thereafter — the paper's
@@ -50,19 +51,29 @@ type pknnSearch struct {
 	ds []float64 // kthDist scratch
 }
 
+// scanChain is the key-range chain one (row, partition) has scanned, if
+// any.
+type scanChain struct {
+	iv  zcurve.Interval
+	has bool
+}
+
 // pknnPool recycles search state across queries: the friend table, the
-// per-row interval maps, the candidate set, and the kthDist scratch are
+// per-cell interval chains, the candidate set, and the kthDist scratch are
 // the query path's dominant allocations, and a steady query workload
 // reuses them warm instead of re-growing them from empty every call.
 // States are returned cleared (release does the clearing, so the
-// GC-visible pool never holds users' positions longer than the query).
+// GC-visible pool holds no found positions past the query; the friend
+// table's cursor keeps the image of the last leaf it read, as the btree's
+// pooled cursors do).
 var pknnPool = sync.Pool{New: func() any { return &pknnSearch{} }}
 
-// sizeRows readies the per-row state for the m rows of s.friends.
+// sizeRows readies the per-row state for the m rows of s.friends and the
+// partitions of s.parts.
 func (s *pknnSearch) sizeRows(m int) {
-	for len(s.scanned) < m {
-		s.scanned = append(s.scanned, make(map[uint64]zcurve.Interval))
-	}
+	n := m * len(s.parts)
+	s.scanned = slices.Grow(s.scanned[:0], n)[:n]
+	clear(s.scanned)
 	if cap(s.rowDone) < m {
 		s.rowDone = make([]bool, m)
 	}
@@ -71,17 +82,14 @@ func (s *pknnSearch) sizeRows(m int) {
 		s.rowDone[i] = false
 	}
 	if s.found == nil {
-		s.found = make(map[motion.UserID]Neighbor)
+		s.found = make(map[motion.UserID]Neighbor, len(s.friends.friends))
 	}
 }
 
 // release clears the search state and returns it to the pool. The cleared
-// maps keep their buckets, which is the point: the next query on this
-// state allocates nothing for them.
+// map keeps its buckets and the slices their arrays, which is the point:
+// the next query on this state allocates nothing for them.
 func (s *pknnSearch) release() {
-	for i := range s.scanned {
-		clear(s.scanned[i])
-	}
 	clear(s.found)
 	s.ds = s.ds[:0]
 	s.v = nil
@@ -152,13 +160,13 @@ func (v *View) PKNNCtx(ctx context.Context, issuer motion.UserID, qx, qy float64
 	if m == 0 {
 		return nil, nil
 	}
+	s.parts = v.parts.Active(tq)
 	s.sizeRows(m)
 	s.v = v
 	s.ctx = ctx
 	s.issuer = issuer
 	s.qx, s.qy, s.tq = qx, qy, tq
 	s.rq = v.roundRadius(k)
-	s.parts = v.parts.Active(tq)
 
 	// The last useful column: once the (unenlarged) window covers the whole
 	// space, later columns add nothing.
@@ -275,12 +283,12 @@ func (s *pknnSearch) scanCell(r, c int) error {
 		return nil
 	}
 	sv := s.friends.rows[r].sv
-	for _, pr := range s.parts {
+	for p, pr := range s.parts {
 		iv, ok := s.cellInterval(c, pr)
 		if !ok {
 			continue
 		}
-		if err := s.scanDelta(r, sv, pr.TID, iv); err != nil {
+		if err := s.scanDelta(r, p, sv, pr.TID, iv); err != nil {
 			return err
 		}
 	}
@@ -288,15 +296,17 @@ func (s *pknnSearch) scanCell(r, c int) error {
 	return nil
 }
 
-// scanDelta scans the parts of iv not yet covered for (row, tid) and
-// extends the covered chain. Intervals for a given row and partition are
-// nested across columns, so the uncovered parts are at most two ranges.
-func (s *pknnSearch) scanDelta(r int, sv, tid uint64, iv zcurve.Interval) error {
-	prev, has := s.scanned[r][tid]
+// scanDelta scans the parts of iv not yet covered for row r and the p'th
+// partition, tid, and extends the covered chain. Intervals for a given row
+// and partition are nested across columns, so the uncovered parts are at
+// most two ranges.
+func (s *pknnSearch) scanDelta(r, p int, sv, tid uint64, iv zcurve.Interval) error {
+	chain := &s.scanned[r*len(s.parts)+p]
+	prev := chain.iv
 	var todo [2]zcurve.Interval
 	n := 0
 	switch {
-	case !has:
+	case !chain.has:
 		todo[0], n = iv, 1
 	default:
 		if iv.Lo < prev.Lo {
@@ -316,7 +326,7 @@ func (s *pknnSearch) scanDelta(r int, sv, tid uint64, iv zcurve.Interval) error 
 			iv.Hi = prev.Hi
 		}
 	}
-	s.scanned[r][tid] = iv
+	*chain = scanChain{iv: iv, has: true}
 	for _, d := range todo[:n] {
 		loK, hiK := s.v.cfg.SVRange(tid, sv, d.Lo, d.Hi)
 		// Leaf-opportunistic: every entry on the fetched pages is
@@ -341,7 +351,7 @@ func (s *pknnSearch) consider(o motion.Object) bool {
 
 // kthDist returns the distance of the k'th nearest qualified candidate.
 func (s *pknnSearch) kthDist(k int) float64 {
-	ds := s.ds[:0]
+	ds := slices.Grow(s.ds[:0], len(s.found))
 	for _, nb := range s.found {
 		ds = append(ds, nb.Dist)
 	}
@@ -360,7 +370,7 @@ func (s *pknnSearch) finalScan(k int) error {
 		if s.rowDone[r] {
 			continue // the row's friends are all located and verified
 		}
-		for _, pr := range s.parts {
+		for p, pr := range s.parts {
 			w := bxtree.Square(s.qx, s.qy, dk).Enlarge(s.v.cfg.Base.MaxSpeed * pr.Gap)
 			rect, ok := s.v.cfg.Base.Grid.RectOf(w.MinX, w.MinY, w.MaxX, w.MaxY)
 			if !ok {
@@ -370,7 +380,7 @@ func (s *pknnSearch) finalScan(k int) error {
 			if err != nil {
 				return err
 			}
-			if err := s.scanDelta(r, row.sv, pr.TID, iv); err != nil {
+			if err := s.scanDelta(r, p, row.sv, pr.TID, iv); err != nil {
 				return err
 			}
 		}

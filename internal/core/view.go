@@ -176,6 +176,9 @@ type friendTable struct {
 	// stranger, a set one (some 8 % of strangers at 20 friends) proves
 	// nothing.
 	sig [4]uint64
+	// cur is the cursor every leaf scan of the query runs on: a query
+	// scans once per row and partition, and one row per friend is common.
+	cur btree.Cursor
 }
 
 // friend is one resident grantor.
@@ -217,10 +220,15 @@ var friendTablePool = sync.Pool{New: func() any { return new(friendTable) }}
 // would replace the paper's SV × ZV search matrix with a point lookup per
 // friend.
 func (v *View) friendGroups(issuer motion.UserID, ft *friendTable) {
-	ft.friends, ft.rows, ft.bySV = ft.friends[:0], ft.rows[:0], ft.bySV[:0]
+	grantors := v.policies.Grantors(policy.UserID(issuer))
+	// Sized once for every grantor: a table fresh from the pool grows in
+	// one step, not by doubling.
+	ft.friends = slices.Grow(ft.friends[:0], len(grantors))
+	ft.rows = slices.Grow(ft.rows[:0], len(grantors))
+	ft.bySV = slices.Grow(ft.bySV[:0], len(grantors))
 	ft.sig = [4]uint64{}
 	// Grantors arrive in uid order, the order claim searches.
-	for _, g := range v.policies.Grantors(policy.UserID(issuer)) {
+	for _, g := range grantors {
 		uid := motion.UserID(g)
 		if uid == issuer {
 			continue
@@ -308,7 +316,7 @@ func (v *View) scanRange(ctx context.Context, loK, hiK uint64, ft *friendTable, 
 func (v *View) scanLeafRange(ctx context.Context, loK, hiK uint64, ft *friendTable, emit func(motion.Object) bool) error {
 	lo := btree.KV{Key: loK, UID: 0}
 	hi := btree.KV{Key: hiK, UID: ^uint32(0)}
-	return v.tree.ScanLeavesCtx(ctx, lo, hi, func(kv btree.KV, p btree.Payload) bool {
+	return v.tree.ScanLeavesOn(ctx, &ft.cur, lo, hi, func(kv btree.KV, p btree.Payload) bool {
 		uid := motion.UserID(kv.UID)
 		return !ft.claim(uid) || emit(motion.DecodePayload(uid, p))
 	})

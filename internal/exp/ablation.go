@@ -1,13 +1,20 @@
 package exp
 
 import (
+	"maps"
+	"math/rand"
+	"slices"
+	"time"
+
 	"repro/internal/bxtree"
 	"repro/internal/core"
+	"repro/internal/policy"
 )
 
 // Ablation experiments isolate the PEB-tree's design choices that Sec. 5
-// argues for: SV-above-ZV key ordering, the triangular search order, and
-// the choice of space-filling curve.
+// argues for: SV-above-ZV key ordering, the triangular search order, the
+// choice of space-filling curve, and the policy encoding that assigns the
+// sequence values.
 
 var expAblationKeyOrder = Experiment{
 	ID:      "ablation-keyorder",
@@ -128,4 +135,87 @@ var expAblationCurve = Experiment{
 		return &Table{ID: "ablation-curve", Title: "Space-filling-curve ablation: Z-order (paper) vs. Hilbert",
 			XLabel: "window_side", Columns: []string{"zcurve_io", "hilbert_io"}, Rows: rows}, nil
 	},
+}
+
+// ablationThetas are the grouping factors the encoding ablation sweeps.
+var ablationThetas = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
+
+var expAblationEncoding = Experiment{
+	ID:     "ablation-encoding",
+	Title:  "Policy-encoding ablation: Fig. 5 (paper) vs. communities (engine) vs. Fig. 5 shuffled",
+	XLabel: "theta",
+	Columns: []string{"fig5_prq", "community_prq", "shuffled_prq", "fig5_pknn", "community_pknn", "shuffled_pknn",
+		"fig5_encode_s", "community_encode_s"},
+	Run: func(o Options) (*Table, error) {
+		o.normalize()
+		rows := make([]Row, len(ablationThetas))
+		err := forEachPoint(o.Parallel, len(ablationThetas), func(i int) error {
+			cfg := o.baseConfig()
+			cfg.Workload.GroupingFactor = ablationThetas[i]
+			tb, err := Build(cfg)
+			if err != nil {
+				return err
+			}
+			start := time.Now()
+			community, err := policy.AssignCommunities(tb.DS.Policies, tb.DS.Users, tb.PEB.Config().SV)
+			if err != nil {
+				return err
+			}
+			communityTime := time.Since(start)
+			communityTree, err := tb.newPEB(tb.PEB.Config(), community)
+			if err != nil {
+				return err
+			}
+			shuffledTree, err := tb.newPEB(tb.PEB.Config(), shuffleSV(tb.Assignment, cfg.Workload.Seed))
+			if err != nil {
+				return err
+			}
+			trees := []*core.Tree{tb.PEB, communityTree, shuffledTree}
+			prqs := tb.DS.GenPRQueries(cfg.QueryCount, cfg.WindowSide, cfg.QueryTime)
+			knns := tb.DS.GenKNNQueries(cfg.QueryCount, cfg.K, cfg.QueryTime)
+			vals := make([]float64, 0, 8)
+			for _, t := range trees {
+				v, err := MeasurePRQOn(t, prqs)
+				if err != nil {
+					return err
+				}
+				vals = append(vals, v)
+			}
+			for _, t := range trees {
+				v, err := MeasurePKNNOn(t, knns)
+				if err != nil {
+					return err
+				}
+				vals = append(vals, v)
+			}
+			vals = append(vals, tb.EncodeTime.Seconds(), communityTime.Seconds())
+			o.logf("ablation-encoding theta=%g: prq fig5=%.2f community=%.2f shuffled=%.2f (N=%d)",
+				ablationThetas[i], vals[0], vals[1], vals[2], cfg.Workload.NumUsers)
+			rows[i] = Row{X: ablationThetas[i], Vals: vals}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &Table{ID: "ablation-encoding", Title: "Policy-encoding ablation: Fig. 5 (paper) vs. communities (engine) vs. Fig. 5 shuffled",
+			XLabel: "theta", Columns: []string{"fig5_prq", "community_prq", "shuffled_prq", "fig5_pknn", "community_pknn", "shuffled_pknn",
+				"fig5_encode_s", "community_encode_s"}, Rows: rows}, nil
+	},
+}
+
+// shuffleSV deals a's values out to its users in a seeded random order:
+// the same multiset of keys with the grouping removed, the control that
+// shows what Fig. 5's grouping buys.
+func shuffleSV(a policy.Assignment, seed int64) policy.Assignment {
+	users := slices.Sorted(maps.Keys(a.SV))
+	values := make([]float64, len(users))
+	for i, u := range users {
+		values[i] = a.SV[u]
+	}
+	rand.New(rand.NewSource(seed)).Shuffle(len(values), func(i, j int) { values[i], values[j] = values[j], values[i] })
+	out := policy.Assignment{SV: make(map[policy.UserID]float64, len(users)), MaxSV: a.MaxSV, Groups: a.Groups}
+	for i, u := range users {
+		out.SV[u] = values[i]
+	}
+	return out
 }

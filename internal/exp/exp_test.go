@@ -154,3 +154,43 @@ func TestOptionsNormalize(t *testing.T) {
 		t.Errorf("users(0.5 × 60K) = %d", n)
 	}
 }
+
+// TestAblationEncodingShape holds the engine's community encoding to its
+// purpose across populations of 3 600 to 6 000 users × 50 policies and two
+// seeds: at θ ≥ 0.7 it costs at most three quarters of Fig. 5's pages per
+// PRQ and PkNN, at θ ≥ 0.3 never more, and at θ 0.1, where the graph has no
+// groups to find, at most 10 % more — Fig. 5 itself, run with its ties in
+// another order, moves by up to 16 % there. Below 3 600 users the tree is
+// barely larger than the 50-page buffer, and pages count the leaves that
+// do not fit rather than locality.
+func TestAblationEncodingShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds ninety testbeds")
+	}
+	for _, seed := range []int64{1, 2} {
+		for _, scale := range []float64{0.06, 0.08, 0.1} {
+			tbl, err := expAblationEncoding.Run(Options{Scale: scale, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range tbl.Rows {
+				bound := 1.1
+				switch {
+				case row.X >= 0.7:
+					bound = 0.75
+				case row.X >= 0.3:
+					bound = 1
+				}
+				for _, q := range []struct {
+					name              string
+					fig5, communities int
+				}{{"PRQ", 0, 1}, {"PkNN", 3, 4}} {
+					if fig5, comm := row.Vals[q.fig5], row.Vals[q.communities]; comm > bound*fig5 {
+						t.Errorf("seed %d, scale %g, θ %g: %s pages %.3f, above %g × Fig. 5's %.3f",
+							seed, scale, row.X, q.name, comm, bound, fig5)
+					}
+				}
+			}
+		}
+	}
+}

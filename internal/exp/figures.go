@@ -28,7 +28,7 @@ var Experiments = []Experiment{
 	expFig17a, expFig17b,
 	expFig18a, expFig18b,
 	expFig19a, expFig19b, expFig19c,
-	expAblationKeyOrder, expAblationSearchOrder, expAblationCurve,
+	expAblationKeyOrder, expAblationSearchOrder, expAblationCurve, expAblationEncoding,
 	expScaling, expBulkload, expDurability, expSharding,
 	expReplication, expResharding,
 }

@@ -2,18 +2,25 @@ package exp
 
 import (
 	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
 
 // NewPEBVariant builds a second PEB-tree over the testbed's dataset and
 // assignment with a modified configuration (different key layout, curve, or
-// search order). The variant gets its own disk and buffer pool so I/O
-// comparisons are independent. Used by the ablation experiments.
+// search order). Used by the ablation experiments.
 func (tb *Testbed) NewPEBVariant(mutate func(*core.Config)) (*core.Tree, error) {
 	cfg := tb.PEB.Config()
 	mutate(&cfg)
-	tree, err := core.New(cfg, store.NewBufferPool(store.NewMemDisk(), tb.Cfg.Buffer), tb.DS.Policies, tb.Assignment)
+	return tb.newPEB(cfg, tb.Assignment)
+}
+
+// newPEB builds a PEB-tree over the testbed's dataset under cfg and
+// assignment. The tree gets its own disk and buffer pool so I/O
+// comparisons are independent.
+func (tb *Testbed) newPEB(cfg core.Config, assignment policy.Assignment) (*core.Tree, error) {
+	tree, err := core.New(cfg, store.NewBufferPool(store.NewMemDisk(), tb.Cfg.Buffer), tb.DS.Policies, assignment)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,9 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file implements the sequence-value assignment algorithm of Fig. 5.
@@ -48,7 +49,8 @@ type Assignment struct {
 	SV map[UserID]float64
 	// MaxSV is the largest assigned value (useful for key-width sizing).
 	MaxSV float64
-	// Groups is the number of anchor users (distinct δ-bands).
+	// Groups is the number of distinct δ-bands: Fig. 5's anchor users, or
+	// AssignCommunities' communities.
 	Groups int
 }
 
@@ -69,68 +71,138 @@ func AssignSequenceValues(s *Store, users []UserID, opts AssignOptions) (Assignm
 	if opts.MultiPolicy {
 		compat = s.CompatibilityMulti
 	}
-
-	// Build adjacency from stored policy pairs (C > 0 ⇔ some policy exists
-	// with positive area and duration; verify with the compatibility degree
-	// to honor degenerate zero-area policies).
-	adj := make(map[UserID][]UserID, len(users))
-	inSet := make(map[UserID]bool, len(users))
-	for _, u := range users {
-		inSet[u] = true
-	}
-	s.RelatedPairs(func(a, b UserID) {
-		if !inSet[a] || !inSet[b] {
-			return
-		}
-		if compat(a, b) <= 0 {
-			return
-		}
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	})
-	for _, l := range adj {
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-	}
-
-	// Sort users by descending group size (Fig. 5 line 5).
-	sorted := append([]UserID(nil), users...)
-	sort.Slice(sorted, func(i, j int) bool {
-		gi, gj := len(adj[sorted[i]]), len(adj[sorted[j]])
-		if gi != gj {
-			return gi > gj
-		}
-		return sorted[i] < sorted[j]
-	})
+	nodes := slices.Clone(users)
+	slices.Sort(nodes)
+	g := newCompatGraph(s, slices.Compact(nodes), compat)
 
 	// Fig. 5 line 9 spaces a new anchor δ above its list predecessor; we
 	// space it δ above the previous *anchor* (as in the paper's worked
 	// example, where SV(u1) = SV(u3) + δ). This keeps bands disjoint even
 	// when the list predecessor is a low member of an earlier band.
-	out := Assignment{SV: make(map[UserID]float64, len(users))}
-	prevAnchor := opts.InitialSV - opts.Delta // so the first anchor gets InitialSV
-	for _, uk := range sorted {
-		if _, assigned := out.SV[uk]; assigned {
+	out := Assignment{SV: make(map[UserID]float64, len(g.users))}
+	sv := opts.InitialSV - opts.Delta // so the first anchor gets InitialSV
+	g.fig5(nil, func(u, anchor int32, c float64) {
+		v := sv + (1 - c)
+		if u == anchor {
+			sv += opts.Delta
+			v = sv
+			out.Groups++
+		}
+		out.SV[g.users[u]] = v
+		out.MaxSV = max(out.MaxSV, v)
+	})
+	return out, nil
+}
+
+// compatGraph is the compatibility graph of Sec. 5.1 over a set of users:
+// an edge joins two users with C > 0 and carries C as its weight. Each
+// related pair's compatibility is evaluated once, when the graph is built.
+// The edges are held as compressed sparse rows: node u's arcs are
+// arcs[start[u]:start[u+1]], ascending by the node they lead to.
+type compatGraph struct {
+	users []UserID // node → user
+	start []int32
+	arcs  []arc
+}
+
+// arc leads to node to, across an edge of compatibility c.
+type arc struct {
+	to int32
+	c  float64
+}
+
+// newCompatGraph builds the graph over users, which must be distinct and
+// name the nodes in order. Pairs with a user outside the list are left out.
+func newCompatGraph(s *Store, users []UserID, compat func(a, b UserID) float64) *compatGraph {
+	node := make(map[UserID]int32, len(users))
+	for i, u := range users {
+		node[u] = int32(i)
+	}
+	type edge struct {
+		a, b int32
+		c    float64
+	}
+	var edges []edge
+	g := &compatGraph{users: users, start: make([]int32, len(users)+1)}
+	s.RelatedPairs(func(a, b UserID) {
+		i, ok := node[a]
+		j, ok2 := node[b]
+		if !ok || !ok2 {
+			return
+		}
+		if c := compat(a, b); c > 0 {
+			edges = append(edges, edge{i, j, c})
+			g.start[i+1]++
+			g.start[j+1]++
+		}
+	})
+	for u := range users {
+		g.start[u+1] += g.start[u]
+	}
+	g.arcs = make([]arc, 2*len(edges))
+	next := slices.Clone(g.start)
+	for _, e := range edges {
+		g.arcs[next[e.a]] = arc{e.b, e.c}
+		g.arcs[next[e.b]] = arc{e.a, e.c}
+		next[e.a]++
+		next[e.b]++
+	}
+	// Ascending rows: the graph, and what runs on it, does not depend on
+	// the order in which the store lists its pairs.
+	for u := range users {
+		slices.SortFunc(g.row(int32(u)), func(x, y arc) int { return cmp.Compare(x.to, y.to) })
+	}
+	return g
+}
+
+// row returns node u's arcs.
+func (g *compatGraph) row(u int32) []arc { return g.arcs[g.start[u]:g.start[u+1]] }
+
+// fig5 visits the nodes in the order Fig. 5 assigns them sequence values,
+// counting only the edges whose two ends carry the same label (every edge
+// when label is nil). Nodes go in descending order of degree, ties by node;
+// each node not yet visited becomes an anchor, visited as its own anchor
+// with c = 1, and is followed by its unvisited neighbours, most compatible
+// first (ties by node), each visited with the anchor and its compatibility
+// c to it.
+func (g *compatGraph) fig5(label []int32, visit func(u, anchor int32, c float64)) {
+	same := func(u, v int32) bool { return label == nil || label[u] == label[v] }
+	n := len(g.users)
+	deg := make([]int32, n)
+	order := make([]int32, n)
+	for u := range order {
+		order[u] = int32(u)
+		for _, a := range g.row(int32(u)) {
+			if same(int32(u), a.to) {
+				deg[u]++
+			}
+		}
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(deg[b], deg[a]), cmp.Compare(a, b))
+	})
+	var band []arc
+	done := make([]bool, n)
+	for _, u := range order {
+		if done[u] {
 			continue
 		}
-		sv := prevAnchor + opts.Delta
-		out.SV[uk] = sv
-		out.Groups++
-		if sv > out.MaxSV {
-			out.MaxSV = sv
-		}
-		for _, uj := range adj[uk] {
-			if _, assigned := out.SV[uj]; assigned {
-				continue
-			}
-			v := sv + (1 - compat(uk, uj))
-			out.SV[uj] = v
-			if v > out.MaxSV {
-				out.MaxSV = v
+		done[u] = true
+		visit(u, u, 1)
+		band = band[:0]
+		for _, a := range g.row(u) {
+			if !done[a.to] && same(u, a.to) {
+				done[a.to] = true
+				band = append(band, a)
 			}
 		}
-		prevAnchor = sv
+		slices.SortFunc(band, func(x, y arc) int {
+			return cmp.Or(cmp.Compare(y.c, x.c), cmp.Compare(x.to, y.to))
+		})
+		for _, a := range band {
+			visit(a.to, u, a.c)
+		}
 	}
-	return out, nil
 }
 
 // SVCodec converts float sequence values into the fixed-point integers

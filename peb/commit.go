@@ -242,24 +242,18 @@ func (db *DB) resolveIndexOps(ops []core.BatchOp) []core.BatchOp {
 }
 
 // assignLocked runs the offline policy-encoding phase (Sec. 5.1) against
-// ps over the DB's known users plus extra. Caller holds mu (either side).
+// ps over the DB's known users plus extra: one band of sequence values per
+// community of the relation graph, sized to the key's sequence-value field.
+// Caller holds mu (either side).
 func (db *DB) assignLocked(ps *policy.Store, extra []UserID) (policy.Assignment, error) {
-	seen := make(map[UserID]bool, len(db.users)+len(extra))
 	users := make([]policy.UserID, 0, len(db.users)+len(extra))
-	add := func(u UserID) {
-		if !seen[u] {
-			seen[u] = true
-			users = append(users, policy.UserID(u))
-		}
-	}
 	for u := range db.users {
-		add(u)
+		users = append(users, policy.UserID(u))
 	}
 	for _, u := range extra {
-		add(u)
+		users = append(users, policy.UserID(u))
 	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	return policy.AssignSequenceValues(ps, users, policy.AssignOptions{})
+	return policy.AssignCommunities(ps, users, db.opts.coreConfig().SV)
 }
 
 // checkCoverage verifies that a precomputed assignment (sorted by user, as

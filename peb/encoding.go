@@ -12,8 +12,9 @@ import "repro/internal/policy"
 // re-homes: the user's sequence value is the same on the new shard as it
 // was on the old.
 
-// PolicyEncoding is a computed sequence-value assignment (the output of
-// the paper's Fig. 5 algorithm), detached from any index. Obtain one from
+// PolicyEncoding is a computed sequence-value assignment (one band per
+// community of the relation graph, as EncodePolicies computes it),
+// detached from any index. Obtain one from
 // ComputeEncoding, install it with InstallEncoding — on the same DB or on
 // any DB holding the same policy state.
 type PolicyEncoding struct {

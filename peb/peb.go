@@ -701,9 +701,14 @@ func (db *DB) Allows(owner, viewer UserID, x, y, t float64) bool {
 
 // EncodePolicies runs the offline policy-encoding phase (Sec. 5.1 of the
 // paper): pairwise compatibility scores become sequence values, and the
-// index is rebuilt so every stored user adopts its new key. Call it after
-// batches of policy changes; queries work without it, but clustering — and
-// therefore query I/O — is only as good as the latest encoding.
+// index is rebuilt so every stored user adopts its new key. Weighted label
+// propagation over the compatibility graph finds its communities; each
+// community gets one contiguous band of sequence values, and inside a band
+// the users follow Fig. 5's order (policy.AssignCommunities). An encoding
+// whose values do not fit the key's sequence-value field is refused before
+// the rebuild starts. Call it after batches of policy changes; queries work
+// without it, but clustering — and therefore query I/O — is only as good as
+// the latest encoding.
 //
 // Open snapshots keep reading the pre-encoding index (memory-backed DBs;
 // on a file-backed DB the rebuild reuses the backing file, so snapshots
