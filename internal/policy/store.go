@@ -374,3 +374,61 @@ func insertAt[T any](s []T, i int, v T) []T {
 	s[i] = v
 	return s
 }
+
+// Equal reports whether s and t hold the same policy state: the same
+// domain and, for every user, the same relations, the same policies under
+// each role in insertion order, and the same grantors. It compares users by
+// id, so the order slots were handed out in does not matter, and it ignores
+// a role named in the table with neither a policy nor a relation, which no
+// read can observe and a save/load round trip drops.
+func (s *Store) Equal(t *Store) bool {
+	if s.space != t.space || s.dayLen != t.dayLen || s.numPolicies != t.numPolicies {
+		return false
+	}
+	var none userPolicies
+	for i := range s.users {
+		u, v := &s.users[i], &none
+		if j, ok := t.slot[u.id]; ok {
+			v = &t.users[j]
+		}
+		if !u.equal(v) {
+			return false
+		}
+	}
+	for i := range t.users {
+		if _, ok := s.slot[t.users[i].id]; !ok && !t.users[i].equal(&none) {
+			return false
+		}
+	}
+	return true
+}
+
+// equal compares two users' shares of their stores, role by role name.
+func (u *userPolicies) equal(v *userPolicies) bool {
+	if !slices.Equal(u.grantors, v.grantors) || len(u.rels) != len(v.rels) {
+		return false
+	}
+	for i, rel := range u.rels {
+		if rel.peer != v.rels[i].peer || u.roles[rel.role].name != v.roles[v.rels[i].role].name {
+			return false
+		}
+	}
+	for i, j := u.nextPolicyRole(0), v.nextPolicyRole(0); ; i, j = u.nextPolicyRole(i+1), v.nextPolicyRole(j+1) {
+		if i == len(u.roles) || j == len(v.roles) {
+			return i == len(u.roles) && j == len(v.roles)
+		}
+		a, b := u.roles[i], v.roles[j]
+		if a.name != b.name || !slices.Equal(u.rules[a.start:a.end], v.rules[b.start:b.end]) {
+			return false
+		}
+	}
+}
+
+// nextPolicyRole returns the index of the first role from i on that
+// carries a policy, or len(u.roles) when none does.
+func (u *userPolicies) nextPolicyRole(i int) int {
+	for i < len(u.roles) && u.roles[i].start == u.roles[i].end {
+		i++
+	}
+	return i
+}

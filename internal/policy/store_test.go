@@ -55,6 +55,54 @@ func TestStoreReadsAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestStoreEqual: Equal compares users by id, whatever order their slots
+// were handed out in, and sees one policy, one relation or one rule order
+// of difference.
+func TestStoreEqual(t *testing.T) {
+	everywhere, allDay := Region{0, 0, 1000, 1000}, TimeInterval{0, day}
+	downtown := Region{0, 0, 10, 10}
+	build := func(owners ...UserID) *Store {
+		s := testStore(t)
+		for _, o := range owners {
+			s.SetRelation(o, o+1, "friend")
+			for _, r := range []Region{everywhere, downtown} {
+				if err := s.AddPolicy(o, Policy{Role: "friend", Locr: r, Tint: allDay}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return s
+	}
+	a, b := build(1, 5, 9), build(9, 1, 5)
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatal("stores built in another user order are not Equal")
+	}
+	c := build(9, 1, 5)
+	c.SetRelation(3, 4, "stranger")
+	if a.Equal(c) || c.Equal(a) {
+		t.Fatal("an extra relation goes unnoticed")
+	}
+	d := build(9, 1, 5)
+	if err := d.AddPolicy(1, Policy{Role: "friend", Locr: Region{5, 5, 6, 6}, Tint: allDay}); err != nil {
+		t.Fatal(err)
+	}
+	if a.Equal(d) || d.Equal(a) {
+		t.Fatal("an extra policy goes unnoticed")
+	}
+	e := testStore(t)
+	for _, o := range []UserID{1, 5, 9} {
+		e.SetRelation(o, o+1, "friend")
+		for _, r := range []Region{downtown, everywhere} { // the other rule order
+			if err := e.AddPolicy(o, Policy{Role: "friend", Locr: r, Tint: allDay}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if a.Equal(e) {
+		t.Fatal("the same rules in another order are Equal")
+	}
+}
+
 // fuzzRoles, fuzzRegions and fuzzTints are the few values FuzzStoreOps
 // draws from, so that duplicates, shared roles and role changes are common.
 // The last region is invalid: AddPolicy must refuse it on both sides.
@@ -65,16 +113,22 @@ var (
 	fuzzPoints  = [][3]float64{{10, 10, 2}, {30, 30, 8}, {75, 75, 22}, {40, 60, 13}}
 )
 
-// storePair is a store and the reference it must agree with.
+// storePair is a store and the reference it must agree with, and the
+// mutations that built both, from the empty store on.
 type storePair struct {
 	s   *Store
 	ref *refStore
+	ops [][]byte
 }
 
 // FuzzStoreOps drives Store and refStore through the same op sequence —
 // relation sets and role changes, policy adds with duplicates and several
 // policies per role, clones with both sides mutated afterwards, save→load
-// round trips — and compares every read after every op.
+// round trips — and compares every read after every op. After the whole
+// list, Equal must agree with the references, and applying each side's
+// mutations a second time must leave it Equal to what it was: the
+// idempotence that lets several peb.DBs broadcast the same op into one
+// shared store.
 //
 // Each op is 4 bytes: kind and side, owner, peer, and a value byte.
 func FuzzStoreOps(f *testing.F) {
@@ -83,30 +137,23 @@ func FuzzStoreOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 1, 0, 0, 0, 2, 1, 0, 1, 2, 0, 0})                            // a grant each way
 	f.Add([]byte{0, 1, 2, 0, 1, 1, 0, 0, 2, 0, 0, 0, 0x10, 1, 2, 1, 0, 1, 3, 0, 3, 0, 0, 0}) // clone, mutate both
 	f.Add([]byte{0, 3, 3, 2, 1, 3, 0, 6, 0, 3, 5, 3, 1, 3, 0, 7, 3, 0, 0, 0, 0, 5, 3, 2})
+	f.Add([]byte{0, 1, 2, 0, 0, 1, 2, 1, 1, 1, 0, 1, 3, 0, 0, 0}) // a role left without policy or relation, then save/load
 	f.Fuzz(func(t *testing.T, data []byte) {
 		space := Region{MaxX: 100, MaxY: 100}
 		s, err := NewStore(space, 24)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairs := []storePair{{s, newRefStore(space, 24)}}
+		pairs := []storePair{{s: s, ref: newRefStore(space, 24)}}
 		for ; len(data) >= 4; data = data[4:] {
 			side := int(data[0]>>4) % len(pairs)
 			p := &pairs[side]
-			owner, peer, v := UserID(data[1]%8), UserID(data[2]%8), data[3]
 			switch data[0] % 4 {
-			case 0:
-				role := fuzzRoles[v%4]
-				p.s.SetRelation(owner, peer, role)
-				p.ref.SetRelation(owner, peer, role)
-			case 1:
-				pol := Policy{Role: fuzzRoles[v%4], Locr: fuzzRegions[v>>2%4], Tint: fuzzTints[v>>4%4]}
-				err, refErr := p.s.AddPolicy(owner, pol), p.ref.AddPolicy(owner, pol)
-				if (err == nil) != (refErr == nil) {
-					t.Fatalf("AddPolicy(%d, %v): %v, reference %v", owner, pol, err, refErr)
-				}
+			case 0, 1:
+				p.apply(t, data[:4], true)
+				p.ops = append(p.ops, data[:4])
 			case 2:
-				c := storePair{p.s.Clone(), p.ref.clone()}
+				c := storePair{p.s.Clone(), p.ref.clone(), slices.Clip(p.ops)}
 				if len(pairs) == 1 {
 					pairs = append(pairs, c)
 				} else {
@@ -129,7 +176,66 @@ func FuzzStoreOps(f *testing.F) {
 				}
 			}
 		}
+
+		if len(pairs) == 2 {
+			want := bytes.Equal(refSaved(t, pairs[0].ref), refSaved(t, pairs[1].ref))
+			if got := pairs[0].s.Equal(pairs[1].s); got != want || pairs[1].s.Equal(pairs[0].s) != want {
+				t.Fatalf("the two sides are Equal = %v, but their references are equal = %v", got, want)
+			}
+		}
+		for i := range pairs {
+			p := &pairs[i]
+			fromRef, err := Load(bytes.NewReader(refSaved(t, p.ref)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p.s.Equal(fromRef) || !fromRef.Equal(p.s) {
+				t.Fatalf("side %d is not Equal to the store its reference saves", i)
+			}
+			before := p.s.Clone()
+			for _, op := range p.ops {
+				p.apply(t, op, false)
+			}
+			if !p.s.Equal(before) {
+				t.Fatalf("side %d changed when its %d mutations were applied again", i, len(p.ops))
+			}
+			if err := agree(p.s, p.ref); err != nil {
+				t.Fatalf("side %d after its mutations were applied again: %v", i, err)
+			}
+		}
 	})
+}
+
+// apply runs one relation or policy op on the store, and on the reference
+// too when withRef is set.
+func (p *storePair) apply(t *testing.T, op []byte, withRef bool) {
+	owner, peer, v := UserID(op[1]%8), UserID(op[2]%8), op[3]
+	if op[0]%4 == 0 {
+		role := fuzzRoles[v%4]
+		p.s.SetRelation(owner, peer, role)
+		if withRef {
+			p.ref.SetRelation(owner, peer, role)
+		}
+		return
+	}
+	pol := Policy{Role: fuzzRoles[v%4], Locr: fuzzRegions[v>>2%4], Tint: fuzzTints[v>>4%4]}
+	err := p.s.AddPolicy(owner, pol)
+	if !withRef {
+		return
+	}
+	if refErr := p.ref.AddPolicy(owner, pol); (err == nil) != (refErr == nil) {
+		t.Fatalf("AddPolicy(%d, %v): %v, reference %v", owner, pol, err, refErr)
+	}
+}
+
+// refSaved returns the reference's canonical serialization: two references
+// hold the same state exactly when these bytes are equal.
+func refSaved(t *testing.T, ref *refStore) []byte {
+	var buf bytes.Buffer
+	if err := ref.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // agree compares every read of s with the reference's over users 0–7.

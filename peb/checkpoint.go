@@ -47,7 +47,7 @@ import (
 //	cut     (write lock) — seal the tree so every page of the current
 //	        image becomes immutable (later mutations copy-on-write);
 //	        capture the root/meta/sequence-value snapshot, the policy
-//	        store (clone-on-write pinned), the allocator state, the WAL
+//	        store (pinned until publish or abort), the allocator state, the WAL
 //	        horizon and byte mark that state stands at (appliedHorizon:
 //	        below a pending prepared record, never waiting for one), the
 //	        dirty-page list, and the dead-extent ledger (DB.ckptDead: the
@@ -179,6 +179,7 @@ type ckptImage struct {
 	pool     *store.BufferPool
 	fd       *store.FileDisk
 	dirty    []store.PageID
+	pol      *policyHandle // the handle policies is pinned on
 	policies *policy.Store
 	snap     core.Snapshot
 	users    []UserID
@@ -352,6 +353,7 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 		seq:      db.ckptSeq + 1,
 		pool:     db.tree.Pool(),
 		fd:       db.fileDisk,
+		pol:      db.pol,
 		policies: db.policies,
 		snap:     db.tree.Snapshot(),
 		nextSV:   db.nextSV,
@@ -376,10 +378,10 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 
 	// From here until publish/abort: freed pages park instead of becoming
 	// reallocatable, retired pages are quarantined (collectGarbage checks
-	// ckptBuilding), and the policy store is clone-on-write pinned so the
-	// build can serialize it lock-free.
+	// ckptBuilding), and the policy store is pinned so the build can
+	// serialize it lock-free.
 	db.fileDisk.DeferFrees(true)
-	db.policiesPinned = true
+	img.pol.pin(img.policies)
 	db.ckptBuilding = true
 
 	// The dirty list is exact at this instant and can only shrink: sealed
@@ -484,6 +486,7 @@ func (db *DB) ckptPublishLocked(img *ckptImage) (committed bool, walBytes int64,
 	// (ckptSealed) takes over from the build's temporary one.
 	db.ckptSealed = true
 	db.ckptBuilding = false
+	img.pol.unpin(img.policies)
 	db.ckptSeq = img.seq
 	db.ckptWalSeq = img.walSeq
 	if db.prevPolicies != "" && db.prevPolicies != img.polName {
@@ -542,6 +545,7 @@ func (db *DB) retentionFloor(mark store.SegPos) store.SegPos {
 // collection unseals it once nothing pins it (when no checkpoint exists).
 func (db *DB) ckptAbortLocked(img *ckptImage) {
 	db.ckptBuilding = false
+	img.pol.unpin(img.policies)
 	db.fileDisk.DeferFrees(false)
 	// The pages the build did not park are still allocated and still dead:
 	// back to the ledger, for the next checkpoint to reclaim.
@@ -782,6 +786,7 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 
 	db := &DB{
 		opts:         opts,
+		pol:          newPolicyHandle(policies),
 		policies:     policies,
 		tree:         tree,
 		view:         tree.View(),

@@ -324,8 +324,8 @@ func (db *DB) captureTouched(ops []core.BatchOp) ([]CommitTouch, error) {
 // valid input (a remove of an unindexed user, an I/O error) and it rolls
 // itself back: on error nothing has changed. After validation the policy
 // phase cannot fail — AddPolicy's only error is an invalid region — so the
-// store is mutated in place and copied only when something still reads it
-// (writablePolicies); a one-shot Grant stays O(1). The writer never mixes
+// store is mutated in place and copied only while something pins it
+// (policyHandle); a one-shot Grant stays O(1). The writer never mixes
 // index and rebuild operations in one record.
 func (db *DB) applyOps(ops opList) error {
 	if err := db.applyIndexOps(ops.Idx); err != nil {
@@ -345,13 +345,18 @@ func (db *DB) applyOps(ops opList) error {
 		op := &ops.Pol[i]
 		switch op.Kind {
 		case polOpRelation:
-			db.writablePolicies().SetRelation(policy.UserID(op.Own), policy.UserID(op.Peer), op.Role)
+			_ = db.mutatePolicies(func(ps *policy.Store) error {
+				ps.SetRelation(policy.UserID(op.Own), policy.UserID(op.Peer), op.Role)
+				return nil
+			})
 			db.noteUser(op.Own)
 			db.noteUser(op.Peer)
 			db.encoded = false
 		case polOpGrant:
 			p := policy.Policy{Role: op.Role, Locr: op.Locr, Tint: op.Tint}
-			if err := db.writablePolicies().AddPolicy(policy.UserID(op.Own), p); err != nil {
+			if err := db.mutatePolicies(func(ps *policy.Store) error {
+				return ps.AddPolicy(policy.UserID(op.Own), p)
+			}); err != nil {
 				return fmt.Errorf("peb: grant: %w", err)
 			}
 			db.noteUser(op.Own)
@@ -361,11 +366,11 @@ func (db *DB) applyOps(ops opList) error {
 			if err != nil {
 				return fmt.Errorf("peb: load policies: %w", err)
 			}
-			// A fresh store object: open snapshots keep their pinned store,
-			// and nothing pins the new one.
-			db.policies = loaded
+			// A fresh store on a handle of its own: open snapshots keep
+			// their pinned store, nothing pins the new one, and a DB that
+			// shared its store with others stops sharing it.
+			db.pol, db.policies = newPolicyHandle(loaded), loaded
 			_ = db.tree.SetPolicies(loaded) // loaded is never nil here
-			db.policiesPinned = false
 			loaded.ForEachGrant(func(owner, viewer policy.UserID, _ policy.Policy) bool {
 				db.noteUser(UserID(owner))
 				db.noteUser(UserID(viewer))
@@ -408,21 +413,6 @@ func (db *DB) applyIndexOps(ops []core.BatchOp) error {
 		db.refreshView()
 	}
 	return err
-}
-
-// writablePolicies returns the policy store for in-place mutation, first
-// replacing it with a copy when a snapshot or a checkpoint build still
-// reads the current one: they keep evaluating the policies in force when
-// they pinned it, without any
-// locking on their read path. The caller holds the write lock and
-// republishes the view (it carries a policy-store reference).
-func (db *DB) writablePolicies() *policy.Store {
-	if db.policiesPinned {
-		db.policies = db.policies.Clone()
-		_ = db.tree.SetPolicies(db.policies) // never nil
-		db.policiesPinned = false
-	}
-	return db.policies
 }
 
 // rebuildLocked swaps in a fresh index under assignment and re-inserts the

@@ -32,6 +32,10 @@ var (
 	// merely that an option was wrong.
 	ErrCorruptCheckpoint = errors.New("peb: corrupt checkpoint")
 
+	// ErrPoliciesDiffer is returned by SharePolicies when the two DBs do
+	// not hold Equal policy stores.
+	ErrPoliciesDiffer = errors.New("peb: policy stores differ")
+
 	// ErrUnsupportedFormat is wrapped by every error Open and OpenExisting
 	// return for on-disk state of another format generation: a meta,
 	// policies snapshot or log record without the current version stamp, or

@@ -273,7 +273,13 @@ type DB struct {
 	// creation (copy-on-write keeps their pages stable).
 	mu sync.RWMutex
 
-	opts     Options
+	opts Options
+	// pol holds the policy store and the pins on it; other DBs may share
+	// it (SharePolicies). policies is the store this DB's tree and view
+	// read: pol's current store, or one a sharer's clone has superseded
+	// and nobody mutates any more until this DB's next policy commit
+	// catches up.
+	pol      *policyHandle
 	policies *policy.Store
 	tree     *core.Tree
 	// view is the read-only snapshot one-shot queries execute on. It is
@@ -348,8 +354,8 @@ type DB struct {
 	// in-flight pipeline). Lock order: ckptMu strictly before mu; it is
 	// held across the build phase precisely so that mu is NOT.
 	// ckptBuilding (under mu) marks a build phase in flight: garbage
-	// collection quarantines retired pages and keeps the policy store
-	// pinned while set, protecting the cut image. ckptWalSeq (under mu)
+	// collection quarantines retired pages while set, protecting the cut
+	// image (the cut pins the policy store itself). ckptWalSeq (under mu)
 	// is the WAL horizon of the last committed checkpoint — what the
 	// AutoCheckpoint record threshold measures against. ckptHook is a
 	// test hook called at phase boundaries ("build", "publish"); nil
@@ -394,13 +400,10 @@ type DB struct {
 	// Snapshot bookkeeping. gen identifies the current tree incarnation
 	// (EncodePolicies and LoadPolicies rebuild the tree, starting a new
 	// generation); snaps holds every open snapshot; garbage holds retired
-	// pages of the current generation awaiting release; policiesPinned
-	// marks the policy store as referenced by some snapshot, forcing
-	// policy mutations to copy-on-write.
-	gen            uint64
-	snaps          map[*Snapshot]struct{}
-	garbage        []gcBatch
-	policiesPinned bool
+	// pages of the current generation awaiting release.
+	gen     uint64
+	snaps   map[*Snapshot]struct{}
+	garbage []gcBatch
 
 	// Observability (observe.go). met holds the registered hot-path
 	// instruments; events is the bounded maintainer event log; qio
@@ -478,6 +481,7 @@ func openFresh(opts Options) (*DB, error) {
 	}
 	db := &DB{
 		opts:     opts,
+		pol:      newPolicyHandle(policies),
 		policies: policies,
 		users:    make(map[UserID]bool),
 		snaps:    make(map[*Snapshot]struct{}),
@@ -579,9 +583,9 @@ func (db *DB) ViewSwaps() uint64 {
 
 // collectGarbage moves freshly retired pages into the garbage list, then
 // disposes of every batch no live snapshot of the current generation can
-// reach. With no snapshots left at all it also unpins the policy store,
-// and — unless a checkpoint image must stay intact — returns the tree to
-// cheap in-place mutation. Caller holds the write lock.
+// reach. With no snapshots left at all — and unless a checkpoint image
+// must stay intact — it returns the tree to cheap in-place mutation.
+// Caller holds the write lock.
 //
 // Disposal depends on whether a checkpoint image must stay intact: without
 // one, unpinned pages go straight back to the allocator. With a committed
@@ -590,8 +594,7 @@ func (db *DB) ViewSwaps() uint64 {
 // be part of that on-disk image, so reusing it would corrupt the recovery
 // base; unpinned batches are instead quarantined — the pages stay
 // allocated and join the dead-extent ledger (ckptDead), which the next
-// checkpoint frees. A build in flight likewise keeps the policy store
-// pinned: the build phase is serializing the store captured at the cut.
+// checkpoint frees.
 func (db *DB) collectGarbage() {
 	if pages := db.tree.TakeRetired(); len(pages) > 0 {
 		db.garbage = append(db.garbage, gcBatch{ver: db.tree.Version(), pages: pages})
@@ -618,9 +621,6 @@ func (db *DB) collectGarbage() {
 	db.garbage = kept
 	if !live && !db.ckptSealed && !db.ckptBuilding {
 		db.tree.Unseal()
-	}
-	if len(db.snaps) == 0 && !db.ckptBuilding {
-		db.policiesPinned = false
 	}
 }
 

@@ -132,8 +132,13 @@ func (r *Replica) bootstrap() error {
 		return fmt.Errorf("peb: replication requires a durable primary (Options.Durability)")
 	}
 
+	// The store may be shared with other DBs, whose policy commits the
+	// read lock does not hold off: pin it while it is copied.
+	p.pol.pin(p.policies)
 	var polBuf bytes.Buffer
-	if err := p.policies.Save(&polBuf); err != nil {
+	err := p.policies.Save(&polBuf)
+	p.pol.unpin(p.policies)
+	if err != nil {
 		return fmt.Errorf("peb: replica bootstrap policies: %w", err)
 	}
 	loaded, err := policy.Load(bytes.NewReader(polBuf.Bytes()))
@@ -160,6 +165,7 @@ func (r *Replica) bootstrap() error {
 	opts.setDefaults()
 	rdb := &DB{
 		opts:     opts,
+		pol:      newPolicyHandle(loaded),
 		policies: loaded,
 		users:    make(map[UserID]bool, len(p.users)),
 		snaps:    make(map[*Snapshot]struct{}),

@@ -280,7 +280,8 @@ func (db *DB) beginMerge(id int) error {
 // with the broadcast policy state (copied from the split source, where it
 // is identical to every other shard's). The policy seed is logged and
 // synced inside the new engine, so it survives any later crash once the
-// split's manifest commits.
+// split's manifest commits; in memory the engine then shares the source's
+// store, like every other shard.
 func (db *DB) newShardEngine(id int, src *peb.DB) (*peb.DB, error) {
 	po := db.opts.DB
 	po.FS = db.fs
@@ -311,6 +312,10 @@ func (db *DB) newShardEngine(id int, src *peb.DB) (*peb.DB, error) {
 	if err := eng.LoadPolicies(&buf); err != nil {
 		eng.Close()
 		return nil, fmt.Errorf("seed policy state: %w", err)
+	}
+	if err := eng.SharePolicies(src); err != nil {
+		eng.Close()
+		return nil, fmt.Errorf("share policy state: %w", err)
 	}
 	return eng, nil
 }

@@ -28,8 +28,10 @@
 // moves a user across a shard boundary re-homes them (insert into the new
 // shard, then delete from the old — a crash between the two is healed at
 // the next open by keeping the newer state). Policies and relations are
-// broadcast to every shard, so any shard can evaluate the privacy
-// predicate for its own objects; this matches the paper's premise that
+// broadcast to every shard in its log, so any shard can evaluate the
+// privacy predicate for its own objects, and held once in memory: every
+// shard reads one shared store (peb.DB.SharePolicies), and re-applying a
+// broadcast op to it is a no-op. This matches the paper's premise that
 // policies change rarely while positions change constantly.
 //
 // Concurrency: all methods are safe for concurrent use. Routed operations
@@ -42,6 +44,7 @@
 package sharded
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -373,6 +376,10 @@ func Open(opts Options) (*DB, error) {
 		db.Close()
 		return nil, err
 	}
+	if err := db.sharePolicies(); err != nil {
+		db.Close()
+		return nil, err
+	}
 	for _, s := range shards {
 		if id := s.MaxTxnID(); id > maxTxn {
 			maxTxn = id
@@ -435,6 +442,42 @@ func (db *DB) reconcile() error {
 					return fmt.Errorf("sharded: heal duplicate user %d: %w", o.UID, err)
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// PolicyDivergenceError reports a shard whose recovered policy store is not
+// Equal to the first shard's. Policies are broadcast, so every shard must
+// hold the same ones; Open refuses a deployment where they differ rather
+// than let a query's answer depend on which shard holds an object. It wraps
+// peb.ErrPoliciesDiffer.
+type PolicyDivergenceError struct {
+	// Shard is the id of the diverging shard (its directory shard-NNN);
+	// Base is the id of the shard it was compared with.
+	Shard, Base int
+}
+
+// Error implements error.
+func (e *PolicyDivergenceError) Error() string {
+	return fmt.Sprintf("sharded: shard %d holds other policies than shard %d", e.Shard, e.Base)
+}
+
+// Unwrap makes errors.Is(err, peb.ErrPoliciesDiffer) succeed.
+func (e *PolicyDivergenceError) Unwrap() error { return peb.ErrPoliciesDiffer }
+
+// sharePolicies points every shard at the first shard's policy store: they
+// hold the same policies, so the router keeps one copy in memory instead of
+// one per shard. A shard whose store differs fails it with a
+// *PolicyDivergenceError.
+func (db *DB) sharePolicies() error {
+	for i := 1; i < len(db.shards); i++ {
+		err := db.shards[i].SharePolicies(db.shards[0])
+		if errors.Is(err, peb.ErrPoliciesDiffer) {
+			return &PolicyDivergenceError{Shard: db.metas[i].id, Base: db.metas[0].id}
+		}
+		if err != nil {
+			return fmt.Errorf("sharded: share shard %d's policies: %w", db.metas[i].id, err)
 		}
 	}
 	return nil

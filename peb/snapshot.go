@@ -39,6 +39,7 @@ type Snapshot struct {
 	gen      uint64
 	version  uint64
 	view     *core.View
+	pol      *policyHandle // the handle policies was pinned on
 	policies *policy.Store
 	io       *store.IOCounter
 
@@ -86,6 +87,7 @@ func (s *Snapshot) releasePin() {
 	s.db.mu.Lock()
 	defer s.db.mu.Unlock()
 	delete(s.db.snaps, s)
+	s.pol.unpin(s.policies)
 	if !s.db.closed {
 		s.db.collectGarbage()
 	}
@@ -113,10 +115,11 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 		gen:      db.gen,
 		version:  db.tree.Seal(),
 		io:       io,
+		pol:      db.pol,
 		policies: db.policies,
 	}
 	s.view = db.tree.PinnedView(io)
-	db.policiesPinned = true
+	db.pol.pin(db.policies)
 	db.snaps[s] = struct{}{}
 	return s, nil
 }
