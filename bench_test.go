@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -70,8 +71,6 @@ func BenchmarkFig19cCostModelGrouping(b *testing.B)  { runExperiment(b, "fig19c"
 func BenchmarkAblationKeyOrder(b *testing.B)         { runExperiment(b, "ablation-keyorder") }
 func BenchmarkAblationSearchOrder(b *testing.B)      { runExperiment(b, "ablation-searchorder") }
 func BenchmarkAblationCurve(b *testing.B)            { runExperiment(b, "ablation-curve") }
-func BenchmarkScaling(b *testing.B)                  { runExperiment(b, "scaling") }
-func BenchmarkBulkloadExp(b *testing.B)              { runExperiment(b, "bulkload") }
 
 // --- Micro-benchmarks of the core operations --------------------------------
 
@@ -212,13 +211,36 @@ var (
 
 func sharedDB(b *testing.B) (*peb.DB, []workload.PRQuery, []workload.KNNQuery) {
 	dbOnce.Do(func() {
-		cfg := exp.DefaultConfig()
-		cfg.Workload.NumUsers = 10_000
-		cfg.Workload.PoliciesPerUser = 20
-		cfg.Workload.GroupSize = 0
+		cfg := workload.DefaultConfig()
+		cfg.NumUsers = 10_000
+		cfg.PoliciesPerUser = 20
+		cfg.GroupSize = 0
 		var ds *workload.Dataset
-		dbVal, ds, dbErr = exp.BuildDB(cfg, 0)
-		if dbErr != nil {
+		if ds, dbErr = workload.Generate(cfg); dbErr != nil {
+			return
+		}
+		// Leaves are at least half full, so this buffer holds every page
+		// of the tree.
+		if dbVal, dbErr = peb.Open(peb.Options{
+			SpaceSide:   cfg.Space,
+			DayLength:   cfg.DayLen,
+			MaxSpeed:    cfg.MaxSpeed,
+			BufferPages: cfg.NumUsers/16 + 256,
+		}); dbErr != nil {
+			return
+		}
+		var policies bytes.Buffer
+		if dbErr = ds.Policies.Save(&policies); dbErr != nil {
+			return
+		}
+		if dbErr = dbVal.LoadPolicies(&policies); dbErr != nil {
+			return
+		}
+		batch := dbVal.NewBatch()
+		for _, o := range ds.Objects {
+			batch.Upsert(o)
+		}
+		if dbErr = dbVal.Apply(batch); dbErr != nil {
 			return
 		}
 		dbQs = ds.GenPRQueries(256, exp.DefaultWindowSide, exp.DefaultQueryTime)

@@ -7,7 +7,6 @@
 //
 //	pebbench -list
 //	pebbench -exp fig12a [-scale 0.5] [-seed 1] [-parallel 4] [-queries 200] [-csv] [-v]
-//	pebbench -exp bulkload -quick
 //	pebbench -all -scale 0.25 -o results/
 //
 // The -scale flag multiplies every population size in a sweep, so full
@@ -38,7 +37,6 @@ func main() {
 		outDir   = flag.String("o", "", "also write <id>.csv files into this directory")
 		verbose  = flag.Bool("v", false, "log per-point progress to stderr")
 		quick    = flag.Bool("quick", false, "smoke-test preset: tiny populations, few queries (CI)")
-		mon      = flag.String("mon", "", "serve /metrics, /statusz, and /debug/pprof on this address while engine-driving experiments run (e.g. localhost:6060)")
 	)
 	flag.Parse()
 	if *quick {
@@ -61,11 +59,10 @@ func main() {
 	}
 
 	opts := exp.Options{
-		Scale:       *scale,
-		Seed:        *seed,
-		Parallel:    *parallel,
-		QueryCount:  *queries,
-		MonitorAddr: *mon,
+		Scale:      *scale,
+		Seed:       *seed,
+		Parallel:   *parallel,
+		QueryCount: *queries,
 	}
 	if *verbose {
 		opts.Logf = func(format string, args ...interface{}) {

@@ -7,14 +7,16 @@
 // roughly 5% of the population.
 //
 // The sample points are measured through the public API: a peb.DB is
-// bulk-loaded (exp.BuildDB: policy restore + one batched Apply) and the
-// query replay runs on a pinned Snapshot, whose per-session I/O counters
-// and LeafCount provide the measured cost and the model's Nl directly. The
-// spatial baseline for the break-even line is measured the same way the
-// paper does, on its own index.
+// bulk-loaded (peb.Open, the workload's policies saved and restored with
+// LoadPolicies, the population in one batched Apply) and the query replay
+// runs on a pinned Snapshot, whose per-session I/O counters and LeafCount
+// provide the measured cost and the model's Nl directly. The spatial
+// baseline for the break-even line is measured the same way the paper
+// does, on its own index.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -23,6 +25,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/spatialidx"
 	"repro/internal/store"
+	"repro/internal/workload"
 	"repro/peb"
 )
 
@@ -38,12 +41,35 @@ func main() {
 		cfg.Workload.GroupSize = 0
 		cfg.QueryCount = 100
 
+		ds, err := workload.Generate(cfg.Workload)
+		if err != nil {
+			log.Fatal(err)
+		}
 		// The paper's 50-page buffer, so misses are the paper's I/O metric.
-		db, ds, err := exp.BuildDB(cfg, cfg.Buffer)
+		db, err := peb.Open(peb.Options{
+			SpaceSide:   cfg.Workload.Space,
+			DayLength:   cfg.Workload.DayLen,
+			MaxSpeed:    cfg.Workload.MaxSpeed,
+			BufferPages: cfg.Buffer,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer db.Close()
+		var policies bytes.Buffer
+		if err := ds.Policies.Save(&policies); err != nil {
+			log.Fatal(err)
+		}
+		if err := db.LoadPolicies(&policies); err != nil {
+			log.Fatal(err)
+		}
+		batch := db.NewBatch()
+		for _, o := range ds.Objects {
+			batch.Upsert(o)
+		}
+		if err := db.Apply(batch); err != nil {
+			log.Fatal(err)
+		}
 		qs := ds.GenPRQueries(cfg.QueryCount, cfg.WindowSide, cfg.QueryTime)
 
 		// Cold-start before measuring, exactly like the baseline below —

@@ -246,12 +246,6 @@ type Options struct {
 	QueryCount int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...interface{})
-	// MonitorAddr, when non-empty, mounts the live observability endpoint
-	// (repro/peb/obs: /metrics, /statusz, /debug/pprof) on this address for
-	// the experiments that drive a full engine — currently the resharding
-	// experiment's sharded DB. Figure experiments measure bare core.Tree
-	// testbeds and have no registry to serve.
-	MonitorAddr string
 }
 
 func (o *Options) normalize() {

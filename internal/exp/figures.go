@@ -29,8 +29,6 @@ var Experiments = []Experiment{
 	expFig18a, expFig18b,
 	expFig19a, expFig19b, expFig19c,
 	expAblationKeyOrder, expAblationSearchOrder, expAblationCurve, expAblationEncoding,
-	expScaling, expBulkload, expDurability, expSharding,
-	expReplication, expResharding,
 }
 
 // ByID returns the experiment with the given id.

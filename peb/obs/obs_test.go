@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/peb"
 	"repro/peb/sharded"
@@ -167,5 +169,63 @@ func TestServeSharded(t *testing.T) {
 	}
 	if total != 40 {
 		t.Errorf("statusz population %d, want 40", total)
+	}
+}
+
+// TestServeAutoReshard scrapes a router whose AutoReshard maintainer is
+// live, under the skewed load of sharded's TestAutoReshardSplitsHotShard:
+// one small rectangle hammered, the rest of the space still. /metrics must
+// serve the per-shard commit rates the maintainer reads, and /statusz must
+// record the split it decides on.
+func TestServeAutoReshard(t *testing.T) {
+	db, err := sharded.Open(sharded.Options{
+		Shards:           4,
+		LoadRateHalfLife: 50 * time.Millisecond,
+		AutoReshard: sharded.AutoReshardPolicy{
+			Interval:        10 * time.Millisecond,
+			SplitCommitRate: 50,
+			MergeCommitRate: 5,
+			MaxShards:       5,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv, err := Serve("localhost:0", ForSharded(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := "http://" + srv.Addr()
+
+	rng := rand.New(rand.NewSource(9))
+	const hotUsers, coldUsers = 64, 64
+	hotObj := func(u int) peb.Object {
+		return peb.Object{UID: peb.UserID(u), X: 200 + rng.Float64()*100, Y: 200 + rng.Float64()*100, T: 1}
+	}
+	for u := 1; u <= hotUsers; u++ {
+		if err := db.Upsert(hotObj(u)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for u := hotUsers + 1; u <= hotUsers+coldUsers; u++ {
+		if err := db.Upsert(peb.Object{UID: peb.UserID(u), X: rng.Float64() * 1000, Y: rng.Float64() * 1000, T: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	var rate, split bool
+	for !rate || !split {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10s of skewed load: per-shard commit rate served %v, reshard.split event recorded %v", rate, split)
+		}
+		for i := 0; i < 50; i++ {
+			if err := db.Upsert(hotObj(1 + rng.Intn(hotUsers))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rate = rate || strings.Contains(scrape(t, base+"/metrics"), "peb_shard_commit_rate{shard=")
+		split = split || strings.Contains(scrape(t, base+"/statusz"), "reshard.split")
 	}
 }

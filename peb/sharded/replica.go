@@ -155,15 +155,9 @@ type LagReading struct {
 	SampledAt time.Time
 }
 
-// FollowerLagReadings reports each follower's apply lag as a timestamped
-// reading, in shard-slot order (empty inner slices without replicas).
-func (db *DB) FollowerLagReadings() [][]LagReading {
-	_, out := db.followerLagsByShard()
-	return out
-}
-
-// followerLagsByShard is FollowerLagReadings plus the parallel stable
-// shard ids, for callers labeling series by shard identity.
+// followerLagsByShard reports each follower's apply lag as a timestamped
+// reading, in shard-slot order (empty inner slices without replicas), plus
+// the parallel stable shard ids, for labeling series by shard identity.
 func (db *DB) followerLagsByShard() ([]int, [][]LagReading) {
 	db.smu.RLock()
 	defer db.smu.RUnlock()

@@ -1,12 +1,15 @@
 package sharded
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/peb"
 )
@@ -190,8 +193,10 @@ func TestShardedFollowerReadYourWrites(t *testing.T) {
 	t.Logf("follower reads %d, primary fallbacks %d", st.FollowerReads, st.PrimaryFallbacks)
 }
 
-// TestShardedFollowerHorizons: the lag observability hook reports one
-// horizon per attached replica per shard.
+// TestShardedFollowerHorizons: the lag observability hooks report one
+// horizon per attached replica per shard, and the router's exposition one
+// peb_follower_lag_records series per follower, each 0 once the followers
+// have caught up with a quiet primary.
 func TestShardedFollowerHorizons(t *testing.T) {
 	p := newFollowerPair(t, 2, 3, 0)
 	for i := 1; i <= 10; i++ {
@@ -204,6 +209,34 @@ func TestShardedFollowerHorizons(t *testing.T) {
 	for i, pool := range hs {
 		if len(pool) != 3 {
 			t.Fatalf("shard %d pool = %d horizons, want 3", i, len(pool))
+		}
+	}
+
+	want := make(map[string]bool)
+	for i, pool := range p.sharded.replicas {
+		for k, r := range pool {
+			if _, err := r.CatchUp(); err != nil {
+				t.Fatal(err)
+			}
+			want[fmt.Sprintf(`peb_follower_lag_records{shard="%s",replica="%d"} 0`, shardLabel(p.sharded.metas[i].id), k)] = true
+		}
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteText(&buf, p.sharded.MetricsRegistries()...); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "peb_follower_lag_records{") {
+			got = append(got, line)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("exposition has %d follower lag series, want %d: %q", len(got), len(want), got)
+	}
+	for _, line := range got {
+		if !want[line] {
+			t.Errorf("follower lag series %q, want one of %d series reading 0", line, len(want))
 		}
 	}
 }
