@@ -524,6 +524,18 @@ func (w *SegmentedWAL) Commit(token WALToken) error {
 	return w.syncTo(int64(token))
 }
 
+// Durable reports whether the record identified by token is durable per
+// the sync policy — whether Commit(token) would return without syncing.
+// It never syncs.
+func (w *SegmentedWAL) Durable(token WALToken) bool {
+	if token == 0 || w.policy == WALSyncNone {
+		return true
+	}
+	w.sm.Lock()
+	defer w.sm.Unlock()
+	return w.synced >= int64(token)
+}
+
 // Sync forces everything appended so far to disk, regardless of policy.
 func (w *SegmentedWAL) Sync() error {
 	w.mu.Lock()
@@ -626,6 +638,20 @@ func (w *SegmentedWAL) Mark() SegPos {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return SegPos{Seg: w.activeIdx, Off: w.activeOff}
+}
+
+// MarkBeforeLast returns the position where the log's last record, of the
+// given payload length, begins: its frame ends the active segment, or the
+// newest sealed one when a roll left the active segment empty.
+func (w *SegmentedWAL) MarkBeforeLast(payloadLen int) SegPos {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	frame := int64(8 + payloadLen)
+	if w.activeOff == 0 && len(w.sealed) > 0 {
+		s := w.sealed[len(w.sealed)-1]
+		return SegPos{Seg: s.idx, Off: s.size - frame}
+	}
+	return SegPos{Seg: w.activeIdx, Off: w.activeOff - frame}
 }
 
 // DropThrough deletes every sealed segment the mark covers entirely —

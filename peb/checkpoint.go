@@ -523,18 +523,35 @@ func (db *DB) ckptPublishLocked(img *ckptImage) (committed bool, walBytes int64,
 	return true, walBytes, walSegs, nil
 }
 
-// retentionFloor lowers a checkpoint's drop mark to the lowest cursor of
-// any attached replica, so sealed segments stay readable until every
-// replica has tailed past them.
+// retentionFloor lowers a checkpoint's drop mark to the lowest floor any
+// holder pins the log at (see hold).
 func (db *DB) retentionFloor(mark store.SegPos) store.SegPos {
-	db.repMu.Lock()
-	defer db.repMu.Unlock()
-	for _, floor := range db.repFloors {
+	db.floorMu.Lock()
+	defer db.floorMu.Unlock()
+	for _, floor := range db.floors {
 		if floor.Less(mark) {
 			mark = floor
 		}
 	}
 	return mark
+}
+
+// hold pins the log at floor for key — an attached Replica at its tail
+// cursor, a committed Prepared just below its record — until release.
+func (db *DB) hold(key any, floor store.SegPos) {
+	db.floorMu.Lock()
+	defer db.floorMu.Unlock()
+	if db.floors == nil {
+		db.floors = make(map[any]store.SegPos)
+	}
+	db.floors[key] = floor
+}
+
+// release ends key's hold on the log (a no-op for a key holding none).
+func (db *DB) release(key any) {
+	db.floorMu.Lock()
+	defer db.floorMu.Unlock()
+	delete(db.floors, key)
 }
 
 // ckptAbortLocked unwinds a failed pipeline (caller holds the write
@@ -921,19 +938,27 @@ func (db *DB) replayWAL(wal *store.SegmentedWAL, log txnReplay) error {
 	}
 	afterSeq, records := db.walSeq, len(log.pending)
 	// Recovery has the whole log, so every marker is queued before the
-	// first record replays; a prepared record still without one (the
-	// process died between this participant's prepare and the
-	// coordinator's marker, or before the marker's sync) is decided by the
-	// coordinator's resolver — absent one, aborted.
-	resolve := db.opts.TxnResolve
-	if resolve == nil {
-		resolve = func(uint64) bool { return false }
+	// first record replays, and the drain stops only at a markerless
+	// prepared record — the log's last, left pending for the coordinator.
+	replayed, err := log.drain(db)
+	if err == nil && len(log.pending) > 1 {
+		err = corruptf("wal: %d records follow the markerless prepared record of transaction %d",
+			len(log.pending)-1, log.pending[0].TxnID)
 	}
-	replayed, err := log.drain(db, resolve)
 	if err != nil {
 		wal.Close()
 		return fmt.Errorf("peb: replay wal %w", err)
 	}
+	if len(log.pending) == 1 {
+		rec := log.pending[0]
+		// As live between prepare and finish: the record's sequence number
+		// is consumed, the applied horizon stays below it.
+		db.prepared = &Prepared{db: db, txnID: rec.TxnID, parts: rec.Parts, ops: rec.Ops,
+			seq: db.walSeq, mark: wal.MarkBeforeLast(log.tail)}
+		db.walSeq = rec.Seq
+		db.maxTxn = max(db.maxTxn, rec.TxnID)
+	}
+	db.recovered = log.outcomes
 	db.refreshView()
 	db.collectGarbage()
 	db.events.Record("recovery", "write-ahead log replayed",

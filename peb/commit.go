@@ -85,7 +85,7 @@ func (db *DB) commitLocked(ops opList, policyChange, rebuild bool) (store.WALTok
 	if err := db.applyLocked(resolved, policyChange, rebuild); err != nil {
 		return 0, err
 	}
-	return db.walAppendTxn(resolved, db.nextSV, 0, txnNone)
+	return db.walAppend(walRecord{NextSV: db.nextSV, Ops: resolved})
 }
 
 // writable reports why the DB takes no commit now: it is closed, or a

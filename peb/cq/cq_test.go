@@ -430,7 +430,7 @@ func TestPreparedAbortEmitsNoDelta(t *testing.T) {
 		t.Helper()
 		b := db.NewBatch()
 		b.Upsert(peb.Object{UID: 2, X: 100, Y: 100, T: 0})
-		p, err := db.PrepareApply(b, txnID)
+		p, err := db.PrepareApply(b, txnID, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,6 +60,23 @@ func editMeta(t testing.TB, meta string, edit func(*metaFile)) string {
 	return string(data)
 }
 
+// restampSegment rewrites the version byte of every record framed in a log
+// segment, with each frame's checksum recomputed: the log a generation
+// whose records differ only in their stamp would have left.
+func restampSegment(t *testing.T, seg string, version byte) string {
+	t.Helper()
+	data := []byte(seg)
+	table := crc32.MakeTable(crc32.Castagnoli)
+	for off := 0; off < len(data); {
+		n := int(binary.BigEndian.Uint32(data[off:]))
+		payload := data[off+8 : off+8+n]
+		payload[1] = version
+		binary.BigEndian.PutUint32(data[off+4:], crc32.Checksum(payload, table))
+		off += 8 + n
+	}
+	return string(data)
+}
+
 func TestOpenRefusesOtherGenerations(t *testing.T) {
 	const meta, pol, seg = "golden.idx.meta", "golden.idx.policies.1", "golden.idx.wal.000001"
 	bareWAL := func(img map[string]string) {
@@ -90,6 +107,9 @@ func TestOpenRefusesOtherGenerations(t *testing.T) {
 			frame := binary.BigEndian.AppendUint32(nil, uint32(len(rec)))
 			frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(rec, crc32.MakeTable(crc32.Castagnoli)))
 			img[seg] += string(frame) + string(rec)
+		}},
+		{"parent-generation log records", ErrUnsupportedFormat, func(img map[string]string) {
+			img[seg] = restampSegment(t, img[seg], walCodecVersion-1)
 		}},
 		{"single-file log beside a checkpoint", ErrUnsupportedFormat, bareWAL},
 		{"single-file log, no checkpoint", ErrUnsupportedFormat, func(img map[string]string) {

@@ -185,16 +185,6 @@ type Options struct {
 	// application ever calling Checkpoint by hand. Requires Durability
 	// (the thresholds measure the log).
 	AutoCheckpoint AutoCheckpointPolicy
-	// TxnResolve, when non-nil, decides the fate of a prepared cross-shard
-	// transaction whose outcome marker is missing from the write-ahead log
-	// at recovery (the process died between this participant's prepare and
-	// the coordinator's commit/abort marker, or before the marker's sync —
-	// Commit and Abort do not wait for it). It is called with the
-	// transaction id and must report whether the coordinator committed it —
-	// typically by consulting the coordinator's decision log. Nil treats
-	// every unresolved transaction as aborted, which is the correct default
-	// for a standalone DB (it never prepares transactions).
-	TxnResolve func(txnID uint64) bool
 	// OnCommit, when non-nil, is registered as a commit hook before the
 	// DB accepts its first post-open commit: it fires synchronously under
 	// the write lock on every committed mutation, carrying the commit's
@@ -309,11 +299,11 @@ type DB struct {
 	prevPolicies string
 	ckptSealed   bool
 
-	// Replica retention floors (replica.go): each attached in-process
-	// Replica pins the log at its tail cursor, so checkpoint publication
-	// never deletes a sealed segment a replica has yet to read.
-	repMu     sync.Mutex
-	repFloors map[*Replica]store.SegPos
+	// Retention floors (hold): checkpoint publication never deletes a
+	// sealed segment an attached Replica has yet to read, nor one holding
+	// the record of a committed, unreleased Prepared.
+	floorMu sync.Mutex
+	floors  map[any]store.SegPos
 
 	// encBuf is the reusable WAL record encode buffer: walAppendTxn
 	// encodes into it under the write lock and WAL.Append copies the
@@ -338,14 +328,16 @@ type DB struct {
 	ckptDead []store.PageID
 
 	// Cross-shard transaction state (prepared.go). prepared is the
-	// transaction between PrepareApply and its Commit/Abort, nil when none:
-	// its record is logged but nothing of it applied, and no other commit
-	// lands until it is finished. maxTxn is the largest transaction id this
-	// DB has logged or replayed — coordinators allocate ids above every
-	// participant's watermark so a recycled id can never resurrect a stale
-	// prepared record. Both guarded by mu.
-	prepared *Prepared
-	maxTxn   uint64
+	// transaction between PrepareApply (or recovery) and its Commit/Abort,
+	// nil when none: its record is logged but nothing of it applied, and no
+	// other commit lands until it is finished. maxTxn is the largest
+	// transaction id this DB has logged or replayed — coordinators allocate
+	// ids above every participant's watermark so a recycled id can never
+	// resurrect a stale prepared record. recovered is the outcome of each
+	// transaction recovery found decided (HoldsTxn). All guarded by mu.
+	prepared  *Prepared
+	maxTxn    uint64
+	recovered map[uint64]uint8
 
 	// Checkpoint pipeline state (checkpoint.go). ckptMu serializes whole
 	// checkpoint pipelines against each other, against index rebuilds

@@ -12,77 +12,70 @@ import (
 // Cross-shard two-phase commit: the participant side.
 //
 // A sharded deployment (peb/sharded) splits one logical batch across
-// several DBs and needs the split to be all-or-nothing even across a
-// crash, although each DB has its own write-ahead log. The protocol:
+// several DBs, each with its own write-ahead log, and the participants'
+// logs alone carry the verdict: a transaction is committed if and only if
+// every participant named in its prepared record holds that record
+// durably with no abort marker (HoldsTxn is one participant's vote).
 //
-//	prepare  — the coordinator calls PrepareApply(sub, txnID) on every
-//	           participant, concurrently: the sub-batch is validated
-//	           against the current state and logged, resolved, as a
-//	           *prepared* record (TxnID + txnPrepared), fsynced per the
-//	           durability level. Nothing is applied. A prepared record does
-//	           not commit by itself: replay applies it only if its fate is
-//	           known to be commit.
-//	decide   — with every participant prepared, the coordinator makes the
-//	           transaction durable in ITS decision log. That append is the
-//	           transaction's single commit point.
-//	finish   — the coordinator calls Commit on every Prepared handle, which
-//	           applies the batch and logs a txnCommitted marker, or — when
-//	           any prepare failed — Abort on those already prepared, which
-//	           only logs a txnAborted marker. Neither waits for its marker
-//	           to be durable: the participant's next sync carries it.
+//	prepare — PrepareApply(sub, txnID, parts) on every participant logs
+//	          the resolved sub-batch as a *prepared* record naming them
+//	          all, synced per the durability level; nothing is applied.
+//	          The last prepare's sync is the commit point.
+//	finish  — Commit applies the batch and logs a marker it does not wait
+//	          for; Abort logs one and waits, since a durable abort marker
+//	          is what makes a prepare that reached disk anyway lose.
+//	settle  — a committed handle holds the log (retentionFloor) just
+//	          below its record until Release: a peer still without its
+//	          marker would read a dropped record as abort. The coordinator
+//	          releases once every participant's marker is Durable.
 //
-// Recovery resolves a prepared record by scanning forward for its marker;
-// a markerless prepared record (the process died mid-protocol, or before
-// the marker's sync) is resolved through Options.TxnResolve, which the
-// coordinator points at its decision log. Either way every participant
-// reaches the same verdict, so the transaction is all-or-nothing across
-// shards. An unsynced abort marker needs nothing more: an id with no
-// commit record in the decision log resolves to abort.
-//
-// Two invariants keep the protocol sound:
-//
-//   - Between a prepared record and its marker the DB takes no other
-//     commit, so the in-memory state is exactly the log below the record
-//     (appliedHorizon). A checkpoint cut and a replica bootstrap start
-//     there without waiting: the record stays in the log above them, and
-//     replay applies or skips it by its verdict.
-//   - Transaction ids are never recycled while any log could still hold
-//     the id (DB.MaxTxnID gives the coordinator each participant's
-//     watermark), so a stale prepared record can never be resurrected by
-//     a newer transaction's commit decision.
+// Recovery leaves a markerless prepared record pending (Pending) for the
+// coordinator to finish by the rule. Between a prepared record and its
+// marker the DB takes no other commit, so the record is the log's last and
+// the in-memory state is exactly the log below it (appliedHorizon): a
+// checkpoint cut and a replica bootstrap start there without waiting.
+// Abort keeps that window open until its marker is durable, so a cut above
+// a prepared record means it committed or its abort marker is on disk.
+// Transaction ids are never recycled while any log could still hold one
+// (MaxTxnID is each participant's watermark).
 
 // Prepared is a participant's handle on an in-flight cross-shard
-// transaction: the batch is validated and logged as prepared, and exactly
-// one of Commit or Abort must be called to decide it. The handle is not
-// safe for concurrent use.
+// transaction. Exactly one of Commit or Abort must be called to decide
+// it; a committed handle then holds the log until Release. The handle is
+// not safe for concurrent use.
 type Prepared struct {
 	db    *DB
 	txnID uint64
+	parts []int  // every participant, by the coordinator's stable ids
 	ops   opList // resolved, and the participant's own copy: what Commit applies
 	// seq and mark are the applied horizon just below the prepared record.
-	seq  uint64
-	mark store.SegPos
-	done bool
+	seq    uint64
+	mark   store.SegPos
+	marker store.WALToken // the commit or abort marker, once logged
+	done   bool
+	failed error // why finish logged no marker, if it did not
 }
 
 // PrepareApply validates the batch exactly as Apply would and logs it as a
-// *prepared* participant of cross-shard transaction txnID without applying
-// it: queries, snapshots and commit hooks see the batch only once Commit
-// applies it, and recovery replays the record only if the transaction's
-// fate — a commit marker in this DB's log, or the coordinator's TxnResolve
-// verdict — is commit. The caller must finish the returned handle with
-// Commit or Abort.
+// *prepared* participant of cross-shard transaction txnID, whose
+// participants are parts (stable ids the coordinator chooses, this DB's
+// among them), without applying it: queries, snapshots and commit hooks
+// see the batch only once Commit applies it, and recovery replays the
+// record only if the transaction committed. The caller must finish the
+// returned handle with Commit or Abort.
 //
 // txnID must be non-zero, unique per transaction, and above every
-// participant's MaxTxnID watermark. An error means nothing was prepared
-// (this participant needs no abort); the returned handle is nil.
+// participant's MaxTxnID watermark. An error means the batch was not
+// prepared. The handle is then nil — unless the record was logged and only
+// its sync failed: it may be on disk anyway, so the caller aborts the
+// handle returned beside the error.
 //
 // Until the handle is finished the DB refuses every other commit and
 // prepare: Commit applies the batch to the state it was validated against.
 // The coordinator must therefore be this DB's only writer for the life of
 // the prepared window; peb/sharded guarantees this by holding its global
 // barrier lock across the whole protocol.
-func (db *DB) PrepareApply(b *Batch, txnID uint64) (*Prepared, error) {
+func (db *DB) PrepareApply(b *Batch, txnID uint64, parts []int) (*Prepared, error) {
 	if txnID == 0 {
 		return nil, fmt.Errorf("peb: prepare: transaction id must be non-zero")
 	}
@@ -91,19 +84,13 @@ func (db *DB) PrepareApply(b *Batch, txnID uint64) (*Prepared, error) {
 	}
 	start := time.Now()
 	db.mu.Lock()
-	p, tok, err := db.prepareLocked(b.ops, txnID)
+	p, tok, err := db.prepareLocked(b.ops, txnID, parts)
 	db.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	if err := db.walSync(tok); err != nil {
-		// The log is poisoned and nothing was applied. If the record did
-		// reach disk, recovery resolves it through the coordinator, which
-		// will not have committed.
-		db.mu.Lock()
-		db.prepared = nil
-		db.mu.Unlock()
-		return nil, err
+		return p, err // the log is poisoned; nothing was applied
 	}
 	db.met.commit.ObserveDuration(time.Since(start))
 	db.events.Record("txn.prepare", "participant prepared",
@@ -115,7 +102,7 @@ func (db *DB) PrepareApply(b *Batch, txnID uint64) (*Prepared, error) {
 // could still refuse, then the prepared record — logged with the
 // sequence-value cursor the batch will leave, as if it had been applied.
 // The caller holds the write lock.
-func (db *DB) prepareLocked(ops opList, txnID uint64) (*Prepared, store.WALToken, error) {
+func (db *DB) prepareLocked(ops opList, txnID uint64, parts []int) (*Prepared, store.WALToken, error) {
 	if err := db.writable(); err != nil {
 		return nil, 0, err
 	}
@@ -128,10 +115,11 @@ func (db *DB) prepareLocked(ops opList, txnID uint64) (*Prepared, store.WALToken
 		return nil, 0, err
 	}
 	// The resolved groups may share db.opScratch or the caller's batch.
-	p := &Prepared{db: db, txnID: txnID,
+	p := &Prepared{db: db, txnID: txnID, parts: slices.Clone(parts),
 		ops: opList{Pol: slices.Clone(resolved.Pol), Idx: slices.Clone(resolved.Idx)}}
 	p.seq, p.mark = db.appliedHorizon()
-	tok, err := db.walAppendTxn(p.ops, nextSV, txnID, txnPrepared)
+	tok, err := db.walAppend(walRecord{NextSV: nextSV, Ops: p.ops,
+		TxnID: txnID, TxnState: txnPrepared, Parts: p.parts})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -188,49 +176,77 @@ func (db *DB) appliedHorizon() (uint64, store.SegPos) {
 	return db.walSeq, mark
 }
 
+// Pending returns the prepared transaction this DB waits on — one
+// recovery left markerless, or one not finished since its prepare — or
+// nil. Until it is finished the DB refuses every other commit.
+func (db *DB) Pending() *Prepared {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.prepared
+}
+
+// HoldsTxn reports whether this DB holds transaction txnID's prepared
+// record with no abort marker: pending, or committed as recovery found its
+// log.
+func (db *DB) HoldsTxn(txnID uint64) bool {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if p := db.prepared; p != nil && p.txnID == txnID {
+		return true
+	}
+	return db.recovered[txnID] == txnCommitted
+}
+
+// Txn returns the transaction's id and the stable ids of the participants
+// its record names (not to be modified).
+func (p *Prepared) Txn() (id uint64, parts []int) { return p.txnID, p.parts }
+
 // Commit applies the prepared batch — commit's stages 3–5: capture for the
 // hooks, applyOps, publish, fire the hooks — and logs a txnCommitted
-// marker. The marker is durable no later than this DB's next sync; Commit
-// does not wait for it. The coordinator's decision log is the commit
-// point: the decision is durable before Commit is called, so a failure
-// here cannot undo it — it poisons this DB's log (fail-stop) — and
-// recovery replays the prepared record as committed, by its marker or,
-// when the marker did not reach disk, through TxnResolve.
+// marker without waiting for it to be durable. Every prepare was durable,
+// so the transaction is decided: a failure here poisons this DB's log
+// (fail-stop), and recovery leaves the record pending to commit again.
 func (p *Prepared) Commit() error {
-	return p.finish(txnCommitted, "txn.commit", "participant committed")
+	err := p.finish(txnCommitted)
+	p.db.events.Record("txn.commit", "participant committed", "txn", p.txnID)
+	return err
 }
 
-// Abort seals the transaction's fate as aborted: it logs a txnAborted
-// marker and nothing else, since nothing of the batch was applied. Like
-// Commit, it does not wait for the marker to be durable.
+// Abort logs a txnAborted marker — nothing of the batch was applied — and
+// closes the prepared window once the marker is durable. An error means
+// the marker may not have reached disk.
 func (p *Prepared) Abort() error {
-	return p.finish(txnAborted, "txn.abort", "participant aborted")
+	err := p.finish(txnAborted)
+	if err == nil {
+		err = p.Sync()
+	}
+	db := p.db
+	db.mu.Lock()
+	if db.prepared == p {
+		db.prepared = nil
+	}
+	db.mu.Unlock()
+	db.events.Record("txn.abort", "participant aborted", "txn", p.txnID)
+	return err
 }
 
-// finish logs the marker for state — after applying the batch, on commit.
-// It does not wait for the marker to be durable: the shard's next sync
-// carries it, and until then recovery reads the same verdict from the
-// coordinator's resolver.
-func (p *Prepared) finish(state uint8, event, msg string) error {
+// finish logs the marker for state; a commit first closes the window,
+// applies the batch and starts the handle's hold on the log.
+func (p *Prepared) finish(state uint8) (err error) {
 	if p.done {
 		return fmt.Errorf("peb: transaction %d already finished", p.txnID)
 	}
 	p.done = true
+	defer func() { p.failed = err }()
 	db := p.db
 	db.mu.Lock()
-	err := db.finishLocked(p, state)
-	db.mu.Unlock()
-	db.events.Record(event, msg, "txn", p.txnID)
-	return err
-}
-
-// finishLocked closes the prepared window. The caller holds the write lock.
-func (db *DB) finishLocked(p *Prepared, state uint8) error {
-	db.prepared = nil
+	defer db.mu.Unlock()
 	if db.closed {
+		db.prepared = nil
 		return ErrClosed
 	}
 	if state == txnCommitted {
+		db.prepared = nil
 		policyChange, _ := opClasses(p.ops.Pol)
 		if err := db.applyLocked(p.ops, policyChange, false); err != nil {
 			err = fmt.Errorf("peb: commit txn %d: %w", p.txnID, err)
@@ -239,10 +255,35 @@ func (db *DB) finishLocked(p *Prepared, state uint8) error {
 			}
 			return err
 		}
+		db.hold(p, p.mark)
 	}
-	_, err := db.walAppendTxn(opList{}, db.nextSV, p.txnID, state)
+	p.marker, err = db.walAppend(walRecord{NextSV: db.nextSV, TxnID: p.txnID, TxnState: state})
 	return err
 }
+
+// Durable reports, without syncing, whether the handle's marker is durable
+// by the DB's durability level.
+func (p *Prepared) Durable() bool {
+	db := p.db
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	// A closed DB synced its log on the way out.
+	return p.done && p.failed == nil && (db.wal == nil || db.wal.Durable(p.marker))
+}
+
+// Sync waits until the handle's marker is durable.
+func (p *Prepared) Sync() error {
+	if !p.done {
+		return fmt.Errorf("peb: transaction %d is not finished", p.txnID)
+	}
+	if p.failed != nil {
+		return p.failed
+	}
+	return p.db.walSync(p.marker)
+}
+
+// Release ends a committed handle's hold on the log (a no-op otherwise).
+func (p *Prepared) Release() { p.db.release(p) }
 
 // MaxTxnID returns the largest cross-shard transaction id this DB has
 // logged or replayed — the watermark above which a coordinator must

@@ -35,7 +35,7 @@ func TestPreparedCommitSurvivesReopen(t *testing.T) {
 	b.Upsert(Object{UID: 2, X: 20, Y: 20})
 	b.DefineRelation(2, 1, "friend")
 	b.Grant(2, "friend", Region{MaxX: 1000, MaxY: 1000}, TimeInterval{End: 1440})
-	p, err := db.PrepareApply(b, 7)
+	p, err := db.PrepareApply(b, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPreparedAbortRestoresState(t *testing.T) {
 	b.Remove(2)
 	b.DefineRelation(3, 1, "colleague")
 	b.Grant(3, "colleague", Region{MaxX: 500, MaxY: 500}, TimeInterval{End: 720})
-	p, err := db.PrepareApply(b, 9)
+	p, err := db.PrepareApply(b, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +139,29 @@ func TestPreparedAbortRestoresState(t *testing.T) {
 	}
 }
 
-// TestPreparedUnresolvedRecovery: a crash between prepare and marker leaves
-// the record's fate to the resolver — absent one it aborts, with one it
-// commits.
+// resolvePending plays the coordinator on a reopened DB: it finishes the
+// transaction recovery left pending with the verdict given (the tests have
+// no peers to ask HoldsTxn), and fails if there is none.
+func resolvePending(t *testing.T, db *DB, commit bool) {
+	t.Helper()
+	p := db.Pending()
+	if p == nil {
+		t.Fatal("recovery left no prepared transaction pending")
+	}
+	finish := p.Abort
+	if commit {
+		finish = p.Commit
+	}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+	p.Release()
+}
+
+// TestPreparedUnresolvedRecovery: a crash between prepare and marker
+// leaves the record pending after recovery — durable, unapplied, holding
+// the DB's commits — until the coordinator resolves it: an abort leaves
+// the state as it was, a commit applies it. Either verdict is durable.
 func TestPreparedUnresolvedRecovery(t *testing.T) {
 	build := func() (*store.CrashFS, Options) {
 		fs := store.NewCrashFS()
@@ -155,7 +175,7 @@ func TestPreparedUnresolvedRecovery(t *testing.T) {
 		}
 		b := db.NewBatch()
 		b.Upsert(Object{UID: 2, X: 20, Y: 20})
-		if _, err := db.PrepareApply(b, 5); err != nil {
+		if _, err := db.PrepareApply(b, 5, []int{0, 3}); err != nil {
 			t.Fatal(err)
 		}
 		// Crash before any marker is logged.
@@ -163,59 +183,90 @@ func TestPreparedUnresolvedRecovery(t *testing.T) {
 		fs.Reboot(false)
 		return fs, opts
 	}
+	reopen := func(fs *store.CrashFS, opts Options) *DB {
+		db, err := OpenExisting(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
 
-	t.Run("no-resolver-aborts", func(t *testing.T) {
-		_, opts := build()
-		db, err := OpenExisting(opts)
-		if err != nil {
-			t.Fatal(err)
+	for _, commit := range []bool{false, true} {
+		name := "no-resolver-aborts"
+		if commit {
+			name = "resolver-commits"
 		}
-		defer db.Close()
-		if _, ok, _ := db.Lookup(2); ok {
-			t.Fatal("unresolved prepared record applied without a commit verdict")
-		}
-		if _, ok, _ := db.Lookup(1); !ok {
-			t.Fatal("pre-transaction commit lost")
-		}
-		if got := db.MaxTxnID(); got != 5 {
-			t.Fatalf("MaxTxnID = %d, want 5 (stale id must stay reserved)", got)
-		}
-	})
-	t.Run("resolver-commits", func(t *testing.T) {
-		_, opts := build()
-		opts.TxnResolve = func(id uint64) bool { return id == 5 }
-		db, err := OpenExisting(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		if o, ok, _ := db.Lookup(2); !ok || o.X != 20 {
-			t.Fatalf("resolver-committed record not applied: %v %v", o, ok)
-		}
-	})
+		t.Run(name, func(t *testing.T) {
+			fs, opts := build()
+			db := reopen(fs, opts)
+			p := db.Pending()
+			if p == nil {
+				t.Fatal("recovery left no prepared transaction pending")
+			}
+			if id, parts := p.Txn(); id != 5 || !reflect.DeepEqual(parts, []int{0, 3}) {
+				t.Fatalf("pending transaction %d over %v, want 5 over [0 3]", id, parts)
+			}
+			if !db.HoldsTxn(5) || db.HoldsTxn(6) {
+				t.Fatal("HoldsTxn does not report exactly the pending transaction")
+			}
+			if _, ok, _ := db.Lookup(2); ok {
+				t.Fatal("pending prepared record applied before its verdict")
+			}
+			if err := db.Upsert(Object{UID: 9, X: 9, Y: 9}); err == nil {
+				t.Fatal("commit accepted while a recovered transaction is pending")
+			}
+			if got := db.MaxTxnID(); got != 5 {
+				t.Fatalf("MaxTxnID = %d, want 5 (stale id must stay reserved)", got)
+			}
+			resolvePending(t, db, commit)
+			if _, ok, _ := db.Lookup(1); !ok {
+				t.Fatal("pre-transaction commit lost")
+			}
+			if o, ok, _ := db.Lookup(2); ok != commit || (ok && o.X != 20) {
+				t.Fatalf("resolved record applied = %v (%v), want %v", ok, o, commit)
+			}
+			if err := db.Upsert(Object{UID: 9, X: 9, Y: 9}); err != nil {
+				t.Fatalf("commit after the verdict: %v", err)
+			}
+			// The verdict's marker is durable: a second power cut keeps it.
+			fs.CutPower()
+			fs.Reboot(false)
+			re := reopen(fs, opts)
+			defer re.Close()
+			if re.Pending() != nil {
+				t.Fatal("resolved transaction pending again after a power cut")
+			}
+			if _, ok, _ := re.Lookup(2); ok != commit {
+				t.Fatalf("resolved record after a power cut = %v, want %v", ok, commit)
+			}
+			if re.HoldsTxn(5) != commit {
+				t.Fatalf("HoldsTxn(5) after the verdict = %v, want %v", re.HoldsTxn(5), commit)
+			}
+		})
+	}
 }
 
 // TestPreparedCheckpointInsideWindow: a checkpoint called inside a
 // prepared window returns without waiting for the marker — its image
 // stands just below the prepared record — and after a power cut recovery
 // applies the transaction's verdict however it arrives: a durable commit
-// or abort marker (which outranks the resolver), or the resolver's yes or
-// no. Commit and Abort do not sync their marker; a later commit on the DB
-// does. An acknowledged marker that no later commit made durable is lost
-// to the power cut, and the resolver — the coordinator's decision log,
-// the commit point — gives the same verdict.
+// or abort marker, or the coordinator resolving the record recovery left
+// pending. Commit does not sync its marker; a later commit on the DB does.
+// An acknowledged commit marker that no later commit made durable is lost
+// to the power cut, and the coordinator — every prepare was durable —
+// commits again. Abort syncs its marker before it returns.
 func TestPreparedCheckpointInsideWindow(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		finish    func(*Prepared) error // nil: the power fails before any marker
 		later     bool                  // one more commit after the marker
-		resolve   bool
+		resolve   bool                  // the coordinator's verdict on a pending record
 		committed bool
 	}{
 		{"commit-marker", (*Prepared).Commit, true, false, true},
 		{"abort-marker", (*Prepared).Abort, true, true, false},
 		{"commit-unsynced-resolver-yes", (*Prepared).Commit, false, true, true},
-		{"abort-unsynced-resolver-no", (*Prepared).Abort, false, false, false},
+		{"abort-marker-synced", (*Prepared).Abort, false, true, false},
 		{"resolver-yes", nil, false, true, true},
 		{"resolver-no", nil, false, false, false},
 	} {
@@ -233,7 +284,7 @@ func TestPreparedCheckpointInsideWindow(t *testing.T) {
 			b.Upsert(Object{UID: 2, X: 20, Y: 20})
 			b.DefineRelation(2, 1, "friend")
 			b.Grant(2, "friend", Region{MaxX: 1000, MaxY: 1000}, TimeInterval{End: 1440})
-			p, err := db.PrepareApply(b, 3)
+			p, err := db.PrepareApply(b, 3, []int{0, 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,12 +312,18 @@ func TestPreparedCheckpointInsideWindow(t *testing.T) {
 			fs.CutPower()
 			fs.Reboot(false)
 
-			opts.TxnResolve = func(id uint64) bool { return id == 3 && tc.resolve }
 			re, err := OpenExisting(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer re.Close()
+			markerLost := tc.finish == nil || (!tc.later && tc.committed)
+			if got := re.Pending() != nil; got != markerLost {
+				t.Fatalf("recovered pending = %v, want %v", got, markerLost)
+			}
+			if markerLost {
+				resolvePending(t, re, tc.resolve)
+			}
 			if _, ok, _ := re.Lookup(1); !ok {
 				t.Fatal("checkpointed commit lost")
 			}
@@ -290,7 +347,7 @@ func TestPreparedWindowRefusesOtherCommits(t *testing.T) {
 	db := mustOpen(t, Options{})
 	b := db.NewBatch()
 	b.Upsert(Object{UID: 1, X: 1, Y: 1})
-	p, err := db.PrepareApply(b, 1)
+	p, err := db.PrepareApply(b, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +356,7 @@ func TestPreparedWindowRefusesOtherCommits(t *testing.T) {
 	}
 	second := db.NewBatch()
 	second.Upsert(Object{UID: 3, X: 3, Y: 3})
-	if _, err := db.PrepareApply(second, 2); err == nil {
+	if _, err := db.PrepareApply(second, 2, nil); err == nil {
 		t.Fatal("second prepare accepted inside a prepared window")
 	}
 	if err := p.Commit(); err != nil {
@@ -319,18 +376,18 @@ func TestPreparedValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if _, err := db.PrepareApply(db.NewBatch(), 1); err == nil {
+	if _, err := db.PrepareApply(db.NewBatch(), 1, nil); err == nil {
 		t.Fatal("empty batch prepared")
 	}
 	b := db.NewBatch()
 	b.Upsert(Object{UID: 1, X: 1, Y: 1})
-	if _, err := db.PrepareApply(b, 0); err == nil {
+	if _, err := db.PrepareApply(b, 0, nil); err == nil {
 		t.Fatal("zero transaction id accepted")
 	}
 	// A failed prepare needs no abort and leaves no state behind.
 	bad := db.NewBatch()
 	bad.Remove(42) // absent user: the batch must fail
-	if _, err := db.PrepareApply(bad, 2); err == nil {
+	if _, err := db.PrepareApply(bad, 2, nil); err == nil {
 		t.Fatal("remove of absent user prepared")
 	}
 	if db.Size() != 0 {
@@ -340,7 +397,7 @@ func TestPreparedValidation(t *testing.T) {
 	// cycle (no WAL: nothing to log, nothing to undo).
 	ok := db.NewBatch()
 	ok.Upsert(Object{UID: 7, X: 5, Y: 5})
-	p, err := db.PrepareApply(ok, 3)
+	p, err := db.PrepareApply(ok, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +422,7 @@ func TestPreparedErrClosed(t *testing.T) {
 	}
 	b := db.NewBatch()
 	b.Upsert(Object{UID: 1, X: 1, Y: 1})
-	if _, err := db.PrepareApply(b, 1); !errors.Is(err, ErrClosed) {
+	if _, err := db.PrepareApply(b, 1, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("PrepareApply on closed DB = %v, want ErrClosed", err)
 	}
 }
@@ -388,7 +445,7 @@ func TestPreparedAbortUpsertThenRemoveFreshUser(t *testing.T) {
 	b.Upsert(Object{UID: 8, X: 20, Y: 20}) // fresh user...
 	b.Remove(8)                            // ...gone again within the batch
 	b.Upsert(Object{UID: 1, X: 30, Y: 30})
-	p, err := db.PrepareApply(b, 11)
+	p, err := db.PrepareApply(b, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +493,7 @@ func TestPreparedAppendFailureRollsBack(t *testing.T) {
 	b := db.NewBatch()
 	b.Upsert(Object{UID: 2, X: 20, Y: 20})
 	b.Upsert(Object{UID: 1, X: 99, Y: 99})
-	if _, err := db.PrepareApply(b, 4); err == nil {
+	if _, err := db.PrepareApply(b, 4, nil); err == nil {
 		t.Fatal("prepare succeeded on a dead log")
 	}
 	// Nothing of the batch is visible: the failure left a clean state.

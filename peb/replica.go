@@ -213,12 +213,7 @@ func (r *Replica) bootstrap() error {
 	// Register the retention floor while still holding the read lock:
 	// checkpoint publication needs the write lock, so no segment at or past
 	// the cursor can be dropped before the floor is visible.
-	p.repMu.Lock()
-	if p.repFloors == nil {
-		p.repFloors = make(map[*Replica]store.SegPos)
-	}
-	p.repFloors[r] = r.cursor
-	p.repMu.Unlock()
+	p.hold(r, r.cursor)
 	return nil
 }
 
@@ -310,11 +305,11 @@ func (r *Replica) pollOnceLocked() (progress bool, err error) {
 // floor, releasing segments the tailer has fully consumed.
 func (r *Replica) updateFloorLocked() {
 	p := r.primary
-	p.repMu.Lock()
-	if _, ok := p.repFloors[r]; ok {
-		p.repFloors[r] = r.cursor
+	p.floorMu.Lock()
+	if _, ok := p.floors[r]; ok {
+		p.floors[r] = r.cursor
 	}
-	p.repMu.Unlock()
+	p.floorMu.Unlock()
 }
 
 // ingestLocked queues newly read frames and applies every record whose
@@ -325,7 +320,7 @@ func (r *Replica) ingestLocked(frames [][]byte) error {
 	if err := r.log.add(frames); err != nil {
 		return fmt.Errorf("peb: replica decode %w", err)
 	}
-	applied, err := r.log.drain(r.db, nil)
+	applied, err := r.log.drain(r.db)
 	if err != nil {
 		return fmt.Errorf("peb: replica apply %w", err)
 	}
@@ -440,9 +435,7 @@ func (r *Replica) Close() error {
 			r.removeHook()
 		}
 		p := r.primary
-		p.repMu.Lock()
-		delete(p.repFloors, r)
-		p.repMu.Unlock()
+		p.release(r)
 		r.closeErr = r.db.Close()
 	})
 	return r.closeErr

@@ -233,7 +233,7 @@ func TestReplicaPreparedStall(t *testing.T) {
 	// not move past the sequence before it.
 	b := db.NewBatch()
 	b.Upsert(Object{UID: 50, X: 9, Y: 9, T: 1})
-	prep, err := db.PrepareApply(b, 1001)
+	prep, err := db.PrepareApply(b, 1001, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestReplicaPreparedStall(t *testing.T) {
 	// the horizon still reaches the log's end.
 	b2 := db.NewBatch()
 	b2.Upsert(Object{UID: 60, X: 4, Y: 4, T: 2})
-	prep2, err := db.PrepareApply(b2, 1002)
+	prep2, err := db.PrepareApply(b2, 1002, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestReplicaBootstrapInsidePreparedWindow(t *testing.T) {
 	b.Remove(1)
 	b.DefineRelation(50, 2, "friend")
 	b.Grant(50, "friend", Region{MaxX: 1000, MaxY: 1000}, TimeInterval{End: 1440})
-	p, err := db.PrepareApply(b, 1001)
+	p, err := db.PrepareApply(b, 1001, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestReplicaBootstrapInsidePreparedWindow(t *testing.T) {
 	b = db.NewBatch()
 	b.Upsert(Object{UID: 60, X: 4, Y: 4, T: 2})
 	b.Remove(2)
-	p, err = db.PrepareApply(b, 1002)
+	p, err = db.PrepareApply(b, 1002, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

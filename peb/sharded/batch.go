@@ -76,18 +76,21 @@ const ownerTombstone = -1
 //     shard's atomic Apply;
 //   - a batch spanning shards commits via two-phase commit: the
 //     participants prepare concurrently (each validates and logs a
-//     prepared record, one fsync per participant), the router logs the
-//     commit decision in its own log — the transaction's single durable
-//     commit point, one fsync — and the participants then apply their
-//     sub-batches and log commit markers, which become durable with each
-//     shard's next sync. A prepare failure aborts every participant that
-//     prepared, leaving no trace of the batch, and the error names the
-//     lowest failing shard slot.
+//     prepared record naming every participant, one fsync per
+//     participant), and once every prepare is durable the transaction is
+//     committed — the shards' logs carry the verdict, the router writes
+//     nothing. The participants then apply their sub-batches and log
+//     commit markers, which become durable with each shard's next sync. A
+//     prepare failure aborts every participant that prepared, leaving no
+//     trace of the batch, and the error names the lowest failing shard
+//     slot.
 //
-// After a crash anywhere in the protocol, recovery resolves every
-// participant to the same verdict (see peb.Options.TxnResolve), so the
-// batch is all-or-nothing across shards. Without durability the same
-// protocol runs without logs: atomicity holds in memory.
+// After a crash anywhere in the protocol, Open finishes every prepared
+// record a shard recovered without a marker by one rule — committed if and
+// only if every participant holds the record durably with no abort marker
+// (see peb.Prepared) — so the batch is all-or-nothing across shards.
+// Without durability the same protocol runs without logs: atomicity holds
+// in memory.
 func (db *DB) Apply(b *Batch) error {
 	db.smu.Lock()
 	defer db.smu.Unlock()
@@ -161,16 +164,14 @@ func (db *DB) Apply(b *Batch) error {
 
 // commitParts atomically commits the staged per-shard sub-batches whose
 // slots are listed in parts: a single participant commits through its
-// shard's own atomic Apply, several commit via two-phase commit with the
-// decision point in the router's log. Shared by Apply and the resharding
-// migration loop (reshard.go), which moves objects between shards with
-// exactly the same all-or-nothing guarantees as a user batch. The caller
-// holds the write barrier.
+// shard's own atomic Apply, several commit via two-phase commit. Shared by
+// Apply and the resharding migration loop (reshard.go), which moves
+// objects between shards with exactly the same all-or-nothing guarantees
+// as a user batch. The caller holds the write barrier.
 //
-// committed reports whether the batch is decided as committed (it can be
-// true alongside a non-nil error: a participant's failed Commit fail-stops
-// that shard's log, and its recovery applies the part, but the transaction
-// itself is durably decided).
+// committed reports whether the transaction is committed (it can be true
+// alongside a non-nil error: a participant's failed Commit fail-stops that
+// shard's log, and its recovery commits the part again).
 func (db *DB) commitParts(parts []int, subs []*peb.Batch) (committed bool, err error) {
 	if len(parts) == 0 {
 		return true, nil
@@ -190,72 +191,167 @@ func (db *DB) commitParts(parts []int, subs []*peb.Batch) (committed bool, err e
 	// concurrently: under the write barrier they share nothing but each
 	// shard's own log, so the round costs the slowest prepare, not the sum.
 	txnID := db.allocTxn()
+	ids := make([]int, len(parts))
+	for j, i := range parts {
+		ids[j] = db.metas[i].id
+	}
 	prepared := make([]*peb.Prepared, len(parts))
 	errs := make([]error, len(parts))
 	scatter(len(parts), func(j int) {
-		prepared[j], errs[j] = db.shards[parts[j]].PrepareApply(subs[parts[j]], txnID)
+		prepared[j], errs[j] = db.shards[parts[j]].PrepareApply(subs[parts[j]], txnID, ids)
 	})
-	abortAll := func() {
-		for _, p := range prepared {
-			if p == nil {
-				continue // this slot's prepare failed: nothing to abort
-			}
-			// A prepared participant applied nothing, so Abort only logs
-			// its marker; an abort error means that shard is fail-stopped
-			// (poisoned log) and will resolve to abort on reopen — the
-			// verdict is the same either way.
-			_ = p.Abort()
-		}
-	}
 	for j, err := range errs {
-		if err != nil {
-			// The lowest failing slot names the failure, whichever
-			// prepare finished first.
-			abortAll()
-			i := parts[j]
-			db.events.Record("txn.abort", "cross-shard transaction aborted at prepare",
-				"txn", txnID, "parts", len(parts), "shard", db.metas[i].id, "err", err)
-			return false, fmt.Errorf("sharded: apply: shard %d: %w", i, err)
+		if err == nil {
+			continue
 		}
-	}
-	if db.txnLog != nil {
-		if err := db.logDecision(txnID, true); err != nil {
-			// The commit decision's durability is UNKNOWN — its bytes may
-			// have reached disk despite the error, and a future recovery
-			// would then commit the transaction. Rolling the participants
-			// back is safe only after durably retracting the decision.
-			if aerr := db.logDecision(txnID, false); aerr != nil {
-				// In doubt, both ways. Fail stop: the participants stay
-				// prepared (nothing of the transaction applied; their
-				// checkpoints cut below its record) and the router refuses
-				// further work; restarting the process resolves every
-				// shard to the same verdict from whatever the decision
-				// log holds.
-				db.closed = true
-				db.events.Record("txn.indoubt", "decision log unwritable both ways; router fail-stopped",
-					"txn", txnID, "parts", len(parts), "commit_err", err, "retract_err", aerr)
-				return false, fmt.Errorf("sharded: transaction %d in doubt (commit decision: %v; retraction: %v) — restart to resolve", txnID, err, aerr)
-			}
-			abortAll()
-			db.events.Record("txn.abort", "cross-shard transaction aborted at decision",
-				"txn", txnID, "parts", len(parts), "err", err)
-			return false, err
+		// The lowest failing slot names the failure, whichever prepare
+		// finished first.
+		i := parts[j]
+		if decided, aerr := abortAll(prepared); !decided {
+			// A record may be on disk and no abort marker is durable, so
+			// recovery may find every prepared record and commit. Fail
+			// stop; restarting resolves every shard to the same verdict.
+			db.closed = true
+			db.events.Record("txn.indoubt", "abort marker unsynced; router fail-stopped",
+				"txn", txnID, "parts", len(parts), "prepare_err", err, "abort_err", aerr)
+			return false, fmt.Errorf("sharded: transaction %d in doubt (shard %d prepare: %v; abort: %v) — restart to resolve", txnID, i, err, aerr)
 		}
+		db.events.Record("txn.abort", "cross-shard transaction aborted at prepare",
+			"txn", txnID, "parts", len(parts), "shard", db.metas[i].id, "err", err)
+		return false, fmt.Errorf("sharded: apply: shard %d: %w", i, err)
 	}
+
+	// Every prepare is durable: the transaction is committed. The prepare
+	// fsyncs carried the participants' earlier markers too, so settle first.
+	db.settle(false)
 	var firstErr error
 	for _, p := range prepared {
 		if err := p.Commit(); err != nil && firstErr == nil {
-			// The transaction IS committed (the decision log says so); the
-			// failure only fail-stops that shard's log.
+			// The transaction IS committed; the failure only fail-stops
+			// that shard's log.
 			firstErr = fmt.Errorf("sharded: apply: commit marker: %w", err)
 		}
 	}
+	db.txnMu.Lock()
+	db.unsettled = append(db.unsettled, prepared)
+	db.txnMu.Unlock()
 	for _, i := range parts {
 		db.noteWrite(i)
 	}
 	db.events.Record("txn.commit", "cross-shard transaction committed",
 		"txn", txnID, "parts", len(parts))
 	return true, firstErr
+}
+
+// abortAll aborts every participant that may hold the prepared record (a
+// nil slot logged nothing) and reports whether the abort is decided:
+// nothing was logged, or some participant's abort marker is durable —
+// each Abort waits for its own. It returns the first Abort error.
+func abortAll(prepared []*peb.Prepared) (decided bool, firstErr error) {
+	held, aborted := 0, 0
+	for _, p := range prepared {
+		if p == nil {
+			continue
+		}
+		held++
+		if err := p.Abort(); err == nil {
+			aborted++
+		} else if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return held == 0 || aborted > 0, firstErr
+}
+
+// allocTxn hands out the next transaction id (above every id any
+// participant could still hold a record for).
+func (db *DB) allocTxn() uint64 {
+	db.txnMu.Lock()
+	defer db.txnMu.Unlock()
+	id := db.nextTxn
+	db.nextTxn++
+	return id
+}
+
+// settle releases the participants' holds on their logs for every
+// committed transaction whose markers are all durable: no participant can
+// then recover it markerless, so none will ask a peer whose checkpoint has
+// dropped the record. Lazily (force false) it only reads durability, at
+// no fsync cost; force syncs the markers first, stopping at the first
+// sync error, which it returns with the transactions left unsettled.
+func (db *DB) settle(force bool) error {
+	db.txnMu.Lock()
+	defer db.txnMu.Unlock()
+	var firstErr error
+	kept := db.unsettled[:0]
+	for _, txn := range db.unsettled {
+		settled := true
+		for _, p := range txn {
+			if force && firstErr == nil && !p.Durable() {
+				firstErr = p.Sync()
+			}
+			settled = settled && p.Durable()
+		}
+		if !settled {
+			kept = append(kept, txn)
+			continue
+		}
+		for _, p := range txn {
+			p.Release()
+		}
+	}
+	clear(db.unsettled[len(kept):])
+	db.unsettled = kept
+	return firstErr
+}
+
+// finishRecovered decides every transaction a shard's recovery left
+// pending by the commit rule: committed if and only if every participant
+// holds its prepared record with no abort marker. A participant the
+// manifest no longer lists holds nothing — Merge settled every transaction
+// its source took part in before dropping it. Every verdict is taken
+// before any handle finishes (a finished handle no longer counts as
+// held), and each marker is durable before Open goes on, so no hold
+// outlives recovery.
+func (db *DB) finishRecovered() error {
+	pending := make([]*peb.Prepared, len(db.shards))
+	commit := make([]bool, len(db.shards))
+	for i, s := range db.shards {
+		p := s.Pending()
+		if p == nil {
+			continue
+		}
+		pending[i], commit[i] = p, true
+		txnID, parts := p.Txn()
+		for _, id := range parts {
+			slot, ok := db.slotOf(id)
+			if !ok || !db.shards[slot].HoldsTxn(txnID) {
+				commit[i] = false
+				break
+			}
+		}
+	}
+	for i, p := range pending {
+		if p == nil {
+			continue
+		}
+		txnID, _ := p.Txn()
+		finish := p.Abort
+		if commit[i] {
+			finish = p.Commit
+		}
+		err := finish()
+		if err == nil {
+			err = p.Sync() // Abort synced already; Commit did not
+		}
+		p.Release()
+		if err != nil {
+			return fmt.Errorf("sharded: finish recovered transaction %d on shard %d: %w", txnID, db.metas[i].id, err)
+		}
+		db.events.Record("txn.recover", "recovered cross-shard transaction finished",
+			"txn", txnID, "shard", db.metas[i].id, "commit", commit[i])
+	}
+	return nil
 }
 
 // applyOwnerDelta folds a committed batch's routing changes into the owner

@@ -1,8 +1,10 @@
 package sharded
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -158,9 +160,10 @@ func TestShardedCrashMidCrossShardCommit(t *testing.T) {
 	}
 }
 
-// TestShardedCrashAfterDecision pins the protocol's commit point: once the
-// decision log records the transaction, recovery must COMMIT it even if no
-// shard ever logged its marker.
+// TestShardedCrashAfterDecision pins the protocol's commit point: power
+// fails right after the last participant's prepare fsync, before any
+// commit marker is written, and recovery must COMMIT the transaction —
+// every participant holds its prepared record durably.
 func TestShardedCrashAfterDecision(t *testing.T) {
 	fs := store.NewCrashFS()
 	opts := crashShardedOpts(fs)
@@ -178,37 +181,67 @@ func TestShardedCrashAfterDecision(t *testing.T) {
 		b.Upsert(Object{UID: UserID(txnUserBase + i + 1), X: q[0] + 10, Y: q[1] + 10, T: 2})
 	}
 	b.Upsert(Object{UID: 1, X: quadrant[2][0] - 20, Y: quadrant[2][1] - 20, T: 2})
-	if err := db.Apply(b); err != nil {
-		t.Fatal(err)
+	// Each of the four prepares is one append and one fsync; the next
+	// operation — the first marker's append — meets the dead filesystem.
+	fs.SetFailAfter(2 * len(quadrant))
+	if err := db.Apply(b); err == nil || !strings.Contains(err.Error(), "commit marker") {
+		t.Fatalf("Apply = %v, want the commit-marker failure of a committed transaction", err)
 	}
-	// Power-cut without a clean close: every synced prefix (prepares,
-	// decision) survives. The markers were never synced, so each shard
-	// resolves its prepared record through the decision log.
-	fs.CutPower()
 	fs.Reboot(false)
 	re, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	checkAllOrNothing(t, re, "after-decision")
+	recovered := 0
+	for _, e := range re.Events().Recent(0) {
+		if e.Type == "txn.recover" {
+			recovered++
+		}
+	}
+	if recovered != len(quadrant) {
+		t.Fatalf("%d participants recovered the transaction pending, want %d", recovered, len(quadrant))
+	}
+	checkAllOrNothing(t, re, "after-last-prepare")
 	if _, ok, _ := re.Lookup(UserID(txnUserBase + 1)); !ok {
-		t.Fatal("acknowledged cross-shard commit lost")
+		t.Fatal("transaction with every prepare durable did not commit")
 	}
 }
 
-// TestOpenRefusesOtherGenerations: a directory whose manifest is the
-// fixed-count version 1 record, or whose decision log is the single file
-// txn.log it was before it was segmented, is refused with the format
-// sentinel — nothing upgrades in place.
+// TestOpenRefusesOtherGenerations: a directory whose manifest is of
+// another generation — the fixed-count version 1 record, or the version 2
+// of routers that kept a decision log — or whose root holds a leftover
+// decision log, txn.log, is refused with the format sentinel, before
+// anything is written: nothing upgrades in place.
 func TestOpenRefusesOtherGenerations(t *testing.T) {
+	manifestVersion := func(v int) func(fs store.VFS) error {
+		return func(fs store.VFS) error {
+			data, err := fs.ReadFile("root/sharded.json")
+			if err != nil {
+				return err
+			}
+			var m map[string]any
+			if err := json.Unmarshal(data, &m); err != nil {
+				return err
+			}
+			m["Version"] = v
+			if data, err = json.Marshal(m); err != nil {
+				return err
+			}
+			return store.WriteFileAtomic(fs, "root/sharded.json", data)
+		}
+	}
 	plants := map[string]func(fs store.VFS) error{
 		"v1 manifest": func(fs store.VFS) error {
 			return store.WriteFileAtomic(fs, "root/sharded.json",
 				[]byte(`{"Version":1,"Shards":4,"SpaceSide":1000,"GridOrder":10}`))
 		},
-		"single-file decision log": func(fs store.VFS) error {
-			return fs.Rename(store.SegmentWALName("root/txn.log", 1), "root/txn.log")
+		"v2 manifest": manifestVersion(2),
+		"leftover txn.log": func(fs store.VFS) error {
+			return store.WriteFileAtomic(fs, "root/txn.log", []byte{0, 0, 0, 9})
+		},
+		"leftover txn.log segment": func(fs store.VFS) error {
+			return store.WriteFileAtomic(fs, store.SegmentWALName("root/txn.log", 1), []byte{0, 0, 0, 9})
 		},
 	}
 	for name, plant := range plants {
@@ -309,6 +342,11 @@ func checkReshardRecovery(t *testing.T, db *DB, label string, kind string) int {
 	}
 	if db.Size() != total {
 		t.Fatalf("%s: owner map holds %d users, shards hold %d", label, db.Size(), total)
+	}
+	// The topology change starts only after all twelve seed upserts have
+	// returned, so once it is visible none of them may be missing.
+	if changed := n != 4; changed && total < 12 {
+		t.Fatalf("%s: %d shards but only %d of the 12 seeded users", label, n, total)
 	}
 	return n
 }

@@ -46,16 +46,14 @@ func (db *DB) collectMetrics(e *obs.Emit) {
 	e.Counter("peb_router_merges_total", "Completed online shard merges since open.", float64(st.Merges))
 	e.Counter("peb_router_follower_reads_total", "Shard queries served by a replica follower.", float64(st.FollowerReads))
 	e.Counter("peb_router_primary_fallbacks_total", "Follower reads that fell back to the primary.", float64(st.PrimaryFallbacks))
-	e.Gauge("peb_router_txn_decisions", "2PC verdicts in the decision log since its last compaction.", float64(st.TxnDecisions))
-	e.Gauge("peb_router_txn_log_bytes", "Decision-log size on disk.", float64(st.TxnLogBytes))
 	e.Counter("peb_router_events_total", "Router events recorded since open (the ring retains the tail).", float64(db.events.Total()))
 
 	ids, lags := db.followerLagsByShard()
 	for si, pool := range lags {
-		for ri, lr := range pool {
+		for ri, lag := range pool {
 			e.Gauge("peb_follower_lag_records",
 				"Follower apply lag in WAL records behind the shard's committed sequence.",
-				float64(lr.Lag),
+				float64(lag),
 				obs.Label{Key: "shard", Value: shardLabel(ids[si])},
 				obs.Label{Key: "replica", Value: fmt.Sprintf("%d", ri)})
 		}

@@ -3,7 +3,6 @@ package sharded
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/peb"
 )
@@ -137,47 +136,29 @@ func (db *DB) FollowerHorizons() [][]uint64 {
 	return out
 }
 
-// LagReading is one follower's apply lag at a sampled instant: the raw
-// inputs (the shard's committed sequence and the follower's applied
-// horizon) alongside the derived lag, so a monitor comparing readings
-// over time can tell a stalled follower (Horizon frozen) from a merely
-// busy one (Horizon advancing behind a faster CommitSeq).
-type LagReading struct {
-	// Lag is CommitSeq − Horizon in WAL records, clamped at zero (the
-	// horizon is sampled after the commit sequence, so a fast follower
-	// can appear ahead).
-	Lag uint64
-	// Horizon is the follower's applied WAL sequence; CommitSeq is the
-	// shard primary's committed sequence at sampling time.
-	Horizon   uint64
-	CommitSeq uint64
-	// SampledAt timestamps the reading.
-	SampledAt time.Time
-}
-
-// followerLagsByShard reports each follower's apply lag as a timestamped
-// reading, in shard-slot order (empty inner slices without replicas), plus
-// the parallel stable shard ids, for labeling series by shard identity.
-func (db *DB) followerLagsByShard() ([]int, [][]LagReading) {
+// followerLagsByShard reports each follower's apply lag in WAL records —
+// the shard's committed sequence minus the follower's horizon, clamped at
+// zero (the horizon is sampled after the sequence, so a fast follower can
+// appear ahead) — in shard-slot order (empty inner slices without
+// replicas), plus the parallel stable shard ids, for labeling series by
+// shard identity.
+func (db *DB) followerLagsByShard() ([]int, [][]uint64) {
 	db.smu.RLock()
 	defer db.smu.RUnlock()
 	ids := make([]int, len(db.shards))
 	for i := range db.shards {
 		ids[i] = db.metas[i].id
 	}
-	out := make([][]LagReading, len(db.shards))
-	now := db.now()
+	out := make([][]uint64, len(db.shards))
 	for i, pool := range db.replicas {
 		seq := db.shards[i].CommitSeq()
-		ls := make([]LagReading, len(pool))
+		lags := make([]uint64, len(pool))
 		for k, r := range pool {
-			lr := LagReading{Horizon: r.Horizon(), CommitSeq: seq, SampledAt: now}
-			if lr.Horizon < seq {
-				lr.Lag = seq - lr.Horizon
+			if h := r.Horizon(); h < seq {
+				lags[k] = seq - h
 			}
-			ls[k] = lr
 		}
-		out[i] = ls
+		out[i] = lags
 	}
 	return ids, out
 }

@@ -43,8 +43,11 @@ import (
 // A crash anywhere in the middle leaves the manifest either without the
 // pendingOp (the change never happened) or with it (recovery rolls the
 // migration forward before serving — Open calls completePendingLocked).
-// Object moves themselves are crash-atomic through the 2PC decision log,
-// so no fault point loses or duplicates an object.
+// Object moves themselves are crash-atomic cross-shard transactions, so no
+// fault point loses or duplicates an object. A merge settles every such
+// transaction before it drops its source from the manifest: recovery never
+// asks a shard the manifest no longer lists, and counts it as holding no
+// prepared record.
 //
 // Live CQ subscriptions are notified under the same barrier as each route
 // flip (cqTopologyChanged / cqShardRemoving), so standing queries follow
@@ -466,6 +469,13 @@ func (db *DB) finalizePendingLocked() error {
 		dstSlot, ok := db.slotOf(p.Dst)
 		if !ok {
 			return fmt.Errorf("sharded: finalize merge: shard %d vanished", p.Dst)
+		}
+		// Make every committed transaction's markers durable, the source's
+		// migration batches among them: once the manifest drops the source,
+		// a participant still without its marker would count the source as
+		// holding nothing and abort.
+		if err := db.settle(true); err != nil {
+			return fmt.Errorf("sharded: finalize merge: settle: %w", err)
 		}
 		// Persist the post-merge topology first; only then mutate memory.
 		ts := topoState{epoch: db.epoch + 1, nextID: db.nextID}

@@ -16,8 +16,10 @@
 //     k-th candidate;
 //   - cross-shard atomic Apply: a batch is split by owning shard and
 //     committed through a prepare/commit protocol over the per-shard
-//     write-ahead logs (peb.DB.PrepareApply), with the decision point in
-//     the router's own log — all-or-nothing even across a crash;
+//     write-ahead logs (peb.DB.PrepareApply). A transaction is committed
+//     once every participant's prepared record is durable, so the shard
+//     logs alone carry the verdict and the router keeps no log of its own
+//     — all-or-nothing even across a crash;
 //   - consistent Snapshot: one pinned peb.Snapshot per shard, taken under
 //     a brief global barrier, so the set is a single consistent cut;
 //   - per-shard durability: each shard owns a directory with its page
@@ -95,13 +97,13 @@ type Options struct {
 	Shards int
 	// Dir, when non-empty, is the root directory: each shard keeps its
 	// page file, checkpoint side files, and write-ahead log under
-	// <Dir>/shard-NNN/, next to the router's manifest and transaction
-	// decision log. Empty means memory-backed shards (no durability).
+	// <Dir>/shard-NNN/, next to the router's manifest, sharded.json — the
+	// only file the router keeps in the root. Empty means memory-backed
+	// shards (no durability).
 	Dir string
 	// DB is the per-shard engine configuration — space, durability level,
 	// buffer size, auto-checkpointing, filesystem — applied identically to
-	// every shard. Path must be empty (it is derived per shard) and
-	// TxnResolve must be nil (the router installs its own resolver).
+	// every shard. Path must be empty (it is derived per shard).
 	DB peb.Options
 	// ReplicasPerShard, when positive, attaches that many peb.Replica
 	// followers to every shard and serves RangeQuery and NearestNeighbors
@@ -188,16 +190,14 @@ type DB struct {
 	// into the old shard could land between the two and be deleted.
 	userMu [64]sync.Mutex
 
-	// Cross-shard transaction state: txnLog is the router's decision log
-	// (non-nil only with durability) — an appended id IS the commit point
-	// of that transaction; nextTxn allocates ids above every committed or
-	// observed id so a recycled id can never match a stale prepared record.
-	txnMu   sync.Mutex
-	txnLog  *store.SegmentedWAL
-	nextTxn uint64
-	// txnDecisions counts verdicts appended since the last compaction —
-	// zero means the log already holds nothing but its watermark.
-	txnDecisions uint64
+	// Cross-shard transaction state (batch.go): nextTxn allocates ids above
+	// every id any shard log holds, so a recycled id can never match a
+	// stale prepared record; unsettled lists the participant handles of
+	// every committed transaction whose markers are not all known durable
+	// yet — each holds its shard's log until settle releases it.
+	txnMu     sync.Mutex
+	nextTxn   uint64
+	unsettled [][]*peb.Prepared
 
 	// Follower-read state (replica.go). replicas holds each shard's
 	// follower pool (nil without ReplicasPerShard); rr is the per-shard
@@ -229,9 +229,6 @@ func (o Options) validate() error {
 	if o.DB.Path != "" {
 		return fmt.Errorf("%w: per-shard paths are derived from Dir; Options.DB.Path must be empty", peb.ErrBadOptions)
 	}
-	if o.DB.TxnResolve != nil {
-		return fmt.Errorf("%w: Options.DB.TxnResolve is owned by the router", peb.ErrBadOptions)
-	}
 	if o.DB.Durability != peb.DurabilityNone && o.Dir == "" {
 		return fmt.Errorf("%w: Durability requires Dir", peb.ErrBadOptions)
 	}
@@ -261,11 +258,12 @@ func shardDir(dir string, i int) string {
 // Open creates a sharded DB, or — when Dir holds one — recovers it: the
 // manifest's topology is adopted (Options.Shards counts only at
 // creation), every listed shard recovers independently (checkpoint plus
-// log replay, with cross-shard transactions resolved against the router's
-// decision log), the routing map is rebuilt from the shards' contents —
-// healing any duplicate a crash mid-re-homing left behind — and an
-// in-flight split or merge the manifest records is rolled forward to
-// completion before the first operation is served.
+// log replay), every cross-shard transaction a shard recovered without a
+// marker is finished by the commit rule (finishRecovered), the routing map
+// is rebuilt from the shards' contents — healing any duplicate a crash
+// mid-re-homing left behind — and an in-flight split or merge the manifest
+// records is rolled forward to completion before the first operation is
+// served.
 func Open(opts Options) (*DB, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -300,41 +298,19 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 
-	// The decision log must be read before the shards open: each shard's
-	// recovery resolves markerless prepared records against it.
-	var (
-		txnLog    *store.SegmentedWAL
-		committed map[uint64]bool
-		maxTxn    uint64
-	)
-	if opts.DB.Durability != peb.DurabilityNone {
-		var err error
-		txnLog, committed, maxTxn, err = openDecisionLog(fsys, filepath.Join(opts.Dir, "txn.log"))
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	// Open the shards in parallel: recovery cost is per shard, so a
 	// multi-core restart recovers N shards in the time of the largest.
 	shards := make([]*peb.DB, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	scatter(n, func(i int) {
 		po := opts.DB
 		po.FS = fsys
 		if opts.Dir != "" {
 			po.Path = filepath.Join(shardDir(opts.Dir, ts.metas[i].id), "peb.idx")
 		}
-		po.TxnResolve = func(id uint64) bool { return committed[id] }
 		po.MetricsLabel = shardLabel(ts.metas[i].id)
-		wg.Add(1)
-		go func(i int, po peb.Options) {
-			defer wg.Done()
-			shards[i], errs[i] = peb.Open(po)
-		}(i, po)
-	}
-	wg.Wait()
+		shards[i], errs[i] = peb.Open(po)
+	})
 	for i, err := range errs {
 		if err != nil {
 			for _, s := range shards {
@@ -342,18 +318,9 @@ func Open(opts Options) (*DB, error) {
 					s.Close()
 				}
 			}
-			if txnLog != nil {
-				txnLog.Close()
-			}
 			return nil, fmt.Errorf("sharded: open shard %d: %w", i, err)
 		}
 	}
-
-	// Recovery is over: the resolver closures each shard retains are never
-	// consulted again, so release the committed-id set (it is rebuilt from
-	// the log on the next open) rather than pin one entry per transaction
-	// ever committed for the DB's lifetime.
-	committed = nil
 
 	grid := zcurve.Grid{Side: shards[0].Bounds().MaxX, Order: shards[0].GridOrder()}
 	db := &DB{
@@ -368,10 +335,13 @@ func Open(opts Options) (*DB, error) {
 		now:     time.Now,
 		cqs:     make(map[*CQ]struct{}),
 		owner:   make(map[UserID]int),
-		txnLog:  txnLog,
 	}
 	db.initObs()
 	db.rebuildRoutes()
+	if err := db.finishRecovered(); err != nil {
+		db.Close()
+		return nil, err
+	}
 	if err := db.reconcile(); err != nil {
 		db.Close()
 		return nil, err
@@ -381,11 +351,9 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	for _, s := range shards {
-		if id := s.MaxTxnID(); id > maxTxn {
-			maxTxn = id
-		}
+		db.nextTxn = max(db.nextTxn, s.MaxTxnID())
 	}
-	db.nextTxn = maxTxn + 1
+	db.nextTxn++
 
 	// A pending split or merge in the manifest already happened — its
 	// route flip was durably committed — so recovery completes the
@@ -511,8 +479,9 @@ func (db *DB) Epoch() uint64 {
 	return db.epoch
 }
 
-// Close closes every shard and the router's decision log. Close drains
-// cross-shard operations (it takes the barrier) and is idempotent.
+// Close closes every shard. Close drains cross-shard operations (it takes
+// the barrier) and is idempotent. Each shard syncs its log as it closes, so
+// every committed transaction is settled after it.
 func (db *DB) Close() error {
 	// The maintainer takes the barrier itself; stop it before acquiring.
 	db.stopMaintainer()
@@ -524,17 +493,12 @@ func (db *DB) Close() error {
 	db.closed = true
 	// Followers first: they tail the shard logs that are about to close.
 	firstErr := db.closeReplicas()
-	if db.txnLog != nil {
-		if err := db.txnLog.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		db.txnLog = nil
-	}
 	for i, s := range db.shards {
 		if err := s.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("sharded: close shard %d: %w", i, err)
 		}
 	}
+	db.unsettled = nil
 	return firstErr
 }
 
@@ -649,15 +613,7 @@ func (db *DB) EncodePolicies() error {
 		return fmt.Errorf("sharded: compute encoding: %w", err)
 	}
 	errs := make([]error, len(db.shards))
-	var wg sync.WaitGroup
-	for i, s := range db.shards {
-		wg.Add(1)
-		go func(i int, s *peb.DB) {
-			defer wg.Done()
-			errs[i] = s.InstallEncoding(enc)
-		}(i, s)
-	}
-	wg.Wait()
+	scatter(len(db.shards), func(i int) { errs[i] = db.shards[i].InstallEncoding(enc) })
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("sharded: install encoding on shard %d: %w", i, err)
@@ -672,35 +628,27 @@ func (db *DB) EncodePolicies() error {
 // Checkpoint runs every shard's checkpoint pipeline concurrently. Each
 // pipeline stalls only its own shard's commits for its cut and publish
 // moments; the other shards keep serving throughout — the per-shard
-// version of the engine's non-blocking checkpoint. A fully successful
-// pass also compacts the router's transaction decision log down to a
-// single watermark record (every verdict it held has just become
-// unreachable).
+// version of the engine's non-blocking checkpoint. It settles every
+// committed transaction first — syncing the markers no later commit has —
+// so each shard's log truncation passes them all, idle participants or
+// not.
 func (db *DB) Checkpoint() error {
 	db.smu.RLock()
 	defer db.smu.RUnlock()
 	if db.closed {
 		return ErrClosed
 	}
-	errs := make([]error, len(db.shards))
-	var wg sync.WaitGroup
-	for i, s := range db.shards {
-		wg.Add(1)
-		go func(i int, s *peb.DB) {
-			defer wg.Done()
-			errs[i] = s.Checkpoint()
-		}(i, s)
+	if err := db.settle(true); err != nil {
+		return fmt.Errorf("sharded: checkpoint: settle: %w", err)
 	}
-	wg.Wait()
+	errs := make([]error, len(db.shards))
+	scatter(len(db.shards), func(i int) { errs[i] = db.shards[i].Checkpoint() })
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("sharded: checkpoint shard %d: %w", i, err)
 		}
 	}
-	// Every shard's log truncation has passed every decided transaction,
-	// and the barrier we hold keeps new ones out: the decision log's
-	// records are all unreachable now, so fold it down to its watermark.
-	return db.compactDecisionLog()
+	return nil
 }
 
 // Lookup returns a user's stored movement state.

@@ -21,9 +21,6 @@ func TestShardedOptionsValidation(t *testing.T) {
 	if _, err := Open(Options{DB: peb.Options{Durability: peb.DurabilitySync}}); !errors.Is(err, peb.ErrBadOptions) {
 		t.Fatalf("durability without dir: %v", err)
 	}
-	if _, err := Open(Options{DB: peb.Options{TxnResolve: func(uint64) bool { return true }}}); !errors.Is(err, peb.ErrBadOptions) {
-		t.Fatalf("caller-supplied TxnResolve: %v", err)
-	}
 }
 
 func TestShardedRehomeOnMove(t *testing.T) {

@@ -128,9 +128,9 @@ type Stats struct {
 	PrimaryFallbacks uint64
 	// Buffer sums the per-shard buffer-pool counters.
 	Buffer store.BufferStats
-	// TxnDecisions counts 2PC verdicts in the router's decision log since
-	// its last compaction; TxnLogBytes is that log's size on disk. Both are
-	// zero without durability.
+	// TxnDecisions and TxnLogBytes always read 0: the router keeps no log
+	// of its own — a cross-shard transaction's verdict lives in its
+	// participants' logs. They remain for callers that still read them.
 	TxnDecisions uint64
 	TxnLogBytes  int64
 }
@@ -202,11 +202,5 @@ func (db *DB) Stats() Stats {
 	out.Merges = db.merges.Load()
 	out.FollowerReads = db.followerReads.Load()
 	out.PrimaryFallbacks = db.primaryFallbacks.Load()
-	db.txnMu.Lock()
-	out.TxnDecisions = db.txnDecisions
-	if db.txnLog != nil {
-		out.TxnLogBytes = db.txnLog.Size()
-	}
-	db.txnMu.Unlock()
 	return out
 }

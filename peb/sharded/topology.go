@@ -1,10 +1,12 @@
 package sharded
 
 import (
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/store"
 	"repro/internal/zcurve"
 	"repro/peb"
@@ -91,7 +93,28 @@ type manifestShard struct {
 }
 
 // manifestVersion is the one manifest generation unmarshalManifest reads.
-const manifestVersion = 2
+const manifestVersion = 3
+
+// marshalManifest serializes the router's identity record.
+func marshalManifest(m manifest) ([]byte, error) {
+	data, err := json.Marshal(m)
+	if err != nil {
+		return nil, fmt.Errorf("sharded: marshal manifest: %w", err)
+	}
+	return data, nil
+}
+
+func unmarshalManifest(data []byte) (manifest, error) {
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return manifest{}, fmt.Errorf("sharded: parse manifest: %w", err)
+	}
+	if m.Version != manifestVersion {
+		return manifest{}, fmt.Errorf("sharded: %w: manifest version %d (want %d)",
+			codec.ErrUnsupportedFormat, m.Version, manifestVersion)
+	}
+	return m, nil
+}
 
 // topoState is the in-memory image of the manifest's topology section.
 type topoState struct {
@@ -308,6 +331,17 @@ func loadTopology(fsys store.VFS, opts Options) (topoState, error) {
 	m, err := unmarshalManifest(data)
 	if err != nil {
 		return topoState{}, err
+	}
+	// The router keeps nothing in the root but its manifest: any other file
+	// (a log an older generation kept there) is refused, not ignored.
+	names, err := fsys.ListDir(opts.Dir)
+	if err != nil {
+		return topoState{}, fmt.Errorf("sharded: list root: %w", err)
+	}
+	for _, name := range names {
+		if base := filepath.Base(name); base != "sharded.json" && base != "sharded.json.tmp" {
+			return topoState{}, fmt.Errorf("sharded: %w: unrecognized file %s in the root", codec.ErrUnsupportedFormat, name)
+		}
 	}
 	if m.SpaceSide != side {
 		return topoState{}, fmt.Errorf("sharded: directory space side %g does not match options %g", m.SpaceSide, side)

@@ -90,10 +90,10 @@ func (l opList) len() int { return len(l.Pol) + len(l.Idx) }
 // see prepared.go). Ordinary single-DB commits log txnNone records.
 const (
 	txnNone uint8 = iota
-	// txnPrepared: the record's operations wait on a coordinator's
-	// decision, in memory as on replay: they apply only once a later
-	// txnCommitted marker (or the coordinator's resolver) confirms the
-	// transaction.
+	// txnPrepared: the record's operations wait on the transaction's
+	// verdict, in memory as on replay: they apply only once a later
+	// txnCommitted marker confirms it, or the coordinator commits the
+	// handle recovery left pending (see prepared.go).
 	txnPrepared
 	// txnCommitted / txnAborted: marker records (no operations) sealing a
 	// prepared transaction's fate in this participant's log.
@@ -105,13 +105,15 @@ const (
 // the post-commit nextSV so replay restores the sequence-value cursor.
 // TxnID/TxnState tie the record into a cross-shard transaction: zero for
 // ordinary commits, the coordinator's transaction id for prepared records
-// and their commit/abort markers.
+// and their commit/abort markers. Parts, on a prepared record only, names
+// every participant of the transaction by the coordinator's stable ids.
 type walRecord struct {
 	Seq      uint64
 	NextSV   float64
 	Ops      opList
 	TxnID    uint64
 	TxnState uint8
+	Parts    []int
 }
 
 // encodeAssignment flattens an assignment into deterministic (sorted)
@@ -138,27 +140,27 @@ func decodeAssignment(op *polOp) policy.Assignment {
 	return a
 }
 
-// walAppendTxn logs one record: the resolved operations with the
+// walAppend logs one record: the resolved operations with the
 // sequence-value cursor they leave, and for a cross-shard transaction its
-// id and state (prepared records and their commit/abort markers). The
-// caller holds the write lock and has already applied the operations in
-// memory successfully — or, for a prepared record, checked that they
-// apply. The returned token is passed to walSync after the lock is
-// released. A nil WAL logs nothing.
+// id, state and — on a prepared record — participants. The caller holds
+// the write lock and has already applied the operations in memory
+// successfully — or, for a prepared record, checked that they apply; it
+// fills every field but Seq. The returned token is passed to walSync after
+// the lock is released. A nil WAL logs nothing.
 //
 // An append failure poisons the WAL: the in-memory state is ahead of the
 // log, and accepting any later record would persist a history with a hole.
 // All subsequent commits fail until the DB is reopened; reads and the
 // already-applied mutation remain visible in memory.
-func (db *DB) walAppendTxn(ops opList, nextSV float64, txnID uint64, txnState uint8) (store.WALToken, error) {
-	if txnID > db.maxTxn {
-		db.maxTxn = txnID
+func (db *DB) walAppend(rec walRecord) (store.WALToken, error) {
+	if rec.TxnID > db.maxTxn {
+		db.maxTxn = rec.TxnID
 	}
 	if db.wal == nil {
 		return 0, nil
 	}
 	db.walSeq++
-	rec := walRecord{Seq: db.walSeq, NextSV: nextSV, Ops: ops, TxnID: txnID, TxnState: txnState}
+	rec.Seq = db.walSeq
 	// Encode into the DB's reusable buffer: the caller holds the write
 	// lock, and Append copies the payload into the frame before returning,
 	// so the buffer is free again by the next commit. After the first few
@@ -222,6 +224,7 @@ func (db *DB) replayRecord(rec walRecord) error {
 type txnReplay struct {
 	pending  []walRecord      // decoded, not yet replayed, in log order
 	outcomes map[uint64]uint8 // transaction id → txnCommitted or txnAborted
+	tail     int              // payload bytes of the last frame added
 }
 
 // add decodes log frames onto the queue and notes the markers among them.
@@ -238,32 +241,29 @@ func (q *txnReplay) add(frames [][]byte) error {
 			q.outcomes[rec.TxnID] = rec.TxnState
 		}
 		q.pending = append(q.pending, rec)
+		q.tail = len(payload)
 	}
 	return nil
 }
 
 // drain replays the queue into db, taking the write lock record by record
 // (a replica's readers run in between), and reports how many records it
-// applied. A prepared record with no marker queued is decided by resolve
-// — the coordinator's verdict, commit or abort; given no resolve, drain
-// stops there and the record waits for its marker. Records at or below
-// db.walSeq are already part of db's state and only pass through. Every
-// transaction id seen raises db.maxTxn, so a coordinator never recycles
-// it.
-func (q *txnReplay) drain(db *DB, resolve func(txnID uint64) bool) (applied int, err error) {
+// applied. It stops at a prepared record above db.walSeq with no marker
+// queued, to wait for its marker (a replica) or verdict (recovery). Records
+// at or below db.walSeq are part of db's state already and only pass
+// through — a markerless prepared one committed (see prepared.go). Every
+// transaction id seen raises db.maxTxn, so a coordinator never recycles it.
+func (q *txnReplay) drain(db *DB) (applied int, err error) {
 	for len(q.pending) > 0 {
 		rec := q.pending[0]
 		commit := true
 		if rec.TxnState == txnPrepared {
 			state, decided := q.outcomes[rec.TxnID]
 			if !decided {
-				if resolve == nil {
+				if rec.Seq > db.walSeq {
 					break
 				}
-				state = txnAborted
-				if resolve(rec.TxnID) {
-					state = txnCommitted
-				}
+				state = txnCommitted
 				q.outcomes[rec.TxnID] = state
 			}
 			commit = state == txnCommitted

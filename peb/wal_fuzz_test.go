@@ -6,7 +6,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -41,9 +43,16 @@ func gobEraRecord(t testing.TB) []byte {
 }
 
 // fuzzRecord deterministically builds a walRecord from fuzz-controlled
-// raw material, exercising every op kind and field shape.
-func fuzzRecord(seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2, f3 float64, role string, blob []byte) walRecord {
+// raw material, exercising every op kind and field shape. A prepared
+// record names numParts participants (mod 9); only prepared records carry
+// any on the wire.
+func fuzzRecord(seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2, f3 float64, role string, blob []byte, numParts int) walRecord {
 	rec := walRecord{Seq: seq, NextSV: f1, TxnID: txnID, TxnState: txnState}
+	if txnState == txnPrepared {
+		for i := 0; i < int(uint(numParts)%9); i++ {
+			rec.Parts = append(rec.Parts, int(seq>>8)%1000+i*i*97)
+		}
+	}
 	n := int(uint(numOps) % 9)
 	for i := 0; i < n; i++ {
 		kind := uint(kindSeed+i) % 7
@@ -81,11 +90,15 @@ func fuzzRecord(seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2,
 }
 
 func FuzzWALRecordRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint64(0), uint8(0), 3, 0, 1.5, -2.25, 100.0, "f", []byte("pol"))
-	f.Add(uint64(1<<40), uint64(7), uint8(1), 8, 3, math.Inf(1), math.NaN(), math.Copysign(0, -1), "coworker", []byte{})
-	f.Add(uint64(0), uint64(1<<63), uint8(3), 7, 6, 1e-300, 1e300, 0.1, "", []byte{0xB6, 0x00, 0xFF})
-	f.Fuzz(func(t *testing.T, seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2, f3 float64, role string, blob []byte) {
-		rec := fuzzRecord(seq, txnID, txnState, numOps, kindSeed, f1, f2, f3, role, blob)
+	f.Add(uint64(1), uint64(0), uint8(0), 3, 0, 1.5, -2.25, 100.0, "f", []byte("pol"), 0)
+	f.Add(uint64(1<<40), uint64(7), uint8(1), 8, 3, math.Inf(1), math.NaN(), math.Copysign(0, -1), "coworker", []byte{}, 4)
+	f.Add(uint64(0), uint64(1<<63), uint8(3), 7, 6, 1e-300, 1e300, 0.1, "", []byte{0xB6, 0x00, 0xFF}, 2)
+	// Prepared records naming 0, 1 and 4 participants.
+	for _, parts := range []int{0, 1, 4} {
+		f.Add(uint64(1<<20), uint64(9), txnPrepared, 2, 1, 3.0, 4.0, 5.0, "p", []byte{}, parts)
+	}
+	f.Fuzz(func(t *testing.T, seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2, f3 float64, role string, blob []byte, numParts int) {
+		rec := fuzzRecord(seq, txnID, txnState, numOps, kindSeed, f1, f2, f3, role, blob, numParts)
 		enc := appendRecord(nil, &rec)
 		dec, err := decodeRecord(enc)
 		if err != nil {
@@ -96,6 +109,7 @@ func FuzzWALRecordRoundTrip(f *testing.F) {
 			t.Fatalf("round trip not identical:\n enc %x\n re  %x", enc, re)
 		}
 		if dec.Seq != rec.Seq || dec.TxnID != rec.TxnID || dec.TxnState != rec.TxnState ||
+			!slices.Equal(dec.Parts, rec.Parts) ||
 			len(dec.Ops.Pol) != len(rec.Ops.Pol) || len(dec.Ops.Idx) != len(rec.Ops.Idx) {
 			t.Fatalf("header mismatch: %+v vs %+v", dec, rec)
 		}
@@ -131,8 +145,12 @@ func fuzzDecodeSeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
 	recs := []walRecord{
 		{Seq: 1, NextSV: 2},
-		fuzzRecord(7, 3, 1, 8, 0, 1.5, -0.25, 12, "f", []byte("blob")),
-		fuzzRecord(1<<50, 1<<62, 3, 7, 4, math.Inf(-1), math.NaN(), 1e308, "c", []byte{0, 1, 2}),
+		fuzzRecord(7, 3, 1, 8, 0, 1.5, -0.25, 12, "f", []byte("blob"), 2),
+		fuzzRecord(1<<50, 1<<62, 3, 7, 4, math.Inf(-1), math.NaN(), 1e308, "c", []byte{0, 1, 2}, 0),
+		// Prepared records naming 0, 1 and 4 participants.
+		fuzzRecord(1<<20, 9, txnPrepared, 2, 1, 3, 4, 5, "p", nil, 0),
+		fuzzRecord(1<<20, 9, txnPrepared, 2, 1, 3, 4, 5, "p", nil, 1),
+		fuzzRecord(1<<20, 9, txnPrepared, 2, 1, 3, 4, 5, "p", nil, 4),
 	}
 	for i := range recs {
 		enc := appendRecord(nil, &recs[i])
@@ -155,7 +173,9 @@ func fuzzDecodeSeeds(t testing.TB) [][]byte {
 		seeds = append(seeds, append(bytes.Clone(enc), 0xDE, 0xAD))
 	}
 	// Absurd op count (would OOM without the count cap).
-	seeds = append(seeds, []byte{0xB6, 0x01, 0x01, 0x02, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
+	seeds = append(seeds, []byte{0xB6, walCodecVersion, 0x01, 0x02, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
+	// A prepared record claiming more participants than bytes are left.
+	seeds = append(seeds, absurdParticipants)
 	// Another codec version.
 	seeds = append(seeds, []byte{0xB6, 0x63, 0x01})
 	gb := gobEraRecord(t)
@@ -164,11 +184,16 @@ func fuzzDecodeSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
+// absurdParticipants is a prepared record (seq 1, txn 5) whose
+// participant count claims ~34 billion ids with one byte left to back them.
+var absurdParticipants = []byte{0xB6, walCodecVersion, 0x01, 0x02, 0x05, txnPrepared,
+	0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x00}
+
 // TestWALCodecRejectsCorruption spot-checks decode strictness outside the
 // fuzzer: truncation, trailing bytes, unknown kinds, other versions and
 // oversized counts must all error (not panic, not succeed).
 func TestWALCodecRejectsCorruption(t *testing.T) {
-	rec := fuzzRecord(42, 7, 1, 6, 0, 3.5, -1, 9, "f", []byte("pp"))
+	rec := fuzzRecord(42, 7, 1, 6, 0, 3.5, -1, 9, "f", []byte("pp"), 3)
 	enc := appendRecord(nil, &rec)
 	if _, err := decodeRecord(enc); err != nil {
 		t.Fatalf("valid record rejected: %v", err)
@@ -181,10 +206,18 @@ func TestWALCodecRejectsCorruption(t *testing.T) {
 	if _, err := decodeRecord(append(bytes.Clone(enc), 0x00)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	for _, v := range []byte{0x00, 0x02} {
+	for _, v := range []byte{0x00, 0x01, 0x03} {
 		if _, err := decodeRecord([]byte{0xB6, v, 0x01}); !errors.Is(err, ErrUnsupportedFormat) {
 			t.Fatalf("codec version %d: err = %v, want ErrUnsupportedFormat", v, err)
 		}
+	}
+	// A participant count the record's bytes cannot back is refused before
+	// anything is sized by it.
+	if _, err := decodeRecord(absurdParticipants); err == nil || !strings.Contains(err.Error(), "participant count") {
+		t.Fatalf("absurd participant count: err = %v", err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = decodeRecord(absurdParticipants) }); allocs > 8 {
+		t.Fatalf("refusing an absurd participant count allocated %v times", allocs)
 	}
 	bad := bytes.Clone(enc)
 	bad[len(bad)-1] ^= 0x80 // damage the tail varint

@@ -19,11 +19,12 @@ import (
 // Record layout (uvarint/vfloat/vbytes as defined in internal/codec):
 //
 //	magic    1 byte  0xB6 (codec.MagicWALRecord)
-//	version  1 byte  0x01
+//	version  1 byte  0x02
 //	seq      uvarint
 //	nextSV   vfloat
 //	txnID    uvarint
 //	txnState 1 byte
+//	parts    numParts uvarint · numParts × shard id uvarint — prepared records only
 //	numOps   uvarint
 //	ops      numOps × op
 //
@@ -46,7 +47,7 @@ import (
 // walCodecVersion is the one record format revision the decoder reads;
 // bytes opening with anything but the magic and this version are refused
 // with ErrUnsupportedFormat.
-const walCodecVersion = 1
+const walCodecVersion = 2
 
 // appendRecord encodes rec after b (usually b[:0] of a reused buffer) and
 // returns the extended slice. It cannot fail: every walRecord value is
@@ -57,6 +58,12 @@ func appendRecord(b []byte, rec *walRecord) []byte {
 	b = codec.AppendFloat(b, rec.NextSV)
 	b = codec.AppendUvarint(b, rec.TxnID)
 	b = append(b, rec.TxnState)
+	if rec.TxnState == txnPrepared {
+		b = codec.AppendUvarint(b, uint64(len(rec.Parts)))
+		for _, id := range rec.Parts {
+			b = codec.AppendUvarint(b, uint64(id))
+		}
+	}
 	b = codec.AppendUvarint(b, uint64(rec.Ops.len()))
 	for i := range rec.Ops.Pol {
 		op := &rec.Ops.Pol[i]
@@ -137,6 +144,20 @@ func decodeRecord(data []byte) (walRecord, error) {
 	rec.NextSV = r.TakeFloat("nextSV")
 	rec.TxnID = r.TakeUvarint("txnID")
 	rec.TxnState = r.TakeByte("txnState")
+	if rec.TxnState == txnPrepared {
+		// Each shard id costs at least one byte on the wire, so a claimed
+		// count the remaining bytes cannot back fails before any allocation.
+		if n := r.TakeCount("participant count", 1); n > 0 && r.Err() == nil {
+			rec.Parts = make([]int, n)
+		}
+		for j := range rec.Parts {
+			id := r.TakeUvarint("participant id")
+			if id > math.MaxInt32 {
+				r.Failf("participant id %d implausible", id)
+			}
+			rec.Parts[j] = int(id)
+		}
+	}
 	// Each op costs at least one byte on the wire.
 	numOps := r.TakeCount("op count", 1)
 	if err := r.Err(); err != nil {
