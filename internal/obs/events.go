@@ -8,9 +8,9 @@ import (
 )
 
 // Event is one recorded maintainer decision or notable occurrence: a
-// checkpoint committed, an automatic split fired, a replica stalled, a
-// query ran slow. Fields carry the decision's inputs (observed rates,
-// thresholds, durations) so the log answers "why did it do that".
+// checkpoint committed, an automatic split fired, a replica stalled.
+// Fields carry the decision's inputs (observed rates, thresholds,
+// durations) so the log answers "why did it do that".
 type Event struct {
 	// Seq numbers events since open; gaps in a Recent() listing mean the
 	// ring overwrote older entries.

@@ -35,11 +35,9 @@ import (
 // durable according to the sync policy. Under WALSyncAlways the first
 // committer becomes the sync leader and fsyncs everything appended so far,
 // so concurrent commits share one fsync (the classic group commit).
-// WALSyncGrouped adds a short gathering window before the leader syncs,
-// trading commit latency for fewer fsyncs under load. WALSyncNone never
-// syncs on commit — the OS (or the next seal/Close) flushes — so a crash
-// may lose a suffix of acknowledged commits, but recovery still sees a
-// clean committed prefix.
+// WALSyncNone never syncs on commit — the OS (or the next seal/Close)
+// flushes — so a crash may lose a suffix of acknowledged commits, but
+// recovery still sees a clean committed prefix.
 //
 // Error handling is strict: after any write or sync failure the log is
 // poisoned and every subsequent Append/Commit fails. A log that may have a
@@ -84,17 +82,14 @@ type WALSyncPolicy int
 const (
 	// WALSyncAlways fsyncs before Commit returns; concurrent commits share
 	// a single fsync opportunistically.
-	WALSyncAlways WALSyncPolicy = iota
-	// WALSyncGrouped is WALSyncAlways plus a short gathering window, so
-	// even lightly concurrent committers amortize one fsync.
-	WALSyncGrouped
+	WALSyncAlways WALSyncPolicy = 0
 	// WALSyncNone returns from Commit without syncing. Durability is
 	// deferred to the OS, Sync, a seal, or Close.
-	WALSyncNone
+	WALSyncNone WALSyncPolicy = 2
+	// Value 1 was the retired grouped policy (WALSyncAlways plus a
+	// gathering window). It stays unused so a policy recorded by number
+	// keeps its meaning.
 )
-
-// DefaultGroupWindow is the gathering delay of WALSyncGrouped.
-const DefaultGroupWindow = 500 * time.Microsecond
 
 // walMaxRecord bounds a record's payload, rejecting absurd lengths that a
 // corrupt header would otherwise turn into huge allocations.
@@ -139,7 +134,6 @@ type SegmentedWAL struct {
 	fs       VFS
 	path     string
 	policy   WALSyncPolicy
-	window   time.Duration
 	rollSize int64
 
 	// mu guards the active handle, offsets, and the sealed-segment list.
@@ -289,7 +283,7 @@ func OpenSegmentedWAL(fs VFS, path string, policy WALSyncPolicy, rollSize int64)
 		idxs = []uint64{1}
 	}
 
-	w := &SegmentedWAL{fs: fs, path: path, policy: policy, window: DefaultGroupWindow, rollSize: rollSize}
+	w := &SegmentedWAL{fs: fs, path: path, policy: policy, rollSize: rollSize}
 	w.sc = sync.NewCond(&w.sm)
 
 	var records [][]byte
@@ -577,11 +571,6 @@ func (w *SegmentedWAL) syncTo(target int64) error {
 	w.syncing = true
 	w.sm.Unlock()
 
-	if w.policy == WALSyncGrouped && w.window > 0 {
-		// Gather companions: commits arriving during the window ride this
-		// fsync instead of paying their own.
-		time.Sleep(w.window)
-	}
 	// Capture end and handle together under mu: every byte <= end outside
 	// the captured file lives in a sealed (already durable) segment, so
 	// fsyncing the capture covers the whole claim even if a roll swaps the

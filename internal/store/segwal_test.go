@@ -25,7 +25,7 @@ func segAppendCommit(t *testing.T, w *SegmentedWAL, payload []byte) {
 }
 
 func TestSegWALAppendReplayAcrossRolls(t *testing.T) {
-	for _, policy := range []WALSyncPolicy{WALSyncAlways, WALSyncGrouped, WALSyncNone} {
+	for _, policy := range []WALSyncPolicy{WALSyncAlways, WALSyncNone} {
 		t.Run(fmt.Sprint(policy), func(t *testing.T) {
 			fs := NewCrashFS()
 			// Tiny threshold: 20 records of 8..141 bytes force many rolls.
@@ -293,7 +293,7 @@ func TestSegWALValidationFailuresPoison(t *testing.T) {
 }
 
 func TestSegWALGroupCommitConcurrentAcrossRolls(t *testing.T) {
-	for _, policy := range []WALSyncPolicy{WALSyncAlways, WALSyncGrouped} {
+	for _, policy := range []WALSyncPolicy{WALSyncAlways} {
 		t.Run(fmt.Sprint(policy), func(t *testing.T) {
 			fs := NewCrashFS()
 			// Small threshold: the 200 appends roll the log dozens of times

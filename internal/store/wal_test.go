@@ -24,7 +24,7 @@ func openLog(t *testing.T, fs VFS, policy WALSyncPolicy) (*SegmentedWAL, [][]byt
 }
 
 func TestWALAppendReplay(t *testing.T) {
-	for _, policy := range []WALSyncPolicy{WALSyncAlways, WALSyncGrouped, WALSyncNone} {
+	for _, policy := range []WALSyncPolicy{WALSyncAlways, WALSyncNone} {
 		t.Run(fmt.Sprint(policy), func(t *testing.T) {
 			fs := NewCrashFS()
 			w, recs := openLog(t, fs, policy)
@@ -205,7 +205,7 @@ func TestWALValidationFailuresPoison(t *testing.T) {
 }
 
 func TestWALGroupCommitConcurrent(t *testing.T) {
-	for _, policy := range []WALSyncPolicy{WALSyncAlways, WALSyncGrouped} {
+	for _, policy := range []WALSyncPolicy{WALSyncAlways} {
 		t.Run(fmt.Sprint(policy), func(t *testing.T) {
 			fs := NewCrashFS()
 			w, _ := openLog(t, fs, policy)

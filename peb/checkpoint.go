@@ -101,14 +101,13 @@ type metaFile struct {
 	SVs       []svRec
 
 	// NumPages/Free persist the page allocator; WalSeq is the WAL horizon;
-	// Users and Encoded restore the encoding population and its freshness;
-	// CkptSeq numbers checkpoints and Policies is the base name of the
-	// policies snapshot written by this one, which lives beside the meta.
+	// Users restores the encoding population; CkptSeq numbers checkpoints
+	// and Policies is the base name of the policies snapshot written by
+	// this one, which lives beside the meta.
 	NumPages uint64         `json:",omitempty"`
 	Free     []store.PageID `json:",omitempty"`
 	WalSeq   uint64         `json:",omitempty"`
 	Users    []UserID       `json:",omitempty"`
-	Encoded  bool           `json:",omitempty"`
 	CkptSeq  uint64         `json:",omitempty"`
 	Policies string         `json:",omitempty"`
 }
@@ -184,7 +183,6 @@ type ckptImage struct {
 	snap     core.Snapshot
 	users    []UserID
 	nextSV   float64
-	encoded  bool
 	walSeq   uint64
 	walMark  store.SegPos
 	numPages uint64
@@ -357,7 +355,6 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 		policies: db.policies,
 		snap:     db.tree.Snapshot(),
 		nextSV:   db.nextSV,
-		encoded:  db.encoded,
 		numPages: db.fileDisk.NumPages(),
 		// Parked ids from an earlier aborted pipeline are unreachable and
 		// unallocated: free pages of the new image.
@@ -448,7 +445,6 @@ func (img *ckptImage) metaBytes() ([]byte, error) {
 		NextSV:    img.nextSV,
 		NumPages:  img.numPages,
 		WalSeq:    img.walSeq,
-		Encoded:   img.encoded,
 		CkptSeq:   img.seq,
 		Policies:  filepath.Base(img.polName),
 		Users:     img.users,
@@ -817,7 +813,6 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 		ckptWalSeq:   mf.WalSeq,
 		ckptSeq:      mf.CkptSeq,
 		prevPolicies: polName,
-		encoded:      mf.Encoded,
 	}
 	db.initObs()
 	db.view = tree.ViewIO(db.qio)

@@ -424,7 +424,7 @@ func TestAutoCheckpointCleanClose(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
 		Path:           filepath.Join(dir, "ac.idx"),
-		Durability:     DurabilityGrouped,
+		Durability:     DurabilitySync,
 		AutoCheckpoint: AutoCheckpointPolicy{WALBytes: 1 << 12},
 	}
 	db, err := Open(opts)

@@ -316,9 +316,9 @@ func (db *DB) captureTouched(ops []core.BatchOp) ([]CommitTouch, error) {
 // applyOps is stage 4, the state transition of a resolved op list: the
 // index group through the tree with the bookkeeping its operations carry
 // (the user population, the sequence-value cursor), then — in list order —
-// the policy and rebuild operations with theirs (the population, the
-// encoded flag). Commit, recovery and replicas all run it; the caller
-// holds the write lock and publishes the view afterwards.
+// the policy and rebuild operations with theirs (the population). Commit,
+// recovery and replicas all run it; the caller holds the write lock and
+// publishes the view afterwards.
 //
 // The index phase goes first because it is the only one that can fail on
 // valid input (a remove of an unindexed user, an I/O error) and it rolls
@@ -351,7 +351,6 @@ func (db *DB) applyOps(ops opList) error {
 			})
 			db.noteUser(op.Own)
 			db.noteUser(op.Peer)
-			db.encoded = false
 		case polOpGrant:
 			p := policy.Policy{Role: op.Role, Locr: op.Locr, Tint: op.Tint}
 			if err := db.mutatePolicies(func(ps *policy.Store) error {
@@ -360,7 +359,6 @@ func (db *DB) applyOps(ops opList) error {
 				return fmt.Errorf("peb: grant: %w", err)
 			}
 			db.noteUser(op.Own)
-			db.encoded = false
 		case polOpLoadPolicies:
 			loaded, err := policy.Load(bytes.NewReader(op.Blob))
 			if err != nil {
@@ -376,7 +374,6 @@ func (db *DB) applyOps(ops opList) error {
 				db.noteUser(UserID(viewer))
 				return true
 			})
-			db.encoded = false
 		case polOpEncode:
 			if err := db.rebuildLocked(decodeAssignment(op)); err != nil {
 				return fmt.Errorf("peb: rebuild: %w", err)
@@ -439,6 +436,5 @@ func (db *DB) rebuildLocked(assignment policy.Assignment) error {
 			return err
 		}
 	}
-	db.encoded = true
 	return nil
 }

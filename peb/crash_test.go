@@ -596,12 +596,13 @@ func TestRecoveryWithoutDurabilityPreservesLog(t *testing.T) {
 	}
 }
 
-// TestRecoveryGroupCommitConcurrent hammers a grouped-durability DB from
-// many goroutines (run under -race), then recovers after a cut and checks
-// every acknowledged commit survived.
+// TestRecoveryGroupCommitConcurrent hammers a sync-durability DB, whose
+// concurrent committers share fsyncs, from many goroutines (run under
+// -race), then recovers after a cut and checks every acknowledged commit
+// survived.
 func TestRecoveryGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Path: filepath.Join(dir, "g.idx"), Durability: DurabilityGrouped, BufferPages: 32}
+	opts := Options{Path: filepath.Join(dir, "g.idx"), Durability: DurabilitySync, BufferPages: 32}
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -95,9 +95,6 @@ func (o Options) validate() error {
 	if o.AutoCheckpoint.enabled() && o.Durability == DurabilityNone {
 		bad = append(bad, "AutoCheckpoint requires Durability (its thresholds measure the write-ahead log)")
 	}
-	if o.SlowQueryThreshold < 0 {
-		bad = append(bad, fmt.Sprintf("SlowQueryThreshold %v < 0", o.SlowQueryThreshold))
-	}
 	if len(bad) == 0 {
 		return nil
 	}

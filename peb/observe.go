@@ -1,8 +1,6 @@
 package peb
 
 import (
-	"time"
-
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -13,7 +11,7 @@ import (
 // there is no enablement knob to forget. The registry is scraped through
 // peb/obs.Handler (Prometheus text at /metrics, JSON at /statusz); the
 // event log records maintainer decisions — checkpoints, recovery, 2PC
-// verdicts, slow queries — and mirrors them to Options.Logger when set.
+// verdicts — and mirrors them to Options.Logger when set.
 
 // dbMetrics holds the DB's registered hot-path instruments. Registration
 // happens once in initObs; recording is lock-free atomic adds.
@@ -22,7 +20,6 @@ type dbMetrics struct {
 	commit      *obs.Histogram // peb_commit_seconds
 	prq         *obs.Histogram // peb_query_seconds{op="prq"}
 	pknn        *obs.Histogram // peb_query_seconds{op="pknn"}
-	slow        *obs.Counter   // peb_slow_queries_total
 	walAppend   *obs.Histogram // peb_wal_append_seconds
 	walFsync    *obs.Histogram // peb_wal_fsync_seconds
 	walGroup    *obs.Histogram // peb_wal_fsync_records
@@ -49,8 +46,6 @@ func (db *DB) initObs() {
 		"One-shot query latency on the published view.", 1e-9, obs.Label{Key: "op", Value: "prq"})
 	m.pknn = reg.Histogram("peb_query_seconds",
 		"One-shot query latency on the published view.", 1e-9, obs.Label{Key: "op", Value: "pknn"})
-	m.slow = reg.Counter("peb_slow_queries_total",
-		"Queries slower than Options.SlowQueryThreshold.")
 	m.walAppend = reg.Histogram("peb_wal_append_seconds",
 		"Write-ahead-log append duration (framing + write).", 1e-9)
 	m.walFsync = reg.Histogram("peb_wal_fsync_seconds",
@@ -135,8 +130,8 @@ func (db *DB) walSizeBytes() int64 {
 func (db *DB) Metrics() *obs.Registry { return db.met.reg }
 
 // Events returns the DB's bounded event log: maintainer decisions
-// (checkpoints, recovery, transaction verdicts, slow queries) with their
-// inputs, newest retained.
+// (checkpoints, recovery, transaction verdicts) with their inputs, newest
+// retained.
 func (db *DB) Events() *obs.EventLog { return db.events }
 
 // CQDeltaHistogram returns the pre-registered commit-to-delta latency
@@ -147,16 +142,3 @@ func (db *DB) CQDeltaHistogram() *obs.Histogram { return db.met.cqDelta }
 // published view (hits and misses only), separable from the write path's
 // I/O in IOStats.
 func (db *DB) QueryIOStats() store.BufferStats { return db.qio.Stats() }
-
-// noteSlowQuery bumps the slow-query counter and records an event when d
-// crosses Options.SlowQueryThreshold. Disabled (threshold 0) it is two
-// predictable branches on the query path.
-func (db *DB) noteSlowQuery(op string, d time.Duration, err error) {
-	th := db.opts.SlowQueryThreshold
-	if th <= 0 || d < th || err != nil {
-		return
-	}
-	db.met.slow.Inc()
-	db.events.Record("slow_query", "query exceeded SlowQueryThreshold",
-		"op", op, "duration", d, "threshold", th)
-}

@@ -104,11 +104,6 @@ const (
 	// acknowledged commit is never lost. Concurrent commits share one
 	// fsync opportunistically (group commit).
 	DurabilitySync
-	// DurabilityGrouped is DurabilitySync with a short gathering window
-	// before each fsync, so even loosely overlapping commits amortize one
-	// sync. Slightly higher commit latency, far fewer fsyncs under load;
-	// the same no-lost-acknowledged-commit guarantee.
-	DurabilityGrouped
 	// DurabilityAsync appends to the log without waiting for fsync: a
 	// crash may lose a suffix of recently acknowledged commits, but
 	// recovery still restores an exact committed prefix. A clean Close
@@ -123,8 +118,6 @@ func (d Durability) String() string {
 		return "none"
 	case DurabilitySync:
 		return "sync"
-	case DurabilityGrouped:
-		return "grouped"
 	case DurabilityAsync:
 		return "async"
 	default:
@@ -135,8 +128,6 @@ func (d Durability) String() string {
 // walPolicy maps the durability level to the WAL's sync policy.
 func (d Durability) walPolicy() store.WALSyncPolicy {
 	switch d {
-	case DurabilityGrouped:
-		return store.WALSyncGrouped
 	case DurabilityAsync:
 		return store.WALSyncNone
 	default:
@@ -194,14 +185,10 @@ type Options struct {
 	// via AddCommitHook instead.
 	OnCommit CommitHook
 	// Logger, when non-nil, receives every recorded maintainer event —
-	// checkpoints, recovery summaries, transaction verdicts, slow queries
-	// — as a structured log record, in addition to the bounded in-memory
+	// checkpoints, recovery summaries, transaction verdicts — as a
+	// structured log record, in addition to the bounded in-memory
 	// event log every DB keeps (see Events).
 	Logger *slog.Logger
-	// SlowQueryThreshold, when positive, records an event (and bumps
-	// peb_slow_queries_total) for every one-shot query slower than it.
-	// Zero disables slow-query tracking.
-	SlowQueryThreshold time.Duration
 	// MetricsLabel, when non-empty, labels every metric series this DB
 	// exports with shard="<MetricsLabel>". The sharded router sets it to
 	// each engine's stable shard id so per-shard series stay attributable
@@ -413,7 +400,6 @@ type DB struct {
 	// singleton-anchor values to users that appear after encoding.
 	assignment policy.Assignment
 	nextSV     float64
-	encoded    bool
 }
 
 // Open creates a DB. Invalid options are rejected with an error wrapping
@@ -770,9 +756,7 @@ func (db *DB) RangeQuery(issuer UserID, r Region, t float64) ([]Object, error) {
 	}
 	start := time.Now()
 	out, err := db.rangeQueryLocked(issuer, r, t)
-	d := time.Since(start)
-	db.met.prq.ObserveDuration(d)
-	db.noteSlowQuery("prq", d, err)
+	db.met.prq.ObserveDuration(time.Since(start))
 	return out, err
 }
 
@@ -792,9 +776,7 @@ func (db *DB) rangeQueryLocked(issuer UserID, r Region, t float64) ([]Object, er
 func (db *DB) NearestNeighbors(issuer UserID, x, y float64, k int, t float64) ([]Neighbor, error) {
 	start := time.Now()
 	out, err := db.nearestNeighborsLocked(issuer, x, y, k, t)
-	d := time.Since(start)
-	db.met.pknn.ObserveDuration(d)
-	db.noteSlowQuery("pknn", d, err)
+	db.met.pknn.ObserveDuration(time.Since(start))
 	return out, err
 }
 

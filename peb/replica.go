@@ -200,7 +200,6 @@ func (r *Replica) bootstrap() error {
 	if rdb.nextSV < 2 {
 		rdb.nextSV = 2
 	}
-	rdb.encoded = p.encoded
 	rdb.maxTxn = p.maxTxn
 	rdb.walSeq, r.cursor = p.appliedHorizon()
 	rdb.refreshView()

@@ -269,11 +269,18 @@ func TestOpenRefusesOtherGenerations(t *testing.T) {
 // once in the shard that routes its position, and the verdict stable
 // across further reopens.
 
+// crashReshardOpts is crashShardedOpts with replicas followers per shard.
+func crashReshardOpts(fs store.VFS, replicas int) Options {
+	o := crashShardedOpts(fs)
+	o.ReplicasPerShard = replicas
+	return o
+}
+
 // crashReshardRun seeds three users per quadrant, then splits shard 0 (or
 // merges it into its route neighbor). Errors are ignored — the filesystem
 // is dying mid-run by design.
-func crashReshardRun(fs store.VFS, kind string) {
-	db, err := Open(crashShardedOpts(fs))
+func crashReshardRun(fs store.VFS, kind string, replicas int) {
+	db, err := Open(crashReshardOpts(fs, replicas))
 	if err != nil {
 		return
 	}
@@ -295,9 +302,29 @@ func crashReshardRun(fs store.VFS, kind string) {
 // checkReshardRecovery asserts the recovered topology and data are
 // consistent after a mid-reshard crash, and returns the shard count for
 // the stability check.
-func checkReshardRecovery(t *testing.T, db *DB, label string, kind string) int {
+func checkReshardRecovery(t *testing.T, db *DB, label string, kind string, replicas int) int {
 	t.Helper()
 	n := db.Shards()
+	if replicas > 0 {
+		// Pools attach after the roll-forward, one per surviving shard, and
+		// bootstrap from the shard's recovered state.
+		checkFollowerPools(t, db, replicas)
+		for i, sm := range db.metas {
+			for _, r := range sm.followers.pool {
+				if _, err := r.CatchUp(); err != nil {
+					t.Fatalf("%s: shard %d follower catch-up: %v", label, sm.id, err)
+				}
+				snap, _, err := r.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := snap.Size(), db.shards[i].Size(); got != want {
+					t.Fatalf("%s: shard %d follower holds %d objects, primary %d", label, sm.id, got, want)
+				}
+				snap.Close()
+			}
+		}
+	}
 	switch kind {
 	case "split":
 		if n != 4 && n != 5 {
@@ -351,16 +378,16 @@ func checkReshardRecovery(t *testing.T, db *DB, label string, kind string) int {
 	return n
 }
 
-func testShardedCrashMidReshard(t *testing.T, kind string) {
+func testShardedCrashMidReshard(t *testing.T, kind string, replicas int) {
 	golden := store.NewCrashFS()
-	crashReshardRun(golden, kind)
+	crashReshardRun(golden, kind, replicas)
 	total := golden.Ops()
 	if total < 30 {
 		t.Fatalf("suspiciously few fault points: %d", total)
 	}
 	// Sanity: the golden run completed the topology change.
 	{
-		db, err := Open(crashShardedOpts(golden))
+		db, err := Open(crashReshardOpts(golden, replicas))
 		if err != nil {
 			t.Fatalf("golden reopen: %v", err)
 		}
@@ -368,7 +395,7 @@ func testShardedCrashMidReshard(t *testing.T, kind string) {
 		if kind == "merge" {
 			want = 3
 		}
-		if got := checkReshardRecovery(t, db, "golden", kind); got != want {
+		if got := checkReshardRecovery(t, db, "golden", kind, replicas); got != want {
 			t.Fatalf("golden run holds %d shards, want %d", got, want)
 		}
 		if db.Size() != 12 {
@@ -377,33 +404,39 @@ func testShardedCrashMidReshard(t *testing.T, kind string) {
 		db.Close()
 	}
 
+	rolledForward := 0
 	for _, keepUnsynced := range []bool{false, true} {
 		for k := 0; k < total; k++ {
 			label := fmt.Sprintf("%s k=%d keep=%v", kind, k, keepUnsynced)
 			fs := store.NewCrashFS()
 			fs.SetFailAfter(k)
-			crashReshardRun(fs, kind)
+			crashReshardRun(fs, kind, replicas)
 			if !fs.Dead() {
 				fs.CutPower()
 			}
 			fs.Reboot(keepUnsynced)
+			if data, err := fs.ReadFile("root/sharded.json"); err == nil {
+				if m, err := unmarshalManifest(data); err == nil && m.Pending != nil {
+					rolledForward++
+				}
+			}
 
-			db, err := Open(crashShardedOpts(fs))
+			db, err := Open(crashReshardOpts(fs, replicas))
 			if err != nil {
 				t.Fatalf("%s: recovery failed: %v", label, err)
 			}
-			n1 := checkReshardRecovery(t, db, label, kind)
+			n1 := checkReshardRecovery(t, db, label, kind, replicas)
 			size1 := db.Size()
 			if err := db.Close(); err != nil {
 				t.Fatalf("%s: close: %v", label, err)
 			}
 
 			// Topology and data verdicts are stable across another reopen.
-			db, err = Open(crashShardedOpts(fs))
+			db, err = Open(crashReshardOpts(fs, replicas))
 			if err != nil {
 				t.Fatalf("%s: second recovery failed: %v", label, err)
 			}
-			n2 := checkReshardRecovery(t, db, label+" (reopened)", kind)
+			n2 := checkReshardRecovery(t, db, label+" (reopened)", kind, replicas)
 			if n2 != n1 || db.Size() != size1 {
 				t.Fatalf("%s: verdict flipped across reopens: %d/%d shards, %d/%d users",
 					label, n1, n2, size1, db.Size())
@@ -411,7 +444,17 @@ func testShardedCrashMidReshard(t *testing.T, kind string) {
 			db.Close()
 		}
 	}
+	if rolledForward == 0 {
+		t.Fatalf("no fault point left a pending %s for recovery to roll forward", kind)
+	}
 }
 
-func TestShardedCrashMidSplit(t *testing.T) { testShardedCrashMidReshard(t, "split") }
-func TestShardedCrashMidMerge(t *testing.T) { testShardedCrashMidReshard(t, "merge") }
+func TestShardedCrashMidSplit(t *testing.T) { testShardedCrashMidReshard(t, "split", 0) }
+func TestShardedCrashMidMerge(t *testing.T) { testShardedCrashMidReshard(t, "merge", 0) }
+
+// TestShardedCrashMidSplitWithFollowers sweeps the split with one follower
+// per shard attached, the new shard's included: Open rolls a recorded
+// split forward, then attaches a pool to every shard it kept.
+func TestShardedCrashMidSplitWithFollowers(t *testing.T) {
+	testShardedCrashMidReshard(t, "split", 1)
+}

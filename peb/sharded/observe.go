@@ -48,16 +48,7 @@ func (db *DB) collectMetrics(e *obs.Emit) {
 	e.Counter("peb_router_primary_fallbacks_total", "Follower reads that fell back to the primary.", float64(st.PrimaryFallbacks))
 	e.Counter("peb_router_events_total", "Router events recorded since open (the ring retains the tail).", float64(db.events.Total()))
 
-	ids, lags := db.followerLagsByShard()
-	for si, pool := range lags {
-		for ri, lag := range pool {
-			e.Gauge("peb_follower_lag_records",
-				"Follower apply lag in WAL records behind the shard's committed sequence.",
-				float64(lag),
-				obs.Label{Key: "shard", Value: shardLabel(ids[si])},
-				obs.Label{Key: "replica", Value: fmt.Sprintf("%d", ri)})
-		}
-	}
+	db.collectFollowerLags(e)
 }
 
 // MetricsRegistries returns the router's registry plus every live shard
@@ -78,5 +69,5 @@ func (db *DB) MetricsRegistries() []*obs.Registry {
 // Events returns the router's event log: AutoReshard decisions with the
 // observed rates that drove them, cross-shard transaction verdicts, and
 // replica stall/catch-up transitions. Per-shard maintainer events
-// (checkpoints, recovery, slow queries) live on each shard's own log.
+// (checkpoints, recovery) live on each shard's own log.
 func (db *DB) Events() *obs.EventLog { return db.events }

@@ -382,8 +382,15 @@ func TestShardedOracleShardCounts(t *testing.T) {
 // two halves between them must still answer as the single tree does, at the
 // single tree's cost.
 func TestShardedOracleMidSplit(t *testing.T) {
+	testOracleMidSplit(t, newPair(t, 2), 0)
+}
+
+// testOracleMidSplit is TestShardedOracleMidSplit's body. A follower pair
+// with a positive staleness bound may answer from followers up to that
+// many commits behind, so its followers are caught up before each
+// comparison; at bound 0 read-your-writes alone must make them exact.
+func testOracleMidSplit(t *testing.T, p pair, staleness uint64) {
 	rng := rand.New(rand.NewSource(19))
-	p := newPair(t, 2)
 	day := TimeInterval{Start: 0, End: 1440}
 	for u := UserID(2); u <= 20; u++ {
 		p.relate(t, u, 1, "friend")
@@ -403,6 +410,9 @@ func TestShardedOracleMidSplit(t *testing.T) {
 	p.encode(t)
 	check := func(label string) {
 		t.Helper()
+		if staleness > 0 {
+			catchUpFollowers(t, p.sharded)
+		}
 		p.check(t, label,
 			[]UserID{1, 50},
 			[]Region{{MaxX: 1000, MaxY: 1000}, {MinX: 300, MinY: 300, MaxX: 700, MaxY: 700}},

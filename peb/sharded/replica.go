@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/peb"
 )
 
@@ -18,45 +19,58 @@ import (
 // still cannot reach the horizon (a tail fault, or an undecided
 // cross-shard transaction stalling its apply queue), the read falls back
 // to the primary, so follower reads are never wrong — at worst they are
-// not offloaded.
+// not offloaded. The pool lives in the shard's record (shardMeta), so it
+// moves with the shard through splits and merges.
 
-// attachReplicas creates the per-shard follower pools. Called from Open
-// after every shard has recovered.
-func (db *DB) attachReplicas(n int) error {
-	db.replicas = make([][]*peb.Replica, len(db.shards))
-	db.rr = make([]atomic.Uint64, len(db.shards))
-	db.written = make([]atomic.Uint64, len(db.shards))
-	db.stalled = make([]atomic.Bool, len(db.shards))
-	for i, s := range db.shards {
-		pool := make([]*peb.Replica, 0, n)
-		for k := 0; k < n; k++ {
-			r, err := peb.NewReplica(s)
-			if err != nil {
-				db.closeReplicas()
-				return fmt.Errorf("sharded: attach replica %d to shard %d: %w", k, i, err)
-			}
-			pool = append(pool, r)
-		}
-		db.replicas[i] = pool
-		// Recovery replayed history the bootstrap copied; reads routed
-		// before the first write must still honor it.
-		db.written[i].Store(s.CommitSeq())
-	}
-	return nil
+// followers is one shard's follower pool and its read state: the
+// round-robin cursor, the read-your-writes watermark (written), and
+// whether the last read fell back to the primary (stalled, so stall and
+// recovery are logged once per transition, not once per read).
+type followers struct {
+	pool    []*peb.Replica
+	rr      atomic.Uint64
+	written atomic.Uint64
+	stalled atomic.Bool
 }
 
-// closeReplicas detaches every follower (releasing their WAL retention
-// floors). Best effort: a replica's close error does not mask another's.
-func (db *DB) closeReplicas() error {
+// attachFollowers creates shard s's pool of n followers, or returns nil
+// for n == 0. The watermark starts at the shard's committed sequence:
+// reads routed before the first write must still honor the history
+// (recovery, a split's policy seed) the bootstrap copied.
+func attachFollowers(s *peb.DB, id, n int) (*followers, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	f := &followers{}
+	for k := 0; k < n; k++ {
+		r, err := peb.NewReplica(s)
+		if err != nil {
+			f.close()
+			return nil, fmt.Errorf("sharded: attach replica %d to shard %d: %w", k, id, err)
+		}
+		f.pool = append(f.pool, r)
+	}
+	f.written.Store(s.CommitSeq())
+	return f, nil
+}
+
+// replicas returns the pool; nil-safe.
+func (f *followers) replicas() []*peb.Replica {
+	if f == nil {
+		return nil
+	}
+	return f.pool
+}
+
+// close detaches every follower (releasing their WAL retention floors);
+// nil-safe. Best effort: a replica's close error does not mask another's.
+func (f *followers) close() error {
 	var firstErr error
-	for _, pool := range db.replicas {
-		for _, r := range pool {
-			if err := r.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for _, r := range f.replicas() {
+		if err := r.Close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
-	db.replicas = nil
 	return firstErr
 }
 
@@ -65,17 +79,17 @@ func (db *DB) closeReplicas() error {
 // replicas attached, raises the horizon follower reads on that shard
 // must reach. The sequence is read back from the shard (commits from
 // concurrent routed writes may have interleaved; observing a later one
-// only strengthens the check), and the per-shard watermark only ever
-// ratchets up.
+// only strengthens the check), and the watermark only ever ratchets up.
 func (db *DB) noteWrite(i int) {
-	db.metas[i].load.noteCommit()
-	if len(db.replicas) == 0 {
+	sm := &db.metas[i]
+	sm.load.noteCommit()
+	if sm.followers == nil {
 		return
 	}
 	seq := db.shards[i].CommitSeq()
 	for {
-		cur := db.written[i].Load()
-		if seq <= cur || db.written[i].CompareAndSwap(cur, seq) {
+		cur := sm.followers.written.Load()
+		if seq <= cur || sm.followers.written.CompareAndSwap(cur, seq) {
 			return
 		}
 	}
@@ -85,16 +99,14 @@ func (db *DB) noteWrite(i int) {
 // round-robin order when one is fresh enough, the primary otherwise.
 // Either way the shard's load meter records the consultation.
 func (db *DB) reader(i int) querier {
-	db.metas[i].load.noteQuery()
-	if len(db.replicas) == 0 {
+	sm := &db.metas[i]
+	sm.load.noteQuery()
+	f := sm.followers
+	if f == nil {
 		return db.shards[i]
 	}
-	pool := db.replicas[i]
-	if len(pool) == 0 {
-		return db.shards[i]
-	}
-	r := pool[db.rr[i].Add(1)%uint64(len(pool))]
-	need := db.written[i].Load()
+	r := f.pool[f.rr.Add(1)%uint64(len(f.pool))]
+	need := f.written.Load()
 	bound := db.opts.StalenessBound
 	if h := r.Horizon(); h+bound < need {
 		// One synchronous catch-up: the follower drains everything the
@@ -102,18 +114,16 @@ func (db *DB) reader(i int) querier {
 		// undecided cross-shard transaction stalling the apply queue.
 		if h, err := r.CatchUp(); err != nil || h+bound < need {
 			db.primaryFallbacks.Add(1)
-			// Record the stall once per transition, not per fallback: the
-			// event log is for decisions, not per-read noise.
-			if !db.stalled[i].Swap(true) {
+			if !f.stalled.Swap(true) {
 				db.events.Record("replica.stall", "shard's followers cannot reach the read horizon",
-					"shard", db.metas[i].id, "horizon", h, "need", need, "err", err)
+					"shard", sm.id, "horizon", h, "need", need, "err", err)
 			}
 			return db.shards[i]
 		}
 	}
-	if db.stalled[i].Swap(false) {
+	if f.stalled.Swap(false) {
 		db.events.Record("replica.catchup", "shard's followers serve reads again",
-			"shard", db.metas[i].id, "need", need)
+			"shard", sm.id, "need", need)
 	}
 	db.followerReads.Add(1)
 	return r
@@ -125,40 +135,38 @@ func (db *DB) reader(i int) querier {
 func (db *DB) FollowerHorizons() [][]uint64 {
 	db.smu.RLock()
 	defer db.smu.RUnlock()
-	out := make([][]uint64, len(db.shards))
-	for i, pool := range db.replicas {
-		hs := make([]uint64, len(pool))
-		for k, r := range pool {
-			hs[k] = r.Horizon()
+	out := make([][]uint64, len(db.metas))
+	for i, sm := range db.metas {
+		for _, r := range sm.followers.replicas() {
+			out[i] = append(out[i], r.Horizon())
 		}
-		out[i] = hs
 	}
 	return out
 }
 
-// followerLagsByShard reports each follower's apply lag in WAL records —
-// the shard's committed sequence minus the follower's horizon, clamped at
-// zero (the horizon is sampled after the sequence, so a fast follower can
-// appear ahead) — in shard-slot order (empty inner slices without
-// replicas), plus the parallel stable shard ids, for labeling series by
-// shard identity.
-func (db *DB) followerLagsByShard() ([]int, [][]uint64) {
+// collectFollowerLags emits one peb_follower_lag_records series per
+// follower, labeled by stable shard id: the shard's committed sequence
+// minus the follower's horizon, clamped at zero (the horizon is sampled
+// after the sequence, so a fast follower can appear ahead). A closed
+// router emits none, as Stats reports no shard.
+func (db *DB) collectFollowerLags(e *obs.Emit) {
 	db.smu.RLock()
 	defer db.smu.RUnlock()
-	ids := make([]int, len(db.shards))
-	for i := range db.shards {
-		ids[i] = db.metas[i].id
+	if db.closed {
+		return
 	}
-	out := make([][]uint64, len(db.shards))
-	for i, pool := range db.replicas {
+	for i, sm := range db.metas {
 		seq := db.shards[i].CommitSeq()
-		lags := make([]uint64, len(pool))
-		for k, r := range pool {
+		for k, r := range sm.followers.replicas() {
+			var lag uint64
 			if h := r.Horizon(); h < seq {
-				lags[k] = seq - h
+				lag = seq - h
 			}
+			e.Gauge("peb_follower_lag_records",
+				"Follower apply lag in WAL records behind the shard's committed sequence.",
+				float64(lag),
+				obs.Label{Key: "shard", Value: shardLabel(sm.id)},
+				obs.Label{Key: "replica", Value: fmt.Sprintf("%d", k)})
 		}
-		out[i] = lags
 	}
-	return ids, out
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func newFollowerPair(t *testing.T, shards, replicas int, staleness uint64) pair 
 		Shards: shards,
 		Dir:    "frdb",
 		DB: peb.Options{
-			Durability:      peb.DurabilityGrouped,
+			Durability:      peb.DurabilitySync,
 			FS:              fs,
 			WALSegmentBytes: 1 << 10,
 		},
@@ -213,24 +214,15 @@ func TestShardedFollowerHorizons(t *testing.T) {
 	}
 
 	want := make(map[string]bool)
-	for i, pool := range p.sharded.replicas {
-		for k, r := range pool {
+	for _, sm := range p.sharded.metas {
+		for k, r := range sm.followers.pool {
 			if _, err := r.CatchUp(); err != nil {
 				t.Fatal(err)
 			}
-			want[fmt.Sprintf(`peb_follower_lag_records{shard="%s",replica="%d"} 0`, shardLabel(p.sharded.metas[i].id), k)] = true
+			want[fmt.Sprintf(`peb_follower_lag_records{shard="%s",replica="%d"} 0`, shardLabel(sm.id), k)] = true
 		}
 	}
-	var buf bytes.Buffer
-	if err := obs.WriteText(&buf, p.sharded.MetricsRegistries()...); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(line, "peb_follower_lag_records{") {
-			got = append(got, line)
-		}
-	}
+	got := followerLagSeries(t, p.sharded)
 	if len(got) != len(want) {
 		t.Fatalf("exposition has %d follower lag series, want %d: %q", len(got), len(want), got)
 	}
@@ -262,4 +254,196 @@ func TestShardedFollowerStaleness(t *testing.T) {
 	if st.PrimaryFallbacks != 0 {
 		t.Fatalf("PrimaryFallbacks = %d, want 0: the bound admits any lag", st.PrimaryFallbacks)
 	}
+}
+
+// catchUpFollowers drains every follower of db up to its primary's log
+// end, so a positive staleness bound leaves nothing stale for a
+// comparison against the oracle.
+func catchUpFollowers(t *testing.T, db *DB) {
+	t.Helper()
+	db.smu.RLock()
+	defer db.smu.RUnlock()
+	for _, sm := range db.metas {
+		for _, r := range sm.followers.replicas() {
+			if _, err := r.CatchUp(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// checkFollowerPools asserts every live shard carries a pool of n
+// followers.
+func checkFollowerPools(t *testing.T, db *DB, n int) {
+	t.Helper()
+	db.smu.RLock()
+	defer db.smu.RUnlock()
+	for _, sm := range db.metas {
+		if sm.followers == nil || len(sm.followers.pool) != n {
+			t.Fatalf("shard %d carries pool %+v, want %d followers", sm.id, sm.followers, n)
+		}
+	}
+}
+
+// followerLagSeries returns the router exposition's
+// peb_follower_lag_records lines.
+func followerLagSeries(t *testing.T, db *DB) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteText(&buf, db.MetricsRegistries()...); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "peb_follower_lag_records{") {
+			got = append(got, line)
+		}
+	}
+	return got
+}
+
+// TestShardedFollowerOracleMidSplit is TestShardedOracleMidSplit with the
+// queries served by followers: the split's new shard gets a pool of its
+// own before its route flips, so reads of both halves, mid-drain and
+// after, go through replicas and still answer as the single tree does.
+func TestShardedFollowerOracleMidSplit(t *testing.T) {
+	for _, staleness := range []uint64{0, 3} {
+		t.Run(fmt.Sprintf("staleness=%d", staleness), func(t *testing.T) {
+			p := newFollowerPair(t, 2, 2, staleness)
+			testOracleMidSplit(t, p, staleness)
+			checkFollowerPools(t, p.sharded, 2)
+			if st := p.sharded.Stats(); st.FollowerReads == 0 {
+				t.Fatal("FollowerReads = 0: the oracle queries never touched a replica")
+			}
+		})
+	}
+}
+
+// TestShardedFollowerOracleMerge holds a merge open mid-drain, moves part
+// of the population, then finishes it: follower-served answers match the
+// single tree throughout, the source's pool closes with the source, and
+// the survivors' pools keep serving reads after the topology change.
+func TestShardedFollowerOracleMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	p := newFollowerPair(t, 4, 2, 0)
+	day := TimeInterval{Start: 0, End: 1440}
+	for u := UserID(2); u <= 20; u++ {
+		p.relate(t, u, 1, "friend")
+		p.grant(t, u, "friend", Region{MaxX: 1000, MaxY: 1000}, day)
+	}
+	obj := func(u int) Object {
+		return Object{
+			UID: UserID(u),
+			X:   rng.Float64() * 1000, Y: rng.Float64() * 1000,
+			VX: rng.Float64()*4 - 2, VY: rng.Float64()*4 - 2,
+			T: rng.Float64() * 40,
+		}
+	}
+	for u := 1; u <= 80; u++ {
+		p.upsert(t, obj(u))
+	}
+	p.encode(t)
+	check := func(label string) {
+		t.Helper()
+		p.check(t, label,
+			[]UserID{1, 50},
+			[]Region{{MaxX: 1000, MaxY: 1000}, {MinX: 300, MinY: 300, MaxX: 700, MaxY: 700}},
+			[]float64{20, 60},
+			[]int{1, 5})
+	}
+
+	check("before merge")
+	if err := p.sharded.beginMerge(p.sharded.Stats().Shards[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	check("route flipped")
+	for u := 1; u <= 80; u += 3 {
+		p.upsert(t, obj(u))
+	}
+	check("moved mid-merge")
+	if err := p.sharded.finishPending(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.sharded.Shards(); got != 3 {
+		t.Fatalf("%d shards after the merge, want 3", got)
+	}
+	checkFollowerPools(t, p.sharded, 2)
+	before := p.sharded.Stats().FollowerReads
+	check("merged")
+	if after := p.sharded.Stats().FollowerReads; after <= before {
+		t.Fatalf("FollowerReads %d -> %d: no follower served a read after the merge", before, after)
+	}
+}
+
+// TestShardedFollowerReshardCycles runs 100 split/merge cycles with one
+// follower per shard. Every split attaches a pool to its new shard and
+// every merge closes its source's, so afterwards no tailer goroutine is
+// left behind, the exposition carries exactly one lag series per live
+// follower, and Close leaves nothing running.
+func TestShardedFollowerReshardCycles(t *testing.T) {
+	base := runtime.NumGoroutine()
+	db, err := Open(Options{
+		Shards:           2,
+		Dir:              "cycles",
+		DB:               peb.Options{Durability: peb.DurabilitySync, FS: store.NewCrashFS()},
+		ReplicasPerShard: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	const users = 40
+	for u := 1; u <= users; u++ {
+		if err := db.Upsert(Object{UID: UserID(u), X: rng.Float64() * 1000, Y: rng.Float64() * 1000, T: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steady := runtime.NumGoroutine()
+
+	for cycle := 0; cycle < 100; cycle++ {
+		if err := db.Split(hottestShard(db.Stats())); err != nil {
+			t.Fatalf("cycle %d: split: %v", cycle, err)
+		}
+		if err := db.Merge(db.nextID - 1); err != nil {
+			t.Fatalf("cycle %d: merge: %v", cycle, err)
+		}
+		u := UserID(1 + rng.Intn(users))
+		if err := db.Upsert(Object{UID: u, X: rng.Float64() * 1000, Y: rng.Float64() * 1000, T: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.RangeQuery(1, Region{MaxX: 1000, MaxY: 1000}, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := db.Stats()
+	if st.Splits != 100 || st.Merges != 100 || len(st.Shards) != 2 {
+		t.Fatalf("%d splits, %d merges, %d shards; want 100, 100, 2", st.Splits, st.Merges, len(st.Shards))
+	}
+	if db.Size() != users {
+		t.Fatalf("size %d after the cycles, want %d", db.Size(), users)
+	}
+	if st.FollowerReads == 0 {
+		t.Fatal("FollowerReads = 0: no follower served a read across the cycles")
+	}
+	waitGoroutines(t, steady)
+
+	checkFollowerPools(t, db, 1)
+	want := make(map[string]bool)
+	for _, ss := range st.Shards {
+		want[fmt.Sprintf(`peb_follower_lag_records{shard="%s",replica="0"}`, shardLabel(ss.ID))] = true
+	}
+	got := followerLagSeries(t, db)
+	if len(got) != len(want) {
+		t.Fatalf("exposition has %d follower lag series, want %d: %q", len(got), len(want), got)
+	}
+	for _, line := range got {
+		if !want[line[:strings.LastIndexByte(line, ' ')]] {
+			t.Errorf("follower lag series %q names no live follower", line)
+		}
+	}
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
 }

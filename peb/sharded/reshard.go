@@ -117,8 +117,9 @@ func (p AutoReshardPolicy) minShards() int {
 // created shard, and contracts the source — all online: reads and writes
 // keep serving throughout (queries consult both halves until the
 // migration drains). Split returns once the topology change is complete
-// and durable. It fails if another split or merge is in flight, if
-// replicas are attached, or if the shard's range is too narrow to divide.
+// and durable. It fails if another split or merge is in flight or if the
+// shard's range is too narrow to divide. With Options.ReplicasPerShard the
+// new shard gets a follower pool of its own.
 func (db *DB) Split(id int) error {
 	if err := db.beginSplit(id); err != nil {
 		return err
@@ -146,9 +147,6 @@ func (db *DB) beginSplit(id int) error {
 	}
 	if db.pending != nil {
 		return fmt.Errorf("sharded: split shard %d: a %s is already in flight", id, db.pending.Kind)
-	}
-	if len(db.replicas) > 0 {
-		return fmt.Errorf("sharded: split is not coordinated with attached replicas")
 	}
 	slot, ok := db.slotOf(id)
 	if !ok {
@@ -181,13 +179,19 @@ func (db *DB) beginSplit(id int) error {
 	if err != nil {
 		return fmt.Errorf("sharded: split: create shard %d: %w", newID, err)
 	}
+	fol, err := attachFollowers(eng, newID, db.opts.ReplicasPerShard)
+	if err != nil {
+		eng.Close()
+		db.removeShardFiles(newID)
+		return fmt.Errorf("sharded: split: %w", err)
+	}
 	upper := zcurve.Interval{Lo: at + 1, Hi: sm.route.Hi}
 
 	// Stage the flipped topology, then persist: the manifest rename is the
 	// split's commit point. On failure, revert the staging and discard the
-	// engine — nothing observable happened.
+	// engine and its followers — nothing observable happened.
 	db.metas[slot].route = zcurve.Interval{Lo: sm.route.Lo, Hi: at}
-	db.metas = append(db.metas, shardMeta{id: newID, route: upper, cover: upper, load: newLoadMeter()})
+	db.metas = append(db.metas, shardMeta{id: newID, route: upper, cover: upper, load: newLoadMeter(), followers: fol})
 	db.shards = append(db.shards, eng)
 	db.nextID++
 	db.epoch++
@@ -199,6 +203,7 @@ func (db *DB) beginSplit(id int) error {
 		db.nextID--
 		db.epoch--
 		db.pending = nil
+		fol.close()
 		eng.Close()
 		db.removeShardFiles(newID)
 		return err
@@ -219,9 +224,6 @@ func (db *DB) beginMerge(id int) error {
 	}
 	if db.pending != nil {
 		return fmt.Errorf("sharded: merge shard %d: a %s is already in flight", id, db.pending.Kind)
-	}
-	if len(db.replicas) > 0 {
-		return fmt.Errorf("sharded: merge is not coordinated with attached replicas")
 	}
 	if len(db.metas) < 2 {
 		return fmt.Errorf("sharded: merge: only one shard left")
@@ -492,8 +494,10 @@ func (db *DB) finalizePendingLocked() error {
 			return err
 		}
 		// Drop the source's CQ legs before its engine closes, so the close
-		// ends no subscription.
+		// ends no subscription. Its followers go first too: they tail the
+		// log about to close, and the barrier keeps every read off them.
 		db.cqShardRemoving(p.Src)
+		_ = db.metas[srcSlot].followers.close()
 		src := db.shards[srcSlot]
 		db.metas[dstSlot].cover = db.metas[dstSlot].route
 		db.shards = append(db.shards[:srcSlot], db.shards[srcSlot+1:]...)

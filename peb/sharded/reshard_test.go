@@ -371,20 +371,45 @@ func TestLoadMeterRates(t *testing.T) {
 // shard splits, two cold neighbours merge, and the population survives the
 // migrations exactly.
 func TestAutoReshardSplitsHotShard(t *testing.T) {
-	db, err := Open(Options{
-		Shards:           4,
-		LoadRateHalfLife: 50 * time.Millisecond,
-		AutoReshard: AutoReshardPolicy{
-			Interval:        10 * time.Millisecond,
-			SplitCommitRate: 50,
-			MergeCommitRate: 5,
-			MaxShards:       5,
-		},
+	testAutoReshardSplitsHotShard(t, Options{})
+}
+
+// TestAutoReshardSplitsHotShardWithFollowers runs the maintainer over a
+// router serving reads from one follower per shard: the new shard of
+// every automatic split gets a pool, the source of every automatic merge
+// closes its own, and followers keep serving reads.
+func TestAutoReshardSplitsHotShardWithFollowers(t *testing.T) {
+	db := testAutoReshardSplitsHotShard(t, Options{
+		Dir:              "auto",
+		DB:               peb.Options{Durability: peb.DurabilitySync, FS: store.NewCrashFS()},
+		ReplicasPerShard: 1,
 	})
+	checkFollowerPools(t, db, 1)
+	if _, err := db.RangeQuery(1, Region{MaxX: 1000, MaxY: 1000}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.FollowerReads == 0 {
+		t.Fatal("FollowerReads = 0: no follower served a read")
+	}
+}
+
+// testAutoReshardSplitsHotShard is TestAutoReshardSplitsHotShard over base
+// (its shard count and AutoReshard policy are set here). It returns the
+// still-open DB, closed at cleanup.
+func testAutoReshardSplitsHotShard(t *testing.T, base Options) *DB {
+	base.Shards = 4
+	base.LoadRateHalfLife = 50 * time.Millisecond
+	base.AutoReshard = AutoReshardPolicy{
+		Interval:        10 * time.Millisecond,
+		SplitCommitRate: 50,
+		MergeCommitRate: 5,
+		MaxShards:       5,
+	}
+	db, err := Open(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	t.Cleanup(func() { db.Close() })
 
 	// Every user commits once up front — the loop below stops at the first
 	// split and merge, which can fire before a random stream has covered
@@ -420,6 +445,7 @@ func TestAutoReshardSplitsHotShard(t *testing.T) {
 	if got := db.Size(); got != hotUsers+coldUsers {
 		t.Fatalf("size %d across automatic split and merge, want %d", got, hotUsers+coldUsers)
 	}
+	return db
 }
 
 func TestAutoReshardOptionValidation(t *testing.T) {
@@ -434,15 +460,19 @@ func TestAutoReshardOptionValidation(t *testing.T) {
 			t.Fatalf("case %d: got %v, want ErrBadOptions", i, err)
 		}
 	}
-	// AutoReshard + replicas is refused: splits are not coordinated with
-	// follower pools yet.
-	if _, err := Open(Options{
+	// AutoReshard + replicas is accepted: follower pools move with their
+	// shards through splits and merges.
+	db, err := Open(Options{
 		Dir:              "x",
 		DB:               peb.Options{Durability: peb.DurabilitySync, FS: store.NewCrashFS()},
 		ReplicasPerShard: 1,
 		AutoReshard:      AutoReshardPolicy{Interval: time.Second, SplitCommitRate: 10},
-	}); !errors.Is(err, peb.ErrBadOptions) {
-		t.Fatalf("AutoReshard+replicas accepted: %v", err)
+	})
+	if err != nil {
+		t.Fatalf("AutoReshard+replicas refused: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -199,19 +199,7 @@ type DB struct {
 	nextTxn   uint64
 	unsettled [][]*peb.Prepared
 
-	// Follower-read state (replica.go). replicas holds each shard's
-	// follower pool (nil without ReplicasPerShard); rr is the per-shard
-	// round-robin cursor; written is the per-shard WAL sequence of the
-	// last commit this router routed there — the horizon a follower must
-	// reach to serve reads.
-	replicas [][]*peb.Replica
-	rr       []atomic.Uint64
-	written  []atomic.Uint64
-	// stalled tracks, per shard, whether the last follower read fell back
-	// to the primary — so stall and recovery are logged as transitions,
-	// one event each, not once per read.
-	stalled []atomic.Bool
-
+	// Follower-read counters (replica.go); the pools live in metas.
 	followerReads    atomic.Uint64
 	primaryFallbacks atomic.Uint64
 
@@ -243,9 +231,6 @@ func (o Options) validate() error {
 	}
 	if err := o.AutoReshard.validate(); err != nil {
 		return err
-	}
-	if o.AutoReshard.Interval > 0 && o.ReplicasPerShard > 0 {
-		return fmt.Errorf("%w: AutoReshard is not coordinated with ReplicasPerShard follower pools yet", peb.ErrBadOptions)
 	}
 	return nil
 }
@@ -365,8 +350,8 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 
-	if opts.ReplicasPerShard > 0 {
-		if err := db.attachReplicas(opts.ReplicasPerShard); err != nil {
+	for i, s := range db.shards {
+		if db.metas[i].followers, err = attachFollowers(s, db.metas[i].id, opts.ReplicasPerShard); err != nil {
 			db.Close()
 			return nil, err
 		}
@@ -491,9 +476,12 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	// Followers first: they tail the shard logs that are about to close.
-	firstErr := db.closeReplicas()
+	var firstErr error
 	for i, s := range db.shards {
+		// Followers first: they tail the shard log that is about to close.
+		if err := db.metas[i].followers.close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 		if err := s.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("sharded: close shard %d: %w", i, err)
 		}

@@ -67,7 +67,7 @@ func TestShardedReopen(t *testing.T) {
 	opts := Options{
 		Shards: 4,
 		Dir:    "db",
-		DB:     peb.Options{Durability: peb.DurabilityGrouped, FS: fs},
+		DB:     peb.Options{Durability: peb.DurabilitySync, FS: fs},
 	}
 	db, err := Open(opts)
 	if err != nil {

@@ -34,13 +34,18 @@ import (
 // "slot") is an in-memory artifact that shifts when a merge removes a
 // shard.
 
-// shardMeta is one shard's place in the topology, parallel to DB.shards.
+// shardMeta is one shard's place in the topology, parallel to DB.shards,
+// plus the router-side state that travels with the shard through splits
+// and merges: its load meter and its follower pool (nil without
+// Options.ReplicasPerShard). Both sit behind pointers, so copies of the
+// record share them.
 type shardMeta struct {
-	id      int
-	route   zcurve.Interval
-	noRoute bool // true while the shard drains into a merge peer
-	cover   zcurve.Interval
-	load    *loadMeter
+	id        int
+	route     zcurve.Interval
+	noRoute   bool // true while the shard drains into a merge peer
+	cover     zcurve.Interval
+	load      *loadMeter
+	followers *followers
 }
 
 // pendingKind names the two in-flight topology changes.
