@@ -1,4 +1,7 @@
-package sharded
+// Package leakcheck is a test helper shared by the engine's test suites:
+// it waits for the goroutines a closed resource stopped to exit, and fails
+// the test with every goroutine's stack when they do not.
+package leakcheck
 
 import (
 	"runtime"
@@ -6,11 +9,11 @@ import (
 	"time"
 )
 
-// waitGoroutines waits up to five seconds for runtime.NumGoroutine to fall
+// WaitGoroutines waits up to five seconds for runtime.NumGoroutine to fall
 // back to at most base — goroutines a closed resource stopped may take a
-// moment to exit — and fails the test with every goroutine's stack if it
-// does not.
-func waitGoroutines(t *testing.T, base int) {
+// moment to exit — and fails t with every goroutine's stack if it does
+// not.
+func WaitGoroutines(t testing.TB, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {

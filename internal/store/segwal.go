@@ -2,8 +2,10 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	iofs "io/fs"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -211,9 +213,12 @@ func parseSegmentIndex(path, name string) uint64 {
 }
 
 // ListWALSegments returns the indices of the log's segment files at path,
-// sorted ascending.
+// sorted ascending. A directory that does not exist holds none.
 func ListWALSegments(fs VFS, path string) ([]uint64, error) {
 	names, err := fs.ListDir(filepath.Dir(path))
+	if errors.Is(err, iofs.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -692,6 +697,27 @@ func (w *SegmentedWAL) Size() int64 {
 		size += s.size
 	}
 	return size
+}
+
+// SizeSince returns how many bytes the log holds past mark: what a
+// checkpoint cut at mark left for the next one to cover.
+func (w *SegmentedWAL) SizeSince(mark SegPos) int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	past := func(idx uint64, size int64) int64 {
+		switch {
+		case idx > mark.Seg:
+			return size
+		case idx == mark.Seg && size > mark.Off:
+			return size - mark.Off
+		}
+		return 0
+	}
+	n := past(w.activeIdx, w.activeOff)
+	for _, s := range w.sealed {
+		n += past(s.idx, s.size)
+	}
+	return n
 }
 
 // Close syncs and closes the log. A clean Close therefore loses nothing

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -446,4 +447,14 @@ func FuzzWALFrames(f *testing.F) {
 				len(frames), len(reframed), n)
 		}
 	})
+}
+
+// TestSegmentedWALMissingDir: a log whose directory does not exist yet
+// holds no segments — a caller creating the directory on first write
+// probes it like an empty one.
+func TestSegmentedWALMissingDir(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "absent", "db.idx.wal")
+	if ok, err := SegmentedWALExists(OSFS{}, path); ok || err != nil {
+		t.Fatalf("SegmentedWALExists in a missing directory = %v, %v; want false, nil", ok, err)
+	}
 }

@@ -102,14 +102,17 @@ type metaFile struct {
 
 	// NumPages/Free persist the page allocator; WalSeq is the WAL horizon;
 	// Users restores the encoding population; CkptSeq numbers checkpoints
-	// and Policies is the base name of the policies snapshot written by
-	// this one, which lives beside the meta.
-	NumPages uint64         `json:",omitempty"`
-	Free     []store.PageID `json:",omitempty"`
-	WalSeq   uint64         `json:",omitempty"`
-	Users    []UserID       `json:",omitempty"`
-	CkptSeq  uint64         `json:",omitempty"`
-	Policies string         `json:",omitempty"`
+	// and Policies is the base name of the policies snapshot this
+	// checkpoint pairs with, which lives beside the meta — unless
+	// BorrowedPolicies says the store belongs to another DB
+	// (DB.BorrowPolicies) and no snapshot exists.
+	NumPages         uint64         `json:",omitempty"`
+	Free             []store.PageID `json:",omitempty"`
+	WalSeq           uint64         `json:",omitempty"`
+	Users            []UserID       `json:",omitempty"`
+	CkptSeq          uint64         `json:",omitempty"`
+	Policies         string         `json:",omitempty"`
+	BorrowedPolicies bool           `json:",omitempty"`
 }
 
 type svRec struct {
@@ -179,7 +182,9 @@ type ckptImage struct {
 	fd       *store.FileDisk
 	dirty    []store.PageID
 	pol      *policyHandle // the handle policies is pinned on
-	policies *policy.Store
+	policies *policy.Store // the store to save; nil when none is written
+	polOps   uint64
+	borrowed bool
 	snap     core.Snapshot
 	users    []UserID
 	nextSV   float64
@@ -190,7 +195,7 @@ type ckptImage struct {
 	dead     []store.PageID // the ledger taken at cut
 	released int            // dead[:released] parked by build
 	flushed  int            // filled by build
-	polName  string         // filled by build
+	polName  string         // the paired policies file: set by build, or at cut when reused
 }
 
 // Checkpoint publishes a crash-consistent cut of the database to its
@@ -351,8 +356,8 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 		seq:      db.ckptSeq + 1,
 		pool:     db.tree.Pool(),
 		fd:       db.fileDisk,
-		pol:      db.pol,
-		policies: db.policies,
+		polOps:   db.polOps,
+		borrowed: db.borrowed,
 		snap:     db.tree.Snapshot(),
 		nextSV:   db.nextSV,
 		numPages: db.fileDisk.NumPages(),
@@ -373,12 +378,22 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 	// prepared record, which recovery then replays or skips by its verdict.
 	img.walSeq, img.walMark = db.appliedHorizon()
 
+	// The policies file: none for a borrowed store, the live one when no
+	// policy operation has applied since the last checkpoint's cut, else
+	// the store as it stands, pinned so the build can save it lock-free.
+	switch {
+	case db.borrowed:
+	case db.polOps == db.ckptPolOps && db.prevPolicies != "":
+		img.polName = db.prevPolicies
+	default:
+		img.pol, img.policies = db.pol, db.policies
+		img.pol.pin(img.policies)
+	}
+
 	// From here until publish/abort: freed pages park instead of becoming
-	// reallocatable, retired pages are quarantined (collectGarbage checks
-	// ckptBuilding), and the policy store is pinned so the build can
-	// serialize it lock-free.
+	// reallocatable and retired pages are quarantined (collectGarbage
+	// checks ckptBuilding).
 	db.fileDisk.DeferFrees(true)
-	img.pol.pin(img.policies)
 	db.ckptBuilding = true
 
 	// The dirty list is exact at this instant and can only shrink: sealed
@@ -412,16 +427,20 @@ func (db *DB) ckptBuild(img *ckptImage) error {
 		img.released++
 	}
 
-	// Side files: the policies snapshot under its checkpoint-unique name,
-	// then the meta staged (written + fsynced, NOT renamed) — publishing
-	// the commit point is the publish phase's one job.
-	img.polName = fmt.Sprintf("%s.policies.%d", db.opts.Path, img.seq)
-	var buf bytes.Buffer
-	if err := img.policies.Save(&buf); err != nil {
-		return fmt.Errorf("peb: checkpoint policies: %w", err)
-	}
-	if err := store.WriteFileAtomic(db.opts.FS, img.polName, buf.Bytes()); err != nil {
-		return fmt.Errorf("peb: checkpoint policies: %w", err)
+	// Side files: the policies snapshot, if the cut took one, under its
+	// checkpoint-unique name, then the meta staged (written + fsynced, NOT
+	// renamed) — publishing the commit point is the publish phase's one
+	// job.
+	if img.policies != nil {
+		name := fmt.Sprintf("%s.policies.%d", db.opts.Path, img.seq)
+		var buf bytes.Buffer
+		if err := img.policies.Save(&buf); err != nil {
+			return fmt.Errorf("peb: checkpoint policies: %w", err)
+		}
+		img.polName = name // from here abort removes it
+		if err := store.WriteFileAtomic(db.opts.FS, name, buf.Bytes()); err != nil {
+			return fmt.Errorf("peb: checkpoint policies: %w", err)
+		}
 	}
 	metaData, err := img.metaBytes()
 	if err != nil {
@@ -437,17 +456,20 @@ func (db *DB) ckptBuild(img *ckptImage) error {
 // the build's liveness result.
 func (img *ckptImage) metaBytes() ([]byte, error) {
 	mf := metaFile{
-		Version:   metaVersion,
-		Root:      uint32(img.snap.Tree.Root),
-		Height:    img.snap.Tree.Height,
-		Size:      img.snap.Tree.Size,
-		LeafCount: img.snap.Tree.LeafCount,
-		NextSV:    img.nextSV,
-		NumPages:  img.numPages,
-		WalSeq:    img.walSeq,
-		CkptSeq:   img.seq,
-		Policies:  filepath.Base(img.polName),
-		Users:     img.users,
+		Version:          metaVersion,
+		Root:             uint32(img.snap.Tree.Root),
+		Height:           img.snap.Tree.Height,
+		Size:             img.snap.Tree.Size,
+		LeafCount:        img.snap.Tree.LeafCount,
+		NextSV:           img.nextSV,
+		NumPages:         img.numPages,
+		WalSeq:           img.walSeq,
+		CkptSeq:          img.seq,
+		BorrowedPolicies: img.borrowed,
+		Users:            img.users,
+	}
+	if img.polName != "" {
+		mf.Policies = filepath.Base(img.polName)
 	}
 	for uid, sv := range img.snap.SVs {
 		mf.SVs = append(mf.SVs, svRec{UID: uid, SV: sv})
@@ -482,9 +504,12 @@ func (db *DB) ckptPublishLocked(img *ckptImage) (committed bool, walBytes int64,
 	// (ckptSealed) takes over from the build's temporary one.
 	db.ckptSealed = true
 	db.ckptBuilding = false
-	img.pol.unpin(img.policies)
+	if img.policies != nil {
+		img.pol.unpin(img.policies)
+	}
 	db.ckptSeq = img.seq
-	db.ckptWalSeq = img.walSeq
+	db.ckptWalSeq, db.ckptWalMark = img.walSeq, img.walMark
+	db.ckptPolOps = img.polOps
 	if db.prevPolicies != "" && db.prevPolicies != img.polName {
 		// Best effort: the superseded snapshot is dead weight. A crash
 		// before this Remove orphans it; OpenExisting sweeps orphans on
@@ -558,17 +583,20 @@ func (db *DB) release(key any) {
 // collection unseals it once nothing pins it (when no checkpoint exists).
 func (db *DB) ckptAbortLocked(img *ckptImage) {
 	db.ckptBuilding = false
-	img.pol.unpin(img.policies)
 	db.fileDisk.DeferFrees(false)
 	// The pages the build did not park are still allocated and still dead:
 	// back to the ledger, for the next checkpoint to reclaim.
 	db.ckptDead = append(db.ckptDead, img.dead[img.released:]...)
 	// Best effort: drop side files the failed build may have left. The
-	// staged meta was never renamed and the policies file is referenced
-	// by no meta, so both are inert either way.
+	// staged meta was never renamed and a policies file the build wrote is
+	// referenced by no meta, so both are inert either way. A reused file
+	// is the live checkpoint's and stays.
 	_ = db.opts.FS.Remove(db.opts.Path + ".meta.tmp")
-	if img.polName != "" {
-		_ = db.opts.FS.Remove(img.polName)
+	if img.policies != nil {
+		img.pol.unpin(img.policies)
+		if img.polName != "" {
+			_ = db.opts.FS.Remove(img.polName)
+		}
 	}
 }
 
@@ -615,10 +643,11 @@ func (db *DB) autoCheckpointLoop() {
 			if err := db.Checkpoint(); errors.Is(err, ErrClosed) {
 				return
 			}
-			// Rest as long as the pipeline ran. A WALBytes threshold that
-			// the active segment alone exceeds re-arms the trigger on every
-			// commit, and checkpoints would run back to back, as often as
-			// they can finish; this way they take at most half the time.
+			// Rest as long as the pipeline ran. Commits that log a
+			// threshold's worth while a checkpoint builds re-arm the
+			// trigger at once, and checkpoints would run back to back, as
+			// often as they can finish; this way they take at most half
+			// the time.
 			select {
 			case <-db.stopC:
 				return
@@ -639,7 +668,7 @@ func (db *DB) autoCheckpointDue() bool {
 // threshold. Caller holds mu and has checked db.wal.
 func (db *DB) walOverThreshold() bool {
 	p := db.opts.AutoCheckpoint
-	return (p.WALBytes > 0 && db.wal.Size() >= p.WALBytes) ||
+	return (p.WALBytes > 0 && db.wal.SizeSince(db.ckptWalMark) >= p.WALBytes) ||
 		(p.WALRecords > 0 && db.walSeq-db.ckptWalSeq >= p.WALRecords)
 }
 
@@ -743,19 +772,9 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 	if mf.Version != metaVersion {
 		return nil, fmt.Errorf("peb: %w: checkpoint meta version %d (want %d)", ErrUnsupportedFormat, mf.Version, metaVersion)
 	}
-	if mf.Policies == "" {
-		return nil, corruptf("checkpoint meta names no policies snapshot")
-	}
-	// Side files always live beside the index; taking the base name keeps a
-	// meta from naming a path outside the directory.
-	polName := filepath.Join(filepath.Dir(opts.Path), filepath.Base(mf.Policies))
-	pf, err := opts.FS.ReadFile(polName)
+	policies, polName, err := checkpointPolicies(opts, mf)
 	if err != nil {
-		return nil, corruptf("read checkpoint policies: %v", err)
-	}
-	policies, err := policy.Load(bytes.NewReader(pf))
-	if err != nil {
-		return nil, corruptf("parse checkpoint policies: %w", err)
+		return nil, err
 	}
 
 	fd, err := store.OpenFileDiskOn(opts.FS, opts.Path)
@@ -813,6 +832,7 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 		ckptWalSeq:   mf.WalSeq,
 		ckptSeq:      mf.CkptSeq,
 		prevPolicies: polName,
+		borrowed:     mf.BorrowedPolicies,
 	}
 	db.initObs()
 	db.view = tree.ViewIO(db.qio)
@@ -859,6 +879,32 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 		return nil, err
 	}
 	return db, nil
+}
+
+// checkpointPolicies loads the policy store a checkpoint pairs with, and
+// returns the path of its file: an empty store and no file when the meta
+// says the store is borrowed.
+func checkpointPolicies(opts Options, mf metaFile) (*policy.Store, string, error) {
+	if mf.BorrowedPolicies {
+		space := Region{MaxX: opts.SpaceSide, MaxY: opts.SpaceSide}
+		ps, err := policy.NewStore(space, opts.DayLength)
+		return ps, "", err
+	}
+	if mf.Policies == "" {
+		return nil, "", corruptf("checkpoint meta names no policies snapshot")
+	}
+	// Side files always live beside the index; taking the base name keeps a
+	// meta from naming a path outside the directory.
+	polName := filepath.Join(filepath.Dir(opts.Path), filepath.Base(mf.Policies))
+	pf, err := opts.FS.ReadFile(polName)
+	if err != nil {
+		return nil, "", corruptf("read checkpoint policies: %v", err)
+	}
+	policies, err := policy.Load(bytes.NewReader(pf))
+	if err != nil {
+		return nil, "", corruptf("parse checkpoint policies: %w", err)
+	}
+	return policies, polName, nil
 }
 
 // openFromWALOnly recovers a durable DB that crashed before its first

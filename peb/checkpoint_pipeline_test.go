@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/store"
 )
 
@@ -421,6 +423,7 @@ func TestAutoCheckpointRests(t *testing.T) {
 // TestAutoCheckpointCleanClose: Close stops the maintainer and drains any
 // in-flight pipeline; no goroutine leaks, no error.
 func TestAutoCheckpointCleanClose(t *testing.T) {
+	base := runtime.NumGoroutine()
 	dir := t.TempDir()
 	opts := Options{
 		Path:           filepath.Join(dir, "ac.idx"),
@@ -452,6 +455,7 @@ func TestAutoCheckpointCleanClose(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
+	leakcheck.WaitGoroutines(t, base)
 }
 
 // TestAutoCheckpointValidation: the thresholds measure the WAL, so the

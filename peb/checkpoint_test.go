@@ -1,9 +1,12 @@
 package peb
 
 import (
+	"encoding/json"
 	"math/rand"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/store"
 )
 
 func TestCheckpointRequiresFileBacking(t *testing.T) {
@@ -125,5 +128,199 @@ func TestOpenExistingErrors(t *testing.T) {
 	}
 	if _, err := OpenExisting(Options{Path: filepath.Join(t.TempDir(), "missing.idx")}); err == nil {
 		t.Error("missing checkpoint accepted")
+	}
+}
+
+// TestCheckpointDisarmsWALBytesTrigger: the WALBytes threshold counts the
+// bytes logged past the last checkpoint's cut. A checkpoint therefore
+// disarms it even though the active segment — which no checkpoint can
+// drop — still holds every byte, and it re-arms only once another
+// WALBytes have been logged.
+func TestCheckpointDisarmsWALBytesTrigger(t *testing.T) {
+	const threshold = 2 << 10
+	db := mustOpen(t, Options{Path: filepath.Join(t.TempDir(), "trig.idx"), Durability: DurabilitySync})
+	// Set after Open, so no maintainer runs: the test reads the trigger.
+	db.opts.AutoCheckpoint = AutoCheckpointPolicy{WALBytes: threshold}
+	uid := UserID(0)
+	logUntilDue := func() (logged uint64) {
+		t.Helper()
+		start := db.WALStats().BytesAppended
+		for !db.autoCheckpointDue() {
+			uid++
+			if err := db.Upsert(Object{UID: uid, X: float64(uid % 1000), Y: 7, T: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db.WALStats().BytesAppended - start
+	}
+	logUntilDue()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if db.autoCheckpointDue() {
+		t.Fatal("the trigger is still armed right after a checkpoint")
+	}
+	if logged := logUntilDue(); logged < threshold || logged > threshold+256 {
+		t.Fatalf("the trigger re-armed after %d bytes, want %d (plus at most one record)", logged, threshold)
+	}
+	if db.WALStats().SegmentsSealed != 0 {
+		t.Fatal("the log rolled a segment: the active segment did not hold every byte")
+	}
+}
+
+// policiesFile returns the policies file db's checkpoint meta names.
+func policiesFile(t *testing.T, db *DB) string {
+	t.Helper()
+	raw, err := db.opts.FS.ReadFile(db.opts.Path + ".meta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mf metaFile
+	if err := json.Unmarshal(raw, &mf); err != nil {
+		t.Fatal(err)
+	}
+	return mf.Policies
+}
+
+// TestCheckpointReusesUnchangedPolicies: a checkpoint with no policy
+// operation since the last one names the live policies file and writes
+// none; one after a Grant writes a new file and drops the old one.
+func TestCheckpointReusesUnchangedPolicies(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reuse.idx")
+	db := mustOpen(t, Options{Path: path})
+	all := Region{MaxX: 1000, MaxY: 1000}
+	day := TimeInterval{End: 1440}
+	exists := func(name string) bool {
+		ok, err := db.opts.FS.Exists(filepath.Join(filepath.Dir(path), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	if err := db.Grant(1, "f", all, day); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	first := policiesFile(t, db)
+	if err := db.Upsert(Object{UID: 2, X: 5, Y: 5, T: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := policiesFile(t, db); got != first || exists("reuse.idx.policies.2") {
+		t.Fatalf("a checkpoint with no policy op since the last named %s (wrote policies.2: %v), want the live %s",
+			got, exists("reuse.idx.policies.2"), first)
+	}
+	if err := db.Grant(1, "f", Region{MaxX: 10, MaxY: 10}, day); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := policiesFile(t, db); got == first || !exists(got) || exists(first) {
+		t.Fatalf("after a Grant the checkpoint names %s (exists %v), the old %s exists %v; want a new file and the old one dropped",
+			got, exists(got), first, exists(first))
+	}
+}
+
+// policyFileRun grants, checkpoints, upserts, checkpoints again (reusing
+// the policies file), grants and checkpoints a third time (writing a new
+// one). It returns how many grants were acknowledged; other errors are
+// ignored — the filesystem is dying mid-run by design.
+func policyFileRun(fs store.VFS) (acked int) {
+	db, err := Open(Options{Path: "pf.idx", Durability: DurabilitySync, FS: fs})
+	if err != nil {
+		return 0
+	}
+	defer db.Close()
+	grant := func(maxX float64) bool {
+		if db.Grant(1, "f", Region{MaxX: maxX, MaxY: 1000}, TimeInterval{End: 1440}) != nil {
+			return false
+		}
+		acked++
+		return true
+	}
+	if !grant(1000) || db.Checkpoint() != nil ||
+		db.Upsert(Object{UID: 2, X: 5, Y: 5, T: 1}) != nil || db.Checkpoint() != nil ||
+		!grant(10) {
+		return acked
+	}
+	_ = db.Checkpoint()
+	return acked
+}
+
+// TestCheckpointPolicyReuseCrash cuts power at every fault point of
+// policyFileRun: recovery holds every acknowledged grant, whether the live
+// checkpoint pairs with a reused policies file or a fresh one.
+func TestCheckpointPolicyReuseCrash(t *testing.T) {
+	golden := store.NewCrashFS()
+	if acked := policyFileRun(golden); acked != 2 {
+		t.Fatalf("golden run acknowledged %d of 2 grants", acked)
+	}
+	total := golden.Ops()
+	for _, keep := range []bool{false, true} {
+		for k := 0; k < total; k++ {
+			fs := store.NewCrashFS()
+			fs.SetFailAfter(k)
+			acked := policyFileRun(fs)
+			if !fs.Dead() {
+				fs.CutPower()
+			}
+			fs.Reboot(keep)
+			if ok, _ := fs.Exists("pf.idx.meta"); !ok {
+				if ok, _ := store.SegmentedWALExists(fs, "pf.idx.wal"); !ok {
+					continue // nothing was ever durable
+				}
+			}
+			db, err := OpenExisting(Options{Path: "pf.idx", Durability: DurabilitySync, FS: fs})
+			if err != nil {
+				t.Fatalf("k=%d keep=%v: recovery: %v", k, keep, err)
+			}
+			if n := savedPolicies(t, db); n < acked || n > 2 {
+				t.Fatalf("k=%d keep=%v: recovered %d policies, acknowledged %d of 2", k, keep, n, acked)
+			}
+			db.Close()
+		}
+	}
+}
+
+// TestReencodeBulkLoads: re-encoding a populated DB rebuilds its index
+// with the same bulk load a fresh batch into an empty tree uses, so the
+// rebuilt tree has exactly as many leaves as a fresh load of the same
+// objects — not the larger count of inserting them one by one.
+func TestReencodeBulkLoads(t *testing.T) {
+	const n = 3000
+	rng := rand.New(rand.NewSource(41))
+	objs := make([]Object, n)
+	for i := range objs {
+		objs[i] = Object{UID: UserID(i + 1), X: rng.Float64() * 1000, Y: rng.Float64() * 1000, T: 1}
+	}
+	grown := mustOpen(t, Options{})
+	for i, o := range objs {
+		if i%3 == 0 {
+			if err := grown.DefineRelation(o.UID, UserID(rng.Intn(n)+1), "f"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := grown.Upsert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := grown.EncodePolicies(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := mustOpen(t, Options{})
+	b := fresh.NewBatch()
+	for _, o := range objs {
+		b.Upsert(o)
+	}
+	if err := fresh.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := grown.tree.LeafCount(), fresh.tree.LeafCount(); got != want {
+		t.Fatalf("re-encoded tree has %d leaves, a fresh bulk load %d", got, want)
 	}
 }

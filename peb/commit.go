@@ -162,6 +162,9 @@ func (db *DB) resolvePolicyOps(ops []polOp) ([]polOp, error) {
 		default: // a rebuild operation: computed or checked below
 			resolved = false
 		}
+		if db.borrowed && ops[i].Kind != polOpEncode {
+			return nil, errBorrowedPolicies
+		}
 	}
 	if resolved {
 		return ops, nil
@@ -343,6 +346,9 @@ func (db *DB) applyOps(ops opList) error {
 	}
 	for i := range ops.Pol {
 		op := &ops.Pol[i]
+		if op.Kind != polOpEncode {
+			db.polOps++
+		}
 		switch op.Kind {
 		case polOpRelation:
 			_ = db.mutatePolicies(func(ps *policy.Store) error {
@@ -365,8 +371,8 @@ func (db *DB) applyOps(ops opList) error {
 				return fmt.Errorf("peb: load policies: %w", err)
 			}
 			// A fresh store on a handle of its own: open snapshots keep
-			// their pinned store, nothing pins the new one, and a DB that
-			// shared its store with others stops sharing it.
+			// their pinned store and nothing pins the new one. DBs that
+			// borrow this one's store follow at their next borrow.
 			db.pol, db.policies = newPolicyHandle(loaded), loaded
 			_ = db.tree.SetPolicies(loaded) // loaded is never nil here
 			loaded.ForEachGrant(func(owner, viewer policy.UserID, _ policy.Policy) bool {
@@ -412,29 +418,25 @@ func (db *DB) applyIndexOps(ops []core.BatchOp) error {
 	return err
 }
 
-// rebuildLocked swaps in a fresh index under assignment and re-inserts the
-// current population. Caller holds the write lock.
+// rebuildLocked swaps in a fresh index under assignment and bulk-loads the
+// current population into it, so a re-encoded tree is packed like a fresh
+// load rather than grown one insert at a time. Caller holds the write lock.
 func (db *DB) rebuildLocked(assignment policy.Assignment) error {
-	objs := make([]Object, 0, db.tree.Size())
+	ops := make([]core.BatchOp, 0, db.tree.Size())
 	for u := range db.users {
 		o, ok, err := db.tree.Get(u)
 		if err != nil {
 			return err
 		}
 		if ok {
-			objs = append(objs, o)
+			ops = append(ops, core.BatchOp{Kind: core.OpUpsert, Obj: o})
 		}
 	}
 	if err := db.newTree(assignment); err != nil {
 		return err
 	}
-	// Republish the snapshot on every exit below, so even a failed partial
-	// rebuild leaves queries reading the tree's actual state.
+	// Republish the snapshot on every exit below, so even a failed rebuild
+	// leaves queries reading the tree's actual state.
 	defer db.refreshView()
-	for _, o := range objs {
-		if err := db.tree.Insert(o); err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.tree.ApplyBatch(ops)
 }

@@ -4,10 +4,10 @@ import "repro/internal/policy"
 
 // Split policy encoding, for shard routers. EncodePolicies computes a
 // sequence-value assignment and rebuilds the index in one call; a sharded
-// deployment wants the two halves apart, because the computation is
-// identical on every shard (policies are broadcast) while the rebuild is
-// per shard: compute the assignment once — over the union of every
-// shard's users — and install the shared result everywhere. Sharing one
+// deployment wants the two halves apart, because the computation needs
+// the policies, which one engine holds, while the rebuild is per shard:
+// compute the assignment once — over the union of every shard's users —
+// and install the shared result everywhere. Sharing one
 // assignment also keeps the shards' keys mutually consistent when a user
 // re-homes: the user's sequence value is the same on the new shard as it
 // was on the old.
@@ -16,15 +16,9 @@ import "repro/internal/policy"
 // community of the relation graph, as EncodePolicies computes it),
 // detached from any index. Obtain one from
 // ComputeEncoding, install it with InstallEncoding — on the same DB or on
-// any DB holding the same policy state.
+// any DB reading the same policy store.
 type PolicyEncoding struct {
 	assignment policy.Assignment
-}
-
-// Covers reports whether the encoding assigns a sequence value to uid.
-func (e *PolicyEncoding) Covers(uid UserID) bool {
-	_, ok := e.assignment.SV[policy.UserID(uid)]
-	return ok
 }
 
 // ComputeEncoding runs the offline policy-encoding phase over this DB's

@@ -203,7 +203,9 @@ type Options struct {
 // maintainer waits as long as that checkpoint took before it checks the
 // thresholds again.
 type AutoCheckpointPolicy struct {
-	// WALBytes triggers a checkpoint when the log exceeds this many bytes.
+	// WALBytes triggers a checkpoint once this many bytes have been logged
+	// past the last checkpoint's cut: bytes the next checkpoint can drop,
+	// not the active segment it never can.
 	WALBytes int64
 	// WALRecords triggers a checkpoint after this many committed records
 	// since the last checkpoint.
@@ -251,13 +253,17 @@ type DB struct {
 	mu sync.RWMutex
 
 	opts Options
-	// pol holds the policy store and the pins on it; other DBs may share
-	// it (SharePolicies). policies is the store this DB's tree and view
-	// read: pol's current store, or one a sharer's clone has superseded
-	// and nobody mutates any more until this DB's next policy commit
-	// catches up.
+	// pol holds the policy store and the pins on it; borrowed is true once
+	// the store belongs to another DB (BorrowPolicies). policies is the
+	// store this DB's tree and view read: pol's current store, or one a
+	// clone has superseded and nobody mutates any more until the next
+	// BorrowPolicies catches up. polOps counts the policy operations
+	// applied since open, so a checkpoint can tell whether the store
+	// changed since the last one.
 	pol      *policyHandle
 	policies *policy.Store
+	borrowed bool
+	polOps   uint64
 	tree     *core.Tree
 	// view is the read-only snapshot one-shot queries execute on. It is
 	// replaced (under the write lock) by every operation that mutates the
@@ -336,12 +342,15 @@ type DB struct {
 	// collection quarantines retired pages while set, protecting the cut
 	// image (the cut pins the policy store itself). ckptWalSeq (under mu)
 	// is the WAL horizon of the last committed checkpoint — what the
-	// AutoCheckpoint record threshold measures against. ckptHook is a
-	// test hook called at phase boundaries ("build", "publish"); nil
-	// outside tests.
+	// AutoCheckpoint record threshold measures against — and ckptWalMark
+	// its log position, past which the byte threshold counts; ckptPolOps
+	// is polOps at its cut. ckptHook is a test hook called at phase
+	// boundaries ("build", "publish"); nil outside tests.
 	ckptMu       sync.Mutex
 	ckptBuilding bool
 	ckptWalSeq   uint64
+	ckptWalMark  store.SegPos
+	ckptPolOps   uint64
 	ckptHook     func(phase string)
 
 	// Checkpoint coalescing: Checkpoint calls that arrive while a

@@ -1,6 +1,7 @@
 package peb
 
 import (
+	"errors"
 	"sync"
 
 	"repro/internal/policy"
@@ -56,9 +57,8 @@ func (h *policyHandle) mutate(fn func(*policy.Store) error) (*policy.Store, erro
 }
 
 // mutatePolicies runs fn on the policy store through the handle and points
-// the tree at the store it ran on: another DB sharing the handle may have
-// cloned the store since this one last wrote. The caller holds the write
-// lock and republishes the view.
+// the tree at the store it ran on. The caller holds the write lock and
+// republishes the view.
 func (db *DB) mutatePolicies(fn func(*policy.Store) error) error {
 	ps, err := db.pol.mutate(fn)
 	if ps != db.policies {
@@ -68,21 +68,24 @@ func (db *DB) mutatePolicies(fn func(*policy.Store) error) error {
 	return err
 }
 
-// SharePolicies points db at src's policy store, so the two hold one copy
-// in memory instead of two. It returns ErrPoliciesDiffer, and shares
-// nothing, unless both stores are Equal.
+// errBorrowedPolicies refuses a policy operation on a DB whose store is
+// borrowed: the operation belongs on the DB that owns the store.
+var errBorrowedPolicies = errors.New("peb: policies are borrowed from another DB; commit policy operations there")
+
+// BorrowPolicies makes src's policy store the one db reads, in place of a
+// store of its own: db's queries, snapshots, commit hooks and replicas read
+// src's store, db's checkpoints write no policies file (the meta records
+// that the store lives elsewhere), and db refuses policy operations — they
+// commit, are logged and are checkpointed on src alone. A router holds its
+// policies once this way: one engine owns them and every shard borrows.
 //
-// Sharing changes nothing on disk: each DB still logs, checkpoints and
-// replays every policy operation it commits, so the DBs must go on
-// committing the same policy operations in the same order — as a router
-// broadcasting them does. The second application of an operation finds it
-// already in place (relations overwrite, AddPolicy deduplicates, nothing
-// deletes) and changes nothing. The caller must also keep every read of one
-// DB's policies — queries, Allows, commit hooks — from running while
-// another DB sharing the store applies a policy operation; pinned readers
-// (snapshots, checkpoint builds, replica bootstraps) are safe at any time.
-// A later LoadPolicies gives db a store of its own again.
-func (db *DB) SharePolicies(src *DB) error {
+// Call it again after every policy commit on src. A pin (a snapshot, a
+// checkpoint build) may have sent the commit to a copy of the store, which
+// db then reads instead, and db's commit hooks learn of the change: they
+// fire once with PolicyChange set and nothing touched. The caller keeps
+// db's unpinned reads — one-shot queries, Allows, commit hooks — from
+// running while src commits a policy operation.
+func (db *DB) BorrowPolicies(src *DB) error {
 	src.mu.RLock()
 	h, ps := src.pol, src.policies
 	src.mu.RUnlock()
@@ -91,14 +94,12 @@ func (db *DB) SharePolicies(src *DB) error {
 	if db.closed {
 		return ErrClosed
 	}
-	if db.pol == h {
-		return nil
+	db.borrowed, db.pol = true, h
+	if ps != db.policies {
+		db.policies = ps
+		_ = db.tree.SetPolicies(ps) // never nil
+		db.refreshView()
 	}
-	if !db.policies.Equal(ps) {
-		return ErrPoliciesDiffer
-	}
-	db.pol, db.policies = h, ps
-	_ = db.tree.SetPolicies(ps) // never nil
-	db.refreshView()
+	db.fireCommitLocked(nil, true, false)
 	return nil
 }

@@ -132,18 +132,23 @@ func (r *Replica) bootstrap() error {
 		return fmt.Errorf("peb: replication requires a durable primary (Options.Durability)")
 	}
 
-	// The store may be shared with other DBs, whose policy commits the
-	// read lock does not hold off: pin it while it is copied.
-	p.pol.pin(p.policies)
-	var polBuf bytes.Buffer
-	err := p.policies.Save(&polBuf)
-	p.pol.unpin(p.policies)
-	if err != nil {
-		return fmt.Errorf("peb: replica bootstrap policies: %w", err)
-	}
-	loaded, err := policy.Load(bytes.NewReader(polBuf.Bytes()))
-	if err != nil {
-		return fmt.Errorf("peb: replica bootstrap policies: %w", err)
+	// A borrowed store is read where it lives: the primary's log carries
+	// no policy operation for the replica to replay into a copy. Any other
+	// store may be shared with other DBs, whose policy commits the read
+	// lock does not hold off: pin it while it is copied.
+	pol, policies := p.pol, p.policies
+	if !p.borrowed {
+		var buf bytes.Buffer
+		p.pol.pin(p.policies)
+		err := p.policies.Save(&buf)
+		p.pol.unpin(p.policies)
+		if err == nil {
+			policies, err = policy.Load(&buf)
+		}
+		if err != nil {
+			return fmt.Errorf("peb: replica bootstrap policies: %w", err)
+		}
+		pol = newPolicyHandle(policies)
 	}
 
 	asg := policy.Assignment{
@@ -165,8 +170,9 @@ func (r *Replica) bootstrap() error {
 	opts.setDefaults()
 	rdb := &DB{
 		opts:     opts,
-		pol:      newPolicyHandle(loaded),
-		policies: loaded,
+		pol:      pol,
+		policies: policies,
+		borrowed: p.borrowed,
 		users:    make(map[UserID]bool, len(p.users)),
 		snaps:    make(map[*Snapshot]struct{}),
 	}
@@ -423,6 +429,17 @@ func (r *Replica) RangeQuery(issuer UserID, reg Region, t float64) ([]Object, er
 func (r *Replica) NearestNeighbors(issuer UserID, x, y float64, k int, t float64) ([]Neighbor, error) {
 	return r.db.NearestNeighbors(issuer, x, y, k, t)
 }
+
+// BorrowPolicies points the replica at src's policy store, as
+// DB.BorrowPolicies does for a DB: a replica of a primary whose store is
+// borrowed reads that same store, and is re-pointed after every policy
+// commit on src. Its reads then pair the objects at its horizon with the
+// policies src has committed.
+func (r *Replica) BorrowPolicies(src *DB) error { return r.db.BorrowPolicies(src) }
+
+// IOStats reports the replica's buffer statistics since it attached: the
+// page reads its follower reads cost.
+func (r *Replica) IOStats() store.BufferStats { return r.db.IOStats() }
 
 // Close stops the tailer, releases the retention floor on the primary's
 // log, and tears down the replica's state. Idempotent.

@@ -2,6 +2,7 @@ package sharded
 
 import (
 	"fmt"
+	"math"
 
 	"repro/peb"
 )
@@ -13,68 +14,100 @@ import (
 // all-or-nothing — in memory and across a crash — even though every shard
 // logs independently. A Batch is not safe for concurrent use.
 type Batch struct {
+	// ops are the movement updates and removals, routed at Apply time (a
+	// removal sets only obj.UID); pol holds the policy operations, all
+	// bound for the policy engine.
 	ops []batchOp
+	pol peb.Batch
 }
 
-type opKind uint8
-
-const (
-	opUpsert opKind = iota
-	opRemove
-	opRelation
-	opGrant
-)
-
 type batchOp struct {
-	kind opKind
-	obj  Object
-	uid  UserID
-	own  UserID
-	peer UserID
-	role Role
-	locr Region
-	tint TimeInterval
+	obj    Object
+	remove bool
 }
 
 // NewBatch returns an empty staging buffer.
 func (db *DB) NewBatch() *Batch { return &Batch{} }
 
 // Len returns the number of staged operations.
-func (b *Batch) Len() int { return len(b.ops) }
+func (b *Batch) Len() int { return len(b.ops) + b.pol.Len() }
 
 // Upsert stages a movement update.
 func (b *Batch) Upsert(o Object) {
-	b.ops = append(b.ops, batchOp{kind: opUpsert, obj: o})
+	b.ops = append(b.ops, batchOp{obj: o})
 }
 
 // Remove stages deletion of a user's index entry. Removing a user with no
 // index entry fails the whole batch at Apply time.
 func (b *Batch) Remove(uid UserID) {
-	b.ops = append(b.ops, batchOp{kind: opRemove, uid: uid})
+	b.ops = append(b.ops, batchOp{obj: Object{UID: uid}, remove: true})
 }
 
-// DefineRelation stages a role relation (broadcast to every shard).
+// DefineRelation stages a role relation (committed on the policy engine).
 func (b *Batch) DefineRelation(owner, peer UserID, role Role) {
-	b.ops = append(b.ops, batchOp{kind: opRelation, own: owner, peer: peer, role: role})
+	b.pol.DefineRelation(owner, peer, role)
 }
 
-// Grant stages a location-privacy policy (broadcast to every shard).
+// Grant stages a location-privacy policy (committed on the policy engine).
 func (b *Batch) Grant(owner UserID, role Role, locr Region, tint TimeInterval) {
-	b.ops = append(b.ops, batchOp{kind: opGrant, own: owner, role: role, locr: locr, tint: tint})
+	b.pol.Grant(owner, role, locr, tint)
 }
 
 // ownerTombstone marks a user the batch removes in the pending owner-map
 // delta.
 const ownerTombstone = -1
 
-// Apply applies the batch atomically. The batch is split by owning shard —
+// policiesID is the policy engine's participant id in prepared records:
+// no shard's, since the manifest holds ids below it.
+const policiesID = math.MaxInt32
+
+// part is one participant of a router commit: a shard, or the policy
+// engine (slot -1), with its stable id and the sub-batch staged for it.
+type part struct {
+	eng  *peb.DB
+	id   int
+	slot int
+	b    *peb.Batch
+}
+
+// String names the participant in errors.
+func (p part) String() string {
+	if p.slot < 0 {
+		return "policy engine"
+	}
+	return fmt.Sprintf("shard %d", p.slot)
+}
+
+// participants lists every engine a commit can involve, each with an
+// empty sub-batch: the shards in slot order, then the policy engine.
+func (db *DB) participants() []part {
+	all := make([]part, 0, len(db.shards)+1)
+	for i, s := range db.shards {
+		all = append(all, part{eng: s, id: db.metas[i].id, slot: i, b: s.NewBatch()})
+	}
+	return append(all, part{eng: db.pe, id: policiesID, slot: -1, b: db.pe.NewBatch()})
+}
+
+// staged keeps the participants whose sub-batch holds operations.
+func staged(all []part) []part {
+	var parts []part
+	for _, p := range all {
+		if p.b.Len() > 0 {
+			parts = append(parts, p)
+		}
+	}
+	return parts
+}
+
+// Apply applies the batch atomically. The batch is split by participant —
 // movement updates go to the shard owning the new position (plus an
 // eviction from the previous owner when the user moves across a boundary),
-// policy operations go to every shard — and then:
+// policy operations go to the policy engine — and then:
 //
-//   - a batch owned by a single shard commits directly through that
-//     shard's atomic Apply;
-//   - a batch spanning shards commits via two-phase commit: the
+//   - a batch with a single participant commits directly through that
+//     engine's atomic Apply (a policy-only batch is one commit on the
+//     policy engine);
+//   - a batch with several commits via two-phase commit: the
 //     participants prepare concurrently (each validates and logs a
 //     prepared record naming every participant, one fsync per
 //     participant), and once every prepare is durable the transaction is
@@ -83,7 +116,7 @@ const ownerTombstone = -1
 //     commit markers, which become durable with each shard's next sync. A
 //     prepare failure aborts every participant that prepared, leaving no
 //     trace of the batch, and the error names the lowest failing shard
-//     slot.
+//     slot (the policy engine counts after every shard).
 //
 // After a crash anywhere in the protocol, Open finishes every prepared
 // record a shard recovered without a marker by one rule — committed if and
@@ -97,17 +130,15 @@ func (db *DB) Apply(b *Batch) error {
 	if db.closed {
 		return ErrClosed
 	}
-	if b == nil || len(b.ops) == 0 {
+	if b == nil || b.Len() == 0 {
 		return nil
 	}
 
-	// Split by owning shard. ownerDelta tracks the routing consequences in
+	// Split by participant. ownerDelta tracks the routing consequences in
 	// batch order, so multi-step sequences on one user (upsert here, then
 	// there) stage the right inserts and evictions.
-	subs := make([]*peb.Batch, len(db.shards))
-	for i := range subs {
-		subs[i] = db.shards[i].NewBatch()
-	}
+	all := db.participants()
+	all[len(all)-1].b = &b.pol
 	ownerDelta := make(map[UserID]int)
 	ownerOf := func(uid UserID) (int, bool) {
 		if d, ok := ownerDelta[uid]; ok {
@@ -123,68 +154,51 @@ func (db *DB) Apply(b *Batch) error {
 	}
 	for i := range b.ops {
 		op := &b.ops[i]
-		switch op.kind {
-		case opUpsert:
-			target := db.shardOf(op.obj.X, op.obj.Y)
-			cur, had := ownerOf(op.obj.UID)
-			subs[target].Upsert(op.obj)
-			if had && cur != target {
-				subs[cur].Remove(op.obj.UID)
-			}
-			ownerDelta[op.obj.UID] = target
-		case opRemove:
-			cur, had := ownerOf(op.uid)
+		uid := op.obj.UID
+		cur, had := ownerOf(uid)
+		if op.remove {
 			if !had {
-				return fmt.Errorf("sharded: apply: remove of unindexed user %d", op.uid)
+				return fmt.Errorf("sharded: apply: remove of unindexed user %d", uid)
 			}
-			subs[cur].Remove(op.uid)
-			ownerDelta[op.uid] = ownerTombstone
-		case opRelation:
-			for _, sub := range subs {
-				sub.DefineRelation(op.own, op.peer, op.role)
-			}
-		case opGrant:
-			for _, sub := range subs {
-				sub.Grant(op.own, op.role, op.locr, op.tint)
-			}
+			all[cur].b.Remove(uid)
+			ownerDelta[uid] = ownerTombstone
+			continue
 		}
-	}
-	var parts []int
-	for i, sub := range subs {
-		if sub.Len() > 0 {
-			parts = append(parts, i)
+		target := db.shardOf(op.obj.X, op.obj.Y)
+		all[target].b.Upsert(op.obj)
+		if had && cur != target {
+			all[cur].b.Remove(uid)
 		}
+		ownerDelta[uid] = target
 	}
-	committed, err := db.commitParts(parts, subs)
+	committed, err := db.commitParts(staged(all))
 	if committed {
 		db.applyOwnerDelta(ownerDelta)
 	}
 	return err
 }
 
-// commitParts atomically commits the staged per-shard sub-batches whose
-// slots are listed in parts: a single participant commits through its
-// shard's own atomic Apply, several commit via two-phase commit. Shared by
-// Apply and the resharding migration loop (reshard.go), which moves
-// objects between shards with exactly the same all-or-nothing guarantees
-// as a user batch. The caller holds the write barrier.
+// commitParts atomically commits the participants' staged sub-batches: a
+// single participant commits through its own atomic Apply, several commit
+// via two-phase commit. Shared by Apply and the resharding migration loop
+// (reshard.go), which moves objects between shards with exactly the same
+// all-or-nothing guarantees as a user batch. The caller holds the write
+// barrier.
 //
 // committed reports whether the transaction is committed (it can be true
 // alongside a non-nil error: a participant's failed Commit fail-stops that
-// shard's log, and its recovery commits the part again).
-func (db *DB) commitParts(parts []int, subs []*peb.Batch) (committed bool, err error) {
+// engine's log, and its recovery commits the part again).
+func (db *DB) commitParts(parts []part) (committed bool, err error) {
 	if len(parts) == 0 {
 		return true, nil
 	}
 
-	// Single owner: the shard's own atomic Apply is all the protocol
-	// needed.
+	// Single participant: its own atomic Apply is all the protocol needed.
 	if len(parts) == 1 {
-		if err := db.shards[parts[0]].Apply(subs[parts[0]]); err != nil {
+		if err := parts[0].eng.Apply(parts[0].b); err != nil {
 			return false, err
 		}
-		db.noteWrite(parts[0])
-		return true, nil
+		return true, db.noteCommitted(parts)
 	}
 
 	// Cross-shard: two-phase commit. The participants prepare
@@ -192,13 +206,13 @@ func (db *DB) commitParts(parts []int, subs []*peb.Batch) (committed bool, err e
 	// shard's own log, so the round costs the slowest prepare, not the sum.
 	txnID := db.allocTxn()
 	ids := make([]int, len(parts))
-	for j, i := range parts {
-		ids[j] = db.metas[i].id
+	for j, p := range parts {
+		ids[j] = p.id
 	}
 	prepared := make([]*peb.Prepared, len(parts))
 	errs := make([]error, len(parts))
 	scatter(len(parts), func(j int) {
-		prepared[j], errs[j] = db.shards[parts[j]].PrepareApply(subs[parts[j]], txnID, ids)
+		prepared[j], errs[j] = parts[j].eng.PrepareApply(parts[j].b, txnID, ids)
 	})
 	for j, err := range errs {
 		if err == nil {
@@ -206,7 +220,6 @@ func (db *DB) commitParts(parts []int, subs []*peb.Batch) (committed bool, err e
 		}
 		// The lowest failing slot names the failure, whichever prepare
 		// finished first.
-		i := parts[j]
 		if decided, aerr := abortAll(prepared); !decided {
 			// A record may be on disk and no abort marker is durable, so
 			// recovery may find every prepared record and commit. Fail
@@ -214,11 +227,11 @@ func (db *DB) commitParts(parts []int, subs []*peb.Batch) (committed bool, err e
 			db.closed = true
 			db.events.Record("txn.indoubt", "abort marker unsynced; router fail-stopped",
 				"txn", txnID, "parts", len(parts), "prepare_err", err, "abort_err", aerr)
-			return false, fmt.Errorf("sharded: transaction %d in doubt (shard %d prepare: %v; abort: %v) — restart to resolve", txnID, i, err, aerr)
+			return false, fmt.Errorf("sharded: transaction %d in doubt (%s prepare: %v; abort: %v) — restart to resolve", txnID, parts[j], err, aerr)
 		}
 		db.events.Record("txn.abort", "cross-shard transaction aborted at prepare",
-			"txn", txnID, "parts", len(parts), "shard", db.metas[i].id, "err", err)
-		return false, fmt.Errorf("sharded: apply: shard %d: %w", i, err)
+			"txn", txnID, "parts", len(parts), "shard", parts[j].id, "err", err)
+		return false, fmt.Errorf("sharded: apply: %s: %w", parts[j], err)
 	}
 
 	// Every prepare is durable: the transaction is committed. The prepare
@@ -235,12 +248,25 @@ func (db *DB) commitParts(parts []int, subs []*peb.Batch) (committed bool, err e
 	db.txnMu.Lock()
 	db.unsettled = append(db.unsettled, prepared)
 	db.txnMu.Unlock()
-	for _, i := range parts {
-		db.noteWrite(i)
-	}
 	db.events.Record("txn.commit", "cross-shard transaction committed",
 		"txn", txnID, "parts", len(parts))
+	if err := db.noteCommitted(parts); firstErr == nil {
+		firstErr = err
+	}
 	return true, firstErr
+}
+
+// noteCommitted records a committed transaction's writes on its shards
+// (noteWrite) and, when the policy engine took part, points every shard
+// and follower at its store again (syncPolicies).
+func (db *DB) noteCommitted(parts []part) error {
+	for _, p := range parts {
+		if p.slot < 0 {
+			return db.syncPolicies() // the policy engine is the last participant
+		}
+		db.noteWrite(p.slot)
+	}
+	return nil
 }
 
 // abortAll aborts every participant that may hold the prepared record (a
@@ -305,7 +331,7 @@ func (db *DB) settle(force bool) error {
 	return firstErr
 }
 
-// finishRecovered decides every transaction a shard's recovery left
+// finishRecovered decides every transaction a participant's recovery left
 // pending by the commit rule: committed if and only if every participant
 // holds its prepared record with no abort marker. A participant the
 // manifest no longer lists holds nothing — Merge settled every transaction
@@ -314,18 +340,22 @@ func (db *DB) settle(force bool) error {
 // held), and each marker is durable before Open goes on, so no hold
 // outlives recovery.
 func (db *DB) finishRecovered() error {
-	pending := make([]*peb.Prepared, len(db.shards))
-	commit := make([]bool, len(db.shards))
-	for i, s := range db.shards {
-		p := s.Pending()
+	all := db.participants()
+	byID := make(map[int]*peb.DB, len(all))
+	for _, p := range all {
+		byID[p.id] = p.eng
+	}
+	pending := make([]*peb.Prepared, len(all))
+	commit := make([]bool, len(all))
+	for i, e := range all {
+		p := e.eng.Pending()
 		if p == nil {
 			continue
 		}
 		pending[i], commit[i] = p, true
 		txnID, parts := p.Txn()
 		for _, id := range parts {
-			slot, ok := db.slotOf(id)
-			if !ok || !db.shards[slot].HoldsTxn(txnID) {
+			if e := byID[id]; e == nil || !e.HoldsTxn(txnID) {
 				commit[i] = false
 				break
 			}
@@ -346,10 +376,10 @@ func (db *DB) finishRecovered() error {
 		}
 		p.Release()
 		if err != nil {
-			return fmt.Errorf("sharded: finish recovered transaction %d on shard %d: %w", txnID, db.metas[i].id, err)
+			return fmt.Errorf("sharded: finish recovered transaction %d on %s: %w", txnID, all[i], err)
 		}
 		db.events.Record("txn.recover", "recovered cross-shard transaction finished",
-			"txn", txnID, "shard", db.metas[i].id, "commit", commit[i])
+			"txn", txnID, "shard", all[i].id, "commit", commit[i])
 	}
 	return nil
 }

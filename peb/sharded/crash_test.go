@@ -209,10 +209,11 @@ func TestShardedCrashAfterDecision(t *testing.T) {
 }
 
 // TestOpenRefusesOtherGenerations: a directory whose manifest is of
-// another generation — the fixed-count version 1 record, or the version 2
-// of routers that kept a decision log — or whose root holds a leftover
-// decision log, txn.log, is refused with the format sentinel, before
-// anything is written: nothing upgrades in place.
+// another generation — the fixed-count version 1 record, the version 2 of
+// routers that kept a decision log, or the version 3 of routers whose
+// shards each logged and checkpointed every policy — or whose root holds a
+// leftover decision log, txn.log, is refused with the format sentinel,
+// before anything is written: nothing upgrades in place.
 func TestOpenRefusesOtherGenerations(t *testing.T) {
 	manifestVersion := func(v int) func(fs store.VFS) error {
 		return func(fs store.VFS) error {
@@ -237,6 +238,7 @@ func TestOpenRefusesOtherGenerations(t *testing.T) {
 				[]byte(`{"Version":1,"Shards":4,"SpaceSide":1000,"GridOrder":10}`))
 		},
 		"v2 manifest": manifestVersion(2),
+		"v3 manifest": manifestVersion(3),
 		"leftover txn.log": func(fs store.VFS) error {
 			return store.WriteFileAtomic(fs, "root/txn.log", []byte{0, 0, 0, 9})
 		},

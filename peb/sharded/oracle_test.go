@@ -170,6 +170,10 @@ func (p pair) checkRoutedCost(t *testing.T, label string, issuer UserID) {
 		t.Fatalf("%s: the batch returned %d neighbors for %d single-tree page requests — the gate would check nothing",
 			label, answers, single)
 	}
+	if routed == 0 {
+		t.Fatalf("%s: %d routed PkNN returned %d neighbors but counted no page request — a reader's pool is missing from Stats",
+			label, queries, answers)
+	}
 	if routed*queries > (visits+queries)*single {
 		t.Fatalf("%s: %d routed PkNN made %d page requests over %d shard visits; the single tree made %d — "+
 			"over the (visits per query + 1) × single-tree bound",

@@ -2,7 +2,6 @@ package sharded
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -10,18 +9,23 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/policy"
 	"repro/internal/store"
 	"repro/peb"
+	"repro/peb/cq"
 )
 
-// The shards of a router share one policy store in memory (sharePolicies).
-// These tests hold that sharing to the promises of the broadcast design:
+// A router's policies live in its policy engine, and every shard borrows
+// its store (syncPolicies). These tests hold that design to its promises:
 // every shard answers the privacy predicate like a reference model after
-// every policy op, a snapshot keeps answering from its cut while shards
-// checkpoint and policies change, a crash anywhere leaves every shard with
-// the same policies, and a shard that recovers other ones is refused.
+// every policy op, a snapshot keeps answering from its cut while the
+// engines checkpoint and policies change, a crash anywhere recovers a
+// prefix of the policy ops that every shard reads, a batch mixing policies
+// and objects is all-or-nothing across a crash, and a routed Grant reaches
+// the standing queries of every shard.
 
 var (
 	spAll      = Region{MaxX: 1000, MaxY: 1000}
@@ -156,8 +160,9 @@ func (c snapCut) check(t *testing.T, users int, label string) {
 
 // TestSharedPoliciesUnderCheckpointsAndSnapshot interleaves routed policy
 // ops — grants, relations and role changes, one at a time and batched —
-// with every shard checkpointing on its own goroutine, as its AutoCheckpoint
-// maintainer would, and with an open sharded Snapshot retaken now and then.
+// with every shard and the policy engine checkpointing on its own
+// goroutine, as its AutoCheckpoint maintainer would, and with an open
+// sharded Snapshot retaken now and then.
 // After every step the router and every shard answer Allows like the model,
 // and the snapshot answers as at its cut. Under -race this is the test of
 // the shared store's pinning.
@@ -178,8 +183,9 @@ func TestSharedPoliciesUnderCheckpointsAndSnapshot(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	ckptErr := make([]error, len(db.shards))
-	for i, s := range db.shards {
+	engines := append(append([]*peb.DB(nil), db.shards...), db.pe)
+	ckptErr := make([]error, len(engines))
+	for i, s := range engines {
 		wg.Add(1)
 		go func(i int, s *peb.DB) {
 			defer wg.Done()
@@ -201,7 +207,7 @@ func TestSharedPoliciesUnderCheckpointsAndSnapshot(t *testing.T) {
 		wg.Wait()
 		for i, err := range ckptErr {
 			if err != nil {
-				t.Errorf("shard %d checkpoint: %v", i, err)
+				t.Errorf("engine %d checkpoint: %v", i, err)
 			}
 		}
 	}()
@@ -243,8 +249,9 @@ func TestSharedPoliciesUnderCheckpointsAndSnapshot(t *testing.T) {
 }
 
 // buildHookFS runs hook once, at the first sync of the page file named
-// page after hook is set. That sync is a checkpoint's build flushing its
-// image: after the cut pinned the policy store, before the build saves it.
+// page after hook is set. That sync is the policy engine's checkpoint
+// build flushing its image: after the cut pinned the policy store, before
+// the build saves it.
 type buildHookFS struct {
 	store.VFS
 	page string
@@ -277,8 +284,8 @@ func (f *buildHookFile) Sync() error {
 var crashPolicyOps = []policyOp{
 	{owner: 1, peer: 2, role: "friend"},
 	{owner: 1, role: "friend", locr: spLeft, tint: spAllDay},
-	{owner: 1, role: "friend", locr: spRight, tint: spAllDay}, // during shard 2's checkpoint build
-	{owner: 1, peer: 3, role: "friend"},                       // during shard 2's checkpoint build
+	{owner: 1, role: "friend", locr: spRight, tint: spAllDay}, // during the checkpoint build
+	{owner: 1, peer: 3, role: "friend"},                       // during the checkpoint build
 	{owner: 1, peer: 2, role: "foe"},                          // after its publish
 }
 
@@ -295,12 +302,13 @@ func crashPolicyModels(t *testing.T) [][]bool {
 }
 
 // crashPolicyRun is the workload the fault point sweeps over: seed a user
-// per shard and two policy ops, then checkpoint shard 2 with two routed
-// policy ops landing between its cut and its publish, then one more. It
-// returns how many policy ops were acknowledged; all other errors are
-// ignored — the filesystem is dying mid-run by design.
+// per shard and two policy ops, then checkpoint the policy engine with two
+// routed policy ops landing between its cut and its publish, then one
+// more, then checkpoint it again with none in between. It returns how many
+// policy ops were acknowledged; all other errors are ignored — the
+// filesystem is dying mid-run by design.
 func crashPolicyRun(fs store.VFS) (acked int) {
-	hfs := &buildHookFS{VFS: fs, page: filepath.Join(shardDir("root", 2), "peb.idx")}
+	hfs := &buildHookFS{VFS: fs, page: filepath.Join(policiesDir("root"), "peb.idx")}
 	db, err := Open(crashShardedOpts(hfs))
 	if err != nil {
 		return 0
@@ -325,21 +333,22 @@ func crashPolicyRun(fs store.VFS) (acked int) {
 	}
 	ok := true
 	hfs.hook = func() { ok = apply(crashPolicyOps[2]) && apply(crashPolicyOps[3]) }
-	if db.shards[2].Checkpoint() != nil || !ok {
+	if db.pe.Checkpoint() != nil || !ok || !apply(crashPolicyOps[4]) {
 		return acked
 	}
-	apply(crashPolicyOps[4])
+	_ = db.pe.Checkpoint()
+	_ = db.pe.Checkpoint()
 	return acked
 }
 
 // TestShardedCrashGrantMidCheckpoint cuts power at every fault point of
-// routed policy ops that overlap one shard's checkpoint between its cut and
-// its publish. The cut pinned the shared store, so the ops must go to a
-// copy: the checkpoint's policies file holds the store as of the cut, and
-// log replay adds the rest. On reopen — which itself refuses shards whose
-// policies differ — every shard saves the same policies, and the predicate
-// is the model's after some prefix of the ops that includes every
-// acknowledged one.
+// routed policy ops that overlap the policy engine's checkpoint between its
+// cut and its publish, and of the checkpoints after them, the last of which
+// reuses its predecessor's policies file. The cut pinned the store, so the
+// ops must go to a copy: the checkpoint's policies file holds the store as
+// of the cut, and log replay adds the rest. On reopen every shard reads
+// the engine's policies, and the predicate is the model's after some
+// prefix of the ops that includes every acknowledged one.
 func TestShardedCrashGrantMidCheckpoint(t *testing.T) {
 	models := crashPolicyModels(t)
 	golden := store.NewCrashFS()
@@ -355,16 +364,17 @@ func TestShardedCrashGrantMidCheckpoint(t *testing.T) {
 			t.Fatalf("%s: recovery failed: %v", label, err)
 		}
 		defer db.Close()
-		var first []byte
+		var want bytes.Buffer
+		if err := db.pe.SavePolicies(&want); err != nil {
+			t.Fatal(err)
+		}
 		for i, s := range db.shards {
 			var buf bytes.Buffer
 			if err := s.SavePolicies(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if i == 0 {
-				first = buf.Bytes()
-			} else if !bytes.Equal(buf.Bytes(), first) {
-				t.Fatalf("%s: shard %d saves other policies than shard 0", label, i)
+			if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+				t.Fatalf("%s: shard %d saves other policies than the policy engine", label, i)
 			}
 		}
 		got := predicate(3, db.Allows)
@@ -394,82 +404,114 @@ func TestShardedCrashGrantMidCheckpoint(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesDivergentPolicies: a shard whose checkpoint holds a valid
-// policies file with one policy more than the others' fails Open with a
-// *PolicyDivergenceError naming that shard.
-func TestOpenRefusesDivergentPolicies(t *testing.T) {
-	fs := store.NewCrashFS()
-	opts := crashShardedOpts(fs)
-	db, err := Open(opts)
+// mixedRun seeds one user per quadrant, then commits one batch that adds a
+// user in every quadrant and relates and grants between them: its
+// participants are every shard and the policy engine. The policy engine is
+// checkpointed first, so recovery replays the policy part over a
+// checkpointed store.
+func mixedRun(fs *store.CrashFS) {
+	db, err := Open(crashShardedOpts(fs))
 	if err != nil {
-		t.Fatal(err)
+		return
 	}
-	if err := db.DefineRelation(1, 2, "friend"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Grant(1, "friend", spLeft, spAllDay); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Overwrite shard 1's checkpointed policies file with the same store
-	// plus one policy.
-	dir := shardDir("root", 1)
-	names, err := fs.ListDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var polFile string
-	for _, n := range names {
-		if bytes.Contains([]byte(filepath.Base(n)), []byte(".policies.")) {
-			polFile = n
+	defer db.Close()
+	for i, q := range quadrant {
+		if err := db.Upsert(Object{UID: UserID(i + 1), X: q[0], Y: q[1], T: 1}); err != nil {
+			return
 		}
 	}
-	if polFile == "" {
-		t.Fatalf("no policies file in %s: %v", dir, names)
+	if db.DefineRelation(1, 2, "friend") != nil || db.Checkpoint() != nil {
+		return
 	}
-	raw, err := fs.ReadFile(polFile)
-	if err != nil {
-		t.Fatal(err)
+	b := db.NewBatch()
+	for i, q := range quadrant {
+		b.Upsert(Object{UID: UserID(txnUserBase + i + 1), X: q[0] + 10, Y: q[1] + 10, T: 2})
 	}
-	ps, err := policy.Load(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.AddPolicy(1, policy.Policy{Role: "friend", Locr: spRight, Tint: spAllDay}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ps.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.WriteFileAtomic(fs, polFile, buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
+	b.DefineRelation(txnUserBase+1, txnUserBase+2, "friend")
+	b.Grant(txnUserBase+1, "friend", spAll, spAllDay)
+	_ = db.Apply(b)
+}
 
-	db, err = Open(opts)
-	if err == nil {
-		db.Close()
-		t.Fatal("Open accepted a shard with an extra policy")
+// TestShardedCrashMixedApply cuts power at every fault point of mixedRun:
+// the batch's users and its policies recover together or not at all, on
+// every shard and the policy engine alike, and the same way on a second
+// reopen.
+func TestShardedCrashMixedApply(t *testing.T) {
+	sweepCrashes(t, crashShardedOpts, mixedRun, func(db *DB, label string) string {
+		users := checkTxnUsers(t, db, label, txnUserBase+1, txnUserBase+2, txnUserBase+3, txnUserBase+4)
+		owner, viewer := UserID(txnUserBase+1), UserID(txnUserBase+2)
+		if got := db.Allows(owner, viewer, 10, 10, 100); got != users {
+			t.Fatalf("%s: users recovered %v but the grant %v", label, users, got)
+		}
+		for i, s := range db.shards {
+			if s.Allows(owner, viewer, 10, 10, 100) != users {
+				t.Fatalf("%s: shard %d does not read the policy engine's store", label, i)
+			}
+		}
+		return fmt.Sprintf("committed=%v", users)
+	})
+}
+
+// TestShardedCQGrantChangesGeofence: a standing range query over the whole
+// space sees a user enter when a routed Grant lets its issuer see them —
+// the Grant commits on the policy engine alone, and the shard holding the
+// user learns of it — and leave when a routed relation change takes the
+// permission away again.
+func TestShardedCQGrantChangesGeofence(t *testing.T) {
+	db, err := Open(Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var div *PolicyDivergenceError
-	if !errors.As(err, &div) || div.Shard != 1 || !errors.Is(err, peb.ErrPoliciesDiffer) {
-		t.Fatalf("Open: %v, want a *PolicyDivergenceError for shard 1", err)
+	defer db.Close()
+	for i, q := range quadrant {
+		if err := db.Upsert(Object{UID: UserID(i + 1), X: q[0], Y: q[1], T: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := AttachCQ(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sub, init, err := c.SubscribeRange(1, spAll, 10, cq.SubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if len(init) != 0 {
+		t.Fatalf("initial result %v, want empty: nobody granted user 1 anything", init)
+	}
+	next := func() cq.Delta {
+		t.Helper()
+		select {
+		case d := <-sub.Deltas():
+			return d
+		case <-time.After(5 * time.Second):
+			t.Fatal("no delta within 5s")
+		}
+		return cq.Delta{}
+	}
+	if err := db.DefineRelation(3, 1, "friend"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Grant(3, "friend", spAll, spAllDay); err != nil {
+		t.Fatal(err)
+	}
+	if d := next(); d.Kind != cq.Enter || d.Object.UID != 3 {
+		t.Fatalf("after the Grant: %+v, want user 3 entering", d)
+	}
+	if err := db.DefineRelation(3, 1, "foe"); err != nil {
+		t.Fatal(err)
+	}
+	if d := next(); d.Kind != cq.Leave || d.Object.UID != 3 {
+		t.Fatalf("after the role change: %+v, want user 3 leaving", d)
 	}
 }
 
 // TestRoutedGrantAllocsIndependentOfShards: the store's share of a routed
 // Grant — what a Grant of a new policy allocates beyond a Grant of one
 // already held, which changes no store — is the same on four shards as on
-// one: the first shard's application is the only one that writes the
-// shared store, and the others find the policy already in place. (The
-// two-phase commit itself allocates per participant, so whole Grants are
-// not compared.)
+// one: the policy engine's commit is the only one that writes the store.
 func TestRoutedGrantAllocsIndependentOfShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -543,9 +585,36 @@ func TestSharedPoliciesGrantAfterSnapshotClonesOnce(t *testing.T) {
 	}
 	one, four := firstGrant(1), firstGrant(4)
 	t.Logf("first Grant after a Snapshot: %d allocations on 1 shard, %d on 4", one, four)
-	// One copy of 2000 users' policies is thousands of allocations; the
-	// two-phase commit over four shards adds well under a thousand.
+	// One copy of 2000 users' policies is thousands of allocations;
+	// re-pointing four shards at the copy adds well under a thousand.
 	if four > one+1000 {
 		t.Fatalf("the first Grant after a Snapshot allocates %d on 4 shards but %d on 1: the store is copied per shard", four, one)
 	}
+}
+
+// TestPolicyEngineLeavesNoGoroutines opens a durable router whose engines
+// run AutoCheckpoint maintainers, commits and checkpoints policies, and
+// closes it, ten times over, reopening the same root each time: the policy
+// engine's maintainer and log stop with the router, and nothing is left
+// running.
+func TestPolicyEngineLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	opts := crashShardedOpts(store.NewCrashFS())
+	opts.DB.AutoCheckpoint = peb.AutoCheckpointPolicy{WALBytes: 1 << 10}
+	for i := 0; i < 10; i++ {
+		db, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Grant(UserID(i+1), "f", spAll, spAllDay); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leakcheck.WaitGoroutines(t, base)
 }

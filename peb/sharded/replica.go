@@ -36,7 +36,7 @@ type followers struct {
 // attachFollowers creates shard s's pool of n followers, or returns nil
 // for n == 0. The watermark starts at the shard's committed sequence:
 // reads routed before the first write must still honor the history
-// (recovery, a split's policy seed) the bootstrap copied.
+// (recovery, a split's encoding) the bootstrap copied.
 func attachFollowers(s *peb.DB, id, n int) (*followers, error) {
 	if n == 0 {
 		return nil, nil

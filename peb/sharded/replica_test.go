@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/peb"
@@ -425,7 +426,7 @@ func TestShardedFollowerReshardCycles(t *testing.T) {
 	if st.FollowerReads == 0 {
 		t.Fatal("FollowerReads = 0: no follower served a read across the cycles")
 	}
-	waitGoroutines(t, steady)
+	leakcheck.WaitGoroutines(t, steady)
 
 	checkFollowerPools(t, db, 1)
 	want := make(map[string]bool)
@@ -445,5 +446,5 @@ func TestShardedFollowerReshardCycles(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitGoroutines(t, base)
+	leakcheck.WaitGoroutines(t, base)
 }

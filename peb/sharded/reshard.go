@@ -1,7 +1,6 @@
 package sharded
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,7 +20,7 @@ import (
 //  1. Route flip (one write-barrier acquisition). For a split: sample the
 //     source's population, pick the split point at the population median
 //     of its route (zcurve.SplitByDensity), create the new shard's engine,
-//     seed it with the broadcast policy state, and persist a manifest in
+//     borrowing the policy engine's store, and persist a manifest in
 //     which the source routes only the lower half, the new shard routes
 //     the upper half, and a pendingOp records the migration. The manifest
 //     rename is the atomic commit point: before it the split does not
@@ -175,7 +174,7 @@ func (db *DB) beginSplit(id int) error {
 	}
 
 	newID := db.nextID
-	eng, err := db.newShardEngine(newID, db.shards[slot])
+	eng, err := db.newShardEngine(newID)
 	if err != nil {
 		return fmt.Errorf("sharded: split: create shard %d: %w", newID, err)
 	}
@@ -281,13 +280,11 @@ func (db *DB) beginMerge(id int) error {
 	return nil
 }
 
-// newShardEngine creates a fresh engine for a split's new shard, seeded
-// with the broadcast policy state (copied from the split source, where it
-// is identical to every other shard's). The policy seed is logged and
-// synced inside the new engine, so it survives any later crash once the
-// split's manifest commits; in memory the engine then shares the source's
-// store, like every other shard.
-func (db *DB) newShardEngine(id int, src *peb.DB) (*peb.DB, error) {
+// newShardEngine creates a fresh engine for a split's new shard. Like every
+// shard it borrows the policy engine's store, and its index starts under
+// an encoding of the current policies, so the objects the split moves in
+// cluster by them rather than as singletons.
+func (db *DB) newShardEngine(id int) (*peb.DB, error) {
 	po := db.opts.DB
 	po.FS = db.fs
 	po.MetricsLabel = shardLabel(id)
@@ -309,18 +306,17 @@ func (db *DB) newShardEngine(id int, src *peb.DB) (*peb.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := src.SavePolicies(&buf); err != nil {
+	if err := eng.BorrowPolicies(db.pe); err != nil {
 		eng.Close()
-		return nil, fmt.Errorf("save policy state: %w", err)
+		return nil, fmt.Errorf("borrow policies: %w", err)
 	}
-	if err := eng.LoadPolicies(&buf); err != nil {
-		eng.Close()
-		return nil, fmt.Errorf("seed policy state: %w", err)
+	enc, err := db.pe.ComputeEncoding(nil)
+	if err == nil {
+		err = eng.InstallEncoding(enc)
 	}
-	if err := eng.SharePolicies(src); err != nil {
+	if err != nil {
 		eng.Close()
-		return nil, fmt.Errorf("share policy state: %w", err)
+		return nil, fmt.Errorf("seed policy encoding: %w", err)
 	}
 	return eng, nil
 }
@@ -396,10 +392,7 @@ func (db *DB) migrateStepLocked() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("sharded: migrate: enumerate shard %d: %w", p.Src, err)
 	}
-	subs := make([]*peb.Batch, len(db.shards))
-	for i := range subs {
-		subs[i] = db.shards[i].NewBatch()
-	}
+	all := db.participants()
 	delta := make(map[UserID]int)
 	moved := 0
 	for _, o := range objs {
@@ -407,8 +400,8 @@ func (db *DB) migrateStepLocked() (int, error) {
 		if target == srcSlot {
 			continue // still routed here (a split source keeps its lower half)
 		}
-		subs[target].Upsert(o)
-		subs[srcSlot].Remove(o.UID)
+		all[target].b.Upsert(o)
+		all[srcSlot].b.Remove(o.UID)
 		delta[o.UID] = target
 		moved++
 		if moved >= migrateBatch {
@@ -418,13 +411,7 @@ func (db *DB) migrateStepLocked() (int, error) {
 	if moved == 0 {
 		return 0, nil
 	}
-	var parts []int
-	for i, sub := range subs {
-		if sub.Len() > 0 {
-			parts = append(parts, i)
-		}
-	}
-	committed, err := db.commitParts(parts, subs)
+	committed, err := db.commitParts(staged(all))
 	if committed {
 		db.applyOwnerDelta(delta)
 	}

@@ -29,12 +29,14 @@
 // Placement follows each user's latest reported position: an update that
 // moves a user across a shard boundary re-homes them (insert into the new
 // shard, then delete from the old — a crash between the two is healed at
-// the next open by keeping the newer state). Policies and relations are
-// broadcast to every shard in its log, so any shard can evaluate the
-// privacy predicate for its own objects, and held once in memory: every
-// shard reads one shared store (peb.DB.SharePolicies), and re-applying a
-// broadcast op to it is a no-op. This matches the paper's premise that
-// policies change rarely while positions change constantly.
+// the next open by keeping the newer state). Policies and relations have
+// one home: the policy engine, a peb.DB beside the shards that holds no
+// objects and sits outside the routing table. It commits, logs and
+// checkpoints every policy operation once, and every shard and follower
+// reads its store (peb.DB.BorrowPolicies), so any shard can evaluate the
+// privacy predicate for its own objects. This matches the paper's premise
+// that policies change rarely while positions change constantly: they are
+// written once, not once per shard.
 //
 // Concurrency: all methods are safe for concurrent use. Routed operations
 // (Upsert, Remove, queries) share a read lock and run concurrently;
@@ -46,7 +48,6 @@
 package sharded
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -97,13 +98,15 @@ type Options struct {
 	Shards int
 	// Dir, when non-empty, is the root directory: each shard keeps its
 	// page file, checkpoint side files, and write-ahead log under
-	// <Dir>/shard-NNN/, next to the router's manifest, sharded.json — the
-	// only file the router keeps in the root. Empty means memory-backed
-	// shards (no durability).
+	// <Dir>/shard-NNN/, the policy engine keeps its own under
+	// <Dir>/policies/, and the router's manifest, sharded.json, is the
+	// only file in the root. Empty means memory-backed engines (no
+	// durability).
 	Dir string
-	// DB is the per-shard engine configuration — space, durability level,
+	// DB is the per-engine configuration — space, durability level,
 	// buffer size, auto-checkpointing, filesystem — applied identically to
-	// every shard. Path must be empty (it is derived per shard).
+	// every shard and to the policy engine. Path must be empty (it is
+	// derived per engine).
 	DB peb.Options
 	// ReplicasPerShard, when positive, attaches that many peb.Replica
 	// followers to every shard and serves RangeQuery and NearestNeighbors
@@ -124,9 +127,7 @@ type Options struct {
 	LoadRateHalfLife time.Duration
 	// AutoReshard, when its Interval is positive, runs a background
 	// maintainer that splits hot shards and merges cold adjacent ones by
-	// the observed EWMA commit rates (see AutoReshardPolicy). Incompatible
-	// with ReplicasPerShard (splits are not yet coordinated with follower
-	// pools).
+	// the observed EWMA commit rates (see AutoReshardPolicy).
 	AutoReshard AutoReshardPolicy
 }
 
@@ -137,6 +138,9 @@ type DB struct {
 	fs     store.VFS
 	grid   zcurve.Grid
 	shards []*peb.DB
+	// pe is the policy engine: the one owner of the policy store every
+	// shard and follower borrows (see syncPolicies).
+	pe *peb.DB
 
 	// Topology (topology.go). metas is parallel to shards (one entry per
 	// live engine, in slot order); routes is the sorted write-routing
@@ -174,7 +178,7 @@ type DB struct {
 	// smu is the router barrier: routed single-shard operations and
 	// queries hold the read side (and so run concurrently, each
 	// serializing only inside its own shard), while cross-shard atomic
-	// operations — multi-shard Apply, policy broadcasts, EncodePolicies,
+	// operations — multi-shard Apply, policy commits, EncodePolicies,
 	// Snapshot, Close — hold the write side.
 	smu    sync.RWMutex
 	closed bool
@@ -240,11 +244,16 @@ func shardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
 }
 
+// policiesDir returns the policy engine's directory under the root.
+func policiesDir(dir string) string { return filepath.Join(dir, "policies") }
+
 // Open creates a sharded DB, or — when Dir holds one — recovers it: the
 // manifest's topology is adopted (Options.Shards counts only at
-// creation), every listed shard recovers independently (checkpoint plus
-// log replay), every cross-shard transaction a shard recovered without a
-// marker is finished by the commit rule (finishRecovered), the routing map
+// creation), every listed shard and the policy engine recover
+// independently (checkpoint plus log replay), every cross-shard
+// transaction a participant recovered without a marker is finished by the
+// commit rule (finishRecovered), the shards borrow the policy engine's
+// store, the routing map
 // is rebuilt from the shards' contents — healing any duplicate a crash
 // mid-re-homing left behind — and an in-flight split or merge the manifest
 // records is rolled forward to completion before the first operation is
@@ -275,37 +284,50 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	n := len(ts.metas)
+	dirs := make([]string, n+1) // the shards' in slot order, then the policy engine's
+	if opts.Dir != "" {
+		for i, sm := range ts.metas {
+			dirs[i] = shardDir(opts.Dir, sm.id)
+		}
+		dirs[n] = policiesDir(opts.Dir)
+	}
 	if opts.Dir != "" && isOS {
-		for _, sm := range ts.metas {
-			if err := os.MkdirAll(shardDir(opts.Dir, sm.id), 0o755); err != nil {
-				return nil, fmt.Errorf("sharded: create shard dir: %w", err)
+		for _, dir := range dirs {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				return nil, fmt.Errorf("sharded: create engine dir: %w", err)
 			}
 		}
 	}
 
-	// Open the shards in parallel: recovery cost is per shard, so a
+	// Open the engines in parallel: recovery cost is per engine, so a
 	// multi-core restart recovers N shards in the time of the largest.
-	shards := make([]*peb.DB, n)
-	errs := make([]error, n)
-	scatter(n, func(i int) {
+	engines := make([]*peb.DB, n+1)
+	errs := make([]error, n+1)
+	scatter(n+1, func(i int) {
 		po := opts.DB
 		po.FS = fsys
 		if opts.Dir != "" {
-			po.Path = filepath.Join(shardDir(opts.Dir, ts.metas[i].id), "peb.idx")
+			po.Path = filepath.Join(dirs[i], "peb.idx")
 		}
-		po.MetricsLabel = shardLabel(ts.metas[i].id)
-		shards[i], errs[i] = peb.Open(po)
+		if i < n {
+			po.MetricsLabel = shardLabel(ts.metas[i].id)
+		}
+		engines[i], errs[i] = peb.Open(po)
 	})
 	for i, err := range errs {
 		if err != nil {
-			for _, s := range shards {
-				if s != nil {
-					s.Close()
+			for _, e := range engines {
+				if e != nil {
+					e.Close()
 				}
+			}
+			if i == n {
+				return nil, fmt.Errorf("sharded: open policy engine: %w", err)
 			}
 			return nil, fmt.Errorf("sharded: open shard %d: %w", i, err)
 		}
 	}
+	shards := engines[:n:n]
 
 	grid := zcurve.Grid{Side: shards[0].Bounds().MaxX, Order: shards[0].GridOrder()}
 	db := &DB{
@@ -313,6 +335,7 @@ func Open(opts Options) (*DB, error) {
 		fs:      fsys,
 		grid:    grid,
 		shards:  shards,
+		pe:      engines[n],
 		metas:   ts.metas,
 		epoch:   ts.epoch,
 		nextID:  ts.nextID,
@@ -331,12 +354,12 @@ func Open(opts Options) (*DB, error) {
 		db.Close()
 		return nil, err
 	}
-	if err := db.sharePolicies(); err != nil {
+	if err := db.syncPolicies(); err != nil {
 		db.Close()
 		return nil, err
 	}
-	for _, s := range shards {
-		db.nextTxn = max(db.nextTxn, s.MaxTxnID())
+	for _, e := range engines {
+		db.nextTxn = max(db.nextTxn, e.MaxTxnID())
 	}
 	db.nextTxn++
 
@@ -400,37 +423,20 @@ func (db *DB) reconcile() error {
 	return nil
 }
 
-// PolicyDivergenceError reports a shard whose recovered policy store is not
-// Equal to the first shard's. Policies are broadcast, so every shard must
-// hold the same ones; Open refuses a deployment where they differ rather
-// than let a query's answer depend on which shard holds an object. It wraps
-// peb.ErrPoliciesDiffer.
-type PolicyDivergenceError struct {
-	// Shard is the id of the diverging shard (its directory shard-NNN);
-	// Base is the id of the shard it was compared with.
-	Shard, Base int
-}
-
-// Error implements error.
-func (e *PolicyDivergenceError) Error() string {
-	return fmt.Sprintf("sharded: shard %d holds other policies than shard %d", e.Shard, e.Base)
-}
-
-// Unwrap makes errors.Is(err, peb.ErrPoliciesDiffer) succeed.
-func (e *PolicyDivergenceError) Unwrap() error { return peb.ErrPoliciesDiffer }
-
-// sharePolicies points every shard at the first shard's policy store: they
-// hold the same policies, so the router keeps one copy in memory instead of
-// one per shard. A shard whose store differs fails it with a
-// *PolicyDivergenceError.
-func (db *DB) sharePolicies() error {
-	for i := 1; i < len(db.shards); i++ {
-		err := db.shards[i].SharePolicies(db.shards[0])
-		if errors.Is(err, peb.ErrPoliciesDiffer) {
-			return &PolicyDivergenceError{Shard: db.metas[i].id, Base: db.metas[0].id}
+// syncPolicies points every shard and follower at the policy engine's
+// store — at open, and after every policy commit, which may have gone to a
+// copy of the store while something pinned it — and so tells every shard's
+// commit hooks, the standing queries among them, that policies changed.
+// The caller holds the write barrier (or is still constructing the DB).
+func (db *DB) syncPolicies() error {
+	for i, s := range db.shards {
+		if err := s.BorrowPolicies(db.pe); err != nil {
+			return fmt.Errorf("sharded: shard %d: borrow policies: %w", db.metas[i].id, err)
 		}
-		if err != nil {
-			return fmt.Errorf("sharded: share shard %d's policies: %w", db.metas[i].id, err)
+		for _, r := range db.metas[i].followers.replicas() {
+			if err := r.BorrowPolicies(db.pe); err != nil {
+				return fmt.Errorf("sharded: shard %d follower: borrow policies: %w", db.metas[i].id, err)
+			}
 		}
 	}
 	return nil
@@ -464,9 +470,10 @@ func (db *DB) Epoch() uint64 {
 	return db.epoch
 }
 
-// Close closes every shard. Close drains cross-shard operations (it takes
-// the barrier) and is idempotent. Each shard syncs its log as it closes, so
-// every committed transaction is settled after it.
+// Close closes every shard and the policy engine. Close drains cross-shard
+// operations (it takes the barrier) and is idempotent. Each engine syncs
+// its log as it closes, so every committed transaction is settled after
+// it.
 func (db *DB) Close() error {
 	// The maintainer takes the barrier itself; stop it before acquiring.
 	db.stopMaintainer()
@@ -485,6 +492,9 @@ func (db *DB) Close() error {
 		if err := s.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("sharded: close shard %d: %w", i, err)
 		}
+	}
+	if err := db.pe.Close(); err != nil && firstErr == nil {
+		firstErr = fmt.Errorf("sharded: close policy engine: %w", err)
 	}
 	db.unsettled = nil
 	return firstErr
@@ -522,8 +532,7 @@ func (db *DB) Upsert(o Object) error {
 	return nil
 }
 
-// Remove deletes a user's index entry (their policies remain, in every
-// shard). Removing a user with no index entry is an error, matching the
+// Remove deletes a user's index entry (their policies remain). Removing a user with no index entry is an error, matching the
 // single-tree engine.
 func (db *DB) Remove(uid UserID) error {
 	db.smu.RLock()
@@ -550,19 +559,16 @@ func (db *DB) Remove(uid UserID) error {
 	return nil
 }
 
-// DefineRelation records a role relation. Policy state is broadcast to
-// every shard (any shard must be able to evaluate the privacy predicate
-// for the objects it holds) through the atomic cross-shard batch path, so
-// a failure on any shard rolls the others back — the shards never
-// disagree on the predicate.
+// DefineRelation records a role relation: one commit on the policy
+// engine, whose store every shard reads.
 func (db *DB) DefineRelation(owner, peer UserID, role Role) error {
 	b := db.NewBatch()
 	b.DefineRelation(owner, peer, role)
 	return db.Apply(b)
 }
 
-// Grant adds a location-privacy policy, broadcast to every shard
-// atomically (see DefineRelation).
+// Grant adds a location-privacy policy: one commit on the policy engine
+// (see DefineRelation).
 func (db *DB) Grant(owner UserID, role Role, locr Region, tint TimeInterval) error {
 	if !locr.Valid() {
 		return &peb.InvalidRegionError{Region: locr}
@@ -574,9 +580,9 @@ func (db *DB) Grant(owner UserID, role Role, locr Region, tint TimeInterval) err
 
 // EncodePolicies runs the offline policy-encoding phase once for the
 // whole deployment: the sequence-value assignment is computed a single
-// time — policies are broadcast, so every shard would derive the same one
-// — over the union of every shard's users, then broadcast, and each shard
-// rebuilds its own index under the shared result in parallel. Shared
+// time, on the policy engine, over the union of every shard's users, then
+// installed on every shard — sequence values live in shard keys — and
+// each shard rebuilds its own index under the shared result in parallel. Shared
 // values also keep keys consistent across re-homing: a user moves shards
 // with the same sequence value. Like the single-tree form, queries work
 // without it but cluster better after it.
@@ -586,7 +592,7 @@ func (db *DB) EncodePolicies() error {
 	if db.closed {
 		return ErrClosed
 	}
-	// Shard 0 knows every policy-bearing user (broadcast), but users who
+	// The policy engine knows every policy-bearing user, but users who
 	// only ever reported positions live in their owning shard alone; the
 	// routing map is exactly that set, so folding it in makes the
 	// assignment cover every indexed user on every shard.
@@ -596,7 +602,7 @@ func (db *DB) EncodePolicies() error {
 		extra = append(extra, u)
 	}
 	db.ownMu.Unlock()
-	enc, err := db.shards[0].ComputeEncoding(extra)
+	enc, err := db.pe.ComputeEncoding(extra)
 	if err != nil {
 		return fmt.Errorf("sharded: compute encoding: %w", err)
 	}
@@ -613,10 +619,12 @@ func (db *DB) EncodePolicies() error {
 	return nil
 }
 
-// Checkpoint runs every shard's checkpoint pipeline concurrently. Each
-// pipeline stalls only its own shard's commits for its cut and publish
-// moments; the other shards keep serving throughout — the per-shard
-// version of the engine's non-blocking checkpoint. It settles every
+// Checkpoint runs every shard's checkpoint pipeline, and the policy
+// engine's, concurrently. Each pipeline stalls only its own engine's
+// commits for its cut and publish moments; the others keep serving
+// throughout — the per-shard version of the engine's non-blocking
+// checkpoint. The policy engine rewrites its policies file only when a
+// policy operation has committed since its last checkpoint. It settles every
 // committed transaction first — syncing the markers no later commit has —
 // so each shard's log truncation passes them all, idle participants or
 // not.
@@ -629,11 +637,12 @@ func (db *DB) Checkpoint() error {
 	if err := db.settle(true); err != nil {
 		return fmt.Errorf("sharded: checkpoint: settle: %w", err)
 	}
-	errs := make([]error, len(db.shards))
-	scatter(len(db.shards), func(i int) { errs[i] = db.shards[i].Checkpoint() })
-	for i, err := range errs {
+	all := db.participants()
+	errs := make([]error, len(all))
+	scatter(len(all), func(j int) { errs[j] = all[j].eng.Checkpoint() })
+	for j, err := range errs {
 		if err != nil {
-			return fmt.Errorf("sharded: checkpoint shard %d: %w", i, err)
+			return fmt.Errorf("sharded: checkpoint %s: %w", all[j], err)
 		}
 	}
 	return nil
@@ -655,15 +664,14 @@ func (db *DB) Lookup(uid UserID) (Object, bool, error) {
 	return db.shards[idx].Lookup(uid)
 }
 
-// Allows evaluates the raw policy predicate (policies are identical on
-// every shard).
+// Allows evaluates the raw policy predicate on the policy engine's store.
 func (db *DB) Allows(owner, viewer UserID, x, y, t float64) bool {
 	db.smu.RLock()
 	defer db.smu.RUnlock()
 	if db.closed {
 		return false
 	}
-	return db.shards[0].Allows(owner, viewer, x, y, t)
+	return db.pe.Allows(owner, viewer, x, y, t)
 }
 
 // Size returns the number of indexed users.

@@ -94,8 +94,9 @@ type ShardStats struct {
 	Checkpoints peb.CheckpointStats
 	// ViewSwaps counts the shard's query-view republishes.
 	ViewSwaps uint64
-	// Buffer is the shard's buffer-pool activity (Misses is the paper's
-	// page-I/O count); a cold shard shows up as a skewed hit ratio.
+	// Buffer is the buffer-pool activity of the shard and its followers
+	// (Misses is the paper's page-I/O count); a cold shard shows up as a
+	// skewed hit ratio.
 	Buffer store.BufferStats
 }
 
@@ -126,7 +127,8 @@ type Stats struct {
 	// Both are zero without Options.ReplicasPerShard.
 	FollowerReads    uint64
 	PrimaryFallbacks uint64
-	// Buffer sums the per-shard buffer-pool counters.
+	// Buffer sums the buffer-pool counters of every shard and of its
+	// followers, so page reads a follower serves are counted too.
 	Buffer store.BufferStats
 	// TxnDecisions and TxnLogBytes always read 0: the router keeps no log
 	// of its own — a cross-shard transaction's verdict lives in its
@@ -162,12 +164,11 @@ func (db *DB) Stats() Stats {
 			ViewSwaps:   s.ViewSwaps(),
 			Buffer:      s.IOStats(),
 		}
+		for _, r := range sm.followers.replicas() {
+			addBuffer(&ss.Buffer, r.IOStats())
+		}
 		out.Shards[i] = ss
-
-		out.Buffer.Hits += ss.Buffer.Hits
-		out.Buffer.Misses += ss.Buffer.Misses
-		out.Buffer.Evictions += ss.Buffer.Evictions
-		out.Buffer.WriteBack += ss.Buffer.WriteBack
+		addBuffer(&out.Buffer, ss.Buffer)
 
 		out.WAL.Appends += ss.WAL.Appends
 		out.WAL.Syncs += ss.WAL.Syncs
@@ -203,4 +204,12 @@ func (db *DB) Stats() Stats {
 	out.FollowerReads = db.followerReads.Load()
 	out.PrimaryFallbacks = db.primaryFallbacks.Load()
 	return out
+}
+
+// addBuffer adds b's counters to sum.
+func addBuffer(sum *store.BufferStats, b store.BufferStats) {
+	sum.Hits += b.Hits
+	sum.Misses += b.Misses
+	sum.Evictions += b.Evictions
+	sum.WriteBack += b.WriteBack
 }

@@ -98,7 +98,10 @@ type manifestShard struct {
 }
 
 // manifestVersion is the one manifest generation unmarshalManifest reads.
-const manifestVersion = 3
+// Version 4 roots keep the policies once, in the policy engine's directory;
+// version 3 kept a copy in every shard's checkpoint and log, and is
+// refused.
+const manifestVersion = 4
 
 // marshalManifest serializes the router's identity record.
 func marshalManifest(m manifest) ([]byte, error) {
@@ -175,7 +178,7 @@ func topoFromManifest(m manifest, order int) (topoState, error) {
 			cover:   zcurve.Interval{Lo: e.CoverLo, Hi: e.CoverHi},
 			load:    newLoadMeter(),
 		}
-		if sm.id < 0 || sm.id >= ts.nextID {
+		if sm.id < 0 || sm.id >= ts.nextID || sm.id >= policiesID {
 			return topoState{}, fmt.Errorf("sharded: manifest shard id %d outside [0,%d)", sm.id, ts.nextID)
 		}
 		ts.metas = append(ts.metas, sm)
