@@ -1,6 +1,6 @@
 // Package codec holds the low-level binary serialization primitives shared
 // by the durability formats: the WAL record codec (peb/walcodec.go) and the
-// policy snapshot envelope (internal/policy/persist.go).
+// policy snapshot (internal/policy/persist.go).
 //
 // Two conventions tie the formats together:
 //
@@ -134,19 +134,34 @@ func (r *Reader) TakeByte(what string) byte {
 // validated against the remaining input before any allocation, so a
 // corrupt length cannot trigger a huge make.
 func (r *Reader) TakeBytes(what string) []byte {
-	n := r.TakeUvarint(what + " length")
+	v := r.TakeBytesView(what)
+	if len(v) == 0 {
+		return nil
+	}
+	out := make([]byte, len(v))
+	copy(out, v)
+	return out
+}
+
+// TakeBytesView reads a length-prefixed byte field like TakeBytes, but
+// returns the field's bytes inside the encoded buffer instead of a copy:
+// read-only, and valid only as long as the buffer is. It allocates
+// nothing.
+func (r *Reader) TakeBytesView(what string) []byte {
 	if r.err != nil {
 		return nil
 	}
+	n, k := binary.Uvarint(r.data[r.pos:])
+	if k <= 0 {
+		r.Failf("truncated %s length at byte %d", what, r.pos)
+		return nil
+	}
+	r.pos += k
 	if n > uint64(len(r.data)-r.pos) {
 		r.Failf("%s length %d exceeds %d remaining bytes", what, n, len(r.data)-r.pos)
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.data[r.pos:r.pos+int(n)])
+	out := r.data[r.pos : r.pos+int(n) : r.pos+int(n)]
 	r.pos += int(n)
 	return out
 }

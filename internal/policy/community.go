@@ -102,7 +102,7 @@ func stepShift(top uint64, field SVCodec) (uint, error) {
 func communities(s *Store, users []UserID) (*compatGraph, []int32) {
 	nodes := slices.Clone(users)
 	slices.SortFunc(nodes, func(a, b UserID) int { return cmp.Compare(mixID(a), mixID(b)) })
-	g := newCompatGraph(s, slices.Compact(nodes), s.Compatibility)
+	g := newCompatGraph(s, slices.Compact(nodes), false)
 	return g, g.propagate()
 }
 

@@ -21,15 +21,20 @@ func (s *Store) Alpha(u1, u2 UserID) (alpha float64, mutual bool) {
 		// and therefore the result — exactly symmetric.
 		u1, u2 = u2, u1
 	}
-	p12, ok12 := s.PolicyFor(u1, u2)
-	p21, ok21 := s.PolicyFor(u2, u1)
+	return s.alpha(s.rulesFor(u1, u2), s.rulesFor(u2, u1))
+}
+
+// alpha is Alpha over the two directions' rules, the smaller id's first:
+// P1→2 and P2→1 are the first rule of each, when there is one.
+func (s *Store) alpha(r12, r21 []rule) (alpha float64, mutual bool) {
 	S := s.space.Area()
 	T := s.dayLen
 
-	if !ok12 && !ok21 {
+	if len(r12) == 0 && len(r21) == 0 {
 		return 0, false
 	}
-	if ok12 && ok21 {
+	if len(r12) > 0 && len(r21) > 0 {
+		p12, p21 := r12[0], r21[0]
 		O := p12.Locr.OverlapArea(p21.Locr)
 		D := p12.Tint.OverlapDuration(p21.Tint, T)
 		if O > 0 && D > 0 {
@@ -37,11 +42,11 @@ func (s *Store) Alpha(u1, u2 UserID) (alpha float64, mutual bool) {
 		}
 	}
 	a := 0.0
-	if ok12 {
-		a += p12.Locr.Area() / S * p12.Tint.Duration(T) / T
+	if len(r12) > 0 {
+		a += r12[0].Locr.Area() / S * r12[0].Tint.Duration(T) / T
 	}
-	if ok21 {
-		a += p21.Locr.Area() / S * p21.Tint.Duration(T) / T
+	if len(r21) > 0 {
+		a += r21[0].Locr.Area() / S * r21[0].Tint.Duration(T) / T
 	}
 	return a / 2, false
 }
@@ -57,7 +62,11 @@ func (s *Store) Alpha(u1, u2 UserID) (alpha float64, mutual bool) {
 // likely to appear in each other's query results, so they should be stored
 // closer together.
 func (s *Store) Compatibility(u1, u2 UserID) float64 {
-	alpha, mutual := s.Alpha(u1, u2)
+	return eq4(s.Alpha(u1, u2))
+}
+
+// eq4 is Eq. 4 over an α score and its mutual flag.
+func eq4(alpha float64, mutual bool) float64 {
 	if alpha == 0 && !mutual {
 		return 0
 	}

@@ -22,8 +22,12 @@ func (s *Store) AlphaMulti(u1, u2 UserID) (alpha float64, mutual bool) {
 		// and therefore the result — exactly symmetric.
 		u1, u2 = u2, u1
 	}
-	p12 := s.rulesFor(u1, u2)
-	p21 := s.rulesFor(u2, u1)
+	return s.alphaMulti(s.rulesFor(u1, u2), s.rulesFor(u2, u1))
+}
+
+// alphaMulti is AlphaMulti over the two directions' rules, the smaller
+// id's first.
+func (s *Store) alphaMulti(p12, p21 []rule) (alpha float64, mutual bool) {
 	S := s.space.Area()
 	T := s.dayLen
 
@@ -71,12 +75,5 @@ func (s *Store) AlphaMulti(u1, u2 UserID) (alpha float64, mutual bool) {
 
 // CompatibilityMulti is Eq. 4 evaluated over AlphaMulti.
 func (s *Store) CompatibilityMulti(u1, u2 UserID) float64 {
-	alpha, mutual := s.AlphaMulti(u1, u2)
-	if alpha == 0 && !mutual {
-		return 0
-	}
-	if mutual {
-		return (1 + alpha) / 2
-	}
-	return alpha
+	return eq4(s.AlphaMulti(u1, u2))
 }

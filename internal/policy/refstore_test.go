@@ -5,6 +5,8 @@ import (
 	"io"
 	"slices"
 	"sort"
+
+	"repro/internal/codec"
 )
 
 // refStore is the reference model the differential tests hold Store to:
@@ -169,36 +171,74 @@ func (s *refStore) RelatedPairs(fn func(a, b UserID)) {
 	}
 }
 
-// Save writes the snapshot Store.Save must match byte for byte: relations
-// by (owner, peer), policies by owner, then role, then insertion order.
+// Save writes the snapshot Store.Save must match byte for byte, encoded
+// here from the nested maps: owners ascending, each with the roles that
+// carry a policy or a relation by name, their policies in insertion
+// order, and the relations by peer.
 func (s *refStore) Save(w io.Writer) error {
-	snap := snapshot{Version: snapshotVersion, Space: s.space, DayLen: s.dayLen}
-	for owner, peers := range s.relations {
-		for peer, role := range peers {
-			snap.Relations = append(snap.Relations, relationRec{Owner: owner, Peer: peer, Role: role})
+	type owner struct {
+		id    UserID
+		roles []Role
+	}
+	var owners []owner
+	var nroles, nrels int
+	for id := range s.relations {
+		if _, ok := s.policies[id]; !ok {
+			owners = append(owners, owner{id: id})
 		}
 	}
-	sort.Slice(snap.Relations, func(i, j int) bool {
-		a, b := snap.Relations[i], snap.Relations[j]
-		if a.Owner != b.Owner {
-			return a.Owner < b.Owner
+	for id := range s.policies {
+		owners = append(owners, owner{id: id})
+	}
+	sort.Slice(owners, func(i, j int) bool { return owners[i].id < owners[j].id })
+	for i := range owners {
+		o := &owners[i]
+		named := map[Role]bool{}
+		for _, role := range s.relations[o.id] {
+			named[role] = true
 		}
-		return a.Peer < b.Peer
-	})
-	for owner, byRole := range s.policies {
-		roles := make([]Role, 0, len(byRole))
-		for r := range byRole {
-			roles = append(roles, r)
-		}
-		slices.Sort(roles)
-		for _, r := range roles {
-			for _, p := range byRole[r] {
-				snap.Policies = append(snap.Policies, policyRec{Owner: owner, Policy: p})
+		for role, ps := range s.policies[o.id] {
+			if len(ps) > 0 {
+				named[role] = true
 			}
 		}
+		for role := range named {
+			o.roles = append(o.roles, role)
+		}
+		slices.Sort(o.roles)
+		nroles += len(o.roles)
+		nrels += len(s.relations[o.id])
 	}
-	sort.SliceStable(snap.Policies, func(i, j int) bool {
-		return snap.Policies[i].Owner < snap.Policies[j].Owner
-	})
-	return writeSnapshot(w, snap)
+	var body []byte
+	for _, f := range []float64{s.space.MinX, s.space.MinY, s.space.MaxX, s.space.MaxY, s.dayLen} {
+		body = codec.AppendFloat(body, f)
+	}
+	for _, n := range []int{len(owners), nroles, s.numPolicies, nrels} {
+		body = codec.AppendUvarint(body, uint64(n))
+	}
+	for _, o := range owners {
+		body = codec.AppendUvarint(body, uint64(o.id))
+		body = codec.AppendUvarint(body, uint64(len(o.roles)))
+		for _, role := range o.roles {
+			ps := s.policies[o.id][role]
+			body = codec.AppendBytes(body, []byte(role))
+			body = codec.AppendUvarint(body, uint64(len(ps)))
+			for _, p := range ps {
+				for _, f := range []float64{p.Locr.MinX, p.Locr.MinY, p.Locr.MaxX, p.Locr.MaxY, p.Tint.Start, p.Tint.End} {
+					body = codec.AppendFloat(body, f)
+				}
+			}
+		}
+		peers := make([]UserID, 0, len(s.relations[o.id]))
+		for peer := range s.relations[o.id] {
+			peers = append(peers, peer)
+		}
+		slices.Sort(peers)
+		body = codec.AppendUvarint(body, uint64(len(peers)))
+		for _, peer := range peers {
+			body = codec.AppendUvarint(body, uint64(peer))
+			body = codec.AppendUvarint(body, uint64(slices.Index(o.roles, s.relations[o.id][peer])))
+		}
+	}
+	return writeSnapshot(w, body)
 }

@@ -67,13 +67,9 @@ func AssignSequenceValues(s *Store, users []UserID, opts AssignOptions) (Assignm
 	if err := opts.setDefaults(); err != nil {
 		return Assignment{}, err
 	}
-	compat := s.Compatibility
-	if opts.MultiPolicy {
-		compat = s.CompatibilityMulti
-	}
 	nodes := slices.Clone(users)
 	slices.Sort(nodes)
-	g := newCompatGraph(s, slices.Compact(nodes), compat)
+	g := newCompatGraph(s, slices.Compact(nodes), opts.MultiPolicy)
 
 	// Fig. 5 line 9 spaces a new anchor δ above its list predecessor; we
 	// space it δ above the previous *anchor* (as in the paper's worked
@@ -112,11 +108,23 @@ type arc struct {
 }
 
 // newCompatGraph builds the graph over users, which must be distinct and
-// name the nodes in order. Pairs with a user outside the list are left out.
-func newCompatGraph(s *Store, users []UserID, compat func(a, b UserID) float64) *compatGraph {
-	node := make(map[UserID]int32, len(users))
+// name the nodes in order; multi selects CompatibilityMulti over
+// Compatibility. Pairs with a user outside the list are left out.
+//
+// It walks every owner's relations once and reads both directions' rules
+// from the two users' slots: a pair granted one way is met once, on the
+// granting side, and a pair granted both ways twice and kept on the
+// smaller id's side. Nodes are numbered through a slice indexed by slot,
+// so an edge costs one hash lookup, its peer's slot.
+func newCompatGraph(s *Store, users []UserID, multi bool) *compatGraph {
+	node := make([]int32, len(s.users)) // slot → node, or -1
+	for i := range node {
+		node[i] = -1
+	}
 	for i, u := range users {
-		node[u] = int32(i)
+		if j, ok := s.slot[u]; ok {
+			node[j] = int32(i)
+		}
 	}
 	type edge struct {
 		a, b int32
@@ -124,18 +132,41 @@ func newCompatGraph(s *Store, users []UserID, compat func(a, b UserID) float64) 
 	}
 	var edges []edge
 	g := &compatGraph{users: users, start: make([]int32, len(users)+1)}
-	s.RelatedPairs(func(a, b UserID) {
-		i, ok := node[a]
-		j, ok2 := node[b]
-		if !ok || !ok2 {
-			return
+	for i := range s.users {
+		o := &s.users[i]
+		if node[i] < 0 {
+			continue
 		}
-		if c := compat(a, b); c > 0 {
-			edges = append(edges, edge{i, j, c})
-			g.start[i+1]++
-			g.start[j+1]++
+		for _, rel := range o.rels {
+			rr := o.roles[rel.role]
+			if rr.start == rr.end || rel.peer == o.id {
+				continue // granted the other way only, met on that side; or a self-relation
+			}
+			j := s.slot[rel.peer]
+			if node[j] < 0 {
+				continue
+			}
+			fwd, back := o.rules[rr.start:rr.end], s.users[j].rulesTo(o.id)
+			if len(back) > 0 && o.id > rel.peer {
+				continue // granted both ways: kept on the peer's side
+			}
+			// fwd goes first, as Alpha puts the smaller id's rules: either
+			// o is the smaller id, or back is empty and adds nothing to a
+			// sum in either place.
+			var c float64
+			if multi {
+				c = eq4(s.alphaMulti(fwd, back))
+			} else {
+				c = eq4(s.alpha(fwd, back))
+			}
+			if c > 0 {
+				a, b := node[i], node[j]
+				edges = append(edges, edge{a, b, c})
+				g.start[a+1]++
+				g.start[b+1]++
+			}
 		}
-	})
+	}
 	for u := range users {
 		g.start[u+1] += g.start[u]
 	}

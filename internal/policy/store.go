@@ -296,12 +296,22 @@ func (s *Store) relationOf(owner, peer UserID) (*userPolicies, int32) {
 // rulesFor returns every policy of owner whose role matches the
 // owner→viewer relation, without the role.
 func (s *Store) rulesFor(owner, viewer UserID) []rule {
-	o, r := s.relationOf(owner, viewer)
-	if o == nil {
+	i, ok := s.slot[owner]
+	if !ok {
 		return nil
 	}
-	rr := o.roles[r]
-	return o.rules[rr.start:rr.end]
+	return s.users[i].rulesTo(viewer)
+}
+
+// rulesTo returns u's rules for the role of its relation to peer: empty
+// when there is no relation, or its role carries no policy.
+func (u *userPolicies) rulesTo(peer UserID) []rule {
+	j, ok := u.relIndex(peer)
+	if !ok {
+		return nil
+	}
+	rr := u.roles[u.rels[j].role]
+	return u.rules[rr.start:rr.end]
 }
 
 // relIndex returns the position of peer's relation in rels, or where it
@@ -360,9 +370,9 @@ func (rr roleRange) policy(p rule) Policy {
 }
 
 // insertAt inserts v at index i of s. A slot's slices hold tens of entries
-// and are built one call at a time, so they grow by a quarter, not by
-// append's doubling: a store built by SetRelation and AddPolicy, as Load
-// builds one, stays near the size of a cloned one, whose slices are exact.
+// and grow one call at a time, so they grow by a quarter, not by append's
+// doubling: a store built by SetRelation and AddPolicy stays near the size
+// of a bulk-built or cloned one, whose slices are exact.
 func insertAt[T any](s []T, i int, v T) []T {
 	if len(s) == cap(s) {
 		grown := make([]T, len(s), len(s)+len(s)/4+1)

@@ -128,7 +128,9 @@ type storePair struct {
 // list, Equal must agree with the references, and applying each side's
 // mutations a second time must leave it Equal to what it was: the
 // idempotence that lets several peb.DBs broadcast the same op into one
-// shared store.
+// shared store. Every relation and policy op of the list, applied to an
+// empty store through a Bulk, must leave it Equal to the same ops applied
+// one at a time (checkBulk).
 //
 // Each op is 4 bytes: kind and side, owner, peer, and a value byte.
 func FuzzStoreOps(f *testing.F) {
@@ -139,6 +141,7 @@ func FuzzStoreOps(f *testing.F) {
 	f.Add([]byte{0, 3, 3, 2, 1, 3, 0, 6, 0, 3, 5, 3, 1, 3, 0, 7, 3, 0, 0, 0, 0, 5, 3, 2})
 	f.Add([]byte{0, 1, 2, 0, 0, 1, 2, 1, 1, 1, 0, 1, 3, 0, 0, 0}) // a role left without policy or relation, then save/load
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkBulk(t, data)
 		space := Region{MaxX: 100, MaxY: 100}
 		s, err := NewStore(space, 24)
 		if err != nil {

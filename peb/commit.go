@@ -180,7 +180,7 @@ func (db *DB) resolvePolicyOps(ops []polOp) ([]polOp, error) {
 		case polOpRelation, polOpGrant:
 			out = append(out, *op)
 		case polOpLoadPolicies:
-			loaded, err := policy.Load(bytes.NewReader(op.Blob))
+			loaded, err := policy.Load(bytes.NewReader(op.Rebuild.Blob))
 			if err != nil {
 				return nil, err
 			}
@@ -193,7 +193,7 @@ func (db *DB) resolvePolicyOps(ops []polOp) ([]polOp, error) {
 			if err := loaded.Save(&blob); err != nil {
 				return nil, fmt.Errorf("peb: serialize policies: %w", err)
 			}
-			out = append(out, polOp{Kind: polOpLoadPolicies, Blob: blob.Bytes()})
+			out = append(out, polOp{Kind: polOpLoadPolicies, Rebuild: &rebuildOp{Blob: blob.Bytes()}})
 			ps = loaded
 			loaded.ForEachGrant(func(owner, viewer policy.UserID, _ policy.Policy) bool {
 				named = append(named, UserID(owner), UserID(viewer))
@@ -201,15 +201,15 @@ func (db *DB) resolvePolicyOps(ops []polOp) ([]polOp, error) {
 			})
 		case polOpEncode:
 			enc := *op
-			if enc.Assign == nil {
+			if enc.Rebuild == nil {
 				// EncodePolicies, LoadPolicies: compute the assignment here,
 				// under the lock, over the population the rebuild will see.
 				assignment, err := db.assignLocked(ps, named)
 				if err != nil {
 					return nil, err
 				}
-				enc.Assign, enc.MaxSV, enc.Groups = encodeAssignment(assignment)
-			} else if err := db.checkCoverage(enc.Assign); err != nil {
+				enc.Rebuild = encodeAssignment(assignment)
+			} else if err := db.checkCoverage(enc.Rebuild.Assign); err != nil {
 				return nil, err
 			}
 			out = append(out, enc)
@@ -328,7 +328,9 @@ func (db *DB) captureTouched(ops []core.BatchOp) ([]CommitTouch, error) {
 // itself back: on error nothing has changed. After validation the policy
 // phase cannot fail — AddPolicy's only error is an invalid region — so the
 // store is mutated in place and copied only while something pins it
-// (policyHandle); a one-shot Grant stays O(1). The writer never mixes
+// (policyHandle); a one-shot Grant stays O(1). Relations and grants
+// committed to an empty store — a bulk load of the policies — are built
+// whole by policy.Bulk instead of one op at a time. The writer never mixes
 // index and rebuild operations in one record.
 func (db *DB) applyOps(ops opList) error {
 	if err := db.applyIndexOps(ops.Idx); err != nil {
@@ -344,8 +346,15 @@ func (db *DB) applyOps(ops opList) error {
 			db.noteUser(op.Obj.UID)
 		}
 	}
-	for i := range ops.Pol {
-		op := &ops.Pol[i]
+	pol := ops.Pol
+	if n := grantRun(pol); n > 1 && db.policies.Empty() {
+		if err := db.bulkApply(pol[:n]); err != nil {
+			return err
+		}
+		pol = pol[n:]
+	}
+	for i := range pol {
+		op := &pol[i]
 		if op.Kind != polOpEncode {
 			db.polOps++
 		}
@@ -366,7 +375,7 @@ func (db *DB) applyOps(ops opList) error {
 			}
 			db.noteUser(op.Own)
 		case polOpLoadPolicies:
-			loaded, err := policy.Load(bytes.NewReader(op.Blob))
+			loaded, err := policy.Load(bytes.NewReader(op.Rebuild.Blob))
 			if err != nil {
 				return fmt.Errorf("peb: load policies: %w", err)
 			}
@@ -381,13 +390,51 @@ func (db *DB) applyOps(ops opList) error {
 				return true
 			})
 		case polOpEncode:
-			if err := db.rebuildLocked(decodeAssignment(op)); err != nil {
+			if err := db.rebuildLocked(decodeAssignment(op.Rebuild)); err != nil {
 				return fmt.Errorf("peb: rebuild: %w", err)
 			}
 		default:
 			return fmt.Errorf("peb: unknown wal op kind %d", op.Kind)
 		}
 	}
+	return nil
+}
+
+// grantRun returns the length of the run of relations and grants that
+// opens ops.
+func grantRun(ops []polOp) int {
+	for i := range ops {
+		if k := ops[i].Kind; k != polOpRelation && k != polOpGrant {
+			return i
+		}
+	}
+	return len(ops)
+}
+
+// bulkApply applies relations and grants to the empty policy store in one
+// build, with the bookkeeping each carries.
+func (db *DB) bulkApply(ops []polOp) error {
+	rels := 0
+	for i := range ops {
+		if ops[i].Kind == polOpRelation {
+			rels++
+		}
+	}
+	bulk := policy.NewBulk(rels, len(ops)-rels)
+	for i := range ops {
+		op := &ops[i]
+		db.noteUser(op.Own)
+		if op.Kind == polOpRelation {
+			bulk.SetRelation(policy.UserID(op.Own), policy.UserID(op.Peer), op.Role)
+			db.noteUser(op.Peer)
+		} else {
+			bulk.AddPolicy(policy.UserID(op.Own), policy.Policy{Role: op.Role, Locr: op.Locr, Tint: op.Tint})
+		}
+	}
+	if err := db.mutatePolicies(bulk.ApplyTo); err != nil {
+		return fmt.Errorf("peb: grant: %w", err)
+	}
+	db.polOps += uint64(len(ops))
 	return nil
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -161,5 +163,107 @@ func TestOneShotEqualsOneOpBatch(t *testing.T) {
 	}
 	if tc := direct.infos[4].Touched; len(tc) != 1 || tc[0].Prev == nil || tc[0].Cur != nil {
 		t.Fatalf("remove notification = %+v, want one touch with Prev and no Cur", direct.infos[4])
+	}
+}
+
+// TestBulkGrantsEqualOneByOne: a batch of relations and grants committed
+// to an empty policy store is built whole (policy.Bulk), and must leave the
+// same state as the same operations committed one at a time — the same
+// policies file, the same user population and policy-op count, the same
+// encoding — and replay from the log to that state again.
+func TestBulkGrantsEqualOneByOne(t *testing.T) {
+	type grant struct {
+		owner, peer UserID
+		role        Role
+		locr        Region
+	}
+	var grants []grant
+	for o := UserID(1); o <= 40; o++ {
+		for k := UserID(1); k <= 4; k++ {
+			peer := (o*7+k*13)%45 + 1 // some peers own nothing
+			role := Role([]string{"friend", "family", "coworker"}[(o+k)%3])
+			grants = append(grants, grant{o, peer, role, Region{MinX: float64(o), MinY: float64(k), MaxX: 500 + float64(o), MaxY: 900}})
+		}
+	}
+	allDay := TimeInterval{Start: 0, End: 1440}
+	open := func(fs store.VFS) *DB {
+		db, err := Open(Options{Path: "db.idx", Durability: DurabilitySync, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	state := func(db *DB) (string, []UserID, uint64) {
+		var buf bytes.Buffer
+		if err := db.SavePolicies(&buf); err != nil {
+			t.Fatal(err)
+		}
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		var users []UserID
+		for u := range db.users {
+			users = append(users, u)
+		}
+		slices.Sort(users)
+		return buf.String(), users, db.polOps
+	}
+
+	fs := store.NewCrashFS()
+	bulk := open(fs)
+	b := bulk.NewBatch()
+	for i := len(grants) - 1; i >= 0; i-- { // out of owner order
+		g := grants[i]
+		b.DefineRelation(g.owner, g.peer, g.role)
+		b.Grant(g.owner, g.role, g.locr, allDay)
+	}
+	b.Grant(3, "friend", grants[8].locr, allDay) // a duplicate
+	if err := bulk.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	one := open(store.NewCrashFS())
+	defer one.Close()
+	for i := len(grants) - 1; i >= 0; i-- {
+		g := grants[i]
+		if err := one.DefineRelation(g.owner, g.peer, g.role); err != nil {
+			t.Fatal(err)
+		}
+		if err := one.Grant(g.owner, g.role, g.locr, allDay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := one.Grant(3, "friend", grants[8].locr, allDay); err != nil {
+		t.Fatal(err)
+	}
+	wantFile, wantUsers, wantOps := state(one)
+	if file, users, ops := state(bulk); file != wantFile || !slices.Equal(users, wantUsers) || ops != wantOps {
+		t.Fatalf("bulk-applied batch: %d-byte policies, %d users, %d policy ops; one by one: %d, %d, %d",
+			len(file), len(users), ops, len(wantFile), len(wantUsers), wantOps)
+	}
+	encB, err := bulk.ComputeEncoding(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encO, err := one.ComputeEncoding(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(encB, encO) {
+		t.Fatal("bulk-applied and one-by-one policies encode differently")
+	}
+	if err := bulk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := open(fs)
+	defer replayed.Close()
+	if file, users, _ := state(replayed); file != wantFile || !slices.Equal(users, wantUsers) {
+		t.Fatal("the replayed batch differs from the one committed")
+	}
+}
+
+// TestPolOpSize: a batch stages relations and grants by the hundred
+// thousand, so the rebuild payload stays behind its pointer.
+func TestPolOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(polOp{}); got > 88 {
+		t.Fatalf("polOp is %d bytes, want at most 88", got)
 	}
 }

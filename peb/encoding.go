@@ -46,6 +46,5 @@ func (db *DB) ComputeEncoding(extra []UserID) (*PolicyEncoding, error) {
 // rebuild is logged like an EncodePolicies rebuild, so replay restores the
 // installed assignment without recomputing it.
 func (db *DB) InstallEncoding(enc *PolicyEncoding) error {
-	recs, maxSV, groups := encodeAssignment(enc.assignment)
-	return db.commit(opList{Pol: []polOp{{Kind: polOpEncode, Assign: recs, MaxSV: maxSV, Groups: groups}}})
+	return db.commit(opList{Pol: []polOp{{Kind: polOpEncode, Rebuild: encodeAssignment(enc.assignment)}}})
 }

@@ -77,6 +77,30 @@ func restampSegment(t *testing.T, seg string, version byte) string {
 	return string(data)
 }
 
+// bareBody strips a policies file of its envelope (magic, version, crc
+// and body length), leaving the body.
+func bareBody(t *testing.T, file string) string {
+	t.Helper()
+	rd := codec.NewReader([]byte(file), 2) // past magic and version
+	rd.TakeUvarint("crc")
+	body := rd.TakeBytes("body")
+	if rd.Err() != nil {
+		t.Fatal(rd.Err())
+	}
+	return string(body)
+}
+
+// gobPolicies is the golden fixture's policies file as the generation
+// before the codec body wrote it: a gob stream in the version 1 envelope.
+func gobPolicies(t *testing.T) string {
+	t.Helper()
+	data, err := os.ReadFile("../internal/policy/testdata/gob-policies.v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
 func TestOpenRefusesOtherGenerations(t *testing.T) {
 	const meta, pol, seg = "golden.idx.meta", "golden.idx.policies.1", "golden.idx.wal.000001"
 	bareWAL := func(img map[string]string) {
@@ -97,10 +121,14 @@ func TestOpenRefusesOtherGenerations(t *testing.T) {
 		{"meta's leaf count off by one", ErrCorruptCheckpoint, func(img map[string]string) {
 			img[meta] = editMeta(t, img[meta], func(mf *metaFile) { mf.LeafCount++ })
 		}},
+		{"bare policies body", ErrUnsupportedFormat, func(img map[string]string) {
+			img[pol] = bareBody(t, img[pol])
+		}},
+		{"gob-bodied policies file", ErrUnsupportedFormat, func(img map[string]string) {
+			img[pol] = gobPolicies(t)
+		}},
 		{"bare gob policies", ErrUnsupportedFormat, func(img map[string]string) {
-			rd := codec.NewReader([]byte(img[pol]), 2) // past magic and version
-			rd.TakeUvarint("crc")
-			img[pol] = string(rd.TakeBytes("body"))
+			img[pol] = bareBody(t, gobPolicies(t))
 		}},
 		{"gob record in a segment", ErrUnsupportedFormat, func(img map[string]string) {
 			rec := gobEraRecord(t)

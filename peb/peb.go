@@ -897,5 +897,5 @@ func (db *DB) LoadPolicies(r io.Reader) error {
 	// the assignment the index is rebuilt under — so no query ever sees the
 	// new policies paired with the old sequence-value encoding, and replay
 	// is a wholesale, idempotent replacement.
-	return db.commit(opList{Pol: []polOp{{Kind: polOpLoadPolicies, Blob: blob}, {Kind: polOpEncode}}})
+	return db.commit(opList{Pol: []polOp{{Kind: polOpLoadPolicies, Rebuild: &rebuildOp{Blob: blob}}, {Kind: polOpEncode}}})
 }

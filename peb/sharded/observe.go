@@ -27,6 +27,9 @@ func (db *DB) initObs() {
 // router series and engine series join on the same label value.
 func shardLabel(id int) string { return fmt.Sprintf("%03d", id) }
 
+// policiesLabel is the policy engine's shard label value.
+const policiesLabel = "policies"
+
 // collectMetrics emits the router's scrape-time series. It runs without
 // the barrier held by the caller (MetricsRegistries returns before text
 // rendering starts), so taking the read barrier here is deadlock-free.
@@ -52,18 +55,19 @@ func (db *DB) collectMetrics(e *obs.Emit) {
 }
 
 // MetricsRegistries returns the router's registry plus every live shard
-// engine's, for one merged exposition (internal/obs.WriteText merges the
-// per-shard families under shared HELP/TYPE headers). The set follows the
-// topology: gather it per scrape, not once.
+// engine's and the policy engine's (labelled shard="policies"), for one
+// merged exposition (internal/obs.WriteText merges the per-engine families
+// under shared HELP/TYPE headers). The set follows the topology: gather it
+// per scrape, not once.
 func (db *DB) MetricsRegistries() []*obs.Registry {
 	db.smu.RLock()
 	defer db.smu.RUnlock()
-	out := make([]*obs.Registry, 0, len(db.shards)+1)
+	out := make([]*obs.Registry, 0, len(db.shards)+2)
 	out = append(out, db.obsReg)
 	for _, s := range db.shards {
 		out = append(out, s.Metrics())
 	}
-	return out
+	return append(out, db.pe.Metrics())
 }
 
 // Events returns the router's event log: AutoReshard decisions with the

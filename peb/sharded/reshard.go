@@ -139,6 +139,13 @@ func (db *DB) Merge(id int) error {
 // beginSplit performs a split's route flip: everything up to and including
 // the manifest write that makes the split exist.
 func (db *DB) beginSplit(id int) error {
+	// The new shard's index starts under an encoding of the policies. It
+	// starts empty, so any encoding covers it: computed before the barrier
+	// is taken, the label propagation stalls no routed read or write.
+	enc, err := db.pe.ComputeEncoding(nil)
+	if err != nil {
+		return fmt.Errorf("sharded: split shard %d: encode policies: %w", id, err)
+	}
 	db.smu.Lock()
 	defer db.smu.Unlock()
 	if db.closed {
@@ -174,7 +181,7 @@ func (db *DB) beginSplit(id int) error {
 	}
 
 	newID := db.nextID
-	eng, err := db.newShardEngine(newID)
+	eng, err := db.newShardEngine(newID, enc)
 	if err != nil {
 		return fmt.Errorf("sharded: split: create shard %d: %w", newID, err)
 	}
@@ -282,9 +289,9 @@ func (db *DB) beginMerge(id int) error {
 
 // newShardEngine creates a fresh engine for a split's new shard. Like every
 // shard it borrows the policy engine's store, and its index starts under
-// an encoding of the current policies, so the objects the split moves in
+// enc, an encoding of the policies, so the objects the split moves in
 // cluster by them rather than as singletons.
-func (db *DB) newShardEngine(id int) (*peb.DB, error) {
+func (db *DB) newShardEngine(id int, enc *peb.PolicyEncoding) (*peb.DB, error) {
 	po := db.opts.DB
 	po.FS = db.fs
 	po.MetricsLabel = shardLabel(id)
@@ -310,11 +317,7 @@ func (db *DB) newShardEngine(id int) (*peb.DB, error) {
 		eng.Close()
 		return nil, fmt.Errorf("borrow policies: %w", err)
 	}
-	enc, err := db.pe.ComputeEncoding(nil)
-	if err == nil {
-		err = eng.InstallEncoding(enc)
-	}
-	if err != nil {
+	if err := eng.InstallEncoding(enc); err != nil {
 		eng.Close()
 		return nil, fmt.Errorf("seed policy encoding: %w", err)
 	}

@@ -309,6 +309,7 @@ func Open(opts Options) (*DB, error) {
 		if opts.Dir != "" {
 			po.Path = filepath.Join(dirs[i], "peb.idx")
 		}
+		po.MetricsLabel = policiesLabel
 		if i < n {
 			po.MetricsLabel = shardLabel(ts.metas[i].id)
 		}

@@ -1,11 +1,14 @@
 package sharded
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/zcurve"
 	"repro/peb"
@@ -149,6 +152,10 @@ func TestShardedStatsAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A routed policy commit logs on the policy engine alone.
+	if err := db.Grant(1, "f", Region{MaxX: 100, MaxY: 100}, TimeInterval{End: 10}); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +163,20 @@ func TestShardedStatsAggregation(t *testing.T) {
 	if len(st.Shards) != 2 {
 		t.Fatalf("stats cover %d shards", len(st.Shards))
 	}
-	var appends, swaps uint64
+	pol := db.pe.WALStats()
+	if pol.Appends != 1 || pol.Syncs == 0 {
+		t.Fatalf("policy engine log: %+v, want the grant's one append, synced", pol)
+	}
+	appends, syncs := pol.Appends, pol.Syncs
+	var swaps uint64
 	var sizes int
 	for _, ss := range st.Shards {
 		appends += ss.WAL.Appends
+		syncs += ss.WAL.Syncs
 		swaps += ss.ViewSwaps
 		sizes += ss.Size
 	}
-	if st.WAL.Appends != appends || st.ViewSwaps != swaps {
+	if st.WAL.Appends != appends || st.WAL.Syncs != syncs || st.ViewSwaps != swaps {
 		t.Fatalf("aggregate mismatch: %+v", st)
 	}
 	if sizes != 4 {
@@ -172,8 +185,15 @@ func TestShardedStatsAggregation(t *testing.T) {
 	if st.WAL.Appends < 4 {
 		t.Fatalf("WAL appends %d, want at least one per upsert", st.WAL.Appends)
 	}
-	if st.Checkpoints.Checkpoints != 2 {
-		t.Fatalf("aggregate checkpoints %d, want one per shard", st.Checkpoints.Checkpoints)
+	if st.Checkpoints.Checkpoints != 3 {
+		t.Fatalf("aggregate checkpoints %d, want one per shard and the policy engine's", st.Checkpoints.Checkpoints)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteText(&buf, db.MetricsRegistries()...); err != nil {
+		t.Fatal(err)
+	}
+	if want := `peb_wal_appends_total{shard="policies"} 1`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("metrics lack the policy engine's series %s", want)
 	}
 }
 

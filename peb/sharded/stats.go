@@ -112,12 +112,13 @@ type Stats struct {
 	Epoch  uint64
 	Splits uint64
 	Merges uint64
-	// WAL sums the per-shard log activity.
+	// WAL sums the log activity of every shard and of the policy engine
+	// (a routed policy commit appends and syncs there).
 	WAL peb.WALStats
-	// Checkpoints sums the per-shard pipeline counters and Total*
-	// durations; the Last* durations are the maximum across shards (the
-	// stall any single commit could have seen, since shards stall
-	// independently).
+	// Checkpoints sums the pipeline counters and Total* durations of every
+	// shard and of the policy engine; the Last* durations are the maximum
+	// across them (the stall any single commit could have seen, since
+	// engines stall independently).
 	Checkpoints peb.CheckpointStats
 	// ViewSwaps sums the per-shard view republishes.
 	ViewSwaps uint64
@@ -169,41 +170,40 @@ func (db *DB) Stats() Stats {
 		}
 		out.Shards[i] = ss
 		addBuffer(&out.Buffer, ss.Buffer)
-
-		out.WAL.Appends += ss.WAL.Appends
-		out.WAL.Syncs += ss.WAL.Syncs
-		out.WAL.BytesAppended += ss.WAL.BytesAppended
-		out.WAL.SegmentsSealed += ss.WAL.SegmentsSealed
-		out.WAL.SegmentsRemoved += ss.WAL.SegmentsRemoved
+		addLog(&out, ss.WAL, ss.Checkpoints)
 		out.ViewSwaps += ss.ViewSwaps
-
-		c := &out.Checkpoints
-		c.Checkpoints += ss.Checkpoints.Checkpoints
-		c.Coalesced += ss.Checkpoints.Coalesced
-		c.AutoTriggered += ss.Checkpoints.AutoTriggered
-		c.TotalCut += ss.Checkpoints.TotalCut
-		c.TotalBuild += ss.Checkpoints.TotalBuild
-		c.TotalPublish += ss.Checkpoints.TotalPublish
-		c.PagesFlushed += ss.Checkpoints.PagesFlushed
-		c.PagesReclaimed += ss.Checkpoints.PagesReclaimed
-		c.WALBytesTruncated += ss.Checkpoints.WALBytesTruncated
-		c.WALSegmentsRemoved += ss.Checkpoints.WALSegmentsRemoved
-		if ss.Checkpoints.LastCut > c.LastCut {
-			c.LastCut = ss.Checkpoints.LastCut
-		}
-		if ss.Checkpoints.LastBuild > c.LastBuild {
-			c.LastBuild = ss.Checkpoints.LastBuild
-		}
-		if ss.Checkpoints.LastPublish > c.LastPublish {
-			c.LastPublish = ss.Checkpoints.LastPublish
-		}
 	}
+	addLog(&out, db.pe.WALStats(), db.pe.CheckpointStats())
 	out.Epoch = db.epoch
 	out.Splits = db.splits.Load()
 	out.Merges = db.merges.Load()
 	out.FollowerReads = db.followerReads.Load()
 	out.PrimaryFallbacks = db.primaryFallbacks.Load()
 	return out
+}
+
+// addLog adds one engine's log and checkpoint figures to the sums.
+func addLog(out *Stats, w peb.WALStats, ck peb.CheckpointStats) {
+	out.WAL.Appends += w.Appends
+	out.WAL.Syncs += w.Syncs
+	out.WAL.BytesAppended += w.BytesAppended
+	out.WAL.SegmentsSealed += w.SegmentsSealed
+	out.WAL.SegmentsRemoved += w.SegmentsRemoved
+
+	c := &out.Checkpoints
+	c.Checkpoints += ck.Checkpoints
+	c.Coalesced += ck.Coalesced
+	c.AutoTriggered += ck.AutoTriggered
+	c.TotalCut += ck.TotalCut
+	c.TotalBuild += ck.TotalBuild
+	c.TotalPublish += ck.TotalPublish
+	c.PagesFlushed += ck.PagesFlushed
+	c.PagesReclaimed += ck.PagesReclaimed
+	c.WALBytesTruncated += ck.WALBytesTruncated
+	c.WALSegmentsRemoved += ck.WALSegmentsRemoved
+	c.LastCut = max(c.LastCut, ck.LastCut)
+	c.LastBuild = max(c.LastBuild, ck.LastBuild)
+	c.LastPublish = max(c.LastPublish, ck.LastPublish)
 }
 
 // addBuffer adds b's counters to sum.

@@ -53,7 +53,9 @@ type assignRec struct {
 }
 
 // polOp is one policy or rebuild operation. Exactly the fields for Kind
-// are populated.
+// are populated. A batch stages relations and grants by the hundred
+// thousand, so the rare rebuild payload sits behind one pointer: a staged
+// op is 88 bytes, not 144.
 type polOp struct {
 	Kind polOpKind
 
@@ -63,9 +65,16 @@ type polOp struct {
 	Locr Region       // polOpGrant
 	Tint TimeInterval // polOpGrant
 
-	// polOpEncode: the assignment the index is rebuilt under. A nil Assign
-	// handed to commit means "compute it" (EncodePolicies, LoadPolicies);
-	// the resolved — logged — operation always carries one.
+	// Rebuild is the payload of polOpEncode and polOpLoadPolicies. A
+	// polOpEncode without one handed to commit means "compute the
+	// assignment" (EncodePolicies, LoadPolicies); the resolved — logged —
+	// operation always carries one.
+	Rebuild *rebuildOp
+}
+
+// rebuildOp is a rebuild operation's payload.
+type rebuildOp struct {
+	// polOpEncode: the assignment the index is rebuilt under.
 	Assign []assignRec
 	MaxSV  float64
 	Groups int
@@ -116,19 +125,19 @@ type walRecord struct {
 	Parts    []int
 }
 
-// encodeAssignment flattens an assignment into deterministic (sorted)
-// records for logging.
-func encodeAssignment(a policy.Assignment) ([]assignRec, float64, int) {
+// encodeAssignment flattens an assignment into the polOpEncode payload
+// that logs it, its records sorted by user.
+func encodeAssignment(a policy.Assignment) *rebuildOp {
 	recs := make([]assignRec, 0, len(a.SV))
 	for uid, sv := range a.SV {
 		recs = append(recs, assignRec{UID: UserID(uid), SV: sv})
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].UID < recs[j].UID })
-	return recs, a.MaxSV, a.Groups
+	return &rebuildOp{Assign: recs, MaxSV: a.MaxSV, Groups: a.Groups}
 }
 
 // decodeAssignment rebuilds the assignment a polOpEncode logged.
-func decodeAssignment(op *polOp) policy.Assignment {
+func decodeAssignment(op *rebuildOp) policy.Assignment {
 	a := policy.Assignment{
 		SV:     make(map[policy.UserID]float64, len(op.Assign)),
 		MaxSV:  op.MaxSV,

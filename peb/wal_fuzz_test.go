@@ -76,12 +76,12 @@ func fuzzRecord(seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2,
 				op.Tint = TimeInterval{Start: f3, End: f3 + 1}
 			case polOpEncode:
 				n := int(txnID % 5)
+				op.Rebuild = &rebuildOp{MaxSV: f3, Groups: n}
 				for j := 0; j < n; j++ {
-					op.Assign = append(op.Assign, assignRec{UID: uid + UserID(j), SV: f2 + float64(j)})
+					op.Rebuild.Assign = append(op.Rebuild.Assign, assignRec{UID: uid + UserID(j), SV: f2 + float64(j)})
 				}
-				op.MaxSV, op.Groups = f3, n
 			case polOpLoadPolicies:
-				op.Blob = blob
+				op.Rebuild = &rebuildOp{Blob: blob}
 			}
 			rec.Ops.Pol = append(rec.Ops.Pol, op)
 		}

@@ -83,15 +83,16 @@ func appendRecord(b []byte, rec *walRecord) []byte {
 			b = codec.AppendFloat(b, op.Tint.Start)
 			b = codec.AppendFloat(b, op.Tint.End)
 		case polOpEncode:
-			b = codec.AppendUvarint(b, uint64(len(op.Assign)))
-			for _, r := range op.Assign {
+			enc := op.Rebuild
+			b = codec.AppendUvarint(b, uint64(len(enc.Assign)))
+			for _, r := range enc.Assign {
 				b = codec.AppendUvarint(b, uint64(r.UID))
 				b = codec.AppendFloat(b, r.SV)
 			}
-			b = codec.AppendFloat(b, op.MaxSV)
-			b = codec.AppendUvarint(b, uint64(op.Groups))
+			b = codec.AppendFloat(b, enc.MaxSV)
+			b = codec.AppendUvarint(b, uint64(enc.Groups))
 		case polOpLoadPolicies:
-			b = codec.AppendBytes(b, op.Blob)
+			b = codec.AppendBytes(b, op.Rebuild.Blob)
 		default:
 			// Unreachable for records we build; a kind added without codec
 			// support round-trips to an "unknown op kind" decode error
@@ -199,24 +200,25 @@ func decodeRecord(data []byte) (walRecord, error) {
 				Tint: TimeInterval{Start: r.TakeFloat("grant start"), End: r.TakeFloat("grant end")},
 			})
 		case byte(polOpEncode):
-			op := polOp{Kind: polOpEncode}
+			enc := &rebuildOp{}
 			// Each assignment entry needs at least a uid and an sv varint.
 			if n := r.TakeCount("assignment count", 2); n > 0 && r.Err() == nil {
-				op.Assign = make([]assignRec, n)
+				enc.Assign = make([]assignRec, n)
 			}
-			for j := range op.Assign {
-				op.Assign[j].UID = takeUserID(r, "assignment uid")
-				op.Assign[j].SV = r.TakeFloat("assignment sv")
+			for j := range enc.Assign {
+				enc.Assign[j].UID = takeUserID(r, "assignment uid")
+				enc.Assign[j].SV = r.TakeFloat("assignment sv")
 			}
-			op.MaxSV = r.TakeFloat("assignment maxSV")
+			enc.MaxSV = r.TakeFloat("assignment maxSV")
 			g := r.TakeUvarint("assignment groups")
 			if g > math.MaxInt32 {
 				r.Failf("assignment groups %d implausible", g)
 			}
-			op.Groups = int(g)
-			rec.Ops.Pol = append(rec.Ops.Pol, op)
+			enc.Groups = int(g)
+			rec.Ops.Pol = append(rec.Ops.Pol, polOp{Kind: polOpEncode, Rebuild: enc})
 		case byte(polOpLoadPolicies):
-			rec.Ops.Pol = append(rec.Ops.Pol, polOp{Kind: polOpLoadPolicies, Blob: r.TakeBytes("policies blob")})
+			rec.Ops.Pol = append(rec.Ops.Pol, polOp{Kind: polOpLoadPolicies,
+				Rebuild: &rebuildOp{Blob: r.TakeBytes("policies blob")}})
 		default:
 			r.Failf("unknown op kind %d", kind)
 		}
