@@ -83,7 +83,7 @@ func main() {
 	}
 
 	// Everyone starts scattered OUTSIDE the venue. Timestamps sit near the
-	// subscription's evaluation time so the engine's Hilbert-interval prune
+	// subscription's evaluation time so the engine's enlarged-region prune
 	// stays armed (the update contract: |t − tq| within ∆tmu).
 	const tq = 150.0 // mid-event
 	rng := rand.New(rand.NewSource(3))

@@ -5,10 +5,11 @@ import (
 	"slices"
 )
 
-// Hilbert-curve mapping, used by the curve ablation benchmark
-// (DESIGN.md A3). The iterative rotate-and-accumulate formulation follows
-// the classic Hamilton conversion; it is the curve analyzed by the paper's
-// clustering citation [22].
+// Hilbert-curve mapping: the Hilbert key layout of the curve ablation
+// (bxtree.CurveHilbert), and the shard value ranges the sharded router
+// routes over (shard.go). The iterative rotate-and-accumulate formulation
+// follows the classic Hamilton conversion; it is the curve analyzed by the
+// paper's clustering citation [22].
 
 // HilbertEncode maps grid cell (x, y) to its Hilbert value for a curve of
 // the given order (grid is 2^order on a side). Coordinates must be within
@@ -44,6 +45,20 @@ func HilbertDecode(d uint64, order int) (x, y uint32) {
 		t /= 4
 	}
 	return x, y
+}
+
+// hilbertRunStart returns the first Hilbert value of the aligned quadrant
+// of side 2^q whose lowest cell is (qx, qy), on a curve of the given
+// order. Such a quadrant covers one contiguous run of 4^q values, and the
+// runs of the order-q quadrants follow each other along the coarser curve
+// of order order−q, so the run starts at that curve's value of the
+// quadrant, scaled by 4^q (TestHilbertRunStart checks every quadrant up to
+// order 9).
+func hilbertRunStart(qx, qy uint32, q, order int) uint64 {
+	if q >= order {
+		return 0
+	}
+	return HilbertEncode(qx>>uint(q), qy>>uint(q), order-q) << uint(2*q)
 }
 
 // hilbertRotate reflects/rotates the quadrant so recursion stays oriented.
@@ -95,21 +110,8 @@ func hilbertDecompose(r Rect, qx, qy uint32, qorder, order int, out *[]Interval)
 		return
 	}
 	if r.MinX <= qx && qMaxX <= r.MaxX && r.MinY <= qy && qMaxY <= r.MaxY {
-		// A full quadrant occupies one contiguous Hilbert range starting at
-		// the minimum Hilbert value among its cells; for an aligned quadrant
-		// that is the value of whichever corner the curve enters first.
-		// Compute it as the min of the four corners (cheap and orientation
-		// independent).
-		lo := HilbertEncode(qx, qy, order)
-		for _, c := range [3]uint64{
-			HilbertEncode(qMaxX, qy, order),
-			HilbertEncode(qx, qMaxY, order),
-			HilbertEncode(qMaxX, qMaxY, order),
-		} {
-			if c < lo {
-				lo = c
-			}
-		}
+		// A full quadrant occupies one contiguous Hilbert range.
+		lo := hilbertRunStart(qx, qy, qorder, order)
 		*out = append(*out, Interval{Lo: lo, Hi: lo + uint64(side)*uint64(side) - 1})
 		return
 	}

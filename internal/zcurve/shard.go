@@ -104,16 +104,7 @@ func hilbertRangeIntersects(r Rect, iv Interval, qx, qy uint32, qorder, order in
 	if qx > r.MaxX || qMaxX < r.MinX || qy > r.MaxY || qMaxY < r.MinY {
 		return false // no spatial overlap
 	}
-	lo := HilbertEncode(qx, qy, order)
-	for _, c := range [3]uint64{
-		HilbertEncode(qMaxX, qy, order),
-		HilbertEncode(qx, qMaxY, order),
-		HilbertEncode(qMaxX, qMaxY, order),
-	} {
-		if c < lo {
-			lo = c
-		}
-	}
+	lo := hilbertRunStart(qx, qy, qorder, order)
 	hi := lo + uint64(side)*uint64(side) - 1
 	if hi < iv.Lo || lo > iv.Hi {
 		return false // no value overlap
@@ -153,19 +144,8 @@ func (g Grid) HilbertMinDist(x, y float64, iv Interval) float64 {
 
 func (g Grid) hilbertMinDist(x, y float64, iv Interval, qx, qy uint32, qorder int, best *float64) {
 	side := uint32(1) << uint(qorder)
-	// The quadrant's contiguous Hilbert run starts at the minimum value
-	// among its corner cells (orientation independent; see HilbertDecompose).
 	qMaxX, qMaxY := qx+side-1, qy+side-1
-	lo := HilbertEncode(qx, qy, g.Order)
-	for _, c := range [3]uint64{
-		HilbertEncode(qMaxX, qy, g.Order),
-		HilbertEncode(qx, qMaxY, g.Order),
-		HilbertEncode(qMaxX, qMaxY, g.Order),
-	} {
-		if c < lo {
-			lo = c
-		}
-	}
+	lo := hilbertRunStart(qx, qy, qorder, g.Order)
 	hi := lo + uint64(side)*uint64(side) - 1
 	if hi < iv.Lo || lo > iv.Hi {
 		return // the quadrant's value run misses the interval entirely

@@ -165,6 +165,75 @@ func TestHilbertRangeIntersectsRectBruteForce(t *testing.T) {
 	}
 }
 
+// TestHilbertRunStart checks hilbertRunStart against the curve itself for
+// every aligned quadrant at orders 1–9: a quadrant of side 2^q holds
+// exactly the 4^q consecutive values from its run start on (HilbertEncode
+// is a bijection, so the 4^q cells spanning 4^q values fill the run).
+func TestHilbertRunStart(t *testing.T) {
+	for order := 1; order <= 9; order++ {
+		cells := uint32(1) << uint(order)
+		for q := 0; q <= order; q++ {
+			per := cells >> uint(q) // quadrants a side
+			lo := make([]uint64, per*per)
+			hi := make([]uint64, per*per)
+			for i := range lo {
+				lo[i] = math.MaxUint64
+			}
+			for y := uint32(0); y < cells; y++ {
+				for x := uint32(0); x < cells; x++ {
+					v := HilbertEncode(x, y, order)
+					i := (y>>uint(q))*per + x>>uint(q)
+					lo[i] = min(lo[i], v)
+					hi[i] = max(hi[i], v)
+				}
+			}
+			run := uint64(1) << uint(2*q)
+			for i := range lo {
+				qx, qy := uint32(i)%per<<uint(q), uint32(i)/per<<uint(q)
+				if got := hilbertRunStart(qx, qy, q, order); got != lo[i] || hi[i]-lo[i] != run-1 {
+					t.Fatalf("order %d, quadrant (%d,%d) of side 2^%d: run start %d, cells span [%d, %d]",
+						order, qx, qy, q, got, lo[i], hi[i])
+				}
+			}
+		}
+	}
+}
+
+// The router's two Hilbert descents at the benchmark's shape: four shards
+// splitting the order-10 curve evenly over a 1000-side space, and a PRQ
+// window of side 200 enlarged by 3 × 60 on every side (≈ 530 cells a
+// side, the window BenchmarkDecompose's enlarged530 uses).
+var (
+	benchShardCovers = SplitRange(10, 4)
+	benchRoutedRect  = Rect{MinX: 149, MinY: 33, MaxX: 721, MaxY: 605}
+)
+
+// BenchmarkHilbertRangeIntersectsRect times routeRegion's predicate: one
+// routed PRQ's test against every shard's cover.
+func BenchmarkHilbertRangeIntersectsRect(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, iv := range benchShardCovers {
+			HilbertRangeIntersectsRect(benchRoutedRect, iv, 10)
+		}
+	}
+}
+
+// BenchmarkHilbertMinDist times knnOrder's lower bound: one routed PkNN's
+// distance to every shard's cover.
+func BenchmarkHilbertMinDist(b *testing.B) {
+	g, err := NewGrid(1000, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, iv := range benchShardCovers {
+			g.HilbertMinDist(437.5, 311.25, iv)
+		}
+	}
+}
+
 func TestSplitByDensity(t *testing.T) {
 	iv := Interval{Lo: 10, Hi: 20}
 

@@ -154,22 +154,6 @@ func (cv *CommitView) Member(issuer UserID, r Region, o Object, t float64) bool 
 	return cv.db.policies.Allows(policy.UserID(o.UID), policy.UserID(issuer), x, y, t)
 }
 
-// Bounds returns the service space (see DB.Bounds).
-func (cv *CommitView) Bounds() Region {
-	if !cv.valid {
-		return Region{}
-	}
-	return cv.db.policies.Space()
-}
-
-// GridOrder returns the space-filling-curve grid order (see DB.GridOrder).
-func (cv *CommitView) GridOrder() int {
-	if !cv.valid {
-		return 0
-	}
-	return cv.db.tree.Config().Base.Grid.Order
-}
-
 // MaxSpeed returns the configured speed bound.
 func (cv *CommitView) MaxSpeed() float64 {
 	if !cv.valid {

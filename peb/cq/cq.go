@@ -15,12 +15,13 @@
 //     an object that has granted the subscriber nothing can never appear
 //     in the subscriber's results, so its movement is never evaluated.
 //     This is the subscription-side analogue of the index's SV-band scan.
-//   - space dimension — per-subscription Hilbert curve intervals,
-//     precomputed by decomposing the query region enlarged by the motion
-//     slack (MaxSpeed × MaxUpdateInterval): a touched state whose stored
-//     position falls outside every interval (and that honors the speed
-//     and update-interval bounds the slack assumes) provably cannot be a
-//     member, before and after alike, so no exact check runs.
+//   - space dimension — the query region enlarged by the motion slack
+//     (MaxSpeed × MaxUpdateInterval), the window the one-shot PRQ scans:
+//     a touched state whose stored position lies outside it (and that
+//     honors the speed and update-interval bounds the slack assumes)
+//     provably cannot be a member, before and after alike, so no exact
+//     check runs. The test is four comparisons and costs registration
+//     nothing.
 //
 // What survives both prunes gets the exact membership predicate
 // (peb.CommitView.Member — identical to what RangeQuery applies per
@@ -78,7 +79,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/zcurve"
 	"repro/peb"
 )
 
@@ -90,11 +90,6 @@ var (
 	// ErrEngineClosed: the engine detached from the DB.
 	ErrEngineClosed = errors.New("cq: engine closed")
 )
-
-// maxSubIntervals bounds the Hilbert decomposition of one subscription's
-// enlarged region. Coarsening only ever adds covered cells, so a small
-// cap trades prune selectivity for O(log n) containment checks.
-const maxSubIntervals = 32
 
 // OverflowPolicy selects what the engine does when a subscription's
 // channel is full at delivery time.
@@ -134,7 +129,7 @@ type Stats struct {
 	// kNN affected-checks and re-run candidate evaluations.
 	Evaluated uint64
 	// Pruned counts touched (subscription, object) pairs dismissed by the
-	// Hilbert-interval prune without an exact check.
+	// enlarged-region prune without an exact check.
 	Pruned uint64
 	// Naive counts the candidate evaluations a full per-commit re-run of
 	// every subscription would have performed (Σ grantor-set sizes, per
@@ -162,7 +157,6 @@ type Engine struct {
 	// enqueued (or dropped). Fed only while subscriptions exist.
 	delta *obs.Histogram
 
-	grid     zcurve.Grid
 	maxSpeed float64
 	maxUI    float64
 	slack    float64
@@ -196,10 +190,6 @@ type Query struct {
 type sub struct {
 	Query
 	id uint64
-
-	// Range subscriptions: the space prune.
-	ivs      zcurve.IntervalSet
-	prunable bool
 
 	grantors map[peb.UserID]struct{}
 	cur      Result
@@ -256,12 +246,6 @@ func Attach(db *peb.DB) (*Engine, error) {
 		byGrantor: make(map[peb.UserID]map[uint64]*sub),
 	}
 	err := db.WithCommitView(func(cv *peb.CommitView) error {
-		b := cv.Bounds()
-		g, err := zcurve.NewGrid(b.MaxX, cv.GridOrder())
-		if err != nil {
-			return fmt.Errorf("cq: attach: %w", err)
-		}
-		e.grid = g
 		e.maxSpeed = cv.MaxSpeed()
 		e.maxUI = cv.MaxUpdateInterval()
 		e.slack = e.maxSpeed * e.maxUI
@@ -354,9 +338,6 @@ func (e *Engine) Watch(q Query, deliver func(Delta) bool, end func(error)) (stop
 		if e.closed {
 			return ErrEngineClosed
 		}
-		if s.K == 0 {
-			e.computeIntervals(s)
-		}
 		e.nextID++
 		s.id = e.nextID
 		e.subs[s.id] = s
@@ -430,32 +411,6 @@ func (e *Engine) SubscribePkNN(issuer peb.UserID, x, y float64, k int, t float64
 		return nil, nil, fmt.Errorf("cq: k must be positive, got %d", k)
 	}
 	return e.subscribe(Query{Issuer: issuer, X: x, Y: y, K: k, T: t}, opt)
-}
-
-// computeIntervals precomputes the Hilbert intervals of the subscription's
-// region enlarged by the engine's motion slack. A failed decomposition
-// just disables the space prune for this subscription.
-func (e *Engine) computeIntervals(s *sub) {
-	rect, ok := e.grid.RectOf(
-		s.Region.MinX-e.slack, s.Region.MinY-e.slack,
-		s.Region.MaxX+e.slack, s.Region.MaxY+e.slack,
-	)
-	if !ok {
-		// The enlarged region misses the space entirely: no stored
-		// position can be a member, so every in-contract state is
-		// prunable via the (empty) interval set.
-		s.prunable = true
-		return
-	}
-	ivs, err := zcurve.HilbertDecompose(rect, e.grid.Order, maxSubIntervals)
-	if err != nil {
-		s.prunable = false
-		return
-	}
-	for _, iv := range ivs {
-		s.ivs.Add(iv)
-	}
-	s.prunable = true
 }
 
 // setGrantorsLocked replaces a subscription's grantor set and reindexes

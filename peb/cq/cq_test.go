@@ -113,7 +113,7 @@ func (m *mirror) checkKNN(db *peb.DB, issuer peb.UserID, x, y float64, k int, qt
 
 // seedPolicies wires nUsers users into overlapping friend groups with
 // space- and time-restricted grants, so membership flips on movement.
-func seedPolicies(t *testing.T, db *peb.DB, rng *rand.Rand, nUsers int) {
+func seedPolicies(t testing.TB, db *peb.DB, rng *rand.Rand, nUsers int) {
 	t.Helper()
 	everywhere := peb.Region{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
 	allDay := peb.TimeInterval{Start: 0, End: 1440}

@@ -52,16 +52,15 @@ func (e *Engine) onCommit(info peb.CommitInfo, cv *peb.CommitView) {
 }
 
 // outside reports whether state o provably lies outside the
-// subscription's enlarged region: its stored position's Hilbert cell is
-// covered by none of the precomputed intervals, and the state honors the
-// speed and freshness bounds the enlargement slack assumes. A nil state
-// (absent from the index) is trivially outside.
+// subscription's region enlarged by the motion slack — the same window the
+// one-shot PRQ scans — and honors the speed and freshness bounds that
+// slack assumes. Such a state is not a member at s.T. The slack is added
+// on the object's side: o.X+slack is the farthest rounded position o can
+// reach, so rounding can keep a state but never dismiss a member. A nil
+// state (absent from the index) is trivially outside.
 func (e *Engine) outside(s *sub, o *peb.Object) bool {
 	if o == nil {
 		return true
-	}
-	if !s.prunable {
-		return false
 	}
 	if o.Speed() > e.maxSpeed {
 		return false
@@ -73,11 +72,13 @@ func (e *Engine) outside(s *sub, o *peb.Object) bool {
 	if gap > e.maxUI {
 		return false
 	}
-	return !s.ivs.Contains(e.grid.HilbertValue(o.X, o.Y))
+	r := s.Region
+	return o.X+e.slack < r.MinX || o.X-e.slack > r.MaxX ||
+		o.Y+e.slack < r.MinY || o.Y-e.slack > r.MaxY
 }
 
 // evalRangeTouchLocked re-evaluates one range subscription against one
-// touched object: prune by curve intervals, then the exact membership
+// touched object: prune by the enlarged region, then the exact membership
 // predicate on the post-commit state, then a delta iff the result set
 // changed. Caller holds e.mu inside a commit notification.
 func (e *Engine) evalRangeTouchLocked(s *sub, cv *peb.CommitView, tc *peb.CommitTouch, seq uint64) {

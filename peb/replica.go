@@ -45,8 +45,9 @@ import (
 // # Retention
 //
 // An attached replica pins the primary's log: checkpoint publication
-// drops sealed segments only below every replica's cursor (the retention
-// floor), so the tailer never finds a segment deleted out from under it.
+// drops sealed segments only below every replica's cursor segment (the
+// retention floor), so the tailer never finds a segment deleted out from
+// under it.
 // Close detaches the replica and releases the pin.
 type Replica struct {
 	primary *DB
@@ -218,7 +219,7 @@ func (r *Replica) bootstrap() error {
 	// Register the retention floor while still holding the read lock:
 	// checkpoint publication needs the write lock, so no segment at or past
 	// the cursor can be dropped before the floor is visible.
-	p.hold(r, r.cursor)
+	p.hold(r, r.floorLocked())
 	return nil
 }
 
@@ -306,13 +307,24 @@ func (r *Replica) pollOnceLocked() (progress bool, err error) {
 	return progress, nil
 }
 
-// updateFloorLocked publishes the cursor as this replica's retention
-// floor, releasing segments the tailer has fully consumed.
+// floorLocked is the retention floor the cursor implies: the start of the
+// cursor's segment, not the cursor itself. A cursor resting at the end of
+// its segment has read every byte so far, but until it sees the successor
+// it cannot know the segment is sealed: the advance protocol reads the
+// segment once more after the successor appears, so the file must outlive
+// the cursor's stay in it. (Sealed segments are never empty, so a floor
+// at offset 0 covers none of this one.)
+func (r *Replica) floorLocked() store.SegPos {
+	return store.SegPos{Seg: r.cursor.Seg}
+}
+
+// updateFloorLocked publishes this replica's retention floor, releasing
+// segments the tailer has left behind.
 func (r *Replica) updateFloorLocked() {
 	p := r.primary
 	p.floorMu.Lock()
 	if _, ok := p.floors[r]; ok {
-		p.floors[r] = r.cursor
+		p.floors[r] = r.floorLocked()
 	}
 	p.floorMu.Unlock()
 }
@@ -349,8 +361,9 @@ func (r *Replica) Horizon() uint64 {
 	return r.horizon.Load()
 }
 
-// Position returns the replica's log read cursor (segment, offset) — the
-// retention floor it holds on the primary's log.
+// Position returns the replica's log read cursor (segment, offset). The
+// retention floor it holds on the primary's log is the start of that
+// segment.
 func (r *Replica) Position() store.SegPos {
 	r.mu.Lock()
 	defer r.mu.Unlock()

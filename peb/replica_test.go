@@ -412,6 +412,56 @@ func TestReplicaRetentionFloor(t *testing.T) {
 	}
 }
 
+// TestReplicaFloorAtSealedSegmentEnd: a tailer that has read its segment
+// to the end before the segment was sealed still needs the file — it reads
+// it once more when it finds the successor — so a checkpoint in between
+// must not drop it, even though the cursor sits at the sealed size.
+func TestReplicaFloorAtSealedSegmentEnd(t *testing.T) {
+	db, fs := replicaHarness(t, 1<<20) // no roll by size: the test seals
+	for i := 1; i <= 5; i++ {
+		if err := db.Upsert(Object{UID: UserID(i), X: float64(i), Y: float64(i), T: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := NewReplica(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	pos := r.Position()
+	if pos.Off == 0 {
+		t.Fatalf("cursor %+v: want it at the end of a non-empty segment", pos)
+	}
+
+	// Freeze the tailer at the end of the active segment, seal the segment
+	// under it, commit into the successor and checkpoint.
+	r.mu.Lock()
+	db.mu.Lock()
+	err = db.wal.Seal()
+	db.mu.Unlock()
+	if err == nil {
+		err = db.Upsert(Object{UID: 6, X: 6, Y: 6, T: 1})
+	}
+	if err == nil {
+		err = db.Checkpoint()
+	}
+	segs, lerr := store.ListWALSegments(fs, "rep.idx.wal")
+	r.mu.Unlock()
+	if err != nil || lerr != nil {
+		t.Fatal(err, lerr)
+	}
+	if segs[0] > pos.Seg {
+		t.Fatalf("checkpoint dropped segment %06d, which the replica at %+v has yet to reread", pos.Seg, pos)
+	}
+	assertReplicaEquals(t, db, r)
+	if err := r.Err(); err != nil {
+		t.Fatalf("replica tail error: %v", err)
+	}
+}
+
 // TestReplicaConcurrentTail hammers a replica with concurrent commits and
 // reads under the race detector: the tailer, the wake hook, checkpoint
 // publication, and follower queries all overlap.
