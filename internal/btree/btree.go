@@ -47,7 +47,7 @@ func New(pool *store.BufferPool) (*Tree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("btree: allocate root: %w", err)
 	}
-	writeLeaf(p, nil)
+	p.Data()[0] = leafType
 	id := p.ID()
 	if err := pool.Unpin(id, true); err != nil {
 		return nil, err
@@ -74,7 +74,7 @@ func (t *Tree) Get(kv KV) (Payload, bool, error) { return t.Reader().Get(kv) }
 // same composite key.
 func (t *Tree) Insert(kv KV, payload Payload) error {
 	t.mutated = true
-	newRoot, split, sep, right, replaced, err := t.insertRec(t.root, kv, payload)
+	newRoot, split, sep, right, replaced, err := t.insertRec(t.root, kv, &payload)
 	if err != nil {
 		return err
 	}
@@ -90,10 +90,11 @@ func (t *Tree) Insert(kv KV, payload Payload) error {
 	if err != nil {
 		return fmt.Errorf("btree: allocate new root: %w", err)
 	}
-	writeInternal(p, internalNode{
-		seps:     []KV{sep},
-		children: []store.PageID{t.root, right},
-	})
+	root := node(p.Data())
+	root[0] = internalType
+	root.setChild(0, t.root)
+	root.putSep(0, sep, right)
+	root.setCount(1)
 	rootID := p.ID()
 	if err := t.pool.Unpin(rootID, true); err != nil {
 		return err
@@ -103,71 +104,42 @@ func (t *Tree) Insert(kv KV, payload Payload) error {
 	return nil
 }
 
-// insertRec descends to the leaf for kv and inserts. newPid is the id the
-// node lives at afterwards — under copy-on-write a modified node moves to a
-// fresh page, and the caller repoints its child link. On overflow the node
-// splits and the separator plus new right sibling are reported upward.
-func (t *Tree) insertRec(pid store.PageID, kv KV, payload Payload) (newPid store.PageID, split bool, sep KV, right store.PageID, replaced bool, err error) {
-	p, err := t.pool.Fetch(pid)
+// insertRec descends to the leaf for kv and inserts, editing each node's
+// page where it lies. newPid is the id the node lives at afterwards —
+// under copy-on-write a modified node moves to a fresh page, and the
+// caller repoints its child link. On overflow the node splits and the
+// separator plus new right sibling are reported upward.
+func (t *Tree) insertRec(pid store.PageID, kv KV, payload *Payload) (newPid store.PageID, split bool, sep KV, right store.PageID, replaced bool, err error) {
+	p, nd, err := t.fetchNode(pid)
 	if err != nil {
 		return pid, false, KV{}, store.InvalidPageID, false, err
 	}
 
-	if pageType(p) == leafType {
-		entries := readLeaf(p)
-		idx, exact := searchLeaf(entries, kv)
-		if exact {
-			entries[idx].payload = payload
-			p, newPid, err = t.redirect(pid, p)
-			if err != nil {
-				return pid, false, KV{}, store.InvalidPageID, false, err
-			}
-			writeLeaf(p, entries)
-			err = t.pool.Unpin(newPid, true)
-			return newPid, false, KV{}, store.InvalidPageID, true, err
+	if nd.typ() == leafType {
+		idx, exact := nd.searchLeaf(kv)
+		c := nd.count()
+		if !exact && c == LeafCapacity {
+			newPid, sep, right, err = t.splitLeaf(pid, p, idx, kv, payload)
+			return newPid, err == nil, sep, right, false, err
 		}
-		entries = append(entries, leafEntry{})
-		copy(entries[idx+1:], entries[idx:])
-		entries[idx] = leafEntry{kv: kv, payload: payload}
-
-		if len(entries) <= LeafCapacity {
-			p, newPid, err = t.redirect(pid, p)
-			if err != nil {
-				return pid, false, KV{}, store.InvalidPageID, false, err
-			}
-			writeLeaf(p, entries)
-			err = t.pool.Unpin(newPid, true)
-			return newPid, false, KV{}, store.InvalidPageID, false, err
-		}
-
-		// Split: left keeps the first half, right takes the rest.
-		mid := len(entries) / 2
-		rp, nerr := t.allocPage()
-		if nerr != nil {
-			_ = t.pool.Unpin(pid, false)
-			return pid, false, KV{}, store.InvalidPageID, false, fmt.Errorf("btree: allocate leaf: %w", nerr)
-		}
-		writeLeaf(rp, entries[mid:])
-		right = rp.ID()
-		if err := t.pool.Unpin(right, true); err != nil {
-			_ = t.pool.Unpin(pid, false)
-			return pid, false, KV{}, store.InvalidPageID, false, err
-		}
-		p, newPid, err = t.redirect(pid, p)
+		p, newPid, err = t.editable(pid, p, c)
 		if err != nil {
 			return pid, false, KV{}, store.InvalidPageID, false, err
 		}
-		writeLeaf(p, entries[:mid])
-		t.leafCount++
-		sep = entries[mid].kv
+		leaf := node(p.Data())
+		if exact {
+			leaf.setCount(c)
+		} else {
+			leaf.open(idx)
+		}
+		leaf.putLeaf(idx, kv, payload)
 		err = t.pool.Unpin(newPid, true)
-		return newPid, true, sep, right, false, err
+		return newPid, false, KV{}, store.InvalidPageID, exact, err
 	}
 
 	// Internal node.
-	in := readInternal(p)
-	ci := childIndex(in, kv)
-	child := in.children[ci]
+	ci := nd.childIndex(kv)
+	child := nd.child(ci)
 	// Release the parent while recursing; re-fetch to apply child changes.
 	if err := t.pool.Unpin(pid, false); err != nil {
 		return pid, false, KV{}, store.InvalidPageID, false, err
@@ -181,59 +153,124 @@ func (t *Tree) insertRec(pid store.PageID, kv KV, payload Payload) (newPid store
 		return pid, false, KV{}, store.InvalidPageID, creplaced, nil
 	}
 
-	p, err = t.pool.Fetch(pid)
+	p, nd, err = t.fetchNode(pid)
 	if err != nil {
 		return pid, false, KV{}, store.InvalidPageID, creplaced, err
 	}
-	in = readInternal(p)
 	// The child set cannot have changed (single-threaded), so ci is stable.
-	in.children[ci] = newChild
+	c := nd.count()
+	if csplit && c == InternalCapacity {
+		newPid, sep, right, err = t.splitInternal(pid, p, ci, newChild, csep, cright)
+		return newPid, err == nil, sep, right, creplaced, err
+	}
+	p, newPid, err = t.editable(pid, p, c)
+	if err != nil {
+		return pid, false, KV{}, store.InvalidPageID, creplaced, err
+	}
+	in := node(p.Data())
+	in.setChild(ci, newChild)
 	if csplit {
-		in.seps = append(in.seps, KV{})
-		copy(in.seps[ci+1:], in.seps[ci:])
-		in.seps[ci] = csep
-		in.children = append(in.children, store.InvalidPageID)
-		copy(in.children[ci+2:], in.children[ci+1:])
-		in.children[ci+1] = cright
+		in.open(ci)
+		in.putSep(ci, csep, cright)
+	} else {
+		in.setCount(c)
 	}
+	err = t.pool.Unpin(newPid, true)
+	return newPid, false, KV{}, store.InvalidPageID, creplaced, err
+}
 
-	if len(in.seps) <= InternalCapacity {
-		p, newPid, err = t.redirect(pid, p)
-		if err != nil {
-			return pid, false, KV{}, store.InvalidPageID, creplaced, err
-		}
-		writeInternal(p, in)
-		err = t.pool.Unpin(newPid, true)
-		return newPid, false, KV{}, store.InvalidPageID, creplaced, err
-	}
+// splitLeaf inserts (kv, payload) at idx into the full leaf p, page pid, by
+// splitting it (see split).
+func (t *Tree) splitLeaf(pid store.PageID, p *store.Page, idx int, kv KV, payload *Payload) (store.PageID, KV, store.PageID, error) {
+	var over overflow
+	all := node(over[:])
+	copy(all, node(p.Data()).prefix(LeafCapacity))
+	all.open(idx)
+	all.putLeaf(idx, kv, payload)
+	return t.split(pid, p, all)
+}
 
-	// Split the internal node: the middle separator moves up.
-	mid := len(in.seps) / 2
-	upSep := in.seps[mid]
-	rightNode := internalNode{
-		seps:     append([]KV(nil), in.seps[mid+1:]...),
-		children: append([]store.PageID(nil), in.children[mid+1:]...),
+// splitInternal repoints child ci of the full internal node p, page pid, at
+// newChild and inserts separator sep with right sibling right after it, by
+// splitting the node (see split).
+func (t *Tree) splitInternal(pid store.PageID, p *store.Page, ci int, newChild store.PageID, sep KV, right store.PageID) (store.PageID, KV, store.PageID, error) {
+	var over overflow
+	all := node(over[:])
+	copy(all, node(p.Data()).prefix(InternalCapacity))
+	all.setChild(ci, newChild)
+	all.open(ci)
+	all.putSep(ci, sep, right)
+	return t.split(pid, p, all)
+}
+
+// split finishes a node split: all is node pid's content with one entry
+// past its capacity, staged in an overflow image. The upper half is copied
+// into a new right sibling and the lower half stays on the node's page. A
+// leaf reports the sibling's first key as the separator; an internal node
+// moves its middle separator up, the child after it becoming the sibling's
+// leftmost. It reports the node's page afterwards, the separator and the
+// sibling's page.
+func (t *Tree) split(pid store.PageID, p *store.Page, all node) (store.PageID, KV, store.PageID, error) {
+	c := all.count()
+	mid := c / 2
+	leaf := all.typ() == leafType
+	first, sep, what := mid, KV{}, "leaf"
+	if leaf {
+		sep = all.leafKey(mid)
+	} else {
+		first, sep, what = mid+1, all.sep(mid), "internal"
 	}
-	leftNode := internalNode{
-		seps:     in.seps[:mid],
-		children: in.children[:mid+1],
-	}
-	rp, nerr := t.allocPage()
-	if nerr != nil {
+	rp, err := t.allocPage()
+	if err != nil {
 		_ = t.pool.Unpin(pid, false)
-		return pid, false, KV{}, store.InvalidPageID, creplaced, fmt.Errorf("btree: allocate internal: %w", nerr)
+		return pid, KV{}, store.InvalidPageID, fmt.Errorf("btree: allocate %s: %w", what, err)
 	}
-	writeInternal(rp, rightNode)
-	right = rp.ID()
+	r := node(rp.Data())
+	r[0] = all.typ()
+	copy(r[headerSize:], all.entries(first, c))
+	r.setCount(c - first)
+	if !leaf {
+		r.setChild(0, all.child(mid+1))
+	}
+	right := rp.ID()
 	if err := t.pool.Unpin(right, true); err != nil {
 		_ = t.pool.Unpin(pid, false)
-		return pid, false, KV{}, store.InvalidPageID, creplaced, err
+		return pid, KV{}, store.InvalidPageID, err
 	}
-	p, newPid, err = t.redirect(pid, p)
+	p, newPid, err := t.redirect(pid, p)
 	if err != nil {
-		return pid, false, KV{}, store.InvalidPageID, creplaced, err
+		return pid, KV{}, store.InvalidPageID, err
 	}
-	writeInternal(p, leftNode)
-	err = t.pool.Unpin(newPid, true)
-	return newPid, true, upSep, right, creplaced, err
+	left := node(p.Data())
+	copy(left, all.prefix(mid))
+	left.setCount(mid)
+	if leaf {
+		t.leafCount++
+	}
+	return newPid, sep, right, t.pool.Unpin(newPid, true)
+}
+
+// fetchNode pins node pid for an edit. A page that is neither a leaf nor an
+// internal node, or counts more entries than its kind holds, is refused:
+// the edits index entries by the count.
+func (t *Tree) fetchNode(pid store.PageID) (*store.Page, node, error) {
+	p, err := t.pool.Fetch(pid)
+	if err != nil {
+		return nil, nil, err
+	}
+	nd := node(p.Data())
+	capacity := LeafCapacity
+	switch nd.typ() {
+	case leafType:
+	case internalType:
+		capacity = InternalCapacity
+	default:
+		_ = t.pool.Unpin(pid, false)
+		return nil, nil, fmt.Errorf("btree: page %d has unknown type %d", pid, nd.typ())
+	}
+	if c := nd.count(); c > capacity {
+		_ = t.pool.Unpin(pid, false)
+		return nil, nil, fmt.Errorf("btree: page %d claims %d entries (cap %d)", pid, c, capacity)
+	}
+	return p, nd, nil
 }

@@ -69,21 +69,23 @@ func (t *Tree) BulkLoad(items []Item) error {
 	level := make([]childRef, 0, len(counts))
 	off := 0
 	for _, c := range counts {
-		chunk := make([]leafEntry, c)
-		for j := 0; j < c; j++ {
-			chunk[j] = leafEntry{kv: items[off+j].KV, payload: items[off+j].Payload}
-		}
+		chunk := items[off : off+c]
 		off += c
 		p, err := t.allocPage()
 		if err != nil {
 			return fmt.Errorf("btree: bulk leaf: %w", err)
 		}
-		writeLeaf(p, chunk)
+		leaf := node(p.Data())
+		leaf[0] = leafType
+		for j := range chunk {
+			leaf.putLeaf(j, chunk[j].KV, &chunk[j].Payload)
+		}
+		leaf.setCount(c)
 		pid := p.ID()
 		if err := t.pool.Unpin(pid, true); err != nil {
 			return err
 		}
-		level = append(level, childRef{first: chunk[0].kv, pid: pid})
+		level = append(level, childRef{first: chunk[0].KV, pid: pid})
 		t.leafCount++
 	}
 
@@ -96,21 +98,17 @@ func (t *Tree) BulkLoad(items []Item) error {
 		for _, c := range counts {
 			group := level[off : off+c]
 			off += c
-			in := internalNode{
-				seps:     make([]KV, c-1),
-				children: make([]store.PageID, c),
-			}
-			for j, ch := range group {
-				in.children[j] = ch.pid
-				if j > 0 {
-					in.seps[j-1] = ch.first
-				}
-			}
 			p, err := t.allocPage()
 			if err != nil {
 				return fmt.Errorf("btree: bulk internal: %w", err)
 			}
-			writeInternal(p, in)
+			in := node(p.Data())
+			in[0] = internalType
+			in.setChild(0, group[0].pid)
+			for j, ch := range group[1:] {
+				in.putSep(j, ch.first, ch.pid)
+			}
+			in.setCount(c - 1)
 			pid := p.ID()
 			if err := t.pool.Unpin(pid, true); err != nil {
 				return err

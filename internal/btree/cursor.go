@@ -2,85 +2,28 @@ package btree
 
 import (
 	"context"
-	"encoding/binary"
 	"sync"
 
 	"repro/internal/store"
 )
 
 // pageImage is a query-private copy of one node page. The read path
-// searches and iterates the stored bytes where they lie instead of decoding
-// them into slices first; the copy (one memmove) is what lets it drop the
-// buffer-pool pin before anything else happens. Only the occupied prefix of
-// the page — the header and count() entries — is copied (see load): the
-// bytes past it belong to whatever the image held before.
+// searches and iterates the stored bytes through the node codec instead of
+// decoding them into slices first; the copy (one memmove) is what lets it
+// drop the buffer-pool pin before anything else happens. Only the occupied
+// prefix of the page — the header and count() entries — is copied (see
+// load): the bytes past it belong to whatever the image held before.
 type pageImage [store.PageSize]byte
 
-func (im *pageImage) count() int { return int(binary.LittleEndian.Uint16(im[2:])) }
+// node returns the image as a node.
+func (im *pageImage) node() node { return im[:] }
 
-// load copies the header and entries of node page p, whose entries are
-// entrySize bytes each, into the image. A count beyond the node's capacity
-// (a corrupt page) copies the whole page, no more.
-func (im *pageImage) load(p *store.Page, entrySize int) {
-	d := p.Data()
-	copy(im[:], d[:min(headerSize+pageCount(p)*entrySize, len(d))])
-}
-
-// leafKey returns the composite key of leaf entry i.
-func (im *pageImage) leafKey(i int) KV {
-	off := headerSize + i*leafEntrySize
-	return KV{Key: binary.LittleEndian.Uint64(im[off:]), UID: binary.LittleEndian.Uint32(im[off+8:])}
-}
-
-// leafPayload returns a view of leaf entry i's payload inside the image.
-func (im *pageImage) leafPayload(i int) *Payload {
-	off := headerSize + i*leafEntrySize + 12
-	return (*Payload)(im[off : off+PayloadSize])
-}
-
-// searchLeaf is node.go's searchLeaf over a leaf image: the index of the
-// first entry >= kv and whether that entry equals kv.
-func (im *pageImage) searchLeaf(kv KV) (int, bool) {
-	n := im.count()
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if im.leafKey(mid).Less(kv) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < n && im.leafKey(lo) == kv
-}
-
-// sep returns separator i of an internal image.
-func (im *pageImage) sep(i int) KV {
-	off := headerSize + i*internalEntrySize
-	return KV{Key: binary.LittleEndian.Uint64(im[off:]), UID: binary.LittleEndian.Uint32(im[off+8:])}
-}
-
-// child returns child i (0..count) of an internal image.
-func (im *pageImage) child(i int) store.PageID {
-	if i == 0 {
-		return store.PageID(binary.LittleEndian.Uint32(im[4:]))
-	}
-	return store.PageID(binary.LittleEndian.Uint32(im[headerSize+(i-1)*internalEntrySize+12:]))
-}
-
-// childIndex is node.go's childIndex over an internal image: the number of
-// separators <= kv.
-func (im *pageImage) childIndex(kv KV) int {
-	lo, hi := 0, im.count()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if kv.Less(im.sep(mid)) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
+// load copies the header and entries of node page p into the image. A
+// count beyond the node's capacity (a corrupt page) copies the whole page,
+// no more.
+func (im *pageImage) load(p *store.Page) {
+	d := node(p.Data())
+	copy(im[:], d[:min(headerSize+d.count()*d.entrySize(), len(d))])
 }
 
 // pathFrame is one level of a cursor's descent stack: the image of an
@@ -137,10 +80,10 @@ func (t *Tree) Seek(kv KV) (*Cursor, error) { return t.Reader().Seek(kv) }
 func (c *Cursor) Valid() bool { return c.valid && c.idx < c.n }
 
 // Key returns the current composite key. Valid must be true.
-func (c *Cursor) Key() KV { return c.leaf.leafKey(c.idx) }
+func (c *Cursor) Key() KV { return c.leaf.node().leafKey(c.idx) }
 
 // Payload returns the current payload. Valid must be true.
-func (c *Cursor) Payload() Payload { return *c.leaf.leafPayload(c.idx) }
+func (c *Cursor) Payload() Payload { return *c.leaf.node().leafPayload(c.idx) }
 
 // Next advances to the following entry, loading the next leaf when the
 // current one is exhausted.
@@ -161,7 +104,7 @@ func (c *Cursor) seek(kv KV) error {
 	if err := c.descendFromRoot(kv); err != nil {
 		return err
 	}
-	c.idx, _ = c.leaf.searchLeaf(kv)
+	c.idx, _ = c.leaf.node().searchLeaf(kv)
 	c.valid = true
 	if c.idx >= c.n {
 		// kv is past this leaf; advance into the next one.
@@ -187,8 +130,8 @@ func (c *Cursor) descend(pid store.PageID, kv KV, leftmost bool) error {
 			return err
 		}
 		if pageType(p) != internalType {
-			c.leaf.load(p, leafEntrySize)
-			c.n, c.idx = c.leaf.count(), 0
+			c.leaf.load(p)
+			c.n, c.idx = c.leaf.node().count(), 0
 			return c.r.pool.Unpin(pid, false)
 		}
 		// Reuse a frame left by an earlier descent: growing the slice
@@ -199,15 +142,15 @@ func (c *Cursor) descend(pid store.PageID, kv KV, leftmost bool) error {
 			c.stack = append(c.stack, pathFrame{})
 		}
 		top := &c.stack[len(c.stack)-1]
-		top.image.load(p, internalEntrySize)
+		top.image.load(p)
 		if err := c.r.pool.Unpin(pid, false); err != nil {
 			return err
 		}
 		top.child = 0
 		if !leftmost {
-			top.child = top.image.childIndex(kv)
+			top.child = top.image.node().childIndex(kv)
 		}
-		pid = top.image.child(top.child)
+		pid = top.image.node().child(top.child)
 	}
 }
 
@@ -237,11 +180,11 @@ func (c *Cursor) nextLeaf() (bool, error) {
 	for len(c.stack) > 0 {
 		top := &c.stack[len(c.stack)-1]
 		top.child++
-		if top.child > top.image.count() {
+		if top.child > top.image.node().count() {
 			c.stack = c.stack[:len(c.stack)-1]
 			continue
 		}
-		if err := c.descend(top.image.child(top.child), KV{}, true); err != nil {
+		if err := c.descend(top.image.node().child(top.child), KV{}, true); err != nil {
 			return false, err
 		}
 		return true, nil

@@ -27,14 +27,14 @@ func (t *Tree) Delete(kv KV) (bool, error) {
 		if err != nil {
 			return found, err
 		}
-		if pageType(p) != internalType || pageCount(p) > 0 {
+		root := node(p.Data())
+		if root.typ() != internalType || root.count() > 0 {
 			if err := t.pool.Unpin(t.root, false); err != nil {
 				return found, err
 			}
 			break
 		}
-		in := readInternal(p)
-		child := in.children[0]
+		child := root.child(0)
 		if err := t.discardPinned(t.root); err != nil {
 			return found, err
 		}
@@ -44,35 +44,40 @@ func (t *Tree) Delete(kv KV) (bool, error) {
 	return found, nil
 }
 
-// deleteRec removes kv from the subtree rooted at pid. newPid is the id the
-// node lives at afterwards (copy-on-write may move it). underflow reports
-// whether the node dropped below minimum occupancy; the caller rebalances.
+// deleteRec removes kv from the subtree rooted at pid, editing each node's
+// page where it lies; only a rebalance (below) decodes nodes. newPid is
+// the id the node lives at afterwards (copy-on-write may move it).
+// underflow reports whether the node dropped below minimum occupancy; the
+// caller rebalances.
 func (t *Tree) deleteRec(pid store.PageID, kv KV) (newPid store.PageID, found, underflow bool, err error) {
-	p, err := t.pool.Fetch(pid)
+	p, nd, err := t.fetchNode(pid)
 	if err != nil {
 		return pid, false, false, err
 	}
 
-	if pageType(p) == leafType {
-		entries := readLeaf(p)
-		idx, exact := searchLeaf(entries, kv)
+	if nd.typ() == leafType {
+		idx, exact := nd.searchLeaf(kv)
 		if !exact {
 			err = t.pool.Unpin(pid, false)
 			return pid, false, false, err
 		}
-		entries = append(entries[:idx], entries[idx+1:]...)
-		p, newPid, err = t.redirect(pid, p)
+		c := nd.count()
+		p, newPid, err = t.editable(pid, p, c)
 		if err != nil {
 			return pid, false, false, err
 		}
-		writeLeaf(p, entries)
+		leaf := node(p.Data())
+		leaf.remove(idx)
+		if newPid != pid {
+			// A fresh page is zero past its entries, as writeLeaf leaves it.
+			clear(leaf.entries(c-1, c))
+		}
 		err = t.pool.Unpin(newPid, true)
-		return newPid, true, len(entries) < minLeafEntries, err
+		return newPid, true, c-1 < minLeafEntries, err
 	}
 
-	in := readInternal(p)
-	ci := childIndex(in, kv)
-	child := in.children[ci]
+	ci := nd.childIndex(kv)
+	child := nd.child(ci)
 	if err := t.pool.Unpin(pid, false); err != nil {
 		return pid, false, false, err
 	}
@@ -85,17 +90,27 @@ func (t *Tree) deleteRec(pid store.PageID, kv KV) (newPid store.PageID, found, u
 		return pid, found, false, nil
 	}
 
-	p, err = t.pool.Fetch(pid)
+	p, nd, err = t.fetchNode(pid)
 	if err != nil {
 		return pid, found, false, err
 	}
-	in = readInternal(p)
-	in.children[ci] = newChild
-	if childUnder {
-		if err := t.rebalanceChild(&in, ci); err != nil {
-			_ = t.pool.Unpin(pid, false)
+	if !childUnder {
+		c := nd.count()
+		p, newPid, err = t.editable(pid, p, c)
+		if err != nil {
 			return pid, found, false, err
 		}
+		in := node(p.Data())
+		in.setChild(ci, newChild)
+		in.setCount(c)
+		err = t.pool.Unpin(newPid, true)
+		return newPid, found, c < minInternalEntries, err
+	}
+	in := readInternal(p)
+	in.children[ci] = newChild
+	if err := t.rebalanceChild(&in, ci); err != nil {
+		_ = t.pool.Unpin(pid, false)
+		return pid, found, false, err
 	}
 	p, newPid, err = t.redirect(pid, p)
 	if err != nil {

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/store"
@@ -84,6 +85,157 @@ func pageType(p *store.Page) byte { return p.Data()[0] }
 // pageCount reads the entry count.
 func pageCount(p *store.Page) int { return int(p.Uint16(2)) }
 
+// node is one node page's bytes — a pinned page's Data(), or a pageImage
+// copied from one — and the codec that reads and edits the node where it
+// lies. The read path (cursor.go) searches and iterates through it; the
+// write path (btree.go, delete.go) searches, inserts, replaces and removes
+// entries and rewrites child links through it, moving bytes inside the
+// page, and BulkLoad fills fresh pages through it. Only underflow
+// rebalancing, Check and WalkPages decode or encode whole nodes (readLeaf,
+// readInternal, writeLeaf, writeInternal below).
+//
+// Every edit leaves the page byte for byte as writeLeaf or writeInternal
+// would leave it for the same entries: the header in full, the entries,
+// and — past the count — whatever the page held before.
+type node []byte
+
+func (n node) typ() byte  { return n[0] }
+func (n node) count() int { return int(binary.LittleEndian.Uint16(n[2:])) }
+
+// entrySize is the width of one of n's entries. Like the descent, it
+// takes any page that is not internal for a leaf.
+func (n node) entrySize() int {
+	if n.typ() == internalType {
+		return internalEntrySize
+	}
+	return leafEntrySize
+}
+
+// entries returns the bytes of entries [i, j).
+func (n node) entries(i, j int) []byte {
+	es := n.entrySize()
+	return n[headerSize+i*es : headerSize+j*es]
+}
+
+// prefix returns the header and the first c entries: the bytes an image or
+// a copy-on-write copy of the node needs.
+func (n node) prefix(c int) []byte { return n[:headerSize+c*n.entrySize()] }
+
+// leafKey returns the composite key of leaf entry i.
+func (n node) leafKey(i int) KV {
+	off := headerSize + i*leafEntrySize
+	return KV{Key: binary.LittleEndian.Uint64(n[off:]), UID: binary.LittleEndian.Uint32(n[off+8:])}
+}
+
+// leafPayload returns a view of leaf entry i's payload inside the node.
+func (n node) leafPayload(i int) *Payload {
+	off := headerSize + i*leafEntrySize + 12
+	return (*Payload)(n[off : off+PayloadSize])
+}
+
+// searchLeaf returns the index of the first leaf entry >= kv and whether
+// that entry equals kv exactly.
+func (n node) searchLeaf(kv KV) (int, bool) {
+	c := n.count()
+	lo, hi := 0, c
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if n.leafKey(mid).Less(kv) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < c && n.leafKey(lo) == kv
+}
+
+// sep returns separator i of an internal node.
+func (n node) sep(i int) KV {
+	off := headerSize + i*internalEntrySize
+	return KV{Key: binary.LittleEndian.Uint64(n[off:]), UID: binary.LittleEndian.Uint32(n[off+8:])}
+}
+
+// child returns child i (0..count) of an internal node.
+func (n node) child(i int) store.PageID {
+	if i == 0 {
+		return store.PageID(binary.LittleEndian.Uint32(n[4:]))
+	}
+	return store.PageID(binary.LittleEndian.Uint32(n[headerSize+(i-1)*internalEntrySize+12:]))
+}
+
+// childIndex returns which child of an internal node covers kv: the number
+// of separators <= kv (entries equal to a separator live in the right
+// child).
+func (n node) childIndex(kv KV) int {
+	lo, hi := 0, n.count()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if kv.Less(n.sep(mid)) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// setCount sets the entry count and writes the rest of the header as
+// writeLeaf and writeInternal do: the reserved bytes zero, a leaf's bytes
+// 4–7 too. The type byte, and an internal node's leftmost child, stay.
+func (n node) setCount(c int) {
+	n[1] = 0
+	binary.LittleEndian.PutUint16(n[2:], uint16(c))
+	if n.typ() != internalType {
+		binary.LittleEndian.PutUint32(n[4:], 0)
+	}
+	binary.LittleEndian.PutUint32(n[8:], 0)
+}
+
+// setChild points child i (0..count) of an internal node at id.
+func (n node) setChild(i int, id store.PageID) {
+	off := 4
+	if i > 0 {
+		off = headerSize + (i-1)*internalEntrySize + 12
+	}
+	binary.LittleEndian.PutUint32(n[off:], uint32(id))
+}
+
+// putLeaf writes leaf entry i.
+func (n node) putLeaf(i int, kv KV, payload *Payload) {
+	off := headerSize + i*leafEntrySize
+	binary.LittleEndian.PutUint64(n[off:], kv.Key)
+	binary.LittleEndian.PutUint32(n[off+8:], kv.UID)
+	copy(n[off+12:off+12+PayloadSize], payload[:])
+}
+
+// putSep writes internal entry i: separator i and child i+1.
+func (n node) putSep(i int, sep KV, right store.PageID) {
+	off := headerSize + i*internalEntrySize
+	binary.LittleEndian.PutUint64(n[off:], sep.Key)
+	binary.LittleEndian.PutUint32(n[off+8:], sep.UID)
+	binary.LittleEndian.PutUint32(n[off+12:], uint32(right))
+}
+
+// open shifts entries [i, count) up one slot and counts one entry more;
+// the caller writes slot i. n must have room for the extra entry.
+func (n node) open(i int) {
+	c := n.count()
+	copy(n.entries(i+1, c+1), n.entries(i, c))
+	n.setCount(c + 1)
+}
+
+// remove shifts entries (i, count) down over entry i and counts one entry
+// less. The last slot keeps its bytes, as writeLeaf leaves them.
+func (n node) remove(i int) {
+	c := n.count()
+	copy(n.entries(i, c-1), n.entries(i+1, c))
+	n.setCount(c - 1)
+}
+
+// overflow is a node with room for one entry past a page's capacity: the
+// image a split stages its n+1 entries in before it copies each half out.
+type overflow [store.PageSize + leafEntrySize]byte
+
 // readLeaf decodes a leaf page into entries.
 func readLeaf(p *store.Page) []leafEntry {
 	n := pageCount(p)
@@ -162,34 +314,4 @@ func writeInternal(p *store.Page, in internalNode) {
 		p.PutUint32(off+12, uint32(in.children[i+1]))
 	}
 	p.MarkDirty()
-}
-
-// searchLeaf returns the index of the first entry >= kv and whether that
-// entry equals kv exactly.
-func searchLeaf(entries []leafEntry, kv KV) (int, bool) {
-	lo, hi := 0, len(entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if entries[mid].kv.Less(kv) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(entries) && entries[lo].kv == kv
-}
-
-// childIndex returns which child of in covers kv: the number of separators
-// <= kv (entries equal to a separator live in the right child).
-func childIndex(in internalNode, kv KV) int {
-	lo, hi := 0, len(in.seps)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if kv.Less(in.seps[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }

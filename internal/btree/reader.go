@@ -80,11 +80,11 @@ func (r *Reader) Get(kv KV) (Payload, bool, error) {
 	if err := c.descendFromRoot(kv); err != nil {
 		return Payload{}, false, err
 	}
-	idx, ok := c.leaf.searchLeaf(kv)
+	idx, ok := c.leaf.node().searchLeaf(kv)
 	if !ok {
 		return Payload{}, false, nil
 	}
-	return *c.leaf.leafPayload(idx), true, nil
+	return *c.leaf.node().leafPayload(idx), true, nil
 }
 
 // Seek positions a cursor at the first entry with composite key >= kv.
@@ -171,12 +171,13 @@ func (r *Reader) ScanLeavesOn(ctx context.Context, c *Cursor, lo, hi KV, fn func
 	}
 	for {
 		covered := false // does this leaf hold any key > hi?
+		leaf := c.leaf.node()
 		for i := 0; i < c.n; i++ {
-			kv := c.leaf.leafKey(i)
+			kv := leaf.leafKey(i)
 			if hi.Less(kv) {
 				covered = true
 			}
-			if !fn(kv, *c.leaf.leafPayload(i)) {
+			if !fn(kv, *leaf.leafPayload(i)) {
 				return nil
 			}
 		}

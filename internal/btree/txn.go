@@ -110,6 +110,29 @@ func (t *Tree) redirect(pid store.PageID, p *store.Page) (*store.Page, store.Pag
 	return np, np.ID(), nil
 }
 
+// editable is redirect for an edit where the node lies: under
+// copy-on-write it copies the occupied prefix the edit keeps — the header
+// and the first keep entries of p — into the fresh page before it unpins
+// p, and the caller edits the copy. The fresh page is zero past the copied
+// bytes.
+func (t *Tree) editable(pid store.PageID, p *store.Page, keep int) (*store.Page, store.PageID, error) {
+	if t.writable(pid) {
+		return p, pid, nil
+	}
+	np, err := t.allocPage()
+	if err != nil {
+		_ = t.pool.Unpin(pid, false)
+		return nil, store.InvalidPageID, fmt.Errorf("btree: copy-on-write of page %d: %w", pid, err)
+	}
+	copy(np.Data(), node(p.Data()).prefix(keep))
+	if err := t.pool.Unpin(pid, false); err != nil {
+		_ = t.pool.Unpin(np.ID(), false)
+		return nil, store.InvalidPageID, err
+	}
+	t.retired = append(t.retired, pid)
+	return np, np.ID(), nil
+}
+
 // discardPinned removes node pid from the current tree: fresh pages are
 // freed immediately (no reader can reference them), sealed pages are
 // retired for deferred freeing. The caller must hold exactly one pin on the

@@ -572,3 +572,42 @@ func TestSVFirstClustersFriends(t *testing.T) {
 	}
 	_ = rng
 }
+
+// BenchmarkTreeUpsertChurn is BenchmarkUpsertChurn (internal/btree) one
+// layer up: a tree of 20 000 users behind a 50-page pool, where each
+// operation moves one user to a new position and time, and Insert deletes
+// the user's old key and inserts the new one.
+func BenchmarkTreeUpsertChurn(b *testing.B) {
+	const n = 20_000
+	cfg := DefaultConfig()
+	side := cfg.Base.Grid.Side
+	pol, err := policy.NewStore(policy.Region{MaxX: side, MaxY: side}, testDayLen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	assign := policy.Assignment{SV: make(map[policy.UserID]float64, n)}
+	for uid := 1; uid <= n; uid++ {
+		assign.SV[policy.UserID(uid)] = float64(uid % 997)
+	}
+	tree, err := New(cfg, store.NewBufferPool(store.NewMemDisk(), 50), pol, assign)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	move := func(uid int, t float64) motion.Object {
+		return motion.Object{UID: motion.UserID(uid), X: rng.Float64() * side, Y: rng.Float64() * side,
+			VX: rng.Float64() - 0.5, VY: rng.Float64() - 0.5, T: t}
+	}
+	for uid := 1; uid <= n; uid++ {
+		if err := tree.Insert(move(uid, rng.Float64()*60)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tree.Insert(move(1+rng.Intn(n), rng.Float64()*60)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -219,25 +219,108 @@ func FuzzCheckpointMeta(f *testing.F) {
 	})
 }
 
-// FuzzPageFile overlays arbitrary bytes at an arbitrary offset of the
-// golden page file (extending it when they run past the end) and opens the
-// directory. The open must be total, and an image it accepts — the
-// patched pages were unreachable, or core.OpenChecked's walk and leaf scan
-// found them sound — must keep the dead-extent ledger exact and serve
-// Objects, RangeQuery, NearestNeighbors and a Checkpoint without error.
-func FuzzPageFile(f *testing.F) {
-	files := dirImage(f, goldenDir)
-	const root = 2 * store.PageSize // page 3, the fixture's one leaf
-	f.Add(uint16(0), []byte{})
-	f.Add(uint16(root), []byte{2})                                    // the leaf claims to be internal
-	f.Add(uint16(root+2), []byte{0xff, 0xff})                         // an entry count past capacity
-	f.Add(uint16(root+2), []byte{0, 0})                               // an empty leaf
-	f.Add(uint16(root+12), []byte{0xff})                              // a key that is not its object's
-	f.Add(uint16(root+12+12), []byte{0x40, 0x8f})                     // an object that is not its key's
-	f.Add(uint16(0), []byte{2, 0, 1, 0, 3, 0, 0, 0})                  // a free page posing as a node
-	f.Add(uint16(3*store.PageSize-1), make([]byte, 1+store.PageSize)) // a page past NumPages
+// tallImage is a database directory, under the golden fixture's file
+// names, whose tree has two levels: tallImageObjects objects bulk loaded
+// under a few policies, a checkpoint, and a log tail. It returns the files
+// and the checkpoint's root page.
+func tallImage(t testing.TB) (map[string]string, store.PageID) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "tall")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(goldenOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if err := db.DefineRelation(UserID(i), UserID(i+1), "f"); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Grant(UserID(i), "f", goldenRegion(i), goldenDay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := db.NewBatch()
+	for i := 1; i <= tallImageObjects; i++ {
+		b.Upsert(goldenObj(i, 0))
+	}
+	if err := db.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Upsert(goldenObj(7, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := dirImage(t, dir)
+	var mf metaFile
+	if err := json.Unmarshal([]byte(files["golden.idx.meta"]), &mf); err != nil {
+		t.Fatal(err)
+	}
+	if mf.Height != 2 {
+		t.Fatalf("tall image of height %d, want 2", mf.Height)
+	}
+	return files, store.PageID(mf.Root)
+}
 
-	f.Fuzz(func(t *testing.T, off uint16, patch []byte) {
+// tallImageObjects fills six leaves under a root.
+const tallImageObjects = 300
+
+// FuzzPageFile overlays arbitrary bytes at an arbitrary offset of a page
+// file — the golden fixture's, a single leaf, or tallImage's two levels
+// when tall is set — extending it when they run past the end, and opens
+// the directory. The open must be total, and an image it accepts — the
+// patched pages were unreachable, or core.OpenChecked's walk and leaf scan
+// found them sound — must keep the dead-extent ledger exact, serve
+// Objects, RangeQuery and NearestNeighbors, and take writes: a stored user
+// moved, a new user added and one removed, each done or refused with an
+// error, then a Checkpoint.
+func FuzzPageFile(f *testing.F) {
+	images := [2]map[string]string{dirImage(f, goldenDir)}
+	var tallRoot store.PageID
+	images[1], tallRoot = tallImage(f)
+	const root = 2 * store.PageSize // page 3, the fixture's one leaf
+	f.Add(false, uint16(0), []byte{})
+	f.Add(false, uint16(root), []byte{2})                                    // the leaf claims to be internal
+	f.Add(false, uint16(root+2), []byte{0xff, 0xff})                         // an entry count past capacity
+	f.Add(false, uint16(root+2), []byte{0, 0})                               // an empty leaf
+	f.Add(false, uint16(root+12), []byte{0xff})                              // a key that is not its object's
+	f.Add(false, uint16(root+12+12), []byte{0x40, 0x8f})                     // an object that is not its key's
+	f.Add(false, uint16(0), []byte{2, 0, 1, 0, 3, 0, 0, 0})                  // a free page posing as a node
+	f.Add(false, uint16(3*store.PageSize-1), make([]byte, 1+store.PageSize)) // a page past NumPages
+
+	// The two-level image: the root and its leaves.
+	top := uint16(int(tallRoot-1) * store.PageSize)
+	var self [4]byte
+	binary.LittleEndian.PutUint32(self[:], uint32(tallRoot))
+	f.Add(true, uint16(0), []byte{})
+	f.Add(true, top, []byte{1})                                                  // the root claims to be a leaf
+	f.Add(true, top+2, []byte{0xff, 0xff})                                       // separators past capacity
+	f.Add(true, top+2, []byte{1, 0})                                             // one separator: leaves unreached
+	f.Add(true, top+4, self[:])                                                  // the leftmost child is the root itself
+	f.Add(true, top+12+12, self[:])                                              // and the second
+	f.Add(true, top+12, []byte{0xff, 0xff, 0xff})                                // a separator out of order
+	f.Add(true, top+12+16, []byte{0, 0, 0, 0})                                   // a separator below its left sibling's keys
+	f.Add(true, top+12+12, []byte{0, 0, 0, 0})                                   // a child at page 0
+	f.Add(true, top+12+12+16, []byte{0xff, 0xff})                                // a child past the file
+	f.Add(true, top+200, []byte{0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5}) // garbage past the root's count
+	for leaf := 0; leaf < int(tallRoot-1); leaf++ {
+		at := uint16(leaf * store.PageSize)
+		f.Add(true, at+2, []byte{1, 0})                                              // a leaf left with one entry
+		f.Add(true, at+12+8, []byte{0xff})                                           // an entry's user id garbled
+		f.Add(true, at+3500, []byte{0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5}) // garbage past the count
+	}
+
+	f.Fuzz(func(t *testing.T, tall bool, off uint16, patch []byte) {
+		files := images[0]
+		if tall {
+			files = images[1]
+		}
 		img := []byte(files["golden.idx"])
 		at := int(off) % len(img)
 		if end := at + len(patch); end > len(img) {
@@ -264,7 +347,8 @@ func FuzzPageFile(f *testing.F) {
 		if err := ledgerErr(db); err != nil {
 			t.Fatalf("opened: %v", err)
 		}
-		if _, err := db.Objects(); err != nil {
+		objs, err := db.Objects()
+		if err != nil {
 			t.Fatalf("Objects: %v", err)
 		}
 		if _, err := db.RangeQuery(1, Region{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, 10); err != nil {
@@ -272,6 +356,20 @@ func FuzzPageFile(f *testing.F) {
 		}
 		if _, err := db.NearestNeighbors(1, 500, 500, 5, 10); err != nil {
 			t.Fatalf("NearestNeighbors: %v", err)
+		}
+		// The writes may be refused; a refused one must leave the ledger
+		// exact as a done one does.
+		if len(objs) > 0 {
+			moved := objs[0]
+			moved.X, moved.Y = 1000-moved.X, 1000-moved.Y
+			_ = db.Upsert(moved)
+		}
+		_ = db.Upsert(goldenObj(tallImageObjects+1, 9))
+		if len(objs) > 1 {
+			_ = db.Remove(objs[len(objs)-1].UID)
+		}
+		if err := ledgerErr(db); err != nil {
+			t.Fatalf("written: %v", err)
 		}
 		if err := db.Checkpoint(); err != nil {
 			t.Fatalf("Checkpoint: %v", err)

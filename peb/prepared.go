@@ -79,12 +79,12 @@ func (db *DB) PrepareApply(b *Batch, txnID uint64, parts []int) (*Prepared, erro
 	if txnID == 0 {
 		return nil, fmt.Errorf("peb: prepare: transaction id must be non-zero")
 	}
-	if b == nil || b.ops.len() == 0 {
+	if b == nil || b.Len() == 0 {
 		return nil, fmt.Errorf("peb: prepare: empty batch")
 	}
 	start := time.Now()
 	db.mu.Lock()
-	p, tok, err := db.prepareLocked(b.ops, txnID, parts)
+	p, tok, err := db.prepareLocked(b.list(), txnID, parts)
 	db.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -94,7 +94,7 @@ func (db *DB) PrepareApply(b *Batch, txnID uint64, parts []int) (*Prepared, erro
 	}
 	db.met.commit.ObserveDuration(time.Since(start))
 	db.events.Record("txn.prepare", "participant prepared",
-		"txn", txnID, "ops", b.ops.len())
+		"txn", txnID, "ops", b.Len())
 	return p, nil
 }
 
