@@ -68,7 +68,10 @@ func (t *Tree) LeafCount() int { return t.leafCount }
 func (t *Tree) Pool() *store.BufferPool { return t.pool }
 
 // Get returns the payload stored under kv.
-func (t *Tree) Get(kv KV) (Payload, bool, error) { return t.Reader().Get(kv) }
+func (t *Tree) Get(kv KV) (Payload, bool, error) {
+	p, ok, _, err := t.Reader().Get(kv)
+	return p, ok, err
+}
 
 // Insert stores payload under kv, replacing any existing entry with the
 // same composite key.

@@ -74,7 +74,7 @@ func TestSealedReaderSurvivesMutations(t *testing.T) {
 	}
 
 	// Point reads through the pinned reader also see the old state.
-	if _, found, err := pinned.Get(KV{Key: keys[0], UID: 0}); err != nil || !found {
+	if _, found, _, err := pinned.Get(KV{Key: keys[0], UID: 0}); err != nil || !found {
 		t.Fatalf("pinned Get(deleted key) = %v, %v; want found", found, err)
 	}
 
@@ -186,8 +186,9 @@ func TestTxnCommitKeepsChanges(t *testing.T) {
 	}
 }
 
-// TestScanCtxCancellation verifies RangeScanCtx and ScanLeavesOn stop with
-// ctx.Err() once the context is canceled mid-scan.
+// TestScanCtxCancellation verifies ScanLeavesOn stops with ctx.Err() once
+// the context is canceled mid-scan, or before any page with a context
+// canceled already.
 func TestScanCtxCancellation(t *testing.T) {
 	pool := store.NewBufferPool(store.NewMemDisk(), 64)
 	tr, err := New(pool)
@@ -199,42 +200,13 @@ func TestScanCtxCancellation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full := 0
-	if err := tr.RangeScan(KV{}, KV{Key: ^uint64(0), UID: ^uint32(0)}, func(KV, Payload) bool {
-		full++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	seen := 0
-	err = tr.Reader().RangeScanCtx(ctx, KV{}, KV{Key: ^uint64(0), UID: ^uint32(0)}, func(KV, Payload) bool {
-		seen++
-		if seen == 10 {
-			cancel()
-		}
-		return true
-	})
-	if err != context.Canceled {
-		t.Fatalf("RangeScanCtx error = %v, want context.Canceled", err)
-	}
-	if seen >= full {
-		t.Fatalf("cancellation did not stop the scan (saw all %d entries)", seen)
-	}
-	// Cancellation is page-granular: the scan finishes the buffered leaf but
-	// must stop before fetching another.
-	if seen > 10+LeafCapacity {
-		t.Fatalf("scan continued %d entries past cancellation", seen-10)
-	}
-
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	seen = 0
 	var c Cursor
-	err = tr.Reader().ScanLeavesOn(ctx2, &c, KV{}, KV{Key: ^uint64(0), UID: ^uint32(0)}, func(KV, Payload) bool {
+	err = tr.Reader().ScanLeavesOn(ctx, &c, KV{}, KV{Key: ^uint64(0), UID: ^uint32(0)}, func(KV, Payload) bool {
 		seen++
 		if seen == 1 {
-			cancel2()
+			cancel()
 		}
 		return true
 	})
@@ -247,7 +219,7 @@ func TestScanCtxCancellation(t *testing.T) {
 	// An already-canceled context stops the scan before any page fetch.
 	pre, preCancel := context.WithCancel(context.Background())
 	preCancel()
-	if err := tr.Reader().RangeScanCtx(pre, KV{}, KV{Key: 100}, func(KV, Payload) bool {
+	if err := tr.Reader().ScanLeavesOn(pre, &c, KV{}, KV{Key: 100}, func(KV, Payload) bool {
 		t.Fatal("callback despite pre-canceled context")
 		return false
 	}); err != context.Canceled {

@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/store"
@@ -45,6 +44,10 @@ type pathFrame struct {
 // one pin at a time, and none while the caller holds the cursor or runs a
 // scan callback — a callback may block, or scan the same small pool itself.
 //
+// A cursor also keeps the cost record of the scans it runs: every page it
+// is served counts as a buffer hit or a miss, as the pool counted it, and
+// TakeCost hands the record to the query that owns the cursor.
+//
 // Cursors are created by Reader.Seek (or Tree.Seek, which takes a fresh
 // Reader) and are only coherent while the pages they walk are stable: under
 // the caller's read lock, or over sealed pages (see Reader). Using one
@@ -56,6 +59,7 @@ type Cursor struct {
 	n     int // entries on the leaf
 	idx   int
 	valid bool
+	cost  store.BufferStats // Hits and Misses only
 }
 
 // cursorPool recycles cursors — some 4 KB per tree level — across the
@@ -70,7 +74,32 @@ func (r *Reader) acquireCursor() *Cursor {
 
 func (c *Cursor) release() {
 	c.r = nil
+	c.cost = store.BufferStats{}
 	cursorPool.Put(c)
+}
+
+// TakeCost returns the page requests the cursor has been served since the
+// last TakeCost, split into buffer hits and misses, and starts a new
+// record.
+func (c *Cursor) TakeCost() store.BufferStats {
+	cost := c.cost
+	c.cost = store.BufferStats{}
+	return cost
+}
+
+// fetch pins a page and counts it on the cursor's record. A request that
+// fails fails the query, and is not recorded.
+func (c *Cursor) fetch(pid store.PageID) (*store.Page, error) {
+	p, hit, err := c.r.pool.FetchHit(pid)
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		c.cost.Hits++
+	} else {
+		c.cost.Misses++
+	}
+	return p, nil
 }
 
 // Seek positions a cursor at the first entry with composite key >= kv.
@@ -125,7 +154,7 @@ func (c *Cursor) descendFromRoot(kv KV) error {
 // the child covering kv, or the first child when leftmost is set.
 func (c *Cursor) descend(pid store.PageID, kv KV, leftmost bool) error {
 	for {
-		p, err := c.r.fetch(pid)
+		p, err := c.fetch(pid)
 		if err != nil {
 			return err
 		}
@@ -196,11 +225,6 @@ func (c *Cursor) nextLeaf() (bool, error) {
 // returning false stops the scan early.
 func (t *Tree) RangeScan(lo, hi KV, fn func(kv KV, payload Payload) bool) error {
 	return t.Reader().RangeScan(lo, hi, fn)
-}
-
-// RangeScanCtx is RangeScan with cancellation between leaf pages.
-func (t *Tree) RangeScanCtx(ctx context.Context, lo, hi KV, fn func(kv KV, payload Payload) bool) error {
-	return t.Reader().RangeScanCtx(ctx, lo, hi, fn)
 }
 
 // ScanLeaves visits every leaf page holding keys in [lo, hi] and calls fn

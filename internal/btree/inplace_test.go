@@ -30,7 +30,7 @@ type refCursor struct {
 
 func (c *refCursor) descend(pid store.PageID, kv KV, leftmost bool) error {
 	for {
-		p, err := c.r.fetch(pid)
+		p, err := c.r.pool.Fetch(pid)
 		if err != nil {
 			return err
 		}
@@ -146,17 +146,20 @@ type scanned struct {
 
 // observed is everything one operation shows from outside: what it
 // returned, the pages it read from a cold cache in order, and the requests
-// the pool and the handle's own counter saw.
+// the pool saw. An operation that keeps a cost record (recorded) reports
+// its requests in record.
 type observed struct {
-	out          []scanned
-	found        bool
-	reads        []store.PageID
-	pool, handle uint64
+	out      []scanned
+	found    bool
+	reads    []store.PageID
+	pool     uint64
+	recorded bool
+	record   store.BufferStats
 }
 
 func (a observed) equal(b observed) bool {
 	return slices.Equal(a.out, b.out) && a.found == b.found &&
-		slices.Equal(a.reads, b.reads) && a.pool == b.pool && a.handle == b.handle
+		slices.Equal(a.reads, b.reads) && a.pool == b.pool
 }
 
 // observe runs op against a cold cache large enough that nothing is evicted
@@ -167,18 +170,20 @@ func observe(t *testing.T, d *traceDisk, r *Reader, op func(r *Reader, o *observ
 	if err := r.pool.DropAll(); err != nil {
 		t.Fatal(err)
 	}
-	var io store.IOCounter
 	d.reads = nil
-	before := r.pool.Stats().Accesses()
+	before := r.pool.Stats()
 	var o observed
-	if err := op(r.WithIO(&io), &o); err != nil {
+	if err := op(r, &o); err != nil {
 		t.Fatal(err)
 	}
 	o.reads = slices.Clone(d.reads)
-	o.pool = r.pool.Stats().Accesses() - before
-	o.handle = io.Stats().Accesses()
+	after := r.pool.Stats()
+	o.pool = after.Accesses() - before.Accesses()
 	if o.pool != uint64(len(o.reads)) {
 		t.Fatalf("%d page requests for %d distinct pages: a page was fetched twice", o.pool, len(o.reads))
+	}
+	if want := (store.BufferStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}); o.recorded && o.record != want {
+		t.Fatalf("the operation recorded %+v, the pool counted %+v", o.record, want)
 	}
 	return o
 }
@@ -212,7 +217,8 @@ func compareReaders(t *testing.T, name string, d *traceDisk, r *Reader, rng *ran
 			{fmt.Sprintf("Get(%v)", kv),
 				func(r *Reader, o *observed) (err error) {
 					var p Payload
-					p, o.found, err = r.Get(kv)
+					p, o.found, o.record, err = r.Get(kv)
+					o.recorded = true
 					o.out = []scanned{{kv, p}}
 					return err
 				},
@@ -226,16 +232,21 @@ func compareReaders(t *testing.T, name string, d *traceDisk, r *Reader, rng *ran
 				func(r *Reader, o *observed) error { return r.RangeScan(lo, hi, gather(o, stop)) },
 				func(r *Reader, o *observed) error { return refRangeScan(r, lo, hi, gather(o, stop)) }},
 			{fmt.Sprintf("ScanLeaves(%v, %v) stop %d", lo, hi, stop),
-				func(r *Reader, o *observed) error { return r.ScanLeaves(lo, hi, gather(o, stop)) },
+				func(r *Reader, o *observed) error {
+					var c Cursor
+					err := r.ScanLeavesOn(context.Background(), &c, lo, hi, gather(o, stop))
+					o.record, o.recorded = c.TakeCost(), true
+					return err
+				},
 				func(r *Reader, o *observed) error { return refScanLeaves(r, lo, hi, gather(o, stop)) }},
 		}
 		for _, c := range cases {
 			got, want := observe(t, d, r, c.got), observe(t, d, r, c.ref)
 			if !got.equal(want) {
-				t.Fatalf("%s, %s:\n in place: %d entries, found %v, reads %v, %d pool / %d handle requests\n decoded:  %d entries, found %v, reads %v, %d pool / %d handle requests",
+				t.Fatalf("%s, %s:\n in place: %d entries, found %v, reads %v, %d requests\n decoded:  %d entries, found %v, reads %v, %d requests",
 					name, c.what,
-					len(got.out), got.found, got.reads, got.pool, got.handle,
-					len(want.out), want.found, want.reads, want.pool, want.handle)
+					len(got.out), got.found, got.reads, got.pool,
+					len(want.out), want.found, want.reads, want.pool)
 			}
 		}
 	}
@@ -432,7 +443,7 @@ func TestScanHoldsNoPinAcrossCallback(t *testing.T) {
 			if kv2.Key%31 != 0 {
 				return true
 			}
-			p, ok, err := small.Get(KV{Key: uint64(n-1) - kv2.Key})
+			p, ok, _, err := small.Get(KV{Key: uint64(n-1) - kv2.Key})
 			if err != nil || !ok || p != payloadFor(KV{Key: uint64(n-1) - kv2.Key}) {
 				t.Fatalf("Get inside nested scans: ok=%v err=%v", ok, err)
 			}

@@ -30,30 +30,11 @@ type Reader struct {
 	height    int
 	size      int
 	leafCount int
-	io        *store.IOCounter // optional per-handle stats sink
 }
 
 // Reader returns a read-only view of the tree's current state.
 func (t *Tree) Reader() *Reader {
 	return &Reader{pool: t.pool, root: t.root, height: t.height, size: t.size, leafCount: t.leafCount}
-}
-
-// ReaderIO is Reader with the per-handle I/O sink attached at creation —
-// one allocation instead of Reader().WithIO's two, for owners that build
-// a counted reader on every view republish.
-func (t *Tree) ReaderIO(c *store.IOCounter) *Reader {
-	r := t.Reader()
-	r.io = c
-	return r
-}
-
-// WithIO returns a copy of the Reader that additionally records every page
-// request's hit/miss outcome into c. The pool's global counters are
-// unaffected. Used for per-snapshot I/O statistics.
-func (r *Reader) WithIO(c *store.IOCounter) *Reader {
-	nr := *r
-	nr.io = c
-	return &nr
 }
 
 // Size returns the number of entries at view time.
@@ -68,23 +49,19 @@ func (r *Reader) LeafCount() int { return r.leafCount }
 // Pool exposes the underlying buffer pool (for I/O statistics).
 func (r *Reader) Pool() *store.BufferPool { return r.pool }
 
-// fetch pins a page, routing the access through the per-handle counter.
-func (r *Reader) fetch(pid store.PageID) (*store.Page, error) {
-	return r.pool.FetchCounted(pid, r.io)
-}
-
-// Get returns the payload stored under kv.
-func (r *Reader) Get(kv KV) (Payload, bool, error) {
+// Get returns the payload stored under kv, and the page requests the
+// lookup made.
+func (r *Reader) Get(kv KV) (Payload, bool, store.BufferStats, error) {
 	c := r.acquireCursor()
 	defer c.release()
 	if err := c.descendFromRoot(kv); err != nil {
-		return Payload{}, false, err
+		return Payload{}, false, c.cost, err
 	}
 	idx, ok := c.leaf.node().searchLeaf(kv)
 	if !ok {
-		return Payload{}, false, nil
+		return Payload{}, false, c.cost, nil
 	}
-	return *c.leaf.node().leafPayload(idx), true, nil
+	return *c.leaf.node().leafPayload(idx), true, c.cost, nil
 }
 
 // Seek positions a cursor at the first entry with composite key >= kv.
@@ -99,18 +76,8 @@ func (r *Reader) Seek(kv KV) (*Cursor, error) {
 // RangeScan calls fn for every entry with lo <= key <= hi, in order. fn
 // returning false stops the scan early.
 func (r *Reader) RangeScan(lo, hi KV, fn func(kv KV, payload Payload) bool) error {
-	return r.RangeScanCtx(context.Background(), lo, hi, fn)
-}
-
-// RangeScanCtx is RangeScan with cancellation: ctx is checked every time
-// the scan crosses onto a new leaf page, so a slow or unbounded scan stops
-// within one page of ctx being canceled and returns ctx.Err().
-func (r *Reader) RangeScanCtx(ctx context.Context, lo, hi KV, fn func(kv KV, payload Payload) bool) error {
 	if hi.Less(lo) {
 		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
 	}
 	c := r.acquireCursor()
 	defer c.release()
@@ -124,11 +91,6 @@ func (r *Reader) RangeScanCtx(ctx context.Context, lo, hi KV, fn func(kv KV, pay
 		}
 		if !fn(kv, c.Payload()) {
 			return nil
-		}
-		if c.idx == c.n-1 { // about to cross onto the next leaf
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 		}
 		if err := c.Next(); err != nil {
 			return err
@@ -152,8 +114,9 @@ func (r *Reader) ScanLeaves(lo, hi KV, fn func(kv KV, payload Payload) bool) err
 	return r.ScanLeavesOn(context.Background(), &c, lo, hi, fn)
 }
 
-// ScanLeavesOn is ScanLeaves with cancellation, checked between leaf pages
-// like RangeScanCtx, on a cursor the caller keeps — a zero Cursor will do —
+// ScanLeavesOn is ScanLeaves with cancellation — ctx is checked between
+// leaf pages, so a scan stops within one page of ctx being canceled and
+// returns ctx.Err() — on a cursor the caller keeps (a zero Cursor will do),
 // so that a query issuing many scans reuses one cursor. The cursor serves
 // one scan at a time, and keeps no reference to r afterwards.
 func (r *Reader) ScanLeavesOn(ctx context.Context, c *Cursor, lo, hi KV, fn func(kv KV, payload Payload) bool) error {

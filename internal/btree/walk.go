@@ -55,7 +55,7 @@ func (r *Reader) WalkPages(maxPage store.PageID) ([]store.PageID, error) {
 		visited[pid] = true
 		out = append(out, pid)
 
-		p, err := r.fetch(pid)
+		p, err := r.pool.Fetch(pid)
 		if err != nil {
 			return err
 		}

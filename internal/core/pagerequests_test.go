@@ -17,35 +17,49 @@ import (
 // batch per search path; hits and misses depend on the pool's size, their
 // sum does not.
 
-// pageRequestBatch runs 40 seeded PRQs, then 40 seeded PkNNs, through a
-// counted view and returns the page requests each batch made.
+// pageRequestBatch runs 40 seeded PRQs, then 40 seeded PkNNs, and returns
+// the page requests each batch made, summed from the queries' own cost
+// records. The sums must equal what the pool counted, hit for hit and miss
+// for miss.
 func pageRequestBatch(t *testing.T, cfg Config) (prq, pknn uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1501))
 	f := buildFixture(t, rng, cfg, 2500, 8)
 	pool := f.tree.Pool()
-	var io store.IOCounter
-	v := f.tree.ViewIO(&io)
+	v := f.tree.View()
 	side := cfg.Base.Grid.Side
 
+	var records store.BufferStats
+	// A cold pool, so that the records have misses to tell from hits.
+	if err := pool.DropAll(); err != nil {
+		t.Fatal(err)
+	}
 	pool.ResetStats()
 	for i := 0; i < 40; i++ {
 		issuer := motion.UserID(1 + rng.Intn(len(f.objs)))
 		w := bxtree.Square(rng.Float64()*side, rng.Float64()*side, 40+rng.Float64()*120)
-		if _, err := v.PRQ(issuer, w, rng.Float64()*80); err != nil {
+		_, cost, err := v.PRQ(issuer, w, rng.Float64()*80)
+		if err != nil {
 			t.Fatal(err)
 		}
+		records.Add(cost)
 	}
-	prq = pool.Stats().Accesses()
+	prq = records.Accesses()
 	for i := 0; i < 40; i++ {
 		issuer := motion.UserID(1 + rng.Intn(len(f.objs)))
-		if _, err := v.PKNN(issuer, rng.Float64()*side, rng.Float64()*side, 1+rng.Intn(6), rng.Float64()*80); err != nil {
+		_, cost, err := v.PKNN(issuer, rng.Float64()*side, rng.Float64()*side, 1+rng.Intn(6), rng.Float64()*80)
+		if err != nil {
 			t.Fatal(err)
 		}
+		records.Add(cost)
 	}
-	pknn = pool.Stats().Accesses() - prq
-	if got := io.Stats().Accesses(); got != prq+pknn {
-		t.Errorf("view counter saw %d requests, pool %d", got, prq+pknn)
+	pknn = records.Accesses() - prq
+	if got := pool.Stats(); got.Hits != records.Hits || got.Misses != records.Misses {
+		t.Errorf("the queries recorded %d hits + %d misses, the pool counted %d + %d",
+			records.Hits, records.Misses, got.Hits, got.Misses)
+	}
+	if records.Misses == 0 {
+		t.Error("no page request missed the buffer")
 	}
 	return prq, pknn
 }

@@ -213,7 +213,8 @@ func (t *Tree) Delete(uid motion.UserID) error {
 
 // Get returns uid's current object state.
 func (t *Tree) Get(uid motion.UserID) (motion.Object, bool, error) {
-	return t.View().Get(uid)
+	o, ok, _, err := t.View().Get(uid)
+	return o, ok, err
 }
 
 func (t *Tree) removeEntry(uid motion.UserID, kv btree.KV) error {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bxtree"
 	"repro/internal/motion"
+	"repro/internal/store"
 	"repro/internal/zcurve"
 )
 
@@ -122,13 +123,15 @@ func (s *pknnSearch) refreshRow(r int) {
 // current state. It is shorthand for t.View().PKNN(...); concurrent
 // callers should take a View under their read lock instead.
 func (t *Tree) PKNN(issuer motion.UserID, qx, qy float64, k int, tq float64) ([]Neighbor, error) {
-	return t.View().PKNN(issuer, qx, qy, k, tq)
+	out, _, err := t.View().PKNN(issuer, qx, qy, k, tq)
+	return out, err
 }
 
 // PKNN answers the privacy-aware k-nearest-neighbor query (Definition 3):
 // the k users nearest to (qx, qy) at tq among those whose policies let
-// issuer see them there and then, sorted by ascending distance.
-func (v *View) PKNN(issuer motion.UserID, qx, qy float64, k int, tq float64) ([]Neighbor, error) {
+// issuer see them there and then, sorted by ascending distance, with the
+// query's cost record.
+func (v *View) PKNN(issuer motion.UserID, qx, qy float64, k int, tq float64) ([]Neighbor, store.BufferStats, error) {
 	return v.PKNNCtx(context.Background(), issuer, qx, qy, k, tq)
 }
 
@@ -146,15 +149,24 @@ func (v *View) PKNN(issuer motion.UserID, qx, qy float64, k int, tq float64) ([]
 // final vertical pass re-checks every friend within the window clamped to
 // twice the k'th candidate distance (Sec. 5.4's last step), which
 // guarantees no closer qualified user was missed.
-func (v *View) PKNNCtx(ctx context.Context, issuer motion.UserID, qx, qy float64, k int, tq float64) ([]Neighbor, error) {
+func (v *View) PKNNCtx(ctx context.Context, issuer motion.UserID, qx, qy float64, k int, tq float64) ([]Neighbor, store.BufferStats, error) {
 	if k <= 0 {
-		return nil, nil
+		return nil, store.BufferStats{}, nil
 	}
 	if v.cfg.Layout == ZVFirst {
-		return v.pknnZVFirst(ctx, issuer, qx, qy, k, tq)
+		ft := friendTablePool.Get().(*friendTable)
+		defer friendTablePool.Put(ft)
+		out, err := v.pknnZVFirst(ctx, ft, issuer, qx, qy, k, tq)
+		return out, ft.cur.TakeCost(), err
 	}
 	s := pknnPool.Get().(*pknnSearch)
 	defer s.release()
+	out, err := s.run(ctx, v, issuer, qx, qy, k, tq)
+	return out, s.friends.cur.TakeCost(), err
+}
+
+// run is PKNNCtx's search on the SV-first layout, with s as its state.
+func (s *pknnSearch) run(ctx context.Context, v *View, issuer motion.UserID, qx, qy float64, k int, tq float64) ([]Neighbor, error) {
 	v.friendGroups(issuer, &s.friends)
 	m := len(s.friends.rows)
 	if m == 0 {
@@ -391,9 +403,7 @@ func (s *pknnSearch) finalScan(k int) error {
 // pknnZVFirst answers PkNN on the ablation layout: the friend dimension
 // cannot prune the scan, so windows are enlarged round by round scanning
 // the full SV span, exactly like a privacy-unaware kNN with post-filtering.
-func (v *View) pknnZVFirst(ctx context.Context, issuer motion.UserID, qx, qy float64, k int, tq float64) ([]Neighbor, error) {
-	ft := friendTablePool.Get().(*friendTable)
-	defer friendTablePool.Put(ft)
+func (v *View) pknnZVFirst(ctx context.Context, ft *friendTable, issuer motion.UserID, qx, qy float64, k int, tq float64) ([]Neighbor, error) {
 	v.friendGroups(issuer, ft)
 	if len(ft.rows) == 0 {
 		return nil, nil

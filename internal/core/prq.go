@@ -6,33 +6,36 @@ import (
 
 	"repro/internal/bxtree"
 	"repro/internal/motion"
+	"repro/internal/store"
 )
 
 // PRQ answers the privacy-aware range query on the tree's current state.
 // It is shorthand for t.View().PRQ(...); concurrent callers should take a
 // View under their read lock instead.
 func (t *Tree) PRQ(issuer motion.UserID, w bxtree.Window, tq float64) ([]motion.Object, error) {
-	return t.View().PRQ(issuer, w, tq)
+	out, _, err := t.View().PRQ(issuer, w, tq)
+	return out, err
 }
 
 // PRQ answers the privacy-aware range query (Definition 2): all users whose
 // position at tq lies inside w and whose privacy policy lets issuer see
-// them there and then. It materializes the full result; use PRQStream for
-// incremental delivery and cancellation.
-func (v *View) PRQ(issuer motion.UserID, w bxtree.Window, tq float64) ([]motion.Object, error) {
+// them there and then, with the query's cost record. It materializes the
+// full result; use PRQStream for incremental delivery and cancellation.
+func (v *View) PRQ(issuer motion.UserID, w bxtree.Window, tq float64) ([]motion.Object, store.BufferStats, error) {
 	var out []motion.Object
-	err := v.PRQStream(context.Background(), issuer, w, tq, func(o motion.Object) bool {
+	cost, err := v.PRQStream(context.Background(), issuer, w, tq, func(o motion.Object) bool {
 		out = append(out, o)
 		return true
 	})
-	return out, err
+	return out, cost, err
 }
 
 // PRQStream is the streaming form of PRQ: qualified users are delivered to
 // yield as the index scan discovers them, in scan order (not sorted), and
 // ctx is checked between leaf pages, so a canceled context stops the query
 // within one page and surfaces ctx.Err(). yield returning false ends the
-// query early with a nil error.
+// query early with a nil error. It returns the query's cost record: the
+// page requests its scans made, however the query ended.
 //
 // Following Sec. 5.3, the search combines the location constraint (the
 // enlarged window's Z-value intervals) with the policy constraint (the
@@ -40,12 +43,18 @@ func (v *View) PRQ(issuer motion.UserID, w bxtree.Window, tq float64) ([]motion.
 // interval, the key range [TID ⊕ SV ⊕ ZVs, TID ⊕ SV ⊕ ZVe] is scanned.
 // Once a friend has been located, the remaining intervals formed by that
 // friend's SV are skipped — a user has only one location.
-func (v *View) PRQStream(ctx context.Context, issuer motion.UserID, w bxtree.Window, tq float64, yield func(motion.Object) bool) error {
+func (v *View) PRQStream(ctx context.Context, issuer motion.UserID, w bxtree.Window, tq float64, yield func(motion.Object) bool) (store.BufferStats, error) {
 	if !w.Valid() {
-		return fmt.Errorf("core: invalid query window %v", w)
+		return store.BufferStats{}, fmt.Errorf("core: invalid query window %v", w)
 	}
 	ft := friendTablePool.Get().(*friendTable)
 	defer friendTablePool.Put(ft)
+	err := v.prq(ctx, ft, issuer, w, tq, yield)
+	return ft.cur.TakeCost(), err
+}
+
+// prq runs PRQStream's search with ft as its friend table and cursor.
+func (v *View) prq(ctx context.Context, ft *friendTable, issuer motion.UserID, w bxtree.Window, tq float64, yield func(motion.Object) bool) error {
 	v.friendGroups(issuer, ft)
 	if len(ft.rows) == 0 {
 		return nil

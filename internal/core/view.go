@@ -20,8 +20,14 @@ import (
 // a View has no insert/delete/encode methods, its B+-tree access goes
 // through a btree.Reader whose root linkage was copied out at view time,
 // and everything it touches during a query is either immutable (the
-// configuration), private to the query (result accumulators), or
-// synchronized (buffer-pool bookkeeping).
+// configuration), private to the query (result accumulators and the cost
+// record), or synchronized (buffer-pool bookkeeping). A View is plain
+// data: it counts nothing itself.
+//
+// Every query returns its cost record with its result: the page requests
+// it made, split into buffer hits and misses (the paper's I/O metric). The
+// record lives on the query's own cursor, so concurrent queries on one
+// pool are told apart without any shared counter.
 //
 // Lifetime: a View is coherent from the moment Tree.View() returns until
 // the next mutation of that tree (Insert, Delete, SetSV) begins. The
@@ -35,7 +41,7 @@ import (
 // concurrently.
 type View struct {
 	cfg      Config
-	tree     *btree.Reader
+	tree     btree.Reader
 	policies *policy.Store
 
 	svEnc map[motion.UserID]uint64
@@ -44,20 +50,12 @@ type View struct {
 }
 
 // View returns a read-only snapshot of the tree's current state. The
-// returned View is valid until the tree's next mutation.
+// returned View is valid until the tree's next mutation; taking one is a
+// single allocation.
 func (t *Tree) View() *View {
-	return t.ViewIO(nil)
-}
-
-// ViewIO is View with per-handle I/O attribution: page requests made
-// through the returned view are additionally recorded into io (when
-// non-nil), on top of the pool's global counters. peb.DB publishes its
-// query view through this so query page visits are separable from
-// write-path I/O.
-func (t *Tree) ViewIO(io *store.IOCounter) *View {
 	return &View{
 		cfg:      t.cfg,
-		tree:     t.tree.ReaderIO(io),
+		tree:     *t.tree.Reader(),
 		policies: t.policies,
 		svEnc:    t.svEnc,
 		cur:      t.cur,
@@ -67,16 +65,15 @@ func (t *Tree) ViewIO(io *store.IOCounter) *View {
 
 // PinnedView returns a View that stays coherent across later mutations
 // without any external fencing: the in-memory tables are deep-copied
-// (O(population)), the B+-tree linkage is pinned at the current version —
-// the caller must Seal() the tree first so mutations copy-on-write rather
-// than rewriting reachable pages — and every page request is additionally
-// recorded into io (when non-nil) for per-handle I/O statistics.
+// (O(population)) and the B+-tree linkage is pinned at the current version
+// — the caller must Seal() the tree first so mutations copy-on-write rather
+// than rewriting reachable pages.
 //
 // The policy store is shared by reference, not copied: the owner must treat
 // it as immutable while pinned views exist (peb.DB does copy-on-write
 // policy mutations). The view stays valid until the owner frees the pages
 // retired after the pinning seal.
-func (t *Tree) PinnedView(io *store.IOCounter) *View {
+func (t *Tree) PinnedView() *View {
 	svEnc := make(map[motion.UserID]uint64, len(t.svEnc))
 	for uid, sv := range t.svEnc {
 		svEnc[uid] = sv
@@ -87,7 +84,7 @@ func (t *Tree) PinnedView(io *store.IOCounter) *View {
 	}
 	return &View{
 		cfg:      t.cfg,
-		tree:     t.tree.Reader().WithIO(io),
+		tree:     *t.tree.Reader(),
 		policies: t.policies,
 		svEnc:    svEnc,
 		cur:      cur,
@@ -125,17 +122,17 @@ func (v *View) SV(uid motion.UserID) (uint64, bool) {
 	return sv, ok
 }
 
-// Get returns uid's current object state.
-func (v *View) Get(uid motion.UserID) (motion.Object, bool, error) {
+// Get returns uid's current object state and the lookup's cost record.
+func (v *View) Get(uid motion.UserID) (motion.Object, bool, store.BufferStats, error) {
 	kv, ok := v.cur[uid]
 	if !ok {
-		return motion.Object{}, false, nil
+		return motion.Object{}, false, store.BufferStats{}, nil
 	}
-	payload, found, err := v.tree.Get(kv)
+	payload, found, cost, err := v.tree.Get(kv)
 	if err != nil || !found {
-		return motion.Object{}, found, err
+		return motion.Object{}, found, cost, err
 	}
-	return motion.DecodePayload(uid, payload), true, nil
+	return motion.DecodePayload(uid, payload), true, cost, nil
 }
 
 // MaxGap returns the largest window-enlargement time gap |tq − tlab| over
@@ -178,6 +175,7 @@ type friendTable struct {
 	sig [4]uint64
 	// cur is the cursor every leaf scan of the query runs on: a query
 	// scans once per row and partition, and one row per friend is common.
+	// It keeps the query's cost record.
 	cur btree.Cursor
 }
 
@@ -301,18 +299,21 @@ func (v *View) qualifies(candidate motion.Object, issuer motion.UserID, tq float
 
 // scanRange delivers, from the entries with key in [loK, hiK], every
 // friend in ft the query has not met before. The scan honors ctx between
-// leaf pages; emit returning false stops it early.
+// leaf pages; emit returning false stops it early. It fetches the pages
+// scanLeafRange fetches (see btree.Reader.ScanLeaves) and passes over the
+// entries outside the range.
 func (v *View) scanRange(ctx context.Context, loK, hiK uint64, ft *friendTable, emit func(motion.Object) bool) error {
 	lo := btree.KV{Key: loK, UID: 0}
 	hi := btree.KV{Key: hiK, UID: ^uint32(0)}
-	return v.tree.RangeScanCtx(ctx, lo, hi, func(kv btree.KV, p btree.Payload) bool {
+	return v.tree.ScanLeavesOn(ctx, &ft.cur, lo, hi, func(kv btree.KV, p btree.Payload) bool {
 		uid := motion.UserID(kv.UID)
-		return !ft.claim(uid) || emit(motion.DecodePayload(uid, p))
+		return kv.Key < loK || kv.Key > hiK || !ft.claim(uid) || emit(motion.DecodePayload(uid, p))
 	})
 }
 
 // scanLeafRange is scanRange over every entry on the leaf pages covering
 // [loK, hiK] — a superset of scanRange's candidates at identical page I/O.
+// Both scan on the query's cursor, ft.cur, which keeps its cost record.
 func (v *View) scanLeafRange(ctx context.Context, loK, hiK uint64, ft *friendTable, emit func(motion.Object) bool) error {
 	lo := btree.KV{Key: loK, UID: 0}
 	hi := btree.KV{Key: hiK, UID: ^uint32(0)}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // BufferStats counts logical page requests against a BufferPool.
@@ -21,35 +20,12 @@ type BufferStats struct {
 // Accesses returns the total number of logical page requests.
 func (s BufferStats) Accesses() uint64 { return s.Hits + s.Misses }
 
-// IOCounter accumulates hit/miss counts for one handle (e.g. a pinned
-// snapshot), independently of the pool's global counters. A nil *IOCounter
-// is valid everywhere one is accepted and records nothing. All methods are
-// safe for concurrent use.
-type IOCounter struct {
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-// Stats returns the counter's accumulated values. Only Hits and Misses are
-// populated: evictions and write-backs are pool-wide effects that cannot be
-// attributed to one handle.
-func (c *IOCounter) Stats() BufferStats {
-	if c == nil {
-		return BufferStats{}
-	}
-	return BufferStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
-}
-
-// record notes one page request and whether it missed.
-func (c *IOCounter) record(miss bool) {
-	if c == nil {
-		return
-	}
-	if miss {
-		c.misses.Add(1)
-	} else {
-		c.hits.Add(1)
-	}
+// Add adds o's counters to s.
+func (s *BufferStats) Add(o BufferStats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.WriteBack += o.WriteBack
 }
 
 // BufferPool caches pages in memory with an LRU replacement policy, exactly
@@ -145,35 +121,36 @@ func (bp *BufferPool) ResetStats() {
 }
 
 // Fetch returns the page with the given id, pinned. The caller must Unpin it.
-func (bp *BufferPool) Fetch(id PageID) (*Page, error) { return bp.FetchCounted(id, nil) }
+func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
+	p, _, err := bp.FetchHit(id)
+	return p, err
+}
 
-// FetchCounted is Fetch with an additional per-handle counter: the request's
-// hit/miss outcome is recorded into c (when non-nil) as well as the pool's
-// global statistics. Query handles use it to report per-session I/O.
-func (bp *BufferPool) FetchCounted(id PageID, c *IOCounter) (*Page, error) {
+// FetchHit is Fetch that also tells the caller how the pool counted the
+// request: hit is true when the buffer served it and false when it read
+// from disk. Queries use it to fill their own cost records.
+func (bp *BufferPool) FetchHit(id PageID) (p *Page, hit bool, err error) {
 	if id == InvalidPageID {
-		return nil, fmt.Errorf("store: fetch of invalid page id")
+		return nil, false, fmt.Errorf("store: fetch of invalid page id")
 	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if f, ok := bp.frames[id]; ok {
 		bp.stats.Hits++
-		c.record(false)
 		bp.pin(f)
-		return &f.page, nil
+		return &f.page, true, nil
 	}
 	bp.stats.Misses++
-	c.record(true)
 	f, err := bp.admit(id)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := bp.disk.Read(id, f.page.data[:]); err != nil {
 		bp.retire(f)
-		return nil, err
+		return nil, false, err
 	}
 	bp.pin(f)
-	return &f.page, nil
+	return &f.page, false, nil
 }
 
 // NewPage allocates a fresh disk page and returns it pinned and zeroed.

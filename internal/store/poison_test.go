@@ -140,7 +140,7 @@ func TestNothingReadsAnUnpinnedPage(t *testing.T) {
 	for i := 0; i < n+10; i++ {
 		kv := poisonKV(i)
 		want, has := model[kv]
-		got, found, err := r.Get(kv)
+		got, found, _, err := r.Get(kv)
 		if err != nil || found != has || got != want {
 			t.Fatalf("Get(%v) = %v, %v, %v; model %v, %v", kv, got, found, err, want, has)
 		}
@@ -174,7 +174,7 @@ func TestNothingReadsAnUnpinnedPage(t *testing.T) {
 			got = append(got, entry{kv, p})
 			if len(got)%37 == 0 { // a lookup from inside the scan takes the frame
 				other := keys[rng.Intn(len(keys))]
-				if p, ok, err := r.Get(other); err != nil || !ok || p != model[other] {
+				if p, ok, _, err := r.Get(other); err != nil || !ok || p != model[other] {
 					t.Fatalf("Get(%v) inside RangeScan: %v, %v, %v", other, p, ok, err)
 				}
 				nested++

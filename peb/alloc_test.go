@@ -16,20 +16,23 @@ import (
 
 const (
 	// upsertSyncAllocBudget bounds one durable single-object commit:
-	// apply + binary WAL encode (reused buffer) + group-commit sync. 2.0
-	// today, plain and under -race; the budget is that plus 20 %. It was
-	// 5.0 while the B+-tree decoded and re-encoded every node it wrote.
-	upsertSyncAllocBudget = 2.4
+	// apply + binary WAL encode (reused buffer) + group-commit sync. 1.0
+	// today, plain and under -race — the republished view, which holds its
+	// B+-tree reader by value; the budget is that plus 20 %. It was 5.0
+	// while the B+-tree decoded and re-encoded every node it wrote, and 2.0
+	// while the view and its reader were two allocations.
+	upsertSyncAllocBudget = 1.2
 	// applySyncAllocBudgetPerOp bounds a 100-upsert durable batch,
 	// amortized per upsert. Batching amortizes the record and the sync:
-	// 0.35/op today, plain and under -race, budgeted plus 20 %. It was 7.39
-	// while copy-on-write decoded every node it copied.
+	// 0.34/op today, plain and under -race, budgeted at 0.35 plus 20 %. It
+	// was 7.39 while copy-on-write decoded every node it copied.
 	applySyncAllocBudgetPerOp = 0.42
 	// upsertSyncTallAllocBudget and applySyncTallAllocBudgetPerOp are the
 	// two budgets above over a tree of three levels (tallAllocDB), where an
-	// update also rewrites internal nodes: 2.0 and 0.54/op today, plain and
-	// under -race, plus 20 %. The decoding writer read 13.0 and 14.49/op.
-	upsertSyncTallAllocBudget     = 2.4
+	// update also rewrites internal nodes: 1.0 and 0.53/op today, plain and
+	// under -race; the budgets are 1.0 and 0.54 plus 20 %. The decoding
+	// writer read 13.0 and 14.49/op.
+	upsertSyncTallAllocBudget     = 1.2
 	applySyncTallAllocBudgetPerOp = 0.65
 	// pknnAllocBudget bounds one PkNN query (k=5) on a pooled search
 	// state, whether its pages hit the buffer or miss it: the partition

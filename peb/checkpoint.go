@@ -76,12 +76,12 @@ import (
 // brute-force crash sweep (peb/crash_test.go) verifies fault point by
 // fault point.
 //
-// Concurrent Checkpoint calls coalesce: a call that arrives while a
-// pipeline is in flight waits for that pipeline and returns its result.
-// Index rebuilds (EncodePolicies, LoadPolicies) and Close drain the
-// pipeline first (DB.ckptMu). Options.AutoCheckpoint runs this same
-// pipeline from a background maintainer when the write-ahead log crosses
-// a size threshold, resting after each run as long as the run took.
+// Concurrent Checkpoint calls serialize on DB.ckptMu, each running its
+// own pipeline; index rebuilds (EncodePolicies, LoadPolicies) and Close
+// take it too, draining the pipeline first. Options.AutoCheckpoint runs
+// this same pipeline from a background maintainer when the write-ahead
+// log crosses a size threshold, resting after each run as long as the run
+// took.
 //
 // With a write-ahead log, the meta records the log sequence number of the
 // last commit the checkpoint covers; recovery replays only newer records,
@@ -130,12 +130,9 @@ const metaVersion = 2
 // only phases that hold the write lock, so LastCut+LastPublish bounds the
 // stall the last checkpoint imposed on commits and queries.
 type CheckpointStats struct {
-	// Checkpoints counts committed pipelines; Coalesced counts Checkpoint
-	// calls satisfied by riding an already-in-flight pipeline instead of
-	// running their own; AutoTriggered counts pipelines initiated by the
-	// AutoCheckpoint maintainer.
+	// Checkpoints counts committed pipelines; AutoTriggered counts
+	// pipelines initiated by the AutoCheckpoint maintainer.
 	Checkpoints   uint64
-	Coalesced     uint64
 	AutoTriggered uint64
 
 	LastCut, LastBuild, LastPublish    time.Duration
@@ -159,18 +156,6 @@ func (db *DB) CheckpointStats() CheckpointStats {
 	db.statsMu.Lock()
 	defer db.statsMu.Unlock()
 	return db.ckptStats
-}
-
-// ckptRun is one in-flight pipeline, shared by coalesced Checkpoint calls.
-// cutDone (guarded by DB.ckptCoalMu) flips once the pipeline's cut has
-// captured its image: only callers that arrive BEFORE the cut may
-// coalesce, because only their pre-call commits are inside the image —
-// a later caller riding along would be told "durable" about commits the
-// pipeline never saw (fatal without a fsynced WAL to cover them).
-type ckptRun struct {
-	done    chan struct{}
-	cutDone bool
-	err     error
 }
 
 // ckptImage is everything the build and publish phases need, captured
@@ -208,12 +193,10 @@ type ckptImage struct {
 // and queries keep flowing while the bulk of the work (page flushing,
 // fsync, side-file writes) happens; commits made during the build are
 // simply not covered by this checkpoint and stay in the write-ahead log.
-// A Checkpoint call that arrives while another is in
-// flight but has not yet taken its cut coalesces with it — it waits for
-// that pipeline and returns its result, which covers every commit the
-// caller made before calling. A call that arrives after the cut waits the
-// pipeline out and runs its own, so the durability promise above holds
-// even without a write-ahead log.
+// Concurrent Checkpoint calls run one pipeline each, one after another
+// (DB.ckptMu, which also serializes the pipeline against index rebuilds
+// and Close), so each call's checkpoint covers every commit its caller
+// made before calling.
 //
 // Checkpoint is also the storage reclamation point: pages that became
 // unreachable since the last checkpoint (superseded by copy-on-write,
@@ -223,57 +206,12 @@ type ckptImage struct {
 // log is truncated. They are the dead-extent ledger's pages; no walk of
 // the index finds them.
 func (db *DB) Checkpoint() error {
-	var run *ckptRun
-	for {
-		db.ckptCoalMu.Lock()
-		inflight := db.ckptInflight
-		if inflight == nil {
-			run = &ckptRun{done: make(chan struct{})}
-			db.ckptInflight = run
-			db.ckptCoalMu.Unlock()
-			break
-		}
-		if !inflight.cutDone {
-			// The in-flight pipeline will cut after this call arrived, so
-			// its image covers our caller's commits: ride it.
-			db.ckptCoalMu.Unlock()
-			<-inflight.done
-			db.statsMu.Lock()
-			db.ckptStats.Coalesced++
-			db.statsMu.Unlock()
-			return inflight.err
-		}
-		// Cut already taken: its image may predate our caller's commits.
-		// Wait it out and run a pipeline of our own.
-		db.ckptCoalMu.Unlock()
-		<-inflight.done
-	}
-
-	run.err = db.runCheckpoint(run)
-
-	db.ckptCoalMu.Lock()
-	db.ckptInflight = nil
-	db.ckptCoalMu.Unlock()
-	close(run.done)
-	return run.err
-}
-
-// runCheckpoint drives one pipeline: cut under the write lock, build
-// without it, publish under it again. ckptMu is held for the whole
-// pipeline, serializing it against other pipelines, index rebuilds, and
-// Close. run is this pipeline's coalescing record: its cutDone flag flips
-// the moment the image is captured, after which new Checkpoint calls must
-// not ride this run.
-func (db *DB) runCheckpoint(run *ckptRun) error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 
 	cutStart := time.Now()
 	db.mu.Lock()
 	img, err := db.ckptCut()
-	db.ckptCoalMu.Lock()
-	run.cutDone = true
-	db.ckptCoalMu.Unlock()
 	if err != nil {
 		db.mu.Unlock()
 		return err
@@ -623,8 +561,8 @@ func (db *DB) stopAutoCheckpoint() {
 }
 
 // autoCheckpointLoop is the maintainer: each trigger from the commit path
-// re-checks the thresholds (the signal may be stale — a coalesced or
-// just-finished checkpoint empties the log) and runs one pipeline.
+// re-checks the thresholds (the signal may be stale — a just-finished
+// checkpoint empties the log) and runs one pipeline.
 // Failures are not fatal; the next threshold crossing retries.
 func (db *DB) autoCheckpointLoop() {
 	defer db.maintWG.Done()
@@ -835,7 +773,6 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 		borrowed:     mf.BorrowedPolicies,
 	}
 	db.initObs()
-	db.view = tree.ViewIO(db.qio)
 	for _, uid := range mf.Users {
 		db.users[uid] = true
 	}

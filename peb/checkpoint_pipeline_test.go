@@ -15,7 +15,7 @@ import (
 
 // Tests for the phased checkpoint pipeline: serving during the build
 // phase (verified by oracle under -race, not by wall clock — see
-// TestCrashCheckpointUnderLoad), call coalescing, the AutoCheckpoint
+// TestCrashCheckpointUnderLoad), concurrent calls, the AutoCheckpoint
 // maintainer, per-phase statistics, and startup orphan sweeping.
 
 // gateBuild installs a checkpoint hook that blocks the pipeline's build
@@ -182,91 +182,73 @@ func TestCrashCheckpointUnderLoad(t *testing.T) {
 	}
 }
 
-// TestCheckpointCoalesce: Checkpoint calls that arrive before an
-// in-flight pipeline's cut ride it (their commits are inside the image);
-// calls that arrive after the cut wait it out and run their own pipeline
-// (riding would claim durability for commits the image predates).
-func TestCheckpointCoalesce(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.idx")
-	db := mustOpen(t, Options{Path: path})
-	for i := 1; i <= 100; i++ {
-		if err := db.Upsert(Object{UID: UserID(i), X: float64(i * 7 % 1000), Y: float64(i * 13 % 1000), T: 0}); err != nil {
+// TestConcurrentCheckpointsCoverCallers: Checkpoint calls that overlap run
+// one pipeline each, in turn, and each returns a checkpoint covering every
+// commit its caller made before calling — also the calls that arrive while
+// another pipeline's build is in flight, whose cut predates their commits.
+// Without a write-ahead log a checkpoint is the only durable copy, so a
+// power cut after the calls return shows what they covered.
+func TestConcurrentCheckpointsCoverCallers(t *testing.T) {
+	fs := store.NewCrashFS()
+	opts := Options{Path: "c.idx", FS: fs}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := func(i int) Object {
+		return Object{UID: UserID(i), X: float64(i * 7 % 1000), Y: float64(i * 13 % 1000), T: 0}
+	}
+	const before, callers = 100, 3
+	for i := 1; i <= before; i++ {
+		if err := db.Upsert(obj(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Pre-cut arrivals coalesce. Holding ckptMu parks the first pipeline
-	// before its cut, so riders launched meanwhile are pre-cut for sure.
-	db.ckptMu.Lock()
+	entered, release := gateBuild(db)
 	first := make(chan error, 1)
 	go func() { first <- db.Checkpoint() }()
-	for { // wait until the first call has claimed the in-flight slot
-		db.ckptCoalMu.Lock()
-		claimed := db.ckptInflight != nil
-		db.ckptCoalMu.Unlock()
-		if claimed {
-			break
+	<-entered // the first pipeline's cut is taken
+	errs := make(chan error, callers)
+	for c := 1; c <= callers; c++ {
+		// Each caller commits after that cut, then checkpoints.
+		if err := db.Upsert(obj(before + c)); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		go func() { errs <- db.Checkpoint() }()
 	}
-	const riders = 3
-	var wg sync.WaitGroup
-	errs := make([]error, riders)
-	for i := 0; i < riders; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = db.Checkpoint()
-		}(i)
-	}
-	time.Sleep(5 * time.Millisecond) // let the riders reach the join
-	db.ckptMu.Unlock()
-	if err := <-first; err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rider %d: %v", i, err)
-		}
-	}
-	st := db.CheckpointStats()
-	if st.Checkpoints != 1 {
-		t.Fatalf("Checkpoints = %d, want 1 (pre-cut riders must coalesce)", st.Checkpoints)
-	}
-	if st.Coalesced != riders {
-		t.Fatalf("Coalesced = %d, want %d", st.Coalesced, riders)
-	}
-
-	// Post-cut arrivals do NOT coalesce: a call arriving while the build
-	// is gated (the cut long taken) must run its own pipeline afterwards.
-	entered, release := gateBuild(db)
-	gated := make(chan error, 1)
-	go func() { gated <- db.Checkpoint() }()
-	<-entered
-	late := make(chan error, 1)
-	go func() { late <- db.Checkpoint() }()
 	select {
-	case err := <-late:
-		t.Fatalf("post-cut Checkpoint returned while the pipeline was gated (err=%v)", err)
+	case err := <-errs:
+		t.Fatalf("a Checkpoint returned while another pipeline's build was gated (err=%v)", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(release)
-	if err := <-gated; err != nil {
+	if err := <-first; err != nil {
 		t.Fatal(err)
 	}
-	if err := <-late; err != nil {
+	for c := 0; c < callers; c++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := db.CheckpointStats(); st.Checkpoints != 1+callers {
+		t.Fatalf("Checkpoints = %d, want %d: every call runs its own pipeline", st.Checkpoints, 1+callers)
+	}
+
+	fs.CutPower()
+	fs.Reboot(false)
+	re, err := OpenExisting(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st = db.CheckpointStats()
-	if st.Checkpoints != 3 {
-		t.Fatalf("Checkpoints = %d, want 3 (the post-cut call must run its own pipeline)", st.Checkpoints)
+	defer re.Close()
+	if re.Size() != before+callers {
+		t.Fatalf("recovered %d objects, want %d", re.Size(), before+callers)
 	}
-	if st.Coalesced != riders {
-		t.Fatalf("Coalesced = %d, want still %d", st.Coalesced, riders)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
+	for i := 1; i <= before+callers; i++ {
+		if got, ok, err := re.Lookup(UserID(i)); err != nil || !ok || got != obj(i) {
+			t.Fatalf("u%d after power cut = %+v %v %v, want %+v", i, got, ok, err, obj(i))
+		}
 	}
 }
 

@@ -100,7 +100,8 @@ func (cv *CommitView) RangeQuery(issuer UserID, r Region, t float64) ([]Object, 
 		return nil, &InvalidRegionError{Region: r}
 	}
 	w := bxtree.Window{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
-	return cv.db.view.PRQ(issuer, w, t)
+	out, _, err := cv.db.view.PRQ(issuer, w, t)
+	return out, err
 }
 
 // NearestNeighbors answers the paper's PkNN against the published state
@@ -109,7 +110,8 @@ func (cv *CommitView) NearestNeighbors(issuer UserID, x, y float64, k int, t flo
 	if !cv.valid {
 		return nil, ErrClosed
 	}
-	return cv.db.view.PKNN(issuer, x, y, k, t)
+	out, _, err := cv.db.view.PKNN(issuer, x, y, k, t)
+	return out, err
 }
 
 // Lookup returns a user's stored movement state.
@@ -117,7 +119,8 @@ func (cv *CommitView) Lookup(uid UserID) (Object, bool, error) {
 	if !cv.valid {
 		return Object{}, false, ErrClosed
 	}
-	return cv.db.view.Get(uid)
+	o, ok, _, err := cv.db.view.Get(uid)
+	return o, ok, err
 }
 
 // Grantors returns every user who has granted viewer at least one policy —

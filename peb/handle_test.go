@@ -6,7 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"repro/internal/bxtree"
+	"repro/internal/store"
 )
 
 // buildSmallDB: one issuer (u1) befriended by 60 users granting all-day
@@ -260,6 +264,109 @@ func TestSnapshotIOStats(t *testing.T) {
 	}
 	if s1.LeafCount() <= 0 {
 		t.Errorf("LeafCount = %d", s1.LeafCount())
+	}
+}
+
+// TestSnapshotIOAttribution: two sessions run PRQs and PkNNs at once on two
+// snapshots over one buffer pool. How many pages a query requests does not
+// depend on what the buffer holds — only the split into hits and misses
+// does — so each query's cost record is first read alone, on the
+// snapshot's view. Then both sessions run together: each snapshot's
+// IOStats must count exactly its own queries' requests, and the two
+// snapshots' hits and misses must add up to what the pool counted.
+func TestSnapshotIOAttribution(t *testing.T) {
+	db := friendsDBOf(t, 100, 4)
+	type query struct {
+		issuer UserID
+		x, y   float64
+		k      int // 0: a PRQ of the square of side 200 around (x, y)
+	}
+	issuers := []UserID{1, 41, 141} // u1 and two hubs of 100-user circles
+	queries := func(seed int64) []query {
+		rng := rand.New(rand.NewSource(seed))
+		qs := make([]query, 40)
+		for i := range qs {
+			qs[i] = query{issuer: issuers[rng.Intn(len(issuers))], x: 100 + rng.Float64()*800, y: 100 + rng.Float64()*800}
+			if i%2 == 1 {
+				qs[i].k = 1 + rng.Intn(5)
+			}
+		}
+		return qs
+	}
+	region := func(q query) Region {
+		return Region{MinX: q.x - 100, MinY: q.y - 100, MaxX: q.x + 100, MaxY: q.y + 100}
+	}
+	var sessions [2]struct {
+		snap    *Snapshot
+		queries []query
+		want    uint64 // page requests, from the queries' records
+	}
+	for i := range sessions {
+		s := &sessions[i]
+		var err error
+		if s.snap, err = db.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		defer s.snap.Close()
+		s.queries = queries(int64(i + 1))
+		for _, q := range s.queries {
+			var cost store.BufferStats
+			if q.k == 0 {
+				r := region(q)
+				_, cost, err = s.snap.view.PRQ(q.issuer, bxtree.Window{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}, 10)
+			} else {
+				_, cost, err = s.snap.view.PKNN(q.issuer, q.x, q.y, q.k, 10)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.want += cost.Accesses()
+		}
+	}
+
+	before := db.IOStats()
+	var wg sync.WaitGroup
+	errs := make(chan error, len(sessions))
+	for i := range sessions {
+		s := &sessions[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, q := range s.queries {
+				var err error
+				if q.k == 0 {
+					_, err = s.snap.RangeQuery(q.issuer, region(q), 10)
+				} else {
+					_, err = s.snap.NearestNeighbors(q.issuer, q.x, q.y, q.k, 10)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	after := db.IOStats()
+
+	var sum store.BufferStats
+	for i, s := range sessions {
+		got := s.snap.IOStats()
+		if got.Accesses() != s.want {
+			t.Errorf("session %d: IOStats counts %d page requests, its queries' records %d", i, got.Accesses(), s.want)
+		}
+		sum.Add(got)
+	}
+	if pool := (store.BufferStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}); sum != pool {
+		t.Errorf("the snapshots counted %d hits + %d misses, the pool %d + %d", sum.Hits, sum.Misses, pool.Hits, pool.Misses)
+	}
+	t.Logf("sessions: %d and %d page requests; together %d hits, %d misses", sessions[0].want, sessions[1].want, sum.Hits, sum.Misses)
+	if sum.Misses == 0 {
+		t.Error("no page missed the buffer: the sessions did not contend for it")
 	}
 }
 

@@ -1,6 +1,9 @@
 package peb
 
-import "repro/internal/bxtree"
+import (
+	"repro/internal/bxtree"
+	"repro/internal/store"
+)
 
 // Defaults a router needs before any DB exists (matching what Open's
 // zero-value defaults produce).
@@ -88,7 +91,7 @@ func (s *Snapshot) MotionSlack(t float64) float64 {
 	if !s.acquire() {
 		return 0
 	}
-	defer s.release()
+	defer s.release(store.BufferStats{})
 	return s.view.MaxGap(t) * s.db.opts.MaxSpeed
 }
 
@@ -106,7 +109,7 @@ func (db *DB) Objects() ([]Object, error) {
 	uids := db.view.UserIDs()
 	out := make([]Object, 0, len(uids))
 	for _, uid := range uids {
-		o, ok, err := db.view.Get(uid)
+		o, ok, _, err := db.view.Get(uid)
 		if err != nil {
 			return nil, err
 		}

@@ -126,7 +126,7 @@ func TestCheckpointLedgerExact(t *testing.T) {
 	checkpoint(db, "checkpoint after the snapshot")
 
 	// A cut whose build parks part of the dead set and then fails — what
-	// runCheckpoint does when a build errors after its first releases.
+	// Checkpoint does when a build errors after its first releases.
 	ledgerChurn(t, db, 3)
 	db.mu.Lock()
 	img, err := db.ckptCut()

@@ -29,9 +29,8 @@ type dbMetrics struct {
 	cqDelta     *obs.Histogram // peb_cq_commit_delta_seconds
 }
 
-// initObs builds the DB's registry, event log, and query I/O counter.
-// Called during construction, before the first view is published (the
-// view carries qio) and before any commit can run.
+// initObs builds the DB's registry and event log. Called during
+// construction, before any commit can run.
 func (db *DB) initObs() {
 	var cl []obs.Label
 	if db.opts.MetricsLabel != "" {
@@ -60,7 +59,6 @@ func (db *DB) initObs() {
 		"Checkpoint publish-phase duration (write lock held).", 1e-9)
 	m.cqDelta = reg.Histogram("peb_cq_commit_delta_seconds",
 		"Commit-to-delta latency of continuous-query evaluation.", 1e-9)
-	db.qio = &store.IOCounter{}
 	db.events = obs.NewEventLog(obs.DefaultEventLogSize, db.opts.Logger)
 	reg.Collect(db.collectMetrics)
 }
@@ -104,9 +102,6 @@ func (db *DB) collectMetrics(e *obs.Emit) {
 	if acc := io.Accesses(); acc > 0 {
 		e.Gauge("peb_buffer_hit_ratio", "Buffer-pool hit ratio since the last stats reset.", float64(io.Hits)/float64(acc))
 	}
-	q := db.QueryIOStats()
-	e.Counter("peb_query_pages_total",
-		"Index pages visited by one-shot queries on the published view.", float64(q.Hits+q.Misses))
 
 	e.Counter("peb_commit_seq", "WAL sequence number of the latest commit.", float64(db.CommitSeq()))
 	e.Counter("peb_view_swaps_total", "Query-view republishes since open.", float64(db.ViewSwaps()))
@@ -137,8 +132,3 @@ func (db *DB) Events() *obs.EventLog { return db.events }
 // CQDeltaHistogram returns the pre-registered commit-to-delta latency
 // histogram the continuous-query engine feeds (peb/cq).
 func (db *DB) CQDeltaHistogram() *obs.Histogram { return db.met.cqDelta }
-
-// QueryIOStats reports the pages visited by one-shot queries on the
-// published view (hits and misses only), separable from the write path's
-// I/O in IOStats.
-func (db *DB) QueryIOStats() store.BufferStats { return db.qio.Stats() }

@@ -353,12 +353,6 @@ type DB struct {
 	ckptPolOps   uint64
 	ckptHook     func(phase string)
 
-	// Checkpoint coalescing: Checkpoint calls that arrive while a
-	// pipeline is in flight wait for that pipeline and share its result
-	// instead of queueing a redundant one. ckptCoalMu guards ckptInflight.
-	ckptCoalMu   sync.Mutex
-	ckptInflight *ckptRun
-
 	// statsMu guards ckptStats (updated by the pipeline, read by
 	// CheckpointStats; a leaf mutex so readers never touch mu).
 	statsMu   sync.Mutex
@@ -394,13 +388,10 @@ type DB struct {
 	garbage []gcBatch
 
 	// Observability (observe.go). met holds the registered hot-path
-	// instruments; events is the bounded maintainer event log; qio
-	// accumulates the pages visited by one-shot queries on the published
-	// view (the view is created with it attached). All three are built by
-	// initObs during construction and live for the DB's lifetime.
+	// instruments; events is the bounded maintainer event log. Both are
+	// built by initObs during construction and live for the DB's lifetime.
 	met    dbMetrics
 	events *obs.EventLog
-	qio    *store.IOCounter
 
 	// users is every id ever seen (policies or movement), the population
 	// the encoding phase assigns sequence values over.
@@ -553,9 +544,7 @@ func (db *DB) newTree(assignment policy.Assignment) error {
 // refreshView republishes the query snapshot after an index mutation. The
 // caller holds the write lock, so no query observes the swap mid-flight.
 func (db *DB) refreshView() {
-	// The view carries the query I/O counter, so one-shot query page
-	// visits are attributable separately from write-path I/O.
-	db.view = db.tree.ViewIO(db.qio)
+	db.view = db.tree.View()
 	db.viewSwaps++
 }
 
@@ -730,7 +719,8 @@ func (db *DB) Lookup(uid UserID) (Object, bool, error) {
 	if db.closed {
 		return Object{}, false, ErrClosed
 	}
-	return db.view.Get(uid)
+	o, ok, _, err := db.view.Get(uid)
+	return o, ok, err
 }
 
 // CommitSeq returns the WAL sequence number of the latest commit — the
@@ -776,7 +766,8 @@ func (db *DB) rangeQueryLocked(issuer UserID, r Region, t float64) ([]Object, er
 		return nil, ErrClosed
 	}
 	w := bxtree.Window{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
-	return db.view.PRQ(issuer, w, t)
+	out, _, err := db.view.PRQ(issuer, w, t)
+	return out, err
 }
 
 // NearestNeighbors returns the k users nearest to (x, y) at time t whose
@@ -795,7 +786,8 @@ func (db *DB) nearestNeighborsLocked(issuer UserID, x, y float64, k int, t float
 	if db.closed {
 		return nil, ErrClosed
 	}
-	return db.view.PKNN(issuer, x, y, k, t)
+	out, _, err := db.view.PKNN(issuer, x, y, k, t)
+	return out, err
 }
 
 // WALStats reports write-ahead-log activity: records appended and fsyncs

@@ -189,7 +189,7 @@ func (r *Replica) bootstrap() error {
 		}
 	}
 	for _, uid := range p.view.UserIDs() {
-		o, ok, err := p.view.Get(uid)
+		o, ok, _, err := p.view.Get(uid)
 		if err != nil {
 			return fmt.Errorf("peb: replica bootstrap read u%d: %w", uid, err)
 		}

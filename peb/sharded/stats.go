@@ -166,10 +166,10 @@ func (db *DB) Stats() Stats {
 			Buffer:      s.IOStats(),
 		}
 		for _, r := range sm.followers.replicas() {
-			addBuffer(&ss.Buffer, r.IOStats())
+			ss.Buffer.Add(r.IOStats())
 		}
 		out.Shards[i] = ss
-		addBuffer(&out.Buffer, ss.Buffer)
+		out.Buffer.Add(ss.Buffer)
 		addLog(&out, ss.WAL, ss.Checkpoints)
 		out.ViewSwaps += ss.ViewSwaps
 	}
@@ -192,7 +192,6 @@ func addLog(out *Stats, w peb.WALStats, ck peb.CheckpointStats) {
 
 	c := &out.Checkpoints
 	c.Checkpoints += ck.Checkpoints
-	c.Coalesced += ck.Coalesced
 	c.AutoTriggered += ck.AutoTriggered
 	c.TotalCut += ck.TotalCut
 	c.TotalBuild += ck.TotalBuild
@@ -204,12 +203,4 @@ func addLog(out *Stats, w peb.WALStats, ck peb.CheckpointStats) {
 	c.LastCut = max(c.LastCut, ck.LastCut)
 	c.LastBuild = max(c.LastBuild, ck.LastBuild)
 	c.LastPublish = max(c.LastPublish, ck.LastPublish)
-}
-
-// addBuffer adds b's counters to sum.
-func addBuffer(sum *store.BufferStats, b store.BufferStats) {
-	sum.Hits += b.Hits
-	sum.Misses += b.Misses
-	sum.Evictions += b.Evictions
-	sum.WriteBack += b.WriteBack
 }

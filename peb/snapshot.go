@@ -41,18 +41,19 @@ type Snapshot struct {
 	view     *core.View
 	pol      *policyHandle // the handle policies was pinned on
 	policies *policy.Store
-	io       *store.IOCounter
 
 	// mu guards the close/in-flight lifecycle: queries acquire a
 	// reference, Close marks the snapshot closed, and whichever of them
 	// is last — Close with no queries in flight, or the final query to
 	// finish — releases the pin on superseded pages. Close therefore
 	// never blocks, new queries after Close get ErrClosed, and in-flight
-	// queries always complete against intact pages.
+	// queries always complete against intact pages. mu also guards io,
+	// the sum of the cost records of the queries that have finished.
 	mu       sync.Mutex
 	active   int
 	closed   bool
 	released bool
+	io       store.BufferStats
 }
 
 // acquire registers an in-flight query; false means the snapshot closed.
@@ -66,10 +67,12 @@ func (s *Snapshot) acquire() bool {
 	return true
 }
 
-// release ends an in-flight query, dropping the page pin if this was the
-// last query on an already-closed snapshot.
-func (s *Snapshot) release() {
+// release ends an in-flight query, adding its cost record to the
+// snapshot's and dropping the page pin if this was the last query on an
+// already-closed snapshot.
+func (s *Snapshot) release(cost store.BufferStats) {
 	s.mu.Lock()
+	s.io.Add(cost)
 	s.active--
 	last := s.closed && s.active == 0 && !s.released
 	if last {
@@ -109,16 +112,14 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	io := &store.IOCounter{}
 	s := &Snapshot{
 		db:       db,
 		gen:      db.gen,
 		version:  db.tree.Seal(),
-		io:       io,
 		pol:      db.pol,
 		policies: db.policies,
 	}
-	s.view = db.tree.PinnedView(io)
+	s.view = db.tree.PinnedView()
 	db.pol.pin(db.policies)
 	db.snaps[s] = struct{}{}
 	return s, nil
@@ -166,17 +167,23 @@ func (s *Snapshot) LeafCount() int {
 
 // IOStats returns the buffer statistics of this snapshot's queries alone:
 // page requests issued through this handle, split into buffer hits and
-// misses (the paper's I/O metric). Unlike DB.IOStats it is unaffected by
+// misses (the paper's I/O metric). It is the sum of the cost records of
+// the handle's finished queries, so unlike DB.IOStats it is unaffected by
 // concurrent sessions sharing the buffer pool.
-func (s *Snapshot) IOStats() store.BufferStats { return s.io.Stats() }
+func (s *Snapshot) IOStats() store.BufferStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.io
+}
 
 // Lookup returns a user's movement state as of snapshot time.
 func (s *Snapshot) Lookup(uid UserID) (Object, bool, error) {
 	if !s.acquire() {
 		return Object{}, false, ErrClosed
 	}
-	defer s.release()
-	return s.view.Get(uid)
+	o, ok, cost, err := s.view.Get(uid)
+	s.release(cost)
+	return o, ok, err
 }
 
 // Allows evaluates the policy predicate against the snapshot's pinned
@@ -198,9 +205,10 @@ func (s *Snapshot) RangeQuery(issuer UserID, r Region, t float64) ([]Object, err
 	if !s.acquire() {
 		return nil, ErrClosed
 	}
-	defer s.release()
 	w := bxtree.Window{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
-	return s.view.PRQ(issuer, w, t)
+	out, cost, err := s.view.PRQ(issuer, w, t)
+	s.release(cost)
+	return out, err
 }
 
 // RangeQueryCtx streams the privacy-aware range query: qualified users are
@@ -229,10 +237,11 @@ func (s *Snapshot) RangeQueryCtx(ctx context.Context, issuer UserID, r Region, t
 			yield(Object{}, ErrClosed)
 			return
 		}
-		defer s.release()
+		var cost store.BufferStats
+		defer func() { s.release(cost) }()
 		w := bxtree.Window{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
 		stopped := false
-		err := s.view.PRQStream(ctx, issuer, w, t, func(o Object) bool {
+		cost, err := s.view.PRQStream(ctx, issuer, w, t, func(o Object) bool {
 			if !yield(o, nil) {
 				stopped = true
 				return false
@@ -261,6 +270,7 @@ func (s *Snapshot) NearestNeighborsCtx(ctx context.Context, issuer UserID, x, y 
 	if !s.acquire() {
 		return nil, ErrClosed
 	}
-	defer s.release()
-	return s.view.PKNNCtx(ctx, issuer, x, y, k, t)
+	out, cost, err := s.view.PKNNCtx(ctx, issuer, x, y, k, t)
+	s.release(cost)
+	return out, err
 }
