@@ -177,7 +177,6 @@ func printScalars(w io.Writer, samples []sample) {
 		{"shards", "peb_router_shards"},
 		{"splits", "peb_router_splits_total"},
 		{"merges", "peb_router_merges_total"},
-		{"follower reads", "peb_router_follower_reads_total"},
 	}
 	for _, r := range rows {
 		if v, ok := find(samples, r.metric); ok {

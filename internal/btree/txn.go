@@ -38,7 +38,10 @@ func (t *Tree) Seal() uint64 {
 	}
 	t.sealed = true
 	t.mutated = false
-	t.fresh = make(map[store.PageID]struct{})
+	if t.fresh == nil {
+		t.fresh = make(map[store.PageID]struct{})
+	}
+	clear(t.fresh)
 	t.version++
 	return t.version
 }
@@ -49,7 +52,7 @@ func (t *Tree) Seal() uint64 {
 func (t *Tree) Unseal() {
 	t.sealed = false
 	t.mutated = false
-	t.fresh = nil
+	clear(t.fresh)
 }
 
 // Sealed reports whether the tree is in copy-on-write mode.
@@ -194,7 +197,7 @@ func (txn *Txn) Rollback() error {
 			firstErr = err
 		}
 	}
-	t.fresh = make(map[store.PageID]struct{})
+	clear(t.fresh)
 	// The restored state is exactly the sealed state, so a following Seal
 	// need not bump the version.
 	t.mutated = false

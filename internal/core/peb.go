@@ -116,21 +116,6 @@ func (t *Tree) SetSV(uid motion.UserID, sv float64) error {
 	return nil
 }
 
-// SetSVEnc registers uid's already-encoded sequence value directly,
-// bypassing the fixed-point encoder. Replica bootstrap transfers a
-// primary's registered values in their encoded form (Snapshot().SVs) —
-// the float inputs are not recoverable from a live tree — so an exact
-// copy must install the encodings verbatim. Like SetSV, indexed users are
-// rejected.
-func (t *Tree) SetSVEnc(uid motion.UserID, enc uint64) error {
-	if _, indexed := t.cur[uid]; indexed {
-		return fmt.Errorf("core: cannot change SV of indexed user %d", uid)
-	}
-	t.touch(uid)
-	t.svEnc[uid] = enc
-	return nil
-}
-
 // SetPolicies swaps the policy store queries evaluate against. peb.DB calls
 // it after a copy-on-write policy mutation; views taken before the swap
 // keep their original store. The caller must hold exclusive access.

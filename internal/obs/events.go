@@ -8,7 +8,7 @@ import (
 )
 
 // Event is one recorded maintainer decision or notable occurrence: a
-// checkpoint committed, an automatic split fired, a replica stalled.
+// checkpoint committed, an automatic split fired, a transaction aborted.
 // Fields carry the decision's inputs (observed rates, thresholds,
 // durations) so the log answers "why did it do that".
 type Event struct {

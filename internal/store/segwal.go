@@ -72,11 +72,8 @@ import (
 // skips them by sequence number, so correctness never depends on their
 // removal.
 //
-// Sealed segments are also the log's replication unit: a follower can
-// read sealed files without coordination (their content is frozen) and
-// tail the active one, trusting the CRC framing to stop at a frame that
-// is still being written. Logical offsets (WALToken, the durability
-// watermark) run monotonically across segments and never reset.
+// Logical offsets (WALToken, the durability watermark) run monotonically
+// across segments and never reset.
 
 // WALSyncPolicy selects how Commit waits for durability.
 type WALSyncPolicy int
@@ -344,15 +341,6 @@ func OpenSegmentedWAL(fs VFS, path string, policy WALSyncPolicy, rollSize int64)
 	return w, records, nil
 }
 
-// ScanWALFrames parses the CRC-framed records at the front of data,
-// returning the payloads and the number of framed bytes consumed. It is
-// the tailing primitive replicas read segments with: a torn or in-flight
-// frame simply ends the scan (consumed < len(data)), and the caller
-// re-reads once more bytes land.
-func ScanWALFrames(data []byte) ([][]byte, int) {
-	return scanWAL(data)
-}
-
 // scanWAL walks the framing and returns the valid records plus the byte
 // length of the valid prefix. A zero length is treated as tail garbage,
 // not an empty record: an all-zero header would otherwise self-validate
@@ -490,22 +478,6 @@ func (w *SegmentedWAL) rollLocked() error {
 	w.activeOff = 0
 	w.sealedN.Add(1)
 	return nil
-}
-
-// Seal seals the active segment now, whatever its size, and starts a fresh
-// one: every record appended so far then lives in a sealed, fully fsynced
-// segment that DropThrough can delete whole. An empty active segment is
-// left as it is.
-func (w *SegmentedWAL) Seal() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	if w.activeOff == 0 {
-		return nil
-	}
-	return w.rollLocked()
 }
 
 // Commit waits until the record identified by token is durable, per the

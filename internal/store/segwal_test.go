@@ -154,44 +154,6 @@ func TestSegWALDropThrough(t *testing.T) {
 	}
 }
 
-// TestSegWALSeal: Seal rolls a non-empty active segment whatever its size
-// and leaves an empty one alone, so a caller can make everything appended
-// so far droppable as whole segments.
-func TestSegWALSeal(t *testing.T) {
-	fs := NewCrashFS()
-	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Mark(); got != (SegPos{Seg: 1}) {
-		t.Fatalf("Seal of an empty log moved the mark to %+v", got)
-	}
-	segAppendCommit(t, w, []byte("verdicts"))
-	for i := 0; i < 2; i++ { // the second Seal finds the fresh segment empty
-		if err := w.Seal(); err != nil {
-			t.Fatal(err)
-		}
-		if got := w.Mark(); got != (SegPos{Seg: 2}) {
-			t.Fatalf("mark after Seal #%d = %+v, want segment 2 offset 0", i+1, got)
-		}
-	}
-	segAppendCommit(t, w, []byte("watermark"))
-	if _, segs, err := w.DropThrough(SegPos{Seg: 2}); err != nil || segs != 1 {
-		t.Fatalf("DropThrough = (%d segments, %v), want the one sealed segment", segs, err)
-	}
-	w.Close()
-	_, recs, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || string(recs[0]) != "watermark" {
-		t.Fatalf("recovered %q, want [watermark]", recs)
-	}
-}
-
 func TestSegWALTornTailOnlyInFinalSegment(t *testing.T) {
 	fs := NewCrashFS()
 	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 32)
@@ -399,11 +361,11 @@ func TestSegWALSizeCountsRetainedBytes(t *testing.T) {
 	}
 }
 
-// FuzzWALFrames feeds arbitrary bytes to ScanWALFrames, which the replica
-// tailer runs on raw segment bytes read while the primary may be mid-way
-// through an append. It must never panic, and what it accepts must be a
-// prefix of the input that re-framing the returned payloads reproduces
-// byte for byte.
+// FuzzWALFrames feeds arbitrary bytes to scanWAL, the decoder recovery
+// runs on every segment it reads from disk, torn or garbled tails
+// included. It must never panic, and what it accepts must be a prefix of
+// the input that re-framing the returned payloads reproduces byte for
+// byte.
 func FuzzWALFrames(f *testing.F) {
 	fs := NewCrashFS()
 	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 0)
@@ -432,7 +394,7 @@ func FuzzWALFrames(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, n := ScanWALFrames(data)
+		frames, n := scanWAL(data)
 		if n < 0 || n > len(data) {
 			t.Fatalf("valid prefix %d of %d bytes", n, len(data))
 		}

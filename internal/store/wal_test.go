@@ -132,16 +132,18 @@ func TestWALZeroFilledTailDropped(t *testing.T) {
 
 func TestWALTruncateSatisfiesCommits(t *testing.T) {
 	fs := NewCrashFS()
-	w, _ := openLog(t, fs, WALSyncNone)
+	// A one-byte roll size seals each record's segment at the next append.
+	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncNone, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tok, err := w.Append([]byte("will-be-checkpointed"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A checkpoint covers the record: its segment is sealed and dropped.
-	if err := w.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if _, segs, err := w.DropThrough(w.Mark()); err != nil || segs != 1 {
+	segAppendCommit(t, w, []byte("next-era"))
+	// A checkpoint covers the first record: its sealed segment is dropped.
+	if _, segs, err := w.DropThrough(SegPos{Seg: 2}); err != nil || segs != 1 {
 		t.Fatalf("DropThrough = (%d segments, %v), want 1 segment", segs, err)
 	}
 	// The record is gone from the log; its commit must still succeed, and
@@ -149,7 +151,6 @@ func TestWALTruncateSatisfiesCommits(t *testing.T) {
 	if err := w.Commit(tok); err != nil {
 		t.Fatalf("commit after drop: %v", err)
 	}
-	segAppendCommit(t, w, []byte("next-era"))
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}

@@ -422,11 +422,11 @@ func (img *ckptImage) metaBytes() ([]byte, error) {
 // ckptPublishLocked is the pipeline's final critical section (caller
 // holds the write lock): rename the staged meta — the atomic commit point
 // — then make the reclaimed pages reallocatable and delete the sealed WAL
-// segments the cut covers entirely (held down to any replica's retention
-// floor). committed reports whether the commit point landed; on
-// committed=true with err != nil the checkpoint succeeded but segment
-// reclamation did not — the segments linger harmlessly until the next
-// publish retries.
+// segments the cut covers entirely (held down to the retention floor of
+// any committed, unreleased Prepared). committed reports whether the
+// commit point landed; on committed=true with err != nil the checkpoint
+// succeeded but segment reclamation did not — the segments linger
+// harmlessly until the next publish retries.
 func (db *DB) ckptPublishLocked(img *ckptImage) (committed bool, walBytes int64, walSegs int, err error) {
 	if db.closed {
 		// Unreachable — Close drains the pipeline via ckptMu — but never
@@ -462,12 +462,12 @@ func (db *DB) ckptPublishLocked(img *ckptImage) (committed bool, walBytes int64,
 	db.fileDisk.DeferFrees(false)
 
 	if db.wal != nil {
-		// Attached replicas pin the log at their tail cursor: drop only
-		// segments every reader — this checkpoint AND every replica — is
-		// past. Segment removal is pure space reclamation (recovery skips
-		// covered records by sequence number), so a failure neither fails
-		// the checkpoint nor disables the log: the segments linger and the
-		// next publish retries.
+		// A committed, unreleased Prepared pins the log just below its
+		// record: drop only segments both this checkpoint and every such
+		// hold are past. Segment removal is pure space reclamation
+		// (recovery skips covered records by sequence number), so a
+		// failure neither fails the checkpoint nor disables the log: the
+		// segments linger and the next publish retries.
 		n, segs, terr := db.wal.DropThrough(db.retentionFloor(img.walMark))
 		walBytes, walSegs = n, segs
 		if terr != nil {
@@ -495,8 +495,8 @@ func (db *DB) retentionFloor(mark store.SegPos) store.SegPos {
 	return mark
 }
 
-// hold pins the log at floor for key — an attached Replica at its tail
-// cursor, a committed Prepared just below its record — until release.
+// hold pins the log at floor for key — a committed Prepared just below its
+// record, so a peer still without its marker can read it — until release.
 func (db *DB) hold(key any, floor store.SegPos) {
 	db.floorMu.Lock()
 	defer db.floorMu.Unlock()

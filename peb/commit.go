@@ -26,7 +26,7 @@ import (
 //	            (δ = 2 spacing, Fig. 5 of the paper), EncodePolicies and
 //	            LoadPolicies get their computed polOpEncode. The resolved
 //	            list is what is applied, what is logged, and therefore
-//	            what recovery and replicas replay
+//	            what recovery replays
 //	3 capture   first-touch index states, for the commit hooks
 //	4 apply     applyOps, the single state-transition function
 //	5 publish   republish the query view, collect garbage, fire the
@@ -37,9 +37,8 @@ import (
 // is what lets concurrent commits share one fsync — and observes the
 // commit latency. A cross-shard participant splits the stages at the
 // decision (prepared.go): PrepareApply runs 1–2 and logs, Prepared.Commit
-// runs 3–5 and logs its marker. Recovery (replayWAL) and
-// Replica.ingestLocked run stage 4 on decoded records, so live commit,
-// replay and follower apply execute the same code.
+// runs 3–5 and logs its marker. Recovery (replayWAL) runs stage 4 on
+// decoded records, so live commit and replay execute the same code.
 
 // commit applies ops atomically as one logged commit. An empty list
 // commits nothing.
@@ -319,9 +318,9 @@ func (db *DB) captureTouched(ops []core.BatchOp) ([]CommitTouch, error) {
 // applyOps is stage 4, the state transition of a resolved op list: the
 // index group through the tree with the bookkeeping its operations carry
 // (the user population, the sequence-value cursor), then — in list order —
-// the policy and rebuild operations with theirs (the population). Commit,
-// recovery and replicas all run it; the caller holds the write lock and
-// publishes the view afterwards.
+// the policy and rebuild operations with theirs (the population). Commit
+// and recovery both run it; the caller holds the write lock (or is still
+// opening the DB) and publishes the view afterwards.
 //
 // The index phase goes first because it is the only one that can fail on
 // valid input (a remove of an unindexed user, an I/O error) and it rolls

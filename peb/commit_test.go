@@ -2,6 +2,7 @@ package peb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"slices"
@@ -13,16 +14,23 @@ import (
 )
 
 // walPayloads returns the record payloads of db's log (one segment: the
-// tests below never write enough to roll it).
+// tests below never write enough to roll it). Each frame is a big-endian
+// payload length and CRC, then the payload; decodeRecord checks what the
+// payloads hold.
 func walPayloads(t *testing.T, fs store.VFS, path string) [][]byte {
 	t.Helper()
 	data, err := fs.ReadFile(store.SegmentWALName(path+".wal", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, n := store.ScanWALFrames(data)
-	if n != len(data) {
-		t.Fatalf("log %s has %d trailing bytes", path, len(data)-n)
+	var frames [][]byte
+	for len(data) > 0 {
+		if len(data) < 8 || len(data)-8 < int(binary.BigEndian.Uint32(data)) {
+			t.Fatalf("log %s ends in a partial frame of %d bytes", path, len(data))
+		}
+		n := 8 + int(binary.BigEndian.Uint32(data))
+		frames = append(frames, data[8:n])
+		data = data[n:]
 	}
 	return frames
 }

@@ -167,7 +167,7 @@ type Options struct {
 	// active segment is sealed (fsynced, never written again) and a new
 	// one started once it grows past this many bytes. Sealed segments are
 	// whole-file units — checkpoints delete the fully covered ones instead
-	// of rewriting anything, and replicas fetch them without coordination.
+	// of rewriting anything.
 	// Zero selects store.DefaultWALSegmentBytes.
 	WALSegmentBytes int64
 	// AutoCheckpoint, when any threshold is set, starts a background
@@ -293,8 +293,8 @@ type DB struct {
 	ckptSealed   bool
 
 	// Retention floors (hold): checkpoint publication never deletes a
-	// sealed segment an attached Replica has yet to read, nor one holding
-	// the record of a committed, unreleased Prepared.
+	// sealed segment holding the record of a committed, unreleased
+	// Prepared.
 	floorMu sync.Mutex
 	floors  map[any]store.SegPos
 
@@ -723,10 +723,7 @@ func (db *DB) Lookup(uid UserID) (Object, bool, error) {
 	return o, ok, err
 }
 
-// CommitSeq returns the WAL sequence number of the latest commit — the
-// horizon a fully caught-up Replica of this DB reports. Routers use the
-// pair for read-your-writes: a follower whose Horizon has reached the
-// CommitSeq observed after a write serves reads that include it.
+// CommitSeq returns the WAL sequence number of the latest commit.
 func (db *DB) CommitSeq() uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -8,8 +8,8 @@ import (
 )
 
 // policyHandle is the policy store one DB, or several sharing it, reads
-// through: the current store and the number of pins on it. A Snapshot, a
-// checkpoint cut and a replica bootstrap each pin the store they read
+// through: the current store and the number of pins on it. A Snapshot and a
+// checkpoint cut each pin the store they read
 // without a lock; a mutation clones the current store while any pin on it
 // stands, and otherwise changes it in place. Every mutation goes through
 // mutate under mu, so a pin either lands before it, and the mutation goes to
@@ -73,7 +73,7 @@ func (db *DB) mutatePolicies(fn func(*policy.Store) error) error {
 var errBorrowedPolicies = errors.New("peb: policies are borrowed from another DB; commit policy operations there")
 
 // BorrowPolicies makes src's policy store the one db reads, in place of a
-// store of its own: db's queries, snapshots, commit hooks and replicas read
+// store of its own: db's queries, snapshots and commit hooks read
 // src's store, db's checkpoints write no policies file (the meta records
 // that the store lives elsewhere), and db refuses policy operations — they
 // commit, are logged and are checkpointed on src alone. A router holds its

@@ -33,7 +33,7 @@ import (
 // coordinator to finish by the rule. Between a prepared record and its
 // marker the DB takes no other commit, so the record is the log's last and
 // the in-memory state is exactly the log below it (appliedHorizon): a
-// checkpoint cut and a replica bootstrap start there without waiting.
+// checkpoint cut starts there without waiting.
 // Abort keeps that window open until its marker is durable, so a cut above
 // a prepared record means it committed or its abort marker is on disk.
 // Transaction ids are never recycled while any log could still hold one
@@ -206,11 +206,7 @@ func (p *Prepared) Txn() (id uint64, parts []int) { return p.txnID, p.parts }
 // marker without waiting for it to be durable. Every prepare was durable,
 // so the transaction is decided: a failure here poisons this DB's log
 // (fail-stop), and recovery leaves the record pending to commit again.
-func (p *Prepared) Commit() error {
-	err := p.finish(txnCommitted)
-	p.db.events.Record("txn.commit", "participant committed", "txn", p.txnID)
-	return err
-}
+func (p *Prepared) Commit() error { return p.finish(txnCommitted) }
 
 // Abort logs a txnAborted marker — nothing of the batch was applied — and
 // closes the prepared window once the marker is durable. An error means

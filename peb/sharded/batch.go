@@ -248,8 +248,6 @@ func (db *DB) commitParts(parts []part) (committed bool, err error) {
 	db.txnMu.Lock()
 	db.unsettled = append(db.unsettled, prepared)
 	db.txnMu.Unlock()
-	db.events.Record("txn.commit", "cross-shard transaction committed",
-		"txn", txnID, "parts", len(parts))
 	if err := db.noteCommitted(parts); firstErr == nil {
 		firstErr = err
 	}
@@ -258,7 +256,7 @@ func (db *DB) commitParts(parts []part) (committed bool, err error) {
 
 // noteCommitted records a committed transaction's writes on its shards
 // (noteWrite) and, when the policy engine took part, points every shard
-// and follower at its store again (syncPolicies).
+// at its store again (syncPolicies).
 func (db *DB) noteCommitted(parts []part) error {
 	for _, p := range parts {
 		if p.slot < 0 {

@@ -271,18 +271,11 @@ func TestOpenRefusesOtherGenerations(t *testing.T) {
 // once in the shard that routes its position, and the verdict stable
 // across further reopens.
 
-// crashReshardOpts is crashShardedOpts with replicas followers per shard.
-func crashReshardOpts(fs store.VFS, replicas int) Options {
-	o := crashShardedOpts(fs)
-	o.ReplicasPerShard = replicas
-	return o
-}
-
 // crashReshardRun seeds three users per quadrant, then splits shard 0 (or
 // merges it into its route neighbor). Errors are ignored — the filesystem
 // is dying mid-run by design.
-func crashReshardRun(fs store.VFS, kind string, replicas int) {
-	db, err := Open(crashReshardOpts(fs, replicas))
+func crashReshardRun(fs store.VFS, kind string) {
+	db, err := Open(crashShardedOpts(fs))
 	if err != nil {
 		return
 	}
@@ -304,29 +297,9 @@ func crashReshardRun(fs store.VFS, kind string, replicas int) {
 // checkReshardRecovery asserts the recovered topology and data are
 // consistent after a mid-reshard crash, and returns the shard count for
 // the stability check.
-func checkReshardRecovery(t *testing.T, db *DB, label string, kind string, replicas int) int {
+func checkReshardRecovery(t *testing.T, db *DB, label string, kind string) int {
 	t.Helper()
 	n := db.Shards()
-	if replicas > 0 {
-		// Pools attach after the roll-forward, one per surviving shard, and
-		// bootstrap from the shard's recovered state.
-		checkFollowerPools(t, db, replicas)
-		for i, sm := range db.metas {
-			for _, r := range sm.followers.pool {
-				if _, err := r.CatchUp(); err != nil {
-					t.Fatalf("%s: shard %d follower catch-up: %v", label, sm.id, err)
-				}
-				snap, _, err := r.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := snap.Size(), db.shards[i].Size(); got != want {
-					t.Fatalf("%s: shard %d follower holds %d objects, primary %d", label, sm.id, got, want)
-				}
-				snap.Close()
-			}
-		}
-	}
 	switch kind {
 	case "split":
 		if n != 4 && n != 5 {
@@ -380,16 +353,16 @@ func checkReshardRecovery(t *testing.T, db *DB, label string, kind string, repli
 	return n
 }
 
-func testShardedCrashMidReshard(t *testing.T, kind string, replicas int) {
+func testShardedCrashMidReshard(t *testing.T, kind string) {
 	golden := store.NewCrashFS()
-	crashReshardRun(golden, kind, replicas)
+	crashReshardRun(golden, kind)
 	total := golden.Ops()
 	if total < 30 {
 		t.Fatalf("suspiciously few fault points: %d", total)
 	}
 	// Sanity: the golden run completed the topology change.
 	{
-		db, err := Open(crashReshardOpts(golden, replicas))
+		db, err := Open(crashShardedOpts(golden))
 		if err != nil {
 			t.Fatalf("golden reopen: %v", err)
 		}
@@ -397,7 +370,7 @@ func testShardedCrashMidReshard(t *testing.T, kind string, replicas int) {
 		if kind == "merge" {
 			want = 3
 		}
-		if got := checkReshardRecovery(t, db, "golden", kind, replicas); got != want {
+		if got := checkReshardRecovery(t, db, "golden", kind); got != want {
 			t.Fatalf("golden run holds %d shards, want %d", got, want)
 		}
 		if db.Size() != 12 {
@@ -412,7 +385,7 @@ func testShardedCrashMidReshard(t *testing.T, kind string, replicas int) {
 			label := fmt.Sprintf("%s k=%d keep=%v", kind, k, keepUnsynced)
 			fs := store.NewCrashFS()
 			fs.SetFailAfter(k)
-			crashReshardRun(fs, kind, replicas)
+			crashReshardRun(fs, kind)
 			if !fs.Dead() {
 				fs.CutPower()
 			}
@@ -423,22 +396,22 @@ func testShardedCrashMidReshard(t *testing.T, kind string, replicas int) {
 				}
 			}
 
-			db, err := Open(crashReshardOpts(fs, replicas))
+			db, err := Open(crashShardedOpts(fs))
 			if err != nil {
 				t.Fatalf("%s: recovery failed: %v", label, err)
 			}
-			n1 := checkReshardRecovery(t, db, label, kind, replicas)
+			n1 := checkReshardRecovery(t, db, label, kind)
 			size1 := db.Size()
 			if err := db.Close(); err != nil {
 				t.Fatalf("%s: close: %v", label, err)
 			}
 
 			// Topology and data verdicts are stable across another reopen.
-			db, err = Open(crashReshardOpts(fs, replicas))
+			db, err = Open(crashShardedOpts(fs))
 			if err != nil {
 				t.Fatalf("%s: second recovery failed: %v", label, err)
 			}
-			n2 := checkReshardRecovery(t, db, label+" (reopened)", kind, replicas)
+			n2 := checkReshardRecovery(t, db, label+" (reopened)", kind)
 			if n2 != n1 || db.Size() != size1 {
 				t.Fatalf("%s: verdict flipped across reopens: %d/%d shards, %d/%d users",
 					label, n1, n2, size1, db.Size())
@@ -451,12 +424,5 @@ func testShardedCrashMidReshard(t *testing.T, kind string, replicas int) {
 	}
 }
 
-func TestShardedCrashMidSplit(t *testing.T) { testShardedCrashMidReshard(t, "split", 0) }
-func TestShardedCrashMidMerge(t *testing.T) { testShardedCrashMidReshard(t, "merge", 0) }
-
-// TestShardedCrashMidSplitWithFollowers sweeps the split with one follower
-// per shard attached, the new shard's included: Open rolls a recorded
-// split forward, then attaches a pool to every shard it kept.
-func TestShardedCrashMidSplitWithFollowers(t *testing.T) {
-	testShardedCrashMidReshard(t, "split", 1)
-}
+func TestShardedCrashMidSplit(t *testing.T) { testShardedCrashMidReshard(t, "split") }
+func TestShardedCrashMidMerge(t *testing.T) { testShardedCrashMidReshard(t, "merge") }

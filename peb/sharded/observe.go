@@ -9,11 +9,11 @@ import (
 // Router-level observability. Each shard engine carries its own registry
 // (const label shard="NNN", the stable shard id) and event log; the router
 // adds a registry of its own for topology-scoped series — per-shard
-// routed-load rates, follower lag, split/merge counters — plus an event
-// log for maintainer decisions (AutoReshard verdicts, 2PC outcomes,
-// replica stall/catch-up transitions). MetricsRegistries gathers all of
-// them for one exposition endpoint; the set changes as shards split and
-// merge, so callers re-gather per scrape rather than caching.
+// routed-load rates, split/merge counters — plus an event log for
+// maintainer decisions (AutoReshard verdicts, 2PC aborts and recoveries).
+// MetricsRegistries gathers all of them for one exposition endpoint; the
+// set changes as shards split and merge, so callers re-gather per scrape
+// rather than caching.
 
 // initObs builds the router's registry and event log. Called from Open
 // before the DB is shared.
@@ -47,11 +47,7 @@ func (db *DB) collectMetrics(e *obs.Emit) {
 	e.Counter("peb_router_epoch", "Topology version (advances on every routing change).", float64(st.Epoch))
 	e.Counter("peb_router_splits_total", "Completed online shard splits since open.", float64(st.Splits))
 	e.Counter("peb_router_merges_total", "Completed online shard merges since open.", float64(st.Merges))
-	e.Counter("peb_router_follower_reads_total", "Shard queries served by a replica follower.", float64(st.FollowerReads))
-	e.Counter("peb_router_primary_fallbacks_total", "Follower reads that fell back to the primary.", float64(st.PrimaryFallbacks))
 	e.Counter("peb_router_events_total", "Router events recorded since open (the ring retains the tail).", float64(db.events.Total()))
-
-	db.collectFollowerLags(e)
 }
 
 // MetricsRegistries returns the router's registry plus every live shard
@@ -71,7 +67,7 @@ func (db *DB) MetricsRegistries() []*obs.Registry {
 }
 
 // Events returns the router's event log: AutoReshard decisions with the
-// observed rates that drove them, cross-shard transaction verdicts, and
-// replica stall/catch-up transitions. Per-shard maintainer events
-// (checkpoints, recovery) live on each shard's own log.
+// observed rates that drove them, and cross-shard transaction aborts and
+// recoveries. Per-shard maintainer events (checkpoints, recovery) live on
+// each shard's own log.
 func (db *DB) Events() *obs.EventLog { return db.events }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/store"
 	"repro/peb"
 )
 
@@ -23,6 +24,33 @@ type pair struct {
 func newPair(t *testing.T, shards int) pair {
 	t.Helper()
 	sh, err := Open(Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	or, err := peb.Open(peb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		sh.Close()
+		or.Close()
+	})
+	return pair{sharded: sh, oracle: or}
+}
+
+// newDurablePair is newPair with a durable sharded side on a crash
+// filesystem, with small log segments so a run seals and retires several.
+func newDurablePair(t *testing.T, shards int) pair {
+	t.Helper()
+	sh, err := Open(Options{
+		Shards: shards,
+		Dir:    "oracle",
+		DB: peb.Options{
+			Durability:      peb.DurabilitySync,
+			FS:              store.NewCrashFS(),
+			WALSegmentBytes: 1 << 10,
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,28 +407,18 @@ func TestShardedOracleShardCounts(t *testing.T) {
 	}
 }
 
-// TestShardedOracleMidSplit holds a split open between its route flip and
-// its drain — cover ≠ route, the upper half's objects still on the source —
-// and moves part of the population meanwhile, so both halves hold objects of
-// the divided range. Residency is a property of each shard's view, so the
-// two halves between them must still answer as the single tree does, at the
-// single tree's cost.
-func TestShardedOracleMidSplit(t *testing.T) {
-	testOracleMidSplit(t, newPair(t, 2), 0)
-}
-
-// testOracleMidSplit is TestShardedOracleMidSplit's body. A follower pair
-// with a positive staleness bound may answer from followers up to that
-// many commits behind, so its followers are caught up before each
-// comparison; at bound 0 read-your-writes alone must make them exact.
-func testOracleMidSplit(t *testing.T, p pair, staleness uint64) {
-	rng := rand.New(rand.NewSource(19))
+// midReshardFixture loads the population the mid-migration oracles share:
+// users 2–20 grant user 1 the whole space, and 80 users move at random
+// (seeded). It returns a fresh random state for a user, and the comparison
+// each oracle runs: answers equal to the single tree's, at its cost.
+func midReshardFixture(t *testing.T, p pair, seed int64) (obj func(int) Object, check func(string)) {
+	rng := rand.New(rand.NewSource(seed))
 	day := TimeInterval{Start: 0, End: 1440}
 	for u := UserID(2); u <= 20; u++ {
 		p.relate(t, u, 1, "friend")
 		p.grant(t, u, "friend", Region{MaxX: 1000, MaxY: 1000}, day)
 	}
-	obj := func(u int) Object {
+	obj = func(u int) Object {
 		return Object{
 			UID: UserID(u),
 			X:   rng.Float64() * 1000, Y: rng.Float64() * 1000,
@@ -412,11 +430,8 @@ func testOracleMidSplit(t *testing.T, p pair, staleness uint64) {
 		p.upsert(t, obj(u))
 	}
 	p.encode(t)
-	check := func(label string) {
+	check = func(label string) {
 		t.Helper()
-		if staleness > 0 {
-			catchUpFollowers(t, p.sharded)
-		}
 		p.check(t, label,
 			[]UserID{1, 50},
 			[]Region{{MaxX: 1000, MaxY: 1000}, {MinX: 300, MinY: 300, MaxX: 700, MaxY: 700}},
@@ -424,6 +439,18 @@ func testOracleMidSplit(t *testing.T, p pair, staleness uint64) {
 			[]int{1, 5})
 		p.checkRoutedCost(t, label, 1)
 	}
+	return obj, check
+}
+
+// TestShardedOracleMidSplit holds a split open between its route flip and
+// its drain — cover ≠ route, the upper half's objects still on the source —
+// and moves part of the population meanwhile, so both halves hold objects of
+// the divided range. Residency is a property of each shard's view, so the
+// two halves between them must still answer as the single tree does, at the
+// single tree's cost.
+func TestShardedOracleMidSplit(t *testing.T) {
+	p := newPair(t, 2)
+	obj, check := midReshardFixture(t, p, 19)
 
 	src := hottestShard(p.sharded.Stats())
 	if err := p.sharded.beginSplit(src); err != nil {
@@ -443,4 +470,36 @@ func testOracleMidSplit(t *testing.T, p pair, staleness uint64) {
 		t.Fatal(err)
 	}
 	check("split finished")
+}
+
+// TestShardedOracleMidMerge is the merge's counterpart of
+// TestShardedOracleMidSplit, on a durable router: it holds a merge open
+// between its route flip and its drain — the source no longer routes but
+// still covers its range — moves part of the population meanwhile, then
+// finishes the merge. Answers match the single tree at every step, and the
+// survivors keep answering after the source is closed.
+func TestShardedOracleMidMerge(t *testing.T) {
+	p := newDurablePair(t, 4)
+	obj, check := midReshardFixture(t, p, 23)
+
+	check("before merge")
+	src := p.sharded.Stats().Shards[0].ID
+	if err := p.sharded.beginMerge(src); err != nil {
+		t.Fatal(err)
+	}
+	if ss := p.sharded.Stats().Shards[0]; ss.ID != src || !ss.NoRoute {
+		t.Fatalf("merge source %+v still routes — nothing is mid-flight", ss)
+	}
+	check("route flipped")
+	for u := 1; u <= 80; u += 3 {
+		p.upsert(t, obj(u))
+	}
+	check("moved mid-merge")
+	if err := p.sharded.finishPending(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.sharded.Shards(); got != 3 {
+		t.Fatalf("%d shards after the merge, want 3", got)
+	}
+	check("merged")
 }

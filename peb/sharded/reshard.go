@@ -117,8 +117,7 @@ func (p AutoReshardPolicy) minShards() int {
 // keep serving throughout (queries consult both halves until the
 // migration drains). Split returns once the topology change is complete
 // and durable. It fails if another split or merge is in flight or if the
-// shard's range is too narrow to divide. With Options.ReplicasPerShard the
-// new shard gets a follower pool of its own.
+// shard's range is too narrow to divide.
 func (db *DB) Split(id int) error {
 	if err := db.beginSplit(id); err != nil {
 		return err
@@ -185,19 +184,13 @@ func (db *DB) beginSplit(id int) error {
 	if err != nil {
 		return fmt.Errorf("sharded: split: create shard %d: %w", newID, err)
 	}
-	fol, err := attachFollowers(eng, newID, db.opts.ReplicasPerShard)
-	if err != nil {
-		eng.Close()
-		db.removeShardFiles(newID)
-		return fmt.Errorf("sharded: split: %w", err)
-	}
 	upper := zcurve.Interval{Lo: at + 1, Hi: sm.route.Hi}
 
 	// Stage the flipped topology, then persist: the manifest rename is the
 	// split's commit point. On failure, revert the staging and discard the
-	// engine and its followers — nothing observable happened.
+	// engine — nothing observable happened.
 	db.metas[slot].route = zcurve.Interval{Lo: sm.route.Lo, Hi: at}
-	db.metas = append(db.metas, shardMeta{id: newID, route: upper, cover: upper, load: newLoadMeter(), followers: fol})
+	db.metas = append(db.metas, shardMeta{id: newID, route: upper, cover: upper, load: newLoadMeter()})
 	db.shards = append(db.shards, eng)
 	db.nextID++
 	db.epoch++
@@ -209,7 +202,6 @@ func (db *DB) beginSplit(id int) error {
 		db.nextID--
 		db.epoch--
 		db.pending = nil
-		fol.close()
 		eng.Close()
 		db.removeShardFiles(newID)
 		return err
@@ -484,10 +476,8 @@ func (db *DB) finalizePendingLocked() error {
 			return err
 		}
 		// Drop the source's CQ legs before its engine closes, so the close
-		// ends no subscription. Its followers go first too: they tail the
-		// log about to close, and the barrier keeps every read off them.
+		// ends no subscription.
 		db.cqShardRemoving(p.Src)
-		_ = db.metas[srcSlot].followers.close()
 		src := db.shards[srcSlot]
 		db.metas[dstSlot].cover = db.metas[dstSlot].route
 		db.shards = append(db.shards[:srcSlot], db.shards[srcSlot+1:]...)

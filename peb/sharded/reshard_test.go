@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/store"
 	"repro/peb"
 	"repro/peb/cq"
@@ -234,6 +236,74 @@ func TestReshardOracleCycles(t *testing.T) {
 	p.check(t, "post-merges", issuers, regions, times, ks)
 }
 
+// TestShardedReshardCycles runs 100 split/merge cycles on a durable
+// router, with a write and a query between cycles. Every merge closes its
+// source's engine and reclaims its directory, so afterwards the population
+// is intact, only the live shards hold files, no goroutine is left behind,
+// and Close leaves nothing running.
+func TestShardedReshardCycles(t *testing.T) {
+	base := runtime.NumGoroutine()
+	fs := store.NewCrashFS()
+	db, err := Open(Options{
+		Shards: 2,
+		Dir:    "cycles",
+		DB:     peb.Options{Durability: peb.DurabilitySync, FS: fs},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	const users = 40
+	for u := 1; u <= users; u++ {
+		if err := db.Upsert(Object{UID: UserID(u), X: rng.Float64() * 1000, Y: rng.Float64() * 1000, T: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steady := runtime.NumGoroutine()
+
+	for cycle := 0; cycle < 100; cycle++ {
+		if err := db.Split(hottestShard(db.Stats())); err != nil {
+			t.Fatalf("cycle %d: split: %v", cycle, err)
+		}
+		if err := db.Merge(db.nextID - 1); err != nil {
+			t.Fatalf("cycle %d: merge: %v", cycle, err)
+		}
+		u := UserID(1 + rng.Intn(users))
+		if err := db.Upsert(Object{UID: u, X: rng.Float64() * 1000, Y: rng.Float64() * 1000, T: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.RangeQuery(1, Region{MaxX: 1000, MaxY: 1000}, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := db.Stats()
+	if st.Splits != 100 || st.Merges != 100 || len(st.Shards) != 2 {
+		t.Fatalf("%d splits, %d merges, %d shards; want 100, 100, 2", st.Splits, st.Merges, len(st.Shards))
+	}
+	if db.Size() != users {
+		t.Fatalf("size %d after the cycles, want %d", db.Size(), users)
+	}
+	live := make(map[int]bool)
+	for _, ss := range st.Shards {
+		live[ss.ID] = true
+	}
+	for id := 0; id < db.nextID; id++ {
+		names, err := fs.ListDir(shardDir("cycles", id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live[id] != (len(names) > 0) {
+			t.Fatalf("shard %d (live %v) holds %d files", id, live[id], len(names))
+		}
+	}
+	leakcheck.WaitGoroutines(t, steady)
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	leakcheck.WaitGoroutines(t, base)
+}
+
 // TestReshardDurability: splits and merges survive reopen — the adopted
 // topology matches what was committed, and every object is where the
 // routes say.
@@ -371,41 +441,16 @@ func TestLoadMeterRates(t *testing.T) {
 // shard splits, two cold neighbours merge, and the population survives the
 // migrations exactly.
 func TestAutoReshardSplitsHotShard(t *testing.T) {
-	testAutoReshardSplitsHotShard(t, Options{})
-}
-
-// TestAutoReshardSplitsHotShardWithFollowers runs the maintainer over a
-// router serving reads from one follower per shard: the new shard of
-// every automatic split gets a pool, the source of every automatic merge
-// closes its own, and followers keep serving reads.
-func TestAutoReshardSplitsHotShardWithFollowers(t *testing.T) {
-	db := testAutoReshardSplitsHotShard(t, Options{
-		Dir:              "auto",
-		DB:               peb.Options{Durability: peb.DurabilitySync, FS: store.NewCrashFS()},
-		ReplicasPerShard: 1,
+	db, err := Open(Options{
+		Shards:           4,
+		LoadRateHalfLife: 50 * time.Millisecond,
+		AutoReshard: AutoReshardPolicy{
+			Interval:        10 * time.Millisecond,
+			SplitCommitRate: 50,
+			MergeCommitRate: 5,
+			MaxShards:       5,
+		},
 	})
-	checkFollowerPools(t, db, 1)
-	if _, err := db.RangeQuery(1, Region{MaxX: 1000, MaxY: 1000}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.Stats(); st.FollowerReads == 0 {
-		t.Fatal("FollowerReads = 0: no follower served a read")
-	}
-}
-
-// testAutoReshardSplitsHotShard is TestAutoReshardSplitsHotShard over base
-// (its shard count and AutoReshard policy are set here). It returns the
-// still-open DB, closed at cleanup.
-func testAutoReshardSplitsHotShard(t *testing.T, base Options) *DB {
-	base.Shards = 4
-	base.LoadRateHalfLife = 50 * time.Millisecond
-	base.AutoReshard = AutoReshardPolicy{
-		Interval:        10 * time.Millisecond,
-		SplitCommitRate: 50,
-		MergeCommitRate: 5,
-		MaxShards:       5,
-	}
-	db, err := Open(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +490,6 @@ func testAutoReshardSplitsHotShard(t *testing.T, base Options) *DB {
 	if got := db.Size(); got != hotUsers+coldUsers {
 		t.Fatalf("size %d across automatic split and merge, want %d", got, hotUsers+coldUsers)
 	}
-	return db
 }
 
 func TestAutoReshardOptionValidation(t *testing.T) {
@@ -459,20 +503,6 @@ func TestAutoReshardOptionValidation(t *testing.T) {
 		if _, err := Open(o); !errors.Is(err, peb.ErrBadOptions) {
 			t.Fatalf("case %d: got %v, want ErrBadOptions", i, err)
 		}
-	}
-	// AutoReshard + replicas is accepted: follower pools move with their
-	// shards through splits and merges.
-	db, err := Open(Options{
-		Dir:              "x",
-		DB:               peb.Options{Durability: peb.DurabilitySync, FS: store.NewCrashFS()},
-		ReplicasPerShard: 1,
-		AutoReshard:      AutoReshardPolicy{Interval: time.Second, SplitCommitRate: 10},
-	})
-	if err != nil {
-		t.Fatalf("AutoReshard+replicas refused: %v", err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

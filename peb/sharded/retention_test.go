@@ -264,7 +264,7 @@ func mergeAfterApplyRun(fs *store.CrashFS) {
 // merge is visible nothing acknowledged before it is missing.
 func TestShardedCrashMergeAfterApply(t *testing.T) {
 	sweepCrashes(t, crashShardedOpts, mergeAfterApplyRun, func(db *DB, label string) string {
-		n := checkReshardRecovery(t, db, label, "merge", 0)
+		n := checkReshardRecovery(t, db, label, "merge")
 		txn := checkTxnUsers(t, db, label, txnUserBase+1, txnUserBase+2, txnUserBase+3, txnUserBase+4)
 		if n == 3 && (!txn || db.Size() != 16) {
 			t.Fatalf("%s: merged topology holds %d users (batch present: %v), want all 16", label, db.Size(), txn)

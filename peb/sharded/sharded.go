@@ -32,8 +32,8 @@
 // the next open by keeping the newer state). Policies and relations have
 // one home: the policy engine, a peb.DB beside the shards that holds no
 // objects and sits outside the routing table. It commits, logs and
-// checkpoints every policy operation once, and every shard and follower
-// reads its store (peb.DB.BorrowPolicies), so any shard can evaluate the
+// checkpoints every policy operation once, and every shard reads its
+// store (peb.DB.BorrowPolicies), so any shard can evaluate the
 // privacy predicate for its own objects. This matches the paper's premise
 // that policies change rarely while positions change constantly: they are
 // written once, not once per shard.
@@ -108,19 +108,6 @@ type Options struct {
 	// every shard and to the policy engine. Path must be empty (it is
 	// derived per engine).
 	DB peb.Options
-	// ReplicasPerShard, when positive, attaches that many peb.Replica
-	// followers to every shard and serves RangeQuery and NearestNeighbors
-	// from them round-robin (see replica.go for the read-your-writes
-	// freshness protocol). Requires durability: followers tail the
-	// per-shard write-ahead logs.
-	ReplicasPerShard int
-	// StalenessBound relaxes follower freshness: a follower may serve a
-	// read while lagging at most this many commits behind the last write
-	// the router sent to that shard. Zero (the default) demands full
-	// read-your-writes freshness; a follower that cannot reach the bound
-	// even after a synchronous catch-up is skipped in favor of the
-	// primary. Meaningful only with ReplicasPerShard > 0.
-	StalenessBound uint64
 	// LoadRateHalfLife sets the horizon of the per-shard EWMA commit and
 	// query rates in ShardStats (and of the AutoReshard trigger): a burst's
 	// contribution to the rate halves every such interval. Default 10s.
@@ -139,7 +126,7 @@ type DB struct {
 	grid   zcurve.Grid
 	shards []*peb.DB
 	// pe is the policy engine: the one owner of the policy store every
-	// shard and follower borrows (see syncPolicies).
+	// shard borrows (see syncPolicies).
 	pe *peb.DB
 
 	// Topology (topology.go). metas is parallel to shards (one entry per
@@ -203,10 +190,6 @@ type DB struct {
 	nextTxn   uint64
 	unsettled [][]*peb.Prepared
 
-	// Follower-read counters (replica.go); the pools live in metas.
-	followerReads    atomic.Uint64
-	primaryFallbacks atomic.Uint64
-
 	// Router observability (observe.go): topology-scoped metrics and the
 	// maintainer event log. Per-shard series live on each engine's own
 	// registry (const label shard="NNN").
@@ -223,12 +206,6 @@ func (o Options) validate() error {
 	}
 	if o.DB.Durability != peb.DurabilityNone && o.Dir == "" {
 		return fmt.Errorf("%w: Durability requires Dir", peb.ErrBadOptions)
-	}
-	if o.ReplicasPerShard < 0 {
-		return fmt.Errorf("%w: ReplicasPerShard %d < 0", peb.ErrBadOptions, o.ReplicasPerShard)
-	}
-	if o.ReplicasPerShard > 0 && o.DB.Durability == peb.DurabilityNone {
-		return fmt.Errorf("%w: ReplicasPerShard requires Durability (followers tail the per-shard logs)", peb.ErrBadOptions)
 	}
 	if o.LoadRateHalfLife < 0 {
 		return fmt.Errorf("%w: LoadRateHalfLife %v < 0", peb.ErrBadOptions, o.LoadRateHalfLife)
@@ -374,12 +351,6 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 
-	for i, s := range db.shards {
-		if db.metas[i].followers, err = attachFollowers(s, db.metas[i].id, opts.ReplicasPerShard); err != nil {
-			db.Close()
-			return nil, err
-		}
-	}
 	db.startMaintainer()
 	return db, nil
 }
@@ -424,20 +395,15 @@ func (db *DB) reconcile() error {
 	return nil
 }
 
-// syncPolicies points every shard and follower at the policy engine's
-// store — at open, and after every policy commit, which may have gone to a
-// copy of the store while something pinned it — and so tells every shard's
-// commit hooks, the standing queries among them, that policies changed.
+// syncPolicies points every shard at the policy engine's store — at open,
+// and after every policy commit, which may have gone to a copy of the
+// store while something pinned it — and so tells every shard's commit
+// hooks, the standing queries among them, that policies changed.
 // The caller holds the write barrier (or is still constructing the DB).
 func (db *DB) syncPolicies() error {
 	for i, s := range db.shards {
 		if err := s.BorrowPolicies(db.pe); err != nil {
 			return fmt.Errorf("sharded: shard %d: borrow policies: %w", db.metas[i].id, err)
-		}
-		for _, r := range db.metas[i].followers.replicas() {
-			if err := r.BorrowPolicies(db.pe); err != nil {
-				return fmt.Errorf("sharded: shard %d follower: borrow policies: %w", db.metas[i].id, err)
-			}
 		}
 	}
 	return nil
@@ -486,10 +452,6 @@ func (db *DB) Close() error {
 	db.closed = true
 	var firstErr error
 	for i, s := range db.shards {
-		// Followers first: they tail the shard log that is about to close.
-		if err := db.metas[i].followers.close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
 		if err := s.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("sharded: close shard %d: %w", i, err)
 		}

@@ -64,6 +64,17 @@ func (m *loadMeter) rates(now time.Time, halfLife time.Duration) (commit, query 
 	return m.commitEW, m.queryEW
 }
 
+// noteWrite records on shard i's load meter that the router just
+// committed there: the hot-shard detector's signal.
+func (db *DB) noteWrite(i int) { db.metas[i].load.noteCommit() }
+
+// reader returns shard i as a query target and records the consultation
+// on its load meter.
+func (db *DB) reader(i int) querier {
+	db.metas[i].load.noteQuery()
+	return db.shards[i]
+}
+
 // ShardStats is one shard's contribution to the aggregate.
 type ShardStats struct {
 	// ID is the shard's stable identity (its shard-NNN directory); the
@@ -94,9 +105,8 @@ type ShardStats struct {
 	Checkpoints peb.CheckpointStats
 	// ViewSwaps counts the shard's query-view republishes.
 	ViewSwaps uint64
-	// Buffer is the buffer-pool activity of the shard and its followers
-	// (Misses is the paper's page-I/O count); a cold shard shows up as a
-	// skewed hit ratio.
+	// Buffer is the shard's buffer-pool activity (Misses is the paper's
+	// page-I/O count); a cold shard shows up as a skewed hit ratio.
 	Buffer store.BufferStats
 }
 
@@ -122,14 +132,7 @@ type Stats struct {
 	Checkpoints peb.CheckpointStats
 	// ViewSwaps sums the per-shard view republishes.
 	ViewSwaps uint64
-	// FollowerReads counts shard queries served by a replica follower;
-	// PrimaryFallbacks counts queries that wanted a follower but fell back
-	// to the primary (the follower could not reach the required horizon).
-	// Both are zero without Options.ReplicasPerShard.
-	FollowerReads    uint64
-	PrimaryFallbacks uint64
-	// Buffer sums the buffer-pool counters of every shard and of its
-	// followers, so page reads a follower serves are counted too.
+	// Buffer sums the buffer-pool counters of every shard.
 	Buffer store.BufferStats
 	// TxnDecisions and TxnLogBytes always read 0: the router keeps no log
 	// of its own — a cross-shard transaction's verdict lives in its
@@ -165,9 +168,6 @@ func (db *DB) Stats() Stats {
 			ViewSwaps:   s.ViewSwaps(),
 			Buffer:      s.IOStats(),
 		}
-		for _, r := range sm.followers.replicas() {
-			ss.Buffer.Add(r.IOStats())
-		}
 		out.Shards[i] = ss
 		out.Buffer.Add(ss.Buffer)
 		addLog(&out, ss.WAL, ss.Checkpoints)
@@ -177,8 +177,6 @@ func (db *DB) Stats() Stats {
 	out.Epoch = db.epoch
 	out.Splits = db.splits.Load()
 	out.Merges = db.merges.Load()
-	out.FollowerReads = db.followerReads.Load()
-	out.PrimaryFallbacks = db.primaryFallbacks.Load()
 	return out
 }
 

@@ -36,16 +36,14 @@ import (
 
 // shardMeta is one shard's place in the topology, parallel to DB.shards,
 // plus the router-side state that travels with the shard through splits
-// and merges: its load meter and its follower pool (nil without
-// Options.ReplicasPerShard). Both sit behind pointers, so copies of the
-// record share them.
+// and merges: its load meter, which sits behind a pointer so copies of
+// the record share it.
 type shardMeta struct {
-	id        int
-	route     zcurve.Interval
-	noRoute   bool // true while the shard drains into a merge peer
-	cover     zcurve.Interval
-	load      *loadMeter
-	followers *followers
+	id      int
+	route   zcurve.Interval
+	noRoute bool // true while the shard drains into a merge peer
+	cover   zcurve.Interval
+	load    *loadMeter
 }
 
 // pendingKind names the two in-flight topology changes.

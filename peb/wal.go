@@ -207,7 +207,7 @@ func (db *DB) walSync(tok store.WALToken) error {
 	return nil
 }
 
-// replayRecord re-applies one committed record — recovery and replicas.
+// replayRecord re-applies one committed record during recovery.
 // It is the commit pipeline's apply stage plus the record's cursors;
 // nothing re-logs, no hook fires, and the caller publishes the view
 // afterwards.
@@ -223,9 +223,9 @@ func (db *DB) replayRecord(rec walRecord) error {
 	return nil
 }
 
-// txnReplay replays a log that may hold prepared records, for recovery
-// (which has the whole log) and for a replica (which sees it arrive). A
-// prepared record's fate is its marker's, wherever in the log that sits:
+// txnReplay replays a log that may hold prepared records, for recovery,
+// which has the whole log before it replays any of it. A prepared
+// record's fate is its marker's, wherever in the log that sits:
 // committed, it applies at its own position; aborted, it is skipped with
 // its sequence number consumed — the live participant never applied it, so
 // the log minus the record replays to the same history, and the marker
@@ -255,13 +255,13 @@ func (q *txnReplay) add(frames [][]byte) error {
 	return nil
 }
 
-// drain replays the queue into db, taking the write lock record by record
-// (a replica's readers run in between), and reports how many records it
-// applied. It stops at a prepared record above db.walSeq with no marker
-// queued, to wait for its marker (a replica) or verdict (recovery). Records
-// at or below db.walSeq are part of db's state already and only pass
-// through — a markerless prepared one committed (see prepared.go). Every
-// transaction id seen raises db.maxTxn, so a coordinator never recycles it.
+// drain replays the queue into db, which is still opening and so not
+// shared, and reports how many records it applied. It stops at a prepared
+// record above db.walSeq with no marker queued, which waits for the
+// coordinator's verdict. Records at or below db.walSeq are part of db's
+// state already and only pass through — a markerless prepared one
+// committed (see prepared.go). Every transaction id seen raises db.maxTxn,
+// so a coordinator never recycles it.
 func (q *txnReplay) drain(db *DB) (applied int, err error) {
 	for len(q.pending) > 0 {
 		rec := q.pending[0]
@@ -277,10 +277,7 @@ func (q *txnReplay) drain(db *DB) (applied int, err error) {
 			}
 			commit = state == txnCommitted
 		}
-		db.mu.Lock()
-		if rec.TxnID > db.maxTxn {
-			db.maxTxn = rec.TxnID
-		}
+		db.maxTxn = max(db.maxTxn, rec.TxnID)
 		switch {
 		case rec.Seq <= db.walSeq:
 		case !commit:
@@ -289,7 +286,6 @@ func (q *txnReplay) drain(db *DB) (applied int, err error) {
 			err = db.replayRecord(rec)
 			applied++
 		}
-		db.mu.Unlock()
 		if err != nil {
 			return applied, fmt.Errorf("record %d: %w", rec.Seq, err)
 		}
