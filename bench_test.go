@@ -10,12 +10,12 @@
 package repro
 
 import (
-	"bytes"
 	"context"
 	"sync"
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/policy"
 	"repro/internal/workload"
 	"repro/peb"
 )
@@ -229,14 +229,19 @@ func sharedDB(b *testing.B) (*peb.DB, []workload.PRQuery, []workload.KNNQuery) {
 		}); dbErr != nil {
 			return
 		}
-		var policies bytes.Buffer
-		if dbErr = ds.Policies.Save(&policies); dbErr != nil {
-			return
-		}
-		if dbErr = dbVal.LoadPolicies(&policies); dbErr != nil {
-			return
-		}
 		batch := dbVal.NewBatch()
+		ds.Policies.ForEachGrant(func(owner, viewer policy.UserID, p policy.Policy) bool {
+			batch.DefineRelation(peb.UserID(owner), peb.UserID(viewer), p.Role)
+			batch.Grant(peb.UserID(owner), p.Role, p.Locr, p.Tint)
+			return true
+		})
+		if dbErr = dbVal.Apply(batch); dbErr != nil {
+			return
+		}
+		if dbErr = dbVal.EncodePolicies(); dbErr != nil {
+			return
+		}
+		batch = dbVal.NewBatch()
 		for _, o := range ds.Objects {
 			batch.Upsert(o)
 		}

@@ -1,7 +1,7 @@
 // Command pebmon is a one-shot console client for a running engine's
 // observability endpoint (repro/peb/obs): it fetches /statusz and
 // /metrics from the target address and prints a condensed live view —
-// topology, per-shard rates, latency quantiles, recent maintainer
+// topology, per-shard rates, mean commit latency, recent maintainer
 // events. For dashboards, point a real Prometheus scraper at /metrics
 // instead; pebmon is for a quick look from a terminal.
 //

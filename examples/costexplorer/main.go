@@ -7,8 +7,9 @@
 // roughly 5% of the population.
 //
 // The sample points are measured through the public API: a peb.DB is
-// bulk-loaded (peb.Open, the workload's policies saved and restored with
-// LoadPolicies, the population in one batched Apply) and the query replay
+// bulk-loaded (peb.Open, the workload's relations and grants in one
+// batched Apply and encoded with EncodePolicies, the population in a second
+// batch) and the query replay
 // runs on a pinned Snapshot, whose per-session I/O counters and LeafCount
 // provide the measured cost and the model's Nl directly. The spatial
 // baseline for the break-even line is measured the same way the paper
@@ -16,13 +17,13 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 
 	"repro/internal/bxtree"
 	"repro/internal/costmodel"
 	"repro/internal/exp"
+	"repro/internal/policy"
 	"repro/internal/spatialidx"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -56,14 +57,19 @@ func main() {
 			log.Fatal(err)
 		}
 		defer db.Close()
-		var policies bytes.Buffer
-		if err := ds.Policies.Save(&policies); err != nil {
-			log.Fatal(err)
-		}
-		if err := db.LoadPolicies(&policies); err != nil {
-			log.Fatal(err)
-		}
 		batch := db.NewBatch()
+		ds.Policies.ForEachGrant(func(owner, viewer policy.UserID, p policy.Policy) bool {
+			batch.DefineRelation(peb.UserID(owner), peb.UserID(viewer), p.Role)
+			batch.Grant(peb.UserID(owner), p.Role, p.Locr, p.Tint)
+			return true
+		})
+		if err := db.Apply(batch); err != nil {
+			log.Fatal(err)
+		}
+		if err := db.EncodePolicies(); err != nil {
+			log.Fatal(err)
+		}
+		batch = db.NewBatch()
 		for _, o := range ds.Objects {
 			batch.Upsert(o)
 		}

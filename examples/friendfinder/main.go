@@ -3,19 +3,19 @@
 //
 // A population of users moves between hub destinations (the workload of
 // Sec. 7.7). Each user grants visibility to a small social circle. The
-// example serves the PEB side entirely through the public peb API — bulk
-// policy restore, batched movement ingest, pinned snapshots with
+// example serves the PEB side entirely through the public peb API — batched
+// policy load and encoding, batched movement ingest, pinned snapshots with
 // per-session I/O counters — and compares its query I/O against the
 // spatial-index-plus-filtering baseline on the same data, reproducing the
 // paper's headline effect end to end.
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 
 	"repro/internal/bxtree"
+	"repro/internal/policy"
 	"repro/internal/spatialidx"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -38,8 +38,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The service database: restore the policy store (which re-runs the
-	// offline encoding of Sec. 5.1), then bulk-load all movement in one
+	// The service database: load every relation and grant in one batch, run
+	// the offline encoding of Sec. 5.1, then bulk-load all movement in one
 	// batch. The paper's 50-page buffer keeps I/O comparable.
 	db, err := peb.Open(peb.Options{
 		SpaceSide: cfg.Space,
@@ -50,14 +50,19 @@ func main() {
 		log.Fatal(err)
 	}
 	defer db.Close()
-	var buf bytes.Buffer
-	if err := ds.Policies.Save(&buf); err != nil {
-		log.Fatal(err)
-	}
-	if err := db.LoadPolicies(&buf); err != nil {
-		log.Fatal(err)
-	}
 	load := db.NewBatch()
+	ds.Policies.ForEachGrant(func(owner, viewer policy.UserID, p policy.Policy) bool {
+		load.DefineRelation(peb.UserID(owner), peb.UserID(viewer), p.Role)
+		load.Grant(peb.UserID(owner), p.Role, p.Locr, p.Tint)
+		return true
+	})
+	if err := db.Apply(load); err != nil {
+		log.Fatal(err)
+	}
+	if err := db.EncodePolicies(); err != nil {
+		log.Fatal(err)
+	}
+	load = db.NewBatch()
 	for _, o := range ds.Objects {
 		load.Upsert(o)
 	}

@@ -203,7 +203,6 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindHistogram
-	kindCounterFunc
 	kindGaugeFunc
 )
 
@@ -250,14 +249,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return g
 }
 
-// CounterFunc registers a pull-based counter: fn is called at scrape time.
-// Use it to export counters another subsystem already maintains instead of
-// double-counting on the hot path.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	r.add(&metricEntry{name: name, help: help, kind: kindCounterFunc, labels: labels, fn: fn})
-}
-
-// GaugeFunc registers a pull-based gauge.
+// GaugeFunc registers a pull-based gauge: fn is called at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.add(&metricEntry{name: name, help: help, kind: kindGaugeFunc, labels: labels, fn: fn})
 }
@@ -389,8 +381,6 @@ func (r *Registry) gatherInto(e *Emit) {
 			e.Counter(m.name, m.help, float64(m.c.Value()), m.labels...)
 		case kindGauge:
 			e.Gauge(m.name, m.help, m.g.Value(), m.labels...)
-		case kindCounterFunc:
-			e.Counter(m.name, m.help, m.fn(), m.labels...)
 		case kindGaugeFunc:
 			e.Gauge(m.name, m.help, m.fn(), m.labels...)
 		case kindHistogram:

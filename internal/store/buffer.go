@@ -101,9 +101,6 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 	return bp
 }
 
-// Capacity returns the maximum number of cached pages.
-func (bp *BufferPool) Capacity() int { return bp.capacity }
-
 // Stats returns the cumulative hit/miss counters.
 func (bp *BufferPool) Stats() BufferStats {
 	bp.mu.Lock()

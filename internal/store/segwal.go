@@ -12,10 +12,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/codec"
-	"repro/internal/obs"
 )
 
 // Segmented write-ahead log.
@@ -34,12 +32,9 @@ import (
 //	[n bytes] payload (opaque to the log)
 //
 // Group commit: Append only buffers the record in the file; Commit makes it
-// durable according to the sync policy. Under WALSyncAlways the first
-// committer becomes the sync leader and fsyncs everything appended so far,
-// so concurrent commits share one fsync (the classic group commit).
-// WALSyncNone never syncs on commit — the OS (or the next seal/Close)
-// flushes — so a crash may lose a suffix of acknowledged commits, but
-// recovery still sees a clean committed prefix.
+// durable. The first committer becomes the sync leader and fsyncs
+// everything appended so far, so concurrent commits share one fsync (the
+// classic group commit).
 //
 // Error handling is strict: after any write or sync failure the log is
 // poisoned and every subsequent Append/Commit fails. A log that may have a
@@ -54,9 +49,8 @@ import (
 //
 // A segment that grows past the roll threshold is sealed: it is fsynced
 // one final time and the next numbered segment becomes the active one.
-// Because sealing always fsyncs — under every sync policy — a sealed
-// segment is durable in its entirety, which buys two structural
-// guarantees:
+// Because sealing always fsyncs, a sealed segment is durable in its
+// entirety, which buys two structural guarantees:
 //
 //   - a group-commit leader advances the global durability watermark
 //     after fsyncing only the active file (bytes it did not cover live in
@@ -74,21 +68,6 @@ import (
 //
 // Logical offsets (WALToken, the durability watermark) run monotonically
 // across segments and never reset.
-
-// WALSyncPolicy selects how Commit waits for durability.
-type WALSyncPolicy int
-
-const (
-	// WALSyncAlways fsyncs before Commit returns; concurrent commits share
-	// a single fsync opportunistically.
-	WALSyncAlways WALSyncPolicy = 0
-	// WALSyncNone returns from Commit without syncing. Durability is
-	// deferred to the OS, Sync, a seal, or Close.
-	WALSyncNone WALSyncPolicy = 2
-	// Value 1 was the retired grouped policy (WALSyncAlways plus a
-	// gathering window). It stays unused so a policy recorded by number
-	// keeps its meaning.
-)
 
 // walMaxRecord bounds a record's payload, rejecting absurd lengths that a
 // corrupt header would otherwise turn into huge allocations.
@@ -132,7 +111,6 @@ type segInfo struct {
 type SegmentedWAL struct {
 	fs       VFS
 	path     string
-	policy   WALSyncPolicy
 	rollSize int64
 
 	// mu guards the active handle, offsets, and the sealed-segment list.
@@ -166,30 +144,7 @@ type SegmentedWAL struct {
 	// deleted.
 	sealedN  atomic.Uint64
 	removedN atomic.Uint64
-
-	// obs holds the owner's latency histograms (nil fields record
-	// nothing). Set once via Observe before the log sees concurrent use.
-	// lastSyncApps tracks the append count at the previous durability
-	// advance (guarded by sm), so each fsync can report its group size.
-	obs          WALObserver
-	lastSyncApps uint64
 }
-
-// WALObserver carries the instruments a SegmentedWAL feeds: per-append
-// write duration, per-group fsync duration, and records made durable per
-// fsync (the group-commit batch size). All fields are optional; recording
-// on the histograms is zero-alloc, so the hot paths carry them at full
-// speed.
-type WALObserver struct {
-	AppendNanos  *obs.Histogram
-	FsyncNanos   *obs.Histogram
-	FsyncRecords *obs.Histogram
-}
-
-// Observe attaches the observer. Call before the log sees concurrent
-// appends (peb wires it during open); it is not synchronized against
-// in-flight operations.
-func (w *SegmentedWAL) Observe(o WALObserver) { w.obs = o }
 
 // SegmentWALName returns the file name of segment idx of the log at path.
 func SegmentWALName(path string, idx uint64) string {
@@ -268,7 +223,7 @@ func RemoveSegmentedWAL(fs VFS, path string) error {
 // before touching anything.
 //
 // rollSize is the seal threshold; <= 0 selects DefaultWALSegmentBytes.
-func OpenSegmentedWAL(fs VFS, path string, policy WALSyncPolicy, rollSize int64) (*SegmentedWAL, [][]byte, error) {
+func OpenSegmentedWAL(fs VFS, path string, rollSize int64) (*SegmentedWAL, [][]byte, error) {
 	if rollSize <= 0 {
 		rollSize = DefaultWALSegmentBytes
 	}
@@ -285,7 +240,7 @@ func OpenSegmentedWAL(fs VFS, path string, policy WALSyncPolicy, rollSize int64)
 		idxs = []uint64{1}
 	}
 
-	w := &SegmentedWAL{fs: fs, path: path, policy: policy, rollSize: rollSize}
+	w := &SegmentedWAL{fs: fs, path: path, rollSize: rollSize}
 	w.sc = sync.NewCond(&w.sm)
 
 	var records [][]byte
@@ -405,10 +360,6 @@ func (w *SegmentedWAL) BytesAppended() uint64 {
 func (w *SegmentedWAL) Append(payload []byte) (WALToken, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var start time.Time
-	if w.obs.AppendNanos != nil {
-		start = time.Now()
-	}
 	if w.err != nil {
 		return 0, w.err
 	}
@@ -443,16 +394,13 @@ func (w *SegmentedWAL) Append(payload []byte) (WALToken, error) {
 	w.activeOff += int64(len(buf))
 	w.appends.Add(1)
 	w.bytes.Add(uint64(len(buf)))
-	if w.obs.AppendNanos != nil {
-		w.obs.AppendNanos.ObserveDuration(time.Since(start))
-	}
 	return WALToken(w.base + w.activeOff), nil
 }
 
 // rollLocked seals the active segment and opens the next one. Caller
-// holds mu. The seal fsync runs under every sync policy: sealed segments
-// must be durable in full (see the type comment for why both the
-// watermark protocol and recovery depend on it).
+// holds mu. The seal fsync makes the sealed segment durable in full (see
+// the type comment for why both the watermark protocol and recovery depend
+// on it).
 //
 // The durability watermark is NOT advanced here (mu holders never touch
 // sm): a commit waiting on a sealed-segment record simply elects a sync
@@ -480,26 +428,20 @@ func (w *SegmentedWAL) rollLocked() error {
 	return nil
 }
 
-// Commit waits until the record identified by token is durable, per the
-// sync policy. Records in removed segments count as durable (the
-// checkpoint that removed them made them redundant).
+// Commit waits until the record identified by token is durable. Records
+// in removed segments count as durable (the checkpoint that removed them
+// made them redundant).
 func (w *SegmentedWAL) Commit(token WALToken) error {
 	if token == 0 {
 		return nil
 	}
-	if w.policy == WALSyncNone {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return w.err
-	}
 	return w.syncTo(int64(token))
 }
 
-// Durable reports whether the record identified by token is durable per
-// the sync policy — whether Commit(token) would return without syncing.
-// It never syncs.
+// Durable reports whether the record identified by token is durable —
+// whether Commit(token) would return without syncing. It never syncs.
 func (w *SegmentedWAL) Durable(token WALToken) bool {
-	if token == 0 || w.policy == WALSyncNone {
+	if token == 0 {
 		return true
 	}
 	w.sm.Lock()
@@ -507,7 +449,7 @@ func (w *SegmentedWAL) Durable(token WALToken) bool {
 	return w.synced >= int64(token)
 }
 
-// Sync forces everything appended so far to disk, regardless of policy.
+// Sync forces everything appended so far to disk.
 func (w *SegmentedWAL) Sync() error {
 	w.mu.Lock()
 	target := w.base + w.activeOff
@@ -557,14 +499,7 @@ func (w *SegmentedWAL) syncTo(target int64) error {
 	end := w.base + w.activeOff
 	f := w.f
 	w.mu.Unlock()
-	var fstart time.Time
-	if w.obs.FsyncNanos != nil {
-		fstart = time.Now()
-	}
 	serr := f.Sync()
-	if serr == nil && w.obs.FsyncNanos != nil {
-		w.obs.FsyncNanos.ObserveDuration(time.Since(fstart))
-	}
 
 	w.sm.Lock()
 	w.syncing = false
@@ -573,13 +508,6 @@ func (w *SegmentedWAL) syncTo(target int64) error {
 			w.synced = end
 		}
 		w.syncs.Add(1)
-		if w.obs.FsyncRecords != nil {
-			// The durability advance covers every record appended since
-			// the previous advance — the group this fsync committed.
-			a := w.appends.Load()
-			w.obs.FsyncRecords.Observe(a - w.lastSyncApps)
-			w.lastSyncApps = a
-		}
 	}
 	w.sc.Broadcast()
 	w.sm.Unlock()
@@ -658,21 +586,10 @@ func (w *SegmentedWAL) DropThrough(mark SegPos) (removed int64, segments int, er
 	return removed, segments, err
 }
 
-// Size returns the log's current on-disk length in bytes: the retained
-// sealed segments plus the active one. This is what recovery would
-// replay, the quantity AutoCheckpoint thresholds measure.
-func (w *SegmentedWAL) Size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	size := w.activeOff
-	for _, s := range w.sealed {
-		size += s.size
-	}
-	return size
-}
-
 // SizeSince returns how many bytes the log holds past mark: what a
-// checkpoint cut at mark left for the next one to cover.
+// checkpoint cut at mark left for the next one to cover, the quantity the
+// AutoCheckpoint threshold measures. The zero mark counts every retained
+// byte.
 func (w *SegmentedWAL) SizeSince(mark SegPos) int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -692,8 +609,7 @@ func (w *SegmentedWAL) SizeSince(mark SegPos) int64 {
 	return n
 }
 
-// Close syncs and closes the log. A clean Close therefore loses nothing
-// even under WALSyncNone.
+// Close syncs and closes the log.
 func (w *SegmentedWAL) Close() error {
 	serr := w.Sync()
 	w.mu.Lock()

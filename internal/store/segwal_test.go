@@ -26,48 +26,47 @@ func segAppendCommit(t *testing.T, w *SegmentedWAL, payload []byte) {
 }
 
 func TestSegWALAppendReplayAcrossRolls(t *testing.T) {
-	for _, policy := range []WALSyncPolicy{WALSyncAlways, WALSyncNone} {
-		t.Run(fmt.Sprint(policy), func(t *testing.T) {
-			fs := NewCrashFS()
-			// Tiny threshold: 20 records of 8..141 bytes force many rolls.
-			w, recs, err := OpenSegmentedWAL(fs, "log", policy, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) != 0 {
-				t.Fatalf("fresh wal holds %d records", len(recs))
-			}
-			var want [][]byte
-			for i := 0; i < 20; i++ {
-				payload := bytes.Repeat([]byte{byte(i + 1)}, i*7+1)
-				want = append(want, payload)
-				segAppendCommit(t, w, payload)
-			}
-			if segs, err := ListWALSegments(fs, "log"); err != nil || len(segs) < 3 {
-				t.Fatalf("expected several segments, got %v (%v)", segs, err)
-			}
-			sealed, removed := w.SegmentStats()
-			if sealed < 2 || removed != 0 {
-				t.Fatalf("SegmentStats = (%d, %d), want (>=2, 0)", sealed, removed)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+	// "0" is the log's always-sync mode, the only mode it has.
+	t.Run("0", func(t *testing.T) {
+		fs := NewCrashFS()
+		// Tiny threshold: 20 records of 8..141 bytes force many rolls.
+		w, recs, err := OpenSegmentedWAL(fs, "log", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 0 {
+			t.Fatalf("fresh wal holds %d records", len(recs))
+		}
+		var want [][]byte
+		for i := 0; i < 20; i++ {
+			payload := bytes.Repeat([]byte{byte(i + 1)}, i*7+1)
+			want = append(want, payload)
+			segAppendCommit(t, w, payload)
+		}
+		if segs, err := ListWALSegments(fs, "log"); err != nil || len(segs) < 3 {
+			t.Fatalf("expected several segments, got %v (%v)", segs, err)
+		}
+		sealed, removed := w.SegmentStats()
+		if sealed < 2 || removed != 0 {
+			t.Fatalf("SegmentStats = (%d, %d), want (>=2, 0)", sealed, removed)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			_, got, err := OpenSegmentedWAL(fs, "log", policy, 64)
-			if err != nil {
-				t.Fatal(err)
+		_, got, err := OpenSegmentedWAL(fs, "log", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("reopened wal holds %d records, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("record %d = %v, want %v", i, got[i], want[i])
 			}
-			if len(got) != len(want) {
-				t.Fatalf("reopened wal holds %d records, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("record %d = %v, want %v", i, got[i], want[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestSegWALRefusesSingleFile: a file at the log's bare path — where logs
@@ -78,7 +77,7 @@ func TestSegWALRefusesSingleFile(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fs := NewCrashFS()
 			if besideSegments {
-				w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 64)
+				w, _, err := OpenSegmentedWAL(fs, "log", 64)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +91,7 @@ func TestSegWALRefusesSingleFile(t *testing.T) {
 				t.Fatalf("exists = (%v, %v): the bare file must reach the open to be refused", ok, err)
 			}
 			ops := fs.Ops()
-			_, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 64)
+			_, _, err := OpenSegmentedWAL(fs, "log", 64)
 			if !errors.Is(err, codec.ErrUnsupportedFormat) {
 				t.Fatalf("open err = %v, want ErrUnsupportedFormat", err)
 			}
@@ -105,7 +104,7 @@ func TestSegWALRefusesSingleFile(t *testing.T) {
 
 func TestSegWALDropThrough(t *testing.T) {
 	fs := NewCrashFS()
-	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 32)
+	w, _, err := OpenSegmentedWAL(fs, "log", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +138,7 @@ func TestSegWALDropThrough(t *testing.T) {
 	// Reopen: records not covered by the mark survive, in order. The drop
 	// may retain records before the mark (partially covered segment) but
 	// must never lose one after it.
-	_, recs, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 32)
+	_, recs, err := OpenSegmentedWAL(fs, "log", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestSegWALDropThrough(t *testing.T) {
 
 func TestSegWALTornTailOnlyInFinalSegment(t *testing.T) {
 	fs := NewCrashFS()
-	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 32)
+	w, _, err := OpenSegmentedWAL(fs, "log", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +170,7 @@ func TestSegWALTornTailOnlyInFinalSegment(t *testing.T) {
 	f.WriteAt([]byte{9, 9, 9}, size)
 	f.Sync()
 	f.Close()
-	w2, recs, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 32)
+	w2, recs, err := OpenSegmentedWAL(fs, "log", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,17 +186,17 @@ func TestSegWALTornTailOnlyInFinalSegment(t *testing.T) {
 	f.WriteAt([]byte{9, 9, 9}, size)
 	f.Sync()
 	f.Close()
-	if _, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 32); err == nil {
+	if _, _, err := OpenSegmentedWAL(fs, "log", 32); err == nil {
 		t.Fatal("open accepted an invalid tail in a sealed segment")
 	}
 }
 
 func TestSegWALSealedSegmentsSurvivePessimisticReboot(t *testing.T) {
-	// Sealing fsyncs under every policy — even WALSyncNone — so records in
-	// sealed segments must survive a power cut that drops all unsynced
-	// writes, without any Commit ever having been called.
+	// Sealing fsyncs, so records in sealed segments must survive a power
+	// cut that drops all unsynced writes, without any Commit ever having
+	// been called.
 	fs := NewCrashFS()
-	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncNone, 32)
+	w, _, err := OpenSegmentedWAL(fs, "log", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +207,7 @@ func TestSegWALSealedSegmentsSurvivePessimisticReboot(t *testing.T) {
 	}
 	fs.CutPower()
 	fs.Reboot(false)
-	_, recs, err := OpenSegmentedWAL(fs, "log", WALSyncNone, 32)
+	_, recs, err := OpenSegmentedWAL(fs, "log", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +225,7 @@ func TestSegWALSealedSegmentsSurvivePessimisticReboot(t *testing.T) {
 
 func TestSegWALValidationFailuresPoison(t *testing.T) {
 	fs := NewCrashFS()
-	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 64)
+	w, _, err := OpenSegmentedWAL(fs, "log", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +236,7 @@ func TestSegWALValidationFailuresPoison(t *testing.T) {
 		t.Fatal("append accepted after a refused record")
 	}
 
-	w2, _, err := OpenSegmentedWAL(fs, "log2", WALSyncAlways, 64)
+	w2, _, err := OpenSegmentedWAL(fs, "log2", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +244,7 @@ func TestSegWALValidationFailuresPoison(t *testing.T) {
 		t.Fatal("oversized record accepted")
 	}
 
-	w3, _, err := OpenSegmentedWAL(fs, "log3", WALSyncAlways, 64)
+	w3, _, err := OpenSegmentedWAL(fs, "log3", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,56 +255,55 @@ func TestSegWALValidationFailuresPoison(t *testing.T) {
 }
 
 func TestSegWALGroupCommitConcurrentAcrossRolls(t *testing.T) {
-	for _, policy := range []WALSyncPolicy{WALSyncAlways} {
-		t.Run(fmt.Sprint(policy), func(t *testing.T) {
-			fs := NewCrashFS()
-			// Small threshold: the 200 appends roll the log dozens of times
-			// while group-commit leaders are in flight.
-			w, _, err := OpenSegmentedWAL(fs, "log", policy, 128)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const goroutines, per = 8, 25
-			var wg sync.WaitGroup
-			errs := make(chan error, goroutines)
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						tok, err := w.Append([]byte(fmt.Sprintf("g%d-%d", g, i)))
-						if err == nil {
-							err = w.Commit(tok)
-						}
-						if err != nil {
-							errs <- err
-							return
-						}
+	// "0" is the log's always-sync mode, the only mode it has.
+	t.Run("0", func(t *testing.T) {
+		fs := NewCrashFS()
+		// Small threshold: the 200 appends roll the log dozens of times
+		// while group-commit leaders are in flight.
+		w, _, err := OpenSegmentedWAL(fs, "log", 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const goroutines, per = 8, 25
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					tok, err := w.Append([]byte(fmt.Sprintf("g%d-%d", g, i)))
+					if err == nil {
+						err = w.Commit(tok)
 					}
-				}(g)
-			}
-			wg.Wait()
-			close(errs)
-			if err := <-errs; err != nil {
-				t.Fatal(err)
-			}
-			appends, syncs := w.Stats()
-			if appends != goroutines*per {
-				t.Fatalf("appends = %d, want %d", appends, goroutines*per)
-			}
-			if syncs == 0 {
-				t.Fatal("no syncs recorded")
-			}
-			w.Close()
-			_, recs, err := OpenSegmentedWAL(fs, "log", policy, 128)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) != goroutines*per {
-				t.Fatalf("recovered %d records, want %d", len(recs), goroutines*per)
-			}
-		})
-	}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+		appends, syncs := w.Stats()
+		if appends != goroutines*per {
+			t.Fatalf("appends = %d, want %d", appends, goroutines*per)
+		}
+		if syncs == 0 {
+			t.Fatal("no syncs recorded")
+		}
+		w.Close()
+		_, recs, err := OpenSegmentedWAL(fs, "log", 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != goroutines*per {
+			t.Fatalf("recovered %d records, want %d", len(recs), goroutines*per)
+		}
+	})
 }
 
 func TestSegWALExistsAndRemove(t *testing.T) {
@@ -313,7 +311,7 @@ func TestSegWALExistsAndRemove(t *testing.T) {
 	if ok, err := SegmentedWALExists(fs, "log"); err != nil || ok {
 		t.Fatalf("exists on empty fs = (%v, %v)", ok, err)
 	}
-	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 32)
+	w, _, err := OpenSegmentedWAL(fs, "log", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,23 +336,23 @@ func TestSegWALExistsAndRemove(t *testing.T) {
 
 func TestSegWALSizeCountsRetainedBytes(t *testing.T) {
 	fs := NewCrashFS()
-	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 32)
+	w, _, err := OpenSegmentedWAL(fs, "log", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		segAppendCommit(t, w, bytes.Repeat([]byte{1}, 40))
 	}
-	before := w.Size()
+	before := w.SizeSince(SegPos{})
 	if before != 5*48 { // 8-byte frame header + 40-byte payload each
-		t.Fatalf("Size = %d, want %d", before, 5*48)
+		t.Fatalf("SizeSince = %d, want %d", before, 5*48)
 	}
 	if _, _, err := w.DropThrough(w.Mark()); err != nil {
 		t.Fatal(err)
 	}
-	after := w.Size()
+	after := w.SizeSince(SegPos{})
 	if after >= before {
-		t.Fatalf("Size did not shrink: %d -> %d", before, after)
+		t.Fatalf("SizeSince did not shrink: %d -> %d", before, after)
 	}
 	if w.BytesAppended() != uint64(before) {
 		t.Fatalf("BytesAppended = %d, want %d (removal must not reset it)", w.BytesAppended(), before)
@@ -368,7 +366,7 @@ func TestSegWALSizeCountsRetainedBytes(t *testing.T) {
 // byte.
 func FuzzWALFrames(f *testing.F) {
 	fs := NewCrashFS()
-	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncAlways, 0)
+	w, _, err := OpenSegmentedWAL(fs, "log", 0)
 	if err != nil {
 		f.Fatal(err)
 	}

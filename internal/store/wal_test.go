@@ -14,9 +14,9 @@ import (
 // across rolls.
 
 // openLog opens the log "log" on fs at the default roll threshold.
-func openLog(t *testing.T, fs VFS, policy WALSyncPolicy) (*SegmentedWAL, [][]byte) {
+func openLog(t *testing.T, fs VFS) (*SegmentedWAL, [][]byte) {
 	t.Helper()
-	w, recs, err := OpenSegmentedWAL(fs, "log", policy, 0)
+	w, recs, err := OpenSegmentedWAL(fs, "log", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,39 +24,38 @@ func openLog(t *testing.T, fs VFS, policy WALSyncPolicy) (*SegmentedWAL, [][]byt
 }
 
 func TestWALAppendReplay(t *testing.T) {
-	for _, policy := range []WALSyncPolicy{WALSyncAlways, WALSyncNone} {
-		t.Run(fmt.Sprint(policy), func(t *testing.T) {
-			fs := NewCrashFS()
-			w, recs := openLog(t, fs, policy)
-			if len(recs) != 0 {
-				t.Fatalf("fresh wal holds %d records", len(recs))
-			}
-			var want [][]byte
-			for i := 0; i < 20; i++ {
-				payload := bytes.Repeat([]byte{byte(i)}, i*7+1)
-				want = append(want, payload)
-				segAppendCommit(t, w, payload)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+	// "0" is the log's always-sync mode, the only mode it has.
+	t.Run("0", func(t *testing.T) {
+		fs := NewCrashFS()
+		w, recs := openLog(t, fs)
+		if len(recs) != 0 {
+			t.Fatalf("fresh wal holds %d records", len(recs))
+		}
+		var want [][]byte
+		for i := 0; i < 20; i++ {
+			payload := bytes.Repeat([]byte{byte(i)}, i*7+1)
+			want = append(want, payload)
+			segAppendCommit(t, w, payload)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			_, got := openLog(t, fs, policy)
-			if len(got) != len(want) {
-				t.Fatalf("reopened wal holds %d records, want %d", len(got), len(want))
+		_, got := openLog(t, fs)
+		if len(got) != len(want) {
+			t.Fatalf("reopened wal holds %d records, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("record %d = %v, want %v", i, got[i], want[i])
 			}
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("record %d = %v, want %v", i, got[i], want[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestWALTornTailDropped(t *testing.T) {
 	fs := NewCrashFS()
-	w, _ := openLog(t, fs, WALSyncAlways)
+	w, _ := openLog(t, fs)
 	segAppendCommit(t, w, []byte("alpha"))
 	segAppendCommit(t, w, []byte("beta"))
 
@@ -68,7 +67,7 @@ func TestWALTornTailDropped(t *testing.T) {
 	}
 	fs.Reboot(true) // keep the torn bytes: the checksum must reject them
 
-	_, recs := openLog(t, fs, WALSyncAlways)
+	_, recs := openLog(t, fs)
 	if len(recs) != 2 || string(recs[0]) != "alpha" || string(recs[1]) != "beta" {
 		t.Fatalf("recovered %q, want [alpha beta]", recs)
 	}
@@ -76,21 +75,21 @@ func TestWALTornTailDropped(t *testing.T) {
 
 func TestWALCorruptTailTruncatedOnOpen(t *testing.T) {
 	fs := NewCrashFS()
-	w, _ := openLog(t, fs, WALSyncAlways)
+	w, _ := openLog(t, fs)
 	segAppendCommit(t, w, []byte("keep"))
 	w.Close()
 
 	// Flip a payload byte of a appended-but-valid second record.
 	f, _ := fs.OpenFile(SegmentWALName("log", 1))
 	size, _ := f.Size()
-	w2, _ := openLog(t, fs, WALSyncAlways)
+	w2, _ := openLog(t, fs)
 	segAppendCommit(t, w2, []byte("corrupt-me"))
 	w2.Close()
 	if _, err := f.WriteAt([]byte{0xFF}, size+9); err != nil {
 		t.Fatal(err)
 	}
 
-	_, recs := openLog(t, fs, WALSyncAlways)
+	_, recs := openLog(t, fs)
 	if len(recs) != 1 || string(recs[0]) != "keep" {
 		t.Fatalf("recovered %q, want [keep]", recs)
 	}
@@ -106,7 +105,7 @@ func TestWALZeroFilledTailDropped(t *testing.T) {
 	// reaches disk. An all-zero header must read as tail garbage — not as
 	// an endless run of valid empty records (CRC-32C of "" is 0).
 	fs := NewCrashFS()
-	w, _ := openLog(t, fs, WALSyncAlways)
+	w, _ := openLog(t, fs)
 	segAppendCommit(t, w, []byte("real"))
 	w.Close()
 	f, _ := fs.OpenFile(SegmentWALName("log", 1))
@@ -115,7 +114,7 @@ func TestWALZeroFilledTailDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, recs := openLog(t, fs, WALSyncAlways)
+	_, recs := openLog(t, fs)
 	if len(recs) != 1 || string(recs[0]) != "real" {
 		t.Fatalf("recovered %q, want [real]", recs)
 	}
@@ -124,7 +123,7 @@ func TestWALZeroFilledTailDropped(t *testing.T) {
 		t.Fatalf("zero tail not truncated: size %d, want %d", got, size)
 	}
 	// And the source of such records is rejected at the door.
-	w2, _ := openLog(t, fs, WALSyncAlways)
+	w2, _ := openLog(t, fs)
 	if _, err := w2.Append(nil); err == nil {
 		t.Fatal("empty record accepted")
 	}
@@ -133,7 +132,7 @@ func TestWALZeroFilledTailDropped(t *testing.T) {
 func TestWALTruncateSatisfiesCommits(t *testing.T) {
 	fs := NewCrashFS()
 	// A one-byte roll size seals each record's segment at the next append.
-	w, _, err := OpenSegmentedWAL(fs, "log", WALSyncNone, 1)
+	w, _, err := OpenSegmentedWAL(fs, "log", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestWALTruncateSatisfiesCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	_, recs := openLog(t, fs, WALSyncNone)
+	_, recs := openLog(t, fs)
 	if len(recs) != 1 || string(recs[0]) != "next-era" {
 		t.Fatalf("recovered %q, want [next-era]", recs)
 	}
@@ -163,7 +162,7 @@ func TestWALTruncateSatisfiesCommits(t *testing.T) {
 
 func TestWALPoisonedAfterSyncFailure(t *testing.T) {
 	fs := NewCrashFS()
-	w, _ := openLog(t, fs, WALSyncAlways)
+	w, _ := openLog(t, fs)
 	segAppendCommit(t, w, []byte("ok"))
 	fs.SetFailAfter(1) // the append's write succeeds, its fsync fails
 	tok, err := w.Append([]byte("doomed"))
@@ -187,7 +186,7 @@ func TestWALValidationFailuresPoison(t *testing.T) {
 	// Owners apply state before logging, so a record the WAL refuses is a
 	// hole: the log must go fail-stop, not shrug and take later records.
 	fs := NewCrashFS()
-	w, _ := openLog(t, fs, WALSyncAlways)
+	w, _ := openLog(t, fs)
 	if _, err := w.Append(make([]byte, walMaxRecord+1)); err == nil {
 		t.Fatal("oversized record accepted")
 	}
@@ -195,7 +194,7 @@ func TestWALValidationFailuresPoison(t *testing.T) {
 		t.Fatal("append accepted after a refused record")
 	}
 
-	w2, _, err := OpenSegmentedWAL(fs, "log2", WALSyncAlways, 0)
+	w2, _, err := OpenSegmentedWAL(fs, "log2", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,41 +205,40 @@ func TestWALValidationFailuresPoison(t *testing.T) {
 }
 
 func TestWALGroupCommitConcurrent(t *testing.T) {
-	for _, policy := range []WALSyncPolicy{WALSyncAlways} {
-		t.Run(fmt.Sprint(policy), func(t *testing.T) {
-			fs := NewCrashFS()
-			w, _ := openLog(t, fs, policy)
-			const goroutines, per = 8, 25
-			var wg sync.WaitGroup
-			errs := make(chan error, goroutines)
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						tok, err := w.Append([]byte(fmt.Sprintf("g%d-%d", g, i)))
-						if err == nil {
-							err = w.Commit(tok)
-						}
-						if err != nil {
-							errs <- err
-							return
-						}
+	// "0" is the log's always-sync mode, the only mode it has.
+	t.Run("0", func(t *testing.T) {
+		fs := NewCrashFS()
+		w, _ := openLog(t, fs)
+		const goroutines, per = 8, 25
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					tok, err := w.Append([]byte(fmt.Sprintf("g%d-%d", g, i)))
+					if err == nil {
+						err = w.Commit(tok)
 					}
-				}(g)
-			}
-			wg.Wait()
-			close(errs)
-			if err := <-errs; err != nil {
-				t.Fatal(err)
-			}
-			w.Close()
-			_, recs := openLog(t, fs, policy)
-			if len(recs) != goroutines*per {
-				t.Fatalf("recovered %d records, want %d", len(recs), goroutines*per)
-			}
-		})
-	}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		_, recs := openLog(t, fs)
+		if len(recs) != goroutines*per {
+			t.Fatalf("recovered %d records, want %d", len(recs), goroutines*per)
+		}
+	})
 }
 
 func TestCrashFSDurability(t *testing.T) {

@@ -77,7 +77,7 @@ import (
 // fault point.
 //
 // Concurrent Checkpoint calls serialize on DB.ckptMu, each running its
-// own pipeline; index rebuilds (EncodePolicies, LoadPolicies) and Close
+// own pipeline; index rebuilds (EncodePolicies, InstallEncoding) and Close
 // take it too, draining the pipeline first. Options.AutoCheckpoint runs
 // this same pipeline from a background maintainer when the write-ahead
 // log crosses a size threshold, resting after each run as long as the run
@@ -254,9 +254,6 @@ func (db *DB) Checkpoint() error {
 	st.WALSegmentsRemoved += uint64(walSegs)
 	db.statsMu.Unlock()
 
-	db.met.ckptCut.ObserveDuration(cutDur)
-	db.met.ckptBuild.ObserveDuration(buildDur)
-	db.met.ckptPublish.ObserveDuration(publishDur)
 	db.events.Record("checkpoint", "checkpoint committed",
 		"cut", cutDur, "build", buildDur, "publish", publishDur,
 		"flushed", img.flushed, "reclaimed", len(img.dead),
@@ -446,7 +443,7 @@ func (db *DB) ckptPublishLocked(img *ckptImage) (committed bool, walBytes int64,
 		img.pol.unpin(img.policies)
 	}
 	db.ckptSeq = img.seq
-	db.ckptWalSeq, db.ckptWalMark = img.walSeq, img.walMark
+	db.ckptWalMark = img.walMark
 	db.ckptPolOps = img.polOps
 	if db.prevPolicies != "" && db.prevPolicies != img.polName {
 		// Best effort: the superseded snapshot is dead weight. A crash
@@ -539,7 +536,7 @@ func (db *DB) ckptAbortLocked(img *ckptImage) {
 }
 
 // startAutoCheckpoint launches the background maintainer when the options
-// ask for one (idempotent; no-op without thresholds or without a WAL).
+// ask for one (idempotent; no-op without a threshold or without a WAL).
 func (db *DB) startAutoCheckpoint() {
 	if !db.opts.AutoCheckpoint.enabled() || db.wal == nil || db.stopC != nil {
 		return
@@ -561,7 +558,7 @@ func (db *DB) stopAutoCheckpoint() {
 }
 
 // autoCheckpointLoop is the maintainer: each trigger from the commit path
-// re-checks the thresholds (the signal may be stale — a just-finished
+// re-checks the threshold (the signal may be stale — a just-finished
 // checkpoint empties the log) and runs one pipeline.
 // Failures are not fatal; the next threshold crossing retries.
 func (db *DB) autoCheckpointLoop() {
@@ -595,23 +592,21 @@ func (db *DB) autoCheckpointLoop() {
 	}
 }
 
-// autoCheckpointDue re-evaluates the trigger thresholds.
+// autoCheckpointDue re-evaluates the trigger threshold.
 func (db *DB) autoCheckpointDue() bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return !db.closed && db.wal != nil && db.walOverThreshold()
 }
 
-// walOverThreshold reports whether the log has crossed an AutoCheckpoint
+// walOverThreshold reports whether the log has crossed the AutoCheckpoint
 // threshold. Caller holds mu and has checked db.wal.
 func (db *DB) walOverThreshold() bool {
-	p := db.opts.AutoCheckpoint
-	return (p.WALBytes > 0 && db.wal.SizeSince(db.ckptWalMark) >= p.WALBytes) ||
-		(p.WALRecords > 0 && db.walSeq-db.ckptWalSeq >= p.WALRecords)
+	return db.wal.SizeSince(db.ckptWalMark) >= db.opts.AutoCheckpoint.WALBytes
 }
 
 // maybeAutoCheckpoint nudges the maintainer when a commit pushes the WAL
-// over a threshold. Caller holds the write lock; the send never blocks.
+// over the threshold. Caller holds the write lock; the send never blocks.
 func (db *DB) maybeAutoCheckpoint() {
 	if db.autoC == nil || db.wal == nil || !db.walOverThreshold() {
 		return
@@ -767,7 +762,6 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 		users:        make(map[UserID]bool),
 		nextSV:       mf.NextSV,
 		walSeq:       mf.WalSeq,
-		ckptWalSeq:   mf.WalSeq,
 		ckptSeq:      mf.CkptSeq,
 		prevPolicies: polName,
 		borrowed:     mf.BorrowedPolicies,
@@ -889,8 +883,7 @@ func readWAL(opts Options) (*store.SegmentedWAL, txnReplay, error) {
 	if !hasWAL && opts.Durability == DurabilityNone {
 		return nil, log, nil
 	}
-	wal, records, err := store.OpenSegmentedWAL(opts.FS, opts.Path+".wal",
-		opts.Durability.walPolicy(), opts.WALSegmentBytes)
+	wal, records, err := store.OpenSegmentedWAL(opts.FS, opts.Path+".wal", opts.WALSegmentBytes)
 	if err != nil {
 		return nil, log, err
 	}
@@ -946,7 +939,6 @@ func (db *DB) replayWAL(wal *store.SegmentedWAL, log txnReplay) error {
 		return wal.Close()
 	}
 	db.wal = wal
-	db.observeWAL()
 	return nil
 }
 

@@ -310,7 +310,7 @@ func TestCheckpointStats(t *testing.T) {
 }
 
 // TestAutoCheckpointThreshold: with AutoCheckpoint configured, committing
-// past the record threshold checkpoints in the background — no manual
+// past the byte threshold (about 20 of these ~100-byte records) checkpoints in the background — no manual
 // Checkpoint call — which truncates the log and survives a crash.
 func TestAutoCheckpointThreshold(t *testing.T) {
 	fs := store.NewCrashFS()
@@ -318,7 +318,7 @@ func TestAutoCheckpointThreshold(t *testing.T) {
 		Path:           "auto.idx",
 		Durability:     DurabilitySync,
 		FS:             fs,
-		AutoCheckpoint: AutoCheckpointPolicy{WALRecords: 20},
+		AutoCheckpoint: AutoCheckpointPolicy{WALBytes: 2 << 10},
 	}
 	db, err := Open(opts)
 	if err != nil {
@@ -340,7 +340,7 @@ func TestAutoCheckpointThreshold(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no automatic checkpoint after 120 commits with WALRecords=20 (stats %+v)", st)
+			t.Fatalf("no automatic checkpoint after 120 commits with WALBytes=2 KiB (stats %+v)", st)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -440,10 +440,10 @@ func TestAutoCheckpointCleanClose(t *testing.T) {
 	leakcheck.WaitGoroutines(t, base)
 }
 
-// TestAutoCheckpointValidation: the thresholds measure the WAL, so the
+// TestAutoCheckpointValidation: the threshold measures the WAL, so the
 // policy without durability is a configuration error.
 func TestAutoCheckpointValidation(t *testing.T) {
-	_, err := Open(Options{Path: "x.idx", AutoCheckpoint: AutoCheckpointPolicy{WALRecords: 5}, FS: store.NewCrashFS()})
+	_, err := Open(Options{Path: "x.idx", AutoCheckpoint: AutoCheckpointPolicy{WALBytes: 1 << 10}, FS: store.NewCrashFS()})
 	if !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("err = %v, want ErrBadOptions", err)
 	}

@@ -1,7 +1,6 @@
 package peb
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -14,19 +13,18 @@ import (
 // The write path.
 //
 // Every mutation — Upsert, Remove, DefineRelation, Grant, EncodePolicies,
-// InstallEncoding, LoadPolicies, Apply — is an opList handed to commit.
+// InstallEncoding, Apply — is an opList handed to commit.
 // commit runs six stages under the write lock:
 //
 //	1 validate  closed DB, a pending prepared transaction, invalid grant
-//	            regions, an encoding that misses an indexed user, a policy
-//	            snapshot of another domain — nothing has been touched when
-//	            one of these fails
+//	            regions, an encoding that misses an indexed user — nothing
+//	            has been touched when one of these fails
 //	2 resolve   make the list deterministic: an upsert of a user the tree
 //	            holds no sequence value for gets an explicit core.OpSetSV
-//	            (δ = 2 spacing, Fig. 5 of the paper), EncodePolicies and
-//	            LoadPolicies get their computed polOpEncode. The resolved
-//	            list is what is applied, what is logged, and therefore
-//	            what recovery replays
+//	            (δ = 2 spacing, Fig. 5 of the paper), EncodePolicies gets
+//	            its computed polOpEncode. The resolved list is what is
+//	            applied, what is logged, and therefore what recovery
+//	            replays
 //	3 capture   first-touch index states, for the commit hooks
 //	4 apply     applyOps, the single state-transition function
 //	5 publish   republish the query view, collect garbage, fire the
@@ -121,12 +119,11 @@ func (db *DB) applyLocked(ops opList, policyChange, rebuild bool) error {
 }
 
 // opClasses reports whether ops change the policy store (the commit hooks'
-// PolicyChange) and whether they rebuild the index (Rebuild). A
-// polOpLoadPolicies always travels with the polOpEncode it implies.
+// PolicyChange) and whether they rebuild the index (Rebuild).
 func opClasses(ops []polOp) (policyChange, rebuild bool) {
 	for i := range ops {
 		switch ops[i].Kind {
-		case polOpRelation, polOpGrant, polOpLoadPolicies:
+		case polOpRelation, polOpGrant:
 			policyChange = true
 		case polOpEncode:
 			rebuild = true
@@ -147,8 +144,7 @@ func (db *DB) resolveOps(ops opList) (opList, error) {
 }
 
 // resolvePolicyOps validates the policy group and fills in its rebuild
-// operations: a policy snapshot is re-serialized in canonical form, an
-// encode without an assignment gets the computed one.
+// operations: an encode without an assignment gets the computed one.
 func (db *DB) resolvePolicyOps(ops []polOp) ([]polOp, error) {
 	resolved := true
 	for i := range ops {
@@ -158,7 +154,7 @@ func (db *DB) resolvePolicyOps(ops []polOp) ([]polOp, error) {
 				return nil, &InvalidRegionError{Region: op.Locr}
 			}
 		case polOpRelation:
-		default: // a rebuild operation: computed or checked below
+		default: // an encode: computed or checked below
 			resolved = false
 		}
 		if db.borrowed && ops[i].Kind != polOpEncode {
@@ -170,49 +166,22 @@ func (db *DB) resolvePolicyOps(ops []polOp) ([]polOp, error) {
 	}
 
 	out := make([]polOp, 0, len(ops))
-	// A polOpLoadPolicies sets these for the polOpEncode that follows it:
-	// the incoming store and the users it names.
-	ps, named := db.policies, []UserID(nil)
 	for i := range ops {
-		op := &ops[i]
-		switch op.Kind {
-		case polOpRelation, polOpGrant:
-			out = append(out, *op)
-		case polOpLoadPolicies:
-			loaded, err := policy.Load(bytes.NewReader(op.Rebuild.Blob))
-			if err != nil {
-				return nil, err
-			}
-			if loaded.Space() != db.policies.Space() || loaded.DayLength() != db.policies.DayLength() {
-				return nil, fmt.Errorf("peb: snapshot domain %v/%g does not match DB %v/%g",
-					loaded.Space(), loaded.DayLength(), db.policies.Space(), db.policies.DayLength())
-			}
-			// Logged in canonical serialized form, whatever the input's.
-			var blob bytes.Buffer
-			if err := loaded.Save(&blob); err != nil {
-				return nil, fmt.Errorf("peb: serialize policies: %w", err)
-			}
-			out = append(out, polOp{Kind: polOpLoadPolicies, Rebuild: &rebuildOp{Blob: blob.Bytes()}})
-			ps = loaded
-			loaded.ForEachGrant(func(owner, viewer policy.UserID, _ policy.Policy) bool {
-				named = append(named, UserID(owner), UserID(viewer))
-				return true
-			})
-		case polOpEncode:
-			enc := *op
-			if enc.Rebuild == nil {
-				// EncodePolicies, LoadPolicies: compute the assignment here,
-				// under the lock, over the population the rebuild will see.
-				assignment, err := db.assignLocked(ps, named)
+		op := ops[i]
+		if op.Kind == polOpEncode {
+			if op.Rebuild == nil {
+				// EncodePolicies: compute the assignment here, under the
+				// lock, over the population the rebuild will see.
+				assignment, err := db.assignLocked(nil)
 				if err != nil {
 					return nil, err
 				}
-				enc.Rebuild = encodeAssignment(assignment)
-			} else if err := db.checkCoverage(enc.Rebuild.Assign); err != nil {
+				op.Rebuild = encodeAssignment(assignment)
+			} else if err := db.checkCoverage(op.Rebuild.Assign); err != nil {
 				return nil, err
 			}
-			out = append(out, enc)
 		}
+		out = append(out, op)
 	}
 	return out, nil
 }
@@ -243,11 +212,11 @@ func (db *DB) resolveIndexOps(ops []core.BatchOp) []core.BatchOp {
 	return out
 }
 
-// assignLocked runs the offline policy-encoding phase (Sec. 5.1) against
-// ps over the DB's known users plus extra: one band of sequence values per
-// community of the relation graph, sized to the key's sequence-value field.
-// Caller holds mu (either side).
-func (db *DB) assignLocked(ps *policy.Store, extra []UserID) (policy.Assignment, error) {
+// assignLocked runs the offline policy-encoding phase (Sec. 5.1) over the
+// DB's known users plus extra: one band of sequence values per community
+// of the relation graph, sized to the key's sequence-value field. Caller
+// holds mu (either side).
+func (db *DB) assignLocked(extra []UserID) (policy.Assignment, error) {
 	users := make([]policy.UserID, 0, len(db.users)+len(extra))
 	for u := range db.users {
 		users = append(users, policy.UserID(u))
@@ -255,7 +224,7 @@ func (db *DB) assignLocked(ps *policy.Store, extra []UserID) (policy.Assignment,
 	for _, u := range extra {
 		users = append(users, policy.UserID(u))
 	}
-	return policy.AssignCommunities(ps, users, db.opts.coreConfig().SV)
+	return policy.AssignCommunities(db.policies, users, db.opts.coreConfig().SV)
 }
 
 // checkCoverage verifies that a precomputed assignment (sorted by user, as
@@ -373,21 +342,6 @@ func (db *DB) applyOps(ops opList) error {
 				return fmt.Errorf("peb: grant: %w", err)
 			}
 			db.noteUser(op.Own)
-		case polOpLoadPolicies:
-			loaded, err := policy.Load(bytes.NewReader(op.Rebuild.Blob))
-			if err != nil {
-				return fmt.Errorf("peb: load policies: %w", err)
-			}
-			// A fresh store on a handle of its own: open snapshots keep
-			// their pinned store and nothing pins the new one. DBs that
-			// borrow this one's store follow at their next borrow.
-			db.pol, db.policies = newPolicyHandle(loaded), loaded
-			_ = db.tree.SetPolicies(loaded) // loaded is never nil here
-			loaded.ForEachGrant(func(owner, viewer policy.UserID, _ policy.Policy) bool {
-				db.noteUser(UserID(owner))
-				db.noteUser(UserID(viewer))
-				return true
-			})
 		case polOpEncode:
 			if err := db.rebuildLocked(decodeAssignment(op.Rebuild)); err != nil {
 				return fmt.Errorf("peb: rebuild: %w", err)

@@ -45,12 +45,12 @@ type CommitInfo struct {
 	// pure policy commits and rebuilds.
 	Touched []CommitTouch
 	// PolicyChange reports that the commit changed the policy store
-	// (Grant, DefineRelation, LoadPolicies, or a batch staging either):
+	// (Grant, DefineRelation, or a batch staging either):
 	// visibility may have flipped for objects the commit never touched, so
 	// incremental evaluation over Touched alone is not sound.
 	PolicyChange bool
 	// Rebuild reports that the commit swapped in a freshly built index
-	// (EncodePolicies, LoadPolicies, InstallEncoding). Sequence values
+	// (EncodePolicies, InstallEncoding). Sequence values
 	// changed; query results did not (encoding affects clustering only),
 	// but engines that cache anything keyed on the index should resync.
 	Rebuild bool

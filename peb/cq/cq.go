@@ -29,7 +29,7 @@
 // steady path therefore does work proportional to the touched set, not
 // the population and not the result size.
 //
-// Policy-changing commits (Grant, DefineRelation, LoadPolicies) can flip
+// Policy-changing commits (Grant, DefineRelation) can flip
 // visibility for objects the commit never touched, so they fall back to a
 // full rescan: recompute the grantor set, re-run the query once via the
 // commit view, and emit the diff. Index rebuilds (EncodePolicies) rescan
@@ -78,7 +78,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/peb"
 )
 
@@ -152,10 +151,6 @@ type Stats struct {
 type Engine struct {
 	db     *peb.DB
 	detach func()
-	// delta is the DB's pre-registered commit-to-delta histogram: the time
-	// from a commit's notification to the last delta of that commit being
-	// enqueued (or dropped). Fed only while subscriptions exist.
-	delta *obs.Histogram
 
 	maxSpeed float64
 	maxUI    float64
@@ -241,7 +236,6 @@ func (s *Subscription) Close() {
 func Attach(db *peb.DB) (*Engine, error) {
 	e := &Engine{
 		db:        db,
-		delta:     db.CQDeltaHistogram(),
 		subs:      make(map[uint64]*sub),
 		byGrantor: make(map[peb.UserID]map[uint64]*sub),
 	}

@@ -1,10 +1,6 @@
 package cq
 
-import (
-	"time"
-
-	"repro/peb"
-)
+import "repro/peb"
 
 // onCommit is the engine's commit hook: it runs inside the DB's commit
 // critical section, so everything here is bounded work over the touched
@@ -16,8 +12,6 @@ func (e *Engine) onCommit(info peb.CommitInfo, cv *peb.CommitView) {
 	if e.closed || len(e.subs) == 0 {
 		return
 	}
-	start := time.Now()
-	defer func() { e.delta.ObserveDuration(time.Since(start)) }()
 	e.stats.Commits++
 	e.stats.Naive += uint64(e.grantorLinks)
 	if info.PolicyChange || info.Rebuild {

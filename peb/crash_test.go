@@ -660,35 +660,6 @@ func TestRecoveryGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
-// TestRecoveryAsyncCleanClose: DurabilityAsync defers fsync, but Close
-// syncs, so a clean shutdown loses nothing.
-func TestRecoveryAsyncCleanClose(t *testing.T) {
-	fs := store.NewCrashFS()
-	opts := Options{Path: "a.idx", Durability: DurabilityAsync, FS: fs}
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 10; i++ {
-		if err := db.Upsert(Object{UID: UserID(i), X: float64(i), Y: 1, T: 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fs.CutPower()
-	fs.Reboot(false) // only durable bytes — Close must have synced them
-	re, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Size() != 10 {
-		t.Fatalf("size = %d, want 10", re.Size())
-	}
-}
-
 // TestRecoveryCorruptCheckpoint: damaged on-disk state yields
 // ErrCorruptCheckpoint, not a panic.
 func TestRecoveryCorruptCheckpoint(t *testing.T) {

@@ -32,7 +32,7 @@ func (db *DB) ComputeEncoding(extra []UserID) (*PolicyEncoding, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	assignment, err := db.assignLocked(db.policies, extra)
+	assignment, err := db.assignLocked(extra)
 	if err != nil {
 		return nil, err
 	}

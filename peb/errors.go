@@ -76,7 +76,7 @@ func (o Options) validate() error {
 	if o.BufferPages < 0 {
 		bad = append(bad, fmt.Sprintf("BufferPages %d < 0", o.BufferPages))
 	}
-	if o.Durability < DurabilityNone || o.Durability > DurabilityAsync {
+	if o.Durability < DurabilityNone || o.Durability > DurabilitySync {
 		bad = append(bad, fmt.Sprintf("unknown Durability %d", o.Durability))
 	}
 	if o.Durability != DurabilityNone && o.Path == "" {
@@ -89,7 +89,7 @@ func (o Options) validate() error {
 		bad = append(bad, fmt.Sprintf("AutoCheckpoint.WALBytes %d < 0", o.AutoCheckpoint.WALBytes))
 	}
 	if o.AutoCheckpoint.enabled() && o.Durability == DurabilityNone {
-		bad = append(bad, "AutoCheckpoint requires Durability (its thresholds measure the write-ahead log)")
+		bad = append(bad, "AutoCheckpoint requires Durability (its threshold measures the write-ahead log)")
 	}
 	if len(bad) == 0 {
 		return nil

@@ -49,6 +49,7 @@ func TestOptionsValidation(t *testing.T) {
 		{MaxSpeed: -0.1},
 		{DayLength: -1440},
 		{MaxUpdateInterval: -3},
+		{Path: "x.idx", Durability: 2, FS: store.NewCrashFS()},
 	} {
 		if _, err := Open(opts); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("Open(%+v) error = %v, want ErrBadOptions", opts, err)

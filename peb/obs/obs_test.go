@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -79,9 +78,8 @@ func TestServeDB(t *testing.T) {
 		t.Error("/debug/pprof/ index missing goroutine profile")
 	}
 
-	// Every non-empty commit is observed exactly once — rebuilds and policy
-	// loads go through the same pipeline as an Upsert — and an empty batch
-	// not at all.
+	// Every non-empty commit is observed exactly once — rebuilds go through
+	// the same pipeline as an Upsert — and an empty batch not at all.
 	if err := db.EncodePolicies(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +90,7 @@ func TestServeDB(t *testing.T) {
 	if err := db.InstallEncoding(enc); err != nil {
 		t.Fatal(err)
 	}
-	var saved bytes.Buffer
-	if err := db.SavePolicies(&saved); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.LoadPolicies(&saved); err != nil {
+	if err := db.EncodePolicies(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Apply(db.NewBatch()); err != nil {

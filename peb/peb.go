@@ -47,7 +47,7 @@
 //
 // All DB methods are safe for concurrent use. The DB follows a
 // single-writer/multi-reader discipline: updates (Upsert, Remove, Apply,
-// Grant, DefineRelation, EncodePolicies, LoadPolicies) serialize behind a
+// Grant, DefineRelation, EncodePolicies) serialize behind a
 // write lock, while one-shot queries (RangeQuery, NearestNeighbors, Lookup,
 // Allows) take the read side and execute in parallel against an immutable
 // snapshot of the index that is refreshed on every update. Pinned Snapshots
@@ -60,7 +60,6 @@ import (
 	"io"
 	"log/slog"
 	"sync"
-	"time"
 
 	"repro/internal/bxtree"
 	"repro/internal/core"
@@ -89,11 +88,11 @@ type (
 )
 
 // Durability selects how much committed data a crash may cost on a
-// file-backed DB. Anything stronger than DurabilityNone attaches a
-// write-ahead log (<Path>.wal): every committed mutation is logged before
-// the commit call returns, and Open/OpenExisting replay the log on top of
-// the last checkpoint, so a crash — a power cut, a kill -9 — loses at most
-// the commits the level lets it lose.
+// file-backed DB. DurabilitySync attaches a write-ahead log (<Path>.wal):
+// every committed mutation is logged and fsynced before the commit call
+// returns, and Open/OpenExisting replay the log on top of the last
+// checkpoint, so a crash — a power cut, a kill -9 — loses no acknowledged
+// commit.
 type Durability int
 
 const (
@@ -104,11 +103,6 @@ const (
 	// acknowledged commit is never lost. Concurrent commits share one
 	// fsync opportunistically (group commit).
 	DurabilitySync
-	// DurabilityAsync appends to the log without waiting for fsync: a
-	// crash may lose a suffix of recently acknowledged commits, but
-	// recovery still restores an exact committed prefix. A clean Close
-	// syncs, so only crashes lose anything.
-	DurabilityAsync
 )
 
 // String implements fmt.Stringer.
@@ -118,20 +112,8 @@ func (d Durability) String() string {
 		return "none"
 	case DurabilitySync:
 		return "sync"
-	case DurabilityAsync:
-		return "async"
 	default:
 		return fmt.Sprintf("Durability(%d)", int(d))
-	}
-}
-
-// walPolicy maps the durability level to the WAL's sync policy.
-func (d Durability) walPolicy() store.WALSyncPolicy {
-	switch d {
-	case DurabilityAsync:
-		return store.WALSyncNone
-	default:
-		return store.WALSyncAlways
 	}
 }
 
@@ -170,11 +152,11 @@ type Options struct {
 	// of rewriting anything.
 	// Zero selects store.DefaultWALSegmentBytes.
 	WALSegmentBytes int64
-	// AutoCheckpoint, when any threshold is set, starts a background
+	// AutoCheckpoint, when its threshold is set, starts a background
 	// maintainer that checkpoints automatically once the write-ahead log
 	// exceeds the threshold, bounding recovery time without the
 	// application ever calling Checkpoint by hand. Requires Durability
-	// (the thresholds measure the log).
+	// (the threshold measures the log).
 	AutoCheckpoint AutoCheckpointPolicy
 	// OnCommit, when non-nil, is registered as a commit hook before the
 	// DB accepts its first post-open commit: it fires synchronously under
@@ -196,23 +178,18 @@ type Options struct {
 	MetricsLabel string
 }
 
-// AutoCheckpointPolicy sets the write-ahead-log thresholds that trigger an
-// automatic background checkpoint. Zero values disable a threshold; the
-// all-zero policy disables the maintainer entirely. When both are set,
-// whichever trips first triggers. After each automatic checkpoint the
-// maintainer waits as long as that checkpoint took before it checks the
-// thresholds again.
+// AutoCheckpointPolicy sets the write-ahead-log threshold that triggers an
+// automatic background checkpoint. The zero policy disables the maintainer.
+// After each automatic checkpoint the maintainer waits as long as that
+// checkpoint took before it checks the threshold again.
 type AutoCheckpointPolicy struct {
 	// WALBytes triggers a checkpoint once this many bytes have been logged
 	// past the last checkpoint's cut: bytes the next checkpoint can drop,
 	// not the active segment it never can.
 	WALBytes int64
-	// WALRecords triggers a checkpoint after this many committed records
-	// since the last checkpoint.
-	WALRecords uint64
 }
 
-func (p AutoCheckpointPolicy) enabled() bool { return p.WALBytes > 0 || p.WALRecords > 0 }
+func (p AutoCheckpointPolicy) enabled() bool { return p.WALBytes > 0 }
 
 func (o *Options) setDefaults() {
 	if o.SpaceSide == 0 {
@@ -334,21 +311,19 @@ type DB struct {
 
 	// Checkpoint pipeline state (checkpoint.go). ckptMu serializes whole
 	// checkpoint pipelines against each other, against index rebuilds
-	// (EncodePolicies/LoadPolicies swap the tree and backing disk a build
+	// (EncodePolicies/InstallEncoding swap the tree and backing disk a build
 	// phase would be reading), and against Close (which drains any
 	// in-flight pipeline). Lock order: ckptMu strictly before mu; it is
 	// held across the build phase precisely so that mu is NOT.
 	// ckptBuilding (under mu) marks a build phase in flight: garbage
 	// collection quarantines retired pages while set, protecting the cut
-	// image (the cut pins the policy store itself). ckptWalSeq (under mu)
-	// is the WAL horizon of the last committed checkpoint — what the
-	// AutoCheckpoint record threshold measures against — and ckptWalMark
-	// its log position, past which the byte threshold counts; ckptPolOps
-	// is polOps at its cut. ckptHook is a test hook called at phase
+	// image (the cut pins the policy store itself). ckptWalMark (under mu)
+	// is the log position of the last committed checkpoint, past which the
+	// AutoCheckpoint byte threshold counts; ckptPolOps is polOps at its
+	// cut. ckptHook is a test hook called at phase
 	// boundaries ("build", "publish"); nil outside tests.
 	ckptMu       sync.Mutex
 	ckptBuilding bool
-	ckptWalSeq   uint64
 	ckptWalMark  store.SegPos
 	ckptPolOps   uint64
 	ckptHook     func(phase string)
@@ -359,7 +334,7 @@ type DB struct {
 	ckptStats CheckpointStats
 
 	// AutoCheckpoint maintainer. autoC is the (capacity-1) trigger
-	// channel commits signal when the WAL crosses a threshold; stopC ends
+	// channel commits signal when the WAL crosses the threshold; stopC ends
 	// the maintainer goroutine; stopOnce makes Close idempotent about it.
 	autoC    chan struct{}
 	stopC    chan struct{}
@@ -380,7 +355,7 @@ type DB struct {
 	commitSeq  uint64
 
 	// Snapshot bookkeeping. gen identifies the current tree incarnation
-	// (EncodePolicies and LoadPolicies rebuild the tree, starting a new
+	// (EncodePolicies and InstallEncoding rebuild the tree, starting a new
 	// generation); snaps holds every open snapshot; garbage holds retired
 	// pages of the current generation awaiting release.
 	gen     uint64
@@ -469,8 +444,7 @@ func openFresh(opts Options) (*DB, error) {
 		return nil, err
 	}
 	if opts.Durability != DurabilityNone {
-		wal, records, err := store.OpenSegmentedWAL(opts.FS, opts.Path+".wal",
-			opts.Durability.walPolicy(), opts.WALSegmentBytes)
+		wal, records, err := store.OpenSegmentedWAL(opts.FS, opts.Path+".wal", opts.WALSegmentBytes)
 		if err != nil {
 			db.fileDisk.Close()
 			return nil, err
@@ -483,7 +457,6 @@ func openFresh(opts Options) (*DB, error) {
 			return nil, fmt.Errorf("peb: refusing to start fresh over a non-empty wal")
 		}
 		db.wal = wal
-		db.observeWAL()
 	}
 	return db, nil
 }
@@ -618,8 +591,8 @@ func (db *DB) minLiveVersion() (uint64, bool) {
 }
 
 // Close releases the DB's resources (the backing file and write-ahead
-// log, if any). The log is synced before closing, so a clean Close loses
-// nothing even under DurabilityAsync. All subsequent method calls — and
+// log, if any). The log is synced before closing. All subsequent method
+// calls — and
 // queries on any still-open Snapshot of a file-backed DB — return
 // ErrClosed or a disk error. Close is idempotent.
 //
@@ -750,13 +723,6 @@ func (db *DB) RangeQuery(issuer UserID, r Region, t float64) ([]Object, error) {
 	if !r.Valid() {
 		return nil, &InvalidRegionError{Region: r}
 	}
-	start := time.Now()
-	out, err := db.rangeQueryLocked(issuer, r, t)
-	db.met.prq.ObserveDuration(time.Since(start))
-	return out, err
-}
-
-func (db *DB) rangeQueryLocked(issuer UserID, r Region, t float64) ([]Object, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
@@ -771,13 +737,6 @@ func (db *DB) rangeQueryLocked(issuer UserID, r Region, t float64) ([]Object, er
 // policies let issuer see them (the paper's PkNN, Definition 3), sorted by
 // ascending distance. Like RangeQuery, it is a per-call-snapshot wrapper.
 func (db *DB) NearestNeighbors(issuer UserID, x, y float64, k int, t float64) ([]Neighbor, error) {
-	start := time.Now()
-	out, err := db.nearestNeighborsLocked(issuer, x, y, k, t)
-	db.met.pknn.ObserveDuration(time.Since(start))
-	return out, err
-}
-
-func (db *DB) nearestNeighborsLocked(issuer UserID, x, y float64, k int, t float64) ([]Neighbor, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
@@ -862,9 +821,8 @@ func (db *DB) noteUser(uid UserID) {
 	db.users[uid] = true
 }
 
-// SavePolicies writes a snapshot of all relations and policies to w.
-// Policies change rarely (the paper's premise), so snapshotting them and
-// rebuilding indexes from live movement data is the natural recovery path.
+// SavePolicies writes a snapshot of all relations and policies to w in a
+// canonical form: two DBs holding the same policies write the same bytes.
 func (db *DB) SavePolicies(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -872,19 +830,4 @@ func (db *DB) SavePolicies(w io.Writer) error {
 		return ErrClosed
 	}
 	return db.policies.Save(w)
-}
-
-// LoadPolicies replaces the DB's entire policy state with a snapshot
-// written by SavePolicies, then re-runs policy encoding and rebuilds the
-// index so stored users adopt keys under the restored policies.
-func (db *DB) LoadPolicies(r io.Reader) error {
-	blob, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("peb: read policies: %w", err)
-	}
-	// One commit carries the whole state swap — the policy snapshot plus
-	// the assignment the index is rebuilt under — so no query ever sees the
-	// new policies paired with the old sequence-value encoding, and replay
-	// is a wholesale, idempotent replacement.
-	return db.commit(opList{Pol: []polOp{{Kind: polOpLoadPolicies, Rebuild: &rebuildOp{Blob: blob}}, {Kind: polOpEncode}}})
 }

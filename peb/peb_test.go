@@ -1,7 +1,6 @@
 package peb
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -266,62 +265,6 @@ func TestMatchesOracle(t *testing.T) {
 				t.Errorf("trial %d: kNN[%d] = u%d, want u%d", trial, i, nn[i].Object.UID, cands[i].uid)
 			}
 		}
-	}
-}
-
-func TestSaveLoadPolicies(t *testing.T) {
-	db := mustOpen(t, Options{})
-	day := TimeInterval{Start: 0, End: 1440}
-	all := Region{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
-	for i := 2; i <= 30; i++ {
-		db.DefineRelation(UserID(i), 1, "f")
-		if err := db.Grant(UserID(i), "f", all, day); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.EncodePolicies(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 30; i++ {
-		if err := db.Upsert(Object{UID: UserID(i), X: float64(i * 30), Y: 500, T: 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := db.SavePolicies(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restore into a second DB with the same movement data.
-	db2 := mustOpen(t, Options{})
-	if err := db2.LoadPolicies(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 30; i++ {
-		if err := db2.Upsert(Object{UID: UserID(i), X: float64(i * 30), Y: 500, T: 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q1, err := db.RangeQuery(1, all, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := db2.RangeQuery(1, all, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q1) != 29 || len(q2) != 29 {
-		t.Fatalf("queries = %d and %d results, want 29 each", len(q1), len(q2))
-	}
-
-	// A mismatched domain must be rejected.
-	var buf2 bytes.Buffer
-	if err := db.SavePolicies(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	db3 := mustOpen(t, Options{SpaceSide: 500})
-	if err := db3.LoadPolicies(&buf2); err == nil {
-		t.Error("snapshot with mismatched space accepted")
 	}
 }
 

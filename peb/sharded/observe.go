@@ -9,7 +9,7 @@ import (
 // Router-level observability. Each shard engine carries its own registry
 // (const label shard="NNN", the stable shard id) and event log; the router
 // adds a registry of its own for topology-scoped series — per-shard
-// routed-load rates, split/merge counters — plus an event log for
+// routed load, split/merge counters — plus an event log for
 // maintainer decisions (AutoReshard verdicts, 2PC aborts and recoveries).
 // MetricsRegistries gathers all of them for one exposition endpoint; the
 // set changes as shards split and merge, so callers re-gather per scrape
@@ -40,14 +40,12 @@ func (db *DB) collectMetrics(e *obs.Emit) {
 		e.Counter("peb_shard_commits_total", "Commits the router routed to the shard.", float64(ss.Commits), lbl)
 		e.Counter("peb_shard_queries_total", "One-shot queries that consulted the shard.", float64(ss.Queries), lbl)
 		e.Gauge("peb_shard_commit_rate", "EWMA routed commits per second (the hot-shard detector's input).", ss.CommitRate, lbl)
-		e.Gauge("peb_shard_query_rate", "EWMA routed queries per second.", ss.QueryRate, lbl)
 		e.Gauge("peb_shard_size", "Shard's indexed population.", float64(ss.Size), lbl)
 	}
 	e.Gauge("peb_router_shards", "Live shards in the topology.", float64(len(st.Shards)))
 	e.Counter("peb_router_epoch", "Topology version (advances on every routing change).", float64(st.Epoch))
 	e.Counter("peb_router_splits_total", "Completed online shard splits since open.", float64(st.Splits))
 	e.Counter("peb_router_merges_total", "Completed online shard merges since open.", float64(st.Merges))
-	e.Counter("peb_router_events_total", "Router events recorded since open (the ring retains the tail).", float64(db.events.Total()))
 }
 
 // MetricsRegistries returns the router's registry plus every live shard

@@ -31,7 +31,7 @@ import (
 // started after Close return ErrClosed; queries in flight when Close is
 // called run to completion against intact pages (the page pin is released
 // by the last of them to finish). Snapshots survive DB.Close only for
-// memory-backed DBs; EncodePolicies/LoadPolicies rebuild the index, after
+// memory-backed DBs; EncodePolicies/InstallEncoding rebuild the index, after
 // which snapshots of file-backed DBs return disk errors (memory-backed
 // snapshots keep working against the superseded tree).
 type Snapshot struct {

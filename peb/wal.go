@@ -31,19 +31,20 @@ import (
 // recovery always starts from one checkpoint's complete state and applies
 // only records past its WAL horizon. Policy operations are idempotent
 // anyway (SetRelation by construction, AddPolicy deduplicates exact
-// duplicates, load/encode replace state wholesale) as defense in depth.
+// duplicates, encode replaces state wholesale) as defense in depth.
 
 // polOpKind enumerates the operations that write the policy store or
 // rebuild the whole tree. The values are the record format's kind bytes;
 // 0–2 belong to the index operations (core.OpSetSV, core.OpUpsert,
-// core.OpRemove), which travel as core.BatchOp.
+// core.OpRemove), which travel as core.BatchOp. Kind 6 was a whole-store
+// policy load; it is not reused, and decodeRecord refuses it as an unknown
+// kind.
 type polOpKind uint8
 
 const (
 	polOpRelation polOpKind = iota + 3
 	polOpGrant
 	polOpEncode
-	polOpLoadPolicies
 )
 
 // assignRec is one user's entry of a logged sequence-value assignment.
@@ -65,22 +66,18 @@ type polOp struct {
 	Locr Region       // polOpGrant
 	Tint TimeInterval // polOpGrant
 
-	// Rebuild is the payload of polOpEncode and polOpLoadPolicies. A
-	// polOpEncode without one handed to commit means "compute the
-	// assignment" (EncodePolicies, LoadPolicies); the resolved — logged —
-	// operation always carries one.
+	// Rebuild is the payload of polOpEncode. A polOpEncode without one
+	// handed to commit means "compute the assignment" (EncodePolicies);
+	// the resolved — logged — operation always carries one.
 	Rebuild *rebuildOp
 }
 
-// rebuildOp is a rebuild operation's payload.
+// rebuildOp is a polOpEncode's payload: the assignment the index is
+// rebuilt under.
 type rebuildOp struct {
-	// polOpEncode: the assignment the index is rebuilt under.
 	Assign []assignRec
 	MaxSV  float64
 	Groups int
-
-	// polOpLoadPolicies: the policy snapshot (policy.Store.Save format).
-	Blob []byte
 }
 
 // opList is the unit a Batch stages, commit applies and a record logs:

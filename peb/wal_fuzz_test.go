@@ -46,7 +46,7 @@ func gobEraRecord(t testing.TB) []byte {
 // raw material, exercising every op kind and field shape. A prepared
 // record names numParts participants (mod 9); only prepared records carry
 // any on the wire.
-func fuzzRecord(seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2, f3 float64, role string, blob []byte, numParts int) walRecord {
+func fuzzRecord(seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2, f3 float64, role string, numParts int) walRecord {
 	rec := walRecord{Seq: seq, NextSV: f1, TxnID: txnID, TxnState: txnState}
 	if txnState == txnPrepared {
 		for i := 0; i < int(uint(numParts)%9); i++ {
@@ -55,7 +55,7 @@ func fuzzRecord(seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2,
 	}
 	n := int(uint(numOps) % 9)
 	for i := 0; i < n; i++ {
-		kind := uint(kindSeed+i) % 7
+		kind := uint(kindSeed+i) % 6
 		uid := UserID(seq>>16) + UserID(i)
 		switch kind {
 		case uint(core.OpSetSV):
@@ -80,8 +80,6 @@ func fuzzRecord(seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2,
 				for j := 0; j < n; j++ {
 					op.Rebuild.Assign = append(op.Rebuild.Assign, assignRec{UID: uid + UserID(j), SV: f2 + float64(j)})
 				}
-			case polOpLoadPolicies:
-				op.Rebuild = &rebuildOp{Blob: blob}
 			}
 			rec.Ops.Pol = append(rec.Ops.Pol, op)
 		}
@@ -90,15 +88,15 @@ func fuzzRecord(seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2,
 }
 
 func FuzzWALRecordRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint64(0), uint8(0), 3, 0, 1.5, -2.25, 100.0, "f", []byte("pol"), 0)
-	f.Add(uint64(1<<40), uint64(7), uint8(1), 8, 3, math.Inf(1), math.NaN(), math.Copysign(0, -1), "coworker", []byte{}, 4)
-	f.Add(uint64(0), uint64(1<<63), uint8(3), 7, 6, 1e-300, 1e300, 0.1, "", []byte{0xB6, 0x00, 0xFF}, 2)
+	f.Add(uint64(1), uint64(0), uint8(0), 3, 0, 1.5, -2.25, 100.0, "f", 0)
+	f.Add(uint64(1<<40), uint64(7), uint8(1), 8, 3, math.Inf(1), math.NaN(), math.Copysign(0, -1), "coworker", 4)
+	f.Add(uint64(0), uint64(1<<63), uint8(3), 7, 6, 1e-300, 1e300, 0.1, "", 2)
 	// Prepared records naming 0, 1 and 4 participants.
 	for _, parts := range []int{0, 1, 4} {
-		f.Add(uint64(1<<20), uint64(9), txnPrepared, 2, 1, 3.0, 4.0, 5.0, "p", []byte{}, parts)
+		f.Add(uint64(1<<20), uint64(9), txnPrepared, 2, 1, 3.0, 4.0, 5.0, "p", parts)
 	}
-	f.Fuzz(func(t *testing.T, seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2, f3 float64, role string, blob []byte, numParts int) {
-		rec := fuzzRecord(seq, txnID, txnState, numOps, kindSeed, f1, f2, f3, role, blob, numParts)
+	f.Fuzz(func(t *testing.T, seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2, f3 float64, role string, numParts int) {
+		rec := fuzzRecord(seq, txnID, txnState, numOps, kindSeed, f1, f2, f3, role, numParts)
 		enc := appendRecord(nil, &rec)
 		dec, err := decodeRecord(enc)
 		if err != nil {
@@ -145,12 +143,12 @@ func fuzzDecodeSeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
 	recs := []walRecord{
 		{Seq: 1, NextSV: 2},
-		fuzzRecord(7, 3, 1, 8, 0, 1.5, -0.25, 12, "f", []byte("blob"), 2),
-		fuzzRecord(1<<50, 1<<62, 3, 7, 4, math.Inf(-1), math.NaN(), 1e308, "c", []byte{0, 1, 2}, 0),
+		fuzzRecord(7, 3, 1, 8, 0, 1.5, -0.25, 12, "f", 2),
+		fuzzRecord(1<<50, 1<<62, 3, 7, 4, math.Inf(-1), math.NaN(), 1e308, "c", 0),
 		// Prepared records naming 0, 1 and 4 participants.
-		fuzzRecord(1<<20, 9, txnPrepared, 2, 1, 3, 4, 5, "p", nil, 0),
-		fuzzRecord(1<<20, 9, txnPrepared, 2, 1, 3, 4, 5, "p", nil, 1),
-		fuzzRecord(1<<20, 9, txnPrepared, 2, 1, 3, 4, 5, "p", nil, 4),
+		fuzzRecord(1<<20, 9, txnPrepared, 2, 1, 3, 4, 5, "p", 0),
+		fuzzRecord(1<<20, 9, txnPrepared, 2, 1, 3, 4, 5, "p", 1),
+		fuzzRecord(1<<20, 9, txnPrepared, 2, 1, 3, 4, 5, "p", 4),
 	}
 	for i := range recs {
 		enc := appendRecord(nil, &recs[i])
@@ -176,6 +174,8 @@ func fuzzDecodeSeeds(t testing.TB) [][]byte {
 	seeds = append(seeds, []byte{0xB6, walCodecVersion, 0x01, 0x02, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	// A prepared record claiming more participants than bytes are left.
 	seeds = append(seeds, absurdParticipants)
+	// The retired whole-store policy load.
+	seeds = append(seeds, loadPoliciesRecord())
 	// Another codec version.
 	seeds = append(seeds, []byte{0xB6, 0x63, 0x01})
 	gb := gobEraRecord(t)
@@ -189,11 +189,21 @@ func fuzzDecodeSeeds(t testing.TB) [][]byte {
 var absurdParticipants = []byte{0xB6, walCodecVersion, 0x01, 0x02, 0x05, txnPrepared,
 	0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x00}
 
+// loadPoliciesRecord is a one-op record of kind 6, the retired whole-store
+// policy load, as the engine once wrote it: the kind byte, then the policy
+// snapshot as vbytes. The kind is not reused; the decoder refuses it.
+func loadPoliciesRecord() []byte {
+	hdr := len(appendRecord(nil, &walRecord{Seq: 1, NextSV: 2})) // ends with the op count
+	one := appendRecord(nil, &walRecord{Seq: 1, NextSV: 2,
+		Ops: opList{Pol: []polOp{{Kind: polOpRelation, Own: 1, Peer: 2, Role: "f"}}}})
+	return codec.AppendBytes(append(one[:hdr:hdr], 6), []byte("policies"))
+}
+
 // TestWALCodecRejectsCorruption spot-checks decode strictness outside the
 // fuzzer: truncation, trailing bytes, unknown kinds, other versions and
 // oversized counts must all error (not panic, not succeed).
 func TestWALCodecRejectsCorruption(t *testing.T) {
-	rec := fuzzRecord(42, 7, 1, 6, 0, 3.5, -1, 9, "f", []byte("pp"), 3)
+	rec := fuzzRecord(42, 7, 1, 6, 0, 3.5, -1, 9, "f", 3)
 	enc := appendRecord(nil, &rec)
 	if _, err := decodeRecord(enc); err != nil {
 		t.Fatalf("valid record rejected: %v", err)
@@ -205,6 +215,9 @@ func TestWALCodecRejectsCorruption(t *testing.T) {
 	}
 	if _, err := decodeRecord(append(bytes.Clone(enc), 0x00)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+	if _, err := decodeRecord(loadPoliciesRecord()); err == nil || !strings.Contains(err.Error(), "unknown op kind 6") {
+		t.Fatalf("retired kind 6: err = %v, want unknown op kind", err)
 	}
 	for _, v := range []byte{0x00, 0x01, 0x03} {
 		if _, err := decodeRecord([]byte{0xB6, v, 0x01}); !errors.Is(err, ErrUnsupportedFormat) {

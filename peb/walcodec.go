@@ -37,9 +37,10 @@ import (
 //	3 relation      own uvarint · peer uvarint · role vbytes
 //	4 grant         own uvarint · role vbytes · locr vfloat×4 · tint vfloat×2
 //	5 encode        n uvarint · n×(uid uvarint · sv vfloat) · maxSV vfloat · groups uvarint
-//	6 loadPolicies  blob vbytes
 //
-// The writer emits the policy and rebuild operations (3–6), then the index
+// Kind 6 (a whole-store policy load) is retired and refused like any
+// unknown kind. The writer emits the policy and rebuild operations (3–5),
+// then the index
 // operations (0–2) — opList's two groups. The decoder files each op under
 // its group wherever it sits, which loses nothing: the groups are
 // independent, and applyOps runs the index group first whatever the order.
@@ -91,8 +92,6 @@ func appendRecord(b []byte, rec *walRecord) []byte {
 			}
 			b = codec.AppendFloat(b, enc.MaxSV)
 			b = codec.AppendUvarint(b, uint64(enc.Groups))
-		case polOpLoadPolicies:
-			b = codec.AppendBytes(b, op.Rebuild.Blob)
 		default:
 			// Unreachable for records we build; a kind added without codec
 			// support round-trips to an "unknown op kind" decode error
@@ -216,9 +215,6 @@ func decodeRecord(data []byte) (walRecord, error) {
 			}
 			enc.Groups = int(g)
 			rec.Ops.Pol = append(rec.Ops.Pol, polOp{Kind: polOpEncode, Rebuild: enc})
-		case byte(polOpLoadPolicies):
-			rec.Ops.Pol = append(rec.Ops.Pol, polOp{Kind: polOpLoadPolicies,
-				Rebuild: &rebuildOp{Blob: r.TakeBytes("policies blob")}})
 		default:
 			r.Failf("unknown op kind %d", kind)
 		}
