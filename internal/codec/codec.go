@@ -178,8 +178,20 @@ func (r *Reader) TakeCount(what string, minBytes int) int {
 		minBytes = 1
 	}
 	if n > uint64(r.Len()/minBytes) {
-		r.Failf("%s %d exceeds %d remaining bytes", what, n, r.Len())
+		r.err = &countError{what: what, n: n, left: r.Len()}
 		return 0
 	}
 	return int(n)
+}
+
+// countError is TakeCount's refusal, formatted only when read: refusing a
+// corrupt count — what a damaged log meets first — costs one allocation.
+type countError struct {
+	what string
+	n    uint64
+	left int
+}
+
+func (e *countError) Error() string {
+	return fmt.Sprintf("%s %d exceeds %d remaining bytes", e.what, e.n, e.left)
 }

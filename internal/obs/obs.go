@@ -203,7 +203,6 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindHistogram
-	kindGaugeFunc
 )
 
 type metricEntry struct {
@@ -214,7 +213,6 @@ type metricEntry struct {
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
-	fn     func() float64
 }
 
 // Registry holds a set of registered instruments plus pull-based
@@ -247,11 +245,6 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	g := &Gauge{}
 	r.add(&metricEntry{name: name, help: help, kind: kindGauge, labels: labels, g: g})
 	return g
-}
-
-// GaugeFunc registers a pull-based gauge: fn is called at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.add(&metricEntry{name: name, help: help, kind: kindGaugeFunc, labels: labels, fn: fn})
 }
 
 // Histogram registers and returns a histogram series. mult converts raw
@@ -381,8 +374,6 @@ func (r *Registry) gatherInto(e *Emit) {
 			e.Counter(m.name, m.help, float64(m.c.Value()), m.labels...)
 		case kindGauge:
 			e.Gauge(m.name, m.help, m.g.Value(), m.labels...)
-		case kindGaugeFunc:
-			e.Gauge(m.name, m.help, m.fn(), m.labels...)
 		case kindHistogram:
 			e.Histogram(m.name, m.help, m.h.Snapshot(), m.h.mult, m.labels...)
 		}

@@ -19,7 +19,6 @@ func TestPrometheusTextGolden(t *testing.T) {
 	c.Add(42)
 	g := r.Gauge("test_size", "Indexed population.")
 	g.Set(3.5)
-	r.GaugeFunc("test_pull", "Pull-based value.", func() float64 { return 7 })
 	h := r.Histogram("test_latency_seconds", "Latency.", 1e-9, Label{Key: "op", Value: "prq"})
 	h.Observe(0)    // bucket 0, le=0
 	h.Observe(1)    // bucket 1, le=1e-09
@@ -27,6 +26,7 @@ func TestPrometheusTextGolden(t *testing.T) {
 	h.Observe(1000) // bucket 10, le=1.023e-06
 	r.Collect(func(e *Emit) {
 		e.Counter("test_dyn_total", "Collector-emitted.", 5, Label{Key: "k", Value: "v"})
+		e.Gauge("test_pull", "Pull-based value.", 7)
 	})
 
 	var buf bytes.Buffer

@@ -335,6 +335,14 @@ func (w *SegmentedWAL) Poison(err error) {
 	}
 }
 
+// Err returns the error that poisoned the log, or nil while it is
+// healthy.
+func (w *SegmentedWAL) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
+}
+
 // Stats returns the number of records appended and fsyncs performed since
 // open (seal fsyncs included).
 func (w *SegmentedWAL) Stats() (appends, syncs uint64) {
@@ -532,20 +540,6 @@ func (w *SegmentedWAL) Mark() SegPos {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return SegPos{Seg: w.activeIdx, Off: w.activeOff}
-}
-
-// MarkBeforeLast returns the position where the log's last record, of the
-// given payload length, begins: its frame ends the active segment, or the
-// newest sealed one when a roll left the active segment empty.
-func (w *SegmentedWAL) MarkBeforeLast(payloadLen int) SegPos {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	frame := int64(8 + payloadLen)
-	if w.activeOff == 0 && len(w.sealed) > 0 {
-		s := w.sealed[len(w.sealed)-1]
-		return SegPos{Seg: s.idx, Off: s.size - frame}
-	}
-	return SegPos{Seg: w.activeIdx, Off: w.activeOff - frame}
 }
 
 // DropThrough deletes every sealed segment the mark covers entirely —

@@ -125,7 +125,7 @@ func TestUpsertSyncAllocs(t *testing.T) {
 // fails here.
 func TestUpsertSyncLogCost(t *testing.T) {
 	db := allocDB(t)
-	const users, commits, wantBytes = 256, 600, 20368 // 33.95 B/commit
+	const users, commits, wantBytes = 256, 600, 19768 // 32.95 B/commit
 	b := db.NewBatch()
 	for i := 1; i <= users; i++ {
 		b.Upsert(goldenObj(i, 0))

@@ -47,12 +47,11 @@ import (
 //	cut     (write lock) — seal the tree so every page of the current
 //	        image becomes immutable (later mutations copy-on-write);
 //	        capture the root/meta/sequence-value snapshot, the policy
-//	        store (pinned until publish or abort), the allocator state, the WAL
-//	        horizon and byte mark that state stands at (appliedHorizon:
-//	        below a pending prepared record, never waiting for one), the
-//	        dirty-page list, and the dead-extent ledger (DB.ckptDead: the
-//	        pages that died since the last cut); switch the disk into
-//	        deferred reclamation. No I/O.
+//	        store (pinned until publish or abort), the allocator state, the
+//	        WAL horizon, byte mark and transaction watermark that state
+//	        stands at, the dirty-page list, and the dead-extent ledger
+//	        (DB.ckptDead: the pages that died since the last cut); switch
+//	        the disk into deferred reclamation. No I/O.
 //	build   (no write lock) — flush the captured dirty pages one at a
 //	        time (the buffer pool re-locks per page, so concurrent
 //	        fetches interleave), fsync the data file, park the ledger's
@@ -100,15 +99,18 @@ type metaFile struct {
 	NextSV    float64
 	SVs       []svRec
 
-	// NumPages/Free persist the page allocator; WalSeq is the WAL horizon;
-	// Users restores the encoding population; CkptSeq numbers checkpoints
-	// and Policies is the base name of the policies snapshot this
-	// checkpoint pairs with, which lives beside the meta — unless
-	// BorrowedPolicies says the store belongs to another DB
+	// NumPages/Free persist the page allocator; WalSeq is the WAL horizon
+	// and MaxTxn the transaction watermark at it (see prepared.go: the
+	// checkpoint may cover the only record that raised it, and let its
+	// segment go); Users restores the encoding population; CkptSeq
+	// numbers checkpoints and Policies is the base name of the policies
+	// snapshot this checkpoint pairs with, which lives beside the meta —
+	// unless BorrowedPolicies says the store belongs to another DB
 	// (DB.BorrowPolicies) and no snapshot exists.
 	NumPages         uint64         `json:",omitempty"`
 	Free             []store.PageID `json:",omitempty"`
 	WalSeq           uint64         `json:",omitempty"`
+	MaxTxn           uint64         `json:",omitempty"`
 	Users            []UserID       `json:",omitempty"`
 	CkptSeq          uint64         `json:",omitempty"`
 	Policies         string         `json:",omitempty"`
@@ -175,6 +177,7 @@ type ckptImage struct {
 	nextSV   float64
 	walSeq   uint64
 	walMark  store.SegPos
+	maxTxn   uint64
 	numPages uint64
 	free     []store.PageID // free ∪ parked ids at cut
 	dead     []store.PageID // the ledger taken at cut
@@ -278,6 +281,14 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 	if db.fileDisk == nil {
 		return nil, fmt.Errorf("peb: checkpoint requires a file-backed DB (Options.Path)")
 	}
+	if db.wal != nil {
+		// A poisoned log may end in a record whose effect the state lacks
+		// (a coordinator record whose fsync failed, say): a cut would
+		// publish a log position past it, and recovery would skip it.
+		if err := db.wal.Err(); err != nil {
+			return nil, fmt.Errorf("peb: checkpoint: %w", err)
+		}
+	}
 
 	// Account pending retirements (unpinned ones join the ledger once a
 	// checkpoint image exists, and go straight back to the allocator
@@ -309,9 +320,11 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 		img.users = append(img.users, uid)
 	}
 	sort.Slice(img.users, func(i, j int) bool { return img.users[i] < img.users[j] })
-	// The log position the captured state stands at: below a pending
-	// prepared record, which recovery then replays or skips by its verdict.
-	img.walSeq, img.walMark = db.appliedHorizon()
+	// The log position the captured state stands at.
+	img.walSeq, img.maxTxn = db.walSeq, db.maxTxn
+	if db.wal != nil {
+		img.walMark = db.wal.Mark()
+	}
 
 	// The policies file: none for a borrowed store, the live one when no
 	// policy operation has applied since the last checkpoint's cut, else
@@ -399,6 +412,7 @@ func (img *ckptImage) metaBytes() ([]byte, error) {
 		NextSV:           img.nextSV,
 		NumPages:         img.numPages,
 		WalSeq:           img.walSeq,
+		MaxTxn:           img.maxTxn,
 		CkptSeq:          img.seq,
 		BorrowedPolicies: img.borrowed,
 		Users:            img.users,
@@ -420,7 +434,7 @@ func (img *ckptImage) metaBytes() ([]byte, error) {
 // holds the write lock): rename the staged meta — the atomic commit point
 // — then make the reclaimed pages reallocatable and delete the sealed WAL
 // segments the cut covers entirely (held down to the retention floor of
-// any committed, unreleased Prepared). committed reports whether the
+// any coordinator record still held). committed reports whether the
 // commit point landed; on committed=true with err != nil the checkpoint
 // succeeded but segment reclamation did not — the segments linger
 // harmlessly until the next publish retries.
@@ -459,12 +473,12 @@ func (db *DB) ckptPublishLocked(img *ckptImage) (committed bool, walBytes int64,
 	db.fileDisk.DeferFrees(false)
 
 	if db.wal != nil {
-		// A committed, unreleased Prepared pins the log just below its
-		// record: drop only segments both this checkpoint and every such
-		// hold are past. Segment removal is pure space reclamation
-		// (recovery skips covered records by sequence number), so a
-		// failure neither fails the checkpoint nor disables the log: the
-		// segments linger and the next publish retries.
+		// A held coordinator record pins the log just below itself: drop
+		// only segments both this checkpoint and every such hold are
+		// past. Segment removal is pure space reclamation (recovery skips
+		// covered records by sequence number), so a failure neither fails
+		// the checkpoint nor disables the log: the segments linger and the
+		// next publish retries.
 		n, segs, terr := db.wal.DropThrough(db.retentionFloor(img.walMark))
 		walBytes, walSegs = n, segs
 		if terr != nil {
@@ -492,8 +506,9 @@ func (db *DB) retentionFloor(mark store.SegPos) store.SegPos {
 	return mark
 }
 
-// hold pins the log at floor for key — a committed Prepared just below its
-// record, so a peer still without its marker can read it — until release.
+// hold pins the log at floor for key — a coordinator's Prepared just below
+// its record, so recovery can still redo a part whose own record is not
+// durable yet — until release.
 func (db *DB) hold(key any, floor store.SegPos) {
 	db.floorMu.Lock()
 	defer db.floorMu.Unlock()
@@ -762,6 +777,7 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 		users:        make(map[UserID]bool),
 		nextSV:       mf.NextSV,
 		walSeq:       mf.WalSeq,
+		maxTxn:       mf.MaxTxn,
 		ckptSeq:      mf.CkptSeq,
 		prevPolicies: polName,
 		borrowed:     mf.BorrowedPolicies,
@@ -798,12 +814,12 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 			db.ckptDead = append(db.ckptDead, id)
 		}
 	}
-	wal, log, err := readWAL(opts)
+	wal, recs, err := readWAL(opts)
 	if err == nil {
 		// Startup housekeeping: sweep side files a crash orphaned — staging
 		// leftovers and policies snapshots other than the committed one.
 		sweepCheckpointOrphans(opts, polName)
-		err = db.replayWAL(wal, log)
+		err = db.replayWAL(wal, recs)
 	}
 	if err != nil {
 		db.fileDisk.Close()
@@ -842,7 +858,7 @@ func checkpointPolicies(opts Options, mf metaFile) (*policy.Store, string, error
 // checkpoint: once the log has been read, the page file — it holds no
 // committed image — is discarded and the log replayed from an empty index.
 func openFromWALOnly(opts Options) (*DB, error) {
-	wal, log, err := readWAL(opts)
+	wal, recs, err := readWAL(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -863,7 +879,7 @@ func openFromWALOnly(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.opts = opts
-	if err := db.replayWAL(wal, log); err != nil {
+	if err := db.replayWAL(wal, recs); err != nil {
 		db.fileDisk.Close()
 		return nil, err
 	}
@@ -874,67 +890,66 @@ func openFromWALOnly(opts Options) (*DB, error) {
 // (no log when there is none and the DB is not durable). A single-file log
 // or a record of another generation fails here, which is why both open
 // paths call it before they write.
-func readWAL(opts Options) (*store.SegmentedWAL, txnReplay, error) {
-	var log txnReplay
+func readWAL(opts Options) (*store.SegmentedWAL, []walRecord, error) {
 	hasWAL, err := store.SegmentedWALExists(opts.FS, opts.Path+".wal")
 	if err != nil {
-		return nil, log, fmt.Errorf("peb: probe wal: %w", err)
+		return nil, nil, fmt.Errorf("peb: probe wal: %w", err)
 	}
 	if !hasWAL && opts.Durability == DurabilityNone {
-		return nil, log, nil
+		return nil, nil, nil
 	}
-	wal, records, err := store.OpenSegmentedWAL(opts.FS, opts.Path+".wal", opts.WALSegmentBytes)
+	wal, frames, err := store.OpenSegmentedWAL(opts.FS, opts.Path+".wal", opts.WALSegmentBytes)
 	if err != nil {
-		return nil, log, err
+		return nil, nil, err
 	}
-	if err := log.add(records); err != nil {
-		wal.Close()
-		return nil, log, corruptf("wal %w", err)
+	recs := make([]walRecord, len(frames))
+	for i, payload := range frames {
+		if recs[i], err = decodeRecord(payload); err != nil {
+			wal.Close()
+			return nil, nil, corruptf("wal record %d: %w", i, err)
+		}
 	}
-	return wal, log, nil
+	return wal, recs, nil
 }
 
-// replayWAL replays every record of log newer than db.walSeq (the
-// checkpoint's horizon; zero without one), and — when the DB is durable —
-// installs wal, which it owns, for subsequent commits. A non-durable
-// reopen replays too (committed data must not be dropped) and then leaves
-// the log in place: the replayed state exists only in memory, so the old
-// checkpoint plus the old log remain its sole durable description. The log
-// stays inert — every record's Seq is ≤ the restored walSeq, so a future
-// Checkpoint's WalSeq covers it (Checkpoint then removes it) and a
-// re-recovery before that reproduces this same state.
-func (db *DB) replayWAL(wal *store.SegmentedWAL, log txnReplay) error {
+// replayWAL replays every record of recs newer than db.walSeq (the
+// checkpoint's horizon; zero without one), keeps the parts of every
+// coordinator record among all of them for Coordinated, and — when the DB
+// is durable — installs wal, which it owns, for subsequent commits. A
+// non-durable reopen replays too (committed data must not be dropped) and
+// then leaves the log in place: the replayed state exists only in memory,
+// so the old checkpoint plus the old log remain its sole durable
+// description. The log stays inert — every record's Seq is ≤ the restored
+// walSeq, so a future Checkpoint's WalSeq covers it (Checkpoint then
+// removes it) and a re-recovery before that reproduces this same state.
+func (db *DB) replayWAL(wal *store.SegmentedWAL, recs []walRecord) error {
 	if wal == nil {
 		return nil
 	}
-	afterSeq, records := db.walSeq, len(log.pending)
-	// Recovery has the whole log, so every marker is queued before the
-	// first record replays, and the drain stops only at a markerless
-	// prepared record — the log's last, left pending for the coordinator.
-	replayed, err := log.drain(db)
-	if err == nil && len(log.pending) > 1 {
-		err = corruptf("wal: %d records follow the markerless prepared record of transaction %d",
-			len(log.pending)-1, log.pending[0].TxnID)
-	}
-	if err != nil {
-		wal.Close()
-		return fmt.Errorf("peb: replay wal %w", err)
-	}
-	if len(log.pending) == 1 {
-		rec := log.pending[0]
-		// As live between prepare and finish: the record's sequence number
-		// is consumed, the applied horizon stays below it.
-		db.prepared = &Prepared{db: db, txnID: rec.TxnID, parts: rec.Parts, ops: rec.Ops,
-			seq: db.walSeq, mark: wal.MarkBeforeLast(log.tail)}
-		db.walSeq = rec.Seq
+	afterSeq, replayed := db.walSeq, 0
+	for i := range recs {
+		rec := &recs[i]
+		// Records the checkpoint covers raise the watermark and report
+		// their parts too: a held coordinator record outlives the
+		// checkpoint that covers it.
 		db.maxTxn = max(db.maxTxn, rec.TxnID)
+		for _, part := range rec.Parts {
+			db.coordinated = append(db.coordinated, &Prepared{txnID: rec.TxnID, part: part})
+		}
+		if rec.Seq <= db.walSeq {
+			continue
+		}
+		if err := db.replayRecord(*rec); err != nil {
+			wal.Close()
+			return fmt.Errorf("peb: replay wal record %d: %w", rec.Seq, err)
+		}
+		replayed++
 	}
-	db.recovered = log.outcomes
 	db.refreshView()
 	db.collectGarbage()
 	db.events.Record("recovery", "write-ahead log replayed",
-		"records", records, "replayed", replayed, "after_seq", afterSeq,
-		"resolved_txns", len(log.outcomes), "commit_seq", db.walSeq)
+		"records", len(recs), "replayed", replayed, "after_seq", afterSeq,
+		"coordinated_parts", len(db.coordinated), "commit_seq", db.walSeq)
 	if db.opts.Durability == DurabilityNone {
 		return wal.Close()
 	}

@@ -16,9 +16,9 @@ import (
 // InstallEncoding, Apply — is an opList handed to commit.
 // commit runs six stages under the write lock:
 //
-//	1 validate  closed DB, a pending prepared transaction, invalid grant
-//	            regions, an encoding that misses an indexed user — nothing
-//	            has been touched when one of these fails
+//	1 validate  closed DB, invalid grant regions, an encoding that misses
+//	            an indexed user — nothing has been touched when one of
+//	            these fails
 //	2 resolve   make the list deterministic: an upsert of a user the tree
 //	            holds no sequence value for gets an explicit core.OpSetSV
 //	            (δ = 2 spacing, Fig. 5 of the paper), EncodePolicies gets
@@ -34,9 +34,10 @@ import (
 // and then, outside the lock, waits for the record to be durable — which
 // is what lets concurrent commits share one fsync — and observes the
 // commit latency. A cross-shard participant splits the stages at the
-// decision (prepared.go): PrepareApply runs 1–2 and logs, Prepared.Commit
-// runs 3–5 and logs its marker. Recovery (replayWAL) runs stage 4 on
-// decoded records, so live commit and replay execute the same code.
+// decision (prepared.go): Prepare runs 1–2 and a dry run of 4, logging
+// nothing; after the coordinator's record is durable, Coordinate and
+// Commit run 3–6. Recovery (replayWAL) runs stage 4 on decoded records, so
+// live commit and replay execute the same code.
 
 // commit applies ops atomically as one logged commit. An empty list
 // commits nothing.
@@ -69,8 +70,8 @@ func (db *DB) commit(ops opList) error {
 // what opClasses says of ops (resolution adds and fills in operations but
 // never changes their classes).
 func (db *DB) commitLocked(ops opList, policyChange, rebuild bool) (store.WALToken, error) {
-	if err := db.writable(); err != nil {
-		return 0, err
+	if db.closed {
+		return 0, ErrClosed
 	}
 	if ops.len() == 0 {
 		return 0, nil
@@ -83,19 +84,6 @@ func (db *DB) commitLocked(ops opList, policyChange, rebuild bool) (store.WALTok
 		return 0, err
 	}
 	return db.walAppend(walRecord{NextSV: db.nextSV, Ops: resolved})
-}
-
-// writable reports why the DB takes no commit now: it is closed, or a
-// prepared transaction holds it until Commit or Abort. The caller holds
-// the write lock.
-func (db *DB) writable() error {
-	if db.closed {
-		return ErrClosed
-	}
-	if p := db.prepared; p != nil {
-		return fmt.Errorf("peb: transaction %d is prepared; commit or abort it first", p.txnID)
-	}
-	return nil
 }
 
 // applyLocked is stages 3–5 on a resolved list. On error nothing is

@@ -388,9 +388,9 @@ func TestSubscribeAtomicity(t *testing.T) {
 }
 
 // TestPreparedAbortEmitsNoDelta: a cross-shard participant's batch reaches
-// a subscription only when it commits — an aborted prepare emits nothing
-// (no Enter followed by a compensating Leave), a committed one exactly its
-// Enter, at Commit.
+// a subscription only when it commits — a prepare abandoned uncommitted,
+// which is how a transaction aborts, emits nothing (no Enter followed by a
+// compensating Leave), a committed one exactly its Enter, at Coordinate.
 func TestPreparedAbortEmitsNoDelta(t *testing.T) {
 	db, err := peb.Open(peb.Options{})
 	if err != nil {
@@ -426,27 +426,23 @@ func TestPreparedAbortEmitsNoDelta(t *testing.T) {
 		default:
 		}
 	}
-	prepare := func(txnID uint64) *peb.Prepared {
+	prepare := func() *peb.Prepared {
 		t.Helper()
 		b := db.NewBatch()
 		b.Upsert(peb.Object{UID: 2, X: 100, Y: 100, T: 0})
-		p, err := db.PrepareApply(b, txnID, nil)
+		p, err := db.Prepare(b, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
 
-	p := prepare(1)
-	none("after prepare")
-	if err := p.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	none("after abort")
+	prepare() // abandoned: the abort
+	none("after an abandoned prepare")
 
-	p = prepare(2)
+	p := prepare()
 	none("after prepare")
-	if err := p.Commit(); err != nil {
+	if err := p.Coordinate(2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := <-sub.Deltas(); d.Kind != cq.Enter || d.Object.UID != 2 {

@@ -7,7 +7,7 @@ import "repro/internal/obs"
 // allocations, so there is no enablement knob to forget. The registry is
 // scraped through peb/obs.Handler (Prometheus text at /metrics, JSON at
 // /statusz); the event log records maintainer decisions — checkpoints,
-// recovery, 2PC verdicts — and mirrors them to Options.Logger when set.
+// recovery — and mirrors them to Options.Logger when set.
 
 // dbMetrics holds the DB's registered hot-path instruments. Registration
 // happens once in initObs; recording is lock-free atomic adds.

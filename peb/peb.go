@@ -270,12 +270,12 @@ type DB struct {
 	ckptSealed   bool
 
 	// Retention floors (hold): checkpoint publication never deletes a
-	// sealed segment holding the record of a committed, unreleased
-	// Prepared.
+	// sealed segment holding a coordinator record whose handle is not
+	// released yet.
 	floorMu sync.Mutex
 	floors  map[any]store.SegPos
 
-	// encBuf is the reusable WAL record encode buffer: walAppendTxn
+	// encBuf is the reusable WAL record encode buffer: walAppend
 	// encodes into it under the write lock and WAL.Append copies the
 	// payload out before returning, so steady-state commits allocate
 	// nothing for serialization.
@@ -297,17 +297,14 @@ type DB struct {
 	// with the pages its build did not park.
 	ckptDead []store.PageID
 
-	// Cross-shard transaction state (prepared.go). prepared is the
-	// transaction between PrepareApply (or recovery) and its Commit/Abort,
-	// nil when none: its record is logged but nothing of it applied, and no
-	// other commit lands until it is finished. maxTxn is the largest
-	// transaction id this DB has logged or replayed — coordinators allocate
-	// ids above every participant's watermark so a recycled id can never
-	// resurrect a stale prepared record. recovered is the outcome of each
-	// transaction recovery found decided (HoldsTxn). All guarded by mu.
-	prepared  *Prepared
-	maxTxn    uint64
-	recovered map[uint64]uint8
+	// Cross-shard transaction state (prepared.go). maxTxn is the
+	// transaction watermark: the largest transaction id this DB has
+	// logged, replayed or recovered from its checkpoint — the DB holds
+	// every transaction it took part in up to it. coordinated holds the
+	// other participants' parts of the coordinator records recovery found,
+	// until Coordinated takes them. Both guarded by mu.
+	maxTxn      uint64
+	coordinated []*Prepared
 
 	// Checkpoint pipeline state (checkpoint.go). ckptMu serializes whole
 	// checkpoint pipelines against each other, against index rebuilds

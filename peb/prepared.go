@@ -9,130 +9,91 @@ import (
 	"repro/internal/store"
 )
 
-// Cross-shard two-phase commit: the participant side.
+// Cross-shard commit: the participant side.
 //
 // A sharded deployment (peb/sharded) splits one logical batch across
-// several DBs, each with its own write-ahead log, and the participants'
-// logs alone carry the verdict: a transaction is committed if and only if
-// every participant named in its prepared record holds that record
-// durably with no abort marker (HoldsTxn is one participant's vote).
+// several DBs, each with its own write-ahead log. One participant — the
+// coordinator — logs the whole transaction as a single record, and that
+// record's fsync is the commit point:
 //
-//	prepare — PrepareApply(sub, txnID, parts) on every participant logs
-//	          the resolved sub-batch as a *prepared* record naming them
-//	          all, synced per the durability level; nothing is applied.
-//	          The last prepare's sync is the commit point.
-//	finish  — Commit applies the batch and logs a marker it does not wait
-//	          for; Abort logs one and waits, since a durable abort marker
-//	          is what makes a prepare that reached disk anyway lose.
-//	settle  — a committed handle holds the log (retentionFloor) just
-//	          below its record until Release: a peer still without its
-//	          marker would read a dropped record as abort. The coordinator
-//	          releases once every participant's marker is Durable.
+//	prepare  — Prepare on every participant validates its sub-batch
+//	           exactly as Apply would and resolves it into the form that
+//	           is logged. Nothing is logged or applied, so a refused batch
+//	           leaves no trace anywhere.
+//	decide   — Coordinate on the coordinator's part logs one record that
+//	           holds every participant's resolved part and sequence-value
+//	           cursor, syncs it, and applies the coordinator's own part, all
+//	           under the write lock: no checkpoint cuts between the record
+//	           and its effect.
+//	finish   — Commit on every other part applies it and logs a sub-record
+//	           tagged with the transaction id, without syncing: the DB's
+//	           next sync makes it durable.
+//	settle   — the coordinator's handle holds its log (retentionFloor) just
+//	           below its record until Release. The caller releases it once
+//	           every sub-record is Durable.
 //
-// Recovery leaves a markerless prepared record pending (Pending) for the
-// coordinator to finish by the rule. Between a prepared record and its
-// marker the DB takes no other commit, so the record is the log's last and
-// the in-memory state is exactly the log below it (appliedHorizon): a
-// checkpoint cut starts there without waiting.
-// Abort keeps that window open until its marker is durable, so a cut above
-// a prepared record means it committed or its abort marker is on disk.
-// Transaction ids are never recycled while any log could still hold one
-// (MaxTxnID is each participant's watermark).
+// Every record carrying a transaction id raises the DB's watermark
+// (MaxTxnID), and every checkpoint persists it. Transactions commit one at
+// a time and each log and checkpoint is a prefix of its DB's history, so a
+// participant holds transaction T if and only if its recovered watermark
+// is at least T. Recovery reports the parts of every coordinator record
+// still in the log (Coordinated); the caller redoes each on the
+// participant that lacks it (Redo).
+//
+// The caller must be every participant's only writer from Prepare to the
+// last Commit: the parts are applied to the state they were validated
+// against. peb/sharded holds its global barrier lock across all of it.
 
-// Prepared is a participant's handle on an in-flight cross-shard
-// transaction. Exactly one of Commit or Abort must be called to decide
-// it; a committed handle then holds the log until Release. The handle is
-// not safe for concurrent use.
-type Prepared struct {
-	db    *DB
-	txnID uint64
-	parts []int  // every participant, by the coordinator's stable ids
-	ops   opList // resolved, and the participant's own copy: what Commit applies
-	// seq and mark are the applied horizon just below the prepared record.
-	seq    uint64
-	mark   store.SegPos
-	marker store.WALToken // the commit or abort marker, once logged
-	done   bool
-	failed error // why finish logged no marker, if it did not
+// txnPart is one participant's share of a cross-shard transaction, as the
+// coordinator's record logs it: the participant's stable id (the
+// coordinator's choice), its resolved operations and the sequence-value
+// cursor applying them leaves.
+type txnPart struct {
+	ID     int
+	NextSV float64
+	Ops    opList
 }
 
-// PrepareApply validates the batch exactly as Apply would and logs it as a
-// *prepared* participant of cross-shard transaction txnID, whose
-// participants are parts (stable ids the coordinator chooses, this DB's
-// among them), without applying it: queries, snapshots and commit hooks
-// see the batch only once Commit applies it, and recovery replays the
-// record only if the transaction committed. The caller must finish the
-// returned handle with Commit or Abort.
-//
-// txnID must be non-zero, unique per transaction, and above every
-// participant's MaxTxnID watermark. An error means the batch was not
-// prepared. The handle is then nil — unless the record was logged and only
-// its sync failed: it may be on disk anyway, so the caller aborts the
-// handle returned beside the error.
-//
-// Until the handle is finished the DB refuses every other commit and
-// prepare: Commit applies the batch to the state it was validated against.
-// The coordinator must therefore be this DB's only writer for the life of
-// the prepared window; peb/sharded guarantees this by holding its global
-// barrier lock across the whole protocol.
-func (db *DB) PrepareApply(b *Batch, txnID uint64, parts []int) (*Prepared, error) {
-	if txnID == 0 {
-		return nil, fmt.Errorf("peb: prepare: transaction id must be non-zero")
-	}
+// Prepared is one participant's validated part of a cross-shard
+// transaction. The handle is not safe for concurrent use.
+type Prepared struct {
+	db    *DB // nil for a part Coordinated reported, until Redo
+	txnID uint64
+	part  txnPart
+	tok   store.WALToken // the part's record, once logged
+}
+
+// Prepare validates the batch exactly as Apply would, as the part of the
+// participant with stable id id, and resolves it into the form that is
+// logged and applied. Nothing is logged or applied: an error leaves no
+// trace, and a handle that is never committed needs no cleanup.
+func (db *DB) Prepare(b *Batch, id int) (*Prepared, error) {
 	if b == nil || b.Len() == 0 {
 		return nil, fmt.Errorf("peb: prepare: empty batch")
 	}
-	start := time.Now()
 	db.mu.Lock()
-	p, tok, err := db.prepareLocked(b.list(), txnID, parts)
-	db.mu.Unlock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return nil, ErrClosed
+	}
+	resolved, err := db.resolveOps(b.list())
 	if err != nil {
 		return nil, err
 	}
-	if err := db.walSync(tok); err != nil {
-		return p, err // the log is poisoned; nothing was applied
-	}
-	db.met.commit.ObserveDuration(time.Since(start))
-	db.events.Record("txn.prepare", "participant prepared",
-		"txn", txnID, "ops", b.Len())
-	return p, nil
-}
-
-// prepareLocked is commit's stages 1–2 and a dry run of what applying
-// could still refuse, then the prepared record — logged with the
-// sequence-value cursor the batch will leave, as if it had been applied.
-// The caller holds the write lock.
-func (db *DB) prepareLocked(ops opList, txnID uint64, parts []int) (*Prepared, store.WALToken, error) {
-	if err := db.writable(); err != nil {
-		return nil, 0, err
-	}
-	resolved, err := db.resolveOps(ops)
-	if err != nil {
-		return nil, 0, err
-	}
 	nextSV, err := db.checkIndexOps(resolved.Idx)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	// The resolved groups may share db.opScratch or the caller's batch.
-	p := &Prepared{db: db, txnID: txnID, parts: slices.Clone(parts),
-		ops: opList{Pol: slices.Clone(resolved.Pol), Idx: slices.Clone(resolved.Idx)}}
-	p.seq, p.mark = db.appliedHorizon()
-	tok, err := db.walAppend(walRecord{NextSV: nextSV, Ops: p.ops,
-		TxnID: txnID, TxnState: txnPrepared, Parts: p.parts})
-	if err != nil {
-		return nil, 0, err
-	}
-	db.prepared = p
-	return p, tok, nil
+	return &Prepared{db: db, part: txnPart{ID: id, NextSV: nextSV,
+		Ops: opList{Pol: slices.Clone(resolved.Pol), Idx: slices.Clone(resolved.Idx)}}}, nil
 }
 
 // checkIndexOps dry-runs a resolved index group for the failures applyOps
 // could still meet on valid input — a remove of a user the list leaves
 // unindexed at that point, a sequence value the key cannot encode — and
 // returns the sequence-value cursor applying it leaves. Nothing is
-// written. Commit must not fail on the batch for a reason replay would
-// meet again.
+// written.
 func (db *DB) checkIndexOps(ops []core.BatchOp) (nextSV float64, err error) {
 	nextSV = db.nextSV
 	indexed := make(map[UserID]bool)
@@ -161,130 +122,145 @@ func (db *DB) checkIndexOps(ops []core.BatchOp) (nextSV float64, err error) {
 	return nextSV, nil
 }
 
-// appliedHorizon returns the log position the in-memory state stands at:
-// the sequence number and byte mark just below the pending prepared
-// record, whose operations are not applied yet, or the log's end when none
-// is pending. Caller holds mu (either side).
-func (db *DB) appliedHorizon() (uint64, store.SegPos) {
-	if p := db.prepared; p != nil {
-		return p.seq, p.mark
+// Coordinate commits transaction txnID with p as the coordinator's part:
+// it logs one record holding p and every part in others, waits until the
+// record is durable — the commit point — and applies p. The handle then
+// holds the log just below the record until Release, so the record
+// outlives every checkpoint until each other part's record is durable.
+//
+// txnID must be non-zero and above every participant's MaxTxnID. An error
+// is fail-stop: the record may be on disk or not, and only a recovery
+// decides; the log is poisoned so nothing commits or checkpoints behind
+// it.
+func (p *Prepared) Coordinate(txnID uint64, others []*Prepared) error {
+	if txnID == 0 {
+		return fmt.Errorf("peb: coordinate: transaction id must be non-zero")
 	}
-	var mark store.SegPos
-	if db.wal != nil {
-		mark = db.wal.Mark()
+	start := time.Now()
+	parts := make([]txnPart, len(others))
+	for i, o := range others {
+		parts[i] = o.part
 	}
-	return db.walSeq, mark
-}
-
-// Pending returns the prepared transaction this DB waits on — one
-// recovery left markerless, or one not finished since its prepare — or
-// nil. Until it is finished the DB refuses every other commit.
-func (db *DB) Pending() *Prepared {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.prepared
-}
-
-// HoldsTxn reports whether this DB holds transaction txnID's prepared
-// record with no abort marker: pending, or committed as recovery found its
-// log.
-func (db *DB) HoldsTxn(txnID uint64) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if p := db.prepared; p != nil && p.txnID == txnID {
-		return true
-	}
-	return db.recovered[txnID] == txnCommitted
-}
-
-// Txn returns the transaction's id and the stable ids of the participants
-// its record names (not to be modified).
-func (p *Prepared) Txn() (id uint64, parts []int) { return p.txnID, p.parts }
-
-// Commit applies the prepared batch — commit's stages 3–5: capture for the
-// hooks, applyOps, publish, fire the hooks — and logs a txnCommitted
-// marker without waiting for it to be durable. Every prepare was durable,
-// so the transaction is decided: a failure here poisons this DB's log
-// (fail-stop), and recovery leaves the record pending to commit again.
-func (p *Prepared) Commit() error { return p.finish(txnCommitted) }
-
-// Abort logs a txnAborted marker — nothing of the batch was applied — and
-// closes the prepared window once the marker is durable. An error means
-// the marker may not have reached disk.
-func (p *Prepared) Abort() error {
-	err := p.finish(txnAborted)
-	if err == nil {
-		err = p.Sync()
-	}
-	db := p.db
-	db.mu.Lock()
-	if db.prepared == p {
-		db.prepared = nil
-	}
-	db.mu.Unlock()
-	db.events.Record("txn.abort", "participant aborted", "txn", p.txnID)
-	return err
-}
-
-// finish logs the marker for state; a commit first closes the window,
-// applies the batch and starts the handle's hold on the log.
-func (p *Prepared) finish(state uint8) (err error) {
-	if p.done {
-		return fmt.Errorf("peb: transaction %d already finished", p.txnID)
-	}
-	p.done = true
-	defer func() { p.failed = err }()
 	db := p.db
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		db.prepared = nil
 		return ErrClosed
 	}
-	if state == txnCommitted {
-		db.prepared = nil
-		policyChange, _ := opClasses(p.ops.Pol)
-		if err := db.applyLocked(p.ops, policyChange, false); err != nil {
-			err = fmt.Errorf("peb: commit txn %d: %w", p.txnID, err)
-			if db.wal != nil {
-				db.wal.Poison(err)
-			}
-			return err
-		}
-		db.hold(p, p.mark)
+	var floor store.SegPos
+	if db.wal != nil {
+		floor = db.wal.Mark()
 	}
-	p.marker, err = db.walAppend(walRecord{NextSV: db.nextSV, TxnID: p.txnID, TxnState: state})
-	return err
+	p.txnID = txnID
+	tok, err := db.walAppend(walRecord{NextSV: p.part.NextSV, Ops: p.part.Ops, TxnID: txnID, Parts: parts})
+	if err != nil {
+		return err
+	}
+	if db.wal != nil {
+		// Synced under the lock: a checkpoint cut between the record and
+		// the applied part would publish a horizon past a record whose
+		// effect it lacks.
+		if err := db.wal.Commit(tok); err != nil {
+			return fmt.Errorf("peb: wal commit: %w", err)
+		}
+		db.hold(p, floor)
+	}
+	if err := p.applyLocked(); err != nil {
+		return err
+	}
+	db.met.commit.ObserveDuration(time.Since(start))
+	return nil
 }
 
-// Durable reports, without syncing, whether the handle's marker is durable
-// by the DB's durability level.
+// Commit applies the part of decided transaction txnID — commit's stages
+// 3–5 — and logs it tagged with txnID, without waiting for the record to
+// be durable (Durable, Sync). An error poisons the log (fail-stop): a
+// later record would claim, by the watermark, a transaction this DB
+// lacks.
+func (p *Prepared) Commit(txnID uint64) error {
+	start := time.Now()
+	db := p.db
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return ErrClosed
+	}
+	p.txnID = txnID
+	ops := p.part.Ops
+	if err := p.applyLocked(); err != nil {
+		return err
+	}
+	var err error
+	if p.tok, err = db.walAppend(walRecord{NextSV: db.nextSV, Ops: ops, TxnID: txnID}); err != nil {
+		return err
+	}
+	db.met.commit.ObserveDuration(time.Since(start))
+	return nil
+}
+
+// applyLocked applies the part and sets the sequence-value cursor it was
+// validated to leave, then drops the operations. A failure poisons the
+// log. The caller holds the write lock.
+func (p *Prepared) applyLocked() error {
+	db := p.db
+	policyChange, _ := opClasses(p.part.Ops.Pol)
+	if err := db.applyLocked(p.part.Ops, policyChange, false); err != nil {
+		err = fmt.Errorf("peb: commit txn %d: %w", p.txnID, err)
+		if db.wal != nil {
+			db.wal.Poison(err)
+		}
+		return err
+	}
+	db.nextSV = p.part.NextSV
+	p.part.Ops = opList{}
+	return nil
+}
+
+// Txn returns the handle's transaction id (zero before it commits) and
+// its participant's stable id.
+func (p *Prepared) Txn() (txnID uint64, id int) { return p.txnID, p.part.ID }
+
+// Durable reports, without syncing, whether the part's record is durable.
 func (p *Prepared) Durable() bool {
 	db := p.db
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	// A closed DB synced its log on the way out.
-	return p.done && p.failed == nil && (db.wal == nil || db.wal.Durable(p.marker))
+	return db.wal == nil || db.wal.Durable(p.tok)
 }
 
-// Sync waits until the handle's marker is durable.
-func (p *Prepared) Sync() error {
-	if !p.done {
-		return fmt.Errorf("peb: transaction %d is not finished", p.txnID)
-	}
-	if p.failed != nil {
-		return p.failed
-	}
-	return p.db.walSync(p.marker)
-}
+// Sync waits until the part's record is durable.
+func (p *Prepared) Sync() error { return p.db.walSync(p.tok) }
 
-// Release ends a committed handle's hold on the log (a no-op otherwise).
+// Release ends a coordinator handle's hold on the log (a no-op otherwise).
 func (p *Prepared) Release() { p.db.release(p) }
 
-// MaxTxnID returns the largest cross-shard transaction id this DB has
-// logged or replayed — the watermark above which a coordinator must
-// allocate new ids so that no recycled id can match a stale prepared
-// record still sitting in some participant's log.
+// Coordinated returns the other participants' parts of every transaction
+// whose coordinator record recovery found in this DB's log, in log order,
+// and forgets them. Each part knows its transaction and participant (Txn);
+// its participant lacks it if and only if that DB's MaxTxnID is below the
+// transaction id.
+func (db *DB) Coordinated() []*Prepared {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	parts := db.coordinated
+	db.coordinated = nil
+	return parts
+}
+
+// Redo commits on db a part that Coordinated reported — db's own part of
+// a transaction it lacks — and waits until its record is durable.
+func (db *DB) Redo(p *Prepared) error {
+	p.db = db
+	if err := p.Commit(p.txnID); err != nil {
+		return err
+	}
+	return p.Sync()
+}
+
+// MaxTxnID returns this DB's transaction watermark: the largest
+// cross-shard transaction id it has logged, replayed or recovered from its
+// checkpoint. A coordinator allocates new ids above every participant's.
 func (db *DB) MaxTxnID() uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -2,9 +2,11 @@ package peb
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/store"
 )
@@ -20,490 +22,499 @@ func preparedTestObjects(t *testing.T, db *DB) []Object {
 	return objs
 }
 
-func TestPreparedCommitSurvivesReopen(t *testing.T) {
-	fs := store.NewCrashFS()
-	opts := Options{Path: "p.idx", Durability: DurabilitySync, FS: fs}
-	db, err := Open(opts)
-	if err != nil {
+// txnPair opens a coordinator ("c.idx") and a participant ("p.idx") on fs,
+// each holding one seed user (1 on the coordinator, 11 on the
+// participant). segBytes, when positive, rolls the logs after every
+// record, so a checkpoint drops every segment but the active one.
+func txnPair(t *testing.T, fs store.VFS, segBytes int64) (c, p *DB, copts, popts Options) {
+	t.Helper()
+	copts = Options{Path: "c.idx", Durability: DurabilitySync, FS: fs, WALSegmentBytes: segBytes}
+	popts = copts
+	popts.Path = "p.idx"
+	c, p = mustOpen(t, copts), mustOpen(t, popts)
+	if err := c.Upsert(Object{UID: 1, X: 10, Y: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Upsert(Object{UID: 1, X: 10, Y: 10}); err != nil {
+	if err := p.Upsert(Object{UID: 11, X: 110, Y: 110}); err != nil {
 		t.Fatal(err)
 	}
+	return c, p, copts, popts
+}
 
-	b := db.NewBatch()
-	b.Upsert(Object{UID: 2, X: 20, Y: 20})
-	b.DefineRelation(2, 1, "friend")
-	b.Grant(2, "friend", Region{MaxX: 1000, MaxY: 1000}, TimeInterval{End: 1440})
-	p, err := db.PrepareApply(b, 7, nil)
+// mustOpenExisting recovers a DB, failing the test on error.
+func mustOpenExisting(t *testing.T, opts Options) *DB {
+	t.Helper()
+	db, err := OpenExisting(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.MaxTxnID(); got != 7 {
-		t.Fatalf("MaxTxnID = %d, want 7", got)
-	}
-	want := preparedTestObjects(t, db)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
 
-	re, err := OpenExisting(opts)
+// prepare validates b on db as participant id, failing the test on error.
+func prepare(t *testing.T, db *DB, b *Batch, id int) *Prepared {
+	t.Helper()
+	p, err := db.Prepare(b, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if got := preparedTestObjects(t, re); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered objects %v, want %v", got, want)
+	return p
+}
+
+// preparePair prepares the pair's transaction: on the coordinator it adds
+// user 2 with a policy, on the participant it adds user 12 and removes
+// user 11 — a part that fails if it is applied twice.
+func preparePair(t *testing.T, c, p *DB) (cp, pp *Prepared) {
+	t.Helper()
+	cb := c.NewBatch()
+	cb.Upsert(Object{UID: 2, X: 20, Y: 20})
+	cb.DefineRelation(2, 1, "friend")
+	cb.Grant(2, "friend", Region{MaxX: 1000, MaxY: 1000}, TimeInterval{End: 1440})
+	pb := p.NewBatch()
+	pb.Upsert(Object{UID: 12, X: 120, Y: 120})
+	pb.Remove(11)
+	return prepare(t, c, cb, 0), prepare(t, p, pb, 1)
+}
+
+// commitPair commits preparePair's transaction as txnID. The
+// participant's record is left unsynced.
+func commitPair(t *testing.T, c, p *DB, txnID uint64) {
+	t.Helper()
+	cp, pp := preparePair(t, c, p)
+	if err := cp.Coordinate(txnID, []*Prepared{pp}); err != nil {
+		t.Fatal(err)
 	}
-	if !re.Allows(2, 1, 20, 20, 30) {
-		t.Fatal("granted policy lost across reopen")
-	}
-	if got := re.MaxTxnID(); got != 7 {
-		t.Fatalf("recovered MaxTxnID = %d, want 7", got)
+	if err := pp.Commit(txnID); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestPreparedAbortRestoresState(t *testing.T) {
+// redoLacking does the router's recovery step for the pair: every part
+// the coordinator's log reports is redone on the participant if its
+// watermark is below the transaction. It returns how many were redone.
+func redoLacking(t *testing.T, c, p *DB) int {
+	t.Helper()
+	redone := 0
+	for _, part := range c.Coordinated() {
+		txnID, id := part.Txn()
+		if id != 1 {
+			t.Fatalf("coordinator record names participant %d, want 1", id)
+		}
+		if p.MaxTxnID() >= txnID {
+			continue
+		}
+		if err := p.Redo(part); err != nil {
+			t.Fatalf("redo txn %d: %v", txnID, err)
+		}
+		redone++
+	}
+	return redone
+}
+
+// checkPairCommitted asserts the pair holds commitPair's transaction.
+func checkPairCommitted(t *testing.T, c, p *DB) {
+	t.Helper()
+	if _, ok, _ := c.Lookup(2); !ok || !c.Allows(2, 1, 20, 20, 30) {
+		t.Fatal("coordinator lost its part")
+	}
+	if _, ok, _ := p.Lookup(12); !ok {
+		t.Fatal("participant lacks user 12 of its part")
+	}
+	if _, ok, _ := p.Lookup(11); ok {
+		t.Fatal("participant still holds user 11 its part removed")
+	}
+}
+
+// TestPreparedCommitSurvivesReopen: a committed transaction survives a
+// clean reopen on both sides. The coordinator replays its own part from
+// its record and still reports the participant's part; the participant
+// replays its sub-record; both watermarks are the transaction's id, so
+// nothing is redone.
+func TestPreparedCommitSurvivesReopen(t *testing.T) {
 	fs := store.NewCrashFS()
-	opts := Options{Path: "a.idx", Durability: DurabilitySync, FS: fs}
-	db, err := Open(opts)
-	if err != nil {
+	c, p, copts, popts := txnPair(t, fs, 0)
+	commitPair(t, c, p, 7)
+	for _, db := range []*DB{c, p} {
+		if got := db.MaxTxnID(); got != 7 {
+			t.Fatalf("MaxTxnID = %d, want 7", got)
+		}
+	}
+	wantC, wantP := preparedTestObjects(t, c), preparedTestObjects(t, p)
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	// Baseline state the abort must restore: two objects, one policy.
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c, p = mustOpenExisting(t, copts), mustOpenExisting(t, popts)
+	if got := preparedTestObjects(t, c); !reflect.DeepEqual(got, wantC) {
+		t.Fatalf("recovered coordinator objects %v, want %v", got, wantC)
+	}
+	if got := preparedTestObjects(t, p); !reflect.DeepEqual(got, wantP) {
+		t.Fatalf("recovered participant objects %v, want %v", got, wantP)
+	}
+	for _, db := range []*DB{c, p} {
+		if got := db.MaxTxnID(); got != 7 {
+			t.Fatalf("recovered MaxTxnID = %d, want 7", got)
+		}
+	}
+	if n := redoLacking(t, c, p); n != 0 {
+		t.Fatalf("redid %d parts the participant holds", n)
+	}
+	checkPairCommitted(t, c, p)
+	if len(c.Coordinated()) != 0 {
+		t.Fatal("Coordinated reported the parts twice")
+	}
+}
+
+// TestPreparedAbortRestoresState: Prepare applies and logs nothing, so
+// dropping the handle is the whole abort — the state, the log and the
+// commit hooks are as before, and ordinary commits go on meanwhile.
+func TestPreparedAbortRestoresState(t *testing.T) {
+	fs := store.NewCrashFS()
+	db := mustOpen(t, Options{Path: "a.idx", Durability: DurabilitySync, FS: fs})
 	if err := db.Upsert(Object{UID: 1, X: 10, Y: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Upsert(Object{UID: 2, X: 20, Y: 20}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.DefineRelation(1, 2, "friend"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Grant(1, "friend", Region{MaxX: 1000, MaxY: 1000}, TimeInterval{End: 1440}); err != nil {
-		t.Fatal(err)
-	}
-	before := preparedTestObjects(t, db)
+	fired := 0
+	db.AddCommitHook(func(CommitInfo, *CommitView) { fired++ })
+	before, wal := preparedTestObjects(t, db), db.WALStats()
 
-	// The transaction touches every mutation kind: replace, insert-fresh,
-	// remove, relation, grant.
+	// The part touches every mutation kind: replace, insert-fresh, remove,
+	// relation, grant.
 	b := db.NewBatch()
 	b.Upsert(Object{UID: 1, X: 99, Y: 99})
 	b.Upsert(Object{UID: 3, X: 30, Y: 30})
 	b.Remove(2)
 	b.DefineRelation(3, 1, "colleague")
 	b.Grant(3, "colleague", Region{MaxX: 500, MaxY: 500}, TimeInterval{End: 720})
-	p, err := db.PrepareApply(b, 9, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Nothing of the batch is visible before Commit.
-	if got := preparedTestObjects(t, db); !reflect.DeepEqual(got, before) {
-		t.Fatalf("mid-window state %v, want the pre-transaction %v", got, before)
-	}
-	if db.Allows(3, 1, 30, 30, 30) {
-		t.Fatal("prepared grant in force before Commit")
-	}
-	if err := p.Abort(); err != nil {
-		t.Fatal(err)
-	}
+	prepare(t, db, b, 0)
 
 	if got := preparedTestObjects(t, db); !reflect.DeepEqual(got, before) {
-		t.Fatalf("aborted state %v, want %v", got, before)
+		t.Fatalf("state after Prepare %v, want the untouched %v", got, before)
 	}
 	if db.Allows(3, 1, 30, 30, 30) {
-		t.Fatal("aborted grant still in force")
+		t.Fatal("prepared grant in force")
 	}
-	if !db.Allows(1, 2, 10, 10, 30) {
-		t.Fatal("pre-transaction grant lost by abort")
+	if got := db.WALStats(); got.Appends != wal.Appends || got.Syncs != wal.Syncs {
+		t.Fatalf("Prepare logged: %+v, before %+v", got, wal)
 	}
-
-	// The aborted history must replay identically: reopen and compare.
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
+	if fired != 0 {
+		t.Fatalf("Prepare fired %d commit hooks", fired)
 	}
-	re, err := OpenExisting(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := preparedTestObjects(t, re); !reflect.DeepEqual(got, before) {
-		t.Fatalf("replayed state %v, want %v", got, before)
-	}
-	if re.Allows(3, 1, 30, 30, 30) {
-		t.Fatal("aborted grant resurrected by replay")
+	if err := db.Upsert(Object{UID: 4, X: 40, Y: 40}); err != nil {
+		t.Fatalf("commit beside a prepared part: %v", err)
 	}
 }
 
-// resolvePending plays the coordinator on a reopened DB: it finishes the
-// transaction recovery left pending with the verdict given (the tests have
-// no peers to ask HoldsTxn), and fails if there is none.
-func resolvePending(t *testing.T, db *DB, commit bool) {
-	t.Helper()
-	p := db.Pending()
-	if p == nil {
-		t.Fatal("recovery left no prepared transaction pending")
-	}
-	finish := p.Abort
-	if commit {
-		finish = p.Commit
-	}
-	if err := finish(); err != nil {
-		t.Fatal(err)
-	}
-	p.Release()
-}
-
-// TestPreparedUnresolvedRecovery: a crash between prepare and marker
-// leaves the record pending after recovery — durable, unapplied, holding
-// the DB's commits — until the coordinator resolves it: an abort leaves
-// the state as it was, a commit applies it. Either verdict is durable.
+// TestPreparedUnresolvedRecovery: a power cut after the commit point loses
+// the participant's unsynced record. The coordinator's record decides:
+// recovery reports the part, the participant's watermark shows it lacks
+// it, and Redo applies it durably — a second power cut keeps it. Cut
+// before the coordinator's sync, the record is lost and nothing of the
+// transaction exists anywhere.
 func TestPreparedUnresolvedRecovery(t *testing.T) {
-	build := func() (*store.CrashFS, Options) {
-		fs := store.NewCrashFS()
-		opts := Options{Path: "u.idx", Durability: DurabilitySync, FS: fs}
-		db, err := Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Upsert(Object{UID: 1, X: 10, Y: 10}); err != nil {
-			t.Fatal(err)
-		}
-		b := db.NewBatch()
-		b.Upsert(Object{UID: 2, X: 20, Y: 20})
-		if _, err := db.PrepareApply(b, 5, []int{0, 3}); err != nil {
-			t.Fatal(err)
-		}
-		// Crash before any marker is logged.
-		fs.CutPower()
-		fs.Reboot(false)
-		return fs, opts
-	}
-	reopen := func(fs *store.CrashFS, opts Options) *DB {
-		db, err := OpenExisting(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-
-	for _, commit := range []bool{false, true} {
-		name := "no-resolver-aborts"
-		if commit {
-			name = "resolver-commits"
+	for _, durable := range []bool{false, true} {
+		name := "record-lost"
+		if durable {
+			name = "record-durable"
 		}
 		t.Run(name, func(t *testing.T) {
-			fs, opts := build()
-			db := reopen(fs, opts)
-			p := db.Pending()
-			if p == nil {
-				t.Fatal("recovery left no prepared transaction pending")
-			}
-			if id, parts := p.Txn(); id != 5 || !reflect.DeepEqual(parts, []int{0, 3}) {
-				t.Fatalf("pending transaction %d over %v, want 5 over [0 3]", id, parts)
-			}
-			if !db.HoldsTxn(5) || db.HoldsTxn(6) {
-				t.Fatal("HoldsTxn does not report exactly the pending transaction")
-			}
-			if _, ok, _ := db.Lookup(2); ok {
-				t.Fatal("pending prepared record applied before its verdict")
-			}
-			if err := db.Upsert(Object{UID: 9, X: 9, Y: 9}); err == nil {
-				t.Fatal("commit accepted while a recovered transaction is pending")
-			}
-			if got := db.MaxTxnID(); got != 5 {
-				t.Fatalf("MaxTxnID = %d, want 5 (stale id must stay reserved)", got)
-			}
-			resolvePending(t, db, commit)
-			if _, ok, _ := db.Lookup(1); !ok {
-				t.Fatal("pre-transaction commit lost")
-			}
-			if o, ok, _ := db.Lookup(2); ok != commit || (ok && o.X != 20) {
-				t.Fatalf("resolved record applied = %v (%v), want %v", ok, o, commit)
-			}
-			if err := db.Upsert(Object{UID: 9, X: 9, Y: 9}); err != nil {
-				t.Fatalf("commit after the verdict: %v", err)
-			}
-			// The verdict's marker is durable: a second power cut keeps it.
-			fs.CutPower()
-			fs.Reboot(false)
-			re := reopen(fs, opts)
-			defer re.Close()
-			if re.Pending() != nil {
-				t.Fatal("resolved transaction pending again after a power cut")
-			}
-			if _, ok, _ := re.Lookup(2); ok != commit {
-				t.Fatalf("resolved record after a power cut = %v, want %v", ok, commit)
-			}
-			if re.HoldsTxn(5) != commit {
-				t.Fatalf("HoldsTxn(5) after the verdict = %v, want %v", re.HoldsTxn(5), commit)
-			}
-		})
-	}
-}
-
-// TestPreparedCheckpointInsideWindow: a checkpoint called inside a
-// prepared window returns without waiting for the marker — its image
-// stands just below the prepared record — and after a power cut recovery
-// applies the transaction's verdict however it arrives: a durable commit
-// or abort marker, or the coordinator resolving the record recovery left
-// pending. Commit does not sync its marker; a later commit on the DB does.
-// An acknowledged commit marker that no later commit made durable is lost
-// to the power cut, and the coordinator — every prepare was durable —
-// commits again. Abort syncs its marker before it returns.
-func TestPreparedCheckpointInsideWindow(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		finish    func(*Prepared) error // nil: the power fails before any marker
-		later     bool                  // one more commit after the marker
-		resolve   bool                  // the coordinator's verdict on a pending record
-		committed bool
-	}{
-		{"commit-marker", (*Prepared).Commit, true, false, true},
-		{"abort-marker", (*Prepared).Abort, true, true, false},
-		{"commit-unsynced-resolver-yes", (*Prepared).Commit, false, true, true},
-		{"abort-marker-synced", (*Prepared).Abort, false, true, false},
-		{"resolver-yes", nil, false, true, true},
-		{"resolver-no", nil, false, false, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
 			fs := store.NewCrashFS()
-			opts := Options{Path: "c.idx", Durability: DurabilitySync, FS: fs}
-			db, err := Open(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Upsert(Object{UID: 1, X: 10, Y: 10}); err != nil {
-				t.Fatal(err)
-			}
-			b := db.NewBatch()
-			b.Upsert(Object{UID: 2, X: 20, Y: 20})
-			b.DefineRelation(2, 1, "friend")
-			b.Grant(2, "friend", Region{MaxX: 1000, MaxY: 1000}, TimeInterval{End: 1440})
-			p, err := db.PrepareApply(b, 3, []int{0, 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			ckptDone := make(chan error, 1)
-			go func() { ckptDone <- db.Checkpoint() }()
-			select {
-			case err := <-ckptDone:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("checkpoint waited for the prepared window to close")
-			}
-			if tc.finish != nil {
-				if err := tc.finish(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if tc.later {
-				if err := db.Upsert(Object{UID: 3, X: 30, Y: 30}); err != nil {
-					t.Fatal(err)
+			c, p, copts, popts := txnPair(t, fs, 0)
+			if durable {
+				commitPair(t, c, p, 5)
+			} else {
+				cb := c.NewBatch()
+				cb.Upsert(Object{UID: 2, X: 20, Y: 20})
+				pb := p.NewBatch()
+				pb.Upsert(Object{UID: 12, X: 120, Y: 120})
+				cp, pp := prepare(t, c, cb, 0), prepare(t, p, pb, 1)
+				fs.SetFailAfter(1) // the record's append lands, its sync fails
+				if err := cp.Coordinate(5, []*Prepared{pp}); err == nil {
+					t.Fatal("Coordinate succeeded on a dying filesystem")
 				}
 			}
 			fs.CutPower()
 			fs.Reboot(false)
 
-			re, err := OpenExisting(opts)
-			if err != nil {
-				t.Fatal(err)
+			c, p = mustOpenExisting(t, copts), mustOpenExisting(t, popts)
+			if p.MaxTxnID() != 0 {
+				t.Fatalf("participant watermark %d, want 0: its record was never durable", p.MaxTxnID())
 			}
-			defer re.Close()
-			markerLost := tc.finish == nil || (!tc.later && tc.committed)
-			if got := re.Pending() != nil; got != markerLost {
-				t.Fatalf("recovered pending = %v, want %v", got, markerLost)
+			want := 0
+			if durable {
+				want = 1
 			}
-			if markerLost {
-				resolvePending(t, re, tc.resolve)
+			if n := redoLacking(t, c, p); n != want {
+				t.Fatalf("redid %d parts, want %d", n, want)
 			}
-			if _, ok, _ := re.Lookup(1); !ok {
-				t.Fatal("checkpointed commit lost")
+			if durable {
+				checkPairCommitted(t, c, p)
+			} else {
+				for _, db := range []*DB{c, p} {
+					if db.Size() != 1 || db.MaxTxnID() != 0 {
+						t.Fatalf("lost transaction left %d objects, watermark %d", db.Size(), db.MaxTxnID())
+					}
+				}
 			}
-			if _, ok, _ := re.Lookup(3); ok != tc.later {
-				t.Fatalf("later commit recovered = %v, want %v", ok, tc.later)
+
+			// Redo synced its record: a second power cut keeps the verdict.
+			fs.CutPower()
+			fs.Reboot(false)
+			c, p = mustOpenExisting(t, copts), mustOpenExisting(t, popts)
+			if n := redoLacking(t, c, p); n != 0 {
+				t.Fatalf("second recovery redid %d parts", n)
 			}
-			if _, ok, _ := re.Lookup(2); ok != tc.committed {
-				t.Fatalf("prepared upsert recovered = %v, want %v", ok, tc.committed)
-			}
-			if got := re.Allows(2, 1, 20, 20, 30); got != tc.committed {
-				t.Fatalf("prepared grant recovered = %v, want %v", got, tc.committed)
+			if _, ok, _ := p.Lookup(12); ok != durable {
+				t.Fatalf("participant holds user 12: %v, want %v", ok, durable)
 			}
 		})
 	}
 }
 
-// TestPreparedWindowRefusesOtherCommits: until the prepared handle is
-// finished, an ordinary commit and a second prepare are refused and leave
-// nothing behind; once it is, both work again.
-func TestPreparedWindowRefusesOtherCommits(t *testing.T) {
-	db := mustOpen(t, Options{})
-	b := db.NewBatch()
-	b.Upsert(Object{UID: 1, X: 1, Y: 1})
-	p, err := db.PrepareApply(b, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+// walSyncFailFS is a CrashFS whose log files fail every Sync once armed;
+// every other operation, page-file and checkpoint I/O included, works.
+type walSyncFailFS struct {
+	*store.CrashFS
+	armed atomic.Bool
+}
+
+func (f *walSyncFailFS) OpenFile(name string) (store.VFile, error) {
+	vf, err := f.CrashFS.OpenFile(name)
+	if err != nil || !strings.Contains(name, ".wal.") {
+		return vf, err
 	}
-	if err := db.Upsert(Object{UID: 2, X: 2, Y: 2}); err == nil {
-		t.Fatal("commit accepted inside a prepared window")
+	return walSyncFailFile{vf, &f.armed}, nil
+}
+
+type walSyncFailFile struct {
+	store.VFile
+	armed *atomic.Bool
+}
+
+func (f walSyncFailFile) Sync() error {
+	if f.armed.Load() {
+		return errors.New("injected wal sync failure")
 	}
-	second := db.NewBatch()
-	second.Upsert(Object{UID: 3, X: 3, Y: 3})
-	if _, err := db.PrepareApply(second, 2, nil); err == nil {
-		t.Fatal("second prepare accepted inside a prepared window")
+	return f.VFile.Sync()
+}
+
+// TestCoordinateSyncFailureRefusesCheckpoint: only the coordinator's log
+// fsync fails, so its record may be on disk while its part is not applied.
+// A checkpoint after the failed Coordinate must refuse: one that cut would
+// cover the record, and recovery would redo the participant's part but
+// skip the coordinator's. After a power cut the pair holds the whole
+// transaction if the record's bytes survived and none of it otherwise.
+func TestCoordinateSyncFailureRefusesCheckpoint(t *testing.T) {
+	for _, keep := range []bool{false, true} {
+		t.Run(fmt.Sprintf("keep=%v", keep), func(t *testing.T) {
+			fs := &walSyncFailFS{CrashFS: store.NewCrashFS()}
+			c, p, copts, popts := txnPair(t, fs, 0)
+			cp, pp := preparePair(t, c, p)
+			fs.armed.Store(true)
+			if err := cp.Coordinate(5, []*Prepared{pp}); err == nil {
+				t.Fatal("Coordinate succeeded with a failing log fsync")
+			}
+			if err := c.Checkpoint(); err == nil || c.CheckpointStats().Checkpoints != 0 {
+				t.Fatalf("checkpoint cut behind a coordinator record whose fsync failed (err %v)", err)
+			}
+			fs.CutPower()
+			fs.Reboot(keep)
+
+			copts.FS, popts.FS = fs.CrashFS, fs.CrashFS
+			c, p = mustOpenExisting(t, copts), mustOpenExisting(t, popts)
+			want := 0
+			if keep {
+				want = 1
+			}
+			if n := redoLacking(t, c, p); n != want {
+				t.Fatalf("redid %d parts, want %d", n, want)
+			}
+			if keep {
+				checkPairCommitted(t, c, p)
+				return
+			}
+			if _, ok, _ := c.Lookup(2); ok {
+				t.Fatal("coordinator holds user 2 of a lost transaction")
+			}
+			if _, ok, _ := p.Lookup(11); !ok || p.Size() != 1 {
+				t.Fatalf("participant changed by a lost transaction: holds 11 %v, size %d", ok, p.Size())
+			}
+		})
 	}
-	if err := p.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Upsert(Object{UID: 2, X: 2, Y: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if db.Size() != 2 {
-		t.Fatalf("size = %d, want 2 (the prepared and the later upsert)", db.Size())
+}
+
+// TestPreparedCheckpointInsideWindow: a checkpoint between the commit
+// point and the participant's record becoming durable, then a power cut.
+// On the participant, the checkpoint covers the record and drops its
+// segment: the watermark must come from the checkpoint, or recovery redoes
+// the part a second time (and its remove fails). On the coordinator, the
+// hold keeps the record's segment past its checkpoint, so the part the
+// power cut took from the participant is redone.
+func TestPreparedCheckpointInsideWindow(t *testing.T) {
+	for _, who := range []string{"participant", "coordinator"} {
+		t.Run(who, func(t *testing.T) {
+			fs := store.NewCrashFS()
+			c, p, copts, popts := txnPair(t, fs, 1)
+			commitPair(t, c, p, 3)
+			ckpt := c
+			if who == "participant" {
+				ckpt = p
+			}
+			// One more commit seals the segment holding the record, then
+			// the checkpoint drops what it covers.
+			if err := ckpt.Upsert(Object{UID: 9, X: 90, Y: 90}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ckpt.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if ckpt.CheckpointStats().WALSegmentsRemoved == 0 {
+				t.Fatal("checkpoint dropped no segment")
+			}
+			fs.CutPower()
+			fs.Reboot(false)
+
+			c, p = mustOpenExisting(t, copts), mustOpenExisting(t, popts)
+			want := 1
+			if who == "participant" {
+				want = 0
+				if p.MaxTxnID() != 3 {
+					t.Fatalf("participant watermark %d after its checkpoint, want 3", p.MaxTxnID())
+				}
+			}
+			if n := redoLacking(t, c, p); n != want {
+				t.Fatalf("redid %d parts, want %d", n, want)
+			}
+			checkPairCommitted(t, c, p)
+		})
 	}
 }
 
 func TestPreparedValidation(t *testing.T) {
-	db, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.PrepareApply(db.NewBatch(), 1, nil); err == nil {
+	db := mustOpen(t, Options{})
+	if _, err := db.Prepare(db.NewBatch(), 0); err == nil {
 		t.Fatal("empty batch prepared")
 	}
-	b := db.NewBatch()
-	b.Upsert(Object{UID: 1, X: 1, Y: 1})
-	if _, err := db.PrepareApply(b, 0, nil); err == nil {
-		t.Fatal("zero transaction id accepted")
-	}
-	// A failed prepare needs no abort and leaves no state behind.
+	// A refused part leaves no state behind.
 	bad := db.NewBatch()
 	bad.Remove(42) // absent user: the batch must fail
-	if _, err := db.PrepareApply(bad, 2, nil); err == nil {
-		t.Fatal("remove of absent user prepared")
+	if _, err := db.Prepare(bad, 0); err == nil {
+		t.Fatal("remove of an absent user prepared")
 	}
-	if db.Size() != 0 {
-		t.Fatalf("failed prepare left %d objects", db.Size())
+	region := db.NewBatch()
+	region.Grant(1, "f", Region{MinX: 5, MaxX: 1}, TimeInterval{End: 1})
+	if _, err := db.Prepare(region, 0); !errors.Is(err, ErrInvalidRegion) {
+		t.Fatalf("inverted grant region: err = %v, want ErrInvalidRegion", err)
 	}
-	// And a checkpointless in-memory DB still supports the prepare/abort
-	// cycle (no WAL: nothing to log, nothing to undo).
 	ok := db.NewBatch()
 	ok.Upsert(Object{UID: 7, X: 5, Y: 5})
-	p, err := db.PrepareApply(ok, 3, nil)
-	if err != nil {
+	p := prepare(t, db, ok, 0)
+	if err := p.Coordinate(0, nil); err == nil {
+		t.Fatal("transaction id 0 accepted")
+	}
+	if db.Size() != 0 || db.MaxTxnID() != 0 {
+		t.Fatalf("refused parts left %d objects, watermark %d", db.Size(), db.MaxTxnID())
+	}
+	// A memory-backed DB runs the protocol without a log.
+	if err := p.Coordinate(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if db.Size() != 0 {
-		t.Fatalf("aborted in-memory prepare left %d objects", db.Size())
-	}
-	if err := p.Abort(); err == nil {
-		t.Fatal("double finish accepted")
+	if db.Size() != 1 || db.MaxTxnID() != 1 || !p.Durable() {
+		t.Fatalf("after Coordinate: %d objects, watermark %d, durable %v", db.Size(), db.MaxTxnID(), p.Durable())
 	}
 }
 
 func TestPreparedErrClosed(t *testing.T) {
-	db, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := mustOpen(t, Options{})
+	b := db.NewBatch()
+	b.Upsert(Object{UID: 1, X: 1, Y: 1})
+	p := prepare(t, db, b, 0)
+	q := prepare(t, db, b, 0)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b := db.NewBatch()
-	b.Upsert(Object{UID: 1, X: 1, Y: 1})
-	if _, err := db.PrepareApply(b, 1, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("PrepareApply on closed DB = %v, want ErrClosed", err)
+	if _, err := db.Prepare(b, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Prepare on a closed DB: %v", err)
+	}
+	if err := p.Coordinate(1, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Coordinate on a closed DB: %v", err)
+	}
+	if err := q.Commit(1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Commit on a closed DB: %v", err)
 	}
 }
 
-// TestPreparedAbortUpsertThenRemoveFreshUser: a batch that inserts and
-// then removes a brand-new user nets to "absent"; aborting it must be a
-// no-op for that user, not a spurious rollback failure.
+// TestPreparedAbortUpsertThenRemoveFreshUser: a part that inserts and then
+// removes a brand-new user nets to "absent". It validates, dropping it
+// changes nothing, and committing it leaves the user absent with the log
+// intact: the DB replays to the same state.
 func TestPreparedAbortUpsertThenRemoveFreshUser(t *testing.T) {
 	fs := store.NewCrashFS()
 	opts := Options{Path: "ur.idx", Durability: DurabilitySync, FS: fs}
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	db := mustOpen(t, opts)
 	if err := db.Upsert(Object{UID: 1, X: 10, Y: 10}); err != nil {
 		t.Fatal(err)
 	}
-	b := db.NewBatch()
-	b.Upsert(Object{UID: 8, X: 20, Y: 20}) // fresh user...
-	b.Remove(8)                            // ...gone again within the batch
-	b.Upsert(Object{UID: 1, X: 30, Y: 30})
-	p, err := db.PrepareApply(b, 11, nil)
-	if err != nil {
+	part := func() *Batch {
+		b := db.NewBatch()
+		b.Upsert(Object{UID: 8, X: 20, Y: 20}) // fresh user...
+		b.Remove(8)                            // ...gone again within the batch
+		b.Upsert(Object{UID: 1, X: 30, Y: 30})
+		return b
+	}
+	prepare(t, db, part(), 0) // dropped
+	if o, ok, _ := db.Lookup(1); !ok || o.X != 10 || db.Size() != 1 {
+		t.Fatalf("dropped part changed the state: %v %v, size %d", o, ok, db.Size())
+	}
+	if err := prepare(t, db, part(), 0).Coordinate(11, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Abort(); err != nil {
-		t.Fatalf("abort of net-absent fresh user failed: %v", err)
-	}
-	if db.Size() != 1 {
-		t.Fatalf("size after abort = %d, want 1", db.Size())
-	}
-	if o, ok, _ := db.Lookup(1); !ok || o.X != 10 {
-		t.Fatalf("user 1 after abort = %v (ok=%v), want original state", o, ok)
-	}
-	// The log was not poisoned: ordinary commits still work and replay.
 	if err := db.Upsert(Object{UID: 2, X: 40, Y: 40}); err != nil {
-		t.Fatalf("commit after abort: %v", err)
+		t.Fatal(err)
 	}
+	want := preparedTestObjects(t, db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenExisting(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Size() != 2 {
-		t.Fatalf("replayed size = %d, want 2", re.Size())
+	re := mustOpenExisting(t, opts)
+	if got := preparedTestObjects(t, re); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
 	}
 }
 
-// TestPreparedAppendFailureRollsBack: when the prepared record cannot be
-// logged, the participant must report failure with nothing half-applied —
-// the in-memory batch is undone on the spot.
+// TestPreparedAppendFailureRollsBack: when the coordinator's record cannot
+// be logged, Coordinate fails with nothing of its part applied, and the
+// log is poisoned so that no later commit lands behind a record that may
+// be on disk.
 func TestPreparedAppendFailureRollsBack(t *testing.T) {
 	fs := store.NewCrashFS()
-	db, err := Open(Options{Path: "af.idx", Durability: DurabilitySync, FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	db := mustOpen(t, Options{Path: "af.idx", Durability: DurabilitySync, FS: fs})
 	if err := db.Upsert(Object{UID: 1, X: 10, Y: 10}); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the filesystem so the prepared record's append fails.
-	fs.SetFailAfter(0)
 	b := db.NewBatch()
 	b.Upsert(Object{UID: 2, X: 20, Y: 20})
 	b.Upsert(Object{UID: 1, X: 99, Y: 99})
-	if _, err := db.PrepareApply(b, 4, nil); err == nil {
-		t.Fatal("prepare succeeded on a dead log")
+	p := prepare(t, db, b, 0)
+	// Kill the filesystem so the record's append fails.
+	fs.SetFailAfter(0)
+	if err := p.Coordinate(4, nil); err == nil {
+		t.Fatal("Coordinate succeeded with a failing append")
 	}
-	// Nothing of the batch is visible: the failure left a clean state.
 	if _, ok, _ := db.Lookup(2); ok {
-		t.Fatal("failed prepare left the fresh user applied")
+		t.Fatal("user 2 of the failed transaction is visible")
 	}
-	if o, ok, _ := db.Lookup(1); !ok || o.X != 10 {
-		t.Fatalf("failed prepare left user 1 at %v (ok=%v), want original", o, ok)
+	if o, ok, _ := db.Lookup(1); !ok || o.X != 10 || db.Size() != 1 {
+		t.Fatalf("failed transaction changed the state: %v %v, size %d", o, ok, db.Size())
 	}
-	if db.Size() != 1 {
-		t.Fatalf("size after failed prepare = %d, want 1", db.Size())
+	if err := db.Upsert(Object{UID: 3, X: 30, Y: 30}); err == nil {
+		t.Fatal("commit accepted behind a failed coordinator record")
 	}
 }

@@ -1,8 +1,10 @@
 package sharded
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/peb"
 )
@@ -10,7 +12,7 @@ import (
 // Batch stages mutations for atomic cross-shard application by DB.Apply.
 // Like peb.Batch, staging never touches the database; unlike it, the
 // staged operations may end up owned by several shards, and Apply then
-// commits them with a prepare/commit protocol so the whole batch is
+// commits them as one record in one shard's log, so the whole batch is
 // all-or-nothing — in memory and across a crash — even though every shard
 // logs independently. A Batch is not safe for concurrent use.
 type Batch struct {
@@ -57,8 +59,8 @@ func (b *Batch) Grant(owner UserID, role Role, locr Region, tint TimeInterval) {
 // delta.
 const ownerTombstone = -1
 
-// policiesID is the policy engine's participant id in prepared records:
-// no shard's, since the manifest holds ids below it.
+// policiesID is the policy engine's participant id in coordinator
+// records: no shard's, since the manifest holds ids below it.
 const policiesID = math.MaxInt32
 
 // part is one participant of a router commit: a shard, or the policy
@@ -107,23 +109,20 @@ func staged(all []part) []part {
 //   - a batch with a single participant commits directly through that
 //     engine's atomic Apply (a policy-only batch is one commit on the
 //     policy engine);
-//   - a batch with several commits via two-phase commit: the
-//     participants prepare concurrently (each validates and logs a
-//     prepared record naming every participant, one fsync per
-//     participant), and once every prepare is durable the transaction is
-//     committed — the shards' logs carry the verdict, the router writes
-//     nothing. The participants then apply their sub-batches and log
-//     commit markers, which become durable with each shard's next sync. A
-//     prepare failure aborts every participant that prepared, leaving no
-//     trace of the batch, and the error names the lowest failing shard
-//     slot (the policy engine counts after every shard).
+//   - a batch with several commits as one record: every participant
+//     validates its part (peb.DB.Prepare), so a refused batch writes
+//     nothing and the error names the lowest failing shard slot (the
+//     policy engine counts after every shard); the coordinator — the
+//     lowest participating slot — logs every part in one record, and that
+//     record's single fsync is the commit point; the other participants
+//     then apply their parts, each logging a sub-record that its shard's
+//     next sync makes durable.
 //
-// After a crash anywhere in the protocol, Open finishes every prepared
-// record a shard recovered without a marker by one rule — committed if and
-// only if every participant holds the record durably with no abort marker
-// (see peb.Prepared) — so the batch is all-or-nothing across shards.
-// Without durability the same protocol runs without logs: atomicity holds
-// in memory.
+// After a crash, Open redoes each part a participant lacks from the
+// coordinator's record (finishRecovered), so the batch is all-or-nothing
+// across shards. A failure at or after the commit point fail-stops the
+// router (ErrFailStop). Without durability the same protocol runs without
+// logs: atomicity holds in memory.
 func (db *DB) Apply(b *Batch) error {
 	db.smu.Lock()
 	defer db.smu.Unlock()
@@ -179,15 +178,15 @@ func (db *DB) Apply(b *Batch) error {
 }
 
 // commitParts atomically commits the participants' staged sub-batches: a
-// single participant commits through its own atomic Apply, several commit
-// via two-phase commit. Shared by Apply and the resharding migration loop
-// (reshard.go), which moves objects between shards with exactly the same
-// all-or-nothing guarantees as a user batch. The caller holds the write
-// barrier.
+// single participant commits through its own atomic Apply, several as one
+// coordinator record (see Apply). Shared by Apply and the resharding
+// migration loop (reshard.go), which moves objects between shards with
+// exactly the same all-or-nothing guarantees as a user batch. The caller
+// holds the write barrier.
 //
 // committed reports whether the transaction is committed (it can be true
-// alongside a non-nil error: a participant's failed Commit fail-stops that
-// engine's log, and its recovery commits the part again).
+// alongside a non-nil error: a participant failed to apply its decided
+// part, and the router fail-stopped for the reopen to redo it).
 func (db *DB) commitParts(parts []part) (committed bool, err error) {
 	if len(parts) == 0 {
 		return true, nil
@@ -201,57 +200,62 @@ func (db *DB) commitParts(parts []part) (committed bool, err error) {
 		return true, db.noteCommitted(parts)
 	}
 
-	// Cross-shard: two-phase commit. The participants prepare
-	// concurrently: under the write barrier they share nothing but each
-	// shard's own log, so the round costs the slowest prepare, not the sum.
-	txnID := db.allocTxn()
-	ids := make([]int, len(parts))
-	for j, p := range parts {
-		ids[j] = p.id
-	}
+	// Cross-shard. Every participant validates its part before anything is
+	// logged; slot order makes the lowest failing slot name the failure.
 	prepared := make([]*peb.Prepared, len(parts))
-	errs := make([]error, len(parts))
-	scatter(len(parts), func(j int) {
-		prepared[j], errs[j] = parts[j].eng.PrepareApply(parts[j].b, txnID, ids)
-	})
-	for j, err := range errs {
-		if err == nil {
-			continue
+	for j, p := range parts {
+		if prepared[j], err = p.eng.Prepare(p.b, p.id); err != nil {
+			return false, fmt.Errorf("sharded: apply: %s: %w", p, err)
 		}
-		// The lowest failing slot names the failure, whichever prepare
-		// finished first.
-		if decided, aerr := abortAll(prepared); !decided {
-			// A record may be on disk and no abort marker is durable, so
-			// recovery may find every prepared record and commit. Fail
-			// stop; restarting resolves every shard to the same verdict.
-			db.closed = true
-			db.events.Record("txn.indoubt", "abort marker unsynced; router fail-stopped",
-				"txn", txnID, "parts", len(parts), "prepare_err", err, "abort_err", aerr)
-			return false, fmt.Errorf("sharded: transaction %d in doubt (%s prepare: %v; abort: %v) — restart to resolve", txnID, parts[j], err, aerr)
-		}
-		db.events.Record("txn.abort", "cross-shard transaction aborted at prepare",
-			"txn", txnID, "parts", len(parts), "shard", parts[j].id, "err", err)
-		return false, fmt.Errorf("sharded: apply: %s: %w", parts[j], err)
+	}
+	// Release the holds whose parts became durable since the last commit.
+	db.settle(false)
+	txnID := db.allocTxn()
+	if err := prepared[0].Coordinate(txnID, prepared[1:]); err != nil {
+		return false, db.failStop(txnID, parts[0], err)
 	}
 
-	// Every prepare is durable: the transaction is committed. The prepare
-	// fsyncs carried the participants' earlier markers too, so settle first.
-	db.settle(false)
-	var firstErr error
-	for _, p := range prepared {
-		if err := p.Commit(); err != nil && firstErr == nil {
-			// The transaction IS committed; the failure only fail-stops
-			// that shard's log.
-			firstErr = fmt.Errorf("sharded: apply: commit marker: %w", err)
+	// Committed. The other participants apply their parts one after
+	// another: a part costs tens of microseconds, less than handing it to
+	// another goroutine and waking a processor for it on a small machine.
+	for j, p := range prepared[1:] {
+		if err := p.Commit(txnID); err != nil {
+			return true, db.failStop(txnID, parts[j+1], err)
 		}
 	}
 	db.txnMu.Lock()
 	db.unsettled = append(db.unsettled, prepared)
+	backlog := len(db.unsettled)
 	db.txnMu.Unlock()
-	if err := db.noteCommitted(parts); firstErr == nil {
-		firstErr = err
+	if backlog > maxUnsettled {
+		// Participants that take no commit of their own never sync their
+		// parts, and the coordinators would hold their logs for good: sync
+		// the backlog, one fsync per lagging engine. A failed sync
+		// poisoned that engine's log; its next commit reports it.
+		_ = db.settle(true)
 	}
-	return true, firstErr
+	return true, db.noteCommitted(parts)
+}
+
+// maxUnsettled bounds how many committed transactions may wait for their
+// parts to become durable before a commit syncs them. The bound caps both
+// the log a coordinator holds and settle's scan, which every cross-shard
+// commit pays; the forced sync costs at most one fsync per engine, shared
+// by the whole backlog. A participant that commits on its own keeps the
+// backlog near zero and the sync never fires (TestUnsettledBacklogBounded
+// pins the case where none does).
+const maxUnsettled = 64
+
+// failStop closes the router on a cross-shard commit it cannot finish: the
+// coordinator's record may or may not be durable, or a participant could
+// not apply its part of a committed transaction. Every engine is closed,
+// later calls get ErrClosed, and the reopen decides the transaction by the
+// coordinator's log alone. The caller holds the write barrier.
+func (db *DB) failStop(txnID uint64, at part, cause error) error {
+	db.events.Record("txn.failstop", "cross-shard commit failed; router fail-stopped",
+		"txn", txnID, "shard", at.id, "err", cause)
+	_ = db.closeLocked()
+	return fmt.Errorf("%w: transaction %d: %s: %v", ErrFailStop, txnID, at, cause)
 }
 
 // noteCommitted records a committed transaction's writes on its shards
@@ -267,28 +271,8 @@ func (db *DB) noteCommitted(parts []part) error {
 	return nil
 }
 
-// abortAll aborts every participant that may hold the prepared record (a
-// nil slot logged nothing) and reports whether the abort is decided:
-// nothing was logged, or some participant's abort marker is durable —
-// each Abort waits for its own. It returns the first Abort error.
-func abortAll(prepared []*peb.Prepared) (decided bool, firstErr error) {
-	held, aborted := 0, 0
-	for _, p := range prepared {
-		if p == nil {
-			continue
-		}
-		held++
-		if err := p.Abort(); err == nil {
-			aborted++
-		} else if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return held == 0 || aborted > 0, firstErr
-}
-
-// allocTxn hands out the next transaction id (above every id any
-// participant could still hold a record for).
+// allocTxn hands out the next transaction id (above every participant's
+// watermark).
 func (db *DB) allocTxn() uint64 {
 	db.txnMu.Lock()
 	defer db.txnMu.Unlock()
@@ -297,12 +281,12 @@ func (db *DB) allocTxn() uint64 {
 	return id
 }
 
-// settle releases the participants' holds on their logs for every
-// committed transaction whose markers are all durable: no participant can
-// then recover it markerless, so none will ask a peer whose checkpoint has
-// dropped the record. Lazily (force false) it only reads durability, at
-// no fsync cost; force syncs the markers first, stopping at the first
-// sync error, which it returns with the transactions left unsettled.
+// settle releases the coordinators' holds on their logs for every
+// committed transaction whose other parts are all durable: no participant
+// can then recover without its part, so the coordinator's record is no
+// longer needed. Lazily (force false) it only reads durability, at no
+// fsync cost; force syncs the parts first, stopping at the first sync
+// error, which it returns with the transactions left unsettled.
 func (db *DB) settle(force bool) error {
 	db.txnMu.Lock()
 	defer db.txnMu.Unlock()
@@ -310,7 +294,7 @@ func (db *DB) settle(force bool) error {
 	kept := db.unsettled[:0]
 	for _, txn := range db.unsettled {
 		settled := true
-		for _, p := range txn {
+		for _, p := range txn[1:] {
 			if force && firstErr == nil && !p.Durable() {
 				firstErr = p.Sync()
 			}
@@ -320,64 +304,45 @@ func (db *DB) settle(force bool) error {
 			kept = append(kept, txn)
 			continue
 		}
-		for _, p := range txn {
-			p.Release()
-		}
+		txn[0].Release()
 	}
 	clear(db.unsettled[len(kept):])
 	db.unsettled = kept
 	return firstErr
 }
 
-// finishRecovered decides every transaction a participant's recovery left
-// pending by the commit rule: committed if and only if every participant
-// holds its prepared record with no abort marker. A participant the
-// manifest no longer lists holds nothing — Merge settled every transaction
-// its source took part in before dropping it. Every verdict is taken
-// before any handle finishes (a finished handle no longer counts as
-// held), and each marker is durable before Open goes on, so no hold
-// outlives recovery.
+// finishRecovered redoes, on every participant that lacks it, its part of
+// each transaction whose coordinator record recovery found. A participant
+// holds transaction T if and only if its watermark (MaxTxnID) is at least
+// T: the router commits one transaction at a time, and every log and
+// checkpoint is a prefix of its engine's history. Parts are redone in
+// transaction order, each durable before the next. A participant the
+// manifest no longer lists lacks nothing: Merge settled every transaction
+// its source took part in before dropping it.
 func (db *DB) finishRecovered() error {
 	all := db.participants()
-	byID := make(map[int]*peb.DB, len(all))
+	byID := make(map[int]part, len(all))
+	var parts []*peb.Prepared
 	for _, p := range all {
-		byID[p.id] = p.eng
+		byID[p.id] = p
+		parts = append(parts, p.eng.Coordinated()...)
 	}
-	pending := make([]*peb.Prepared, len(all))
-	commit := make([]bool, len(all))
-	for i, e := range all {
-		p := e.eng.Pending()
-		if p == nil {
+	slices.SortStableFunc(parts, func(a, b *peb.Prepared) int {
+		ta, _ := a.Txn()
+		tb, _ := b.Txn()
+		return cmp.Compare(ta, tb)
+	})
+	for _, p := range parts {
+		txnID, id := p.Txn()
+		e, listed := byID[id]
+		if !listed || e.eng.MaxTxnID() >= txnID {
 			continue
 		}
-		pending[i], commit[i] = p, true
-		txnID, parts := p.Txn()
-		for _, id := range parts {
-			if e := byID[id]; e == nil || !e.HoldsTxn(txnID) {
-				commit[i] = false
-				break
-			}
+		if err := e.eng.Redo(p); err != nil {
+			return fmt.Errorf("sharded: redo transaction %d on %s: %w", txnID, e, err)
 		}
-	}
-	for i, p := range pending {
-		if p == nil {
-			continue
-		}
-		txnID, _ := p.Txn()
-		finish := p.Abort
-		if commit[i] {
-			finish = p.Commit
-		}
-		err := finish()
-		if err == nil {
-			err = p.Sync() // Abort synced already; Commit did not
-		}
-		p.Release()
-		if err != nil {
-			return fmt.Errorf("sharded: finish recovered transaction %d on %s: %w", txnID, all[i], err)
-		}
-		db.events.Record("txn.recover", "recovered cross-shard transaction finished",
-			"txn", txnID, "shard", all[i].id, "commit", commit[i])
+		db.events.Record("txn.recover", "cross-shard part redone from its coordinator's record",
+			"txn", txnID, "shard", id)
 	}
 	return nil
 }

@@ -285,7 +285,7 @@ func TestShardedCQOracle(t *testing.T) {
 	for step := 1; step <= steps; step++ {
 		now += rng.Float64()
 		switch rng.Intn(10) {
-		case 0: // cross-shard batch (2PC path)
+		case 0: // cross-shard batch
 			b := db.NewBatch()
 			for j := 0; j < 2+rng.Intn(4); j++ {
 				b.Upsert(cqRandObject(rng, UserID(1+rng.Intn(nUsers)), now, side))

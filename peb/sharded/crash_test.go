@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -38,29 +37,41 @@ var quadrant = [4][2]float64{{250, 250}, {250, 750}, {750, 750}, {750, 250}}
 const txnUserBase = 100 // transaction users: 101..104
 
 // crashShardedRun is the workload the fault point sweeps over: seed four
-// users (one per shard), then commit one cross-shard batch that adds four
-// more and moves a seed user across shards. All errors are ignored — the
-// filesystem is dying mid-run by design.
+// users (one per shard), then commit crossShardMove. All errors are
+// ignored — the filesystem is dying mid-run by design.
 func crashShardedRun(fs store.VFS) {
 	db, err := Open(crashShardedOpts(fs))
 	if err != nil {
 		return
 	}
 	defer db.Close()
+	if seedQuadrants(db) != nil {
+		return
+	}
+	_ = db.Apply(crossShardMove(db))
+}
+
+// seedQuadrants upserts seed users 1..4, one per quadrant.
+func seedQuadrants(db *DB) error {
 	for i, q := range quadrant {
 		if err := db.Upsert(Object{UID: UserID(i + 1), X: q[0], Y: q[1], T: 1}); err != nil {
-			return
+			return err
 		}
 	}
+	return nil
+}
+
+// crossShardMove is a batch over every shard: it adds the four
+// transaction users, one per quadrant, and moves seed user 1 from
+// quadrant 0 to quadrant 2 — its eviction from the old shard must be
+// atomic with the insert into the new one.
+func crossShardMove(db *DB) *Batch {
 	b := db.NewBatch()
 	for i, q := range quadrant {
 		b.Upsert(Object{UID: UserID(txnUserBase + i + 1), X: q[0] + 10, Y: q[1] + 10, T: 2})
 	}
-	// Move seed user 1 from quadrant 0 to quadrant 2 inside the same
-	// transaction: its eviction from the old shard must be atomic with the
-	// insert into the new one.
 	b.Upsert(Object{UID: 1, X: quadrant[2][0] - 20, Y: quadrant[2][1] - 20, T: 2})
-	_ = db.Apply(b)
+	return b
 }
 
 // checkAllOrNothing asserts the recovered state is consistent: the four
@@ -98,6 +109,10 @@ func checkAllOrNothing(t *testing.T, db *DB, label string) {
 	}
 }
 
+// TestShardedCrashMidCrossShardCommit cuts power at every device operation
+// of crashShardedRun — the engines' opening, the seed commits and every
+// operation of the Apply — under both reboot models: the batch recovers
+// all-or-nothing, and the same way on a second reopen.
 func TestShardedCrashMidCrossShardCommit(t *testing.T) {
 	golden := store.NewCrashFS()
 	crashShardedRun(golden)
@@ -160,51 +175,73 @@ func TestShardedCrashMidCrossShardCommit(t *testing.T) {
 	}
 }
 
-// TestShardedCrashAfterDecision pins the protocol's commit point: power
-// fails right after the last participant's prepare fsync, before any
-// commit marker is written, and recovery must COMMIT the transaction —
-// every participant holds its prepared record durably.
+// TestShardedCrashAfterDecision pins the commit point: power fails at
+// every device operation of a cross-shard Apply — the coordinator's append
+// and fsync, then one append per other participant, one fsync in all — and
+// recovery commits the transaction if and only if the coordinator's record
+// survived: its fsync completed, or the cut kept its unsynced append. The
+// Apply fail-stops the router every time, and each part a participant
+// lost is redone from the record.
 func TestShardedCrashAfterDecision(t *testing.T) {
-	fs := store.NewCrashFS()
-	opts := crashShardedOpts(fs)
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range quadrant {
-		if err := db.Upsert(Object{UID: UserID(i + 1), X: q[0], Y: q[1], T: 1}); err != nil {
+	// run opens the router, seeds it and applies crossShardMove with the
+	// fault point k operations into the Apply (none when k < 0), returning
+	// Apply's error and how many operations it performed.
+	run := func(fs *store.CrashFS, k int) (error, int) {
+		db, err := Open(crashShardedOpts(fs))
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer db.Close()
+		if err := seedQuadrants(db); err != nil {
+			t.Fatal(err)
+		}
+		start := fs.Ops()
+		fs.SetFailAfter(k)
+		err = db.Apply(crossShardMove(db))
+		return err, fs.Ops() - start
 	}
-	b := db.NewBatch()
-	for i, q := range quadrant {
-		b.Upsert(Object{UID: UserID(txnUserBase + i + 1), X: q[0] + 10, Y: q[1] + 10, T: 2})
-	}
-	b.Upsert(Object{UID: 1, X: quadrant[2][0] - 20, Y: quadrant[2][1] - 20, T: 2})
-	// Each of the four prepares is one append and one fsync; the next
-	// operation — the first marker's append — meets the dead filesystem.
-	fs.SetFailAfter(2 * len(quadrant))
-	if err := db.Apply(b); err == nil || !strings.Contains(err.Error(), "commit marker") {
-		t.Fatalf("Apply = %v, want the commit-marker failure of a committed transaction", err)
-	}
-	fs.Reboot(false)
-	re, err := Open(opts)
+	err, ops := run(store.NewCrashFS(), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	recovered := 0
-	for _, e := range re.Events().Recent(0) {
-		if e.Type == "txn.recover" {
-			recovered++
+	if want := 2 + len(quadrant) - 1; ops != want {
+		t.Fatalf("a cross-shard Apply over %d shards performed %d device operations, want %d", len(quadrant), ops, want)
+	}
+	for _, keep := range []bool{false, true} {
+		for k := 0; k < ops; k++ {
+			label := fmt.Sprintf("k=%d keep=%v", k, keep)
+			fs := store.NewCrashFS()
+			if err, _ := run(fs, k); !errors.Is(err, ErrFailStop) {
+				t.Fatalf("%s: Apply = %v, want ErrFailStop", label, err)
+			}
+			fs.Reboot(keep)
+			want := k >= 2 || (k == 1 && keep)
+			for n := 0; n < 2; n++ {
+				re, err := Open(crashShardedOpts(fs))
+				if err != nil {
+					t.Fatalf("%s: recovery %d: %v", label, n+1, err)
+				}
+				checkAllOrNothing(t, re, label)
+				if got := checkTxnUsers(t, re, label, txnUserBase+1, txnUserBase+2, txnUserBase+3, txnUserBase+4); got != want {
+					t.Fatalf("%s: recovery %d: committed = %v, want %v", label, n+1, got, want)
+				}
+				redone := 0
+				for _, e := range re.Events().Recent(0) {
+					if e.Type == "txn.recover" {
+						redone++
+					}
+				}
+				if n == 0 && want && !keep && redone != len(quadrant)-1 {
+					t.Fatalf("%s: %d parts redone, want %d: no participant's append was synced", label, redone, len(quadrant)-1)
+				}
+				if n == 1 && redone != 0 {
+					t.Fatalf("%s: the second recovery redid %d parts", label, redone)
+				}
+				if err := re.Close(); err != nil {
+					t.Fatalf("%s: close: %v", label, err)
+				}
+			}
 		}
-	}
-	if recovered != len(quadrant) {
-		t.Fatalf("%d participants recovered the transaction pending, want %d", recovered, len(quadrant))
-	}
-	checkAllOrNothing(t, re, "after-last-prepare")
-	if _, ok, _ := re.Lookup(UserID(txnUserBase + 1)); !ok {
-		t.Fatal("transaction with every prepare durable did not commit")
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // (const label shard="NNN", the stable shard id) and event log; the router
 // adds a registry of its own for topology-scoped series — per-shard
 // routed load, split/merge counters — plus an event log for
-// maintainer decisions (AutoReshard verdicts, 2PC aborts and recoveries).
+// maintainer decisions (AutoReshard verdicts, cross-shard fail-stops and
+// recoveries).
 // MetricsRegistries gathers all of them for one exposition endpoint; the
 // set changes as shards split and merge, so callers re-gather per scrape
 // rather than caching.

@@ -31,7 +31,7 @@ import (
 //     neighbor (covers widen accordingly) and the source stops routing.
 //  2. Migration. Objects whose position no longer routes to the shard
 //     holding them are moved in bounded batches through the same
-//     prepare/commit machinery as a cross-shard user batch (commitParts),
+//     one-record commit as a cross-shard user batch (commitParts),
 //     releasing the barrier between batches so reads and writes keep
 //     serving. The route flip already happened, so no new object joins
 //     the moving set and the loop terminates.
@@ -44,9 +44,9 @@ import (
 // migration forward before serving — Open calls completePendingLocked).
 // Object moves themselves are crash-atomic cross-shard transactions, so no
 // fault point loses or duplicates an object. A merge settles every such
-// transaction before it drops its source from the manifest: recovery never
-// asks a shard the manifest no longer lists, and counts it as holding no
-// prepared record.
+// transaction before it drops its source from the manifest: the source's
+// parts are durable, so recovery never needs to redo a part on a shard the
+// manifest no longer lists, and skips it.
 //
 // Live CQ subscriptions are notified under the same barrier as each route
 // flip (cqTopologyChanged / cqShardRemoving), so standing queries follow
@@ -454,10 +454,10 @@ func (db *DB) finalizePendingLocked() error {
 		if !ok {
 			return fmt.Errorf("sharded: finalize merge: shard %d vanished", p.Dst)
 		}
-		// Make every committed transaction's markers durable, the source's
+		// Make every committed transaction's parts durable, the source's
 		// migration batches among them: once the manifest drops the source,
-		// a participant still without its marker would count the source as
-		// holding nothing and abort.
+		// recovery could not redo a part the source lacked, and a part it
+		// coordinated needs its log.
 		if err := db.settle(true); err != nil {
 			return fmt.Errorf("sharded: finalize merge: settle: %w", err)
 		}

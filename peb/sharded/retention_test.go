@@ -11,7 +11,7 @@ import (
 )
 
 // crossShardBatch builds a batch guaranteed to span at least two shards
-// (one upsert in each shard's first cell), forcing the 2PC path.
+// (one upsert in each shard's first cell), forcing the cross-shard path.
 func crossShardBatch(t *testing.T, db *DB, rng *rand.Rand, uids []UserID, now float64) *Batch {
 	t.Helper()
 	side := db.shards[0].Bounds().MaxX
@@ -52,11 +52,12 @@ func walSegments(t *testing.T, db *DB, i int) []uint64 {
 	return idxs
 }
 
-// TestPreparedRecordRetention: a committed cross-shard transaction holds
-// its participants' logs until it is settled — every participant's marker
-// durable. A participant's checkpoint inside that window keeps the segment
-// with the prepared record, even once its own marker is durable; the first
-// checkpoint after the router settles drops it.
+// TestPreparedRecordRetention: only the coordinator holds its log. A
+// committed cross-shard transaction keeps the coordinator's record through
+// the coordinator's checkpoints until it is settled — every other part
+// durable — while a participant's checkpoint drops the segment holding its
+// part as freely as any other. The first checkpoint after the router
+// settles drops the coordinator's record too.
 func TestPreparedRecordRetention(t *testing.T) {
 	fs := store.NewCrashFS()
 	db, err := Open(retentionOpts(fs))
@@ -80,35 +81,48 @@ func TestPreparedRecordRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	upsert := func(slot int) {
+		t.Helper()
+		if err := db.Upsert(Object{UID: UserID(slot + 1), X: at[slot][0] + 5, Y: at[slot][1] + 5, T: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// X spans slots 0 and 1; slot 0's log rolls into a fresh segment for
-	// X's prepared record.
-	prepSeg := slices.Max(walSegments(t, db, 0)) + 1
+	// X spans slots 0 and 1, so slot 0 coordinates. Each log rolls into a
+	// fresh segment for X's record.
+	coordSeg := slices.Max(walSegments(t, db, 0)) + 1
+	partSeg := slices.Max(walSegments(t, db, 1)) + 1
 	apply(101, 0, 1)
-	// Y spans slots 1 and 2: its prepare syncs slot 1's marker of X, but
-	// slot 0's is not durable yet, so settling at Y keeps X's holds.
-	apply(103, 1, 2)
-	// A plain commit on slot 0 makes its marker durable too; nothing has
-	// settled since, so slot 0's checkpoint still keeps the record.
-	if err := db.Upsert(Object{UID: 1, X: at[0][0] + 5, Y: at[0][1] + 5, T: 3}); err != nil {
+
+	// The participant's checkpoint is not held: a plain commit seals the
+	// segment holding its part (and syncs it), and the checkpoint drops it.
+	upsert(1)
+	if err := db.shards[1].Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	if segs := walSegments(t, db, 1); segs[0] <= partSeg {
+		t.Fatalf("participant checkpoint kept segments %v, want all above %d", segs, partSeg)
+	}
+	// Nothing has settled since: the coordinator's checkpoint keeps the
+	// record's segment.
+	upsert(0)
 	if err := db.shards[0].Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if segs := walSegments(t, db, 0); !slices.Contains(segs, prepSeg) {
-		t.Fatalf("checkpoint inside the unsettled window dropped the prepared record's segment %d (left %v)", prepSeg, segs)
+	if segs := walSegments(t, db, 0); !slices.Contains(segs, coordSeg) {
+		t.Fatalf("checkpoint inside the unsettled window dropped the coordinator record's segment %d (left %v)", coordSeg, segs)
 	}
 	// The router's Checkpoint settles X first: its shard checkpoints drop
 	// the record.
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if segs := walSegments(t, db, 0); segs[0] <= prepSeg {
-		t.Fatalf("checkpoint after the settle kept segments %v, want all above %d", segs, prepSeg)
+	if segs := walSegments(t, db, 0); segs[0] <= coordSeg {
+		t.Fatalf("checkpoint after the settle kept segments %v, want all above %d", segs, coordSeg)
 	}
 
 	// Transactions keep working, and survive a reopen, after truncation.
+	apply(103, 1, 2)
 	apply(105, 0, 3)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -125,6 +139,101 @@ func TestPreparedRecordRetention(t *testing.T) {
 	}
 	if re.nextTxn <= 3 {
 		t.Fatalf("reopened nextTxn %d reuses an id a shard log still holds", re.nextTxn)
+	}
+}
+
+// TestUnsettledBacklogBounded: participants that take no commit of their
+// own never sync their parts, so without a bound every coordinator record
+// would stay held and the coordinator's checkpoints would drop nothing.
+// Only cross-shard batches run here; the backlog must stay at most
+// maxUnsettled, and a checkpoint of the coordinator must keep no more
+// segments than that many records need.
+func TestUnsettledBacklogBounded(t *testing.T) {
+	fs := store.NewCrashFS()
+	db, err := Open(retentionOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	at := quadrantSlots(t, db)
+	// Each batch moves users 201 and 202 within slots 0 and 1: slot 0
+	// coordinates, slot 1 only ever commits parts.
+	for i := 0; i < 3*maxUnsettled; i++ {
+		b := db.NewBatch()
+		for k, s := range []int{0, 1} {
+			b.Upsert(Object{UID: UserID(201 + k), X: at[s][0] + float64(i%50), Y: at[s][1] + 10, T: float64(i)})
+		}
+		if err := db.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		db.txnMu.Lock()
+		backlog := len(db.unsettled)
+		db.txnMu.Unlock()
+		if backlog > maxUnsettled {
+			t.Fatalf("after %d batches %d transactions wait to settle, want at most %d", i+1, backlog, maxUnsettled)
+		}
+	}
+	if err := db.shards[0].Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// One record per segment: at most maxUnsettled held records, plus the
+	// active segment.
+	if segs := walSegments(t, db, 0); len(segs) > maxUnsettled+1 {
+		t.Fatalf("coordinator keeps %d log segments after its checkpoint, want at most %d", len(segs), maxUnsettled+1)
+	}
+}
+
+// TestParticipantCheckpointKeepsWatermark: a participant whose checkpoint
+// covers its part of a transaction and drops the segment holding it still
+// holds the transaction after a power cut, by the watermark its checkpoint
+// persisted — the coordinator has not settled, so its record asks. Read
+// from the log alone, the watermark would miss the transaction and the
+// reopen would redo the part, whose eviction fails the second time.
+func TestParticipantCheckpointKeepsWatermark(t *testing.T) {
+	fs := store.NewCrashFS()
+	db, err := Open(retentionOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := quadrantSlots(t, db)
+	for i, q := range at {
+		if err := db.Upsert(Object{UID: UserID(i + 1), X: q[0], Y: q[1], T: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Move user 2 from slot 1 to slot 0: slot 0 coordinates, slot 1's part
+	// is the eviction.
+	b := db.NewBatch()
+	b.Upsert(Object{UID: 2, X: at[0][0] + 10, Y: at[0][1] + 10, T: 2})
+	if err := db.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	// A plain commit on slot 1 seals the segment with its part; the
+	// checkpoint covers the part and drops that segment.
+	if err := db.Upsert(Object{UID: 102, X: at[1][0] + 5, Y: at[1][1] + 5, T: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.shards[1].Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fs.CutPower()
+	fs.Reboot(false)
+
+	re, err := Open(retentionOpts(fs))
+	if err != nil {
+		t.Fatalf("reopen after the participant's checkpoint: %v", err)
+	}
+	defer re.Close()
+	for _, e := range re.Events().Recent(0) {
+		if e.Type == "txn.recover" {
+			t.Fatalf("a part the participant holds was redone: %+v", e)
+		}
+	}
+	if o, ok, _ := re.Lookup(2); !ok || o.T != 2 {
+		t.Fatalf("moved user 2 = %v (ok=%v), want its update", o, ok)
+	}
+	if got := re.Size(); got != 5 {
+		t.Fatalf("reopened router holds %d users, want 5", got)
 	}
 }
 
@@ -186,11 +295,12 @@ func sweepCrashes(t *testing.T, opts func(store.VFS) Options, run func(*store.Cr
 
 // overlapRun seeds one user per quadrant, then commits X over the shards
 // of quadrants 0 and 1 and Y over those of quadrants 0 and 2, and
-// checkpoints the shard of quadrant 0 inside X's unsettled window: Y's
-// prepare makes that shard's marker of X durable, so settling at Y sees
-// only quadrant 1's marker missing. The checkpoint must keep X's prepared
-// record, or a crash before quadrant 1's marker is durable leaves that
-// shard asking a peer that no longer holds it.
+// checkpoints the shard of quadrant 0 inside their unsettled window: no
+// other part of either transaction is durable yet. Where that shard
+// coordinates, the checkpoint must keep the record, or a crash before the
+// other parts are durable leaves nothing to redo them from; where it
+// takes part, the checkpoint's watermark must keep its part from being
+// redone.
 func overlapRun(fs *store.CrashFS) {
 	db, err := Open(retentionOpts(fs))
 	if err != nil {

@@ -14,12 +14,14 @@
 //     possible distance to the query point, the nearest is probed, and the
 //     rest are queried concurrently unless they cannot beat the probe's
 //     k-th candidate;
-//   - cross-shard atomic Apply: a batch is split by owning shard and
-//     committed through a prepare/commit protocol over the per-shard
-//     write-ahead logs (peb.DB.PrepareApply). A transaction is committed
-//     once every participant's prepared record is durable, so the shard
-//     logs alone carry the verdict and the router keeps no log of its own
-//     — all-or-nothing even across a crash;
+//   - cross-shard atomic Apply: a batch is split by owning shard, every
+//     participant validates its part, and the lowest participating shard —
+//     the coordinator — logs all of them as one record in its own
+//     write-ahead log (peb.Prepared.Coordinate). That record's one fsync
+//     commits the transaction; the other participants then apply their
+//     parts, and recovery redoes any part a participant lacks from the
+//     coordinator's record. The router keeps no log of its own, and the
+//     batch is all-or-nothing even across a crash;
 //   - consistent Snapshot: one pinned peb.Snapshot per shard, taken under
 //     a brief global barrier, so the set is a single consistent cut;
 //   - per-shard durability: each shard owns a directory with its page
@@ -48,6 +50,7 @@
 package sharded
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -82,6 +85,13 @@ type (
 
 // ErrClosed is returned by every method called after Close.
 var ErrClosed = peb.ErrClosed
+
+// ErrFailStop is returned by the cross-shard commit that stopped the
+// router: it could not make its coordinator record durable, or a
+// participant could not apply its part of a committed transaction. The
+// engines are closed and every later call gets ErrClosed; reopening
+// decides the transaction by the coordinator's log.
+var ErrFailStop = errors.New("sharded: router fail-stopped on a cross-shard commit; reopen to resolve")
 
 // DefaultShards is the shard count used when Options.Shards is zero.
 const DefaultShards = 4
@@ -182,10 +192,10 @@ type DB struct {
 	userMu [64]sync.Mutex
 
 	// Cross-shard transaction state (batch.go): nextTxn allocates ids above
-	// every id any shard log holds, so a recycled id can never match a
-	// stale prepared record; unsettled lists the participant handles of
-	// every committed transaction whose markers are not all known durable
-	// yet — each holds its shard's log until settle releases it.
+	// every engine's watermark; unsettled lists, coordinator first, the
+	// part handles of every committed transaction whose other parts are
+	// not all known durable yet — the coordinator's handle holds its log
+	// until settle releases it.
 	txnMu     sync.Mutex
 	nextTxn   uint64
 	unsettled [][]*peb.Prepared
@@ -227,14 +237,13 @@ func policiesDir(dir string) string { return filepath.Join(dir, "policies") }
 // Open creates a sharded DB, or — when Dir holds one — recovers it: the
 // manifest's topology is adopted (Options.Shards counts only at
 // creation), every listed shard and the policy engine recover
-// independently (checkpoint plus log replay), every cross-shard
-// transaction a participant recovered without a marker is finished by the
-// commit rule (finishRecovered), the shards borrow the policy engine's
-// store, the routing map
-// is rebuilt from the shards' contents — healing any duplicate a crash
-// mid-re-homing left behind — and an in-flight split or merge the manifest
-// records is rolled forward to completion before the first operation is
-// served.
+// independently (checkpoint plus log replay), every part of a cross-shard
+// transaction a participant lacks is redone from its coordinator's record
+// (finishRecovered), the shards borrow the policy engine's store, the
+// routing map is rebuilt from the shards' contents — healing any
+// duplicate a crash mid-re-homing left behind — and an in-flight split or
+// merge the manifest records is rolled forward to completion before the
+// first operation is served.
 func Open(opts Options) (*DB, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -449,6 +458,12 @@ func (db *DB) Close() error {
 	if db.closed {
 		return nil
 	}
+	return db.closeLocked()
+}
+
+// closeLocked closes every engine and marks the router closed. The caller
+// holds the write barrier.
+func (db *DB) closeLocked() error {
 	db.closed = true
 	var firstErr error
 	for i, s := range db.shards {
@@ -588,9 +603,9 @@ func (db *DB) EncodePolicies() error {
 // throughout — the per-shard version of the engine's non-blocking
 // checkpoint. The policy engine rewrites its policies file only when a
 // policy operation has committed since its last checkpoint. It settles every
-// committed transaction first — syncing the markers no later commit has —
-// so each shard's log truncation passes them all, idle participants or
-// not.
+// committed transaction first — syncing the parts no later commit has — so
+// each coordinator's log truncation passes their records, idle
+// participants or not.
 func (db *DB) Checkpoint() error {
 	db.smu.RLock()
 	defer db.smu.RUnlock()

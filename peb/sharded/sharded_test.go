@@ -402,9 +402,10 @@ func TestGatherKNNProbeThenWave(t *testing.T) {
 	}
 }
 
-// TestPreparedGrantAllocsIndependentOfStore: a cross-shard Grant prepares
-// and commits on every shard without copying any shard's policy store, so
-// what one costs in allocations does not grow with the store.
+// TestPreparedGrantAllocsIndependentOfStore: a routed Grant commits on the
+// policy engine and re-points every shard at its store without copying
+// any shard's policy store, so what one costs in allocations does not grow
+// with the store.
 func TestPreparedGrantAllocsIndependentOfStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")

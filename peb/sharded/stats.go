@@ -136,7 +136,7 @@ type Stats struct {
 	Buffer store.BufferStats
 	// TxnDecisions and TxnLogBytes always read 0: the router keeps no log
 	// of its own — a cross-shard transaction's verdict lives in its
-	// participants' logs. They remain for callers that still read them.
+	// coordinator's log. They remain for callers that still read them.
 	TxnDecisions uint64
 	TxnLogBytes  int64
 }

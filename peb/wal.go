@@ -92,34 +92,18 @@ type opList struct {
 
 func (l opList) len() int { return len(l.Pol) + len(l.Idx) }
 
-// Transaction states a record can carry (cross-shard two-phase commit;
-// see prepared.go). Ordinary single-DB commits log txnNone records.
-const (
-	txnNone uint8 = iota
-	// txnPrepared: the record's operations wait on the transaction's
-	// verdict, in memory as on replay: they apply only once a later
-	// txnCommitted marker confirms it, or the coordinator commits the
-	// handle recovery left pending (see prepared.go).
-	txnPrepared
-	// txnCommitted / txnAborted: marker records (no operations) sealing a
-	// prepared transaction's fate in this participant's log.
-	txnCommitted
-	txnAborted
-)
-
 // walRecord is one commit: a batch of operations applied atomically, plus
 // the post-commit nextSV so replay restores the sequence-value cursor.
-// TxnID/TxnState tie the record into a cross-shard transaction: zero for
-// ordinary commits, the coordinator's transaction id for prepared records
-// and their commit/abort markers. Parts, on a prepared record only, names
-// every participant of the transaction by the coordinator's stable ids.
+// TxnID ties the record into a cross-shard transaction (prepared.go): zero
+// for ordinary commits, else the transaction's id — on a participant's
+// sub-record, and on the coordinator's record, which alone carries Parts:
+// every other participant's share of the transaction.
 type walRecord struct {
-	Seq      uint64
-	NextSV   float64
-	Ops      opList
-	TxnID    uint64
-	TxnState uint8
-	Parts    []int
+	Seq    uint64
+	NextSV float64
+	Ops    opList
+	TxnID  uint64
+	Parts  []txnPart
 }
 
 // encodeAssignment flattens an assignment into the polOpEncode payload
@@ -148,10 +132,10 @@ func decodeAssignment(op *rebuildOp) policy.Assignment {
 
 // walAppend logs one record: the resolved operations with the
 // sequence-value cursor they leave, and for a cross-shard transaction its
-// id, state and — on a prepared record — participants. The caller holds
-// the write lock and has already applied the operations in memory
-// successfully — or, for a prepared record, checked that they apply; it
-// fills every field but Seq. The returned token is passed to walSync after
+// id and — on the coordinator's record — the other participants' parts.
+// The caller holds the write lock and has already applied the operations
+// in memory successfully — or, for a coordinator's record, checked that
+// they apply; it fills every field but Seq. The returned token is passed to walSync after
 // the lock is released. A nil WAL logs nothing.
 //
 // An append failure poisons the WAL: the in-memory state is ahead of the
@@ -218,75 +202,4 @@ func (db *DB) replayRecord(rec walRecord) error {
 	}
 	db.walSeq = rec.Seq
 	return nil
-}
-
-// txnReplay replays a log that may hold prepared records, for recovery,
-// which has the whole log before it replays any of it. A prepared
-// record's fate is its marker's, wherever in the log that sits:
-// committed, it applies at its own position; aborted, it is skipped with
-// its sequence number consumed — the live participant never applied it, so
-// the log minus the record replays to the same history, and the marker
-// carries the unchanged sequence-value cursor.
-type txnReplay struct {
-	pending  []walRecord      // decoded, not yet replayed, in log order
-	outcomes map[uint64]uint8 // transaction id → txnCommitted or txnAborted
-	tail     int              // payload bytes of the last frame added
-}
-
-// add decodes log frames onto the queue and notes the markers among them.
-func (q *txnReplay) add(frames [][]byte) error {
-	if q.outcomes == nil {
-		q.outcomes = make(map[uint64]uint8)
-	}
-	for i, payload := range frames {
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
-		}
-		if rec.TxnState == txnCommitted || rec.TxnState == txnAborted {
-			q.outcomes[rec.TxnID] = rec.TxnState
-		}
-		q.pending = append(q.pending, rec)
-		q.tail = len(payload)
-	}
-	return nil
-}
-
-// drain replays the queue into db, which is still opening and so not
-// shared, and reports how many records it applied. It stops at a prepared
-// record above db.walSeq with no marker queued, which waits for the
-// coordinator's verdict. Records at or below db.walSeq are part of db's
-// state already and only pass through — a markerless prepared one
-// committed (see prepared.go). Every transaction id seen raises db.maxTxn,
-// so a coordinator never recycles it.
-func (q *txnReplay) drain(db *DB) (applied int, err error) {
-	for len(q.pending) > 0 {
-		rec := q.pending[0]
-		commit := true
-		if rec.TxnState == txnPrepared {
-			state, decided := q.outcomes[rec.TxnID]
-			if !decided {
-				if rec.Seq > db.walSeq {
-					break
-				}
-				state = txnCommitted
-				q.outcomes[rec.TxnID] = state
-			}
-			commit = state == txnCommitted
-		}
-		db.maxTxn = max(db.maxTxn, rec.TxnID)
-		switch {
-		case rec.Seq <= db.walSeq:
-		case !commit:
-			db.walSeq = rec.Seq
-		default:
-			err = db.replayRecord(rec)
-			applied++
-		}
-		if err != nil {
-			return applied, fmt.Errorf("record %d: %w", rec.Seq, err)
-		}
-		q.pending = q.pending[1:]
-	}
-	return applied, nil
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -43,28 +42,36 @@ func gobEraRecord(t testing.TB) []byte {
 }
 
 // fuzzRecord deterministically builds a walRecord from fuzz-controlled
-// raw material, exercising every op kind and field shape. A prepared
-// record names numParts participants (mod 9); only prepared records carry
-// any on the wire.
-func fuzzRecord(seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2, f3 float64, role string, numParts int) walRecord {
-	rec := walRecord{Seq: seq, NextSV: f1, TxnID: txnID, TxnState: txnState}
-	if txnState == txnPrepared {
+// raw material, exercising every op kind and field shape. A record of a
+// transaction (txnID ≠ 0) carries numParts other participants' parts (mod
+// 9), each with a few ops of its own; only such records carry any on the
+// wire.
+func fuzzRecord(seq, txnID uint64, numOps, kindSeed int, f1, f2, f3 float64, role string, numParts int) walRecord {
+	rec := walRecord{Seq: seq, NextSV: f1, TxnID: txnID,
+		Ops: fuzzOps(seq, txnID, int(uint(numOps)%9), kindSeed, f1, f2, f3, role)}
+	if txnID != 0 {
 		for i := 0; i < int(uint(numParts)%9); i++ {
-			rec.Parts = append(rec.Parts, int(seq>>8)%1000+i*i*97)
+			rec.Parts = append(rec.Parts, txnPart{ID: int(seq>>8)%1000 + i*i*97, NextSV: f2 + float64(i),
+				Ops: fuzzOps(seq+uint64(i), txnID, i%3, kindSeed+i, f1, f2, f3, role)})
 		}
 	}
-	n := int(uint(numOps) % 9)
+	return rec
+}
+
+// fuzzOps builds n ops of kinds cycling from kindSeed.
+func fuzzOps(seq, txnID uint64, n, kindSeed int, f1, f2, f3 float64, role string) opList {
+	var ops opList
 	for i := 0; i < n; i++ {
 		kind := uint(kindSeed+i) % 6
 		uid := UserID(seq>>16) + UserID(i)
 		switch kind {
 		case uint(core.OpSetSV):
-			rec.Ops.Idx = append(rec.Ops.Idx, core.BatchOp{Kind: core.OpSetSV, UID: uid, SV: f2})
+			ops.Idx = append(ops.Idx, core.BatchOp{Kind: core.OpSetSV, UID: uid, SV: f2})
 		case uint(core.OpUpsert):
-			rec.Ops.Idx = append(rec.Ops.Idx, core.BatchOp{Kind: core.OpUpsert,
+			ops.Idx = append(ops.Idx, core.BatchOp{Kind: core.OpUpsert,
 				Obj: Object{UID: uid, X: f1, Y: f2, VX: f3, VY: -f1, T: f3 * 0.5}})
 		case uint(core.OpRemove):
-			rec.Ops.Idx = append(rec.Ops.Idx, core.BatchOp{Kind: core.OpRemove, UID: uid})
+			ops.Idx = append(ops.Idx, core.BatchOp{Kind: core.OpRemove, UID: uid})
 		default:
 			op := polOp{Kind: polOpKind(kind)}
 			switch op.Kind {
@@ -81,22 +88,22 @@ func fuzzRecord(seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2,
 					op.Rebuild.Assign = append(op.Rebuild.Assign, assignRec{UID: uid + UserID(j), SV: f2 + float64(j)})
 				}
 			}
-			rec.Ops.Pol = append(rec.Ops.Pol, op)
+			ops.Pol = append(ops.Pol, op)
 		}
 	}
-	return rec
+	return ops
 }
 
 func FuzzWALRecordRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint64(0), uint8(0), 3, 0, 1.5, -2.25, 100.0, "f", 0)
-	f.Add(uint64(1<<40), uint64(7), uint8(1), 8, 3, math.Inf(1), math.NaN(), math.Copysign(0, -1), "coworker", 4)
-	f.Add(uint64(0), uint64(1<<63), uint8(3), 7, 6, 1e-300, 1e300, 0.1, "", 2)
-	// Prepared records naming 0, 1 and 4 participants.
+	f.Add(uint64(1), uint64(0), 3, 0, 1.5, -2.25, 100.0, "f", 0)
+	f.Add(uint64(1<<40), uint64(7), 8, 3, math.Inf(1), math.NaN(), math.Copysign(0, -1), "coworker", 4)
+	f.Add(uint64(0), uint64(1<<63), 7, 6, 1e-300, 1e300, 0.1, "", 2)
+	// Transaction records carrying 0, 1 and 4 other parts.
 	for _, parts := range []int{0, 1, 4} {
-		f.Add(uint64(1<<20), uint64(9), txnPrepared, 2, 1, 3.0, 4.0, 5.0, "p", parts)
+		f.Add(uint64(1<<20), uint64(9), 2, 1, 3.0, 4.0, 5.0, "p", parts)
 	}
-	f.Fuzz(func(t *testing.T, seq, txnID uint64, txnState uint8, numOps, kindSeed int, f1, f2, f3 float64, role string, numParts int) {
-		rec := fuzzRecord(seq, txnID, txnState, numOps, kindSeed, f1, f2, f3, role, numParts)
+	f.Fuzz(func(t *testing.T, seq, txnID uint64, numOps, kindSeed int, f1, f2, f3 float64, role string, numParts int) {
+		rec := fuzzRecord(seq, txnID, numOps, kindSeed, f1, f2, f3, role, numParts)
 		enc := appendRecord(nil, &rec)
 		dec, err := decodeRecord(enc)
 		if err != nil {
@@ -106,8 +113,7 @@ func FuzzWALRecordRoundTrip(f *testing.F) {
 		if !bytes.Equal(enc, re) {
 			t.Fatalf("round trip not identical:\n enc %x\n re  %x", enc, re)
 		}
-		if dec.Seq != rec.Seq || dec.TxnID != rec.TxnID || dec.TxnState != rec.TxnState ||
-			!slices.Equal(dec.Parts, rec.Parts) ||
+		if dec.Seq != rec.Seq || dec.TxnID != rec.TxnID || len(dec.Parts) != len(rec.Parts) ||
 			len(dec.Ops.Pol) != len(rec.Ops.Pol) || len(dec.Ops.Idx) != len(rec.Ops.Idx) {
 			t.Fatalf("header mismatch: %+v vs %+v", dec, rec)
 		}
@@ -143,12 +149,12 @@ func fuzzDecodeSeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
 	recs := []walRecord{
 		{Seq: 1, NextSV: 2},
-		fuzzRecord(7, 3, 1, 8, 0, 1.5, -0.25, 12, "f", 2),
-		fuzzRecord(1<<50, 1<<62, 3, 7, 4, math.Inf(-1), math.NaN(), 1e308, "c", 0),
-		// Prepared records naming 0, 1 and 4 participants.
-		fuzzRecord(1<<20, 9, txnPrepared, 2, 1, 3, 4, 5, "p", 0),
-		fuzzRecord(1<<20, 9, txnPrepared, 2, 1, 3, 4, 5, "p", 1),
-		fuzzRecord(1<<20, 9, txnPrepared, 2, 1, 3, 4, 5, "p", 4),
+		fuzzRecord(7, 3, 8, 0, 1.5, -0.25, 12, "f", 2),
+		fuzzRecord(1<<50, 1<<62, 7, 4, math.Inf(-1), math.NaN(), 1e308, "c", 0),
+		// Transaction records carrying 0, 1 and 4 other parts.
+		fuzzRecord(1<<20, 9, 2, 1, 3, 4, 5, "p", 0),
+		fuzzRecord(1<<20, 9, 2, 1, 3, 4, 5, "p", 1),
+		fuzzRecord(1<<20, 9, 2, 1, 3, 4, 5, "p", 4),
 	}
 	for i := range recs {
 		enc := appendRecord(nil, &recs[i])
@@ -171,9 +177,11 @@ func fuzzDecodeSeeds(t testing.TB) [][]byte {
 		seeds = append(seeds, append(bytes.Clone(enc), 0xDE, 0xAD))
 	}
 	// Absurd op count (would OOM without the count cap).
-	seeds = append(seeds, []byte{0xB6, walCodecVersion, 0x01, 0x02, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
-	// A prepared record claiming more participants than bytes are left.
-	seeds = append(seeds, absurdParticipants)
+	seeds = append(seeds, []byte{0xB6, walCodecVersion, 0x01, 0x02, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
+	// A coordinator record claiming more parts than bytes are left, and
+	// one whose part claims more ops than that.
+	seeds = append(seeds, absurdParticipants,
+		[]byte{0xB6, walCodecVersion, 0x01, 0x02, 0x05, 0x01, 0x07, 0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x00})
 	// The retired whole-store policy load.
 	seeds = append(seeds, loadPoliciesRecord())
 	// Another codec version.
@@ -184,9 +192,10 @@ func fuzzDecodeSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
-// absurdParticipants is a prepared record (seq 1, txn 5) whose
-// participant count claims ~34 billion ids with one byte left to back them.
-var absurdParticipants = []byte{0xB6, walCodecVersion, 0x01, 0x02, 0x05, txnPrepared,
+// absurdParticipants is a coordinator record (seq 1, txn 5) whose
+// participant count claims ~34 billion parts with one byte left to back
+// them.
+var absurdParticipants = []byte{0xB6, walCodecVersion, 0x01, 0x02, 0x05,
 	0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x00}
 
 // loadPoliciesRecord is a one-op record of kind 6, the retired whole-store
@@ -203,7 +212,7 @@ func loadPoliciesRecord() []byte {
 // fuzzer: truncation, trailing bytes, unknown kinds, other versions and
 // oversized counts must all error (not panic, not succeed).
 func TestWALCodecRejectsCorruption(t *testing.T) {
-	rec := fuzzRecord(42, 7, 1, 6, 0, 3.5, -1, 9, "f", 3)
+	rec := fuzzRecord(42, 7, 6, 0, 3.5, -1, 9, "f", 3)
 	enc := appendRecord(nil, &rec)
 	if _, err := decodeRecord(enc); err != nil {
 		t.Fatalf("valid record rejected: %v", err)
@@ -219,7 +228,7 @@ func TestWALCodecRejectsCorruption(t *testing.T) {
 	if _, err := decodeRecord(loadPoliciesRecord()); err == nil || !strings.Contains(err.Error(), "unknown op kind 6") {
 		t.Fatalf("retired kind 6: err = %v, want unknown op kind", err)
 	}
-	for _, v := range []byte{0x00, 0x01, 0x03} {
+	for _, v := range []byte{0x00, 0x01, 0x02, 0x04} {
 		if _, err := decodeRecord([]byte{0xB6, v, 0x01}); !errors.Is(err, ErrUnsupportedFormat) {
 			t.Fatalf("codec version %d: err = %v, want ErrUnsupportedFormat", v, err)
 		}
@@ -264,7 +273,7 @@ func upsertStreamRecord(i int) walRecord {
 // moves the total), and no allocation once the caller's buffer has grown
 // — the append path reuses one buffer the same way.
 func TestWALCodecUpsertRecordCost(t *testing.T) {
-	const records, wantBytes = 4000, 111847 // 27.96 B/record
+	const records, wantBytes = 4000, 107847 // 26.96 B/record
 	var buf []byte
 	total := 0
 	for i := 0; i < records; i++ {

@@ -19,14 +19,18 @@ import (
 // Record layout (uvarint/vfloat/vbytes as defined in internal/codec):
 //
 //	magic    1 byte  0xB6 (codec.MagicWALRecord)
-//	version  1 byte  0x02
+//	version  1 byte  0x03
 //	seq      uvarint
 //	nextSV   vfloat
 //	txnID    uvarint
-//	txnState 1 byte
-//	parts    numParts uvarint · numParts × shard id uvarint — prepared records only
-//	numOps   uvarint
-//	ops      numOps × op
+//	parts    numParts uvarint · numParts × part — only when txnID ≠ 0
+//	ops      numOps uvarint · numOps × op
+//
+// A part is one other participant's share of a cross-shard transaction,
+// which only the coordinator's record carries (numParts is 0 on a
+// participant's sub-record):
+//
+//	part     id uvarint · nextSV vfloat · numOps uvarint · numOps × op
 //
 // Each op starts with a 1-byte kind, followed by exactly the fields that
 // kind uses:
@@ -48,7 +52,7 @@ import (
 // walCodecVersion is the one record format revision the decoder reads;
 // bytes opening with anything but the magic and this version are refused
 // with ErrUnsupportedFormat.
-const walCodecVersion = 2
+const walCodecVersion = 3
 
 // appendRecord encodes rec after b (usually b[:0] of a reused buffer) and
 // returns the extended slice. It cannot fail: every walRecord value is
@@ -58,16 +62,24 @@ func appendRecord(b []byte, rec *walRecord) []byte {
 	b = codec.AppendUvarint(b, rec.Seq)
 	b = codec.AppendFloat(b, rec.NextSV)
 	b = codec.AppendUvarint(b, rec.TxnID)
-	b = append(b, rec.TxnState)
-	if rec.TxnState == txnPrepared {
+	if rec.TxnID != 0 {
 		b = codec.AppendUvarint(b, uint64(len(rec.Parts)))
-		for _, id := range rec.Parts {
-			b = codec.AppendUvarint(b, uint64(id))
+		for i := range rec.Parts {
+			part := &rec.Parts[i]
+			b = codec.AppendUvarint(b, uint64(part.ID))
+			b = codec.AppendFloat(b, part.NextSV)
+			b = appendOps(b, &part.Ops)
 		}
 	}
-	b = codec.AppendUvarint(b, uint64(rec.Ops.len()))
-	for i := range rec.Ops.Pol {
-		op := &rec.Ops.Pol[i]
+	return appendOps(b, &rec.Ops)
+}
+
+// appendOps encodes an op list: its count, the policy and rebuild
+// operations, then the index operations.
+func appendOps(b []byte, ops *opList) []byte {
+	b = codec.AppendUvarint(b, uint64(ops.len()))
+	for i := range ops.Pol {
+		op := &ops.Pol[i]
 		b = append(b, byte(op.Kind))
 		switch op.Kind {
 		case polOpRelation:
@@ -98,8 +110,8 @@ func appendRecord(b []byte, rec *walRecord) []byte {
 			// rather than silently dropping fields.
 		}
 	}
-	for i := range rec.Ops.Idx {
-		op := &rec.Ops.Idx[i]
+	for i := range ops.Idx {
+		op := &ops.Idx[i]
 		b = append(b, byte(op.Kind))
 		switch op.Kind {
 		case core.OpSetSV:
@@ -129,10 +141,19 @@ func takeUserID(r *codec.Reader, what string) UserID {
 	return UserID(v)
 }
 
+// corruptRecordError wraps a record's decode failure. It is formatted
+// only when read: refusing a damaged record allocates the two errors and
+// nothing else.
+type corruptRecordError struct{ err error }
+
+func (e *corruptRecordError) Error() string { return "peb: corrupt wal record: " + e.err.Error() }
+func (e *corruptRecordError) Unwrap() error { return e.err }
+
 // decodeRecord parses one log record. Strictness: the stamp must be the
-// current one, every field is bounds-checked, counts are capped by the
-// bytes that could possibly back them, unknown op kinds and trailing
-// garbage are rejected. Never panics on arbitrary input.
+// current one, every field is bounds-checked, counts are refused before
+// anything is sized by them when the remaining bytes could not back them,
+// unknown op kinds and trailing garbage are rejected. Never panics on
+// arbitrary input.
 func decodeRecord(data []byte) (walRecord, error) {
 	if len(data) < 2 || data[0] != codec.MagicWALRecord || data[1] != walCodecVersion {
 		return walRecord{}, fmt.Errorf("peb: wal record: %w: not a version %d binary-codec record",
@@ -143,34 +164,48 @@ func decodeRecord(data []byte) (walRecord, error) {
 	rec.Seq = r.TakeUvarint("seq")
 	rec.NextSV = r.TakeFloat("nextSV")
 	rec.TxnID = r.TakeUvarint("txnID")
-	rec.TxnState = r.TakeByte("txnState")
-	if rec.TxnState == txnPrepared {
-		// Each shard id costs at least one byte on the wire, so a claimed
-		// count the remaining bytes cannot back fails before any allocation.
-		if n := r.TakeCount("participant count", 1); n > 0 && r.Err() == nil {
-			rec.Parts = make([]int, n)
+	if rec.TxnID != 0 {
+		// A part is at least an id, a cursor and an op count.
+		if n := r.TakeCount("participant count", 3); n > 0 {
+			rec.Parts = make([]txnPart, n)
 		}
-		for j := range rec.Parts {
+		for i := range rec.Parts {
+			part := &rec.Parts[i]
 			id := r.TakeUvarint("participant id")
 			if id > math.MaxInt32 {
 				r.Failf("participant id %d implausible", id)
 			}
-			rec.Parts[j] = int(id)
+			part.ID = int(id)
+			part.NextSV = r.TakeFloat("participant nextSV")
+			part.Ops = takeOps(r)
 		}
 	}
+	rec.Ops = takeOps(r)
+	r.ExpectEnd()
+	if err := r.Err(); err != nil {
+		return walRecord{}, &corruptRecordError{err}
+	}
+	return rec, nil
+}
+
+// takeOps decodes an op list (see appendOps), filing each op under its
+// group. After a failure it returns what it read; the reader holds the
+// error.
+func takeOps(r *codec.Reader) opList {
+	var ops opList
 	// Each op costs at least one byte on the wire.
 	numOps := r.TakeCount("op count", 1)
-	if err := r.Err(); err != nil {
-		return walRecord{}, fmt.Errorf("peb: corrupt wal record: %w", err)
+	if r.Err() != nil {
+		return ops
 	}
-	rec.Ops.Idx = make([]core.BatchOp, 0, numOps)
-	for i := 0; i < numOps; i++ {
+	ops.Idx = make([]core.BatchOp, 0, numOps)
+	for i := 0; i < numOps && r.Err() == nil; i++ {
 		switch kind := r.TakeByte("op kind"); kind {
 		case byte(core.OpSetSV):
-			rec.Ops.Idx = append(rec.Ops.Idx, core.BatchOp{Kind: core.OpSetSV,
+			ops.Idx = append(ops.Idx, core.BatchOp{Kind: core.OpSetSV,
 				UID: takeUserID(r, "setSV uid"), SV: r.TakeFloat("setSV sv")})
 		case byte(core.OpUpsert):
-			rec.Ops.Idx = append(rec.Ops.Idx, core.BatchOp{Kind: core.OpUpsert, Obj: Object{
+			ops.Idx = append(ops.Idx, core.BatchOp{Kind: core.OpUpsert, Obj: Object{
 				UID: takeUserID(r, "upsert uid"),
 				X:   r.TakeFloat("upsert x"),
 				Y:   r.TakeFloat("upsert y"),
@@ -179,15 +214,15 @@ func decodeRecord(data []byte) (walRecord, error) {
 				T:   r.TakeFloat("upsert t"),
 			}})
 		case byte(core.OpRemove):
-			rec.Ops.Idx = append(rec.Ops.Idx, core.BatchOp{Kind: core.OpRemove, UID: takeUserID(r, "remove uid")})
+			ops.Idx = append(ops.Idx, core.BatchOp{Kind: core.OpRemove, UID: takeUserID(r, "remove uid")})
 		case byte(polOpRelation):
-			rec.Ops.Pol = append(rec.Ops.Pol, polOp{Kind: polOpRelation,
+			ops.Pol = append(ops.Pol, polOp{Kind: polOpRelation,
 				Own:  takeUserID(r, "relation owner"),
 				Peer: takeUserID(r, "relation peer"),
 				Role: Role(r.TakeBytes("relation role")),
 			})
 		case byte(polOpGrant):
-			rec.Ops.Pol = append(rec.Ops.Pol, polOp{Kind: polOpGrant,
+			ops.Pol = append(ops.Pol, polOp{Kind: polOpGrant,
 				Own:  takeUserID(r, "grant owner"),
 				Role: Role(r.TakeBytes("grant role")),
 				Locr: Region{
@@ -201,7 +236,7 @@ func decodeRecord(data []byte) (walRecord, error) {
 		case byte(polOpEncode):
 			enc := &rebuildOp{}
 			// Each assignment entry needs at least a uid and an sv varint.
-			if n := r.TakeCount("assignment count", 2); n > 0 && r.Err() == nil {
+			if n := r.TakeCount("assignment count", 2); n > 0 {
 				enc.Assign = make([]assignRec, n)
 			}
 			for j := range enc.Assign {
@@ -214,17 +249,10 @@ func decodeRecord(data []byte) (walRecord, error) {
 				r.Failf("assignment groups %d implausible", g)
 			}
 			enc.Groups = int(g)
-			rec.Ops.Pol = append(rec.Ops.Pol, polOp{Kind: polOpEncode, Rebuild: enc})
+			ops.Pol = append(ops.Pol, polOp{Kind: polOpEncode, Rebuild: enc})
 		default:
 			r.Failf("unknown op kind %d", kind)
 		}
-		if err := r.Err(); err != nil {
-			return walRecord{}, fmt.Errorf("peb: corrupt wal record: %w", err)
-		}
 	}
-	r.ExpectEnd()
-	if err := r.Err(); err != nil {
-		return walRecord{}, fmt.Errorf("peb: corrupt wal record: %w", err)
-	}
-	return rec, nil
+	return ops
 }
