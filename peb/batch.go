@@ -98,10 +98,15 @@ func (b *Batch) list() opList {
 // interleaving does not matter. As with DB.Grant/DefineRelation, applied
 // policy changes take effect on new sequence values only after
 // EncodePolicies.
-func (db *DB) Apply(b *Batch) error {
+func (db *DB) Apply(b *Batch) error { return acknowledge(db.StageApply(b)) }
+
+// StageApply is Apply up to the wait (see StageUpsert): the batch is
+// applied and visible when it returns, and durable once the handle's Wait
+// returns.
+func (db *DB) StageApply(b *Batch) (Staged, error) {
 	var ops opList
 	if b != nil {
 		ops = b.list()
 	}
-	return db.commit(ops)
+	return db.stage(ops)
 }

@@ -13,8 +13,8 @@ import (
 // The write path.
 //
 // Every mutation — Upsert, Remove, DefineRelation, Grant, EncodePolicies,
-// InstallEncoding, Apply — is an opList handed to commit.
-// commit runs six stages under the write lock:
+// InstallEncoding, Apply — is an opList handed to stage, which runs six
+// stages under the write lock:
 //
 //	1 validate  closed DB, invalid grant regions, an encoding that misses
 //	            an indexed user — nothing has been touched when one of
@@ -31,17 +31,67 @@ import (
 //	            commit hooks
 //	6 log       append the record (log order equals apply order)
 //
-// and then, outside the lock, waits for the record to be durable — which
-// is what lets concurrent commits share one fsync — and observes the
-// commit latency. A cross-shard participant splits the stages at the
-// decision (prepared.go): Prepare runs 1–2 and a dry run of 4, logging
-// nothing; after the coordinator's record is durable, Coordinate and
-// Commit run 3–6. Recovery (replayWAL) runs stage 4 on decoded records, so
-// live commit and replay execute the same code.
+// That is stage (exported as StageUpsert, StageRemove and StageApply). It
+// returns a handle, Staged, whose Wait blocks outside the lock until the
+// record is durable — which is what lets concurrent commits share one
+// fsync — and observes the commit latency from the call to durability. A
+// commit is visible once staged and acknowledged once Wait returns; every
+// mutation is stage then Wait, and the router (peb/sharded) releases its
+// own locks between the two. A cross-shard participant splits the stages
+// at the decision (prepared.go): Prepare runs 1–2 and a dry run of 4,
+// logging nothing; after the coordinator's record is durable, Coordinate
+// and Commit run 3–6, and a part's handle is a Staged too. Recovery
+// (replayWAL) runs stage 4 on decoded records, so live commit and replay
+// execute the same code.
 
-// commit applies ops atomically as one logged commit. An empty list
-// commits nothing.
-func (db *DB) commit(ops opList) error {
+// Staged is a commit that is applied — visible to every later query and
+// commit on its DB — but not yet known durable. It is a value: it holds no
+// lock and needs no cleanup, and a handle that is never waited on leaves
+// its record to the DB's next sync. The zero value is a commit that needs
+// no wait.
+type Staged struct {
+	db    *DB
+	wal   *store.SegmentedWAL // the log the record went to; nil: nothing to sync
+	tok   store.WALToken
+	start time.Time // the call's start; zero when the latency is observed elsewhere
+}
+
+// Wait blocks until the staged record is durable, then observes
+// peb_commit_seconds from the call that staged it. It is the commit's
+// acknowledgement: an error means the record's fate is unknown and the
+// log is poisoned. The handle keeps the log it was appended to, so a
+// commit whose DB closed meanwhile learns what Close's final sync did.
+func (s Staged) Wait() error {
+	if s.wal != nil {
+		if err := s.wal.Commit(s.tok); err != nil {
+			return fmt.Errorf("peb: wal commit: %w", err)
+		}
+	}
+	if !s.start.IsZero() {
+		s.db.met.commit.ObserveDuration(time.Since(s.start))
+	}
+	return nil
+}
+
+// Durable reports, without syncing, whether the staged record is durable.
+func (s Staged) Durable() bool { return s.wal == nil || s.wal.Durable(s.tok) }
+
+// commit applies ops atomically as one logged commit and waits until it
+// is durable. An empty list commits nothing.
+func (db *DB) commit(ops opList) error { return acknowledge(db.stage(ops)) }
+
+// acknowledge waits for a commit stage returned: the second half of the
+// one commit path.
+func acknowledge(s Staged, err error) error {
+	if err != nil {
+		return err
+	}
+	return s.Wait()
+}
+
+// stage runs stages 1–6 of ops under the write lock and returns the
+// commit's durability handle. An empty list stages nothing.
+func (db *DB) stage(ops opList) (Staged, error) {
 	start := time.Now()
 	policyChange, rebuild := opClasses(ops.Pol)
 	if rebuild {
@@ -52,18 +102,15 @@ func (db *DB) commit(ops opList) error {
 	}
 	db.mu.Lock()
 	tok, err := db.commitLocked(ops, policyChange, rebuild)
+	s := Staged{db: db, wal: db.wal, tok: tok, start: start}
 	db.mu.Unlock()
 	if rebuild {
 		db.ckptMu.Unlock()
 	}
 	if err != nil || ops.len() == 0 {
-		return err
+		return Staged{}, err
 	}
-	if err := db.walSync(tok); err != nil {
-		return err
-	}
-	db.met.commit.ObserveDuration(time.Since(start))
-	return nil
+	return s, nil
 }
 
 // commitLocked is stages 1–6; the caller holds the write lock and passes

@@ -275,3 +275,37 @@ func TestPolOpSize(t *testing.T) {
 		t.Fatalf("polOp is %d bytes, want at most 88", got)
 	}
 }
+
+// TestStagedWaitAfterClose: a staged commit whose DB closes before its
+// wait is acknowledged by what Close's final log sync did — nil when the
+// sync made it durable, the sync's error when it failed — and is visible
+// from staging on.
+func TestStagedWaitAfterClose(t *testing.T) {
+	for _, cut := range []bool{false, true} {
+		fs := store.NewCrashFS()
+		db, err := Open(Options{Path: "db.idx", Durability: DurabilitySync, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := db.StageUpsert(Object{UID: 1, X: 10, Y: 10, T: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := db.Lookup(1); err != nil || !ok {
+			t.Fatalf("staged upsert not visible: %v %v", ok, err)
+		}
+		if s.Durable() {
+			t.Fatal("staged upsert durable before any sync")
+		}
+		if cut {
+			fs.CutPower()
+		}
+		closeErr := db.Close()
+		if err := s.Wait(); cut != (err != nil) || cut && !errors.Is(err, store.ErrInjected) {
+			t.Fatalf("power cut %v: Wait after Close = %v (Close: %v)", cut, err, closeErr)
+		}
+		if s.Durable() == cut {
+			t.Fatalf("power cut %v: Durable after Close = %v", cut, s.Durable())
+		}
+	}
+}

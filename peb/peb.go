@@ -673,13 +673,22 @@ func (db *DB) EncodePolicies() error {
 //
 // Bulk loads should stage updates in a Batch and call Apply: one lock
 // acquisition and one view republish for the whole batch.
-func (db *DB) Upsert(o Object) error {
-	return db.commit(opList{Idx: []core.BatchOp{{Kind: core.OpUpsert, Obj: o}}})
+func (db *DB) Upsert(o Object) error { return acknowledge(db.StageUpsert(o)) }
+
+// StageUpsert is Upsert up to the wait: the update is applied and visible
+// to every later query and commit when it returns, and durable once the
+// handle's Wait returns. A router stages under its own locks and waits
+// after releasing them.
+func (db *DB) StageUpsert(o Object) (Staged, error) {
+	return db.stage(opList{Idx: []core.BatchOp{{Kind: core.OpUpsert, Obj: o}}})
 }
 
 // Remove deletes a user's index entry (the user's policies remain).
-func (db *DB) Remove(uid UserID) error {
-	return db.commit(opList{Idx: []core.BatchOp{{Kind: core.OpRemove, UID: uid}}})
+func (db *DB) Remove(uid UserID) error { return acknowledge(db.StageRemove(uid)) }
+
+// StageRemove is Remove up to the wait (see StageUpsert).
+func (db *DB) StageRemove(uid UserID) (Staged, error) {
+	return db.stage(opList{Idx: []core.BatchOp{{Kind: core.OpRemove, UID: uid}}})
 }
 
 // Lookup returns a user's stored movement state.

@@ -42,7 +42,15 @@ import (
 //
 // The caller must be every participant's only writer from Prepare to the
 // last Commit: the parts are applied to the state they were validated
-// against. peb/sharded holds its global barrier lock across all of it.
+// against. peb/sharded holds its barrier exclusively from Prepare to the
+// last Commit; its routed writes stage under the barrier's shared side, so
+// none lands in between, and wait for durability outside it. A part is
+// validated against what its participant has applied, durable or not, and
+// a redo replays it against what that participant recovered. So the caller
+// must also not prepare a part that reads a user's commit before that
+// commit is durable: peb/sharded holds a user's lock from staging a routed
+// write to its durability, and takes the locks of a transaction's users
+// before it prepares.
 
 // txnPart is one participant's share of a cross-shard transaction, as the
 // coordinator's record logs it: the participant's stable id (the
@@ -60,7 +68,7 @@ type Prepared struct {
 	db    *DB // nil for a part Coordinated reported, until Redo
 	txnID uint64
 	part  txnPart
-	tok   store.WALToken // the part's record, once logged
+	rec   Staged // the part's record, once Commit logged it
 }
 
 // Prepare validates the batch exactly as Apply would, as the part of the
@@ -190,10 +198,14 @@ func (p *Prepared) Commit(txnID uint64) error {
 	if err := p.applyLocked(); err != nil {
 		return err
 	}
-	var err error
-	if p.tok, err = db.walAppend(walRecord{NextSV: db.nextSV, Ops: ops, TxnID: txnID}); err != nil {
+	tok, err := db.walAppend(walRecord{NextSV: db.nextSV, Ops: ops, TxnID: txnID})
+	if err != nil {
 		return err
 	}
+	// The part's latency is observed here, not by a wait: the router
+	// acknowledges the transaction at the coordinator's record, and a part
+	// becomes durable with its DB's next sync.
+	p.rec = Staged{db: db, wal: db.wal, tok: tok}
 	db.met.commit.ObserveDuration(time.Since(start))
 	return nil
 }
@@ -221,16 +233,10 @@ func (p *Prepared) applyLocked() error {
 func (p *Prepared) Txn() (txnID uint64, id int) { return p.txnID, p.part.ID }
 
 // Durable reports, without syncing, whether the part's record is durable.
-func (p *Prepared) Durable() bool {
-	db := p.db
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	// A closed DB synced its log on the way out.
-	return db.wal == nil || db.wal.Durable(p.tok)
-}
+func (p *Prepared) Durable() bool { return p.rec.Durable() }
 
 // Sync waits until the part's record is durable.
-func (p *Prepared) Sync() error { return p.db.walSync(p.tok) }
+func (p *Prepared) Sync() error { return p.rec.Wait() }
 
 // Release ends a coordinator handle's hold on the log (a no-op otherwise).
 func (p *Prepared) Release() { p.db.release(p) }

@@ -106,17 +106,23 @@ func staged(all []part) []part {
 // eviction from the previous owner when the user moves across a boundary),
 // policy operations go to the policy engine — and then:
 //
-//   - a batch with a single participant commits directly through that
-//     engine's atomic Apply (a policy-only batch is one commit on the
-//     policy engine);
+//   - a batch with a single participant stages through that engine's
+//     atomic Apply (a policy-only batch is one commit on the policy
+//     engine) and waits for its durability after releasing the barrier;
 //   - a batch with several commits as one record: every participant
 //     validates its part (peb.DB.Prepare), so a refused batch writes
 //     nothing and the error names the lowest failing shard slot (the
 //     policy engine counts after every shard); the coordinator — the
 //     lowest participating slot — logs every part in one record, and that
-//     record's single fsync is the commit point; the other participants
-//     then apply their parts, each logging a sub-record that its shard's
-//     next sync makes durable.
+//     record's single fsync, taken under the barrier, is the commit point;
+//     the other participants then apply their parts, each logging a
+//     sub-record that its shard's next sync makes durable.
+//
+// Either way the batch becomes visible under the write barrier, all at
+// once, and Apply returns once it is durable. Apply holds its users' locks
+// from before it prepares to its return, so it waits for any of their
+// routed writes still in their fsync, and a routed write of theirs waits
+// for it.
 //
 // After a crash, Open redoes each part a participant lacks from the
 // coordinator's record (finishRecovered), so the batch is all-or-nothing
@@ -125,14 +131,31 @@ func staged(all []part) []part {
 // logs: atomicity holds in memory.
 func (db *DB) Apply(b *Batch) error {
 	db.smu.Lock()
-	defer db.smu.Unlock()
 	if db.closed {
+		db.smu.Unlock()
 		return ErrClosed
 	}
 	if b == nil || b.Len() == 0 {
+		db.smu.Unlock()
 		return nil
 	}
+	var users userSet
+	for i := range b.ops {
+		users.add(b.ops[i].obj.UID)
+	}
+	db.lockUsers(users)
+	defer db.unlockUsers(users)
+	s, err := db.applyLocked(b)
+	db.smu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.Wait()
+}
 
+// applyLocked routes and commits a batch (see Apply). The caller holds the
+// write barrier and the batch's user locks.
+func (db *DB) applyLocked(b *Batch) (peb.Staged, error) {
 	// Split by participant. ownerDelta tracks the routing consequences in
 	// batch order, so multi-step sequences on one user (upsert here, then
 	// there) stage the right inserts and evictions.
@@ -157,7 +180,7 @@ func (db *DB) Apply(b *Batch) error {
 		cur, had := ownerOf(uid)
 		if op.remove {
 			if !had {
-				return fmt.Errorf("sharded: apply: remove of unindexed user %d", uid)
+				return peb.Staged{}, fmt.Errorf("sharded: apply: remove of unindexed user %d", uid)
 			}
 			all[cur].b.Remove(uid)
 			ownerDelta[uid] = ownerTombstone
@@ -170,34 +193,38 @@ func (db *DB) Apply(b *Batch) error {
 		}
 		ownerDelta[uid] = target
 	}
-	committed, err := db.commitParts(staged(all))
+	s, committed, err := db.commitParts(staged(all))
 	if committed {
 		db.applyOwnerDelta(ownerDelta)
 	}
-	return err
+	return s, err
 }
 
 // commitParts atomically commits the participants' staged sub-batches: a
-// single participant commits through its own atomic Apply, several as one
-// coordinator record (see Apply). Shared by Apply and the resharding
-// migration loop (reshard.go), which moves objects between shards with
-// exactly the same all-or-nothing guarantees as a user batch. The caller
-// holds the write barrier.
+// single participant stages through its own atomic Apply, several commit
+// as one coordinator record (see Apply). Shared by Apply and the
+// resharding migration loop (reshard.go), which moves objects between
+// shards with exactly the same all-or-nothing guarantees as a user batch.
+// The caller holds the write barrier and the user locks of every user the
+// parts touch.
 //
-// committed reports whether the transaction is committed (it can be true
-// alongside a non-nil error: a participant failed to apply its decided
-// part, and the router fail-stopped for the reopen to redo it).
-func (db *DB) commitParts(parts []part) (committed bool, err error) {
+// The returned handle is the single participant's commit, for the caller
+// to wait on once it has released the barrier; a cross-shard commit is
+// durable at its commit point and returns the zero handle. committed
+// reports whether the transaction is committed (it can be true alongside
+// a non-nil error: a participant failed to apply its decided part, and
+// the router fail-stopped for the reopen to redo it).
+func (db *DB) commitParts(parts []part) (s peb.Staged, committed bool, err error) {
 	if len(parts) == 0 {
-		return true, nil
+		return s, true, nil
 	}
 
 	// Single participant: its own atomic Apply is all the protocol needed.
 	if len(parts) == 1 {
-		if err := parts[0].eng.Apply(parts[0].b); err != nil {
-			return false, err
+		if s, err = parts[0].eng.StageApply(parts[0].b); err != nil {
+			return s, false, err
 		}
-		return true, db.noteCommitted(parts)
+		return s, true, db.noteCommitted(parts)
 	}
 
 	// Cross-shard. Every participant validates its part before anything is
@@ -205,14 +232,14 @@ func (db *DB) commitParts(parts []part) (committed bool, err error) {
 	prepared := make([]*peb.Prepared, len(parts))
 	for j, p := range parts {
 		if prepared[j], err = p.eng.Prepare(p.b, p.id); err != nil {
-			return false, fmt.Errorf("sharded: apply: %s: %w", p, err)
+			return s, false, fmt.Errorf("sharded: apply: %s: %w", p, err)
 		}
 	}
 	// Release the holds whose parts became durable since the last commit.
 	db.settle(false)
 	txnID := db.allocTxn()
 	if err := prepared[0].Coordinate(txnID, prepared[1:]); err != nil {
-		return false, db.failStop(txnID, parts[0], err)
+		return s, false, db.failStop(txnID, parts[0], err)
 	}
 
 	// Committed. The other participants apply their parts one after
@@ -220,7 +247,7 @@ func (db *DB) commitParts(parts []part) (committed bool, err error) {
 	// another goroutine and waking a processor for it on a small machine.
 	for j, p := range prepared[1:] {
 		if err := p.Commit(txnID); err != nil {
-			return true, db.failStop(txnID, parts[j+1], err)
+			return s, true, db.failStop(txnID, parts[j+1], err)
 		}
 	}
 	db.txnMu.Lock()
@@ -234,7 +261,7 @@ func (db *DB) commitParts(parts []part) (committed bool, err error) {
 		// poisoned that engine's log; its next commit reports it.
 		_ = db.settle(true)
 	}
-	return true, db.noteCommitted(parts)
+	return s, true, db.noteCommitted(parts)
 }
 
 // maxUnsettled bounds how many committed transactions may wait for their

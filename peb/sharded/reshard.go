@@ -389,6 +389,7 @@ func (db *DB) migrateStepLocked() (int, error) {
 	}
 	all := db.participants()
 	delta := make(map[UserID]int)
+	var users userSet
 	moved := 0
 	for _, o := range objs {
 		target := db.shardOf(o.X, o.Y)
@@ -398,6 +399,7 @@ func (db *DB) migrateStepLocked() (int, error) {
 		all[target].b.Upsert(o)
 		all[srcSlot].b.Remove(o.UID)
 		delta[o.UID] = target
+		users.add(o.UID)
 		moved++
 		if moved >= migrateBatch {
 			break
@@ -406,7 +408,12 @@ func (db *DB) migrateStepLocked() (int, error) {
 	if moved == 0 {
 		return 0, nil
 	}
-	committed, err := db.commitParts(staged(all))
+	// The moved users' routed writes still in their fsync finish first: a
+	// part must not read a commit a power cut could still lose.
+	// A move has two participants, so it is durable at its commit point.
+	db.lockUsers(users)
+	_, committed, err := db.commitParts(staged(all))
+	db.unlockUsers(users)
 	if committed {
 		db.applyOwnerDelta(delta)
 	}

@@ -41,12 +41,20 @@
 // written once, not once per shard.
 //
 // Concurrency: all methods are safe for concurrent use. Routed operations
-// (Upsert, Remove, queries) share a read lock and run concurrently;
-// cross-shard operations (Apply with multiple owners, policy changes,
-// EncodePolicies, Snapshot) take the write side and act as a brief global
-// barrier. Concurrent updates to the same user from different goroutines
-// have no defined order (issue each user's updates from one goroutine, as
-// a location service naturally does).
+// (Upsert, Remove, queries) share the read side of the router barrier and
+// run concurrently; Apply (policy changes among them), EncodePolicies,
+// Snapshot, Split, Merge and Close take the write side and act as a brief
+// global barrier. A write is visible once applied and acknowledged once
+// durable, as in one engine with group commit: a routed Upsert or Remove
+// holds the read side only while it applies, then waits for its fsync
+// holding only its user's lock, so no barrier holder waits on it. Apply
+// makes its batch visible under the write side; a single-participant
+// batch — every Grant and DefineRelation — waits for its fsync after
+// releasing it, while a cross-shard batch keeps its coordinator's fsync,
+// the commit point, inside. A batch waits for its own users' routed writes
+// still in their fsync. Concurrent updates to the same user from different
+// goroutines have no defined order (issue each user's updates from one
+// goroutine, as a location service naturally does).
 package sharded
 
 import (
@@ -128,6 +136,9 @@ type Options struct {
 	AutoReshard AutoReshardPolicy
 }
 
+// userStripes is the number of user locks: one bit of a userSet each.
+const userStripes = 64
+
 // DB is a space-partitioned moving-object database over independent
 // peb.DB shards.
 type DB struct {
@@ -174,9 +185,11 @@ type DB struct {
 
 	// smu is the router barrier: routed single-shard operations and
 	// queries hold the read side (and so run concurrently, each
-	// serializing only inside its own shard), while cross-shard atomic
-	// operations — multi-shard Apply, policy commits, EncodePolicies,
-	// Snapshot, Close — hold the write side.
+	// serializing only inside its own shard), while atomic operations —
+	// Apply, policy commits, EncodePolicies, Snapshot, topology changes,
+	// Close — hold the write side. A routed write holds the read side only
+	// while it applies, a single-participant Apply the write side only
+	// while it applies: their fsync waits hold neither.
 	smu    sync.RWMutex
 	closed bool
 
@@ -185,11 +198,14 @@ type DB struct {
 	// a shard.
 	ownMu sync.Mutex
 	owner map[UserID]int
-	// userMu serializes the one-shot writes of one user (striped by id). A
-	// re-homing Upsert is an insert into the new shard plus a delete from
-	// the old one; without it a concurrent Upsert of the same user back
-	// into the old shard could land between the two and be deleted.
-	userMu [64]sync.Mutex
+	// userMu serializes the writes of one user (striped by id, taken after
+	// smu). A re-homing Upsert is an insert into the new shard plus a delete
+	// from the old one; without it a concurrent Upsert of the same user back
+	// into the old shard could land between the two and be deleted. A
+	// routed write holds it until it is durable, and a transaction takes
+	// its users' locks before it prepares, so no part is validated against
+	// a commit a power cut could still lose.
+	userMu [userStripes]sync.Mutex
 
 	// Cross-shard transaction state (batch.go): nextTxn allocates ids above
 	// every engine's watermark; unsettled lists, coordinator first, the
@@ -483,58 +499,111 @@ func (db *DB) closeLocked() error {
 // re-homed: inserted into the new shard first, then removed from the old,
 // so concurrent queries see the user throughout (briefly possibly twice;
 // query merging keeps the newer state).
+//
+// The update is staged under the router's shared barrier and the user's
+// lock: it is visible to every query and commit from then on. Upsert then
+// releases the barrier and waits, holding only the user's lock, until the
+// update is durable, and returns once it is: cross-shard batches, policy
+// commits, snapshots and topology changes do not wait for its fsync. A
+// re-home waits for the insert before it logs the eviction, still under
+// the barrier: were the eviction durable and the insert not, a power cut
+// would lose the user.
 func (db *DB) Upsert(o Object) error {
-	db.smu.RLock()
-	defer db.smu.RUnlock()
-	if db.closed {
-		return ErrClosed
-	}
-	mu := &db.userMu[int(o.UID)%len(db.userMu)]
-	mu.Lock()
-	defer mu.Unlock()
-	target := db.shardOf(o.X, o.Y)
-	if err := db.shards[target].Upsert(o); err != nil {
-		return err
-	}
-	db.noteWrite(target)
-	db.ownMu.Lock()
-	prev, had := db.owner[o.UID]
-	db.owner[o.UID] = target
-	db.ownMu.Unlock()
-	if had && prev != target {
-		if err := db.shards[prev].Remove(o.UID); err != nil {
-			return fmt.Errorf("sharded: re-home user %d out of shard %d: %w", o.UID, prev, err)
+	return db.routedWrite(o.UID, func() (peb.Staged, error) {
+		target := db.shardOf(o.X, o.Y)
+		s, err := db.shards[target].StageUpsert(o)
+		if err != nil {
+			return s, err
+		}
+		db.noteWrite(target)
+		db.ownMu.Lock()
+		prev, had := db.owner[o.UID]
+		db.owner[o.UID] = target
+		db.ownMu.Unlock()
+		if !had || prev == target {
+			return s, nil
+		}
+		if err := s.Wait(); err != nil {
+			return peb.Staged{}, err
+		}
+		if s, err = db.shards[prev].StageRemove(o.UID); err != nil {
+			return s, fmt.Errorf("sharded: re-home user %d out of shard %d: %w", o.UID, prev, err)
 		}
 		db.noteWrite(prev)
-	}
-	return nil
+		return s, nil
+	})
 }
 
-// Remove deletes a user's index entry (their policies remain). Removing a user with no index entry is an error, matching the
-// single-tree engine.
+// Remove deletes a user's index entry (their policies remain). Removing a
+// user with no index entry is an error, matching the single-tree engine.
+// Like Upsert, it waits for durability outside the barrier.
 func (db *DB) Remove(uid UserID) error {
+	return db.routedWrite(uid, func() (peb.Staged, error) {
+		db.ownMu.Lock()
+		idx, ok := db.owner[uid]
+		db.ownMu.Unlock()
+		if !ok {
+			return peb.Staged{}, fmt.Errorf("sharded: remove: user %d is not indexed", uid)
+		}
+		s, err := db.shards[idx].StageRemove(uid)
+		if err != nil {
+			return s, err
+		}
+		db.noteWrite(idx)
+		db.ownMu.Lock()
+		delete(db.owner, uid)
+		db.ownMu.Unlock()
+		return s, nil
+	})
+}
+
+// routedWrite runs a one-shot write of user uid: stage under the shared
+// barrier and the user's lock, then wait for durability holding only the
+// user's lock, so the user's next transaction reads only durable state of
+// theirs (see Apply).
+func (db *DB) routedWrite(uid UserID, stage func() (peb.Staged, error)) error {
 	db.smu.RLock()
-	defer db.smu.RUnlock()
 	if db.closed {
+		db.smu.RUnlock()
 		return ErrClosed
 	}
-	mu := &db.userMu[int(uid)%len(db.userMu)]
+	mu := &db.userMu[userStripe(uid)]
 	mu.Lock()
 	defer mu.Unlock()
-	db.ownMu.Lock()
-	idx, ok := db.owner[uid]
-	db.ownMu.Unlock()
-	if !ok {
-		return fmt.Errorf("sharded: remove: user %d is not indexed", uid)
-	}
-	if err := db.shards[idx].Remove(uid); err != nil {
+	s, err := stage()
+	db.smu.RUnlock()
+	if err != nil {
 		return err
 	}
-	db.noteWrite(idx)
-	db.ownMu.Lock()
-	delete(db.owner, uid)
-	db.ownMu.Unlock()
-	return nil
+	return s.Wait()
+}
+
+// userStripe is the index of uid's lock in userMu.
+func userStripe(uid UserID) int { return int(uid % userStripes) }
+
+// userSet is a set of user-lock stripes, one bit each.
+type userSet uint64
+
+// add puts uid's stripe in the set.
+func (u *userSet) add(uid UserID) { *u |= 1 << userStripe(uid) }
+
+// lockUsers takes every user lock in set, in stripe order. The caller
+// holds the write barrier, so no other holder of several is taking them.
+func (db *DB) lockUsers(set userSet) {
+	for i := range db.userMu {
+		if set&(1<<i) != 0 {
+			db.userMu[i].Lock()
+		}
+	}
+}
+
+// unlockUsers releases every user lock in set.
+func (db *DB) unlockUsers(set userSet) {
+	for i := range db.userMu {
+		if set&(1<<i) != 0 {
+			db.userMu[i].Unlock()
+		}
+	}
 }
 
 // DefineRelation records a role relation: one commit on the policy

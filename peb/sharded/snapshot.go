@@ -22,8 +22,9 @@ type Snapshot struct {
 }
 
 // Snapshot pins a consistent cut. The barrier it takes is brief — one
-// in-memory pin per shard, no I/O — but it does drain in-flight routed
-// writes, the cost of cross-shard consistency. The caller must Close the
+// in-memory pin per shard, no I/O — but it does drain routed writes still
+// applying (not their fsyncs), the cost of cross-shard consistency. The
+// cut may hold writes not yet durable: a write is visible once applied. The caller must Close the
 // snapshot; an unclosed snapshot pins superseded pages in every shard.
 func (db *DB) Snapshot() (*Snapshot, error) {
 	db.smu.Lock()

@@ -135,8 +135,9 @@ func decodeAssignment(op *rebuildOp) policy.Assignment {
 // id and — on the coordinator's record — the other participants' parts.
 // The caller holds the write lock and has already applied the operations
 // in memory successfully — or, for a coordinator's record, checked that
-// they apply; it fills every field but Seq. The returned token is passed to walSync after
-// the lock is released. A nil WAL logs nothing.
+// they apply; it fills every field but Seq. The returned token goes into a
+// Staged, whose Wait syncs it after the lock is released. A nil WAL logs
+// nothing.
 //
 // An append failure poisons the WAL: the in-memory state is ahead of the
 // log, and accepting any later record would persist a history with a hole.
@@ -164,28 +165,6 @@ func (db *DB) walAppend(rec walRecord) (store.WALToken, error) {
 	// nudge the maintainer (non-blocking).
 	db.maybeAutoCheckpoint()
 	return tok, nil
-}
-
-// walSync completes a commit: it blocks until the record is durable
-// according to the configured durability level. Called without the write
-// lock (that is the point — waiters here share fsyncs with concurrent
-// committers). The WAL pointer is re-read under the read lock because a
-// concurrent Close may detach it; Close syncs the log first, so a commit
-// that finds the WAL gone is already durable.
-func (db *DB) walSync(tok store.WALToken) error {
-	if tok == 0 {
-		return nil
-	}
-	db.mu.RLock()
-	w := db.wal
-	db.mu.RUnlock()
-	if w == nil {
-		return nil
-	}
-	if err := w.Commit(tok); err != nil {
-		return fmt.Errorf("peb: wal commit: %w", err)
-	}
-	return nil
 }
 
 // replayRecord re-applies one committed record during recovery.
