@@ -10,9 +10,8 @@
 //   - a privacy-aware range query over one district, which the router
 //     prunes to the shards whose curve range can matter (watch the
 //     per-shard population to see why most shards are skipped);
-//   - a privacy-aware k-nearest-neighbor query, answered by probe then
-//     wave — the shard containing the query point first, then together
-//     the rest that could still beat its k-th best candidate;
+//   - a privacy-aware k-nearest-neighbor query, answered by every shard,
+//     concurrently, and merged to the k nearest;
 //   - the same queries on a consistent Snapshot taken under the router's
 //     brief global barrier, while updates keep flowing.
 package main
@@ -109,8 +108,8 @@ func main() {
 	}
 	fmt.Printf("\nPRQ over the north-east district at t=10: %d residents visible\n", len(inDistrict))
 
-	// Nearest units to an incident downtown: the nearest shard is probed,
-	// and its k-th distance bounds which other shards are asked.
+	// Nearest units to an incident downtown: every shard is asked,
+	// concurrently, and the answers merge to the k nearest.
 	const k = 5
 	nearest, err := db.NearestNeighbors(dispatcher, 500, 500, k, 10)
 	if err != nil {

@@ -2,17 +2,17 @@
 // whose instruments the hot paths can feed with zero allocations, and a
 // bounded structured event log for maintainer decisions (events.go).
 //
-// The design splits the cost asymmetrically. Recording — Counter.Inc,
-// Gauge.Set, Histogram.Observe — is a handful of atomic adds on
-// pre-registered instruments: no locks, no allocations, safe from any
-// goroutine, so commit and query paths carry instrumentation at full
-// speed. Reading — Gather/WriteText — takes the registry lock, runs the
-// pull-based collectors, renders label strings, and sorts families; it
-// allocates freely because scrapes are rare and never on a hot path.
+// The design splits the cost asymmetrically. Recording — Histogram.Observe
+// — is a handful of atomic adds on a pre-registered instrument: no locks,
+// no allocations, safe from any goroutine, so the commit path carries
+// instrumentation at full speed. Everything else is pulled: collectors
+// read the engine's own counters at scrape time. Reading — WriteText —
+// takes the registry lock, runs the collectors, renders label strings,
+// and sorts families; it allocates freely because scrapes are rare and
+// never on a hot path.
 //
-// Instruments are nil-safe: every method on a nil *Counter, *Gauge,
-// *Histogram, or *EventLog is a no-op, so call sites need no "is
-// observability enabled" branches.
+// Every method on a nil *Histogram or *EventLog is a no-op, so call sites
+// need no "is observability enabled" branches.
 package obs
 
 import (
@@ -32,51 +32,6 @@ import (
 type Label struct {
 	Key   string
 	Value string
-}
-
-// Counter is a monotonically increasing value.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64 // math.Float64bits
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // histBuckets is the fixed bucket count: index i = bits.Len64(v), so
@@ -151,39 +106,6 @@ func (s *HistSnapshot) Merge(o HistSnapshot) {
 	}
 }
 
-// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1) in raw
-// units: the upper edge of the bucket holding the q-th sample. Zero when
-// the histogram is empty.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	var total uint64
-	for _, b := range s.Buckets {
-		total += b
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen uint64
-	for i, b := range s.Buckets {
-		seen += b
-		if seen >= rank {
-			return bucketUpper(i)
-		}
-	}
-	return bucketUpper(histBuckets - 1)
-}
-
-// Mean returns the mean sample in raw units (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // bucketUpper is bucket i's inclusive upper edge in raw units: 2^i − 1
 // (bucket 0 holds only zero). The last bucket's edge is the uint64 max.
 func bucketUpper(i int) float64 {
@@ -196,22 +118,10 @@ func bucketUpper(i int) float64 {
 	return float64(uint64(1)<<uint(i) - 1)
 }
 
-// metricKind tags a registered instrument for exposition.
-type metricKind uint8
-
-const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
-)
-
 type metricEntry struct {
 	name   string
 	help   string
-	kind   metricKind
 	labels []Label
-	c      *Counter
-	g      *Gauge
 	h      *Histogram
 }
 
@@ -233,20 +143,6 @@ func NewRegistry(constLabels ...Label) *Registry {
 	return &Registry{constLbls: constLabels}
 }
 
-// Counter registers and returns a counter series.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.add(&metricEntry{name: name, help: help, kind: kindCounter, labels: labels, c: c})
-	return c
-}
-
-// Gauge registers and returns a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.add(&metricEntry{name: name, help: help, kind: kindGauge, labels: labels, g: g})
-	return g
-}
-
 // Histogram registers and returns a histogram series. mult converts raw
 // sample units to export units at scrape time (1e-9 for ns → s; 1 for
 // dimensionless samples like records-per-fsync).
@@ -255,7 +151,9 @@ func (r *Registry) Histogram(name, help string, mult float64, labels ...Label) *
 		mult = 1
 	}
 	h := &Histogram{mult: mult}
-	r.add(&metricEntry{name: name, help: help, kind: kindHistogram, labels: labels, h: h})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.metrics = append(r.metrics, &metricEntry{name: name, help: help, labels: labels, h: h})
 	return h
 }
 
@@ -267,12 +165,6 @@ func (r *Registry) Collect(fn func(*Emit)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.collectors = append(r.collectors, fn)
-}
-
-func (r *Registry) add(e *metricEntry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.metrics = append(r.metrics, e)
 }
 
 // Sample is one exported line: a fully suffixed sample name (e.g.
@@ -369,14 +261,7 @@ func (r *Registry) gatherInto(e *Emit) {
 	defer func() { e.constLbls = saved }()
 
 	for _, m := range metrics {
-		switch m.kind {
-		case kindCounter:
-			e.Counter(m.name, m.help, float64(m.c.Value()), m.labels...)
-		case kindGauge:
-			e.Gauge(m.name, m.help, m.g.Value(), m.labels...)
-		case kindHistogram:
-			e.Histogram(m.name, m.help, m.h.Snapshot(), m.h.mult, m.labels...)
-		}
+		e.Histogram(m.name, m.help, m.h.Snapshot(), m.h.mult, m.labels...)
 	}
 	for _, fn := range collectors {
 		fn(e)

@@ -15,16 +15,14 @@ import (
 // skipped, +Inf always present.
 func TestPrometheusTextGolden(t *testing.T) {
 	r := NewRegistry(Label{Key: "shard", Value: "007"})
-	c := r.Counter("test_commits_total", "Commits since open.")
-	c.Add(42)
-	g := r.Gauge("test_size", "Indexed population.")
-	g.Set(3.5)
 	h := r.Histogram("test_latency_seconds", "Latency.", 1e-9, Label{Key: "op", Value: "prq"})
 	h.Observe(0)    // bucket 0, le=0
 	h.Observe(1)    // bucket 1, le=1e-09
 	h.Observe(1)    // bucket 1
 	h.Observe(1000) // bucket 10, le=1.023e-06
 	r.Collect(func(e *Emit) {
+		e.Counter("test_commits_total", "Commits since open.", 42)
+		e.Gauge("test_size", "Indexed population.", 3.5)
 		e.Counter("test_dyn_total", "Collector-emitted.", 5, Label{Key: "k", Value: "v"})
 		e.Gauge("test_pull", "Pull-based value.", 7)
 	})
@@ -64,10 +62,13 @@ func TestPrometheusTextGolden(t *testing.T) {
 // registries render under a single HELP/TYPE header — the sharded router
 // exports N per-shard registries with identical family names.
 func TestWriteTextMergesRegistries(t *testing.T) {
+	merged := func(v float64) func(*Emit) {
+		return func(e *Emit) { e.Counter("merged_total", "Merged family.", v) }
+	}
 	r1 := NewRegistry(Label{Key: "shard", Value: "000"})
-	r1.Counter("merged_total", "Merged family.").Add(1)
+	r1.Collect(merged(1))
 	r2 := NewRegistry(Label{Key: "shard", Value: "001"})
-	r2.Counter("merged_total", "Merged family.").Add(2)
+	r2.Collect(merged(2))
 
 	var buf bytes.Buffer
 	if err := WriteText(&buf, r1, r2); err != nil {
@@ -84,19 +85,10 @@ func TestWriteTextMergesRegistries(t *testing.T) {
 	}
 }
 
-// TestInstrumentAllocs gates the hot-path promise: recording on every
-// instrument allocates nothing.
+// TestInstrumentAllocs gates the hot-path promise: recording on a
+// histogram allocates nothing.
 func TestInstrumentAllocs(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c_total", "")
-	g := r.Gauge("g", "")
-	h := r.Histogram("h", "", 1e-9)
-	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
-		t.Errorf("Counter.Inc allocates %v/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set(1.5) }); n != 0 {
-		t.Errorf("Gauge.Set allocates %v/op, want 0", n)
-	}
+	h := NewRegistry().Histogram("h", "", 1e-9)
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(12345) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %v/op, want 0", n)
 	}
@@ -105,21 +97,16 @@ func TestInstrumentAllocs(t *testing.T) {
 	}
 }
 
-// TestNilSafety proves every instrument and the event log are no-ops on
-// nil receivers, so call sites need no enablement branches.
+// TestNilSafety proves the histogram and the event log are no-ops on nil
+// receivers, so call sites need no enablement branches.
 func TestNilSafety(t *testing.T) {
-	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var l *EventLog
-	c.Inc()
-	c.Add(5)
-	g.Set(1)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
 	l.Record("x", "y", "k", 1)
-	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
-		t.Error("nil instruments returned non-zero values")
+	if h.Snapshot().Count != 0 {
+		t.Error("nil histogram returned a non-zero count")
 	}
 	if got := l.Recent(10); got != nil {
 		t.Errorf("nil EventLog.Recent = %v, want nil", got)
@@ -129,13 +116,11 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-// TestRegistryRaceStress hammers instruments from concurrent writers
+// TestRegistryRaceStress hammers a histogram from concurrent writers
 // while a scraper renders and a registrar adds series — the -race gate
 // for the whole registry.
 func TestRegistryRaceStress(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("stress_total", "")
-	g := r.Gauge("stress_gauge", "")
 	h := r.Histogram("stress_seconds", "", 1e-9)
 	l := NewEventLog(16, nil)
 	r.Collect(func(e *Emit) {
@@ -151,8 +136,6 @@ func TestRegistryRaceStress(t *testing.T) {
 		go func(w int) {
 			defer writeWG.Done()
 			for i := 0; i < iters; i++ {
-				c.Inc()
-				g.Set(float64(i))
 				h.Observe(uint64(i * w))
 				if i%500 == 0 {
 					l.Record("stress", "tick", "writer", w, "i", i)
@@ -164,7 +147,9 @@ func TestRegistryRaceStress(t *testing.T) {
 	go func() { // late registrar races the scraper's gather
 		defer writeWG.Done()
 		for i := 0; i < 50; i++ {
-			r.Gauge("stress_late", "", Label{Key: "i", Value: string(rune('a' + i%26))})
+			lbl := Label{Key: "i", Value: string(rune('a' + i%26))}
+			r.Histogram("stress_late_seconds", "", 1e-9, lbl).Observe(uint64(i))
+			r.Collect(func(e *Emit) { e.Gauge("stress_late", "", float64(i), lbl) })
 		}
 	}()
 	scrapeWG.Add(1)
@@ -188,16 +173,14 @@ func TestRegistryRaceStress(t *testing.T) {
 	close(stop)
 	scrapeWG.Wait()
 
-	if got := c.Value(); got != writers*iters {
-		t.Errorf("counter = %d, want %d", got, writers*iters)
-	}
 	if s := h.Snapshot(); s.Count != writers*iters {
 		t.Errorf("histogram count = %d, want %d", s.Count, writers*iters)
 	}
 }
 
-// TestHistogramQuantileAndMerge checks the bucketed quantile bound and
-// snapshot mergeability.
+// TestHistogramQuantileAndMerge checks snapshot mergeability and the
+// bucket upper edges the exposition renders — the quantile bounds a
+// scraper reads.
 func TestHistogramQuantileAndMerge(t *testing.T) {
 	r := NewRegistry()
 	h1 := r.Histogram("q1", "", 1)
@@ -213,14 +196,22 @@ func TestHistogramQuantileAndMerge(t *testing.T) {
 	if s.Count != 100 {
 		t.Fatalf("merged count = %d, want 100", s.Count)
 	}
-	if q := s.Quantile(0.5); q != 127 {
-		t.Errorf("p50 = %g, want 127 (bucket upper bound of 100)", q)
+	if s.Sum != 90*100+10*100000 {
+		t.Errorf("merged sum = %d", s.Sum)
 	}
-	if q := s.Quantile(0.99); q != 131071 {
-		t.Errorf("p99 = %g, want 131071 (bucket upper bound of 100000)", q)
+	r.Collect(func(e *Emit) { e.Histogram("merged", "", s, 1) })
+	var buf bytes.Buffer
+	if err := WriteText(&buf, r); err != nil {
+		t.Fatalf("WriteText: %v", err)
 	}
-	if m := s.Mean(); m != (90*100+10*100000)/100.0 {
-		t.Errorf("mean = %g", m)
+	for _, line := range []string{
+		`merged_bucket{le="127"} 90`,     // the p50 bound: upper edge of 100's bucket
+		`merged_bucket{le="131071"} 100`, // the p99 bound: upper edge of 100000's bucket
+		`merged_bucket{le="+Inf"} 100`,
+	} {
+		if !strings.Contains(buf.String(), line+"\n") {
+			t.Errorf("missing %q in:\n%s", line, buf.String())
+		}
 	}
 }
 

@@ -1,17 +1,12 @@
 package zcurve
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Sharding helpers: a space-partitioned engine assigns each shard one
 // contiguous range of Hilbert values (the curve's locality makes a
-// contiguous value range a compact spatial region). Query routing needs two
-// geometric predicates over such ranges: "could this rectangle hold cells
-// of the range?" (range-query pruning) and "how close can a cell of the
-// range come to this point?" (kNN shard ordering and its global distance
-// bound).
+// contiguous value range a compact spatial region). Range-query routing
+// asks one geometric question of such a range: "could this rectangle hold
+// cells of the range?"
 
 // SplitRange divides the curve's full value range on a grid of the given
 // order into n contiguous, disjoint, exhaustive intervals of near-equal
@@ -122,73 +117,4 @@ func hilbertRangeIntersects(r Rect, iv Interval, qx, qy uint32, qorder, order in
 		hilbertRangeIntersects(r, iv, qx+half, qy, qorder-1, order) ||
 		hilbertRangeIntersects(r, iv, qx, qy+half, qorder-1, order) ||
 		hilbertRangeIntersects(r, iv, qx+half, qy+half, qorder-1, order)
-}
-
-// HilbertMinDist returns the minimum Euclidean distance, in continuous
-// units, from the point (x, y) to the region covered by the grid cells
-// whose Hilbert value lies in iv. A point inside the region has distance 0;
-// an empty interval returns +Inf.
-//
-// The search descends the Hilbert quadrant hierarchy: a quadrant aligned at
-// order q covers one contiguous run of 4^q curve values, so subtrees whose
-// value run misses iv — or whose bounding square is already farther than
-// the best distance found — are pruned without visiting their cells.
-func (g Grid) HilbertMinDist(x, y float64, iv Interval) float64 {
-	if iv.Hi < iv.Lo {
-		return math.Inf(1)
-	}
-	best := math.Inf(1)
-	g.hilbertMinDist(x, y, iv, 0, 0, g.Order, &best)
-	return best
-}
-
-func (g Grid) hilbertMinDist(x, y float64, iv Interval, qx, qy uint32, qorder int, best *float64) {
-	side := uint32(1) << uint(qorder)
-	qMaxX, qMaxY := qx+side-1, qy+side-1
-	lo := hilbertRunStart(qx, qy, qorder, g.Order)
-	hi := lo + uint64(side)*uint64(side) - 1
-	if hi < iv.Lo || lo > iv.Hi {
-		return // the quadrant's value run misses the interval entirely
-	}
-	d := g.distToCellRect(x, y, qx, qy, qMaxX, qMaxY)
-	if d >= *best {
-		return // cannot improve on the best distance already found
-	}
-	if iv.Lo <= lo && hi <= iv.Hi {
-		*best = d // every cell of the quadrant belongs to the interval
-		return
-	}
-	if qorder == 0 {
-		// A single cell with a partial run overlap means containment.
-		*best = d
-		return
-	}
-	half := side / 2
-	g.hilbertMinDist(x, y, iv, qx, qy, qorder-1, best)
-	g.hilbertMinDist(x, y, iv, qx+half, qy, qorder-1, best)
-	g.hilbertMinDist(x, y, iv, qx, qy+half, qorder-1, best)
-	g.hilbertMinDist(x, y, iv, qx+half, qy+half, qorder-1, best)
-}
-
-// distToCellRect returns the Euclidean distance from the continuous point
-// (x, y) to the continuous rectangle spanned by the closed grid-cell
-// rectangle [minC,maxC] × [minR,maxR]; 0 when the point is inside.
-func (g Grid) distToCellRect(x, y float64, minC, minR, maxC, maxR uint32) float64 {
-	cell := g.Side / float64(g.Cells())
-	loX, hiX := float64(minC)*cell, float64(maxC+1)*cell
-	loY, hiY := float64(minR)*cell, float64(maxR+1)*cell
-	var dx, dy float64
-	switch {
-	case x < loX:
-		dx = loX - x
-	case x > hiX:
-		dx = x - hiX
-	}
-	switch {
-	case y < loY:
-		dy = loY - y
-	case y > hiY:
-		dy = y - hiY
-	}
-	return math.Hypot(dx, dy)
 }

@@ -68,63 +68,6 @@ func TestAnyOverlaps(t *testing.T) {
 	}
 }
 
-// bruteMinDist computes the reference answer by checking every cell.
-func bruteMinDist(g Grid, x, y float64, iv Interval) float64 {
-	best := math.Inf(1)
-	cells := g.Cells()
-	for cy := uint32(0); cy < cells; cy++ {
-		for cx := uint32(0); cx < cells; cx++ {
-			v := HilbertEncode(cx, cy, g.Order)
-			if !iv.Contains(v) {
-				continue
-			}
-			if d := g.distToCellRect(x, y, cx, cy, cx, cy); d < best {
-				best = d
-			}
-		}
-	}
-	return best
-}
-
-func TestHilbertMinDistBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, order := range []int{2, 3, 4} {
-		g, err := NewGrid(100, order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := uint64(1) << uint(2*order)
-		for trial := 0; trial < 200; trial++ {
-			lo := rng.Uint64() % total
-			hi := lo + rng.Uint64()%(total-lo)
-			iv := Interval{Lo: lo, Hi: hi}
-			x := rng.Float64()*140 - 20 // including points outside the space
-			y := rng.Float64()*140 - 20
-			got := g.HilbertMinDist(x, y, iv)
-			want := bruteMinDist(g, x, y, iv)
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("order %d iv %v point (%g,%g): got %g want %g",
-					order, iv, x, y, got, want)
-			}
-		}
-	}
-}
-
-func TestHilbertMinDistEdges(t *testing.T) {
-	g, _ := NewGrid(100, 4)
-	if d := g.HilbertMinDist(50, 50, Interval{Lo: 1, Hi: 0}); !math.IsInf(d, 1) {
-		t.Fatalf("empty interval: got %g, want +Inf", d)
-	}
-	full := Interval{Lo: 0, Hi: g.MaxValue()}
-	if d := g.HilbertMinDist(50, 50, full); d != 0 {
-		t.Fatalf("interior point over full range: got %g, want 0", d)
-	}
-	// A point outside the space is as far as the space boundary.
-	if d := g.HilbertMinDist(-10, 50, full); math.Abs(d-10) > 1e-9 {
-		t.Fatalf("outside point: got %g, want 10", d)
-	}
-}
-
 // bruteIntersects computes the reference answer by checking every cell.
 func bruteIntersects(r Rect, iv Interval, order int) bool {
 	cells := uint32(1) << uint(order)
@@ -215,21 +158,6 @@ func BenchmarkHilbertRangeIntersectsRect(b *testing.B) {
 	for b.Loop() {
 		for _, iv := range benchShardCovers {
 			HilbertRangeIntersectsRect(benchRoutedRect, iv, 10)
-		}
-	}
-}
-
-// BenchmarkHilbertMinDist times knnOrder's lower bound: one routed PkNN's
-// distance to every shard's cover.
-func BenchmarkHilbertMinDist(b *testing.B) {
-	g, err := NewGrid(1000, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for b.Loop() {
-		for _, iv := range benchShardCovers {
-			g.HilbertMinDist(437.5, 311.25, iv)
 		}
 	}
 }

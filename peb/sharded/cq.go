@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/zcurve"
 	"repro/peb"
 	"repro/peb/cq"
 )
@@ -294,8 +293,8 @@ func (c *CQ) shardRemoving(id int) {
 }
 
 // desiredShards returns the ids of the shards a query must fan out to
-// under the current topology: every shard for PkNN, the shards whose
-// cover intersects the slack-enlarged region for a range query. Caller
+// under the current topology: every shard for PkNN, and for a range query
+// the one-shot routing (routeRegionOver) under the constant slack. Caller
 // holds db.smu (either side).
 func (c *CQ) desiredShards(q cq.Query) []int {
 	var out []int
@@ -305,15 +304,9 @@ func (c *CQ) desiredShards(q cq.Query) []int {
 		}
 		return out
 	}
-	ew := enlarge(q.Region, c.slack)
-	rect, ok := c.db.grid.RectOf(ew.MinX, ew.MinY, ew.MaxX, ew.MaxY)
-	if !ok {
-		return nil // the enlarged region misses the space entirely
-	}
-	for _, sm := range c.db.metas {
-		if zcurve.HilbertRangeIntersectsRect(rect, sm.cover, c.db.grid.Order) {
-			out = append(out, sm.id)
-		}
+	slack := func(int, float64) float64 { return c.slack }
+	for _, slot := range routeRegionOver(c.db.grid, c.db.covers, q.Region, 0, slack) {
+		out = append(out, c.db.metas[slot].id)
 	}
 	return out
 }

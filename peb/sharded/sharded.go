@@ -10,10 +10,9 @@
 //   - scatter-gather RangeQuery: only the shards whose curve range
 //     intersects the (motion-enlarged) query region are consulted, and
 //     their results are merged;
-//   - distributed NearestNeighbors: shards are ordered by their minimum
-//     possible distance to the query point, the nearest is probed, and the
-//     rest are queried concurrently unless they cannot beat the probe's
-//     k-th candidate;
+//   - distributed NearestNeighbors: every shard, concurrently, runs the
+//     PkNN over the issuer's grantors it holds, and the answers are merged
+//     and cut to k;
 //   - cross-shard atomic Apply: a batch is split by owning shard, every
 //     participant validates its part, and the lowest participating shard —
 //     the coordinator — logs all of them as one record in its own
@@ -60,7 +59,6 @@ package sharded
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -752,22 +750,18 @@ func (db *DB) RangeQuery(issuer UserID, r Region, t float64) ([]Object, error) {
 		db.reader)
 }
 
-// NearestNeighbors answers the privacy-aware k-nearest-neighbor query by
-// probe-then-wave: shards are ordered by the minimum distance any of their
-// objects could have to the query point (their region's distance minus
-// their motion slack), the nearest one is probed alone, and the others are
-// queried concurrently except those whose bound exceeds the probe's k-th
-// candidate — they cannot contribute. Each shard searches only for the
-// issuer's grantors it holds (core.View's residency rule), so a shard's
-// share of the query is bounded by what it stores.
+// NearestNeighbors answers the privacy-aware k-nearest-neighbor query on
+// every shard, concurrently — both halves of a split in flight among them —
+// and merges the answers. Each shard searches only for the issuer's
+// grantors it holds (core.View's residency rule), so a shard's share of the
+// query is bounded by what it stores.
 func (db *DB) NearestNeighbors(issuer UserID, x, y float64, k int, t float64) ([]Neighbor, error) {
 	db.smu.RLock()
 	defer db.smu.RUnlock()
 	if db.closed {
 		return nil, ErrClosed
 	}
-	return gatherKNN(db.knnOrder(x, y, t, db.shardSlack), issuer, x, y, k, t,
-		db.reader)
+	return gatherKNN(len(db.shards), issuer, x, y, k, t, db.reader)
 }
 
 // shardSlack is DB.MotionSlack for the live shards (the routing functions
@@ -799,31 +793,6 @@ func routeRegionOver(grid zcurve.Grid, covers []zcurve.Interval, r Region, t flo
 			out = append(out, i)
 		}
 	}
-	return out
-}
-
-// knnOrder returns every shard with its candidate-distance lower bound
-// (against its cover interval), sorted ascending — the order gatherKNN
-// probes and prunes in.
-func (db *DB) knnOrder(x, y, t float64, slack func(int, float64) float64) []knnShard {
-	return knnOrderOver(db.grid, db.covers, x, y, t, slack)
-}
-
-func knnOrderOver(grid zcurve.Grid, covers []zcurve.Interval, x, y, t float64, slack func(int, float64) float64) []knnShard {
-	out := make([]knnShard, 0, len(covers))
-	for i := range covers {
-		lb := grid.HilbertMinDist(x, y, covers[i]) - slack(i, t)
-		if lb < 0 {
-			lb = 0
-		}
-		out = append(out, knnShard{idx: i, lb: lb})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].lb != out[b].lb {
-			return out[a].lb < out[b].lb
-		}
-		return out[a].idx < out[b].idx
-	})
 	return out
 }
 
@@ -890,53 +859,25 @@ func gatherRange(idxs []int, issuer UserID, r Region, t float64, shard func(int)
 	return out, nil
 }
 
-// knnShard is one shard in gatherKNN's order: no object of shard idx can
-// be closer to the query point than lb.
-type knnShard struct {
-	idx int
-	lb  float64
-}
-
-// gatherKNN merges per-shard k-nearest results in two phases. The nearest
-// shard is probed alone; then every remaining shard whose lower bound does
-// not exceed the k-th candidate distance so far is queried in one
-// concurrent wave — the rest, and every shard after them since the order is
-// ascending, cannot contribute. While fewer than k candidates are known the
-// k-th distance is unbounded and the wave covers every shard. Shards with a
-// bound equal to the k-th distance are still visited (an equal-distance
-// candidate with a smaller id would win the tie-break).
-func gatherKNN(order []knnShard, issuer UserID, x, y float64, k int, t float64, shard func(int) querier) ([]Neighbor, error) {
+// gatherKNN asks slots 0 … n-1 for their k nearest in one concurrent wave,
+// merges the answers (newest state per user wins) and cuts the result to k.
+func gatherKNN(n int, issuer UserID, x, y float64, k int, t float64, shard func(int) querier) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
+	results := make([][]Neighbor, n)
+	errs := make([]error, n)
+	scatter(n, func(i int) {
+		results[i], errs[i] = shard(i).NearestNeighbors(issuer, x, y, k, t)
+	})
 	var best []Neighbor
-	ask := func(shards []knnShard) error {
-		results := make([][]Neighbor, len(shards))
-		errs := make([]error, len(shards))
-		scatter(len(shards), func(j int) {
-			results[j], errs[j] = shard(shards[j].idx).NearestNeighbors(issuer, x, y, k, t)
-		})
-		for j, err := range errs {
-			if err != nil {
-				return err
-			}
-			for _, nb := range results[j] {
-				best = mergeNeighbor(best, nb)
-			}
+	for i, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	}
-	if err := ask(order[:1]); err != nil {
-		return nil, err
-	}
-	kth := math.Inf(1)
-	if len(best) >= k {
-		kth = best[k-1].Dist
-	}
-	rest := order[1:]
-	wave := sort.Search(len(rest), func(j int) bool { return rest[j].lb > kth })
-	if err := ask(rest[:wave]); err != nil {
-		return nil, err
+		for _, nb := range results[i] {
+			best = mergeNeighbor(best, nb)
+		}
 	}
 	if len(best) > k {
 		best = best[:k]
@@ -948,8 +889,9 @@ func gatherKNN(order []knnShard, issuer UserID, x, y float64, k int, t float64, 
 // with one entry per user: of two states of one user (caught mid-re-homing)
 // the newer survives. Every candidate is kept, not only the nearest k, so a
 // duplicate that resolves to a farther state cannot push out a candidate
-// the final truncation still needs; gatherKNN's best holds at most k per
-// shard, a standing query's (Subscription.mergeLocked) its whole result.
+// the final truncation still needs. gatherKNN's best holds the answers of
+// every shard, asked concurrently, at most k from each; a standing query's
+// (Subscription.mergeLocked) holds its whole result.
 func mergeNeighbor(best []Neighbor, nb Neighbor) []Neighbor {
 	for i := range best {
 		if best[i].Object.UID == nb.Object.UID {

@@ -234,16 +234,6 @@ func TestShardedRoutingPrunes(t *testing.T) {
 	if len(res) != 1 || res[0].UID != 1 {
 		t.Fatalf("pruned query returned %v", res)
 	}
-	// The kNN expansion order must start at the shard owning the query
-	// point's quadrant.
-	order := db.knnOrder(250, 250, 0, db.shardSlack)
-	if order[0].idx != idxs[0] {
-		t.Fatalf("knnOrder starts at shard %d, want %d", order[0].idx, idxs[0])
-	}
-	if order[0].lb != 0 {
-		t.Fatalf("containing shard's bound = %g, want 0", order[0].lb)
-	}
-
 	// With motion slack (query time far from update time) the same window
 	// may legitimately route to more shards — never fewer.
 	wide := db.routeRegion(r, 60, db.shardSlack)
@@ -322,10 +312,10 @@ func (c *cannedShard) NearestNeighbors(_ UserID, _, _ float64, k int, _ float64)
 	return c.nbs, nil
 }
 
-// TestGatherKNNProbeThenWave pins the router's PkNN merge on canned shards:
-// which shards the wave reaches for a given probe result, and the merge
-// rule (newer state wins a duplicate, order by distance then id, cut to k).
-func TestGatherKNNProbeThenWave(t *testing.T) {
+// TestGatherKNNOneWave pins the router's PkNN gather on canned shards:
+// every shard is asked exactly once, and the merge rule holds (newer state
+// wins a duplicate, order by distance then id, cut to k).
+func TestGatherKNNOneWave(t *testing.T) {
 	nb := func(uid int, dist, tm float64) Neighbor {
 		return Neighbor{Object: Object{UID: UserID(uid), T: tm}, Dist: dist}
 	}
@@ -339,51 +329,40 @@ func TestGatherKNNProbeThenWave(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		k       int
-		bounds  []float64    // ascending lower bounds, one per shard
 		answers [][]Neighbor // what each shard returns
-		visited []int32
 		want    []UserID
 	}{
 		{
-			// The probe's k-th distance prunes the far shards; a tied bound is visited.
-			name: "prune", k: 2,
-			bounds:  []float64{0, 5, 5.01, 9},
+			// The nearest candidates come from several shards, a late one
+			// among them.
+			name: "merge", k: 2,
 			answers: [][]Neighbor{{nb(7, 1, 0), nb(8, 5, 0)}, {nb(3, 5, 0)}, {nb(1, 0.5, 0)}, nil},
-			visited: []int32{1, 1, 0, 0},
-			want:    []UserID{7, 3},
+			want:    []UserID{1, 7},
 		},
 		{
-			// Fewer than k from the probe: the wave is unbounded.
-			name: "unbounded", k: 3,
-			bounds:  []float64{0, 400, 900},
-			answers: [][]Neighbor{{nb(4, 2, 0)}, nil, {nb(5, 950, 0), nb(6, 960, 0), nb(9, 970, 0)}},
-			visited: []int32{1, 1, 1},
+			// Fewer than k candidates overall: all of them are returned.
+			name: "fewer", k: 5,
+			answers: [][]Neighbor{{nb(4, 2, 0)}, nil, {nb(5, 950, 0), nb(6, 960, 0)}},
 			want:    []UserID{4, 5, 6},
 		},
 		{
 			// The newer state wins a duplicate, and may leave the top k.
 			name: "duplicate", k: 2,
-			bounds:  []float64{0, 1},
 			answers: [][]Neighbor{{nb(1, 2, 10), nb(2, 3, 10)}, {nb(1, 8, 20), nb(3, 4, 10)}},
-			visited: []int32{1, 1},
 			want:    []UserID{2, 3},
 		},
 		{
 			// Nothing anywhere is nil, as on the single tree.
 			name: "empty", k: 2,
-			bounds:  []float64{0, 1},
 			answers: [][]Neighbor{nil, nil},
-			visited: []int32{1, 1},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			shards := make([]*cannedShard, len(tc.bounds))
-			order := make([]knnShard, len(tc.bounds))
+			shards := make([]*cannedShard, len(tc.answers))
 			for i := range shards {
 				shards[i] = &cannedShard{nbs: tc.answers[i]}
-				order[i] = knnShard{idx: i, lb: tc.bounds[i]}
 			}
-			got, err := gatherKNN(order, 99, 0, 0, tc.k, 0, func(i int) querier { return shards[i] })
+			got, err := gatherKNN(len(shards), 99, 0, 0, tc.k, 0, func(i int) querier { return shards[i] })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,11 +373,78 @@ func TestGatherKNNProbeThenWave(t *testing.T) {
 				t.Fatalf("neighbors %v, want %v", uids(got), tc.want)
 			}
 			for i, s := range shards {
-				if v := s.visits.Load(); v != tc.visited[i] {
-					t.Errorf("shard %d (bound %g) visited %d times, want %d", i, tc.bounds[i], v, tc.visited[i])
+				if v := s.visits.Load(); v != 1 {
+					t.Errorf("shard %d asked %d times, want 1", i, v)
 				}
 			}
 		})
+	}
+}
+
+// TestShardedPkNNAsksEveryShardOnce checks the live router's wave: one
+// routed PkNN consults every shard exactly once: one-shot, on a Snapshot,
+// and with a split held open between its route flip and its drain, when
+// both halves of the divided range are asked (the new half still empty).
+func TestShardedPkNNAsksEveryShardOnce(t *testing.T) {
+	p := newPair(t, 2)
+	midReshardFixture(t, p, 19)
+	db := p.sharded
+	const issuer, x, y, k, at = 1, 500, 500, 5, 20
+
+	// A one-shot query counts on each consulted shard's load meter.
+	oneShot := func(label string) {
+		t.Helper()
+		before := db.Stats().Shards
+		if _, err := db.NearestNeighbors(issuer, x, y, k, at); err != nil {
+			t.Fatal(err)
+		}
+		for i, ss := range db.Stats().Shards {
+			if d := ss.Queries - before[i].Queries; d != 1 {
+				t.Errorf("%s: shard %d consulted %d times, want 1", label, ss.ID, d)
+			}
+		}
+	}
+	oneShot("at rest")
+
+	// A snapshot's query bypasses the load meters, so each pinned shard's
+	// page count must grow by exactly what one PkNN on it reads.
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	one := make([]uint64, len(snap.snaps))
+	for i, s := range snap.snaps {
+		before := s.IOStats().Accesses()
+		if _, err := s.NearestNeighbors(issuer, x, y, k, at); err != nil {
+			t.Fatal(err)
+		}
+		if one[i] = s.IOStats().Accesses() - before; one[i] == 0 {
+			t.Fatalf("pinned shard %d reads no page, so its consultations cannot be counted", i)
+		}
+	}
+	before := make([]uint64, len(snap.snaps))
+	for i, s := range snap.snaps {
+		before[i] = s.IOStats().Accesses()
+	}
+	if _, err := snap.NearestNeighbors(issuer, x, y, k, at); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range snap.snaps {
+		if d := s.IOStats().Accesses() - before[i]; d != one[i] {
+			t.Errorf("snapshot: pinned shard %d read %d pages, want one PkNN's %d", i, d, one[i])
+		}
+	}
+
+	if err := db.beginSplit(hottestShard(db.Stats())); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(db.Stats().Shards); n != 3 {
+		t.Fatalf("%d shards mid-split, want 3", n)
+	}
+	oneShot("mid-split")
+	if err := db.finishPending(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -103,10 +103,9 @@ func (s *Snapshot) RangeQuery(issuer UserID, r Region, t float64) ([]Object, err
 }
 
 // NearestNeighbors answers the privacy-aware k-nearest-neighbor query
-// against the cut via the same probe-then-wave gather as the live DB.
+// against the cut as the live DB does: every pinned shard, concurrently.
 func (s *Snapshot) NearestNeighbors(issuer UserID, x, y float64, k int, t float64) ([]Neighbor, error) {
-	return gatherKNN(knnOrderOver(s.grid, s.covers, x, y, t, s.slack), issuer, x, y, k, t,
-		func(i int) querier { return s.snaps[i] })
+	return gatherKNN(len(s.snaps), issuer, x, y, k, t, func(i int) querier { return s.snaps[i] })
 }
 
 // slack is the per-shard motion slack evaluated against the pinned
