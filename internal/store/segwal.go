@@ -47,10 +47,11 @@ import (
 //	<path>.000002   sealed
 //	<path>.000003   active — appends go here
 //
-// A segment that grows past the roll threshold is sealed: it is fsynced
-// one final time and the next numbered segment becomes the active one.
-// Because sealing always fsyncs, a sealed segment is durable in its
-// entirety, which buys two structural guarantees:
+// A segment that grows past the roll threshold is sealed: its zero tail
+// (below) is trimmed, it is fsynced one final time, and the next numbered
+// segment becomes the active one. Because sealing always fsyncs, a sealed
+// segment is durable in its entirety, which buys two structural
+// guarantees:
 //
 //   - a group-commit leader advances the global durability watermark
 //     after fsyncing only the active file (bytes it did not cover live in
@@ -68,6 +69,14 @@ import (
 //
 // Logical offsets (WALToken, the durability watermark) run monotonically
 // across segments and never reset.
+//
+// Only the active segment carries a zero tail. Append grows the active
+// file ahead of its records in walGrowStep steps, so a record lands in
+// space the file already has and its commit's fsync flushes data without
+// also journaling a new file size. Sealing and a clean Close trim the
+// tail first, so a sealed or closed segment holds exactly its records. A
+// crash can leave the tail on the last segment only; recovery reads it as
+// the end of the records (scanWAL stops at a zero length) and cuts it.
 
 // walMaxRecord bounds a record's payload, rejecting absurd lengths that a
 // corrupt header would otherwise turn into huge allocations.
@@ -82,6 +91,12 @@ type WALToken int64
 // DefaultWALSegmentBytes is the roll threshold used when the caller does
 // not specify one.
 const DefaultWALSegmentBytes = 4 << 20
+
+// walGrowStep is how far Append grows the active segment file past its
+// current length when a record does not fit: the file changes size once
+// per step, not once per record. It is clipped to the roll threshold, and
+// a record larger than the step grows the file to the record's end.
+const walGrowStep = 64 << 10
 
 // SegPos addresses a byte position in a segmented log: a 1-based segment
 // index and a byte offset inside that segment. Checkpoints capture one at
@@ -118,6 +133,7 @@ type SegmentedWAL struct {
 	f         VFile // active segment
 	activeIdx uint64
 	activeOff int64
+	size      int64 // active file's length: activeOff plus the zero tail
 	base      int64 // logical offset of the active segment's first byte
 	sealed    []segInfo
 	err       error // poisoned: every later Append/Commit fails
@@ -291,6 +307,7 @@ func OpenSegmentedWAL(fs VFS, path string, rollSize int64) (*SegmentedWAL, [][]b
 		w.f = f
 		w.activeIdx = idx
 		w.activeOff = int64(valid)
+		w.size = int64(valid)
 	}
 	w.synced = w.base + w.activeOff
 	return w, records, nil
@@ -395,6 +412,14 @@ func (w *SegmentedWAL) Append(payload []byte) (WALToken, error) {
 	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
 	binary.BigEndian.PutUint32(buf[4:], crc32.Checksum(payload, walCRC))
 	copy(buf[8:], payload)
+	if end := w.activeOff + int64(len(buf)); end > w.size {
+		size := max(w.size+min(walGrowStep, w.rollSize), end)
+		if err := w.f.Truncate(size); err != nil {
+			w.err = fmt.Errorf("store: wal grow: %w", err)
+			return 0, w.err
+		}
+		w.size = size
+	}
 	if _, err := w.f.WriteAt(buf, w.activeOff); err != nil {
 		w.err = fmt.Errorf("store: wal append: %w", err)
 		return 0, w.err
@@ -406,20 +431,18 @@ func (w *SegmentedWAL) Append(payload []byte) (WALToken, error) {
 }
 
 // rollLocked seals the active segment and opens the next one. Caller
-// holds mu. The seal fsync makes the sealed segment durable in full (see
-// the type comment for why both the watermark protocol and recovery depend
-// on it).
+// holds mu. The seal trims the zero tail and fsyncs, which makes the
+// sealed segment durable in full and exactly its records (see the type
+// comment for why both the watermark protocol and recovery depend on it).
 //
 // The durability watermark is NOT advanced here (mu holders never touch
 // sm): a commit waiting on a sealed-segment record simply elects a sync
 // leader, whose capture of the logical end under mu already covers the
 // sealed bytes — its fsync of the new active file completes the claim.
 func (w *SegmentedWAL) rollLocked() error {
-	if err := w.f.Sync(); err != nil {
-		w.err = fmt.Errorf("store: wal seal sync: %w", err)
-		return w.err
+	if err := w.sealLocked(); err != nil {
+		return err
 	}
-	w.syncs.Add(1)
 	next := w.activeIdx + 1
 	nf, err := w.fs.OpenFile(SegmentWALName(w.path, next))
 	if err != nil {
@@ -432,7 +455,27 @@ func (w *SegmentedWAL) rollLocked() error {
 	w.base += w.activeOff
 	w.activeIdx = next
 	w.activeOff = 0
+	w.size = 0
 	w.sealedN.Add(1)
+	return nil
+}
+
+// sealLocked trims the active segment's zero tail and fsyncs it, so the
+// file holds exactly its records, durably. Caller holds mu. On any error
+// the log is poisoned.
+func (w *SegmentedWAL) sealLocked() error {
+	if w.size > w.activeOff {
+		if err := w.f.Truncate(w.activeOff); err != nil {
+			w.err = fmt.Errorf("store: wal trim: %w", err)
+			return w.err
+		}
+		w.size = w.activeOff
+	}
+	if err := w.f.Sync(); err != nil {
+		w.err = fmt.Errorf("store: wal seal sync: %w", err)
+		return w.err
+	}
+	w.syncs.Add(1)
 	return nil
 }
 
@@ -603,11 +646,16 @@ func (w *SegmentedWAL) SizeSince(mark SegPos) int64 {
 	return n
 }
 
-// Close syncs and closes the log.
+// Close syncs and closes the log. A healthy log's active segment is then
+// sealed like a rolled one (trimmed of its zero tail and fsynced), so a
+// cleanly closed log holds exactly its records.
 func (w *SegmentedWAL) Close() error {
 	serr := w.Sync()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if serr == nil && w.size > w.activeOff {
+		serr = w.sealLocked()
+	}
 	cerr := w.f.Close()
 	if w.err == nil {
 		w.err = fmt.Errorf("store: wal is closed")

@@ -379,12 +379,17 @@ func FuzzWALFrames(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
+	live, err := fs.ReadFile(SegmentWALName("log", 1))
+	if err != nil {
+		f.Fatal(err)
+	}
 	w.Close()
 	seg, err := fs.ReadFile(SegmentWALName("log", 1))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seg)
+	f.Add(live)                                          // an open log: frames, then its grown zero tail
 	f.Add(append(bytes.Clone(seg), 9, 9, 9))             // a torn tail
 	f.Add(append(bytes.Clone(seg), make([]byte, 64)...)) // an all-zero extension
 	f.Add(seg[:len(seg)-1])                              // the last frame cut short
@@ -416,5 +421,300 @@ func TestSegmentedWALMissingDir(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "absent", "db.idx.wal")
 	if ok, err := SegmentedWALExists(OSFS{}, path); ok || err != nil {
 		t.Fatalf("SegmentedWALExists in a missing directory = %v, %v; want false, nil", ok, err)
+	}
+}
+
+// sizeFS wraps a VFS and watches every file's length: each Truncate or
+// WriteAt that changes it counts as a grow or a shrink. With failGrow set,
+// a Truncate that would lengthen a file fails instead.
+type sizeFS struct {
+	VFS
+	mu       sync.Mutex
+	grows    int
+	shrinks  int
+	failGrow bool
+}
+
+var errGrow = errors.New("grow refused")
+
+func (s *sizeFS) OpenFile(name string) (VFile, error) {
+	f, err := s.VFS.OpenFile(name)
+	if err != nil {
+		return nil, err
+	}
+	return &sizeFile{VFile: f, fs: s}, nil
+}
+
+type sizeFile struct {
+	VFile
+	fs *sizeFS
+}
+
+// count records the change of the file's length from before to its
+// current length.
+func (f *sizeFile) count(before int64) {
+	after, _ := f.VFile.Size()
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	switch {
+	case after > before:
+		f.fs.grows++
+	case after < before:
+		f.fs.shrinks++
+	}
+}
+
+func (f *sizeFile) WriteAt(p []byte, off int64) (int, error) {
+	before, _ := f.VFile.Size()
+	defer f.count(before)
+	return f.VFile.WriteAt(p, off)
+}
+
+func (f *sizeFile) Truncate(size int64) error {
+	before, _ := f.VFile.Size()
+	f.fs.mu.Lock()
+	refuse := f.fs.failGrow && size > before
+	f.fs.mu.Unlock()
+	if refuse {
+		return errGrow
+	}
+	defer f.count(before)
+	return f.VFile.Truncate(size)
+}
+
+// TestSegWALGrowsInSteps: over many small appends the active file changes
+// length once per walGrowStep of records plus once per roll, not once per
+// append, and every segment left behind holds exactly its records.
+func TestSegWALGrowsInSteps(t *testing.T) {
+	fs := &sizeFS{VFS: NewCrashFS()}
+	const roll = 4 * walGrowStep
+	w, _, err := OpenSegmentedWAL(fs, "log", roll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, payload = 6000, 102 // a durable_updates-sized record
+	for i := 0; i < n; i++ {
+		if _, err := w.Append(bytes.Repeat([]byte{byte(i%250 + 1)}, payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	rolls, _ := w.SegmentStats()
+	bytesIn := w.BytesAppended()
+	if rolls == 0 {
+		t.Fatalf("%d bytes never rolled a %d-byte segment", bytesIn, roll)
+	}
+	bound := int((bytesIn+walGrowStep-1)/walGrowStep) + int(rolls)
+	if fs.grows > bound {
+		t.Fatalf("%d appends grew the log %d times, want <= %d (%d bytes, %d rolls)",
+			n, fs.grows, bound, bytesIn, rolls)
+	}
+	if fs.shrinks > int(rolls) {
+		t.Fatalf("the log shrank %d times before Close, want <= %d (one trim per seal)", fs.shrinks, rolls)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := OpenSegmentedWAL(fs, "log", roll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != n {
+		t.Fatalf("recovered %d records, want %d", len(recs), n)
+	}
+}
+
+// TestSegWALCloseLeavesExactRecords: sealed segments and a cleanly closed
+// active segment hold exactly their records, durably — no zero tail
+// survives a Close, even a power cut right after it.
+func TestSegWALCloseLeavesExactRecords(t *testing.T) {
+	fs := NewCrashFS()
+	w, _, err := OpenSegmentedWAL(fs, "log", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		segAppendCommit(t, w, bytes.Repeat([]byte{byte(i + 1)}, 50))
+	}
+	active := SegmentWALName("log", w.Mark().Seg)
+	if live, err := fs.ReadFile(active); err != nil {
+		t.Fatal(err)
+	} else if _, valid := scanWAL(live); valid == len(live) {
+		t.Fatalf("the live active segment has no grown tail (%d bytes)", len(live))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs.CutPower()
+	fs.Reboot(false)
+	idxs, err := ListWALSegments(fs, "log")
+	if err != nil || len(idxs) < 3 {
+		t.Fatalf("segments %v (%v), want several", idxs, err)
+	}
+	total := 0
+	for _, idx := range idxs {
+		data, err := fs.ReadFile(SegmentWALName("log", idx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, valid := scanWAL(data)
+		if valid != len(data) {
+			t.Fatalf("segment %d holds %d bytes of records and %d more", idx, valid, len(data)-valid)
+		}
+		total += len(recs)
+	}
+	if total != 9 {
+		t.Fatalf("segments hold %d records, want 9", total)
+	}
+}
+
+// TestSegWALGrowFailurePoisons: a grow that fails poisons the log like a
+// failed write, and the records before it stay recoverable.
+func TestSegWALGrowFailurePoisons(t *testing.T) {
+	fs := &sizeFS{VFS: NewCrashFS()}
+	w, _, err := OpenSegmentedWAL(fs, "log", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segAppendCommit(t, w, []byte("kept"))
+	fs.failGrow = true
+	// The first append grew the file by a whole step: this one needs more.
+	if _, err := w.Append(make([]byte, walGrowStep)); !errors.Is(err, errGrow) {
+		t.Fatalf("append past the grown tail = %v, want the grow's error", err)
+	}
+	fs.failGrow = false
+	if _, err := w.Append([]byte("after")); err == nil {
+		t.Fatal("append accepted after a failed grow")
+	}
+	if w.Err() == nil {
+		t.Fatal("a failed grow left the log healthy")
+	}
+	w.Close()
+	_, recs, err := OpenSegmentedWAL(fs, "log", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || string(recs[0]) != "kept" {
+		t.Fatalf("recovered %q, want [kept]", recs)
+	}
+}
+
+// TestSegWALReopenPastRollThreshold: a log reopened with a roll threshold
+// below its last segment's length leaves that segment as it is, rolls at
+// the next append, and recovers every record.
+func TestSegWALReopenPastRollThreshold(t *testing.T) {
+	fs := NewCrashFS()
+	w, _, err := OpenSegmentedWAL(fs, "log", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	appendN := func(w *SegmentedWAL, n int) {
+		for i := 0; i < n; i++ {
+			p := bytes.Repeat([]byte{byte(len(want) + 1)}, 1000)
+			want = append(want, p)
+			segAppendCommit(t, w, p)
+		}
+	}
+	appendN(w, 10)
+	w.Close()
+	first, err := fs.ReadFile(SegmentWALName("log", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const roll = 4096 // below the 10 080 bytes segment 1 holds
+	w, recs, err := OpenSegmentedWAL(fs, "log", roll)
+	if err != nil || len(recs) != 10 {
+		t.Fatalf("reopen: %d records, err %v", len(recs), err)
+	}
+	if again, _ := fs.ReadFile(SegmentWALName("log", 1)); !bytes.Equal(again, first) {
+		t.Fatalf("the open changed segment 1: %d bytes, was %d", len(again), len(first))
+	}
+	appendN(w, 5)
+	w.Close()
+
+	_, recs, err = OpenSegmentedWAL(fs, "log", roll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("recovered %d records, want %d", len(recs), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(recs[i], want[i]) {
+			t.Fatalf("record %d differs", i)
+		}
+	}
+}
+
+// TestSegWALCrashSweepAcrossGrowth cuts power at every faultable operation
+// of a log whose records cross two growth steps and a roll, under both
+// reboot models. Recovery must return the records in order, every
+// acknowledged one included, and no sealed segment may keep a zero tail.
+func TestSegWALCrashSweepAcrossGrowth(t *testing.T) {
+	const roll = 2 * walGrowStep
+	const n, size = 9, 20 << 10 // 180 KiB: grows at 0, 64 and 128 KiB, rolls past 128
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, size) }
+	run := func(fs *CrashFS) (acked int) {
+		w, _, err := OpenSegmentedWAL(fs, "log", roll)
+		if err != nil {
+			return 0
+		}
+		for i := 0; i < n; i++ {
+			tok, err := w.Append(payload(i))
+			if err == nil {
+				err = w.Commit(tok)
+			}
+			if err != nil {
+				return acked
+			}
+			acked++
+		}
+		w.Close()
+		return acked
+	}
+	clean := NewCrashFS()
+	if got := run(clean); got != n {
+		t.Fatalf("fault-free run acknowledged %d of %d", got, n)
+	}
+	if rolls, _ := ListWALSegments(clean, "log"); len(rolls) < 2 {
+		t.Fatalf("the records never rolled the log: segments %v", rolls)
+	}
+	total := clean.Ops()
+
+	for _, keep := range []bool{false, true} {
+		for k := 0; k <= total; k++ {
+			fs := NewCrashFS()
+			fs.SetFailAfter(k)
+			acked := run(fs)
+			fs.CutPower()
+			fs.Reboot(keep)
+			idxs, err := ListWALSegments(fs, "log")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, idx := range idxs[:max(len(idxs)-1, 0)] {
+				data, _ := fs.ReadFile(SegmentWALName("log", idx))
+				if _, valid := scanWAL(data); valid != len(data) {
+					t.Fatalf("keep=%v fault %d: sealed segment %d of %d keeps %d bytes past its records",
+						keep, k, j+1, len(idxs), len(data)-valid)
+				}
+			}
+			_, recs, err := OpenSegmentedWAL(fs, "log", roll)
+			if err != nil {
+				t.Fatalf("keep=%v fault %d: recovery: %v", keep, k, err)
+			}
+			if len(recs) < acked || len(recs) > n {
+				t.Fatalf("keep=%v fault %d: recovered %d records, %d acknowledged", keep, k, len(recs), acked)
+			}
+			for i, r := range recs {
+				if !bytes.Equal(r, payload(i)) {
+					t.Fatalf("keep=%v fault %d: record %d is not the %d-th appended", keep, k, i, i)
+				}
+			}
+		}
 	}
 }

@@ -2,12 +2,13 @@ package peb
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -319,7 +320,7 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 	for uid := range db.users {
 		img.users = append(img.users, uid)
 	}
-	sort.Slice(img.users, func(i, j int) bool { return img.users[i] < img.users[j] })
+	slices.Sort(img.users)
 	// The log position the captured state stands at.
 	img.walSeq, img.maxTxn = db.walSeq, db.maxTxn
 	if db.wal != nil {
@@ -423,10 +424,10 @@ func (img *ckptImage) metaBytes() ([]byte, error) {
 	for uid, sv := range img.snap.SVs {
 		mf.SVs = append(mf.SVs, svRec{UID: uid, SV: sv})
 	}
-	sort.Slice(mf.SVs, func(i, j int) bool { return mf.SVs[i].UID < mf.SVs[j].UID })
+	slices.SortFunc(mf.SVs, func(a, b svRec) int { return cmp.Compare(a.UID, b.UID) })
 	mf.Free = make([]store.PageID, 0, len(img.free)+len(img.dead))
 	mf.Free = append(append(mf.Free, img.free...), img.dead...)
-	sort.Slice(mf.Free, func(i, j int) bool { return mf.Free[i] < mf.Free[j] })
+	slices.Sort(mf.Free)
 	return json.Marshal(mf)
 }
 

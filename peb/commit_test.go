@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -16,23 +17,60 @@ import (
 // walPayloads returns the record payloads of db's log (one segment: the
 // tests below never write enough to roll it). Each frame is a big-endian
 // payload length and CRC, then the payload; decodeRecord checks what the
-// payloads hold.
+// payloads hold. A live log's active segment ends in the zero tail it was
+// grown by, so the records end at a zero-length header, the log's own
+// end-of-records rule.
 func walPayloads(t *testing.T, fs store.VFS, path string) [][]byte {
 	t.Helper()
 	data, err := fs.ReadFile(store.SegmentWALName(path+".wal", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var frames [][]byte
-	for len(data) > 0 {
-		if len(data) < 8 || len(data)-8 < int(binary.BigEndian.Uint32(data)) {
-			t.Fatalf("log %s ends in a partial frame of %d bytes", path, len(data))
-		}
-		n := 8 + int(binary.BigEndian.Uint32(data))
-		frames = append(frames, data[8:n])
-		data = data[n:]
+	frames, err := walFrames(data)
+	if err != nil {
+		t.Fatalf("log %s: %v", path, err)
 	}
 	return frames
+}
+
+// walFrames splits data into frame payloads up to its first zero-length
+// header. A partial frame is an error.
+func walFrames(data []byte) ([][]byte, error) {
+	var frames [][]byte
+	for len(data) > 0 {
+		var hdr [8]byte
+		copy(hdr[:], data) // a tail shorter than a header reads zero-padded
+		n := int(binary.BigEndian.Uint32(hdr[:]))
+		if n == 0 {
+			break
+		}
+		if len(data) < 8+n {
+			return nil, fmt.Errorf("ends in a partial frame of %d bytes", len(data))
+		}
+		frames = append(frames, data[8:8+n])
+		data = data[8+n:]
+	}
+	return frames, nil
+}
+
+// TestWALFramesStopsAtZeroTail: the helper reads a live log's records up
+// to its zero tail, and still refuses a partial frame.
+func TestWALFramesStopsAtZeroTail(t *testing.T) {
+	frame := func(p string) []byte {
+		return append(binary.BigEndian.AppendUint64(nil, uint64(len(p))<<32), p...)
+	}
+	two := append(frame("alpha"), frame("beta")...)
+	for _, tail := range []int{0, 3, 8, 64} {
+		got, err := walFrames(append(bytes.Clone(two), make([]byte, tail)...))
+		if err != nil || len(got) != 2 || string(got[0]) != "alpha" || string(got[1]) != "beta" {
+			t.Fatalf("zero tail of %d bytes: frames %q, err %v", tail, got, err)
+		}
+	}
+	for _, partial := range [][]byte{two[:len(two)-1], append(bytes.Clone(two), 0, 1), append(bytes.Clone(two), 0, 0, 0, 9, 1)} {
+		if got, err := walFrames(partial); err == nil {
+			t.Fatalf("partial frame of %d bytes read as %q", len(partial), got)
+		}
+	}
 }
 
 // TestOneShotEqualsOneOpBatch pins the one-write-path invariant: a one-shot

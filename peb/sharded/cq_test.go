@@ -973,3 +973,79 @@ func TestShardedCQRefanError(t *testing.T) {
 		t.Fatalf("a subscription that needed no new leg died: %v", err)
 	}
 }
+
+// TestShardedCQRoutesWithinSlack: a standing range query lies inside one
+// quadrant's shard, within the motion slack (MaxSpeed × MaxUpdateInterval)
+// of its neighbour's. The subscription must hold a leg on the neighbour,
+// and report an object stored there whose motion carries it into the
+// region by the query's evaluation time.
+func TestShardedCQRoutesWithinSlack(t *testing.T) {
+	db, err := Open(Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const issuer, mover = 1, 2
+	if err := db.DefineRelation(mover, issuer, "f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Grant(mover, "f", Region{MaxX: 1000, MaxY: 1000}, TimeInterval{Start: 0, End: 1440}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := AttachCQ(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// The window sits 180 units left of the x = 500 quadrant boundary,
+	// inside the 360-unit slack of the default options.
+	r := Region{MinX: 300, MinY: 240, MaxX: 320, MaxY: 260}
+	const qt = 106.0
+	obj := Object{UID: mover, X: 520, Y: 250, VX: -2, T: 1} // at x = 310 by qt
+	home, stored := db.shardOf(310, 250), db.shardOf(obj.X, obj.Y)
+	if home == stored {
+		t.Fatal("the object is stored on the window's own shard: the test needs a neighbour")
+	}
+	if d := obj.X - r.MaxX; d >= c.slack {
+		t.Fatalf("the neighbour is %v away, not within the slack %v", d, c.slack)
+	}
+	sub, init, err := c.SubscribeRange(issuer, r, qt, cq.SubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if len(init) != 0 {
+		t.Fatalf("initial result %v, want empty", init)
+	}
+	if live := c.engines[db.metas[stored].id].Stats().Live; live != 1 {
+		t.Fatalf("the neighbour shard holds %d legs, want 1", live)
+	}
+
+	if err := db.Upsert(obj); err != nil {
+		t.Fatal(err)
+	}
+	m := newCQMirror("slack", false)
+	if n := drainReady(t, sub, m); n != 1 || m.objs[mover] != obj {
+		t.Fatalf("%d deltas after the neighbour's object moved in; mirror %v", n, m.objs)
+	}
+
+	// A single tree given the same commits agrees.
+	one, err := peb.Open(peb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	if err := one.DefineRelation(mover, issuer, "f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := one.Grant(mover, "f", Region{MaxX: 1000, MaxY: 1000}, TimeInterval{Start: 0, End: 1440}); err != nil {
+		t.Fatal(err)
+	}
+	if err := one.Upsert(obj); err != nil {
+		t.Fatal(err)
+	}
+	if want, err := one.RangeQuery(issuer, r, qt); err != nil || len(want) != 1 || want[0] != obj {
+		t.Fatalf("a single tree answers %v (%v), want the mover", want, err)
+	}
+}
