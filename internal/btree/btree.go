@@ -39,6 +39,11 @@ type Tree struct {
 	version uint64
 	fresh   map[store.PageID]struct{}
 	retired []store.PageID
+
+	// txn is the open transaction (nil outside one), tx the state every
+	// transaction reuses.
+	txn *Txn
+	tx  Txn
 }
 
 // New creates an empty tree whose nodes live in pool.

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 
@@ -65,6 +66,11 @@ func (a KV) Less(b KV) bool {
 		return a.Key < b.Key
 	}
 	return a.UID < b.UID
+}
+
+// Compare orders KVs as Less does, returning -1, 0 or +1.
+func (a KV) Compare(b KV) int {
+	return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.UID, b.UID))
 }
 
 // String implements fmt.Stringer.

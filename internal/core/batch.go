@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/motion"
@@ -10,10 +10,11 @@ import (
 
 // Batched index mutation. ApplyBatch applies a sequence of staged
 // operations all-or-nothing: the B+-tree pages are bracketed by a
-// copy-on-write transaction (btree.Txn) and the in-memory tables record a
-// first-touch undo log, so a mid-batch failure restores the exact pre-batch
-// tree — a reader never observes a partially applied batch even if it
-// reads the tree's state directly afterwards.
+// transaction (btree.Txn), which keeps the before-image of every page it
+// edits in place, and the in-memory tables record a first-touch undo log,
+// so a mid-batch failure restores the exact pre-batch tree — a reader
+// never observes a partially applied batch even if it reads the tree's
+// state directly afterwards.
 
 // BatchOpKind enumerates the staged operations.
 type BatchOpKind uint8
@@ -112,7 +113,8 @@ func (t *Tree) planIngest(ops []BatchOp) (ingestPlan, bool) {
 			li:  li,
 		})
 	}
-	sort.Slice(plan.items, func(a, b int) bool { return plan.items[a].kv.Less(plan.items[b].kv) })
+	// The keys are unique (each carries its user), so the order is total.
+	slices.SortFunc(plan.items, func(a, b ingestItem) int { return a.kv.Compare(b.kv) })
 	return plan, true
 }
 

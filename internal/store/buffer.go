@@ -101,6 +101,9 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 	return bp
 }
 
+// Capacity returns the most pages the pool holds at once.
+func (bp *BufferPool) Capacity() int { return bp.capacity }
+
 // Stats returns the cumulative hit/miss counters.
 func (bp *BufferPool) Stats() BufferStats {
 	bp.mu.Lock()
@@ -170,6 +173,15 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 	f.page.dirty = true // ensure the zeroed page reaches disk
 	bp.pin(f)
 	return &f.page, nil
+}
+
+// Pin adds a pin to p, a page the caller holds pinned already, without
+// counting a request: a holder that keeps the page resident past the
+// Unpin of the pin it fetched it with takes its own this way.
+func (bp *BufferPool) Pin(p *Page) {
+	bp.mu.Lock()
+	p.pins++
+	bp.mu.Unlock()
 }
 
 // Unpin releases one pin on the page. dirty declares whether the caller

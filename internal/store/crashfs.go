@@ -312,6 +312,10 @@ func (f *crashFile) Sync() error {
 	return nil
 }
 
+// Writeback is a no-op: CrashFS models only what Sync makes durable, so a
+// power cut after the hint loses the unsynced bytes like any other.
+func (f *crashFile) Writeback(off, n int64) error { return nil }
+
 func (f *crashFile) Close() error {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()

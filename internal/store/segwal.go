@@ -489,6 +489,25 @@ func (w *SegmentedWAL) Commit(token WALToken) error {
 	return w.syncTo(int64(token))
 }
 
+// Writeback asks the device to start writing the active segment through
+// the record identified by token (VFile.Writeback) and returns without
+// waiting. A caller with work to do before Commit(token) issues it first,
+// so the fsync finds the record on its way. It is a hint: it makes
+// nothing durable and its failure does not poison the log. A record in a
+// sealed segment needs none: the seal synced it.
+func (w *SegmentedWAL) Writeback(token WALToken) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return w.err
+	}
+	end := int64(token) - w.base
+	if end <= 0 {
+		return nil
+	}
+	return w.f.Writeback(0, end)
+}
+
 // Durable reports whether the record identified by token is durable —
 // whether Commit(token) would return without syncing. It never syncs.
 func (w *SegmentedWAL) Durable(token WALToken) bool {

@@ -718,3 +718,78 @@ func TestSegWALCrashSweepAcrossGrowth(t *testing.T) {
 		}
 	}
 }
+
+// TestSegWALWritebackNoOpInCrashFS: the writeback hint makes nothing
+// durable and costs CrashFS no operation, so a pessimistic power cut after
+// the hint, with no sync, loses the hinted record and keeps the synced one.
+func TestSegWALWritebackNoOpInCrashFS(t *testing.T) {
+	fs := NewCrashFS()
+	w, _, err := OpenSegmentedWAL(fs, "log", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segAppendCommit(t, w, []byte("synced"))
+	tok, err := w.Append([]byte("hinted"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := fs.Ops()
+	if err := w.Writeback(tok); err != nil {
+		t.Fatalf("writeback: %v", err)
+	}
+	if got := fs.Ops(); got != ops {
+		t.Fatalf("the hint cost %d CrashFS operations, want none", got-ops)
+	}
+	if w.Durable(tok) {
+		t.Fatal("the hint made the record durable")
+	}
+	fs.CutPower()
+	fs.Reboot(false)
+	_, recs, err := OpenSegmentedWAL(fs, "log", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || string(recs[0]) != "synced" {
+		t.Fatalf("recovered %q, want only the synced record", recs)
+	}
+}
+
+// TestSegWALWritebackAfterRoll: on the operating system's filesystem the
+// hint succeeds on the segment a roll just opened, and on a record the
+// roll sealed, and the records replay after a sync and a reopen.
+func TestSegWALWritebackAfterRoll(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	w, _, err := OpenSegmentedWAL(OSFS{}, path, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := w.Append(bytes.Repeat([]byte{1}, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := w.Append(bytes.Repeat([]byte{2}, 40)) // rolls first
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rolls, _ := w.SegmentStats(); rolls != 1 {
+		t.Fatalf("%d rolls, want 1", rolls)
+	}
+	for _, tok := range []WALToken{second, first} {
+		if err := w.Writeback(tok); err != nil {
+			t.Fatalf("writeback after a roll: %v", err)
+		}
+	}
+	if err := w.Commit(second); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := OpenSegmentedWAL(OSFS{}, path, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("recovered %d records, want 2", len(recs))
+	}
+}

@@ -53,6 +53,11 @@ type VFile interface {
 	Truncate(size int64) error
 	// Sync makes all written data durable.
 	Sync() error
+	// Writeback asks the device to start writing the n bytes at off and
+	// returns without waiting for them, so a later Sync finds them on
+	// their way. It is a hint: it makes nothing durable, and an
+	// implementation may do nothing.
+	Writeback(off, n int64) error
 	Close() error
 }
 

@@ -39,8 +39,9 @@ import (
 // mutation is stage then Wait, and the router (peb/sharded) releases its
 // own locks between the two. A cross-shard participant splits the stages
 // at the decision (prepared.go): Prepare runs 1–2 and a dry run of 4,
-// logging nothing; after the coordinator's record is durable, Coordinate
-// and Commit run 3–6, and a part's handle is a Staged too. Recovery
+// logging nothing; Prepared.Commit runs 3–5 but the hooks on every part
+// before the coordinator's record is durable, and the hooks and stage 6
+// after, and a part's handle is a Staged too. Recovery
 // (replayWAL) runs stage 4 on decoded records, so live commit and replay
 // execute the same code.
 
@@ -136,21 +137,31 @@ func (db *DB) commitLocked(ops opList, policyChange, rebuild bool) (store.WALTok
 // applyLocked is stages 3–5 on a resolved list. On error nothing is
 // published: applyOps has rolled the index back.
 func (db *DB) applyLocked(ops opList, policyChange, rebuild bool) error {
+	touched, err := db.applyQuietLocked(ops)
+	if err != nil {
+		return err
+	}
+	db.fireCommitLocked(touched, policyChange, rebuild)
+	return nil
+}
+
+// applyQuietLocked is stages 3–5 but the hooks: it returns the touched
+// set for the caller to fire them with.
+func (db *DB) applyQuietLocked(ops opList) ([]CommitTouch, error) {
 	var touched []CommitTouch
 	if db.hooksActive() {
 		var err error
 		if touched, err = db.captureTouched(ops.Idx); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := db.applyOps(ops); err != nil {
 		db.collectGarbage()
-		return err
+		return nil, err
 	}
 	db.refreshView()
 	db.collectGarbage()
-	db.fireCommitLocked(touched, policyChange, rebuild)
-	return nil
+	return touched, nil
 }
 
 // opClasses reports whether ops change the policy store (the commit hooks'

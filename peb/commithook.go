@@ -7,8 +7,9 @@ import (
 
 // Commit notifications: the hook point continuous-query engines (peb/cq)
 // build on. Every committed mutation — a single Upsert/Remove, an Apply
-// batch, a cross-shard part once its transaction is decided (Coordinate or
-// Commit; a Prepare fires nothing), a policy change, an index rebuild —
+// batch, a cross-shard part once its transaction is decided (after the
+// coordinator's fsync in Prepared.Commit; a Prepare fires nothing), a
+// policy change, an index rebuild —
 // fires the registered hooks exactly once, synchronously, under the write
 // lock, immediately after the new query view is published. The
 // hook therefore observes every commit in order, with no commit able to

@@ -390,7 +390,7 @@ func TestSubscribeAtomicity(t *testing.T) {
 // TestPreparedAbortEmitsNoDelta: a cross-shard participant's batch reaches
 // a subscription only when it commits — a prepare abandoned uncommitted,
 // which is how a transaction aborts, emits nothing (no Enter followed by a
-// compensating Leave), a committed one exactly its Enter, at Coordinate.
+// compensating Leave), a committed one exactly its Enter, at Commit.
 func TestPreparedAbortEmitsNoDelta(t *testing.T) {
 	db, err := peb.Open(peb.Options{})
 	if err != nil {
@@ -442,7 +442,7 @@ func TestPreparedAbortEmitsNoDelta(t *testing.T) {
 
 	p := prepare()
 	none("after prepare")
-	if err := p.Coordinate(2, nil); err != nil {
+	if err := p.Commit(2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := <-sub.Deltas(); d.Kind != cq.Enter || d.Object.UID != 2 {

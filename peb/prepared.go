@@ -20,14 +20,16 @@ import (
 //	           exactly as Apply would and resolves it into the form that
 //	           is logged. Nothing is logged or applied, so a refused batch
 //	           leaves no trace anywhere.
-//	decide   — Coordinate on the coordinator's part logs one record that
+//	commit   — Commit on the coordinator's part logs one record that
 //	           holds every participant's resolved part and sequence-value
-//	           cursor, syncs it, and applies the coordinator's own part, all
-//	           under the write lock: no checkpoint cuts between the record
-//	           and its effect.
-//	finish   — Commit on every other part applies it and logs a sub-record
-//	           tagged with the transaction id, without syncing: the DB's
-//	           next sync makes it durable.
+//	           cursor, and starts the device writing it. It stages every
+//	           part — applies it in memory under its DB's write lock,
+//	           logging nothing and firing no hook — while the record is
+//	           written, then syncs the record: the commit point. Each
+//	           other part then finishes: it logs a sub-record tagged with
+//	           the transaction id, without syncing (the DB's next sync
+//	           makes it durable), fires its hooks and unlocks. Until then
+//	           no checkpoint cuts and no hook sees an undecided part.
 //	settle   — the coordinator's handle holds its log (retentionFloor) just
 //	           below its record until Release. The caller releases it once
 //	           every sub-record is Durable.
@@ -41,9 +43,9 @@ import (
 // participant that lacks it (Redo).
 //
 // The caller must be every participant's only writer from Prepare to the
-// last Commit: the parts are applied to the state they were validated
+// end of Commit: the parts are applied to the state they were validated
 // against. peb/sharded holds its barrier exclusively from Prepare to the
-// last Commit; its routed writes stage under the barrier's shared side, so
+// end of Commit; its routed writes stage under the barrier's shared side, so
 // none lands in between, and wait for durability outside it. A part is
 // validated against what its participant has applied, durable or not, and
 // a redo replays it against what that participant recovered. So the caller
@@ -69,6 +71,10 @@ type Prepared struct {
 	txnID uint64
 	part  txnPart
 	rec   Staged // the part's record, once Commit logged it
+	// touched and policyChange describe the applied part to the commit
+	// hooks, which fire once the transaction is decided.
+	touched      []CommitTouch
+	policyChange bool
 }
 
 // Prepare validates the batch exactly as Apply would, as the part of the
@@ -130,19 +136,31 @@ func (db *DB) checkIndexOps(ops []core.BatchOp) (nextSV float64, err error) {
 	return nextSV, nil
 }
 
-// Coordinate commits transaction txnID with p as the coordinator's part:
-// it logs one record holding p and every part in others, waits until the
-// record is durable — the commit point — and applies p. The handle then
-// holds the log just below the record until Release, so the record
-// outlives every checkpoint until each other part's record is durable.
+// Commit commits transaction txnID with p as the coordinator's part and
+// others as the other participants' parts, each prepared on its own DB:
+//
+//  1. it logs one record on p's DB holding every part, and asks the device
+//     to start writing it (SegmentedWAL.Writeback);
+//  2. it applies p, then each other part under that part's write lock, in
+//     memory only: nothing is logged and no commit hook fires;
+//  3. it waits until the record is durable — the commit point — and then
+//     holds p's log just below the record until Release, so the record
+//     outlives every checkpoint until each other part's record is durable;
+//  4. each other part logs its sub-record, tagged with txnID and not
+//     synced (Durable, Sync), fires its commit hooks and unlocks; then p
+//     fires its own.
+//
+// Every participant's write lock is held from its part's apply to its
+// sub-record, so no checkpoint cut and no commit hook sees an undecided
+// part, and the record's device write overlaps the applies.
 //
 // txnID must be non-zero and above every participant's MaxTxnID. An error
-// is fail-stop: the record may be on disk or not, and only a recovery
-// decides; the log is poisoned so nothing commits or checkpoints behind
-// it.
-func (p *Prepared) Coordinate(txnID uint64, others []*Prepared) error {
+// after the record's append is fail-stop: the record may be on disk or
+// not, and only a recovery decides. Every log that may hold or lack the
+// transaction is poisoned, so nothing commits or checkpoints behind it.
+func (p *Prepared) Commit(txnID uint64, others []*Prepared) error {
 	if txnID == 0 {
-		return fmt.Errorf("peb: coordinate: transaction id must be non-zero")
+		return fmt.Errorf("peb: commit: transaction id must be non-zero")
 	}
 	start := time.Now()
 	parts := make([]txnPart, len(others))
@@ -159,73 +177,116 @@ func (p *Prepared) Coordinate(txnID uint64, others []*Prepared) error {
 	if db.wal != nil {
 		floor = db.wal.Mark()
 	}
-	p.txnID = txnID
 	tok, err := db.walAppend(walRecord{NextSV: p.part.NextSV, Ops: p.part.Ops, TxnID: txnID, Parts: parts})
 	if err != nil {
 		return err
 	}
 	if db.wal != nil {
-		// Synced under the lock: a checkpoint cut between the record and
-		// the applied part would publish a horizon past a record whose
-		// effect it lacks.
-		if err := db.wal.Commit(tok); err != nil {
-			return fmt.Errorf("peb: wal commit: %w", err)
-		}
-		db.hold(p, floor)
+		// A hint: a failure costs only the head start, and the sync below
+		// reports any fault of the device.
+		_ = db.wal.Writeback(tok)
 	}
-	if err := p.applyLocked(); err != nil {
+	staged := 0
+	err = p.stageLocked(txnID)
+	for err == nil && staged < len(others) {
+		o := others[staged]
+		o.db.mu.Lock()
+		if err = o.stageLocked(txnID); err != nil {
+			err = fmt.Errorf("participant %d: %w", o.part.ID, err)
+			o.db.mu.Unlock()
+			break
+		}
+		staged++
+	}
+	if err == nil && db.wal != nil {
+		if err = db.wal.Commit(tok); err != nil {
+			err = fmt.Errorf("peb: wal commit: %w", err)
+		}
+	}
+	if err != nil {
+		p.poison(err)
+		unlockStaged(others[:staged], err)
 		return err
 	}
+	if db.wal != nil {
+		db.hold(p, floor)
+	}
+
+	// Decided.
+	for i, o := range others {
+		if err := o.finishLocked(start); err != nil {
+			err = fmt.Errorf("participant %d: %w", o.part.ID, err)
+			unlockStaged(others[i:], err)
+			return err
+		}
+		o.db.mu.Unlock()
+	}
+	p.part.Ops = opList{}
+	db.fireCommitLocked(p.touched, p.policyChange, false)
+	p.touched = nil
 	db.met.commit.ObserveDuration(time.Since(start))
 	return nil
 }
 
-// Commit applies the part of decided transaction txnID — commit's stages
-// 3–5 — and logs it tagged with txnID, without waiting for the record to
-// be durable (Durable, Sync). An error poisons the log (fail-stop): a
-// later record would claim, by the watermark, a transaction this DB
-// lacks.
-func (p *Prepared) Commit(txnID uint64) error {
-	start := time.Now()
+// unlockStaged releases staged parts a failed commit leaves unlogged,
+// poisoning each one's log first: the part is applied in memory, and a
+// checkpoint of it would claim a transaction its log and watermark lack.
+func unlockStaged(staged []*Prepared, err error) {
+	for _, o := range staged {
+		o.poison(err)
+		o.db.mu.Unlock()
+	}
+}
+
+// stageLocked applies the part of transaction txnID in memory and sets the
+// sequence-value cursor it was validated to leave: commit's stages 3–5
+// but the hooks, which wait for the decision (finishLocked). A failure
+// poisons the log. The caller holds the write lock.
+func (p *Prepared) stageLocked(txnID uint64) error {
 	db := p.db
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
 	p.txnID = txnID
-	ops := p.part.Ops
-	if err := p.applyLocked(); err != nil {
+	p.policyChange, _ = opClasses(p.part.Ops.Pol)
+	touched, err := db.applyQuietLocked(p.part.Ops)
+	if err != nil {
+		err = fmt.Errorf("peb: commit txn %d: %w", txnID, err)
+		p.poison(err)
 		return err
 	}
-	tok, err := db.walAppend(walRecord{NextSV: db.nextSV, Ops: ops, TxnID: txnID})
+	p.touched = touched
+	db.nextSV = p.part.NextSV
+	return nil
+}
+
+// finishLocked completes a staged part of a decided transaction: it logs
+// the part tagged with its transaction id, without waiting for the record
+// to be durable (Durable, Sync), and fires the commit hooks. An append
+// failure poisons the log: a later record would claim, by the watermark,
+// a transaction this DB lacks. The caller holds the write lock.
+func (p *Prepared) finishLocked(start time.Time) error {
+	db := p.db
+	tok, err := db.walAppend(walRecord{NextSV: db.nextSV, Ops: p.part.Ops, TxnID: p.txnID})
 	if err != nil {
 		return err
 	}
+	p.part.Ops = opList{}
 	// The part's latency is observed here, not by a wait: the router
 	// acknowledges the transaction at the coordinator's record, and a part
 	// becomes durable with its DB's next sync.
 	p.rec = Staged{db: db, wal: db.wal, tok: tok}
+	db.fireCommitLocked(p.touched, p.policyChange, false)
+	p.touched = nil
 	db.met.commit.ObserveDuration(time.Since(start))
 	return nil
 }
 
-// applyLocked applies the part and sets the sequence-value cursor it was
-// validated to leave, then drops the operations. A failure poisons the
-// log. The caller holds the write lock.
-func (p *Prepared) applyLocked() error {
-	db := p.db
-	policyChange, _ := opClasses(p.part.Ops.Pol)
-	if err := db.applyLocked(p.part.Ops, policyChange, false); err != nil {
-		err = fmt.Errorf("peb: commit txn %d: %w", p.txnID, err)
-		if db.wal != nil {
-			db.wal.Poison(err)
-		}
-		return err
+// poison fails the part's log with err (a no-op without one).
+func (p *Prepared) poison(err error) {
+	if p.db.wal != nil {
+		p.db.wal.Poison(err)
 	}
-	db.nextSV = p.part.NextSV
-	p.part.Ops = opList{}
-	return nil
 }
 
 // Txn returns the handle's transaction id (zero before it commits) and
@@ -255,10 +316,18 @@ func (db *DB) Coordinated() []*Prepared {
 }
 
 // Redo commits on db a part that Coordinated reported — db's own part of
-// a transaction it lacks — and waits until its record is durable.
+// a transaction it lacks: it stages the part, finishes it and waits until
+// its record is durable.
 func (db *DB) Redo(p *Prepared) error {
+	start := time.Now()
 	p.db = db
-	if err := p.Commit(p.txnID); err != nil {
+	db.mu.Lock()
+	err := p.stageLocked(p.txnID)
+	if err == nil {
+		err = p.finishLocked(start)
+	}
+	db.mu.Unlock()
+	if err != nil {
 		return err
 	}
 	return p.Sync()

@@ -82,10 +82,7 @@ func preparePair(t *testing.T, c, p *DB) (cp, pp *Prepared) {
 func commitPair(t *testing.T, c, p *DB, txnID uint64) {
 	t.Helper()
 	cp, pp := preparePair(t, c, p)
-	if err := cp.Coordinate(txnID, []*Prepared{pp}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pp.Commit(txnID); err != nil {
+	if err := cp.Commit(txnID, []*Prepared{pp}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -236,8 +233,8 @@ func TestPreparedUnresolvedRecovery(t *testing.T) {
 				pb.Upsert(Object{UID: 12, X: 120, Y: 120})
 				cp, pp := prepare(t, c, cb, 0), prepare(t, p, pb, 1)
 				fs.SetFailAfter(1) // the record's append lands, its sync fails
-				if err := cp.Coordinate(5, []*Prepared{pp}); err == nil {
-					t.Fatal("Coordinate succeeded on a dying filesystem")
+				if err := cp.Commit(5, []*Prepared{pp}); err == nil {
+					t.Fatal("Commit succeeded on a dying filesystem")
 				}
 			}
 			fs.CutPower()
@@ -306,11 +303,13 @@ func (f walSyncFailFile) Sync() error {
 }
 
 // TestCoordinateSyncFailureRefusesCheckpoint: only the coordinator's log
-// fsync fails, so its record may be on disk while its part is not applied.
-// A checkpoint after the failed Coordinate must refuse: one that cut would
-// cover the record, and recovery would redo the participant's part but
-// skip the coordinator's. After a power cut the pair holds the whole
-// transaction if the record's bytes survived and none of it otherwise.
+// fsync fails, so its record may be on disk or not while both parts are
+// applied in memory. A checkpoint on either side after the failed Commit
+// must refuse: one on the coordinator would cover the record, and
+// recovery would redo the participant's part but skip the coordinator's;
+// one on the participant would persist a part its watermark lacks. After
+// a power cut the pair holds the whole transaction if the record's bytes
+// survived and none of it otherwise.
 func TestCoordinateSyncFailureRefusesCheckpoint(t *testing.T) {
 	for _, keep := range []bool{false, true} {
 		t.Run(fmt.Sprintf("keep=%v", keep), func(t *testing.T) {
@@ -318,11 +317,14 @@ func TestCoordinateSyncFailureRefusesCheckpoint(t *testing.T) {
 			c, p, copts, popts := txnPair(t, fs, 0)
 			cp, pp := preparePair(t, c, p)
 			fs.armed.Store(true)
-			if err := cp.Coordinate(5, []*Prepared{pp}); err == nil {
-				t.Fatal("Coordinate succeeded with a failing log fsync")
+			if err := cp.Commit(5, []*Prepared{pp}); err == nil {
+				t.Fatal("Commit succeeded with a failing log fsync")
 			}
 			if err := c.Checkpoint(); err == nil || c.CheckpointStats().Checkpoints != 0 {
 				t.Fatalf("checkpoint cut behind a coordinator record whose fsync failed (err %v)", err)
+			}
+			if err := p.Checkpoint(); err == nil || p.CheckpointStats().Checkpoints != 0 {
+				t.Fatalf("participant checkpointed a part of an undecided transaction (err %v)", err)
 			}
 			fs.CutPower()
 			fs.Reboot(keep)
@@ -416,18 +418,18 @@ func TestPreparedValidation(t *testing.T) {
 	ok := db.NewBatch()
 	ok.Upsert(Object{UID: 7, X: 5, Y: 5})
 	p := prepare(t, db, ok, 0)
-	if err := p.Coordinate(0, nil); err == nil {
+	if err := p.Commit(0, nil); err == nil {
 		t.Fatal("transaction id 0 accepted")
 	}
 	if db.Size() != 0 || db.MaxTxnID() != 0 {
 		t.Fatalf("refused parts left %d objects, watermark %d", db.Size(), db.MaxTxnID())
 	}
 	// A memory-backed DB runs the protocol without a log.
-	if err := p.Coordinate(1, nil); err != nil {
+	if err := p.Commit(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if db.Size() != 1 || db.MaxTxnID() != 1 || !p.Durable() {
-		t.Fatalf("after Coordinate: %d objects, watermark %d, durable %v", db.Size(), db.MaxTxnID(), p.Durable())
+		t.Fatalf("after Commit: %d objects, watermark %d, durable %v", db.Size(), db.MaxTxnID(), p.Durable())
 	}
 }
 
@@ -443,11 +445,11 @@ func TestPreparedErrClosed(t *testing.T) {
 	if _, err := db.Prepare(b, 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Prepare on a closed DB: %v", err)
 	}
-	if err := p.Coordinate(1, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Coordinate on a closed DB: %v", err)
-	}
-	if err := q.Commit(1); !errors.Is(err, ErrClosed) {
+	if err := p.Commit(1, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Commit on a closed DB: %v", err)
+	}
+	if err := db.Redo(q); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Redo on a closed DB: %v", err)
 	}
 }
 
@@ -473,7 +475,7 @@ func TestPreparedAbortUpsertThenRemoveFreshUser(t *testing.T) {
 	if o, ok, _ := db.Lookup(1); !ok || o.X != 10 || db.Size() != 1 {
 		t.Fatalf("dropped part changed the state: %v %v, size %d", o, ok, db.Size())
 	}
-	if err := prepare(t, db, part(), 0).Coordinate(11, nil); err != nil {
+	if err := prepare(t, db, part(), 0).Commit(11, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Upsert(Object{UID: 2, X: 40, Y: 40}); err != nil {
@@ -490,7 +492,7 @@ func TestPreparedAbortUpsertThenRemoveFreshUser(t *testing.T) {
 }
 
 // TestPreparedAppendFailureRollsBack: when the coordinator's record cannot
-// be logged, Coordinate fails with nothing of its part applied, and the
+// be logged, Commit fails with nothing of its part applied, and the
 // log is poisoned so that no later commit lands behind a record that may
 // be on disk.
 func TestPreparedAppendFailureRollsBack(t *testing.T) {
@@ -505,8 +507,8 @@ func TestPreparedAppendFailureRollsBack(t *testing.T) {
 	p := prepare(t, db, b, 0)
 	// Kill the filesystem so the record's append fails.
 	fs.SetFailAfter(0)
-	if err := p.Coordinate(4, nil); err == nil {
-		t.Fatal("Coordinate succeeded with a failing append")
+	if err := p.Commit(4, nil); err == nil {
+		t.Fatal("Commit succeeded with a failing append")
 	}
 	if _, ok, _ := db.Lookup(2); ok {
 		t.Fatal("user 2 of the failed transaction is visible")

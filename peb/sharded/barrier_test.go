@@ -3,6 +3,7 @@ package sharded
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/peb/cq"
 )
 
 // A routed write is visible once staged and acknowledged once durable, and
@@ -519,6 +521,111 @@ func TestRehomeLogsEvictionAfterInsert(t *testing.T) {
 	if objs[neighbour].T != 2 {
 		t.Fatalf("acknowledged Upsert lost: %v", objs[neighbour])
 	}
+}
+
+// TestCrossShardCommitHoldsPartsUntilDecided holds a cross-shard Apply in
+// its coordinator's log fsync, the commit point. Every participant has
+// applied its part in memory by then, and holds it: no standing-query
+// delta for the batch's users arrives, and a participant's Checkpoint
+// does not return. Once the gate opens, Apply returns nil, each user's
+// Enter arrives, and the participant's checkpoint carries the transaction
+// in its watermark.
+func TestCrossShardCommitHoldsPartsUntilDecided(t *testing.T) {
+	base := runtime.NumGoroutine()
+	fs := &syncGateFS{CrashFS: store.NewCrashFS()}
+	db, err := Open(crashShardedOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	at := quadrantSlots(t, db)
+	const issuer = 99
+	all := Region{MaxX: 1000, MaxY: 1000}
+	b := db.NewBatch()
+	for s, q := range at {
+		uid := UserID(txnUserBase + s + 1)
+		if err := db.DefineRelation(uid, issuer, "friend"); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Grant(uid, "friend", all, TimeInterval{End: 1440}); err != nil {
+			t.Fatal(err)
+		}
+		b.Upsert(Object{UID: uid, X: q[0] + 10, Y: q[1] + 10, T: 3})
+	}
+	c, err := AttachCQ(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sub, init, err := c.SubscribeRange(issuer, all, 3, cq.SubOptions{Buffer: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if len(init) != 0 {
+		t.Fatalf("initial result %v, want empty", init)
+	}
+	const slot = 2 // a participant: the coordinator is slot 0
+	part := db.shards[slot]
+	before := part.MaxTxnID()
+
+	fs.arm(shardDir("root", db.metas[0].id))
+	applied := async(func() error { return db.Apply(b) })
+	<-fs.held
+	ckpt := async(part.Checkpoint)
+	entered := make(map[UserID]bool)
+	select {
+	case d := <-sub.Deltas():
+		t.Errorf("delta %+v while the commit point is held", d)
+		entered[d.Object.UID] = true
+	case err := <-ckpt:
+		t.Errorf("a participant's Checkpoint returned %v while the commit point is held", err)
+		ckpt = async(func() error { return err })
+	case err := <-applied:
+		t.Errorf("Apply returned %v before its commit point", err)
+		applied = async(func() error { return err })
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(fs.release)
+	if err := <-applied; err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if err := <-ckpt; err != nil {
+		t.Fatalf("participant checkpoint: %v", err)
+	}
+
+	for len(entered) < len(at) {
+		select {
+		case d := <-sub.Deltas():
+			if d.Kind != cq.Enter {
+				t.Fatalf("delta %+v, want an Enter", d)
+			}
+			entered[d.Object.UID] = true
+		case <-time.After(gateWait):
+			t.Fatalf("after the commit point, Enters for %v of %d users", entered, len(at))
+		}
+	}
+	want := part.MaxTxnID()
+	if want <= before {
+		t.Fatalf("participant watermark %d after the Apply, want above %d", want, before)
+	}
+	raw, err := fs.ReadFile(filepath.Join(shardDir("root", db.metas[slot].id), "peb.idx") + ".meta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta struct{ MaxTxn uint64 }
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	if meta.MaxTxn != want {
+		t.Fatalf("participant checkpoint watermark %d, want the transaction's %d", meta.MaxTxn, want)
+	}
+	sub.Close()
+	c.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	leakcheck.WaitGoroutines(t, base)
 }
 
 // commitCounts scrapes peb_commit_seconds_count per engine label.

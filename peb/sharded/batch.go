@@ -115,8 +115,9 @@ func staged(all []part) []part {
 //     policy engine counts after every shard); the coordinator — the
 //     lowest participating slot — logs every part in one record, and that
 //     record's single fsync, taken under the barrier, is the commit point;
-//     the other participants then apply their parts, each logging a
-//     sub-record that its shard's next sync makes durable.
+//     every participant applies its part while the record is written and
+//     holds it until then, and only then logs a sub-record that its
+//     shard's next sync makes durable (peb.Prepared.Commit).
 //
 // Either way the batch becomes visible under the write barrier, all at
 // once, and Apply returns once it is durable. Apply holds its users' locks
@@ -126,9 +127,9 @@ func staged(all []part) []part {
 //
 // After a crash, Open redoes each part a participant lacks from the
 // coordinator's record (finishRecovered), so the batch is all-or-nothing
-// across shards. A failure at or after the commit point fail-stops the
-// router (ErrFailStop). Without durability the same protocol runs without
-// logs: atomicity holds in memory.
+// across shards. A failure after the coordinator's record is appended
+// fail-stops the router (ErrFailStop). Without durability the same
+// protocol runs without logs: atomicity holds in memory.
 func (db *DB) Apply(b *Batch) error {
 	db.smu.Lock()
 	if db.closed {
@@ -212,8 +213,9 @@ func (db *DB) applyLocked(b *Batch) (peb.Staged, error) {
 // to wait on once it has released the barrier; a cross-shard commit is
 // durable at its commit point and returns the zero handle. committed
 // reports whether the transaction is committed (it can be true alongside
-// a non-nil error: a participant failed to apply its decided part, and
-// the router fail-stopped for the reopen to redo it).
+// a non-nil error: the policy engine's part committed but the shards could
+// not be pointed at its store). A cross-shard commit that fails
+// fail-stops the router, and the reopen decides it.
 func (db *DB) commitParts(parts []part) (s peb.Staged, committed bool, err error) {
 	if len(parts) == 0 {
 		return s, true, nil
@@ -238,17 +240,12 @@ func (db *DB) commitParts(parts []part) (s peb.Staged, committed bool, err error
 	// Release the holds whose parts became durable since the last commit.
 	db.settle(false)
 	txnID := db.allocTxn()
-	if err := prepared[0].Coordinate(txnID, prepared[1:]); err != nil {
-		return s, false, db.failStop(txnID, parts[0], err)
-	}
-
-	// Committed. The other participants apply their parts one after
-	// another: a part costs tens of microseconds, less than handing it to
-	// another goroutine and waking a processor for it on a small machine.
-	for j, p := range prepared[1:] {
-		if err := p.Commit(txnID); err != nil {
-			return s, true, db.failStop(txnID, parts[j+1], err)
-		}
+	// The participants apply their parts one after another while the
+	// coordinator's record is on its way to the disk: a part costs tens
+	// of microseconds, less than handing it to another goroutine and
+	// waking a processor for it on a small machine.
+	if err := prepared[0].Commit(txnID, prepared[1:]); err != nil {
+		return s, false, db.failStop(txnID, err)
 	}
 	db.txnMu.Lock()
 	db.unsettled = append(db.unsettled, prepared)
@@ -275,14 +272,15 @@ const maxUnsettled = 64
 
 // failStop closes the router on a cross-shard commit it cannot finish: the
 // coordinator's record may or may not be durable, or a participant could
-// not apply its part of a committed transaction. Every engine is closed,
-// later calls get ErrClosed, and the reopen decides the transaction by the
-// coordinator's log alone. The caller holds the write barrier.
-func (db *DB) failStop(txnID uint64, at part, cause error) error {
+// not apply or log its part. The error names the participant. Every engine
+// is closed, later calls get ErrClosed, and the reopen decides the
+// transaction by the coordinator's log alone. The caller holds the write
+// barrier.
+func (db *DB) failStop(txnID uint64, cause error) error {
 	db.events.Record("txn.failstop", "cross-shard commit failed; router fail-stopped",
-		"txn", txnID, "shard", at.id, "err", cause)
+		"txn", txnID, "err", cause)
 	_ = db.closeLocked()
-	return fmt.Errorf("%w: transaction %d: %s: %v", ErrFailStop, txnID, at, cause)
+	return fmt.Errorf("%w: transaction %d: %v", ErrFailStop, txnID, cause)
 }
 
 // noteCommitted records a committed transaction's writes on its shards

@@ -16,11 +16,12 @@
 //   - cross-shard atomic Apply: a batch is split by owning shard, every
 //     participant validates its part, and the lowest participating shard —
 //     the coordinator — logs all of them as one record in its own
-//     write-ahead log (peb.Prepared.Coordinate). That record's one fsync
-//     commits the transaction; the other participants then apply their
-//     parts, and recovery redoes any part a participant lacks from the
-//     coordinator's record. The router keeps no log of its own, and the
-//     batch is all-or-nothing even across a crash;
+//     write-ahead log (peb.Prepared.Commit). The participants apply their
+//     parts while the record is written, and hold them until its one
+//     fsync commits the transaction; recovery redoes any part a
+//     participant lacks from the coordinator's record. The router keeps
+//     no log of its own, and the batch is all-or-nothing even across a
+//     crash;
 //   - consistent Snapshot: one pinned peb.Snapshot per shard, taken under
 //     a brief global barrier, so the set is a single consistent cut;
 //   - per-shard durability: each shard owns a directory with its page
@@ -93,8 +94,8 @@ type (
 var ErrClosed = peb.ErrClosed
 
 // ErrFailStop is returned by the cross-shard commit that stopped the
-// router: it could not make its coordinator record durable, or a
-// participant could not apply its part of a committed transaction. The
+// router: after its coordinator record was appended, a participant could
+// not apply or log its part, or the record could not be made durable. The
 // engines are closed and every later call gets ErrClosed; reopening
 // decides the transaction by the coordinator's log.
 var ErrFailStop = errors.New("sharded: router fail-stopped on a cross-shard commit; reopen to resolve")
