@@ -97,9 +97,8 @@ func (s *Snapshot) MotionSlack(t float64) float64 {
 
 // Objects returns every indexed object, sorted by user id — the full
 // movement state of this DB. Shard recovery enumerates each shard with it
-// to rebuild routing state and reconcile duplicates; it is O(population)
-// and takes the read lock for the duration, so it is not a serving-path
-// call.
+// to rebuild routing state; it is O(population) and takes the read lock
+// for the duration, so it is not a serving-path call.
 func (db *DB) Objects() ([]Object, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

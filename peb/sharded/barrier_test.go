@@ -474,55 +474,6 @@ func TestApplyWaitsForItsUsersFsync(t *testing.T) {
 	checkRouting(t, re, "reopen")
 }
 
-// TestRehomeLogsEvictionAfterInsert: a re-homing Upsert whose insert is
-// held in its fsync has not logged the eviction from the old shard, so a
-// commit that syncs the old shard meanwhile cannot make the eviction
-// durable ahead of the insert. The power is cut with the insert's fsync
-// still held: the reopen holds the user in its old shard.
-func TestRehomeLogsEvictionAfterInsert(t *testing.T) {
-	base := runtime.NumGoroutine()
-	fs := &syncGateFS{CrashFS: store.NewCrashFS()}
-	db, err := Open(crashShardedOpts(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := quadrantSlots(t, db)
-	const mover, neighbour = 81, 82
-	for _, uid := range []UserID{mover, neighbour} {
-		if err := db.Upsert(Object{UID: uid, X: at[0][0], Y: at[0][1], T: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fs.arm(shardDir("root", db.metas[1].id))
-	held := async(func() error { return db.Upsert(Object{UID: mover, X: at[1][0], Y: at[1][1], T: 2}) })
-	<-fs.held
-	// A commit on the old shard, acknowledged while the insert is held.
-	if err := db.Upsert(Object{UID: neighbour, X: at[0][0] + 1, Y: at[0][1] + 1, T: 2}); err != nil {
-		t.Fatal(err)
-	}
-	fs.CutPower()
-	close(fs.release)
-	if err := <-held; !errors.Is(err, store.ErrInjected) {
-		t.Errorf("held re-home = %v, want the dead disk's error", err)
-	}
-	db.Close()
-	leakcheck.WaitGoroutines(t, base)
-
-	fs.Reboot(false)
-	re, err := Open(crashShardedOpts(fs))
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer re.Close()
-	objs := checkRouting(t, re, "reopen")
-	if o, ok := objs[mover]; !ok || o.T != 1 {
-		t.Fatalf("re-homed user after the power cut: %v (present %v), want its old state", o, ok)
-	}
-	if objs[neighbour].T != 2 {
-		t.Fatalf("acknowledged Upsert lost: %v", objs[neighbour])
-	}
-}
-
 // TestCrossShardCommitHoldsPartsUntilDecided holds a cross-shard Apply in
 // its coordinator's log fsync, the commit point. Every participant has
 // applied its part in memory by then, and holds it: no standing-query

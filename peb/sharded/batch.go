@@ -203,9 +203,10 @@ func (db *DB) applyLocked(b *Batch) (peb.Staged, error) {
 
 // commitParts atomically commits the participants' staged sub-batches: a
 // single participant stages through its own atomic Apply, several commit
-// as one coordinator record (see Apply). Shared by Apply and the
-// resharding migration loop (reshard.go), which moves objects between
-// shards with exactly the same all-or-nothing guarantees as a user batch.
+// as one coordinator record (see Apply). Shared by Apply — a re-homing
+// Upsert among its callers — and the resharding migration loop
+// (reshard.go), so every move of a user between shards has the same
+// all-or-nothing guarantees.
 // The caller holds the write barrier and the user locks of every user the
 // parts touch.
 //

@@ -12,8 +12,10 @@ import (
 
 // TestShardedConcurrentStress exercises the router under -race: writers
 // continuously re-home users across shard boundaries while readers run
-// scatter-gather queries and take consistent snapshots. At quiescence the
-// state must equal an oracle built from each user's last write.
+// scatter-gather queries and take consistent snapshots. No result holds a
+// user twice: a re-home is one cross-shard commit, and the gathers do not
+// merge duplicates. At quiescence the state must equal an oracle built
+// from each user's last write.
 func TestShardedConcurrentStress(t *testing.T) {
 	db, err := Open(Options{Shards: 4})
 	if err != nil {
@@ -82,19 +84,28 @@ func TestShardedConcurrentStress(t *testing.T) {
 					return
 				default:
 				}
+				var uids []UserID
 				switch rng.Intn(3) {
 				case 0:
-					if _, err := db.RangeQuery(issuer, Region{
+					res, err := db.RangeQuery(issuer, Region{
 						MinX: rng.Float64() * 500, MinY: rng.Float64() * 500,
 						MaxX: 500 + rng.Float64()*500, MaxY: 500 + rng.Float64()*500,
-					}, 30); err != nil {
+					}, 30)
+					if err != nil {
 						errCh <- fmt.Errorf("reader %d PRQ: %w", r, err)
 						return
 					}
+					for _, o := range res {
+						uids = append(uids, o.UID)
+					}
 				case 1:
-					if _, err := db.NearestNeighbors(issuer, rng.Float64()*1000, rng.Float64()*1000, 5, 30); err != nil {
+					res, err := db.NearestNeighbors(issuer, rng.Float64()*1000, rng.Float64()*1000, 5, 30)
+					if err != nil {
 						errCh <- fmt.Errorf("reader %d PkNN: %w", r, err)
 						return
+					}
+					for _, nb := range res {
+						uids = append(uids, nb.Object.UID)
 					}
 				case 2:
 					snap, err := db.Snapshot()
@@ -102,12 +113,23 @@ func TestShardedConcurrentStress(t *testing.T) {
 						errCh <- fmt.Errorf("reader %d snapshot: %w", r, err)
 						return
 					}
-					if _, err := snap.RangeQuery(issuer, space, 30); err != nil {
+					res, err := snap.RangeQuery(issuer, space, 30)
+					snap.Close()
+					if err != nil {
 						errCh <- fmt.Errorf("reader %d snapshot PRQ: %w", r, err)
-						snap.Close()
 						return
 					}
-					snap.Close()
+					for _, o := range res {
+						uids = append(uids, o.UID)
+					}
+				}
+				seen := make(map[UserID]bool, len(uids))
+				for _, uid := range uids {
+					if seen[uid] {
+						errCh <- fmt.Errorf("reader %d: a result holds user %d twice", r, uid)
+						return
+					}
+					seen[uid] = true
 				}
 			}
 		}(r)

@@ -2,6 +2,8 @@ package sharded
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,9 +31,11 @@ import (
 // cq.Engine.Watch registration, and the slice of the result that shard
 // last reported. The registration's callback runs inside the shard's
 // commit; it applies the delta to the slice and recomputes the merged
-// result on the spot, from the slices, as the one-shot queries do: a user
-// two shards report at once (caught mid-re-homing or mid-migration) counts
-// once and the newer state wins; PkNN keeps the global (Dist, UID) top k.
+// result on the spot, from the slices: a user two shards report at once
+// counts once and the newer state wins; PkNN keeps the global (Dist, UID)
+// top k. Two shards can report one user because a cross-shard commit — a
+// re-home, a batch or a migration step — fires its shards' hooks one
+// shard at a time: the other participants first, then the coordinator.
 // The recomputation goes through the same cq.Result diff the engines use,
 // so a delta is emitted only when the merged result changes, and it goes
 // to the consumer through the same cq.Outbox. The subscription owns no
@@ -60,9 +64,9 @@ import (
 // Merged: the stream is well-formed (Enter only for absent users, Leave
 // and Update only for present ones) and a mirror of it converges to the
 // one-shot answer once commits stop — the contract the sharded oracle
-// enforces. There is no order across shards: the two halves of a
-// re-homing or a cross-shard batch are two commits, so the merged stream
-// may report Leave then Enter where a single tree reports Update.
+// enforces. There is no order across shards: the parts of a re-home or a
+// cross-shard batch reach the legs one shard at a time, so the merged
+// stream may report Leave then Enter where a single tree reports Update.
 //
 // Lock order: router barrier (db.smu) → shard db.mu → engine e.mu →
 // Subscription.mu. Subscription.mu is a leaf: nothing runs under it but
@@ -518,18 +522,20 @@ func (s *Subscription) refreshLocked(uid UserID) {
 	s.merged.Set(uid, cur, in, s.seq, s.emit)
 }
 
-// mergeLocked derives the whole merged result from the legs' slices the
-// way the router's one-shot PkNN merges shard answers, through the same
-// mergeNeighbor: a user several shards report counts once, newest state
-// wins; order is (Dist, UID) — user id alone for a range query, whose
-// distances are zero — and a PkNN result is cut to k.
+// mergeLocked derives the whole merged result from the legs' slices: a
+// user several shards report at once counts once, newest state wins;
+// order is (Dist, UID) — user id alone for a range query, whose distances
+// are zero — and a PkNN result is cut to k.
 func (s *Subscription) mergeLocked() []Neighbor {
-	var out []Neighbor
+	newest := make(map[UserID]Neighbor)
 	for _, l := range s.legs {
-		for _, nb := range l.slice {
-			out = mergeNeighbor(out, nb)
+		for uid, nb := range l.slice {
+			if cur, ok := newest[uid]; !ok || nb.Object.T > cur.Object.T {
+				newest[uid] = nb
+			}
 		}
 	}
+	out := slices.SortedFunc(maps.Values(newest), byDistUID)
 	if s.q.K > 0 && len(out) > s.q.K {
 		out = out[:s.q.K]
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -338,6 +339,49 @@ func TestShardedCQOracle(t *testing.T) {
 	}
 	for _, ks := range ksubs {
 		ks.sub.Close()
+	}
+}
+
+// TestSubscriptionMergeNewestWins pins the standing query's fold, the one
+// merge that still meets a user twice: a cross-shard commit fires its
+// shards' hooks one shard at a time, so two legs can hold one user for a
+// moment. The newer state wins whichever leg holds it, and may leave the
+// top k; a range result holds every user once, by id.
+func TestSubscriptionMergeNewestWins(t *testing.T) {
+	nb := func(uid int, dist, tm float64) Neighbor {
+		return Neighbor{Object: Object{UID: UserID(uid), T: tm}, Dist: dist}
+	}
+	mkLeg := func(nbs ...Neighbor) *leg {
+		l := &leg{slice: cq.Result{}}
+		for _, n := range nbs {
+			l.slice[n.Object.UID] = n
+		}
+		return l
+	}
+	older := mkLeg(nb(1, 2, 10), nb(2, 3, 10))
+	newer := mkLeg(nb(1, 8, 20), nb(3, 4, 10))
+	for _, tc := range []struct {
+		name string
+		k    int
+		legs []*leg
+		want []UserID
+	}{
+		{"knn", 2, []*leg{older, newer}, []UserID{2, 3}},
+		{"knn/newer-first", 2, []*leg{newer, older}, []UserID{2, 3}},
+		{"range", 0, []*leg{older, newer}, []UserID{2, 3, 1}},
+	} {
+		s := &Subscription{q: cq.Query{K: tc.k}, legs: tc.legs}
+		got := s.mergeLocked()
+		var uids []UserID
+		for _, n := range got {
+			uids = append(uids, n.Object.UID)
+			if n.Object.UID == 1 && n.Object.T != 20 {
+				t.Errorf("%s: user 1 merged at T %g, want the newer 20", tc.name, n.Object.T)
+			}
+		}
+		if !slices.Equal(uids, tc.want) {
+			t.Errorf("%s: merged %v, want %v", tc.name, uids, tc.want)
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -176,72 +178,106 @@ func TestShardedCrashMidCrossShardCommit(t *testing.T) {
 }
 
 // TestShardedCrashAfterDecision pins the commit point: power fails at
-// every device operation of a cross-shard Apply — the coordinator's append
-// and fsync, then one append per other participant, one fsync in all — and
-// recovery commits the transaction if and only if the coordinator's record
-// survived: its fsync completed, or the cut kept its unsynced append. The
-// Apply fail-stops the router every time, and each part a participant
-// lost is redone from the record.
+// every device operation of a cross-shard commit — the coordinator's
+// append and fsync, then one append per other participant, one fsync in
+// all — and recovery commits the transaction if and only if the
+// coordinator's record survived: its fsync completed, or the cut kept its
+// unsynced append. The commit fail-stops the router every time, and each
+// part a participant lost is redone from the record. Two commits run the
+// sweep: crossShardMove's Apply over every shard, and an Upsert that
+// re-homes a user, whose insert and eviction are one two-shard commit.
 func TestShardedCrashAfterDecision(t *testing.T) {
-	// run opens the router, seeds it and applies crossShardMove with the
-	// fault point k operations into the Apply (none when k < 0), returning
-	// Apply's error and how many operations it performed.
-	run := func(fs *store.CrashFS, k int) (error, int) {
-		db, err := Open(crashShardedOpts(fs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		if err := seedQuadrants(db); err != nil {
-			t.Fatal(err)
-		}
-		start := fs.Ops()
-		fs.SetFailAfter(k)
-		err = db.Apply(crossShardMove(db))
-		return err, fs.Ops() - start
-	}
-	err, ops := run(store.NewCrashFS(), -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2 + len(quadrant) - 1; ops != want {
-		t.Fatalf("a cross-shard Apply over %d shards performed %d device operations, want %d", len(quadrant), ops, want)
-	}
-	for _, keep := range []bool{false, true} {
-		for k := 0; k < ops; k++ {
-			label := fmt.Sprintf("k=%d keep=%v", k, keep)
-			fs := store.NewCrashFS()
-			if err, _ := run(fs, k); !errors.Is(err, ErrFailStop) {
-				t.Fatalf("%s: Apply = %v, want ErrFailStop", label, err)
-			}
-			fs.Reboot(keep)
-			want := k >= 2 || (k == 1 && keep)
-			for n := 0; n < 2; n++ {
-				re, err := Open(crashShardedOpts(fs))
-				if err != nil {
-					t.Fatalf("%s: recovery %d: %v", label, n+1, err)
-				}
+	cases := []struct {
+		name  string
+		parts int // participating shards
+		op    func(db *DB) error
+		// committed checks the recovered router and reports the verdict.
+		committed func(t *testing.T, re *DB, label string) bool
+	}{
+		{
+			name: "apply", parts: len(quadrant),
+			op: func(db *DB) error { return db.Apply(crossShardMove(db)) },
+			committed: func(t *testing.T, re *DB, label string) bool {
 				checkAllOrNothing(t, re, label)
-				if got := checkTxnUsers(t, re, label, txnUserBase+1, txnUserBase+2, txnUserBase+3, txnUserBase+4); got != want {
-					t.Fatalf("%s: recovery %d: committed = %v, want %v", label, n+1, got, want)
+				return checkTxnUsers(t, re, label, txnUserBase+1, txnUserBase+2, txnUserBase+3, txnUserBase+4)
+			},
+		},
+		{
+			name: "rehome", parts: 2,
+			op: func(db *DB) error {
+				return db.Upsert(Object{UID: 1, X: quadrant[2][0] - 20, Y: quadrant[2][1] - 20, T: 2})
+			},
+			committed: func(t *testing.T, re *DB, label string) bool {
+				o, ok := checkRouting(t, re, label)[1]
+				if !ok {
+					t.Fatalf("%s: the re-homed user is lost", label)
 				}
-				redone := 0
-				for _, e := range re.Events().Recent(0) {
-					if e.Type == "txn.recover" {
-						redone++
+				return o.T == 2
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// run opens the router, seeds it and runs the commit with the
+			// fault point k operations into it (none when k < 0), returning
+			// the commit's error and how many operations it performed.
+			run := func(fs *store.CrashFS, k int) (error, int) {
+				db, err := Open(crashShardedOpts(fs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				if err := seedQuadrants(db); err != nil {
+					t.Fatal(err)
+				}
+				start := fs.Ops()
+				fs.SetFailAfter(k)
+				err = tc.op(db)
+				return err, fs.Ops() - start
+			}
+			err, ops := run(store.NewCrashFS(), -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := 2 + tc.parts - 1; ops != want {
+				t.Fatalf("a commit over %d shards performed %d device operations, want %d", tc.parts, ops, want)
+			}
+			for _, keep := range []bool{false, true} {
+				for k := 0; k < ops; k++ {
+					label := fmt.Sprintf("k=%d keep=%v", k, keep)
+					fs := store.NewCrashFS()
+					if err, _ := run(fs, k); !errors.Is(err, ErrFailStop) {
+						t.Fatalf("%s: commit = %v, want ErrFailStop", label, err)
+					}
+					fs.Reboot(keep)
+					want := k >= 2 || (k == 1 && keep)
+					for n := 0; n < 2; n++ {
+						re, err := Open(crashShardedOpts(fs))
+						if err != nil {
+							t.Fatalf("%s: recovery %d: %v", label, n+1, err)
+						}
+						if got := tc.committed(t, re, label); got != want {
+							t.Fatalf("%s: recovery %d: committed = %v, want %v", label, n+1, got, want)
+						}
+						redone := 0
+						for _, e := range re.Events().Recent(0) {
+							if e.Type == "txn.recover" {
+								redone++
+							}
+						}
+						if n == 0 && want && !keep && redone != tc.parts-1 {
+							t.Fatalf("%s: %d parts redone, want %d: no participant's append was synced", label, redone, tc.parts-1)
+						}
+						if n == 1 && redone != 0 {
+							t.Fatalf("%s: the second recovery redid %d parts", label, redone)
+						}
+						if err := re.Close(); err != nil {
+							t.Fatalf("%s: close: %v", label, err)
+						}
 					}
 				}
-				if n == 0 && want && !keep && redone != len(quadrant)-1 {
-					t.Fatalf("%s: %d parts redone, want %d: no participant's append was synced", label, redone, len(quadrant)-1)
-				}
-				if n == 1 && redone != 0 {
-					t.Fatalf("%s: the second recovery redid %d parts", label, redone)
-				}
-				if err := re.Close(); err != nil {
-					t.Fatalf("%s: close: %v", label, err)
-				}
 			}
-		}
+		})
 	}
 }
 
@@ -298,6 +334,48 @@ func TestOpenRefusesOtherGenerations(t *testing.T) {
 				t.Fatalf("refused open wrote, renamed, truncated or synced %d times", fs.Ops()-ops)
 			}
 		})
+	}
+}
+
+// TestOpenRefusesUserInTwoShards: every move between shards is one
+// cross-shard commit, so a user found in two shards at Open is corruption,
+// not a crash leftover to heal. The open fails with an error that wraps
+// peb.ErrCorruptCheckpoint and names the user and both shard ids.
+func TestOpenRefusesUserInTwoShards(t *testing.T) {
+	fs := store.NewCrashFS()
+	db, err := Open(crashShardedOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{db.metas[0].id, db.metas[1].id}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const uid = 7
+	for _, id := range ids {
+		e, err := peb.Open(peb.Options{
+			Path:       filepath.Join(shardDir("root", id), "peb.idx"),
+			Durability: peb.DurabilitySync,
+			FS:         fs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Upsert(Object{UID: uid, X: 500, Y: 500, T: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = Open(crashShardedOpts(fs))
+	if !errors.Is(err, peb.ErrCorruptCheckpoint) {
+		t.Fatalf("open err = %v, want ErrCorruptCheckpoint", err)
+	}
+	for _, want := range []string{fmt.Sprintf("user %d ", uid), fmt.Sprintf("shard %d ", ids[0]), fmt.Sprintf("shard %d", ids[1])} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("open err %q does not name %q", err, want)
+		}
 	}
 }
 

@@ -29,14 +29,13 @@
 //     parallel and reconciles the user→shard routing map.
 //
 // Placement follows each user's latest reported position: an update that
-// moves a user across a shard boundary re-homes them (insert into the new
-// shard, then delete from the old — a crash between the two is healed at
-// the next open by keeping the newer state). Policies and relations have
-// one home: the policy engine, a peb.DB beside the shards that holds no
-// objects and sits outside the routing table. It commits, logs and
-// checkpoints every policy operation once, and every shard reads its
-// store (peb.DB.BorrowPolicies), so any shard can evaluate the
-// privacy predicate for its own objects. This matches the paper's premise
+// moves a user across a shard boundary re-homes them, inserting into the
+// new shard and evicting from the old in one cross-shard commit, so every
+// user is in exactly one shard. Policies and relations have one home: the
+// policy engine, a peb.DB beside the shards that holds no objects and sits
+// outside the routing table. It commits, logs and checkpoints every policy
+// operation once, and every shard reads its store (peb.DB.BorrowPolicies),
+// so any shard can evaluate the privacy predicate for its own objects. This matches the paper's premise
 // that policies change rarely while positions change constantly: they are
 // written once, not once per shard.
 //
@@ -50,18 +49,20 @@
 // holding only its user's lock, so no barrier holder waits on it. Apply
 // makes its batch visible under the write side; a single-participant
 // batch — every Grant and DefineRelation — waits for its fsync after
-// releasing it, while a cross-shard batch keeps its coordinator's fsync,
-// the commit point, inside. A batch waits for its own users' routed writes
+// releasing it, while a cross-shard batch — a re-homing Upsert among
+// them — keeps its coordinator's fsync, the commit point, inside. A batch waits for its own users' routed writes
 // still in their fsync. Concurrent updates to the same user from different
 // goroutines have no defined order (issue each user's updates from one
 // goroutine, as a location service naturally does).
 package sharded
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -185,10 +186,11 @@ type DB struct {
 	// smu is the router barrier: routed single-shard operations and
 	// queries hold the read side (and so run concurrently, each
 	// serializing only inside its own shard), while atomic operations —
-	// Apply, policy commits, EncodePolicies, Snapshot, topology changes,
-	// Close — hold the write side. A routed write holds the read side only
-	// while it applies, a single-participant Apply the write side only
-	// while it applies: their fsync waits hold neither.
+	// Apply (a re-homing Upsert among them), policy commits,
+	// EncodePolicies, Snapshot, topology changes, Close — hold the write
+	// side. A routed write holds the read side only while it applies, a
+	// single-participant Apply the write side only while it applies: their
+	// fsync waits hold neither.
 	smu    sync.RWMutex
 	closed bool
 
@@ -198,12 +200,9 @@ type DB struct {
 	ownMu sync.Mutex
 	owner map[UserID]int
 	// userMu serializes the writes of one user (striped by id, taken after
-	// smu). A re-homing Upsert is an insert into the new shard plus a delete
-	// from the old one; without it a concurrent Upsert of the same user back
-	// into the old shard could land between the two and be deleted. A
-	// routed write holds it until it is durable, and a transaction takes
-	// its users' locks before it prepares, so no part is validated against
-	// a commit a power cut could still lose.
+	// smu). A routed write holds it until it is durable, and a transaction
+	// takes its users' locks before it prepares, so no part is validated
+	// against a commit a power cut could still lose.
 	userMu [userStripes]sync.Mutex
 
 	// Cross-shard transaction state (batch.go): nextTxn allocates ids above
@@ -255,10 +254,10 @@ func policiesDir(dir string) string { return filepath.Join(dir, "policies") }
 // independently (checkpoint plus log replay), every part of a cross-shard
 // transaction a participant lacks is redone from its coordinator's record
 // (finishRecovered), the shards borrow the policy engine's store, the
-// routing map is rebuilt from the shards' contents — healing any
-// duplicate a crash mid-re-homing left behind — and an in-flight split or
-// merge the manifest records is rolled forward to completion before the
-// first operation is served.
+// routing map is rebuilt from the shards' contents — a user found in two
+// shards is refused as corruption — and an in-flight split or merge the
+// manifest records is rolled forward to completion before the first
+// operation is served.
 func Open(opts Options) (*DB, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -379,11 +378,9 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// reconcile rebuilds the user→shard map from the shards' contents. A crash
-// between the two halves of a re-homing update (insert into the new shard,
-// remove from the old) can leave one user in two shards; the newer state
-// (larger update time; ties broken toward the shard owning the stored
-// position, then the lower index) wins and the stale entry is removed.
+// reconcile rebuilds the user→shard map from the shards' contents. Every
+// move between shards is one cross-shard commit, so a user found in two
+// shards is corruption, not a crash leftover, and the open refuses it.
 func (db *DB) reconcile() error {
 	for i, s := range db.shards {
 		objs, err := s.Objects()
@@ -391,29 +388,11 @@ func (db *DB) reconcile() error {
 			return fmt.Errorf("sharded: enumerate shard %d: %w", i, err)
 		}
 		for _, o := range objs {
-			prev, dup := db.owner[o.UID]
-			if !dup {
-				db.owner[o.UID] = i
-				continue
+			if prev, dup := db.owner[o.UID]; dup {
+				return fmt.Errorf("sharded: %w: user %d is in shard %d and shard %d",
+					peb.ErrCorruptCheckpoint, o.UID, db.metas[prev].id, db.metas[i].id)
 			}
-			po, ok, err := db.shards[prev].Lookup(o.UID)
-			if err != nil {
-				return err
-			}
-			keepNew := !ok || o.T > po.T ||
-				(o.T == po.T && db.shardOf(o.X, o.Y) == i)
-			if keepNew {
-				if ok {
-					if err := db.shards[prev].Remove(o.UID); err != nil {
-						return fmt.Errorf("sharded: heal duplicate user %d: %w", o.UID, err)
-					}
-				}
-				db.owner[o.UID] = i
-			} else {
-				if err := db.shards[i].Remove(o.UID); err != nil {
-					return fmt.Errorf("sharded: heal duplicate user %d: %w", o.UID, err)
-				}
-			}
+			db.owner[o.UID] = i
 		}
 	}
 	return nil
@@ -494,43 +473,45 @@ func (db *DB) closeLocked() error {
 }
 
 // Upsert stores or replaces a user's movement update in the shard owning
-// the new position. A user whose update crosses a shard boundary is
-// re-homed: inserted into the new shard first, then removed from the old,
-// so concurrent queries see the user throughout (briefly possibly twice;
-// query merging keeps the newer state).
+// the new position.
 //
 // The update is staged under the router's shared barrier and the user's
 // lock: it is visible to every query and commit from then on. Upsert then
 // releases the barrier and waits, holding only the user's lock, until the
 // update is durable, and returns once it is: cross-shard batches, policy
-// commits, snapshots and topology changes do not wait for its fsync. A
-// re-home waits for the insert before it logs the eviction, still under
-// the barrier: were the eviction durable and the insert not, a power cut
-// would lose the user.
+// commits, snapshots and topology changes do not wait for its fsync.
+//
+// A user whose update crosses a shard boundary is re-homed by a one-op
+// Apply instead: the insert into the new shard and the eviction from the
+// old one are one cross-shard commit, so no query, snapshot or recovery
+// ever sees the user in two shards.
 func (db *DB) Upsert(o Object) error {
-	return db.routedWrite(o.UID, func() (peb.Staged, error) {
+	rehome := false
+	err := db.routedWrite(o.UID, func() (peb.Staged, error) {
 		target := db.shardOf(o.X, o.Y)
+		db.ownMu.Lock()
+		prev, had := db.owner[o.UID]
+		db.ownMu.Unlock()
+		if had && prev != target {
+			rehome = true
+			return peb.Staged{}, nil
+		}
 		s, err := db.shards[target].StageUpsert(o)
 		if err != nil {
 			return s, err
 		}
 		db.noteWrite(target)
 		db.ownMu.Lock()
-		prev, had := db.owner[o.UID]
 		db.owner[o.UID] = target
 		db.ownMu.Unlock()
-		if !had || prev == target {
-			return s, nil
-		}
-		if err := s.Wait(); err != nil {
-			return peb.Staged{}, err
-		}
-		if s, err = db.shards[prev].StageRemove(o.UID); err != nil {
-			return s, fmt.Errorf("sharded: re-home user %d out of shard %d: %w", o.UID, prev, err)
-		}
-		db.noteWrite(prev)
 		return s, nil
 	})
+	if err != nil || !rehome {
+		return err
+	}
+	b := db.NewBatch()
+	b.Upsert(o)
+	return db.Apply(b)
 }
 
 // Remove deletes a user's index entry (their policies remain). Removing a
@@ -828,40 +809,28 @@ func scatter(n int, fn func(j int)) {
 }
 
 // gatherRange fans a range query out to the routed shards concurrently and
-// merges the results: duplicates (a user caught mid-re-homing) keep the
-// newer state, and the merged set is sorted by user id for determinism.
+// concatenates the results, sorted by user id for determinism. Each user is
+// in one shard, so nothing needs merging.
 func gatherRange(idxs []int, issuer UserID, r Region, t float64, shard func(int) querier) ([]Object, error) {
 	results := make([][]Object, len(idxs))
 	errs := make([]error, len(idxs))
 	scatter(len(idxs), func(j int) {
 		results[j], errs[j] = shard(idxs[j]).RangeQuery(issuer, r, t)
 	})
-	for _, err := range errs {
+	var out []Object
+	for j, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+		out = append(out, results[j]...)
 	}
-	merged := make(map[UserID]Object)
-	for _, res := range results {
-		for _, o := range res {
-			if prev, ok := merged[o.UID]; !ok || o.T > prev.T {
-				merged[o.UID] = o
-			}
-		}
-	}
-	if len(merged) == 0 {
-		return nil, nil // match the single-tree engine's empty result
-	}
-	out := make([]Object, 0, len(merged))
-	for _, o := range merged {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].UID < out[b].UID })
-	return out, nil
+	slices.SortFunc(out, func(a, b Object) int { return cmp.Compare(a.UID, b.UID) })
+	return out, nil // nil when empty, matching the single-tree engine
 }
 
 // gatherKNN asks slots 0 … n-1 for their k nearest in one concurrent wave,
-// merges the answers (newest state per user wins) and cuts the result to k.
+// concatenates the answers, sorts them by (distance, user id) and cuts the
+// result to k.
 func gatherKNN(n int, issuer UserID, x, y float64, k int, t float64, shard func(int) querier) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
@@ -876,41 +845,19 @@ func gatherKNN(n int, issuer UserID, x, y float64, k int, t float64, shard func(
 		if err != nil {
 			return nil, err
 		}
-		for _, nb := range results[i] {
-			best = mergeNeighbor(best, nb)
-		}
+		best = append(best, results[i]...)
 	}
+	slices.SortFunc(best, byDistUID)
 	if len(best) > k {
 		best = best[:k]
 	}
 	return best, nil // nil when empty, matching the single-tree engine
 }
 
-// mergeNeighbor adds nb to best, which is kept sorted by (distance, user id)
-// with one entry per user: of two states of one user (caught mid-re-homing)
-// the newer survives. Every candidate is kept, not only the nearest k, so a
-// duplicate that resolves to a farther state cannot push out a candidate
-// the final truncation still needs. gatherKNN's best holds the answers of
-// every shard, asked concurrently, at most k from each; a standing query's
-// (Subscription.mergeLocked) holds its whole result.
-func mergeNeighbor(best []Neighbor, nb Neighbor) []Neighbor {
-	for i := range best {
-		if best[i].Object.UID == nb.Object.UID {
-			if nb.Object.T <= best[i].Object.T {
-				return best
-			}
-			best = append(best[:i], best[i+1:]...)
-			break
-		}
+// byDistUID orders neighbors by distance, then user id.
+func byDistUID(a, b Neighbor) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
 	}
-	at := sort.Search(len(best), func(i int) bool {
-		if best[i].Dist != nb.Dist {
-			return best[i].Dist > nb.Dist
-		}
-		return best[i].Object.UID > nb.Object.UID
-	})
-	best = append(best, Neighbor{})
-	copy(best[at+1:], best[at:])
-	best[at] = nb
-	return best
+	return cmp.Compare(a.Object.UID, b.Object.UID)
 }

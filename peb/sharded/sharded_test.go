@@ -313,8 +313,8 @@ func (c *cannedShard) NearestNeighbors(_ UserID, _, _ float64, k int, _ float64)
 }
 
 // TestGatherKNNOneWave pins the router's PkNN gather on canned shards:
-// every shard is asked exactly once, and the merge rule holds (newer state
-// wins a duplicate, order by distance then id, cut to k).
+// every shard is asked exactly once, and the merge rule holds (order by
+// distance then id, cut to k).
 func TestGatherKNNOneWave(t *testing.T) {
 	nb := func(uid int, dist, tm float64) Neighbor {
 		return Neighbor{Object: Object{UID: UserID(uid), T: tm}, Dist: dist}
@@ -344,12 +344,6 @@ func TestGatherKNNOneWave(t *testing.T) {
 			name: "fewer", k: 5,
 			answers: [][]Neighbor{{nb(4, 2, 0)}, nil, {nb(5, 950, 0), nb(6, 960, 0)}},
 			want:    []UserID{4, 5, 6},
-		},
-		{
-			// The newer state wins a duplicate, and may leave the top k.
-			name: "duplicate", k: 2,
-			answers: [][]Neighbor{{nb(1, 2, 10), nb(2, 3, 10)}, {nb(1, 8, 20), nb(3, 4, 10)}},
-			want:    []UserID{2, 3},
 		},
 		{
 			// Nothing anywhere is nil, as on the single tree.

@@ -43,7 +43,8 @@ func shardWAL(db *DB) []peb.WALStats {
 // append on each participant. Nothing is written on the router: the only
 // router-owned file in the root is the manifest. A participant's part
 // rides its next sync: a single Upsert there still costs exactly one
-// fsync, and makes that part durable.
+// fsync, and makes that part durable. A re-homing Upsert is a two-shard
+// commit and costs exactly one fsync too.
 func TestCrossShardApplyFsyncs(t *testing.T) {
 	fs := store.NewCrashFS()
 	db, err := Open(crashShardedOpts(fs))
@@ -103,6 +104,26 @@ func TestCrossShardApplyFsyncs(t *testing.T) {
 	if !txn[1].Durable() || txn[2].Durable() {
 		t.Errorf("after slot 1's Upsert: parts durable %v (slot 1) and %v (slot 3), want true and false",
 			txn[1].Durable(), txn[2].Durable())
+	}
+
+	// An Upsert that re-homes user 1 from slot 0 to slot 2 is one
+	// two-shard commit: exactly one fsync summed over every engine.
+	allSyncs := func() uint64 {
+		n := db.pe.WALStats().Syncs
+		for _, w := range shardWAL(db) {
+			n += w.Syncs
+		}
+		return n
+	}
+	syncs = allSyncs()
+	if err := db.Upsert(Object{UID: 1, X: at[2][0] + 5, Y: at[2][1] + 5, T: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := allSyncs() - syncs; got != 1 {
+		t.Errorf("a re-home cost %d fsyncs, want 1", got)
+	}
+	if own := checkRouting(t, db, "after the re-home"); own[1].T != 3 {
+		t.Errorf("re-homed user is %v, want its update", own[1])
 	}
 }
 
