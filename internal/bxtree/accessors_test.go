@@ -165,6 +165,18 @@ func TestPartitionTrackerDirect(t *testing.T) {
 	if refs[0].Gap != 200 {
 		t.Errorf("merged gap = %g, want 200", refs[0].Gap)
 	}
+	// Update times: label 2 holds (0, 60], label 5 holds (180, 240]; the
+	// farthest from 100 is 240, and from 106 with label 2 alone, 0.
+	if g := pt2.UpdateGap(100); g != 140 {
+		t.Errorf("update gap over labels 2 and 5 = %g, want 140", g)
+	}
+	pt2.Remove(2)
+	if g := pt2.UpdateGap(106); g != 106 {
+		t.Errorf("update gap over label 2 = %g, want 106", g)
+	}
+	if g := NewPartitionTracker(cfg).UpdateGap(50); g != 0 {
+		t.Errorf("empty tracker's update gap = %g, want 0", g)
+	}
 }
 
 // BenchmarkCoverIntervalHilbert is one PkNN matrix cell on the Hilbert

@@ -1,6 +1,7 @@
 package bxtree
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/motion"
@@ -83,6 +84,23 @@ func (pt *PartitionTracker) dec(li int64) {
 	if pt.labelCount[li] == 0 {
 		delete(pt.labelCount, li)
 	}
+}
+
+// UpdateGap returns the largest |tq − T| over the update times T the live
+// labels can hold: an update at T is stored under label index
+// li = LabelIndex(T), so (li−2)·d < T ≤ (li−1)·d for the label duration d,
+// and the labels' intervals reach from the lowest live label's to the
+// highest's. Zero when no label is live.
+func (pt *PartitionTracker) UpdateGap(tq float64) float64 {
+	if len(pt.labelCount) == 0 {
+		return 0
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for li := range pt.labelCount {
+		lo, hi = min(lo, li), max(hi, li)
+	}
+	d := pt.cfg.LabelDuration()
+	return max(math.Abs(tq-float64(lo-2)*d), math.Abs(tq-float64(hi-1)*d))
 }
 
 // Active returns one entry per label timestamp currently holding objects,

@@ -1,6 +1,7 @@
 // Package codec holds the low-level binary serialization primitives shared
-// by the durability formats: the WAL record codec (peb/walcodec.go) and the
-// policy snapshot (internal/policy/persist.go).
+// by the durability formats: the WAL record codec (peb/walcodec.go), the
+// checkpoint meta (peb/checkpoint.go) and the policy snapshot
+// (internal/policy/persist.go).
 //
 // Two conventions tie the formats together:
 //
@@ -10,7 +11,7 @@
 //
 //   - One generation per file kind. Every persisted format opens with a
 //     stamp — a magic byte plus a version byte here, a Version field in the
-//     JSON side files — and its reader accepts exactly the current one.
+//     router's JSON manifest — and its reader accepts exactly the current one.
 //     Anything else is refused with ErrUnsupportedFormat before the open
 //     touches the directory; nothing is migrated.
 package codec
@@ -36,6 +37,8 @@ const (
 	// MagicPolicySnapshot marks an enveloped policy snapshot
 	// (internal/policy/persist.go).
 	MagicPolicySnapshot = 0xC7
+	// MagicCheckpointMeta marks a checkpoint meta (peb/checkpoint.go).
+	MagicCheckpointMeta = 0xD8
 )
 
 // AppendUvarint appends v in unsigned varint encoding.

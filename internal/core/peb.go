@@ -149,6 +149,13 @@ func (t *Tree) SV(uid motion.UserID) (uint64, bool) {
 	return v, ok
 }
 
+// ForEachSV calls fn for every registered sequence value, in no order.
+func (t *Tree) ForEachSV(fn func(uid motion.UserID, sv uint64)) {
+	for uid, sv := range t.svEnc {
+		fn(uid, sv)
+	}
+}
+
 // keyFor computes the object's PEB key: position advanced to the label
 // timestamp, Z-encoded, combined with the user's sequence value (Eq. 5).
 func (t *Tree) keyFor(o motion.Object) (btree.KV, int64, error) {

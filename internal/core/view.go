@@ -135,21 +135,14 @@ func (v *View) Get(uid motion.UserID) (motion.Object, bool, store.BufferStats, e
 	return motion.DecodePayload(uid, payload), true, cost, nil
 }
 
-// MaxGap returns the largest window-enlargement time gap |tq − tlab| over
-// the partitions currently holding objects — the worst-case staleness of
-// any stored position relative to tq. A shard router multiplies it by the
-// maximum speed to bound how far an object can sit from the cell its index
-// key (and therefore its shard assignment) was computed from. Zero when the
-// view holds no objects.
-func (v *View) MaxGap(tq float64) float64 {
-	var max float64
-	for _, pr := range v.parts.Active(tq) {
-		if pr.Gap > max {
-			max = pr.Gap
-		}
-	}
-	return max
-}
+// UpdateGap returns the largest |tq − T| over the update times T of the
+// objects the view holds, bounded through their labels (see
+// bxtree.PartitionTracker.UpdateGap) — the worst-case staleness of any
+// stored position relative to tq. A shard router multiplies it by the
+// maximum speed to bound how far an object can sit from the position it
+// reported, which is where the router placed it. Zero when the view holds
+// no objects.
+func (v *View) UpdateGap(tq float64) float64 { return v.parts.UpdateGap(tq) }
 
 // friendTable is one query's working set: the issuer's grantors that this
 // view's index holds. It answers the two questions a query asks of every

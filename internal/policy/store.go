@@ -119,6 +119,15 @@ func (s *Store) DayLength() float64 { return s.dayLen }
 // NumPolicies returns the total number of stored policies.
 func (s *Store) NumPolicies() int { return s.numPolicies }
 
+// AppendUsers appends to dst every user the store names — each owner of a
+// relation or a policy, and each peer of a relation — in slot order.
+func (s *Store) AppendUsers(dst []UserID) []UserID {
+	for i := range s.users {
+		dst = append(dst, s.users[i].id)
+	}
+	return dst
+}
+
 // SetRelation records that owner considers peer to hold role.
 func (s *Store) SetRelation(owner, peer UserID, role Role) {
 	oi, pi := s.slotFor(owner), s.slotFor(peer)

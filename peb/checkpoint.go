@@ -3,16 +3,17 @@ package peb
 import (
 	"bytes"
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"path/filepath"
 	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/btree"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/store"
@@ -28,10 +29,10 @@ import (
 //	<Path>              the page file (flushed, then fsynced)
 //	<Path>.policies.<n> the policy-store snapshot, written under a name
 //	                    unique to this checkpoint (temp + fsync + rename)
-//	<Path>.meta         JSON: tree linkage, sequence values, allocator
-//	                    state, WAL horizon, and the *name* of the paired
-//	                    policies file (temp + fsync + rename — the COMMIT
-//	                    POINT)
+//	<Path>.meta         one codec record (metaFile): tree linkage,
+//	                    sequence values, allocator state, WAL horizon, and
+//	                    the *name* of the paired policies file (temp +
+//	                    fsync + rename — the COMMIT POINT)
 //
 // The meta rename is atomic and the policies file it names is never
 // rewritten (each checkpoint writes a fresh one; the previous is deleted
@@ -90,32 +91,48 @@ import (
 // happening, so partially covered records simply stay and replay as
 // no-ops).
 
-// metaFile is the JSON side-file format.
+// metaFile is the checkpoint meta: what recovery needs beyond the page
+// file and the policies snapshot, and nothing it can derive from them. It
+// is one internal/codec record, on the codec's conventions (uvarint,
+// vfloat, vbytes):
+//
+//	magic    1 byte  0xD8 (codec.MagicCheckpointMeta)
+//	version  1 byte  0x03 (metaVersion)
+//	ckptSeq  uvarint  this checkpoint's number
+//	walSeq   uvarint  the log horizon: the last commit the image holds
+//	maxTxn   uvarint  the transaction watermark at walSeq
+//	root     uvarint  the tree's root page
+//	height   uvarint
+//	size     uvarint  indexed objects
+//	leaves   uvarint
+//	numPages uvarint  the page allocator's extent
+//	nextSV   vfloat   the next fresh sequence-value anchor
+//	borrowed 1 byte   1 when the store belongs to another DB, else 0
+//	policies vbytes   base name of the paired policies snapshot
+//	nfree    uvarint  then each free page as its gap to the previous one
+//	         (the first from 0), ascending
+//	nsvs     uvarint  then each sequence value as uid gap · sv: uids
+//	         ascending, the first gap from 0, every later one at least 1
+//
+// The store's users, the indexed users and the encoding population are not
+// stored: the policies snapshot, the leaves and the sequence values name
+// them. MaxTxn is kept because the checkpoint may cover the only record
+// that raised it, and let its segment go (see prepared.go). A borrowed
+// store (DB.BorrowPolicies) has no snapshot, so its meta names none.
 type metaFile struct {
-	Version   int
-	Root      uint32
-	Height    int
-	Size      int
-	LeafCount int
-	NextSV    float64
-	SVs       []svRec
-
-	// NumPages/Free persist the page allocator; WalSeq is the WAL horizon
-	// and MaxTxn the transaction watermark at it (see prepared.go: the
-	// checkpoint may cover the only record that raised it, and let its
-	// segment go); Users restores the encoding population; CkptSeq
-	// numbers checkpoints and Policies is the base name of the policies
-	// snapshot this checkpoint pairs with, which lives beside the meta —
-	// unless BorrowedPolicies says the store belongs to another DB
-	// (DB.BorrowPolicies) and no snapshot exists.
-	NumPages         uint64         `json:",omitempty"`
-	Free             []store.PageID `json:",omitempty"`
-	WalSeq           uint64         `json:",omitempty"`
-	MaxTxn           uint64         `json:",omitempty"`
-	Users            []UserID       `json:",omitempty"`
-	CkptSeq          uint64         `json:",omitempty"`
-	Policies         string         `json:",omitempty"`
-	BorrowedPolicies bool           `json:",omitempty"`
+	CkptSeq          uint64
+	WalSeq           uint64
+	MaxTxn           uint64
+	Root             uint32
+	Height           int
+	Size             int
+	LeafCount        int
+	NumPages         uint64
+	NextSV           float64
+	BorrowedPolicies bool
+	Policies         string
+	Free             []store.PageID
+	SVs              []svRec
 }
 
 type svRec struct {
@@ -123,9 +140,106 @@ type svRec struct {
 	SV  uint64
 }
 
-// metaVersion is the one side-file version openFromCheckpoint reads; any
-// other is refused with ErrUnsupportedFormat.
-const metaVersion = 2
+// metaVersion is the one meta version openFromCheckpoint reads; any other
+// stamp, the JSON metas of version 2 among them, is refused with
+// ErrUnsupportedFormat.
+const metaVersion = 3
+
+// encode appends mf's record to b. Free and SVs must be ascending.
+func (mf *metaFile) encode(b []byte) []byte {
+	b = append(b, codec.MagicCheckpointMeta, metaVersion)
+	for _, v := range []uint64{mf.CkptSeq, mf.WalSeq, mf.MaxTxn, uint64(mf.Root),
+		uint64(mf.Height), uint64(mf.Size), uint64(mf.LeafCount), mf.NumPages} {
+		b = codec.AppendUvarint(b, v)
+	}
+	b = codec.AppendFloat(b, mf.NextSV)
+	borrowed := byte(0)
+	if mf.BorrowedPolicies {
+		borrowed = 1
+	}
+	b = append(b, borrowed)
+	b = codec.AppendBytes(b, []byte(mf.Policies))
+	b = codec.AppendUvarint(b, uint64(len(mf.Free)))
+	prev := store.PageID(0)
+	for _, id := range mf.Free {
+		b = codec.AppendUvarint(b, uint64(id-prev))
+		prev = id
+	}
+	b = codec.AppendUvarint(b, uint64(len(mf.SVs)))
+	prevUID := UserID(0)
+	for _, rec := range mf.SVs {
+		b = codec.AppendUvarint(b, uint64(rec.UID-prevUID))
+		b = codec.AppendUvarint(b, rec.SV)
+		prevUID = rec.UID
+	}
+	return b
+}
+
+// decodeMeta reads a meta record. Bytes without the current stamp are
+// refused as ErrUnsupportedFormat, and any other departure from the layout
+// as corrupt; both wrap ErrCorruptCheckpoint.
+func decodeMeta(data []byte) (metaFile, error) {
+	if len(data) < 2 || data[0] != codec.MagicCheckpointMeta || data[1] != metaVersion {
+		return metaFile{}, corruptf("checkpoint meta: %w (want magic %#x version %d)",
+			ErrUnsupportedFormat, codec.MagicCheckpointMeta, metaVersion)
+	}
+	rd := codec.NewReader(data, 2)
+	var mf metaFile
+	mf.CkptSeq = rd.TakeUvarint("ckpt seq")
+	mf.WalSeq = rd.TakeUvarint("wal seq")
+	mf.MaxTxn = rd.TakeUvarint("max txn")
+	mf.Root = uint32(takeBounded(rd, "root", math.MaxUint32))
+	mf.Height = int(takeBounded(rd, "height", math.MaxInt32))
+	mf.Size = int(takeBounded(rd, "size", math.MaxInt))
+	mf.LeafCount = int(takeBounded(rd, "leaf count", math.MaxInt))
+	mf.NumPages = rd.TakeUvarint("page count")
+	mf.NextSV = rd.TakeFloat("next sv")
+	switch rd.TakeByte("borrowed") {
+	case 0:
+	case 1:
+		mf.BorrowedPolicies = true
+	default:
+		rd.Failf("borrowed flag is not 0 or 1")
+	}
+	mf.Policies = string(rd.TakeBytesView("policies"))
+	mf.Free = make([]store.PageID, rd.TakeCount("free pages", 1))
+	var id uint64
+	for i := range mf.Free {
+		id += rd.TakeUvarint("free page")
+		if id > math.MaxUint32 {
+			rd.Failf("free page %d past the page id space", id)
+			break
+		}
+		mf.Free[i] = store.PageID(id)
+	}
+	mf.SVs = make([]svRec, rd.TakeCount("sequence values", 2))
+	var uid uint64
+	for i := range mf.SVs {
+		gap := rd.TakeUvarint("uid gap")
+		if i > 0 && gap == 0 {
+			rd.Failf("sequence values out of uid order at %d", i)
+		}
+		if uid += gap; uid > math.MaxUint32 {
+			rd.Failf("uid %d past the id space", uid)
+		}
+		mf.SVs[i] = svRec{UID: UserID(uid), SV: rd.TakeUvarint("sequence value")}
+	}
+	rd.ExpectEnd()
+	if err := rd.Err(); err != nil {
+		return metaFile{}, corruptf("parse checkpoint meta: %v", err)
+	}
+	return mf, nil
+}
+
+// takeBounded reads a uvarint that must not exceed limit.
+func takeBounded(rd *codec.Reader, what string, limit uint64) uint64 {
+	v := rd.TakeUvarint(what)
+	if v > limit {
+		rd.Failf("%s %d exceeds %d", what, v, limit)
+		return 0
+	}
+	return v
+}
 
 // CheckpointStats reports checkpoint pipeline activity since Open. The
 // Last* durations describe the most recent committed checkpoint; the
@@ -174,7 +288,6 @@ type ckptImage struct {
 	polOps   uint64
 	borrowed bool
 	snap     core.Snapshot
-	users    []UserID
 	nextSV   float64
 	walSeq   uint64
 	walMark  store.SegPos
@@ -316,11 +429,6 @@ func (db *DB) ckptCut() (*ckptImage, error) {
 	// image reaches nor an open snapshot pins: this checkpoint's dead set.
 	// Pages dying from here on belong to the next one.
 	img.dead, db.ckptDead = db.ckptDead, nil
-	img.users = make([]UserID, 0, len(db.users))
-	for uid := range db.users {
-		img.users = append(img.users, uid)
-	}
-	slices.Sort(img.users)
 	// The log position the captured state stands at.
 	img.walSeq, img.maxTxn = db.walSeq, db.maxTxn
 	if db.wal != nil {
@@ -391,32 +499,27 @@ func (db *DB) ckptBuild(img *ckptImage) error {
 			return fmt.Errorf("peb: checkpoint policies: %w", err)
 		}
 	}
-	metaData, err := img.metaBytes()
-	if err != nil {
-		return err
-	}
-	if err := store.StageFile(db.opts.FS, db.opts.Path+".meta", metaData); err != nil {
+	if err := store.StageFile(db.opts.FS, db.opts.Path+".meta", img.metaBytes()); err != nil {
 		return fmt.Errorf("peb: checkpoint meta: %w", err)
 	}
 	return nil
 }
 
-// metaBytes marshals the checkpoint metadata from the cut capture plus
-// the build's liveness result.
-func (img *ckptImage) metaBytes() ([]byte, error) {
+// metaBytes encodes the checkpoint meta from the cut capture plus the
+// build's liveness result.
+func (img *ckptImage) metaBytes() []byte {
 	mf := metaFile{
-		Version:          metaVersion,
+		CkptSeq:          img.seq,
+		WalSeq:           img.walSeq,
+		MaxTxn:           img.maxTxn,
 		Root:             uint32(img.snap.Tree.Root),
 		Height:           img.snap.Tree.Height,
 		Size:             img.snap.Tree.Size,
 		LeafCount:        img.snap.Tree.LeafCount,
-		NextSV:           img.nextSV,
 		NumPages:         img.numPages,
-		WalSeq:           img.walSeq,
-		MaxTxn:           img.maxTxn,
-		CkptSeq:          img.seq,
+		NextSV:           img.nextSV,
 		BorrowedPolicies: img.borrowed,
-		Users:            img.users,
+		SVs:              make([]svRec, 0, len(img.snap.SVs)),
 	}
 	if img.polName != "" {
 		mf.Policies = filepath.Base(img.polName)
@@ -428,7 +531,7 @@ func (img *ckptImage) metaBytes() ([]byte, error) {
 	mf.Free = make([]store.PageID, 0, len(img.free)+len(img.dead))
 	mf.Free = append(append(mf.Free, img.free...), img.dead...)
 	slices.Sort(mf.Free)
-	return json.Marshal(mf)
+	return mf.encode(nil)
 }
 
 // ckptPublishLocked is the pipeline's final critical section (caller
@@ -714,12 +817,9 @@ func sweepCheckpointOrphans(opts Options, livePol string) {
 // policies snapshot's, every log record's — is read before anything in it
 // is written, swept or replayed over.
 func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
-	var mf metaFile
-	if err := json.Unmarshal(metaData, &mf); err != nil {
-		return nil, corruptf("parse checkpoint meta: %v", err)
-	}
-	if mf.Version != metaVersion {
-		return nil, fmt.Errorf("peb: %w: checkpoint meta version %d (want %d)", ErrUnsupportedFormat, mf.Version, metaVersion)
+	mf, err := decodeMeta(metaData)
+	if err != nil {
+		return nil, err
 	}
 	policies, polName, err := checkpointPolicies(opts, mf)
 	if err != nil {
@@ -775,7 +875,6 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 		fileDisk:     fd,
 		gen:          1,
 		snaps:        make(map[*Snapshot]struct{}),
-		users:        make(map[UserID]bool),
 		nextSV:       mf.NextSV,
 		walSeq:       mf.WalSeq,
 		maxTxn:       mf.MaxTxn,
@@ -784,17 +883,6 @@ func openFromCheckpoint(opts Options, metaData []byte) (*DB, error) {
 		borrowed:     mf.BorrowedPolicies,
 	}
 	db.initObs()
-	for _, uid := range mf.Users {
-		db.users[uid] = true
-	}
-	for uid := range snap.SVs {
-		db.users[uid] = true
-	}
-	policies.ForEachGrant(func(owner, viewer policy.UserID, _ policy.Policy) bool {
-		db.users[UserID(owner)] = true
-		db.users[UserID(viewer)] = true
-		return true
-	})
 	if db.nextSV < 2 {
 		db.nextSV = 2
 	}

@@ -1,7 +1,6 @@
 package peb
 
 import (
-	"encoding/json"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -175,8 +174,8 @@ func policiesFile(t *testing.T, db *DB) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mf metaFile
-	if err := json.Unmarshal(raw, &mf); err != nil {
+	mf, err := decodeMeta(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return mf.Policies
@@ -322,5 +321,76 @@ func TestReencodeBulkLoads(t *testing.T) {
 	}
 	if got, want := grown.tree.LeafCount(), fresh.tree.LeafCount(); got != want {
 		t.Fatalf("re-encoded tree has %d leaves, a fresh bulk load %d", got, want)
+	}
+}
+
+// TestCheckpointMetaSize: a checkpoint meta holds what its engine cannot
+// derive, so its size is fixed plus one sequence value per user holding one
+// and one entry per free page: at most 64 B + 9 B per value + 5 B per free
+// page. The store's users and the indexed users are not in it, so an
+// engine holding only policies — a router's policy engine — writes a meta
+// under 1 KB at any population.
+func TestCheckpointMetaSize(t *testing.T) {
+	meta := func(db *DB) metaFile {
+		t.Helper()
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := db.opts.FS.ReadFile(db.opts.Path + ".meta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mf, err := decodeMeta(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound := 64 + 9*len(mf.SVs) + 5*len(mf.Free); len(raw) > bound {
+			t.Fatalf("%d-byte meta for %d sequence values and %d free pages, want at most %d",
+				len(raw), len(mf.SVs), len(mf.Free), bound)
+		}
+		if got := len(raw); got >= 1<<10 && len(mf.SVs) == 0 {
+			t.Fatalf("%d-byte meta without a sequence value, want under 1 KB", got)
+		}
+		return mf
+	}
+	all := Region{MaxX: 1000, MaxY: 1000}
+	day := TimeInterval{End: 1440}
+	const users = 20000
+	for _, n := range []int{1000, users} {
+		// Policies only: n users related in pairs.
+		db := mustOpen(t, Options{Path: "m.idx", FS: store.NewCrashFS()})
+		b := db.NewBatch()
+		for i := 1; i <= n/2; i++ {
+			b.DefineRelation(UserID(i), UserID(i+n/2), "f")
+			b.Grant(UserID(i), "f", all, day)
+		}
+		if err := db.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		if mf := meta(db); len(mf.SVs) != 0 {
+			t.Fatalf("%d policy users: the meta holds %d sequence values, want none", n, len(mf.SVs))
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Objects: every indexed user has a sequence value, then a re-encode
+	// and a checkpoint leave free pages.
+	db := mustOpen(t, Options{Path: "m.idx", FS: store.NewCrashFS()})
+	defer db.Close()
+	b := db.NewBatch()
+	for i := 1; i <= users; i++ {
+		b.Upsert(Object{UID: UserID(i * 3), X: float64(i % 1000), Y: float64(i * 7 % 1000), T: 1})
+	}
+	if err := db.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	meta(db)
+	if err := db.EncodePolicies(); err != nil {
+		t.Fatal(err)
+	}
+	if mf := meta(db); len(mf.SVs) != users || len(mf.Free) == 0 {
+		t.Fatalf("meta holds %d sequence values and %d free pages, want %d and some", len(mf.SVs), len(mf.Free), users)
 	}
 }

@@ -259,18 +259,24 @@ func (db *DB) resolveIndexOps(ops []core.BatchOp) []core.BatchOp {
 }
 
 // assignLocked runs the offline policy-encoding phase (Sec. 5.1) over the
-// DB's known users plus extra: one band of sequence values per community
+// DB's population plus extra: one band of sequence values per community
 // of the relation graph, sized to the key's sequence-value field. Caller
 // holds mu (either side).
 func (db *DB) assignLocked(extra []UserID) (policy.Assignment, error) {
-	users := make([]policy.UserID, 0, len(db.users)+len(extra))
-	for u := range db.users {
-		users = append(users, policy.UserID(u))
-	}
+	return policy.AssignCommunities(db.policies, db.population(extra), db.opts.coreConfig().SV)
+}
+
+// population is the user set the encoding phase covers, derived from what
+// the DB holds anyway: every user with a sequence value (each user ever
+// indexed has one), every user the policy store names, and extra. A user
+// may appear more than once. Caller holds mu (either side).
+func (db *DB) population(extra []UserID) []policy.UserID {
+	users := db.policies.AppendUsers(nil)
+	db.tree.ForEachSV(func(u UserID, _ uint64) { users = append(users, policy.UserID(u)) })
 	for _, u := range extra {
 		users = append(users, policy.UserID(u))
 	}
-	return policy.AssignCommunities(db.policies, users, db.opts.coreConfig().SV)
+	return users
 }
 
 // checkCoverage verifies that a precomputed assignment (sorted by user, as
@@ -278,14 +284,9 @@ func (db *DB) assignLocked(extra []UserID) (policy.Assignment, error) {
 // without a sequence value would fail re-insertion halfway through the
 // rebuild, after the old tree is gone.
 func (db *DB) checkCoverage(assign []assignRec) error {
-	for u := range db.users {
+	for _, u := range db.tree.View().UserIDs() {
 		i := sort.Search(len(assign), func(i int) bool { return assign[i].UID >= u })
-		if i < len(assign) && assign[i].UID == u {
-			continue
-		}
-		if _, indexed, err := db.tree.Get(u); err != nil {
-			return err
-		} else if indexed {
+		if i == len(assign) || assign[i].UID != u {
 			return fmt.Errorf("peb: encoding does not cover indexed user %d", u)
 		}
 	}
@@ -331,10 +332,9 @@ func (db *DB) captureTouched(ops []core.BatchOp) ([]CommitTouch, error) {
 }
 
 // applyOps is stage 4, the state transition of a resolved op list: the
-// index group through the tree with the bookkeeping its operations carry
-// (the user population, the sequence-value cursor), then — in list order —
-// the policy and rebuild operations with theirs (the population). Commit
-// and recovery both run it; the caller holds the write lock (or is still
+// index group through the tree, advancing the sequence-value cursor, then
+// — in list order — the policy and rebuild operations. Commit and recovery
+// both run it; the caller holds the write lock (or is still
 // opening the DB) and publishes the view afterwards.
 //
 // The index phase goes first because it is the only one that can fail on
@@ -356,8 +356,6 @@ func (db *DB) applyOps(ops opList) error {
 			if op.SV > db.nextSV {
 				db.nextSV = op.SV
 			}
-		case core.OpUpsert:
-			db.noteUser(op.Obj.UID)
 		}
 	}
 	pol := ops.Pol
@@ -378,8 +376,6 @@ func (db *DB) applyOps(ops opList) error {
 				ps.SetRelation(policy.UserID(op.Own), policy.UserID(op.Peer), op.Role)
 				return nil
 			})
-			db.noteUser(op.Own)
-			db.noteUser(op.Peer)
 		case polOpGrant:
 			p := policy.Policy{Role: op.Role, Locr: op.Locr, Tint: op.Tint}
 			if err := db.mutatePolicies(func(ps *policy.Store) error {
@@ -387,7 +383,6 @@ func (db *DB) applyOps(ops opList) error {
 			}); err != nil {
 				return fmt.Errorf("peb: grant: %w", err)
 			}
-			db.noteUser(op.Own)
 		case polOpEncode:
 			if err := db.rebuildLocked(decodeAssignment(op.Rebuild)); err != nil {
 				return fmt.Errorf("peb: rebuild: %w", err)
@@ -411,7 +406,7 @@ func grantRun(ops []polOp) int {
 }
 
 // bulkApply applies relations and grants to the empty policy store in one
-// build, with the bookkeeping each carries.
+// build.
 func (db *DB) bulkApply(ops []polOp) error {
 	rels := 0
 	for i := range ops {
@@ -422,10 +417,8 @@ func (db *DB) bulkApply(ops []polOp) error {
 	bulk := policy.NewBulk(rels, len(ops)-rels)
 	for i := range ops {
 		op := &ops[i]
-		db.noteUser(op.Own)
 		if op.Kind == polOpRelation {
 			bulk.SetRelation(policy.UserID(op.Own), policy.UserID(op.Peer), op.Role)
-			db.noteUser(op.Peer)
 		} else {
 			bulk.AddPolicy(policy.UserID(op.Own), policy.Policy{Role: op.Role, Locr: op.Locr, Tint: op.Tint})
 		}
@@ -468,15 +461,14 @@ func (db *DB) applyIndexOps(ops []core.BatchOp) error {
 // current population into it, so a re-encoded tree is packed like a fresh
 // load rather than grown one insert at a time. Caller holds the write lock.
 func (db *DB) rebuildLocked(assignment policy.Assignment) error {
-	ops := make([]core.BatchOp, 0, db.tree.Size())
-	for u := range db.users {
-		o, ok, err := db.tree.Get(u)
+	uids := db.tree.View().UserIDs()
+	ops := make([]core.BatchOp, 0, len(uids))
+	for _, u := range uids {
+		o, _, err := db.tree.Get(u)
 		if err != nil {
 			return err
 		}
-		if ok {
-			ops = append(ops, core.BatchOp{Kind: core.OpUpsert, Obj: o})
-		}
+		ops = append(ops, core.BatchOp{Kind: core.OpUpsert, Obj: o})
 	}
 	if err := db.newTree(assignment); err != nil {
 		return err

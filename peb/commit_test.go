@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/store"
 )
 
@@ -239,19 +240,16 @@ func TestBulkGrantsEqualOneByOne(t *testing.T) {
 		}
 		return db
 	}
-	state := func(db *DB) (string, []UserID, uint64) {
+	state := func(db *DB) (string, []policy.UserID, uint64) {
 		var buf bytes.Buffer
 		if err := db.SavePolicies(&buf); err != nil {
 			t.Fatal(err)
 		}
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		var users []UserID
-		for u := range db.users {
-			users = append(users, u)
-		}
+		users := db.population(nil)
 		slices.Sort(users)
-		return buf.String(), users, db.polOps
+		return buf.String(), slices.Compact(users), db.polOps
 	}
 
 	fs := store.NewCrashFS()

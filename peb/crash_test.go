@@ -710,7 +710,7 @@ func TestRecoveryCorruptCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Rewrite Root to a page the file cannot hold.
-		meta = bytes.Replace(meta, []byte(`"Root":`), []byte(`"Root":900000000,"X":`), 1)
+		meta = []byte(editMeta(t, string(meta), func(mf *metaFile) { mf.Root = 900000000 }))
 		if err := os.WriteFile(path+".meta", meta, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,8 @@ type PolicyEncoding struct {
 }
 
 // ComputeEncoding runs the offline policy-encoding phase over this DB's
-// known users plus extra, without touching the index. It is a read-only
+// population — every user with a sequence value and every user its policy
+// store names — plus extra, without touching the index. It is a read-only
 // operation: commits keep flowing while it runs. The extra ids let a
 // router fold in users this DB has never seen (users indexed on other
 // shards), so the resulting encoding can be installed on every shard.

@@ -2,12 +2,12 @@ package peb
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -45,15 +45,22 @@ func writeImage(t testing.TB, img map[string]string) string {
 	return dir
 }
 
-// editMeta returns meta, a checkpoint's JSON, with edit applied.
+// editMeta returns meta, a checkpoint's meta record, with edit applied.
 func editMeta(t testing.TB, meta string, edit func(*metaFile)) string {
 	t.Helper()
-	var mf metaFile
-	if err := json.Unmarshal([]byte(meta), &mf); err != nil {
+	mf, err := decodeMeta([]byte(meta))
+	if err != nil {
 		t.Fatal(err)
 	}
 	edit(&mf)
-	data, err := json.Marshal(mf)
+	return string(mf.encode(nil))
+}
+
+// jsonMeta is the golden fixture's checkpoint meta as the generation
+// before the codec record wrote it: version 2, JSON.
+func jsonMeta(t testing.TB) string {
+	t.Helper()
+	data, err := os.ReadFile("testdata/meta-v2.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +120,13 @@ func TestOpenRefusesOtherGenerations(t *testing.T) {
 		plant func(img map[string]string)
 	}{
 		{"v1 meta", ErrUnsupportedFormat, func(img map[string]string) {
-			img[meta] = editMeta(t, img[meta], func(mf *metaFile) { mf.Version = 1 })
+			img[meta] = strings.Replace(jsonMeta(t), `"Version":2`, `"Version":1`, 1)
+		}},
+		{"version-2 JSON meta", ErrUnsupportedFormat, func(img map[string]string) {
+			img[meta] = jsonMeta(t)
+		}},
+		{"meta stamped with another version", ErrUnsupportedFormat, func(img map[string]string) {
+			img[meta] = img[meta][:1] + string(rune(metaVersion+1)) + img[meta][2:]
 		}},
 		{"meta names no policies", ErrCorruptCheckpoint, func(img map[string]string) {
 			img[meta] = editMeta(t, img[meta], func(mf *metaFile) { mf.Policies = "" })
@@ -180,18 +193,20 @@ func FuzzCheckpointMeta(f *testing.F) {
 		func(mf *metaFile) { mf.NumPages = 0 },
 		func(mf *metaFile) { mf.Free = []store.PageID{1, 1, 1 << 31} },
 		func(mf *metaFile) { mf.Root, mf.Height = 2, 1<<30 },
-		func(mf *metaFile) { mf.SVs = nil; mf.Users = []UserID{1 << 31} },
+		func(mf *metaFile) { mf.SVs = nil },
 		// Found by this target: the reachability walk sized its result
 		// from the leaf count before validating anything.
 		func(mf *metaFile) { mf.LeafCount = 1 << 40 },
 		func(mf *metaFile) { mf.Size = -1 },
+		func(mf *metaFile) { mf.Policies = "../../etc/passwd" },
+		func(mf *metaFile) { mf.BorrowedPolicies, mf.Policies = true, "" },
+		// A leaf count the walk does not meet: the cost model would read it.
+		func(mf *metaFile) { mf.LeafCount++ },
 	} {
 		f.Add([]byte(editMeta(f, meta, edit)))
 	}
-	f.Add([]byte(`{"Version":2,"Policies":"../../etc/passwd","NumPages":3,"Root":3,"Height":1,"LeafCount":1}`))
+	f.Add([]byte(jsonMeta(f)))
 	f.Add([]byte(`[]`))
-	// A leaf count the walk does not meet: the cost model would read it.
-	f.Add([]byte(editMeta(f, meta, func(mf *metaFile) { mf.LeafCount++ })))
 
 	filePages := uint64(len(files["golden.idx"]) / store.PageSize)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -258,8 +273,8 @@ func tallImage(t testing.TB) (map[string]string, store.PageID) {
 		t.Fatal(err)
 	}
 	files := dirImage(t, dir)
-	var mf metaFile
-	if err := json.Unmarshal([]byte(files["golden.idx.meta"]), &mf); err != nil {
+	mf, err := decodeMeta([]byte(files["golden.idx.meta"]))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if mf.Height != 2 {

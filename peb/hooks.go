@@ -48,18 +48,21 @@ func (db *DB) GridOrder() int {
 }
 
 // MotionSlack returns, in distance units, how far an object's true
-// position at time t can be from the position its index key was computed
-// from: MaxSpeed times the largest label-time gap over the partitions
-// currently holding objects. A router pruning shards by geometry must
-// enlarge every shard's region by its slack, exactly as the index enlarges
-// query windows internally. Zero on an empty or closed DB.
+// position at time t can be from the position it last reported: MaxSpeed
+// times the largest |t − T| an update time T of a stored object can have,
+// bounded through the labels of the partitions holding objects. A router
+// that places each object by its reported position and prunes shards by
+// geometry must enlarge every shard's region by its slack. The gap to the
+// label times, by which the index enlarges its own windows, bounds the
+// distance from the position a key is built from instead, and is not this
+// bound. Zero on an empty or closed DB.
 func (db *DB) MotionSlack(t float64) float64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
 		return 0
 	}
-	return db.view.MaxGap(t) * db.opts.MaxSpeed
+	return db.view.UpdateGap(t) * db.opts.MaxSpeed
 }
 
 // MaxSpeed returns the configured object speed bound (Options.MaxSpeed
@@ -92,7 +95,7 @@ func (s *Snapshot) MotionSlack(t float64) float64 {
 		return 0
 	}
 	defer s.release(store.BufferStats{})
-	return s.view.MaxGap(t) * s.db.opts.MaxSpeed
+	return s.view.UpdateGap(t) * s.db.opts.MaxSpeed
 }
 
 // Objects returns every indexed object, sorted by user id — the full

@@ -365,9 +365,6 @@ type DB struct {
 	met    dbMetrics
 	events *obs.EventLog
 
-	// users is every id ever seen (policies or movement), the population
-	// the encoding phase assigns sequence values over.
-	users map[UserID]bool
 	// assignment is the latest encoding result; nextSV hands out fresh
 	// singleton-anchor values to users that appear after encoding.
 	assignment policy.Assignment
@@ -433,7 +430,6 @@ func openFresh(opts Options) (*DB, error) {
 		opts:     opts,
 		pol:      newPolicyHandle(policies),
 		policies: policies,
-		users:    make(map[UserID]bool),
 		snaps:    make(map[*Snapshot]struct{}),
 	}
 	db.initObs()
@@ -820,11 +816,6 @@ func (db *DB) DropCaches() error {
 	}
 	db.tree.Pool().ResetStats()
 	return nil
-}
-
-// noteUser registers a user id in the population (caller holds the lock).
-func (db *DB) noteUser(uid UserID) {
-	db.users[uid] = true
 }
 
 // SavePolicies writes a snapshot of all relations and policies to w in a

@@ -3,7 +3,7 @@ package sharded
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -564,12 +565,13 @@ func TestCrossShardCommitHoldsPartsUntilDecided(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var meta struct{ MaxTxn uint64 }
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		t.Fatal(err)
-	}
-	if meta.MaxTxn != want {
-		t.Fatalf("participant checkpoint watermark %d, want the transaction's %d", meta.MaxTxn, want)
+	// The meta record opens with its stamp, then the checkpoint's number,
+	// its log horizon and its transaction watermark (peb/checkpoint.go).
+	rd := codec.NewReader(raw, 2)
+	rd.TakeUvarint("ckpt seq")
+	rd.TakeUvarint("wal seq")
+	if got := rd.TakeUvarint("max txn"); rd.Err() != nil || got != want {
+		t.Fatalf("participant checkpoint watermark %d (%v), want the transaction's %d", got, rd.Err(), want)
 	}
 	sub.Close()
 	c.Close()

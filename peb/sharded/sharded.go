@@ -715,8 +715,8 @@ func (db *DB) Size() int {
 
 // RangeQuery answers the privacy-aware range query by scatter-gather:
 // shards whose Hilbert range cannot intersect the query region — enlarged
-// by each shard's own motion slack, mirroring the enlargement the shard
-// would apply internally — are pruned, the rest are queried concurrently,
+// by each shard's own motion slack, how far its objects can be from where
+// they reported — are pruned, the rest are queried concurrently,
 // and the results are merged (sorted by user id; the single-tree engine
 // returns scan order instead).
 func (db *DB) RangeQuery(issuer UserID, r Region, t float64) ([]Object, error) {
