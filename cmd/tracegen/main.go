@@ -1,6 +1,8 @@
 // Command tracegen dumps the synthetic workloads used by the experiments —
 // moving-object snapshots, location-privacy policies, and query sets — as
-// CSV on stdout, for inspection or for feeding external tools.
+// CSV on stdout, for inspection or for feeding external tools. Policy rows
+// come out ascending by owner, then by viewer: the generator bulk-builds
+// its store, whose owners hold its first slots in id order.
 //
 // With -load, the generated movement snapshot is additionally bulk-loaded
 // into an in-memory peb.DB through the batched write handle (NewBatch +

@@ -18,7 +18,7 @@ var (
 	benchErr  error
 )
 
-func benchDataset(b *testing.B) *workload.Dataset {
+func benchDataset(b testing.TB) *workload.Dataset {
 	b.Helper()
 	benchOnce.Do(func() {
 		cfg := workload.DefaultConfig()
@@ -31,7 +31,7 @@ func benchDataset(b *testing.B) *workload.Dataset {
 	return benchData
 }
 
-func saved(b *testing.B, s *policy.Store) []byte {
+func saved(b testing.TB, s *policy.Store) []byte {
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		b.Fatal(err)

@@ -8,76 +8,63 @@ import (
 )
 
 // Bulk building. A store built one SetRelation and AddPolicy at a time pays
-// a slot lookup, a role search and a sorted insert per call, and grows its
-// slices by copying. The bulk builder takes whole owners instead — each
-// owner's role table, rules grouped by role and relations by peer, at their
-// final lengths — and derives the rest: the slots, the policy count and
-// every viewer's grantor list, counted in one pass and filled in a second.
-// Load feeds it from a policies file, Bulk from an op list for an empty
-// store.
+// a slot lookup, a role search and a sorted insert per call, and moves
+// entries as extents grow. The bulk builders write whole owners instead —
+// each owner's role table, rules grouped by role and relations by peer,
+// appended to the columns at their final lengths — and adopt derives the
+// rest: the slots of peers, the policy count and every viewer's grantors,
+// counted in one pass and filled in a second. Load feeds it from a policies
+// file, Bulk from an op list for an empty store.
 
-// adopt makes the empty store s hold owners: whole owners' shares of a
-// store, ascending by id, without grantors. The owners take the first slots
-// in order, every peer that owns nothing a slot after them.
-func (s *Store) adopt(owners []userPolicies) {
-	s.slot = make(map[UserID]int32, len(owners))
-	rels := 0
-	for i := range owners {
-		s.slot[owners[i].id] = int32(i)
-		s.numPolicies += len(owners[i].rules)
-		rels += len(owners[i].rels)
+// adopt completes a store whose owners a bulk builder wrote: ids lists the
+// owners, ascending, and the roles, rules and rels columns hold exactly
+// their entries in that order. adopt indexes the owners, gives every peer
+// that owns nothing a slot after them, and fills the grantors column.
+func (s *Store) adopt() {
+	n := len(s.ids)
+	hashOf := func(h int32) uint32 { return hashID(s.ids[h]) }
+	s.index.reserve(n, hashOf)
+	for i, id := range s.ids {
+		s.index.add(hashID(id), int32(i), hashOf)
 	}
+	s.numPolicies = len(s.rules.all)
+	s.roles.live, s.rules.live, s.rels.live = len(s.roles.all), len(s.rules.all), len(s.rels.all)
+	s.grantors.ext = make([]extent, n)
 	// Pass 1: give every peer a slot and count each viewer's grantors.
 	// granted is the viewer slot of every granting relation, in walk order.
-	count := make([]int32, len(owners))
-	granted := make([]int32, 0, rels)
-	var peers []UserID
-	for i := range owners {
-		o := &owners[i]
-		for _, rel := range o.rels {
-			j, ok := s.slot[rel.peer]
-			if !ok {
-				j = int32(len(count))
-				s.slot[rel.peer] = j
-				count = append(count, 0)
-				peers = append(peers, rel.peer)
-			}
-			if rr := o.roles[rel.role]; rr.start < rr.end {
-				count[j]++
+	granted := make([]int32, 0, len(s.rels.all))
+	for i := range int32(n) {
+		roles := s.roles.of(i)
+		for _, rel := range s.rels.of(i) {
+			j := s.slotFor(rel.peer)
+			if rr := roles[rel.role]; rr.start < rr.end {
+				s.grantors.ext[j].limit++
 				granted = append(granted, j)
 			}
 		}
 	}
-	n := len(owners)
-	for _, p := range peers {
-		owners = append(owners, userPolicies{id: p})
-	}
 	// Pass 2: carve every list from one array at its final length and fill
 	// it in owner order, so each comes out ascending.
-	all := make([]UserID, len(granted))
-	at := 0
-	for j, c := range count {
-		if c > 0 {
-			owners[j].grantors = all[at:at:(at + int(c))]
-			at += int(c)
-		}
+	at := int32(0)
+	for j := range s.grantors.ext {
+		e := &s.grantors.ext[j]
+		*e = extent{at, at, at + e.limit}
+		at = e.limit
 	}
+	s.grantors.all, s.grantors.live = make([]UserID, len(granted)), len(granted)
 	k := 0
-	for i := range owners[:n] {
-		o := &owners[i]
-		for _, rel := range o.rels {
-			if rr := o.roles[rel.role]; rr.start < rr.end {
-				g := &owners[granted[k]].grantors
-				*g = append(*g, o.id)
+	for i := range int32(n) {
+		roles := s.roles.of(i)
+		for _, rel := range s.rels.of(i) {
+			if rr := roles[rel.role]; rr.start < rr.end {
+				e := &s.grantors.ext[granted[k]]
+				s.grantors.all[e.end] = s.ids[i]
+				e.end++
 				k++
 			}
 		}
 	}
-	s.users = owners
 }
-
-// Empty reports whether the store holds nothing: no relation, no policy.
-func (s *Store) Empty() bool { return len(s.users) == 0 }
 
 // Bulk collects relation and policy operations for one application to an
 // empty store. ApplyTo leaves the store as applying them one at a time, in
@@ -142,11 +129,12 @@ func (b *Bulk) ApplyTo(s *Store) error {
 		slices.SortStableFunc(b.pols, byOwner)
 	}
 
-	// One array each for every owner's rules and relations; an owner's
-	// share is carved from it at its final length.
-	rules := make([]rule, 0, len(b.pols))
-	rels := make([]relation, 0, len(b.rels))
-	var owners []userPolicies
+	// Each owner's entries go to the end of each column, at their final
+	// lengths. The generators and peb's bulk loads name one role per
+	// relation, so a role column sized by the relations is exact.
+	s.roles.all = make([]roleRange, 0, len(b.rels))
+	s.rules.all = make([]rule, 0, len(b.pols))
+	s.rels.all = make([]relation, 0, len(b.rels))
 	var names []Role
 	for ri, pi := 0, 0; ri < len(b.rels) || pi < len(b.pols); {
 		var id UserID
@@ -180,33 +168,35 @@ func (b *Bulk) ApplyTo(s *Store) error {
 		}
 		slices.Sort(names)
 		names = slices.Compact(names)
-		u := userPolicies{id: id, roles: make([]roleRange, len(names))}
-		base, k := len(rules), 0
-		for x, name := range names {
-			first := len(rules)
+		s.ids = append(s.ids, id)
+		roleBase, ruleBase, k := len(s.roles.all), len(s.rules.all), 0
+		for _, name := range names {
+			first := len(s.rules.all)
 			for ; k < len(ownPols) && ownPols[k].p.Role == name; k++ {
 				add := rule{Locr: ownPols[k].p.Locr, Tint: ownPols[k].p.Tint}
-				if !slices.Contains(rules[first:], add) {
-					rules = append(rules, add)
+				if !slices.Contains(s.rules.all[first:], add) {
+					s.rules.all = append(s.rules.all, add)
 				}
 			}
-			u.roles[x] = roleRange{name: name, start: int32(first - base), end: int32(len(rules) - base)}
+			s.roles.all = append(s.roles.all, roleRange{
+				name:  s.names.intern(name),
+				start: int32(first - ruleBase),
+				end:   int32(len(s.rules.all) - ruleBase),
+			})
 		}
-		u.rules = rules[base:len(rules):len(rules)]
+		s.roles.endSlot(roleBase)
+		s.rules.endSlot(ruleBase)
 
-		base = len(rels)
+		relBase := len(s.rels.all)
 		for i := range ownRels {
 			if i+1 < len(ownRels) && ownRels[i+1].peer == ownRels[i].peer {
 				continue // a later relation to the same peer replaces it
 			}
-			r, _ := slices.BinarySearchFunc(u.roles, ownRels[i].role, func(rr roleRange, name Role) int {
-				return cmp.Compare(rr.name, name)
-			})
-			rels = append(rels, relation{peer: ownRels[i].peer, role: int32(r)})
+			r, _ := slices.BinarySearch(names, ownRels[i].role)
+			s.rels.all = append(s.rels.all, relation{peer: ownRels[i].peer, role: int32(r)})
 		}
-		u.rels = rels[base:len(rels):len(rels)]
-		owners = append(owners, u)
+		s.rels.endSlot(relBase)
 	}
-	s.adopt(owners)
+	s.adopt()
 	return nil
 }

@@ -57,28 +57,28 @@ var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Save writes the store's full state to w.
 func (s *Store) Save(w io.Writer) error {
-	owners := make([]*userPolicies, 0, len(s.users))
-	var nroles, nrels int
-	for i := range s.users {
-		if u := &s.users[i]; len(u.rels) > 0 || len(u.rules) > 0 {
-			owners = append(owners, u)
-			nroles += len(u.roles)
-			nrels += len(u.rels)
+	var owners []int32
+	var nroles int
+	for i := range int32(len(s.ids)) {
+		if e, f := s.rels.ext[i], s.rules.ext[i]; e.end > e.start || f.end > f.start {
+			owners = append(owners, i)
+			nroles += len(s.roles.of(i))
 		}
 	}
-	slices.SortFunc(owners, func(a, b *userPolicies) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(owners, func(a, b int32) int { return cmp.Compare(s.ids[a], s.ids[b]) })
 
 	// A role named once and since left with neither a policy nor a
 	// relation is not saved; index maps the rest to their saved places.
 	var index []int32
-	saved := func(u *userPolicies) int {
-		index = slices.Grow(index[:0], len(u.roles))[:len(u.roles)]
+	saved := func(o int32) int {
+		roles := s.roles.of(o)
+		index = slices.Grow(index[:0], len(roles))[:len(roles)]
 		clear(index)
-		for _, rel := range u.rels {
+		for _, rel := range s.rels.of(o) {
 			index[rel.role] = 1
 		}
 		n := 0
-		for r, rr := range u.roles {
+		for r, rr := range roles {
 			if index[r] == 1 || rr.start < rr.end {
 				index[r] = int32(n)
 				n++
@@ -88,10 +88,11 @@ func (s *Store) Save(w io.Writer) error {
 		}
 		return n
 	}
-	for _, u := range owners {
-		nroles -= len(u.roles) - saved(u)
+	for _, o := range owners {
+		nroles -= len(s.roles.of(o)) - saved(o)
 	}
 
+	nrels := s.rels.live
 	body := make([]byte, 0, 64+8*len(owners)+12*nroles+64*s.numPolicies+8*nrels)
 	for _, f := range []float64{s.space.MinX, s.space.MinY, s.space.MaxX, s.space.MaxY, s.dayLen} {
 		body = codec.AppendFloat(body, f)
@@ -99,23 +100,24 @@ func (s *Store) Save(w io.Writer) error {
 	for _, n := range []int{len(owners), nroles, s.numPolicies, nrels} {
 		body = codec.AppendUvarint(body, uint64(n))
 	}
-	for _, u := range owners {
-		body = codec.AppendUvarint(body, uint64(u.id))
-		body = codec.AppendUvarint(body, uint64(saved(u)))
-		for r, rr := range u.roles {
+	for _, o := range owners {
+		rules, rels := s.rules.of(o), s.rels.of(o)
+		body = codec.AppendUvarint(body, uint64(s.ids[o]))
+		body = codec.AppendUvarint(body, uint64(saved(o)))
+		for r, rr := range s.roles.of(o) {
 			if index[r] < 0 {
 				continue
 			}
-			body = codec.AppendBytes(body, []byte(rr.name))
+			body = codec.AppendBytes(body, []byte(s.roleName(rr)))
 			body = codec.AppendUvarint(body, uint64(rr.end-rr.start))
-			for _, p := range u.rules[rr.start:rr.end] {
+			for _, p := range rules[rr.start:rr.end] {
 				for _, f := range []float64{p.Locr.MinX, p.Locr.MinY, p.Locr.MaxX, p.Locr.MaxY, p.Tint.Start, p.Tint.End} {
 					body = codec.AppendFloat(body, f)
 				}
 			}
 		}
-		body = codec.AppendUvarint(body, uint64(len(u.rels)))
-		for _, rel := range u.rels {
+		body = codec.AppendUvarint(body, uint64(len(rels)))
+		for _, rel := range rels {
 			body = codec.AppendUvarint(body, uint64(rel.peer))
 			body = codec.AppendUvarint(body, uint64(index[rel.role]))
 		}
@@ -175,9 +177,10 @@ func Load(r io.Reader) (*Store, error) {
 	return s, nil
 }
 
-// decodeSnapshot reads a snapshot body into whole owners, carved at their
-// final lengths from one array per kind, and hands them to the bulk
-// builder.
+// decodeSnapshot reads a snapshot body straight into the store's columns,
+// each allocated once at the length the file's totals give, and hands the
+// owners to the bulk builder. Role names are interned as they are read,
+// their bytes gathered in one buffer that becomes one string at the end.
 func decodeSnapshot(rd *codec.Reader) (*Store, error) {
 	var dom [5]float64
 	for i := range dom {
@@ -202,106 +205,128 @@ func decodeSnapshot(rd *codec.Reader) (*Store, error) {
 		return nil, err
 	}
 
-	owners := make([]userPolicies, nOwners)
-	roles := make([]roleRange, nRoles)
-	rules := make([]rule, nRules)
-	rels := make([]relation, nRels)
-	names := make(map[string]Role) // one string per distinct role name
+	s.ids = make([]UserID, 0, nOwners)
+	s.roles = column[roleRange]{all: make([]roleRange, 0, nRoles), ext: make([]extent, 0, nOwners)}
+	s.rules = column[rule]{all: make([]rule, 0, nRules), ext: make([]extent, 0, nOwners)}
+	s.rels = column[relation]{all: make([]relation, 0, nRels), ext: make([]extent, 0, nOwners)}
+	// The distinct names: text holds their bytes, ends where each stops.
+	var text []byte
+	var ends []int32
+	nameOf := func(id int32) []byte {
+		if id == 0 {
+			return text[:ends[0]]
+		}
+		return text[ends[id-1]:ends[id]]
+	}
 	var used []bool
-	ro, ru, re := 0, 0, 0 // next free entry of roles, rules, rels
-	for i := range owners {
-		u := &owners[i]
-		u.id = takeUserID(rd, "owner")
-		if i > 0 && u.id <= owners[i-1].id {
-			rd.Failf("owner %d after owner %d", u.id, owners[i-1].id)
+	for rd.Err() == nil && len(s.ids) < nOwners {
+		id := takeUserID(rd, "owner")
+		if n := len(s.ids); n > 0 && id <= s.ids[n-1] {
+			rd.Failf("owner %d after owner %d", id, s.ids[n-1])
 		}
 		nr := rd.TakeCount("owner role count", 2)
-		if nr > nRoles-ro {
-			rd.Failf("owner %d has more roles than the file", u.id)
+		if nr > nRoles-len(s.roles.all) {
+			rd.Failf("owner %d has more roles than the file", id)
 			break
 		}
-		u.roles = roles[ro : ro+nr : ro+nr]
-		ro += nr
-		base := ru
-		for x := range u.roles {
+		roleBase, ruleBase := len(s.roles.all), len(s.rules.all)
+		for x := range nr {
 			raw := rd.TakeBytesView("role name")
-			name, ok := names[string(raw)]
+			h := hashName(raw)
+			name, ok := s.names.index.find(h, func(k int32) bool { return string(nameOf(k)) == string(raw) })
 			if !ok {
-				name = Role(raw)
-				names[string(raw)] = name
+				name = int32(len(ends))
+				text = append(text, raw...)
+				ends = append(ends, int32(len(text)))
+				s.names.index.add(h, name, func(k int32) uint32 { return hashName(nameOf(k)) })
 			}
-			if x > 0 && name <= u.roles[x-1].name {
-				rd.Failf("owner %d: role %q after %q", u.id, name, u.roles[x-1].name)
+			if x > 0 && string(nameOf(name)) <= string(nameOf(s.roles.all[len(s.roles.all)-1].name)) {
+				rd.Failf("owner %d: role %q after %q", id, nameOf(name), nameOf(s.roles.all[len(s.roles.all)-1].name))
 			}
 			k := rd.TakeCount("role policy count", 6)
-			if k > nRules-ru {
-				rd.Failf("owner %d has more policies than the file", u.id)
+			if k > nRules-len(s.rules.all) {
+				rd.Failf("owner %d has more policies than the file", id)
 			}
 			if rd.Err() != nil {
 				break
 			}
-			first := ru
-			for ; ru < first+k; ru++ {
+			first := len(s.rules.all)
+			for range k {
 				p := rule{
 					Locr: Region{MinX: rd.TakeFloat("locr"), MinY: rd.TakeFloat("locr"), MaxX: rd.TakeFloat("locr"), MaxY: rd.TakeFloat("locr")},
 					Tint: TimeInterval{Start: rd.TakeFloat("tint"), End: rd.TakeFloat("tint")},
 				}
 				if !p.Locr.Valid() {
-					rd.Failf("owner %d: invalid locr %v", u.id, p.Locr)
+					rd.Failf("owner %d: invalid locr %v", id, p.Locr)
 				}
-				if slices.Contains(rules[first:ru], p) { // as AddPolicy checks
-					rd.Failf("owner %d: policy %v twice under role %q", u.id, p, name)
+				if slices.Contains(s.rules.all[first:], p) { // as AddPolicy checks
+					rd.Failf("owner %d: policy %v twice under role %q", id, p, nameOf(name))
 				}
-				rules[ru] = p
+				s.rules.all = append(s.rules.all, p)
 			}
-			u.roles[x] = roleRange{name: name, start: int32(first - base), end: int32(ru - base)}
+			s.roles.all = append(s.roles.all, roleRange{
+				name:  name,
+				start: int32(first - ruleBase),
+				end:   int32(len(s.rules.all) - ruleBase),
+			})
 		}
-		u.rules = rules[base:ru:ru]
 		nl := rd.TakeCount("owner relation count", 2)
-		if nl > nRels-re {
-			rd.Failf("owner %d has more relations than the file", u.id)
+		if nl > nRels-len(s.rels.all) {
+			rd.Failf("owner %d has more relations than the file", id)
 		}
 		if rd.Err() != nil {
 			break
 		}
-		u.rels = rels[re : re+nl : re+nl]
-		re += nl
+		relBase := len(s.rels.all)
 		used = slices.Grow(used[:0], nr)[:nr]
 		clear(used)
-		for x := range u.rels {
+		for x := range nl {
 			peer := takeUserID(rd, "relation peer")
 			r := rd.TakeUvarint("relation role")
 			switch {
-			case x > 0 && peer <= u.rels[x-1].peer:
-				rd.Failf("owner %d: peer %d after peer %d", u.id, peer, u.rels[x-1].peer)
+			case x > 0 && peer <= s.rels.all[len(s.rels.all)-1].peer:
+				rd.Failf("owner %d: peer %d after peer %d", id, peer, s.rels.all[len(s.rels.all)-1].peer)
 			case r >= uint64(nr):
-				rd.Failf("owner %d: relation to %d names role %d of %d", u.id, peer, r, nr)
+				rd.Failf("owner %d: relation to %d names role %d of %d", id, peer, r, nr)
 			default:
-				u.rels[x] = relation{peer: peer, role: int32(r)}
 				used[r] = true
 			}
+			if rd.Err() != nil {
+				break
+			}
+			s.rels.all = append(s.rels.all, relation{peer: peer, role: int32(r)})
 		}
-		for x, rr := range u.roles {
+		for x, rr := range s.roles.all[roleBase:] {
 			if rr.start == rr.end && !used[x] {
-				rd.Failf("owner %d: role %q carries neither a policy nor a relation", u.id, rr.name)
+				rd.Failf("owner %d: role %q carries neither a policy nor a relation", id, nameOf(rr.name))
 			}
 		}
 		if nr == 0 {
-			rd.Failf("owner %d holds nothing", u.id)
+			rd.Failf("owner %d holds nothing", id)
 		}
-		if rd.Err() != nil {
-			break
-		}
+		s.ids = append(s.ids, id)
+		s.roles.endSlot(roleBase)
+		s.rules.endSlot(ruleBase)
+		s.rels.endSlot(relBase)
 	}
-	if rd.Err() == nil && (ro != nRoles || ru != nRules || re != nRels) {
+	if rd.Err() == nil && (len(s.roles.all) != nRoles || len(s.rules.all) != nRules || len(s.rels.all) != nRels) {
 		rd.Failf("owners hold %d roles, %d policies and %d relations; the file counts %d, %d and %d",
-			ro, ru, re, nRoles, nRules, nRels)
+			len(s.roles.all), len(s.rules.all), len(s.rels.all), nRoles, nRules, nRels)
 	}
 	rd.ExpectEnd()
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
-	s.adopt(owners)
+	all := string(text)
+	s.names.names = make([]Role, len(ends))
+	for k := range ends {
+		start := int32(0)
+		if k > 0 {
+			start = ends[k-1]
+		}
+		s.names.names[k] = Role(all[start:ends[k]])
+	}
+	s.adopt()
 	return s, nil
 }
 

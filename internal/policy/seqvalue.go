@@ -117,12 +117,12 @@ type arc struct {
 // smaller id's side. Nodes are numbered through a slice indexed by slot,
 // so an edge costs one hash lookup, its peer's slot.
 func newCompatGraph(s *Store, users []UserID, multi bool) *compatGraph {
-	node := make([]int32, len(s.users)) // slot → node, or -1
+	node := make([]int32, len(s.ids)) // slot → node, or -1
 	for i := range node {
 		node[i] = -1
 	}
 	for i, u := range users {
-		if j, ok := s.slot[u]; ok {
+		if j, ok := s.index.slotOf(s.ids, u); ok {
 			node[j] = int32(i)
 		}
 	}
@@ -132,26 +132,26 @@ func newCompatGraph(s *Store, users []UserID, multi bool) *compatGraph {
 	}
 	var edges []edge
 	g := &compatGraph{users: users, start: make([]int32, len(users)+1)}
-	for i := range s.users {
-		o := &s.users[i]
+	for i, id := range s.ids {
 		if node[i] < 0 {
 			continue
 		}
-		for _, rel := range o.rels {
-			rr := o.roles[rel.role]
-			if rr.start == rr.end || rel.peer == o.id {
+		roles, rules := s.roles.of(int32(i)), s.rules.of(int32(i))
+		for _, rel := range s.rels.of(int32(i)) {
+			rr := roles[rel.role]
+			if rr.start == rr.end || rel.peer == id {
 				continue // granted the other way only, met on that side; or a self-relation
 			}
-			j := s.slot[rel.peer]
+			j, _ := s.index.slotOf(s.ids, rel.peer)
 			if node[j] < 0 {
 				continue
 			}
-			fwd, back := o.rules[rr.start:rr.end], s.users[j].rulesTo(o.id)
-			if len(back) > 0 && o.id > rel.peer {
+			fwd, back := rules[rr.start:rr.end], s.rulesTo(j, id)
+			if len(back) > 0 && id > rel.peer {
 				continue // granted both ways: kept on the peer's side
 			}
 			// fwd goes first, as Alpha puts the smaller id's rules: either
-			// o is the smaller id, or back is empty and adds nothing to a
+			// the owner is the smaller id, or back is empty and adds nothing to a
 			// sum in either place.
 			var c float64
 			if multi {

@@ -352,3 +352,69 @@ func BenchmarkGrantors(b *testing.B) {
 		i++
 	}
 }
+
+// TestStoreAgreesWithReferenceAtScale drives hundreds of users through
+// thousands of relation sets, role changes and policy adds, cloning now
+// and then and mutating both sides after: enough entries that extents
+// move to their column's end and columns compact many times over, which
+// FuzzStoreOps' eight users never reach. Each side must save what its
+// reference saves, and every viewer's grantors must match.
+func TestStoreAgreesWithReferenceAtScale(t *testing.T) {
+	const users, ops = 300, 30000
+	rng := rand.New(rand.NewSource(5))
+	roles := []Role{"a", "b", "c", "d", "e", "f"}
+	space := Region{MaxX: 100, MaxY: 100}
+	s, err := NewStore(space, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sides := []storePair{{s: s, ref: newRefStore(space, 24)}}
+	check := func(when string) {
+		for i, p := range sides {
+			if got, want := saveBytes(t, p.s), refSaved(t, p.ref); !bytes.Equal(got, want) {
+				t.Fatalf("%s: side %d saves %d bytes unlike its reference's %d", when, i, len(got), len(want))
+			}
+			for v := UserID(0); v < users; v++ {
+				if g, want := p.s.Grantors(v), p.ref.Grantors(v); !slices.Equal(g, want) {
+					t.Fatalf("%s: side %d: Grantors(%d) = %v, reference %v", when, i, v, g, want)
+				}
+			}
+		}
+	}
+	for op := 1; op <= ops; op++ {
+		p := &sides[rng.Intn(len(sides))]
+		owner, peer := UserID(rng.Intn(users)), UserID(rng.Intn(users))
+		role := roles[rng.Intn(len(roles))]
+		if rng.Intn(3) > 0 {
+			p.s.SetRelation(owner, peer, role)
+			p.ref.SetRelation(owner, peer, role)
+		} else {
+			x := float64(rng.Intn(50))
+			pol := Policy{Role: role, Locr: Region{x, x, x + 50, x + 50}, Tint: fuzzTints[rng.Intn(len(fuzzTints))]}
+			if err := p.s.AddPolicy(owner, pol); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.ref.AddPolicy(owner, pol); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if op%5000 == 0 {
+			check(fmt.Sprintf("after %d ops", op))
+			c := storePair{s: p.s.Clone(), ref: p.ref.clone()}
+			if len(sides) < 3 {
+				sides = append(sides, c)
+			} else {
+				sides[rng.Intn(len(sides))] = c
+			}
+		}
+	}
+	check("at the end")
+}
+
+func saveBytes(t *testing.T, s *Store) []byte {
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}

@@ -228,16 +228,34 @@ func genUniform(cfg Config, rng *rand.Rand) []motion.Object {
 // users are split into groups of cfg.GroupSize consecutive ids; each user
 // owns round(θ·Np) policies toward random distinct same-group peers and
 // Np − round(θ·Np) toward random other users (Sec. 6). Each owner→peer
-// pair gets a dedicated role, one relation, and one random policy.
+// pair gets a dedicated role, one relation, and one random policy. The
+// grants are drawn first and applied to the store in one policy.Bulk,
+// which builds the store SetRelation and AddPolicy calls in draw order
+// would.
 func genPolicies(cfg Config, users []policy.UserID, rng *rand.Rand) (*policy.Store, error) {
 	space := policy.Region{MinX: 0, MinY: 0, MaxX: cfg.Space, MaxY: cfg.Space}
 	pol, err := policy.NewStore(space, cfg.DayLen)
 	if err != nil {
 		return nil, err
 	}
+	grants := len(users) * cfg.PoliciesPerUser
+	b := policy.NewBulk(grants, grants)
+	drawPolicies(cfg, users, rng, func(owner, peer policy.UserID, p policy.Policy) {
+		b.SetRelation(owner, peer, p.Role)
+		b.AddPolicy(owner, p)
+	})
+	if err := b.ApplyTo(pol); err != nil {
+		return nil, err
+	}
+	return pol, nil
+}
+
+// drawPolicies draws genPolicies' grants, owner by owner, and passes each
+// to grant in draw order.
+func drawPolicies(cfg Config, users []policy.UserID, rng *rand.Rand, grant func(owner, peer policy.UserID, p policy.Policy)) {
 	n := len(users)
 	if cfg.PoliciesPerUser == 0 {
-		return pol, nil
+		return
 	}
 	inGroup := int(math.Round(cfg.GroupingFactor * float64(cfg.PoliciesPerUser)))
 
@@ -248,10 +266,9 @@ func genPolicies(cfg Config, users []policy.UserID, rng *rand.Rand) (*policy.Sto
 			gEnd = n
 		}
 		chosen := make(map[policy.UserID]bool, cfg.PoliciesPerUser)
-		addPolicy := func(peer policy.UserID) error {
+		add := func(peer policy.UserID) {
 			role := policy.Role(fmt.Sprintf("p%d", peer))
-			pol.SetRelation(owner, peer, role)
-			return pol.AddPolicy(owner, randomPolicy(cfg, role, rng))
+			grant(owner, peer, randomPolicy(cfg, role, rng))
 		}
 		// In-group policies. Group size can undercut the target near the
 		// tail of the id space; cap at the available distinct peers.
@@ -265,9 +282,7 @@ func genPolicies(cfg Config, users []policy.UserID, rng *rand.Rand) (*policy.Sto
 				continue
 			}
 			chosen[peer] = true
-			if err := addPolicy(peer); err != nil {
-				return nil, err
-			}
+			add(peer)
 		}
 		// Out-of-group policies toward anyone.
 		for len(chosen) < cfg.PoliciesPerUser && len(chosen) < n-1 {
@@ -276,12 +291,9 @@ func genPolicies(cfg Config, users []policy.UserID, rng *rand.Rand) (*policy.Sto
 				continue
 			}
 			chosen[peer] = true
-			if err := addPolicy(peer); err != nil {
-				return nil, err
-			}
+			add(peer)
 		}
 	}
-	return pol, nil
 }
 
 // randomPolicy draws a policy with random spatial range and time interval

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/policy"
@@ -323,6 +324,44 @@ func TestAssign(t *testing.T) {
 	for u, sv := range a.SV {
 		if sv <= 1 {
 			t.Fatalf("u%d SV %g <= 1", u, sv)
+		}
+	}
+}
+
+// TestGenPoliciesBulkEqualsOneAtATime: the generator's store, applied in
+// one Bulk, is Equal to the store its draws build one SetRelation and
+// AddPolicy at a time, for every grouping factor and with no policies.
+func TestGenPoliciesBulkEqualsOneAtATime(t *testing.T) {
+	for _, perUser := range []int{10, 0} {
+		for _, theta := range []float64{0, 0.7, 1} {
+			for seed := int64(1); seed <= 3; seed++ {
+				cfg := smallConfig()
+				cfg.PoliciesPerUser, cfg.GroupingFactor = perUser, theta
+				users := make([]policy.UserID, cfg.NumUsers)
+				for i := range users {
+					users[i] = policy.UserID(i + 1)
+				}
+				bulk, err := genPolicies(cfg, users, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				one, err := policy.NewStore(bulk.Space(), bulk.DayLength())
+				if err != nil {
+					t.Fatal(err)
+				}
+				drawPolicies(cfg, users, rand.New(rand.NewSource(seed)), func(owner, peer policy.UserID, p policy.Policy) {
+					one.SetRelation(owner, peer, p.Role)
+					if err := one.AddPolicy(owner, p); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if want := cfg.NumUsers * perUser; bulk.NumPolicies() != want {
+					t.Fatalf("Np %d, θ %g, seed %d: %d policies, want %d", perUser, theta, seed, bulk.NumPolicies(), want)
+				}
+				if !bulk.Equal(one) || !one.Equal(bulk) {
+					t.Fatalf("Np %d, θ %g, seed %d: the bulk-built store differs from the one built a call at a time", perUser, theta, seed)
+				}
+			}
 		}
 	}
 }
